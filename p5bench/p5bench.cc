@@ -19,6 +19,7 @@
  * library, around its public functions only.
  */
 
+#include <malloc.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -285,11 +286,18 @@ class Tracer
         std::int64_t innerNs = 0;
     };
 
-    explicit Tracer(std::string run_id) : runId_(std::move(run_id)) {}
+    /** A disabled tracer records nothing; its spans cost one branch. */
+    explicit Tracer(std::string run_id, bool enabled = true)
+        : runId_(std::move(run_id)), enabled_(enabled)
+    {}
+
+    bool enabled() const { return enabled_; }
 
     int
     open(const std::string &name)
     {
+        if (!enabled_)
+            return -1;
         spans_.push_back({name, nowNs(), 0, current_, 0});
         current_ = static_cast<int>(spans_.size()) - 1;
         return current_;
@@ -298,6 +306,8 @@ class Tracer
     void
     close(int idx)
     {
+        if (idx < 0)
+            return;
         spans_[static_cast<std::size_t>(idx)].endNs = nowNs();
         current_ = spans_[static_cast<std::size_t>(idx)].parent;
     }
@@ -305,7 +315,8 @@ class Tracer
     void
     addInner(int idx, std::int64_t ns)
     {
-        spans_[static_cast<std::size_t>(idx)].innerNs += ns;
+        if (idx >= 0)
+            spans_[static_cast<std::size_t>(idx)].innerNs += ns;
     }
 
     /** RAII span. */
@@ -392,6 +403,7 @@ class Tracer
 
   private:
     std::string runId_;
+    bool enabled_;
     std::vector<Span> spans_;
     int current_ = -1;
 };
@@ -521,7 +533,9 @@ stageNs(const SmtCore::StageProfile &p)
  * StageProfile, FameRunner::runWarmup inside CkptManager::acquire,
  * SmtCore::saveState / restoreState, FameRunner::measure — then a
  * ResultStore put and load. Each result is checked against the
- * reference and the store round trip against the result.
+ * reference and the store round trip against the result. With a
+ * disabled tracer the same calls run without spans or StageProfile,
+ * which is what trace.overhead_pct compares against.
  */
 void
 walkJobs(const std::vector<WalkItem> &items, const std::string &store_dir,
@@ -554,7 +568,8 @@ walkJobs(const std::vector<WalkItem> &items, const std::string &store_dir,
         if (prog_s)
             core.attachThread(1, prog_s.get(), canonical_warm_priority);
         SmtCore::StageProfile prof;
-        core.setStageProfile(&prof);
+        if (tr.enabled())
+            core.setStageProfile(&prof);
         FameRunner runner(c.fame);
 
         const std::string warm_key = job.warmKey();
@@ -730,18 +745,19 @@ stIpcErrPct(const std::string &table3)
 /**
  * paper_fast: every paper subcommand with --fast --jobs=4, in one
  * process, through driverMain — what a user runs to reproduce the
- * paper. The seed sets the subcommand order.
+ * paper. The subcommands run in paper order under every seed: they
+ * share one result cache, so another order would change how much work
+ * each does (fig4 is served from the cache only after table3, fig2 and
+ * fig3). The seed therefore changes nothing here.
  */
 class PaperFast : public Workload
 {
   public:
     void
-    setup(std::uint64_t seed) override
+    setup(std::uint64_t) override
     {
-        std::mt19937_64 rng(seed);
         subs_ = {"table3", "fig2",   "fig3", "fig4",
                  "fig5",   "table4", "fig6", "ablation"};
-        std::shuffle(subs_.begin(), subs_.end(), rng);
         config_ = makeConfig(true, 4);
     }
 
@@ -1188,9 +1204,9 @@ ratio(double a, double b)
 }
 
 /**
- * The last step of set-up: one short single-thread job through the
- * library, so lazy initialisation and cold caches are paid before the
- * timed region and show in setup_s instead.
+ * One short single-thread job through the library before anything is
+ * timed, so lazy initialisation and cold caches are paid outside both
+ * setup_s and the timed passes.
  */
 void
 warmUp(Checker &chk)
@@ -1203,31 +1219,79 @@ warmUp(Checker &chk)
               fameFields(job.execute().fame));
 }
 
-/** Setups per run; set-up is short, so its median needs several. */
-constexpr std::size_t setup_repeats = 24;
+/**
+ * Set-ups per run, taken in groups: set-up takes well under a
+ * millisecond, so its median needs many samples.
+ */
+constexpr std::size_t setup_repeats = 100;
+constexpr std::size_t setup_group = 5;
+
+/**
+ * Host speed probe: the time of a fixed chain of dependent 64-bit
+ * multiply-adds, code of the benchmark's own that no change to the
+ * simulator can move. On a shared host every time the benchmark takes
+ * drifts with what other tenants run, by up to 2x within minutes.
+ * When the whole CPU slows, the probe slows with it (over 30 s windows
+ * a simulator job's time varied by 12% between quartiles, its ratio to
+ * the probe by 1%). Contention that slows the simulator's caches but
+ * not this chain it does not see.
+ */
+double
+probeSeconds()
+{
+    const std::int64_t t0 = nowNs();
+    std::uint64_t x = 1;
+    for (int i = 0; i < 20'000'000; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        asm volatile("" : "+r"(x)); // keep every step of the chain
+    }
+    return static_cast<double>(nowNs() - t0) / 1e9;
+}
+
+/**
+ * probeSeconds() at the reference host speed: the median on the 4-vCPU
+ * Xeon host this benchmark was defined on. Reported times are scaled
+ * to that speed.
+ */
+constexpr double probe_reference_s = 0.030;
+constexpr std::size_t probe_group = 3;
+
+/** Median, quartiles and count of @p v, scaled by @p k, on one line. */
+void
+printTimes(const char *name, const std::vector<double> &v, double k)
+{
+    const Quartiles q = quartiles(v);
+    std::printf("%-8s median %.6g  q1 %.6g  q3 %.6g  n=%zu  (raw median "
+                "%.6g)\n",
+                name, q.median * k, q.q1 * k, q.q3 * k, v.size(), q.median);
+}
 
 int
 runUntraced(Workload &w, std::uint64_t seed, double seconds, Checker &chk,
             const std::string &reference)
 {
-    // Half the set-ups run before the first pass and the rest between
-    // passes (between subcommands on paper_fast): on a shared host the
-    // CPU can run at half speed for a second or two, and one such
-    // stretch must not decide the median.
-    std::vector<double> setups;
-    auto setupOnce = [&] {
-        const std::int64_t t0 = nowNs();
-        chk.load(reference);
-        w.setup(seed);
-        warmUp(chk);
-        setups.push_back(static_cast<double>(nowNs() - t0) / 1e9);
+    // One group of set-ups and host speed probes runs before the first
+    // pass and one after each pass (each subcommand on paper_fast): on
+    // a shared host the CPU can run at half speed for a second or two,
+    // and one such stretch must not decide a median. Only a group's
+    // first set-up finds the caches cold from the pass before it, so
+    // the median is always a warm set-up.
+    std::vector<double> setups, probes;
+    auto betweenPasses = [&] {
+        for (std::size_t k = 0;
+             k < setup_group && setups.size() < setup_repeats; ++k) {
+            const std::int64_t t0 = nowNs();
+            chk.load(reference);
+            w.setup(seed);
+            setups.push_back(static_cast<double>(nowNs() - t0) / 1e9);
+        }
+        for (std::size_t k = 0; k < probe_group; ++k)
+            probes.push_back(probeSeconds());
     };
-    while (setups.size() < setup_repeats / 2)
-        setupOnce();
-    w.between = [&] {
-        for (int k = 0; k < 3 && setups.size() < setup_repeats; ++k)
-            setupOnce();
-    };
+    chk.load(reference);
+    warmUp(chk);
+    betweenPasses();
+    w.between = betweenPasses;
 
     // Peak memory is taken per pass where the kernel can reset it, so
     // it is a median like the times; otherwise it is the run's peak.
@@ -1248,25 +1312,28 @@ runUntraced(Workload &w, std::uint64_t seed, double seconds, Checker &chk,
     }
 
     w.between = nullptr;
+    // Every reported time is scaled to the reference host speed.
+    const double probe = quartiles(probes).median;
+    const double k = probe_reference_s / probe;
+    std::printf("host speed probe median %.6g s, n=%zu (reference %.6g s): "
+                "times scaled by %.4f\n",
+                probe, probes.size(), probe_reference_s, k);
+    printTimes("wall_s", walls, k);
+    printTimes("cpu_s", cpus, k);
+    printTimes("setup_s", setups, k);
     const Quartiles qw = quartiles(walls), qc = quartiles(cpus),
                     qs = quartiles(setups);
-    std::printf("wall_s   median %.4f  q1 %.4f  q3 %.4f  n=%zu\n",
-                qw.median, qw.q1, qw.q3, walls.size());
-    std::printf("cpu_s    median %.4f  q1 %.4f  q3 %.4f  n=%zu\n",
-                qc.median, qc.q1, qc.q3, cpus.size());
-    std::printf("setup_s  median %.6f  q1 %.6f  q3 %.6f  n=%zu\n",
-                qs.median, qs.q1, qs.q3, setups.size());
     if (instrs > 0)
-        std::printf("sim_mips %.4f M instr/s (informational)\n",
+        std::printf("sim_mips %.4f M instr/s (informational, unscaled)\n",
                     instrs / qw.median / 1e6);
     std::printf("%s", w.notes().c_str());
 
-    printResult(chk, {{"wall_s", qw.median, "s"},
-                      {"cpu_s", qc.median, "s"},
+    printResult(chk, {{"wall_s", qw.median * k, "s"},
+                      {"cpu_s", qc.median * k, "s"},
                       {"peak_rss_mb",
                        rss.empty() ? peakRssMb() : quartiles(rss).median,
                        "MB"},
-                      {"setup_s", qs.median, "s"}});
+                      {"setup_s", qs.median * k, "s"}});
     return 0;
 }
 
@@ -1282,16 +1349,20 @@ runTraced(Workload &w, const std::string &name, std::uint64_t seed,
     WalkStats ws;
     const std::string walk_dir = w.workDir + "/walk";
     Pass traced;
-    if (w.passIsWalk()) {
-        traced = timed([&] {
-            Tracer::Scope s(tr, "walk");
-            walkJobs(w.sample(), walk_dir, tr, chk, ws);
-        });
-    } else {
+    if (!w.passIsWalk())
         traced = w.tracedPass(tr, chk);
+    const Pass walk = timed([&] {
         Tracer::Scope s(tr, "walk");
         walkJobs(w.sample(), walk_dir, tr, chk, ws);
-    }
+    });
+    if (w.passIsWalk())
+        traced = walk;
+
+    // The cost of tracing: the same walk again with tracing off.
+    Tracer off("", false);
+    WalkStats ignored;
+    const Pass plain = timed(
+        [&] { walkJobs(w.sample(), walk_dir, off, chk, ignored); });
 
     // The runner batch: the untraced pass where that is one (cpu_matrix),
     // else the walk's jobs as one batch.
@@ -1368,7 +1439,7 @@ runTraced(Workload &w, const std::string &name, std::uint64_t seed,
         {"store.disk_mb", counts.storeDiskBytes / 1048576.0, "MB"},
         {"config.point_us", perOp("config", 1e3), "us"},
         {"program.build_ms", perOp("program.build", 1e6), "ms"},
-        {"trace.overhead_pct", (traced.wallS / base.wallS - 1.0) * 100.0,
+        {"trace.overhead_pct", (walk.wallS / plain.wallS - 1.0) * 100.0,
          "%"},
     });
 
@@ -1437,6 +1508,15 @@ record(const std::string &path, const std::string &work_dir)
 int
 main(int argc, char **argv)
 {
+    // glibc raises its mmap threshold at the first free of a large
+    // mapped block and from then on serves such blocks, checkpoint
+    // images among them, from the heap. Where in a run that happened
+    // decided peak_rss_mb (17.3 or 20.3 MB on cpu_matrix). Keeping the
+    // default 128 KiB threshold fixed makes every pass alike; a fixed
+    // 32 MiB one, the heap state, left peak memory on mem_sweep_store
+    // varying by 15%.
+    mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+
     std::map<std::string, std::string> args;
     for (int i = 1; i + 1 < argc; i += 2) {
         const std::string key = argv[i];

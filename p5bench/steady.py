@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
-"""Steadiness check: run one workload as independent sets of runs.
+"""Steadiness check: run one workload as two independent sets of runs.
 
-    python3 p5bench/steady.py --workload W [--runs 10] [--sets 2]
-                              [--seconds S] [--first-seed N]
+    python3 p5bench/steady.py --workload W [--seconds S] [--first-seed N]
 
-Each run is the benchmark command from BENCHMARK.json with its own seed
-(sets never share a seed), and the sets are interleaved run by run so
-drift on the host reaches both alike. For every end-to-end metric the
-tool prints each set's median, quartiles and spread (Q3 - Q1 as a share
-of the median), then a verdict:
+Each set has ten runs of the benchmark command from BENCHMARK.json,
+each with its own seed (the sets never share a seed), and the sets are
+interleaved run by run so drift on the host reaches both alike. For
+every end-to-end metric the tool prints each set's median, quartiles
+and spread (Q3 - Q1 as a share of the median), then a verdict:
 
-  steady   every spread except setup_s is within a third of the bound
-  ok       spreads within the bound, but not within a third of it
+  steady   both spreads are within a third of the bound
+  ok       both spreads are within the bound, not within a third of it
   UNSTEADY a spread exceeds the bound
-  DRIFT    a later set's median is worse than the first set's by more
-           than the bound (checked for every metric, setup_s too)
+  DRIFT    set 2's median is worse than set 1's by more than the bound
+
+setup_s is judged on its drift only: its spread is printed but exempt,
+as in the acceptance rule of the benchmark contract.
 
 Run it from the root of a checkout. Exit code 0 unless a run fails or
 the verdict is UNSTEADY or DRIFT.
@@ -28,6 +29,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUNS = 10  # runs per set
 
 
 def spread(values):
@@ -44,10 +46,10 @@ def worse_by(first, later, better):
     return change if better == "lower" else -change
 
 
-def verdict(sets, spec):
-    """(per-set spread stats, drift, status) for one metric's sets."""
+def verdict(first, second, spec):
+    """(spread stats of both sets, drift of set 2, status) for one metric."""
     bound = spec["bound"]
-    stats = [spread(v) for v in sets]
+    stats = [spread(first), spread(second)]
     status = "steady"
     if spec["name"] != "setup_s":
         worst = max(s[3] for s in stats)
@@ -55,8 +57,7 @@ def verdict(sets, spec):
             status = "UNSTEADY"
         elif worst > bound / 3:
             status = "ok"
-    drift = max(worse_by(stats[0][0], s[0], spec["better"])
-                for s in stats[1:]) if len(stats) > 1 else 0.0
+    drift = worse_by(stats[0][0], stats[1][0], spec["better"])
     if drift > bound:
         status = "DRIFT"
     return stats, drift, status
@@ -79,8 +80,6 @@ def run_once(command, workload, seed, seconds):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--sets", type=int, default=2)
     ap.add_argument("--seconds", type=int)
     ap.add_argument("--first-seed", type=int, default=1)
     args = ap.parse_args()
@@ -88,23 +87,21 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     seconds = args.seconds or bench["run_seconds"]
-    specs = bench["end_to_end"]
-    values = [[] for _ in range(args.sets)]  # values[set][run] = metrics
+    sets = ([], [])  # sets[s][run] = metrics
     seed = args.first_seed
-    for r in range(args.runs):
-        for s in range(args.sets):
+    for r in range(RUNS):
+        for s, runs in enumerate(sets):
             m = run_once(bench["command"], args.workload, seed, seconds)
-            values[s].append(m)
+            runs.append(m)
             print("set %d run %d seed %d: %s" % (s + 1, r + 1, seed, " ".join(
                 "%s=%.6g" % (k, v) for k, v in m.items())), flush=True)
             seed += 1
 
     failed = False
-    print("\n%s: %d set(s) x %d runs, %d s each" %
-          (args.workload, args.sets, args.runs, seconds))
-    for spec in specs:
-        sets = [[m[spec["name"]] for m in runs] for runs in values]
-        stats, drift, status = verdict(sets, spec)
+    print("\n%s: 2 sets x %d runs, %d s each" % (args.workload, RUNS, seconds))
+    for spec in bench["end_to_end"]:
+        first, second = ([m[spec["name"]] for m in runs] for runs in sets)
+        stats, drift, status = verdict(first, second, spec)
         failed |= status in ("UNSTEADY", "DRIFT")
         for i, (med, q1, q3, sp) in enumerate(stats):
             print("  %-12s set %d  median %-12.6g q1 %-12.6g q3 %-12.6g "

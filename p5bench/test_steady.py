@@ -27,28 +27,28 @@ class SpreadTest(unittest.TestCase):
 class VerdictTest(unittest.TestCase):
     def test_tight_sets_are_steady(self):
         sets = [[10.0, 10.1, 9.9, 10.0], [10.05, 10.0, 9.95, 10.1]]
-        self.assertEqual(steady.verdict(sets, WALL)[2], "steady")
+        self.assertEqual(steady.verdict(*sets, WALL)[2], "steady")
 
     def test_spread_between_third_of_bound_and_bound_is_ok(self):
         sets = [[10.0, 11.0, 9.0, 10.0], [10.0, 11.0, 9.0, 10.0]]
-        self.assertEqual(steady.verdict(sets, WALL)[2], "ok")
+        self.assertEqual(steady.verdict(*sets, WALL)[2], "ok")
 
     def test_spread_over_bound_is_unsteady(self):
         sets = [[10.0, 14.0, 7.0, 10.0], [10.0, 10.0, 10.0, 10.0]]
-        self.assertEqual(steady.verdict(sets, WALL)[2], "UNSTEADY")
+        self.assertEqual(steady.verdict(*sets, WALL)[2], "UNSTEADY")
 
     def test_setup_spread_is_exempt_but_its_drift_is_not(self):
         wide = [1.0, 2.0, 0.5, 1.0]
-        self.assertEqual(steady.verdict([wide, wide], SETUP)[2], "steady")
+        self.assertEqual(steady.verdict(wide, wide, SETUP)[2], "steady")
         slower = [x * 1.5 for x in wide]
-        self.assertEqual(steady.verdict([wide, slower], SETUP)[2], "DRIFT")
+        self.assertEqual(steady.verdict(wide, slower, SETUP)[2], "DRIFT")
 
     def test_drift_direction_follows_better(self):
         base = [10.0, 10.0, 10.0, 10.0]
         lower = [7.0, 7.0, 7.0, 7.0]
         # Lower is better for a time, worse for a throughput.
-        self.assertEqual(steady.verdict([base, lower], WALL)[2], "steady")
-        self.assertEqual(steady.verdict([base, lower], IPS)[2], "DRIFT")
+        self.assertEqual(steady.verdict(base, lower, WALL)[2], "steady")
+        self.assertEqual(steady.verdict(base, lower, IPS)[2], "DRIFT")
 
 
 if __name__ == "__main__":
