@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Steadiness check: run one workload as two independent sets of runs.
 
-    python3 p5bench/steady.py --workload W [--seconds S] [--first-seed N]
+    python3 p5bench/steady.py --workload W [--first-seed N]
 
 Each set has ten runs of the benchmark command from BENCHMARK.json,
-each with its own seed (the sets never share a seed), and the sets are
-interleaved run by run so drift on the host reaches both alike. For
+each run_seconds long and with its own seed (the sets never share a
+seed), and the sets are interleaved run by run so drift on the host
+reaches both alike. For
 every end-to-end metric the tool prints each set's median, quartiles
 and spread (Q3 - Q1 as a share of the median), then a verdict:
 
@@ -80,13 +81,12 @@ def run_once(command, workload, seed, seconds):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seconds", type=int)
     ap.add_argument("--first-seed", type=int, default=1)
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     sets = ([], [])  # sets[s][run] = metrics
     seed = args.first_seed
     for r in range(RUNS):
