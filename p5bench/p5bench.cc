@@ -416,6 +416,10 @@ struct Pass
     double wallS = 0.0;
     double cpuS = 0.0;
 
+    /** The same times scaled to the reference host speed (untraced runs). */
+    double scaledWallS = 0.0;
+    double scaledCpuS = 0.0;
+
     /** Committed simulated instructions, where the results are seen. */
     double instrs = 0.0;
 };
@@ -697,13 +701,35 @@ class Workload
     /** Informational lines printed after an untraced run. */
     virtual std::string notes() const { return ""; }
 
+    /**
+     * Whether the untraced times are scaled to the reference host speed
+     * by the probes around each timed segment (see runUntraced).
+     */
+    virtual bool hostScaled() const { return true; }
+
     std::string workDir;
 
     /**
-     * Called by pass() at points where set-up may run again (outside
-     * every timer, never with work in flight); unset by default.
+     * Called by pass() after each timed segment, outside every timer and
+     * never with work in flight: set-up may run again here, and the host
+     * speed is probed. Returns the segment scaled to the reference host
+     * speed. Unset in traced runs.
      */
-    std::function<void()> between;
+    std::function<Pass(const Pass &)> between;
+
+  protected:
+    /** Add the timed segment @p seg to @p p, raw and scaled. */
+    void
+    account(Pass &p, const Pass &seg) const
+    {
+        p.wallS += seg.wallS;
+        p.cpuS += seg.cpuS;
+        if (!between)
+            return;
+        const Pass s = between(seg);
+        p.scaledWallS += s.wallS;
+        p.scaledCpuS += s.cpuS;
+    }
 };
 
 template <typename F>
@@ -771,13 +797,9 @@ class PaperFast : public Workload
         std::vector<DriverRun> runs(subs_.size());
         Pass p;
         for (std::size_t i = 0; i < subs_.size(); ++i) {
-            const Pass one = timed([&] {
+            account(p, timed([&] {
                 runs[i] = runDriver({subs_[i], "--fast", "--jobs=4"});
-            });
-            p.wallS += one.wallS;
-            p.cpuS += one.cpuS;
-            if (between)
-                between();
+            }));
         }
         for (std::size_t i = 0; i < subs_.size(); ++i) {
             chk.check("paper_fast", subs_[i], digest(runs[i].out),
@@ -791,6 +813,14 @@ class PaperFast : public Workload
         counts.workers = 4;
         return p;
     }
+
+    /**
+     * Fig5 and ablation, nearly all of a pass, are segments of 4-14 s:
+     * the probes around them say little of the host speed during them.
+     * In a 16-pass run, scaling spread the pass times more than it
+     * steadied them (0.26 against 0.19 between quartiles).
+     */
+    bool hostScaled() const override { return false; }
 
     Pass
     tracedPass(Tracer &tr, Checker &chk) override
@@ -894,8 +924,8 @@ class PaperFast : public Workload
 /**
  * cpu_matrix: compute-bound pairs over the Fig. 2/3 priority
  * differences -5..+5 at the default (full) FAME parameters, as one
- * SimRunner batch with 1 worker and an in-memory CkptManager. The
- * seed sets the job order.
+ * SimRunner batch with 1 worker and an in-memory CkptManager, submitted
+ * in chunks. The seed sets the job order.
  */
 class CpuMatrix : public Workload
 {
@@ -927,14 +957,28 @@ class CpuMatrix : public Workload
     Pass
     pass(Checker &chk, LayerCounts &counts) override
     {
+        const std::vector<SimJob> jobs = jobs_; // between() sets up again
         ResultCache cache;
         CkptManager mgr;
         SimRunner runner(1, &cache);
         runner.setCheckpoints(&mgr);
+        // The batch goes to the runner in chunks that share its cache and
+        // the CkptManager, so the simulated work is that of one batch.
+        // Each chunk is a timed segment, scaled by the host speed probed
+        // right around it (see runUntraced).
         std::vector<SimResult> res;
-        Pass p = timed([&] { res = runner.run(jobs_); });
-        for (std::size_t i = 0; i < jobs_.size(); ++i) {
-            chk.check("jobs", ResultStore::fingerprintHex(jobs_[i]),
+        Pass p;
+        for (std::size_t i = 0; i < jobs.size(); i += chunk_jobs) {
+            const std::vector<SimJob> chunk(
+                jobs.begin() + static_cast<std::ptrdiff_t>(i),
+                jobs.begin() + static_cast<std::ptrdiff_t>(
+                                   std::min(i + chunk_jobs, jobs.size())));
+            std::vector<SimResult> out;
+            account(p, timed([&] { out = runner.run(chunk); }));
+            res.insert(res.end(), out.begin(), out.end());
+        }
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            chk.check("jobs", ResultStore::fingerprintHex(jobs[i]),
                       fameFields(res[i].fame));
             p.instrs += static_cast<double>(accountedInstrs(res[i].fame));
         }
@@ -944,8 +988,6 @@ class CpuMatrix : public Workload
         counts.memForks += static_cast<double>(mgr.memForks());
         counts.storeForks += static_cast<double>(mgr.storeForks());
         counts.workers = 1;
-        if (between)
-            between();
         return p;
     }
 
@@ -959,6 +1001,9 @@ class CpuMatrix : public Workload
     bool passIsWalk() const override { return true; }
 
   private:
+    /** Jobs per chunk: six timed segments of about a second each. */
+    static constexpr std::size_t chunk_jobs = 4;
+
     std::vector<WalkItem> items_;
     std::vector<SimJob> jobs_;
 };
@@ -1020,7 +1065,7 @@ class MemSweepStore : public Workload
         const double h0 = static_cast<double>(cache.hits());
         const double m0 = static_cast<double>(cache.misses());
         std::vector<DriverRun> runs(passes_.size());
-        const Pass p = timed([&] {
+        const Pass seg = timed([&] {
             for (std::size_t i = 0; i < passes_.size(); ++i) {
                 // The resume pass models a later process: it starts
                 // with an empty in-process cache and reads the store.
@@ -1037,8 +1082,8 @@ class MemSweepStore : public Workload
         measureDisk(counts);
         counts.workers = 4;
         fs::remove_all(workDir + "/store");
-        if (between)
-            between();
+        Pass p;
+        account(p, seg);
         return p;
     }
 
@@ -1227,23 +1272,31 @@ constexpr std::size_t setup_repeats = 100;
 constexpr std::size_t setup_group = 5;
 
 /**
- * Host speed probe: the time of a fixed chain of dependent 64-bit
- * multiply-adds, code of the benchmark's own that no change to the
- * simulator can move. On a shared host every time the benchmark takes
- * drifts with what other tenants run, by up to 2x within minutes.
- * When the whole CPU slows, the probe slows with it (over 30 s windows
- * a simulator job's time varied by 12% between quartiles, its ratio to
- * the probe by 1%). Contention that slows the simulator's caches but
- * not this chain it does not see.
+ * Host speed probe: the time of four independent chains of 64-bit
+ * multiplies, shifts and adds, code of the benchmark's own that no
+ * change to the simulator can move. On a shared host every time the
+ * benchmark takes drifts with what other tenants run, by up to 2x
+ * within minutes, and the simulator slows more than any small probe:
+ * more than a single dependent multiply chain (its ratio to a
+ * cpu_matrix job varied by 14-33% between 30 s windows), a 1 MiB
+ * pointer chase, a sort, a hash map or an interpreter loop. This probe
+ * tracked the job best: the job's time varies about as the probe's to
+ * the power probe_elasticity (a log-log fit over 10 s windows gave
+ * 1.35 and 1.73 in two runs), and with that power the scaled job time
+ * varied by 4-11% between 30 s windows while the raw time varied by
+ * 18-34%.
  */
 double
 probeSeconds()
 {
     const std::int64_t t0 = nowNs();
-    std::uint64_t x = 1;
-    for (int i = 0; i < 20'000'000; ++i) {
-        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-        asm volatile("" : "+r"(x)); // keep every step of the chain
+    std::uint64_t a = 1, b = 2, c = 3, d = 4;
+    for (int i = 0; i < 15'000'000; ++i) {
+        a = a * 6364136223846793005ULL + 1;
+        b = b * 2862933555777941757ULL + 3;
+        c = c ^ (c << 13) ^ (c >> 7);
+        d = d + (a >> 3) + (b >> 5);
+        asm volatile("" : "+r"(a), "+r"(b), "+r"(c), "+r"(d));
     }
     return static_cast<double>(nowNs() - t0) / 1e9;
 }
@@ -1253,17 +1306,26 @@ probeSeconds()
  * Xeon host this benchmark was defined on. Reported times are scaled
  * to that speed.
  */
-constexpr double probe_reference_s = 0.030;
+constexpr double probe_reference_s = 0.034;
+constexpr double probe_elasticity = 1.5;
 constexpr std::size_t probe_group = 3;
 
-/** Median, quartiles and count of @p v, scaled by @p k, on one line. */
-void
-printTimes(const char *name, const std::vector<double> &v, double k)
+/** Factor that scales a time taken at probe time @p probe to the reference. */
+double
+hostScale(double probe)
 {
-    const Quartiles q = quartiles(v);
+    return std::pow(probe_reference_s / probe, probe_elasticity);
+}
+
+/** Median, quartiles and count of the scaled times, and the raw median. */
+void
+printTimes(const char *name, const std::vector<double> &scaled,
+           double raw_median)
+{
+    const Quartiles q = quartiles(scaled);
     std::printf("%-8s median %.6g  q1 %.6g  q3 %.6g  n=%zu  (raw median "
                 "%.6g)\n",
-                name, q.median * k, q.q1 * k, q.q3 * k, v.size(), q.median);
+                name, q.median, q.q1, q.q3, scaled.size(), raw_median);
 }
 
 int
@@ -1271,13 +1333,13 @@ runUntraced(Workload &w, std::uint64_t seed, double seconds, Checker &chk,
             const std::string &reference)
 {
     // One group of set-ups and host speed probes runs before the first
-    // pass and one after each pass (each subcommand on paper_fast): on
-    // a shared host the CPU can run at half speed for a second or two,
-    // and one such stretch must not decide a median. Only a group's
-    // first set-up finds the caches cold from the pass before it, so
-    // the median is always a warm set-up.
+    // pass and one after each timed segment (a pass on mem_sweep_store,
+    // a subcommand on paper_fast, a chunk of jobs on cpu_matrix). A segment is scaled by the probes right before and
+    // after it, so a stretch of a slow host scales only what ran in it.
+    // Only a group's first set-up finds the caches cold from the segment
+    // before it, so the median is always a warm set-up.
     std::vector<double> setups, probes;
-    auto betweenPasses = [&] {
+    auto setupGroup = [&] {
         for (std::size_t k = 0;
              k < setup_group && setups.size() < setup_repeats; ++k) {
             const std::int64_t t0 = nowNs();
@@ -1285,26 +1347,45 @@ runUntraced(Workload &w, std::uint64_t seed, double seconds, Checker &chk,
             w.setup(seed);
             setups.push_back(static_cast<double>(nowNs() - t0) / 1e9);
         }
+    };
+    auto probeGroup = [&] {
+        std::vector<double> g;
         for (std::size_t k = 0; k < probe_group; ++k)
-            probes.push_back(probeSeconds());
+            g.push_back(probeSeconds());
+        probes.insert(probes.end(), g.begin(), g.end());
+        return g;
     };
     chk.load(reference);
     warmUp(chk);
-    betweenPasses();
-    w.between = betweenPasses;
+    setupGroup();
+    std::vector<double> before = probeGroup();
+    w.between = [&](const Pass &seg) {
+        setupGroup();
+        const std::vector<double> after = probeGroup();
+        std::vector<double> around = before;
+        around.insert(around.end(), after.begin(), after.end());
+        before = after;
+        const double k =
+            w.hostScaled() ? hostScale(quartiles(around).median) : 1.0;
+        return Pass{seg.wallS * k, seg.cpuS * k};
+    };
 
     // Peak memory is taken per pass where the kernel can reset it, so
     // it is a median like the times; otherwise it is the run's peak.
-    std::vector<double> walls, cpus, rss;
+    std::vector<double> walls, cpus, raw_walls, raw_cpus, rss;
     double instrs = 0.0;
     const std::int64_t start = nowNs();
     for (;;) {
         LayerCounts counts;
         const bool per_pass = resetPeakRss();
         const Pass p = w.pass(chk, counts);
-        walls.push_back(p.wallS);
-        cpus.push_back(p.cpuS);
+        walls.push_back(p.scaledWallS);
+        cpus.push_back(p.scaledCpuS);
+        raw_walls.push_back(p.wallS);
+        raw_cpus.push_back(p.cpuS);
         instrs = p.instrs;
+        std::printf("pass %zu: wall %.4g s, scaled %.4g s\n", walls.size(),
+                    p.wallS, p.scaledWallS);
         if (per_pass)
             rss.push_back(peakRssMb());
         if (static_cast<double>(nowNs() - start) / 1e9 >= seconds)
@@ -1312,28 +1393,31 @@ runUntraced(Workload &w, std::uint64_t seed, double seconds, Checker &chk,
     }
 
     w.between = nullptr;
-    // Every reported time is scaled to the reference host speed.
+    // Set-ups are scaled by the run's median probe.
     const double probe = quartiles(probes).median;
-    const double k = probe_reference_s / probe;
-    std::printf("host speed probe median %.6g s, n=%zu (reference %.6g s): "
-                "times scaled by %.4f\n",
-                probe, probes.size(), probe_reference_s, k);
-    printTimes("wall_s", walls, k);
-    printTimes("cpu_s", cpus, k);
-    printTimes("setup_s", setups, k);
-    const Quartiles qw = quartiles(walls), qc = quartiles(cpus),
-                    qs = quartiles(setups);
+    const double k = w.hostScaled() ? hostScale(probe) : 1.0;
+    std::vector<double> setups_scaled;
+    for (double s : setups)
+        setups_scaled.push_back(s * k);
+    std::printf("host speed probe median %.6g s, n=%zu (reference %.6g s, "
+                "elasticity %.2g): run-wide scale %.4f\n",
+                probe, probes.size(), probe_reference_s, probe_elasticity,
+                k);
+    const double raw_wall = quartiles(raw_walls).median;
+    printTimes("wall_s", walls, raw_wall);
+    printTimes("cpu_s", cpus, quartiles(raw_cpus).median);
+    printTimes("setup_s", setups_scaled, quartiles(setups).median);
     if (instrs > 0)
         std::printf("sim_mips %.4f M instr/s (informational, unscaled)\n",
-                    instrs / qw.median / 1e6);
+                    instrs / raw_wall / 1e6);
     std::printf("%s", w.notes().c_str());
 
-    printResult(chk, {{"wall_s", qw.median * k, "s"},
-                      {"cpu_s", qc.median * k, "s"},
+    printResult(chk, {{"wall_s", quartiles(walls).median, "s"},
+                      {"cpu_s", quartiles(cpus).median, "s"},
                       {"peak_rss_mb",
                        rss.empty() ? peakRssMb() : quartiles(rss).median,
                        "MB"},
-                      {"setup_s", qs.median * k, "s"}});
+                      {"setup_s", quartiles(setups_scaled).median, "s"}});
     return 0;
 }
 
