@@ -13,6 +13,14 @@
  * core (an *in-memory fork*). With 36 priority pairs per pair-mix this
  * turns 36 warm-ups into one.
  *
+ * Which job creates a key follows from the SimRunner's dispatch order:
+ * on more than one worker a batch starts longest-expected-first, by
+ * descending |PrioP - PrioS| (the lower-priority thread decodes in 1 of
+ * every R = 2^(|PrioP - PrioS| + 1) slots, so FAME's wait for both
+ * threads' repetitions grows with the difference). Each pair-mix's
+ * longest job therefore claims the key, and the creators of different
+ * mixes start together on different workers.
+ *
  * Claim semantics mirror the SimRunner's ResultCache: a
  * shared_future per key, first-claimant-computes. Blocking a pool
  * thread on the future cannot deadlock because an entry only exists

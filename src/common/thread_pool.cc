@@ -51,11 +51,14 @@ ThreadPool::workerLoop()
             ++inFlight_;
         }
         task(); // exceptions are captured by the packaged_task
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --inFlight_;
-        }
     }
+}
+
+void
+ThreadPool::finishTask()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    --inFlight_;
 }
 
 } // namespace p5

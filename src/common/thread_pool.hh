@@ -49,8 +49,14 @@ class ThreadPool
     submit(Fn &&fn)
     {
         using Result = std::invoke_result_t<Fn>;
+        // The task counts itself finished before the packaged_task
+        // makes its future ready (the guard dies as fn returns or
+        // throws), so pending() is 0 once every future has been got.
         auto task = std::make_shared<std::packaged_task<Result()>>(
-            std::forward<Fn>(fn));
+            [this, fn = std::forward<Fn>(fn)]() mutable -> Result {
+                const FinishGuard finished{this};
+                return fn();
+            });
         std::future<Result> future = task->get_future();
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -69,7 +75,15 @@ class ThreadPool
     static unsigned defaultWorkers();
 
   private:
+    /** Marks the running task finished when it goes out of scope. */
+    struct FinishGuard
+    {
+        ThreadPool *pool;
+        ~FinishGuard() { pool->finishTask(); }
+    };
+
     void workerLoop();
+    void finishTask();
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;

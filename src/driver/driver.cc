@@ -332,16 +332,16 @@ cmdFig4(const Cli &, DriverContext &ctx, ExpConfig &config)
 int
 cmdFig5(const Cli &, DriverContext &ctx, ExpConfig &config)
 {
-    const CaseStudyData a =
-        runFig5(SpecProxyId::H264ref, SpecProxyId::Mcf, config);
-    const CaseStudyData b =
-        runFig5(SpecProxyId::Applu, SpecProxyId::Equake, config);
-    printTable(ctx, renderFig5(a));
-    printTable(ctx, renderFig5(b));
+    const std::vector<CaseStudyData> data =
+        runFig5({{SpecProxyId::H264ref, SpecProxyId::Mcf},
+                 {SpecProxyId::Applu, SpecProxyId::Equake}},
+                config);
+    for (const CaseStudyData &d : data)
+        printTable(ctx, renderFig5(d));
     writeReport(ctx, "fig5", config, [&](JsonWriter &w) {
         w.beginArray();
-        writeJson(w, a);
-        writeJson(w, b);
+        for (const CaseStudyData &d : data)
+            writeJson(w, d);
         w.endArray();
     });
     return 0;
@@ -369,136 +369,174 @@ cmdFig6(const Cli &, DriverContext &ctx, ExpConfig &config)
 
 // --- ablation ----------------------------------------------------------
 
-struct PairResult
+/** One ablation row: a label, the FAME pair it simulates, the result. */
+struct AblationRow
 {
-    double ipcP = 0.0;
-    double ipcS = 0.0;
-
-    double total() const { return ipcP + ipcS; }
+    std::string name;
+    SimJob job;
+    FameResult result;
 };
 
-PairResult
-runAblationPair(const ExpConfig &config, UbenchId p, UbenchId s,
-                int prio_p, int prio_s)
+/** One ablation table: its title and rows. */
+struct AblationSection
 {
-    const SyntheticProgram pp = makeUbench(p, config.ubenchScale);
-    const SyntheticProgram ps = makeUbench(s, config.ubenchScale);
-    const FameResult r =
-        runFame(config.core, &pp, &ps, prio_p, prio_s, config.fame);
-    return {r.thread[0].avgIpc(), r.thread[1].avgIpc()};
+    std::string title;
+    std::vector<AblationRow> rows;
+};
+
+/** The ablation studies, enumerated as SimJobs in table order. */
+std::vector<AblationSection>
+ablationSections(const ExpConfig &base)
+{
+    auto ub = [&base](UbenchId id) {
+        return ProgramSpec::ubench(id, base.ubenchScale);
+    };
+    auto spec = [&base](SpecProxyId id) {
+        return ProgramSpec::spec(id, base.ubenchScale);
+    };
+    // Rows differ from the base config in core parameters only.
+    auto row = [&base](std::string name, const CoreParams &core,
+                       ProgramSpec p, ProgramSpec s, int prio_p,
+                       int prio_s) {
+        SimJob job = SimJob::famePair(std::move(p), std::move(s), prio_p,
+                                      prio_s, core, base.fame);
+        job.configTag = base.configTag;
+        job.warmTag = base.warmTag;
+        return AblationRow{std::move(name), std::move(job), {}};
+    };
+
+    std::vector<AblationSection> sections;
+    {
+        AblationSection &sec = sections.emplace_back();
+        sec.title = "Ablation 1: balancer on/off — h264ref + mcf at (4,4) "
+                    "(the window-sensitive thread needs GCT protection)";
+        sec.rows.push_back(row("balancer on", base.core,
+                               spec(SpecProxyId::H264ref),
+                               spec(SpecProxyId::Mcf), 4, 4));
+        CoreParams off = base.core;
+        off.balancer.enabled = false;
+        sec.rows.push_back(row("balancer off", off,
+                               spec(SpecProxyId::H264ref),
+                               spec(SpecProxyId::Mcf), 4, 4));
+    }
+    {
+        AblationSection &sec = sections.emplace_back();
+        sec.title = "Ablation 2: strict vs work-conserving decode slots — "
+                    "br_hit + ldint_mem at (4,4) (the decode-hungry thread "
+                    "could use the memory thread's dead slots)";
+        sec.rows.push_back(row("strict slots (POWER5)", base.core,
+                               ub(UbenchId::BrHit), ub(UbenchId::LdintMem),
+                               4, 4));
+        CoreParams wc = base.core;
+        wc.workConservingSlots = true;
+        sec.rows.push_back(row("work-conserving", wc, ub(UbenchId::BrHit),
+                               ub(UbenchId::LdintMem), 4, 4));
+    }
+    {
+        AblationSection &sec = sections.emplace_back();
+        sec.title = "Ablation 3: minority-slot width — cpu_int + cpu_int at "
+                    "(2,6), PThread is the minority";
+        for (int width : {1, 2, 5}) {
+            CoreParams core = base.core;
+            core.minoritySlotWidth = width;
+            sec.rows.push_back(row("width " + std::to_string(width), core,
+                                   ub(UbenchId::CpuInt),
+                                   ub(UbenchId::CpuInt), 2, 6));
+        }
+    }
+    {
+        AblationSection &sec = sections.emplace_back();
+        sec.title = "Ablation 4: priority-aware GCT threshold — h264ref + "
+                    "mcf at (6,2) (prioritization must release the window)";
+        sec.rows.push_back(row("priority-aware", base.core,
+                               spec(SpecProxyId::H264ref),
+                               spec(SpecProxyId::Mcf), 6, 2));
+        CoreParams off = base.core;
+        off.balancer.priorityAwareGct = false;
+        sec.rows.push_back(row("fixed threshold", off,
+                               spec(SpecProxyId::H264ref),
+                               spec(SpecProxyId::Mcf), 6, 2));
+    }
+    {
+        AblationSection &sec = sections.emplace_back();
+        sec.title = "Ablation 5: priority-aware table walker — ldint_mem + "
+                    "ldint_mem at (6,2)";
+        sec.rows.push_back(row("priority-aware", base.core,
+                               ub(UbenchId::LdintMem),
+                               ub(UbenchId::LdintMem), 6, 2));
+        CoreParams off = base.core;
+        off.priorityAwareWalker = false;
+        sec.rows.push_back(row("FCFS walker", off, ub(UbenchId::LdintMem),
+                               ub(UbenchId::LdintMem), 6, 2));
+    }
+    {
+        AblationSection &sec = sections.emplace_back();
+        sec.title = "Ablation 6: LMQ size — ldint_l2 + ldint_l2 at (4,4)";
+        for (int entries : {2, 4, 8, 16}) {
+            CoreParams core = base.core;
+            core.lmqEntries = entries;
+            core.balancer.lmqThreshold =
+                std::min(core.balancer.lmqThreshold, entries);
+            sec.rows.push_back(row(std::to_string(entries) + " entries",
+                                   core, ub(UbenchId::LdintL2),
+                                   ub(UbenchId::LdintL2), 4, 4));
+        }
+    }
+    return sections;
 }
 
-PairResult
-runAblationSpecPair(const ExpConfig &config, SpecProxyId p, SpecProxyId s,
-                    int prio_p, int prio_s)
-{
-    const SyntheticProgram pp = makeSpecProxy(p, config.ubenchScale);
-    const SyntheticProgram ps = makeSpecProxy(s, config.ubenchScale);
-    const FameResult r =
-        runFame(config.core, &pp, &ps, prio_p, prio_s, config.fame);
-    return {r.thread[0].avgIpc(), r.thread[1].avgIpc()};
-}
-
-void
-addAblationRow(Table &t, const std::string &name, const PairResult &r)
-{
-    t.addRow({name, Table::fmt(r.ipcP, 3), Table::fmt(r.ipcS, 3),
-              Table::fmt(r.total(), 3)});
-}
-
+/**
+ * All ablation rows run as one batch through the producers' runner
+ * and cache, so rows that repeat a paper point (e.g. the balancer-on
+ * h264ref + mcf row is Fig. 5's diff 0) reuse it in-process.
+ */
 int
 cmdAblation(const Cli &, DriverContext &ctx, ExpConfig &base)
 {
-    {
-        Table t("Ablation 1: balancer on/off — h264ref + mcf at (4,4) "
-                "(the window-sensitive thread needs GCT protection)");
+    std::vector<AblationSection> sections = ablationSections(base);
+    std::vector<SimJob> batch;
+    for (const AblationSection &sec : sections)
+        for (const AblationRow &r : sec.rows)
+            batch.push_back(r.job);
+
+    SimRunner runner(base.jobs, base.cache);
+    runner.setCheckpoints(base.checkpoints);
+    const std::vector<SimResult> res = runner.run(batch);
+    std::size_t next = 0;
+    for (AblationSection &sec : sections)
+        for (AblationRow &r : sec.rows)
+            r.result = res[next++].fame;
+
+    for (const AblationSection &sec : sections) {
+        Table t(sec.title);
         t.setColumns({"config", "PThread IPC", "SThread IPC", "total"});
-        addAblationRow(t, "balancer on",
-                       runAblationSpecPair(base, SpecProxyId::H264ref,
-                                           SpecProxyId::Mcf, 4, 4));
-        ExpConfig off = base;
-        off.core.balancer.enabled = false;
-        addAblationRow(t, "balancer off",
-                       runAblationSpecPair(off, SpecProxyId::H264ref,
-                                           SpecProxyId::Mcf, 4, 4));
+        for (const AblationRow &r : sec.rows)
+            t.addRow({r.name, Table::fmt(r.result.thread[0].avgIpc(), 3),
+                      Table::fmt(r.result.thread[1].avgIpc(), 3),
+                      Table::fmt(r.result.totalIpc(), 3)});
         printTable(ctx, t);
     }
 
-    {
-        Table t("Ablation 2: strict vs work-conserving decode slots — "
-                "br_hit + ldint_mem at (4,4) (the decode-hungry thread "
-                "could use the memory thread's dead slots)");
-        t.setColumns({"config", "PThread IPC", "SThread IPC", "total"});
-        addAblationRow(t, "strict slots (POWER5)",
-                       runAblationPair(base, UbenchId::BrHit,
-                                       UbenchId::LdintMem, 4, 4));
-        ExpConfig wc = base;
-        wc.core.workConservingSlots = true;
-        addAblationRow(t, "work-conserving",
-                       runAblationPair(wc, UbenchId::BrHit,
-                                       UbenchId::LdintMem, 4, 4));
-        printTable(ctx, t);
-    }
-
-    {
-        Table t("Ablation 3: minority-slot width — cpu_int + cpu_int at "
-                "(2,6), PThread is the minority");
-        t.setColumns({"config", "PThread IPC", "SThread IPC", "total"});
-        for (int width : {1, 2, 5}) {
-            ExpConfig cfg = base;
-            cfg.core.minoritySlotWidth = width;
-            addAblationRow(t, "width " + std::to_string(width),
-                           runAblationPair(cfg, UbenchId::CpuInt,
-                                           UbenchId::CpuInt, 2, 6));
+    writeReport(ctx, "ablation", base, [&](JsonWriter &w) {
+        w.beginArray();
+        for (const AblationSection &sec : sections) {
+            w.beginObject();
+            w.member("title", sec.title);
+            w.key("rows");
+            w.beginArray();
+            for (const AblationRow &r : sec.rows) {
+                w.beginObject();
+                w.member("config", r.name);
+                w.member("ipcP", r.result.thread[0].avgIpc());
+                w.member("ipcS", r.result.thread[1].avgIpc());
+                w.member("total", r.result.totalIpc());
+                w.endObject();
+            }
+            w.endArray();
+            w.endObject();
         }
-        printTable(ctx, t);
-    }
-
-    {
-        Table t("Ablation 4: priority-aware GCT threshold — h264ref + "
-                "mcf at (6,2) (prioritization must release the window)");
-        t.setColumns({"config", "PThread IPC", "SThread IPC", "total"});
-        addAblationRow(t, "priority-aware",
-                       runAblationSpecPair(base, SpecProxyId::H264ref,
-                                           SpecProxyId::Mcf, 6, 2));
-        ExpConfig off = base;
-        off.core.balancer.priorityAwareGct = false;
-        addAblationRow(t, "fixed threshold",
-                       runAblationSpecPair(off, SpecProxyId::H264ref,
-                                           SpecProxyId::Mcf, 6, 2));
-        printTable(ctx, t);
-    }
-
-    {
-        Table t("Ablation 5: priority-aware table walker — ldint_mem + "
-                "ldint_mem at (6,2)");
-        t.setColumns({"config", "PThread IPC", "SThread IPC", "total"});
-        addAblationRow(t, "priority-aware",
-                       runAblationPair(base, UbenchId::LdintMem,
-                                       UbenchId::LdintMem, 6, 2));
-        ExpConfig off = base;
-        off.core.priorityAwareWalker = false;
-        addAblationRow(t, "FCFS walker",
-                       runAblationPair(off, UbenchId::LdintMem,
-                                       UbenchId::LdintMem, 6, 2));
-        printTable(ctx, t);
-    }
-
-    {
-        Table t("Ablation 6: LMQ size — ldint_l2 + ldint_l2 at (4,4)");
-        t.setColumns({"config", "PThread IPC", "SThread IPC", "total"});
-        for (int entries : {2, 4, 8, 16}) {
-            ExpConfig cfg = base;
-            cfg.core.lmqEntries = entries;
-            cfg.core.balancer.lmqThreshold =
-                std::min(cfg.core.balancer.lmqThreshold, entries);
-            addAblationRow(t, std::to_string(entries) + " entries",
-                           runAblationPair(cfg, UbenchId::LdintL2,
-                                           UbenchId::LdintL2, 4, 4));
-        }
-        printTable(ctx, t);
-    }
-
+        w.endArray();
+    });
     return 0;
 }
 
@@ -1542,10 +1580,10 @@ struct Subcommand
     const char *name;
     const char *help;
     SubcommandFn fn;
-    bool pairFlags;  ///< also declare --primary/--secondary/--prio-*
-    bool sweepFlag;  ///< also declare --sweep/--resume/--shard
-    bool allocFlags; ///< also declare --mix/--policies/--cycles
-    bool storeFlags; ///< also declare --store
+    bool pairFlags = false;  ///< also declare --primary/--secondary/--prio-*
+    bool sweepFlag = false;  ///< also declare --sweep/--resume/--shard
+    bool allocFlags = false; ///< also declare --mix/--policies/--cycles
+    bool storeFlags = false; ///< also declare --store
 };
 
 constexpr Subcommand subcommands[] = {

@@ -240,39 +240,53 @@ runFig4(const ExpConfig &config)
     return data;
 }
 
-CaseStudyData
-runFig5(SpecProxyId primary, SpecProxyId secondary,
+std::vector<CaseStudyData>
+runFig5(const std::vector<std::pair<SpecProxyId, SpecProxyId>> &pairs,
         const ExpConfig &config)
 {
-    CaseStudyData data;
-    data.primary = primary;
-    data.secondary = secondary;
-    data.diffs = {0, 1, 2, 3, 4, 5};
-
-    const ProgramSpec p = ProgramSpec::spec(primary, config.ubenchScale);
-    const ProgramSpec s =
-        ProgramSpec::spec(secondary, config.ubenchScale);
-
+    // Layout: one run of diffs per pair, pairs in the given order.
+    std::vector<CaseStudyData> data(pairs.size());
     std::vector<SimJob> jobs;
-    jobs.reserve(data.diffs.size());
-    for (int d : data.diffs) {
-        auto [pp, ps] = prioPairForDiff(d);
-        SimJob job =
-            SimJob::famePair(p, s, pp, ps, config.core, config.fame);
-        job.configTag = config.configTag;
-        job.warmTag = config.warmTag;
-        jobs.push_back(std::move(job));
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        CaseStudyData &d = data[i];
+        d.primary = pairs[i].first;
+        d.secondary = pairs[i].second;
+        d.diffs = {0, 1, 2, 3, 4, 5};
+
+        const ProgramSpec p =
+            ProgramSpec::spec(d.primary, config.ubenchScale);
+        const ProgramSpec s =
+            ProgramSpec::spec(d.secondary, config.ubenchScale);
+        for (int diff : d.diffs) {
+            auto [pp, ps] = prioPairForDiff(diff);
+            SimJob job =
+                SimJob::famePair(p, s, pp, ps, config.core, config.fame);
+            job.configTag = config.configTag;
+            job.warmTag = config.warmTag;
+            jobs.push_back(std::move(job));
+        }
     }
 
     SimRunner runner = makeRunner(config);
     const std::vector<SimResult> res = runner.run(jobs);
 
-    for (const SimResult &r : res) {
-        data.ipcPrimary.push_back(r.fame.thread[0].avgIpc());
-        data.ipcSecondary.push_back(r.fame.thread[1].avgIpc());
-        data.ipcTotal.push_back(r.fame.totalIpc());
+    std::size_t next = 0;
+    for (CaseStudyData &d : data) {
+        for (std::size_t k = 0; k < d.diffs.size(); ++k) {
+            const FameResult &r = res[next++].fame;
+            d.ipcPrimary.push_back(r.thread[0].avgIpc());
+            d.ipcSecondary.push_back(r.thread[1].avgIpc());
+            d.ipcTotal.push_back(r.totalIpc());
+        }
     }
     return data;
+}
+
+CaseStudyData
+runFig5(SpecProxyId primary, SpecProxyId secondary,
+        const ExpConfig &config)
+{
+    return runFig5({{primary, secondary}}, config).front();
 }
 
 Table4Data

@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/annotate.hh"
@@ -197,6 +198,16 @@ struct CaseStudyData
     std::vector<double> ipcTotal;
 };
 
+/**
+ * Every pair's diffs 0..+5, submitted as one batch (so the runner can
+ * start the long high-difference jobs of all pairs first); results in
+ * @p pairs order.
+ */
+std::vector<CaseStudyData>
+runFig5(const std::vector<std::pair<SpecProxyId, SpecProxyId>> &pairs,
+        const ExpConfig &config);
+
+/** One pair; the same numbers as its entry in the batched form. */
 CaseStudyData runFig5(SpecProxyId primary, SpecProxyId secondary,
                       const ExpConfig &config);
 

@@ -1,6 +1,8 @@
 #include "fame/sim_runner.hh"
 
 #include <algorithm>
+#include <cstdlib>
+#include <numeric>
 
 #include "common/job_graph.hh"
 #include "common/log.hh"
@@ -64,6 +66,28 @@ SimRunner::setStore(ResultStore *store, bool read_through)
 {
     store_ = store;
     storeReadThrough_ = store ? read_through : false;
+}
+
+int
+SimRunner::expectedCost(const SimJob &job)
+{
+    if (job.kind != SimJobKind::FamePair || !job.secondary.present())
+        return 0;
+    return std::abs(job.prioPrimary - job.prioSecondary);
+}
+
+std::vector<std::size_t>
+SimRunner::dispatchOrder(const std::vector<const SimJob *> &jobs) const
+{
+    std::vector<std::size_t> order(jobs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    if (jobs_ > 1)
+        std::stable_sort(order.begin(), order.end(),
+                         [&jobs](std::size_t a, std::size_t b) {
+                             return expectedCost(*jobs[a]) >
+                                    expectedCost(*jobs[b]);
+                         });
+    return order;
 }
 
 std::vector<SimResult>
@@ -132,10 +156,16 @@ SimRunner::run(const std::vector<SimJob> &batch,
         } else {
             const unsigned workers = static_cast<unsigned>(std::min(
                 static_cast<std::size_t>(jobs_), toRun.size()));
+            std::vector<const SimJob *> claimed;
+            claimed.reserve(toRun.size());
+            for (const Pending &p : toRun)
+                claimed.push_back(p.job);
             ThreadPool pool(workers);
             JobGraph graph;
-            for (Pending &p : toRun)
+            for (std::size_t i : dispatchOrder(claimed)) {
+                Pending &p = toRun[i];
                 graph.add([&executeOne, &p] { executeOne(p); });
+            }
             graph.run(pool);
         }
     }

@@ -15,6 +15,11 @@
  * globals it touches — the log level and warn counter — are atomic), so
  * results are bit-identical regardless of worker count or scheduling
  * order. tests/test_sim_runner.cc asserts jobs=1 == jobs=8.
+ *
+ * Dispatch order: with more than one worker, the jobs a batch must
+ * execute start longest-expected-first (dispatchOrder()), so the batch
+ * does not end on one long job started last. The serial path keeps
+ * submission order. Results always come back in batch order.
  */
 
 #ifndef P5SIM_FAME_SIM_RUNNER_HH
@@ -121,6 +126,27 @@ class SimRunner
     std::vector<SimResult>
     run(const std::vector<SimJob> &batch,
         const std::vector<StoreProvenance> *provenance = nullptr);
+
+    /**
+     * Expected relative cost of @p job, the dispatch key: |prioPrimary
+     * - prioSecondary| for a two-thread FAME job, 0 for every other
+     * job. Under the decode-slot rule R = 2^(|PrioP - PrioS| + 1) the
+     * lower-priority thread decodes in 1 of every R slots, and FAME
+     * runs until both threads finish their repetitions, so the cost
+     * grows with the priority difference.
+     */
+    static int expectedCost(const SimJob &job);
+
+    /**
+     * Positions in @p jobs in the order run() starts them: with one
+     * worker, submission order; otherwise a stable sort by descending
+     * expectedCost(), so equal costs keep submission order. As a side
+     * effect, the longest job of each pair-mix claims its warm key, so
+     * the warm-up creators of different mixes start on different
+     * workers.
+     */
+    std::vector<std::size_t>
+    dispatchOrder(const std::vector<const SimJob *> &jobs) const;
 
     /** Convenience single-job run (still cached). */
     SimResult runOne(const SimJob &job);

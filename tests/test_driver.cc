@@ -7,9 +7,11 @@
  * pool, and the `run` subcommand's StatGroup JSON dump.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <dirent.h>
 #include <fstream>
+#include <functional>
 #include <initializer_list>
 #include <sstream>
 #include <string>
@@ -25,8 +27,11 @@
 #include "driver/driver.hh"
 #include "exp/experiments.hh"
 #include "exp/report.hh"
+#include "fame/fame.hh"
 #include "fame/sim_runner.hh"
 #include "store/result_store.hh"
+#include "ubench/ubench.hh"
+#include "workloads/spec_proxy.hh"
 
 namespace p5 {
 namespace {
@@ -361,6 +366,115 @@ TEST(Driver, Fig6MatchesDirectProducerByteForByte)
         writeJson(w, data);
     });
     std::remove(path.c_str());
+}
+
+// --- ablation ----------------------------------------------------------
+
+/**
+ * The ablation rows run as one batch: stdout is byte-identical at one
+ * and four workers, and every row's IPCs in the --json report equal a
+ * cold runFame of that row alone, which is how the command used to
+ * compute them.
+ */
+TEST(Driver, AblationBatchMatchesRowByRowRunFame)
+{
+    const std::string j1 = tempPath("ablation_1.json");
+    const std::string j4 = tempPath("ablation_4.json");
+    // Distinct seeds re-key every job, so the second run is not served
+    // from the first one's cache.
+    const Invocation r1 =
+        invoke({"ablation", "--fast", "--jobs=1", "--seed", "2001",
+                ("--json=" + j1).c_str()});
+    const Invocation r4 =
+        invoke({"ablation", "--fast", "--jobs=4", "--seed", "2002",
+                ("--json=" + j4).c_str()});
+    ASSERT_EQ(r1.exitCode, 0);
+    ASSERT_EQ(r4.exitCode, 0);
+    EXPECT_EQ(r1.out, r4.out);
+    EXPECT_EQ(readReport(j1).find("data")->dump(),
+              readReport(j4).find("data")->dump());
+
+    const ExpConfig fast = ExpConfig::fast();
+    auto ub = [&fast](UbenchId id) {
+        return makeUbench(id, fast.ubenchScale);
+    };
+    auto sp = [&fast](SpecProxyId id) {
+        return makeSpecProxy(id, fast.ubenchScale);
+    };
+    auto fame = [&fast](const SyntheticProgram &p,
+                        const SyntheticProgram &s, int prio_p, int prio_s,
+                        const CoreParams &core) {
+        return runFame(core, &p, &s, prio_p, prio_s, fast.fame);
+    };
+    auto with = [&fast](const std::function<void(CoreParams &)> &tweak) {
+        CoreParams core = fast.core;
+        tweak(core);
+        return core;
+    };
+    auto lmq = [&with](int entries) {
+        return with([entries](CoreParams &c) {
+            c.lmqEntries = entries;
+            c.balancer.lmqThreshold =
+                std::min(c.balancer.lmqThreshold, entries);
+        });
+    };
+    auto width = [&with](int w) {
+        return with([w](CoreParams &c) { c.minoritySlotWidth = w; });
+    };
+    const CoreParams &base = fast.core;
+    using S = SpecProxyId;
+    using U = UbenchId;
+    const std::vector<std::vector<FameResult>> expected = {
+        {fame(sp(S::H264ref), sp(S::Mcf), 4, 4, base),
+         fame(sp(S::H264ref), sp(S::Mcf), 4, 4, with([](CoreParams &c) {
+                  c.balancer.enabled = false;
+              }))},
+        {fame(ub(U::BrHit), ub(U::LdintMem), 4, 4, base),
+         fame(ub(U::BrHit), ub(U::LdintMem), 4, 4,
+              with([](CoreParams &c) { c.workConservingSlots = true; }))},
+        {fame(ub(U::CpuInt), ub(U::CpuInt), 2, 6, width(1)),
+         fame(ub(U::CpuInt), ub(U::CpuInt), 2, 6, width(2)),
+         fame(ub(U::CpuInt), ub(U::CpuInt), 2, 6, width(5))},
+        {fame(sp(S::H264ref), sp(S::Mcf), 6, 2, base),
+         fame(sp(S::H264ref), sp(S::Mcf), 6, 2, with([](CoreParams &c) {
+                  c.balancer.priorityAwareGct = false;
+              }))},
+        {fame(ub(U::LdintMem), ub(U::LdintMem), 6, 2, base),
+         fame(ub(U::LdintMem), ub(U::LdintMem), 6, 2,
+              with([](CoreParams &c) { c.priorityAwareWalker = false; }))},
+        {fame(ub(U::LdintL2), ub(U::LdintL2), 4, 4, lmq(2)),
+         fame(ub(U::LdintL2), ub(U::LdintL2), 4, 4, lmq(4)),
+         fame(ub(U::LdintL2), ub(U::LdintL2), 4, 4, lmq(8)),
+         fame(ub(U::LdintL2), ub(U::LdintL2), 4, 4, lmq(16))},
+    };
+
+    const JsonValue report = readReport(j4);
+    EXPECT_EQ(report.find("experiment")->asString(), "ablation");
+    ASSERT_NE(report.find("provenance"), nullptr);
+    const std::vector<JsonValue> &sections =
+        report.find("data")->elements();
+    ASSERT_EQ(sections.size(), expected.size());
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(sections[i].find("title")->asString().rfind(
+                      "Ablation " + std::to_string(i + 1) + ":", 0),
+                  0u);
+        const std::vector<JsonValue> &rows =
+            sections[i].find("rows")->elements();
+        ASSERT_EQ(rows.size(), expected[i].size());
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+            SCOPED_TRACE(rows[r].find("config")->asString());
+            const FameResult &want = expected[i][r];
+            EXPECT_EQ(rows[r].find("ipcP")->asDouble(),
+                      want.thread[0].avgIpc());
+            EXPECT_EQ(rows[r].find("ipcS")->asDouble(),
+                      want.thread[1].avgIpc());
+            EXPECT_EQ(rows[r].find("total")->asDouble(),
+                      want.thread[0].avgIpc() + want.thread[1].avgIpc());
+        }
+    }
+    std::remove(j1.c_str());
+    std::remove(j4.c_str());
 }
 
 // --- sweep -------------------------------------------------------------

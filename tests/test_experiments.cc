@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/ckpt_manager.hh"
 #include "exp/experiments.hh"
 #include "exp/report.hh"
+#include "fame/sim_runner.hh"
 
 namespace p5 {
 namespace {
@@ -140,6 +142,46 @@ TEST(Experiments, Fig5FastRun)
     EXPECT_GT(best, 1.05 * d.ipcTotal[0]);
     Table t = renderFig5(d);
     EXPECT_EQ(t.numRows(), 6u);
+}
+
+TEST(Experiments, Fig5BatchEqualsSinglePairCalls)
+{
+    // Both pairs as one parallel batch (checkpointed) against one call
+    // per pair, serial and cold; private caches force both to simulate.
+    ResultCache batch_cache, pair_cache;
+    CkptManager ckpts;
+    ExpConfig batched = ExpConfig::fast();
+    batched.jobs = 4;
+    batched.cache = &batch_cache;
+    batched.checkpoints = &ckpts;
+    ExpConfig single = ExpConfig::fast();
+    single.jobs = 1;
+    single.cache = &pair_cache;
+
+    const std::vector<CaseStudyData> both =
+        runFig5({{SpecProxyId::H264ref, SpecProxyId::Mcf},
+                 {SpecProxyId::Applu, SpecProxyId::Equake}},
+                batched);
+    const CaseStudyData a =
+        runFig5(SpecProxyId::H264ref, SpecProxyId::Mcf, single);
+    const CaseStudyData b =
+        runFig5(SpecProxyId::Applu, SpecProxyId::Equake, single);
+
+    ASSERT_EQ(both.size(), 2u);
+    for (const auto &[got, want] :
+         {std::pair{&both[0], &a}, std::pair{&both[1], &b}}) {
+        EXPECT_EQ(got->primary, want->primary);
+        EXPECT_EQ(got->secondary, want->secondary);
+        EXPECT_EQ(got->diffs, want->diffs);
+        EXPECT_EQ(got->ipcPrimary, want->ipcPrimary);
+        EXPECT_EQ(got->ipcSecondary, want->ipcSecondary);
+        EXPECT_EQ(got->ipcTotal, want->ipcTotal);
+    }
+
+    // One warm-up per pair-mix; the other five diffs of each fork it.
+    EXPECT_EQ(ckpts.warms(), 2u);
+    EXPECT_EQ(ckpts.memForks(), 10u);
+    EXPECT_EQ(ckpts.storeForks(), 0u);
 }
 
 TEST(Experiments, RenderTable1MatchesPaper)

@@ -100,6 +100,63 @@ TEST(SimJob, PipelineJobKindsHaveDistinctKeys)
     EXPECT_NE(st.key(), smt.key());
 }
 
+std::vector<const SimJob *>
+pointersTo(const std::vector<SimJob> &batch)
+{
+    std::vector<const SimJob *> out;
+    for (const SimJob &job : batch)
+        out.push_back(&job);
+    return out;
+}
+
+/**
+ * A mixed batch: two-thread FAME jobs at differences 0, 5, 2, 5 and
+ * -3, a single-thread job at priority 6 (no partner, so no slot
+ * sharing) and a pipeline job.
+ */
+std::vector<SimJob>
+mixedCostBatch()
+{
+    PipelineParams pp;
+    pp.scale = 0.25;
+    return {fastPair(UbenchId::CpuInt, UbenchId::CpuInt, 4, 4),
+            fastPair(UbenchId::CpuInt, UbenchId::LdintMem, 6, 1),
+            fastPair(UbenchId::CpuInt, UbenchId::CpuInt, 6, 4),
+            fastPair(UbenchId::LdintMem, UbenchId::CpuInt, 1, 6),
+            fastPair(UbenchId::CpuInt, UbenchId::LdintMem, 3, 6),
+            SimJob::fameSingle(ProgramSpec::ubench(UbenchId::CpuInt, 0.5),
+                               CoreParams{}, fastFame(), 6),
+            SimJob::pipelineSmt(pp, CoreParams{})};
+}
+
+TEST(SimRunner, ExpectedCostIsThePairsPriorityDifference)
+{
+    const std::vector<SimJob> batch = mixedCostBatch();
+    const int expected[] = {0, 5, 2, 5, 3, 0, 0};
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(SimRunner::expectedCost(batch[i]), expected[i]);
+    }
+}
+
+TEST(SimRunner, PoolDispatchStartsTheLargestDifferenceFirst)
+{
+    // Larger |dP| first; equal costs (the two 5s, then the three 0s)
+    // keep submission order.
+    const std::vector<SimJob> batch = mixedCostBatch();
+    SimRunner runner(4);
+    EXPECT_EQ(runner.dispatchOrder(pointersTo(batch)),
+              (std::vector<std::size_t>{1, 3, 4, 2, 0, 5, 6}));
+}
+
+TEST(SimRunner, SerialDispatchKeepsSubmissionOrder)
+{
+    const std::vector<SimJob> batch = mixedCostBatch();
+    SimRunner runner(1);
+    EXPECT_EQ(runner.dispatchOrder(pointersTo(batch)),
+              (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6}));
+}
+
 TEST(SimRunner, CacheCoalescesDuplicatesWithinABatch)
 {
     ResultCache cache;
