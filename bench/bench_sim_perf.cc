@@ -6,27 +6,17 @@
  * and end-to-end FAME pair runs with the idle-cycle fast-forward engine
  * on and off.
  *
- * Besides the usual google-benchmark modes, `--p5sim_perf_json=FILE`
- * runs the end-to-end suite once in each engine mode and writes a
- * machine-readable speedup report (committed as BENCH_sim_perf.json and
- * diffed by tools/compare_perf.py in the perf-smoke CI job).
+ * The end-to-end speedup report (BENCH_sim_perf.json) and the
+ * per-stage profile are `p5sim perf --json=FILE` and
+ * `p5sim perf --profile-stages`.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <string>
-
 #include "ckpt/ckpt_io.hh"
 #include "ckpt/ckpt_manager.hh"
-#include "common/json.hh"
 #include "core/chip.hh"
 #include "core/smt_core.hh"
-#include "driver/driver.hh"
 #include "fame/fame.hh"
 #include "fame/sim_runner.hh"
 #include "mem/cache.hh"
@@ -354,24 +344,4 @@ BENCHMARK(BM_RunnerScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    // The speedup report and the per-stage profile moved into the
-    // driver (`p5sim perf`); the legacy flags keep working here by
-    // delegating to the shared implementations.
-    constexpr const char *json_flag = "--p5sim_perf_json=";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], json_flag, std::strlen(json_flag)) == 0)
-            return p5::writePerfReport(argv[i] + std::strlen(json_flag),
-                                       std::cerr);
-        if (std::strcmp(argv[i], "--p5sim_profile_stages") == 0)
-            return p5::profileStages(std::cout);
-    }
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -1,92 +1,15 @@
 #include "ckpt/ckpt.hh"
 
-#include <sys/stat.h>
-#include <sys/types.h>
-
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-#include <unistd.h>
-
-#include "ckpt/ckpt_io.hh"
-#include "common/json.hh"
-#include "common/log.hh"
 #include "common/rng.hh"
 
 namespace p5 {
 
 namespace {
 
-constexpr const char *meta_name = "ckpt_meta.json";
+constexpr ArtifactSpec ckpt_spec{"checkpoint", "checkpoint area",
+                                 "ckpt_meta.json", "ckptVersion",
+                                 ckpt_format_version};
 constexpr const char *header_magic = "p5sim-ckpt";
-
-/**
- * mkdir -p: the checkpoint area often lives *inside* a result store
- * that has not been created yet (sweep defaults to "<store>/ckpt" and
- * opens the checkpoint area first), so every missing component is
- * created, not just the leaf.
- */
-void
-makeDir(const std::string &path)
-{
-    for (std::size_t i = 1; i <= path.size(); ++i) {
-        if (i != path.size() && path[i] != '/')
-            continue;
-        const std::string prefix = path.substr(0, i);
-        if (prefix == "/")
-            continue;
-        if (::mkdir(prefix.c_str(), 0777) != 0 && errno != EEXIST)
-            fatal("cannot create checkpoint directory '%s': %s",
-                  prefix.c_str(), std::strerror(errno));
-    }
-}
-
-bool
-fileExists(const std::string &path)
-{
-    struct stat st;
-    return ::stat(path.c_str(), &st) == 0;
-}
-
-std::string
-readFileBinary(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return "";
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return buf.str();
-}
-
-/** Binary-safe atomic publish (temp file + rename). */
-void
-writeFileAtomicBinary(const std::string &path, const std::string &temp,
-                      const std::string &bytes)
-{
-    {
-        std::ofstream os(temp, std::ios::binary);
-        if (!os)
-            fatal("cannot write checkpoint file '%s'", temp.c_str());
-        os.write(bytes.data(),
-                 static_cast<std::streamsize>(bytes.size()));
-        if (!os.flush())
-            fatal("short write to checkpoint file '%s'", temp.c_str());
-    }
-    if (std::rename(temp.c_str(), path.c_str()) != 0)
-        fatal("cannot publish checkpoint file '%s': %s", path.c_str(),
-              std::strerror(errno));
-}
-
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 } // namespace
 
@@ -96,157 +19,57 @@ ckptFingerprintHex(const std::string &warm_key)
     // Its own chain constant, so checkpoint addresses are independent
     // of both the result-store addresses and the job RNG streams even
     // for keys that happen to share text.
-    std::uint64_t h = hashMix(0xc4b7a11ced15f0e3ULL ^ warm_key.size());
-    for (char c : warm_key)
-        h = hashCombine(h, static_cast<unsigned char>(c));
-    return hex16(h);
+    return hex16(hashText(0xc4b7a11ced15f0e3ULL, warm_key));
+}
+
+ArtifactLayout
+CkptStore::layout()
+{
+    return {"ckpt-", "bin", ckpt_format_version};
 }
 
 CkptStore::CkptStore(std::string dir, int schema_version)
-    : dir_(std::move(dir)), schemaVersion_(schema_version)
+    : area_(std::move(dir), ckpt_spec, layout(), schema_version)
 {
-    if (dir_.empty())
-        fatal("checkpoint directory must not be empty");
-    while (dir_.size() > 1 && dir_.back() == '/')
-        dir_.pop_back();
-    makeDir(dir_);
-
-    const std::string meta_path = dir_ + "/" + meta_name;
-    const std::string meta_text = readFileBinary(meta_path);
-    if (!meta_text.empty()) {
-        JsonValue meta;
-        std::string error;
-        if (!tryParseJson(meta_text, meta, &error, meta_path))
-            fatal("corrupt checkpoint metadata: %s", error.c_str());
-        const JsonValue *ckpt_v =
-            meta.isObject() ? meta.find("ckptVersion") : nullptr;
-        const JsonValue *schema_v =
-            meta.isObject() ? meta.find("schemaVersion") : nullptr;
-        if (!ckpt_v || !ckpt_v->isInt() || !schema_v ||
-            !schema_v->isInt())
-            fatal("checkpoint metadata '%s' is missing its version "
-                  "members", meta_path.c_str());
-        if (ckpt_v->asInt() != ckpt_format_version)
-            fatal("checkpoint area '%s' uses format v%lld; this binary "
-                  "writes v%d — refusing to mix formats",
-                  dir_.c_str(),
-                  static_cast<long long>(ckpt_v->asInt()),
-                  ckpt_format_version);
-        if (schema_v->asInt() != schemaVersion_)
-            fatal("checkpoint area '%s' was written under config schema "
-                  "version %lld; this binary uses version %d — "
-                  "refusing to restore from an incompatible area",
-                  dir_.c_str(),
-                  static_cast<long long>(schema_v->asInt()),
-                  schemaVersion_);
-    } else {
-        std::ostringstream os;
-        {
-            JsonWriter w(os);
-            w.beginObject();
-            w.member("ckptVersion", ckpt_format_version);
-            w.member("schemaVersion", schemaVersion_);
-            w.endObject();
-        }
-        writeFileAtomicBinary(meta_path,
-                              meta_path + ".tmp." +
-                                  std::to_string(::getpid()),
-                              os.str());
-    }
 }
 
 std::string
 CkptStore::pathFor(const std::string &fp_hex) const
 {
-    return dir_ + "/" + fp_hex.substr(0, 2) + "/" + fp_hex + "-ckpt-v" +
-           std::to_string(ckpt_format_version) + ".bin";
-}
-
-void
-CkptStore::quarantine(const std::string &path)
-{
-    std::rename(path.c_str(), (path + ".bad").c_str());
-    quarantined_.fetch_add(1);
-    warn("quarantined corrupt checkpoint file '%s' (now .bad)",
-         path.c_str());
+    return area_.pathFor(fp_hex);
 }
 
 bool
 CkptStore::load(const std::string &warm_key, Checkpoint &out)
 {
     const std::string fp = ckptFingerprintHex(warm_key);
-    const std::string path = pathFor(fp);
-    const std::string bytes = readFileBinary(path);
-    if (bytes.empty()) {
-        if (fileExists(path))
-            quarantine(path); // zero-byte corpse
-        misses_.fetch_add(1);
-        return false;
-    }
-
-    const std::size_t nl = bytes.find('\n');
-    if (nl == std::string::npos) {
-        quarantine(path);
-        misses_.fetch_add(1);
-        return false;
-    }
-    JsonValue header;
-    std::string error;
-    if (!tryParseJson(bytes.substr(0, nl), header, &error, path) ||
-        !header.isObject()) {
-        quarantine(path);
-        misses_.fetch_add(1);
-        return false;
-    }
-    const JsonValue *magic = header.find("magic");
-    const JsonValue *version = header.find("ckptVersion");
-    const JsonValue *schema = header.find("schemaVersion");
-    const JsonValue *fp_v = header.find("fingerprint");
-    const JsonValue *count = header.find("bytes");
-    const JsonValue *checksum = header.find("checksum");
-    const JsonValue *key_v = header.find("warmKey");
-    const JsonValue *cycles = header.find("warmCycles");
-    if (!magic || !magic->isString() ||
-        magic->asString() != header_magic || !version ||
-        !version->isInt() || version->asInt() != ckpt_format_version ||
-        !schema || !schema->isInt() ||
-        schema->asInt() != schemaVersion_ || !fp_v ||
-        !fp_v->isString() || fp_v->asString() != fp || !count ||
-        !count->isInt() || !checksum || !checksum->isString() ||
-        !key_v || !key_v->isString() || !cycles || !cycles->isInt()) {
-        quarantine(path);
-        misses_.fetch_add(1);
-        return false;
-    }
-    // The embedded warm key turns a fingerprint collision (or a
-    // misplaced file) into a miss instead of a foreign-state restore.
-    if (key_v->asString() != warm_key) {
-        quarantine(path);
-        misses_.fetch_add(1);
-        return false;
-    }
-
-    const auto payload = static_cast<std::size_t>(count->asInt());
-    if (bytes.size() - nl - 1 != payload) {
-        quarantine(path); // truncated or padded payload
-        misses_.fetch_add(1);
-        return false;
-    }
-    const auto *data =
-        reinterpret_cast<const std::uint8_t *>(bytes.data() + nl + 1);
-    if (hex16(CkptWriter::ckptChecksum(data, payload)) !=
-        checksum->asString()) {
-        quarantine(path);
-        misses_.fetch_add(1);
-        return false;
-    }
-
-    out.warmKey = warm_key;
-    out.fingerprint = fp;
-    out.warmCycles = static_cast<Cycle>(cycles->asInt());
-    out.state.assign(data, data + payload);
-    hits_.fetch_add(1);
-    return true;
+    return area_.load(fp, [&](const std::string &bytes) {
+        JsonValue header;
+        std::string_view payload;
+        if (!parseFrame(bytes, pathFor(fp), "checkpoint", header_magic,
+                        header, payload, nullptr) ||
+            !area_.currentVersions(header))
+            return false;
+        const JsonValue *fp_v = header.find("fingerprint");
+        const JsonValue *key_v = header.find("warmKey");
+        const JsonValue *cycles = header.find("warmCycles");
+        // The embedded warm key turns a fingerprint collision (or a
+        // misplaced file) into a miss instead of a foreign-state
+        // restore.
+        if (!fp_v || !fp_v->isString() || fp_v->asString() != fp ||
+            !key_v || !key_v->isString() ||
+            key_v->asString() != warm_key || !cycles ||
+            !cycles->isInt() ||
+            !checkFramePayload(header, payload, "checkpoint", nullptr))
+            return false;
+        out.warmKey = warm_key;
+        out.fingerprint = fp;
+        out.warmCycles = static_cast<Cycle>(cycles->asInt());
+        const auto *data =
+            reinterpret_cast<const std::uint8_t *>(payload.data());
+        out.state.assign(data, data + payload.size());
+        return true;
+    });
 }
 
 void
@@ -255,36 +78,14 @@ CkptStore::put(const Checkpoint &ckpt)
     const std::string fp = ckpt.fingerprint.empty()
                                ? ckptFingerprintHex(ckpt.warmKey)
                                : ckpt.fingerprint;
-    makeDir(dir_ + "/" + fp.substr(0, 2));
-    const std::string path = pathFor(fp);
-
-    std::ostringstream os;
-    {
-        // Compact mode: the header must be exactly one line (the
-        // payload starts after the first '\n').
-        JsonWriter w(os, -1);
-        w.beginObject();
-        w.member("magic", header_magic);
-        w.member("ckptVersion", ckpt_format_version);
-        w.member("schemaVersion", schemaVersion_);
-        w.member("fingerprint", fp);
-        w.member("warmCycles", static_cast<std::int64_t>(ckpt.warmCycles));
-        w.member("bytes", static_cast<std::int64_t>(ckpt.state.size()));
-        w.member("checksum",
-                 hex16(CkptWriter::ckptChecksum(ckpt.state.data(),
-                                                ckpt.state.size())));
-        w.member("warmKey", ckpt.warmKey);
-        w.endObject();
-    }
-    os << '\n';
-    os.write(reinterpret_cast<const char *>(ckpt.state.data()),
-             static_cast<std::streamsize>(ckpt.state.size()));
-
-    const std::string temp = path + ".tmp." +
-                             std::to_string(::getpid()) + "." +
-                             std::to_string(tempCounter_.fetch_add(1));
-    writeFileAtomicBinary(path, temp, os.str());
-    writes_.fetch_add(1);
+    FrameWriter frame(header_magic, ckpt.state.data(), ckpt.state.size());
+    JsonWriter &w = frame.header();
+    area_.writeVersions(w);
+    w.member("fingerprint", fp);
+    w.member("warmCycles", static_cast<std::int64_t>(ckpt.warmCycles));
+    frame.payloadMembers();
+    w.member("warmKey", ckpt.warmKey);
+    area_.put(fp, frame.finish());
 }
 
 } // namespace p5

@@ -9,31 +9,29 @@
  * pairs of one pair-mix share one warm key, which is the whole point —
  * one warm-up amortizes across the pair matrix.
  *
- * On disk a checkpoint is one file per fingerprint under the same
- * two-hex-shard layout as the ResultStore:
+ * On disk a checkpoint is one file per fingerprint in an ArtifactArea
+ * (common/artifact.hh, DESIGN §12), the primitive the ResultStore is
+ * built on too:
  *
  *     <dir>/<fp[0:2]>/<fp>-ckpt-v<version>.bin
  *
- * File format: a single JSON header line (magic, versions, fingerprint,
- * byte count, checksum, the full warm key) terminated by '\n', followed
- * by the raw state bytes. The header is line-oriented so `head -1` can
- * inspect any checkpoint; the payload is the exact CkptWriter stream.
- * Publication is atomic (temp file + rename) and every invalid file —
+ * The file is one frame: a compact JSON header line (magic, versions,
+ * fingerprint, warm cycles, byte count, checksum, the full warm key),
+ * '\n', then the exact CkptWriter stream. Every invalid file —
  * truncated, corrupt, checksum or version mismatch, foreign warm key —
- * is quarantined to "<name>.bad" and treated as a miss, mirroring the
- * ResultStore's crash/corruption discipline. A ckpt_meta.json at the
- * root pins the format and config schema versions; opening a directory
- * written by a different version is fatal.
+ * is quarantined to "<name>.bad" and treated as a miss. A
+ * ckpt_meta.json at the root pins the format and config schema
+ * versions; opening an area written by other versions is fatal.
  */
 
 #ifndef P5SIM_CKPT_CKPT_HH
 #define P5SIM_CKPT_CKPT_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/artifact.hh"
 #include "common/types.hh"
 #include "config/config.hh"
 
@@ -66,9 +64,9 @@ class CkptStore
 {
   public:
     /**
-     * Open @p dir, creating it (and ckpt_meta.json) when absent. Fatal
-     * when an existing area was written by a different checkpoint
-     * format or config schema version.
+     * Open @p dir, creating it, its missing parents and ckpt_meta.json
+     * when absent. Fatal when an existing area was written by a
+     * different checkpoint format or config schema version.
      */
     explicit CkptStore(std::string dir,
                        int schema_version = config_schema_version);
@@ -76,7 +74,10 @@ class CkptStore
     CkptStore(const CkptStore &) = delete;
     CkptStore &operator=(const CkptStore &) = delete;
 
-    const std::string &dir() const { return dir_; }
+    const std::string &dir() const { return area_.dir(); }
+
+    /** File naming of this binary's checkpoints (see store-gc). */
+    static ArtifactLayout layout();
 
     /** Absolute path a fingerprint maps to under this area. */
     std::string pathFor(const std::string &fp_hex) const;
@@ -92,21 +93,13 @@ class CkptStore
     /** Publish @p ckpt atomically under its fingerprint. */
     void put(const Checkpoint &ckpt);
 
-    std::uint64_t hits() const { return hits_.load(); }
-    std::uint64_t misses() const { return misses_.load(); }
-    std::uint64_t writes() const { return writes_.load(); }
-    std::uint64_t quarantined() const { return quarantined_.load(); }
+    std::uint64_t hits() const { return area_.hits(); }
+    std::uint64_t misses() const { return area_.misses(); }
+    std::uint64_t writes() const { return area_.writes(); }
+    std::uint64_t quarantined() const { return area_.quarantined(); }
 
   private:
-    void quarantine(const std::string &path);
-
-    std::string dir_;
-    int schemaVersion_;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> writes_{0};
-    std::atomic<std::uint64_t> quarantined_{0};
-    std::atomic<std::uint64_t> tempCounter_{0};
+    ArtifactArea area_;
 };
 
 } // namespace p5

@@ -84,24 +84,7 @@ class CkptWriter
     std::uint64_t
     checksum() const
     {
-        return ckptChecksum(bytes_.data(), bytes_.size());
-    }
-
-    /** Digest over an arbitrary byte range (same chain as checksum()). */
-    static std::uint64_t
-    ckptChecksum(const std::uint8_t *data, std::size_t size)
-    {
-        std::uint64_t h = hashMix(0x9c5dab1ec4f00d5eULL ^ size);
-        std::size_t i = 0;
-        for (; i + 8 <= size; i += 8) {
-            std::uint64_t word = 0;
-            std::memcpy(&word, data + i, 8);
-            h = hashCombine(h, word);
-        }
-        std::uint64_t tail = 0;
-        for (std::size_t k = 0; i < size; ++i, ++k)
-            tail |= static_cast<std::uint64_t>(data[i]) << (8 * k);
-        return hashCombine(h, tail);
+        return hashBytes(bytes_.data(), bytes_.size());
     }
 
   private:

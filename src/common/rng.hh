@@ -14,7 +14,10 @@
 #ifndef P5SIM_COMMON_RNG_HH
 #define P5SIM_COMMON_RNG_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <string_view>
 
 namespace p5 {
 
@@ -33,6 +36,40 @@ constexpr std::uint64_t
 hashCombine(std::uint64_t a, std::uint64_t b)
 {
     return hashMix(a ^ (hashMix(b) + 0x9e3779b97f4a7c15ULL + (a << 6)));
+}
+
+/**
+ * Hash chain over the bytes of @p text, started from @p chain: every
+ * content address and config fingerprint is one, each with its own
+ * @p chain so the address domains stay independent.
+ */
+constexpr std::uint64_t
+hashText(std::uint64_t chain, std::string_view text)
+{
+    std::uint64_t h = hashMix(chain ^ text.size());
+    for (char c : text)
+        h = hashCombine(h, static_cast<unsigned char>(c));
+    return h;
+}
+
+/**
+ * Digest of a byte range, eight bytes per step: the checksum of
+ * checkpoint state streams and of every frame payload (artifact.hh).
+ */
+inline std::uint64_t
+hashBytes(const std::uint8_t *data, std::size_t size)
+{
+    std::uint64_t h = hashMix(0x9c5dab1ec4f00d5eULL ^ size);
+    std::size_t i = 0;
+    for (; i + 8 <= size; i += 8) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, data + i, 8);
+        h = hashCombine(h, word);
+    }
+    std::uint64_t tail = 0;
+    for (std::size_t k = 0; i < size; ++i, ++k)
+        tail |= static_cast<std::uint64_t>(data[i]) << (8 * k);
+    return hashCombine(h, tail);
 }
 
 /**

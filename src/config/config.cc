@@ -1,10 +1,10 @@
 #include "config/config.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "common/artifact.hh"
 #include "common/log.hh"
 #include "common/parse.hh"
 #include "common/rng.hh"
@@ -782,20 +782,13 @@ ConfigTree::canonical() const
 std::uint64_t
 ConfigTree::fingerprint() const
 {
-    const std::string c = canonical();
-    std::uint64_t h = hashMix(c.size());
-    for (char ch : c)
-        h = hashCombine(h, static_cast<unsigned char>(ch));
-    return h;
+    return hashText(0, canonical());
 }
 
 std::string
 ConfigTree::fingerprintHex() const
 {
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(fingerprint()));
-    return buf;
+    return hex16(fingerprint());
 }
 
 namespace {
@@ -835,20 +828,13 @@ ConfigTree::warmCanonical() const
 std::uint64_t
 ConfigTree::warmFingerprint() const
 {
-    const std::string c = warmCanonical();
-    std::uint64_t h = hashMix(c.size());
-    for (char ch : c)
-        h = hashCombine(h, static_cast<unsigned char>(ch));
-    return h;
+    return hashText(0, warmCanonical());
 }
 
 std::string
 ConfigTree::warmFingerprintHex() const
 {
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(warmFingerprint()));
-    return buf;
+    return hex16(warmFingerprint());
 }
 
 void

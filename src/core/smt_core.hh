@@ -250,7 +250,7 @@ class SmtCore
     bool tickMadeProgress() const { return tickProgress_; }
 
     /**
-     * Per-stage wall-time accumulators for --p5sim_profile_stages.
+     * Per-stage wall-time accumulators for `p5sim perf --profile-stages`.
      * While a profile is attached every tick routes through a timed
      * path; detach (nullptr) to restore the untimed hot loop.
      */

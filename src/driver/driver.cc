@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <optional>
@@ -15,6 +14,7 @@
 #include "ckpt/ckpt.hh"
 #include "ckpt/ckpt_io.hh"
 #include "ckpt/ckpt_manager.hh"
+#include "common/artifact.hh"
 #include "common/cli.hh"
 #include "common/json.hh"
 #include "common/log.hh"
@@ -1288,46 +1288,31 @@ struct GcCandidate
  * are filename-driven on purpose: a collector must not need to open
  * (or trust) the files it is about to delete, and must keep working on
  * an area whose meta pins an older schema (where ResultStore's own
- * constructor would refuse to open).
+ * constructor would refuse to open). Files of a generation other than
+ * the one this binary writes are dead weight: the stores never look
+ * them up.
  */
 const char *
 gcReason(const std::string &name)
 {
-    if (name.size() >= 4 && name.compare(name.size() - 4, 4, ".bad") == 0)
-        return "quarantined";
-    if (name.find(".tmp.") != std::string::npos)
-        return "orphan temp"; // a crash between create and rename
-    // Superseded generations: the schema/format version is embedded in
-    // the filename ("<fp>-v<N>.json", "<fp>-ckpt-v<N>.bin"), so files
-    // from any generation other than the one this binary writes are
-    // dead weight — the stores ignore them on every path.
-    const auto versionedTail = [&name](const char *marker,
-                                       const char *suffix) -> long {
-        const std::size_t m = name.rfind(marker);
-        if (m == std::string::npos)
-            return -1;
-        const std::size_t digits = m + std::strlen(marker);
-        std::size_t end = digits;
-        while (end < name.size() && name[end] >= '0' && name[end] <= '9')
-            ++end;
-        if (end == digits || name.compare(end, std::string::npos, suffix))
-            return -1;
-        std::int64_t v = 0;
-        if (parseInt64(name.substr(digits, end - digits), v) !=
-            ParseStatus::Ok)
-            return -1;
-        return static_cast<long>(v);
+    const std::pair<ArtifactLayout, const char *> layouts[] = {
+        {CkptStore::layout(), "superseded checkpoint format"},
+        {ResultStore::layout(), "superseded result schema"},
     };
-    const long ckpt_v = versionedTail("-ckpt-v", ".bin");
-    if (ckpt_v >= 0)
-        return ckpt_v == ckpt_format_version
-                   ? nullptr
-                   : "superseded checkpoint format";
-    const long result_v = versionedTail("-v", ".json");
-    if (result_v >= 0)
-        return result_v == config_schema_version
-                   ? nullptr
-                   : "superseded result schema";
+    for (const auto &[layout, superseded] : layouts) {
+        switch (classifyArtifactFile(name, layout)) {
+          case ArtifactFile::Quarantined:
+            return "quarantined";
+          case ArtifactFile::OrphanTemp:
+            return "orphan temp";
+          case ArtifactFile::Superseded:
+            return superseded;
+          case ArtifactFile::Live:
+            return nullptr;
+          case ArtifactFile::Foreign:
+            break;
+        }
+    }
     return nullptr;
 }
 
@@ -1439,6 +1424,16 @@ cmdStoreGc(const Cli &cli, DriverContext &ctx, ExpConfig &)
 
 // --- perf --------------------------------------------------------------
 
+/**
+ * Run the end-to-end fast-forward speedup suite once per engine mode
+ * and write the report tools/compare_perf.py reads. Nonzero when any
+ * case's stats deviate between modes.
+ */
+int writePerfReport(const std::string &path, std::ostream &err);
+
+/** Per-stage wall-time breakdown of the report cases (perf triage). */
+int profileStages(std::ostream &out);
+
 int
 cmdPerf(const Cli &cli, DriverContext &ctx, ExpConfig &)
 {
@@ -1533,10 +1528,7 @@ traceMain(int argc, const char *const *argv, std::ostream &out,
             << "  records                " << h.records << " ("
             << h.executions << " executions)\n"
             << "  payload bytes          " << h.bytes << "\n";
-        char sum[20];
-        std::snprintf(sum, sizeof(sum), "%016llx",
-                      static_cast<unsigned long long>(h.checksum));
-        out << "  checksum               " << sum << "\n"
+        out << "  checksum               " << hex16(h.checksum) << "\n"
             << "  fingerprint            " << h.fingerprint() << "\n";
         return 0;
     }
@@ -1561,7 +1553,8 @@ traceMain(int argc, const char *const *argv, std::ostream &out,
             return 0;
         }
         err << "trace check: " << path << ": " << why << "\n";
-        if (!keep)
+        // A missing file is a miss, not a corrupt artifact.
+        if (!keep && fileExists(path))
             quarantineTrace(path); // warns with the .bad name
         return 1;
     }
@@ -1777,20 +1770,7 @@ driverMain(int argc, const char *const *argv, std::ostream &out,
     return rc;
 }
 
-int
-driverMainAs(const std::string &subcommand, int argc,
-             const char *const *argv)
-{
-    std::vector<const char *> args;
-    args.push_back(argc > 0 ? argv[0] : "p5sim");
-    args.push_back(subcommand.c_str());
-    for (int i = 1; i < argc; ++i)
-        args.push_back(argv[i]);
-    return driverMain(static_cast<int>(args.size()), args.data());
-}
-
 // --- perf report implementation ---------------------------------------
-// (Shared with bench_sim_perf's legacy --p5sim_perf_json flag.)
 
 namespace {
 
@@ -2017,8 +1997,6 @@ sameMatrixMeasurement(const CkptTimedRun &a, const CkptTimedRun &b)
             return false;
     return true;
 }
-
-} // namespace
 
 int
 writePerfReport(const std::string &path, std::ostream &err)
@@ -2305,4 +2283,5 @@ profileStages(std::ostream &out)
     return 0;
 }
 
+} // namespace
 } // namespace p5

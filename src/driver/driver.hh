@@ -3,8 +3,7 @@
  * The unified p5sim driver: every paper table/figure, the ablation
  * studies, the simulator perf report, single-pair runs with full stat
  * dumps and multi-axis config sweeps behind one binary with
- * subcommands (tools/p5sim). The per-experiment bench binaries are
- * thin wrappers over driverMainAs() so existing scripts keep working.
+ * subcommands (tools/p5sim).
  *
  * All per-invocation state (output streams, the --csv preference, the
  * --json destination, config provenance) lives in an explicit
@@ -65,26 +64,6 @@ int driverMain(int argc, const char *const *argv,
                std::ostream &out = std::cout,
                std::ostream &err = std::cerr,
                std::istream &in = std::cin);
-
-/**
- * driverMain() with @p subcommand injected as argv[1] — the
- * compatibility entry used by the thin bench_* wrapper binaries.
- */
-int driverMainAs(const std::string &subcommand, int argc,
-                 const char *const *argv);
-
-/**
- * Run the end-to-end fast-forward speedup suite once per engine mode
- * and write the machine-readable report consumed by
- * tools/compare_perf.py. Returns nonzero when any case's stats deviate
- * between modes. Exposed so bench_sim_perf's legacy
- * --p5sim_perf_json=FILE flag and `p5sim perf --json=FILE` share one
- * implementation.
- */
-int writePerfReport(const std::string &path, std::ostream &err);
-
-/** Per-stage wall-time breakdown of the report cases (perf triage). */
-int profileStages(std::ostream &out);
 
 } // namespace p5
 

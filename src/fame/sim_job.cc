@@ -361,11 +361,7 @@ SimJob::rngSeed() const
 {
     // SplitMix64 chain over the canonical key, so the seed is a pure
     // function of the simulated configuration.
-    const std::string k = key();
-    std::uint64_t seed = hashMix(k.size());
-    for (char c : k)
-        seed = hashCombine(seed, static_cast<unsigned char>(c));
-    return seed;
+    return hashText(0, key());
 }
 
 SimResult

@@ -1,13 +1,6 @@
 #include "program/trace.hh"
 
-#include <unistd.h>
-
-#include <atomic>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
-#include "ckpt/ckpt_io.hh"
+#include "common/artifact.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -20,15 +13,6 @@ namespace {
 /** Distinct chain constant: trace identities never collide with the
  *  checkpoint or config fingerprint domains. */
 constexpr std::uint64_t trace_fp_chain = 0x7eace0de5eedc0deULL;
-
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return std::string(buf);
-}
 
 /** Unsigned LEB128 append. */
 void
@@ -137,18 +121,6 @@ decodeSrc(std::uint64_t wire, const std::vector<PredecodedInstr> &table,
     return true;
 }
 
-bool
-readFileText(const std::string &path, std::string &out)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return false;
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    out = ss.str();
-    return true;
-}
-
 std::uint64_t
 headerU64(const JsonValue &hdr, const char *field, bool &ok)
 {
@@ -160,22 +132,10 @@ headerU64(const JsonValue &hdr, const char *field, bool &ok)
     return static_cast<std::uint64_t>(v->asInt());
 }
 
-/** Parse + validate the header line (without touching the payload). */
+/** Decode and validate the trace members of a frame header. */
 bool
-parseHeaderLine(const std::string &line, const std::string &path,
-                TraceHeader &out, std::string *error)
+decodeHeader(const JsonValue &hdr, TraceHeader &out, std::string *error)
 {
-    JsonValue hdr;
-    std::string parse_error;
-    if (!tryParseJson(line, hdr, &parse_error, path))
-        return failLoad(error, "bad trace header: " + parse_error);
-    if (!hdr.isObject())
-        return failLoad(error, "trace header is not a JSON object");
-
-    const JsonValue *magic = hdr.find("magic");
-    if (!magic || !magic->isString() ||
-        magic->asString() != trace_magic)
-        return failLoad(error, "not a p5sim trace (bad magic)");
     const JsonValue *version = hdr.find("version");
     if (!version || !version->isInt() ||
         version->asInt() != trace_format_version)
@@ -195,20 +155,8 @@ parseHeaderLine(const std::string &line, const std::string &path,
         return failLoad(error, "trace header has a bad count field");
     const JsonValue *checksum = hdr.find("checksum");
     if (!checksum || !checksum->isString() ||
-        checksum->asString().size() != 16)
+        !parseHex16(checksum->asString(), h.checksum))
         return failLoad(error, "trace header has a bad checksum field");
-    std::uint64_t sum = 0;
-    for (char c : checksum->asString()) {
-        sum <<= 4;
-        if (c >= '0' && c <= '9')
-            sum |= static_cast<std::uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            sum |= static_cast<std::uint64_t>(c - 'a' + 10);
-        else
-            return failLoad(error,
-                            "trace header has a bad checksum field");
-    }
-    h.checksum = sum;
 
     if (h.instrsPerExecution == 0 || h.executions == 0 ||
         h.records == 0)
@@ -225,9 +173,7 @@ parseHeaderLine(const std::string &line, const std::string &path,
 std::string
 TraceHeader::fingerprint() const
 {
-    std::uint64_t h = hashMix(trace_fp_chain ^ name.size());
-    for (char c : name)
-        h = hashCombine(h, static_cast<unsigned char>(c));
+    std::uint64_t h = hashText(trace_fp_chain, name);
     h = hashCombine(h, instrsPerExecution);
     h = hashCombine(h, records);
     h = hashCombine(h, executions);
@@ -310,61 +256,24 @@ dumpTrace(const InstrSource &source, std::uint64_t executions,
             producer_of[static_cast<std::size_t>(di.dst)] = i;
     }
 
-    TraceHeader h;
-    h.name = source.name();
-    h.instrsPerExecution = ipe;
-    h.records = n;
-    h.executions = executions;
-    h.bytes = payload.size();
-    h.checksum = CkptWriter::ckptChecksum(payload.data(), payload.size());
-
-    std::ostringstream header_line;
-    {
-        JsonWriter w(header_line, -1); // compact: one line
-        w.beginObject();
-        w.member("magic", trace_magic);
-        w.member("version", trace_format_version);
-        w.member("name", h.name);
-        w.member("instrsPerExecution", h.instrsPerExecution);
-        w.member("records", h.records);
-        w.member("executions", h.executions);
-        w.member("bytes", h.bytes);
-        w.member("checksum", hex16(h.checksum));
-        w.endObject();
-    }
-
-    // Atomic publication: write a temp file, then rename into place.
-    static std::atomic<std::uint64_t> temp_counter{0};
-    const std::string temp =
-        path + ".tmp." + std::to_string(::getpid()) + "." +
-        std::to_string(temp_counter.fetch_add(1));
-    {
-        std::ofstream os(temp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            fatal("cannot write trace temp file '%s'", temp.c_str());
-        os << header_line.str() << '\n';
-        os.write(reinterpret_cast<const char *>(payload.data()),
-                 static_cast<std::streamsize>(payload.size()));
-        os.flush();
-        if (!os)
-            fatal("short write to trace temp file '%s'", temp.c_str());
-    }
-    if (std::rename(temp.c_str(), path.c_str()) != 0)
-        fatal("cannot publish trace '%s'", path.c_str());
+    FrameWriter frame(trace_magic, payload.data(), payload.size());
+    JsonWriter &w = frame.header();
+    w.member("version", trace_format_version);
+    w.member("name", source.name());
+    w.member("instrsPerExecution", ipe);
+    w.member("records", n);
+    w.member("executions", executions);
+    frame.payloadMembers();
+    publishFile(path, frame.finish(), "trace");
 }
 
 bool
 tryReadTraceHeader(const std::string &path, TraceHeader &out,
                    std::string *error)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return failLoad(error, "cannot open trace '" + path + "'");
-    std::string line;
-    if (!std::getline(is, line) || line.empty())
-        return failLoad(error,
-                        "trace '" + path + "' has no header line");
-    return parseHeaderLine(line, path, out, error);
+    JsonValue hdr;
+    return readFrameHeader(path, "trace", trace_magic, hdr, error) &&
+           decodeHeader(hdr, out, error);
 }
 
 TraceHeader
@@ -382,26 +291,17 @@ tryLoadTrace(const std::string &path,
              std::unique_ptr<TraceProgram> &out, std::string *error)
 {
     std::string blob;
-    if (!readFileText(path, blob))
-        return failLoad(error, "cannot open trace '" + path + "'");
-    const std::size_t nl = blob.find('\n');
-    if (nl == std::string::npos)
-        return failLoad(error,
-                        "trace '" + path + "' has no header line");
+    JsonValue hdr;
+    std::string_view frame_payload;
     TraceHeader h;
-    if (!parseHeaderLine(blob.substr(0, nl), path, h, error))
+    if (!readFrame(path, "trace", trace_magic, blob, hdr, frame_payload,
+                   error) ||
+        !decodeHeader(hdr, h, error) ||
+        !checkFramePayload(hdr, frame_payload, "trace", error))
         return false;
-
     const auto *payload =
-        reinterpret_cast<const std::uint8_t *>(blob.data()) + nl + 1;
-    const std::size_t payload_size = blob.size() - nl - 1;
-    if (payload_size != h.bytes)
-        return failLoad(error, "trace payload is " +
-                                   std::to_string(payload_size) +
-                                   " bytes, header says " +
-                                   std::to_string(h.bytes));
-    if (CkptWriter::ckptChecksum(payload, payload_size) != h.checksum)
-        return failLoad(error, "trace payload checksum mismatch");
+        reinterpret_cast<const std::uint8_t *>(frame_payload.data());
+    const std::size_t payload_size = frame_payload.size();
 
     std::vector<PredecodedInstr> table;
     table.reserve(static_cast<std::size_t>(h.records));
@@ -480,11 +380,9 @@ loadTrace(const std::string &path)
 std::string
 quarantineTrace(const std::string &path)
 {
-    const std::string bad = path + ".bad";
-    if (std::rename(path.c_str(), bad.c_str()) != 0)
+    if (!quarantineFile(path, "trace"))
         fatal("cannot quarantine corrupt trace '%s'", path.c_str());
-    warn("quarantined corrupt trace to '%s'", bad.c_str());
-    return bad;
+    return path + ".bad";
 }
 
 } // namespace p5

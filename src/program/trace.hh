@@ -4,13 +4,13 @@
  *
  * A trace file captures the dynamic instruction sequence of an
  * InstrSource so it can be replayed later — by a different process, a
- * different build, or a frontend that never links the generator. The
- * format follows the checkpoint container discipline (ckpt.hh): one
- * compact JSON header line (magic, version, name, instruction counts,
- * payload byte count, payload checksum) terminated by '\n', followed by
- * a delta+varint encoded record stream. `head -1` inspects any trace;
- * publication is atomic (temp file + rename); every invalid file can be
- * quarantined to "<name>.bad" like a corrupt ResultStore entry.
+ * different build, or a frontend that never links the generator. A
+ * trace file is one frame of the artifact primitive (common/artifact.hh,
+ * DESIGN §12), the format checkpoints use too: a compact JSON header
+ * line (magic, version, name, instruction counts, payload byte count,
+ * payload checksum), '\n', then a delta+varint encoded record stream.
+ * `head -1` inspects any trace; publication is atomic, and an invalid
+ * file can be quarantined to "<name>.bad" like a corrupt store file.
  *
  * Per record the payload stores: the op class and branch outcome in one
  * byte, the destination register, each source as either a small
@@ -49,7 +49,7 @@ struct TraceHeader
     std::uint64_t records = 0;
     std::uint64_t executions = 0;
     std::uint64_t bytes = 0;    ///< payload size after the header line
-    std::uint64_t checksum = 0; ///< payload digest (CkptWriter chain)
+    std::uint64_t checksum = 0; ///< payload digest (hashBytes)
 
     /**
      * 16-hex-digit content identity of the trace: a hash of the name,
@@ -140,8 +140,8 @@ bool tryLoadTrace(const std::string &path,
 std::unique_ptr<TraceProgram> loadTrace(const std::string &path);
 
 /**
- * Quarantine a corrupt trace to "<path>.bad" (ResultStore discipline);
- * returns the new path. warn()s; fatal() when the rename fails.
+ * Quarantine a corrupt trace to "<path>.bad" (quarantineFile); returns
+ * the new path. warn()s; fatal() when the rename fails.
  */
 std::string quarantineTrace(const std::string &path);
 

@@ -1,16 +1,7 @@
 #include "store/result_store.hh"
 
-#include <sys/stat.h>
-#include <sys/types.h>
-
-#include <cstdio>
-#include <cstring>
-#include <dirent.h>
-#include <fstream>
 #include <sstream>
-#include <unistd.h>
 
-#include "common/log.hh"
 #include "common/rng.hh"
 #include "store/result_io.hh"
 
@@ -18,223 +9,68 @@ namespace p5 {
 
 namespace {
 
-constexpr const char *meta_name = "store_meta.json";
-
-/** mkdir -p for the two-level store layout; fatal on failure. */
-void
-makeDir(const std::string &path)
-{
-    if (::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST)
-        return;
-    fatal("cannot create store directory '%s': %s", path.c_str(),
-          std::strerror(errno));
-}
-
-bool
-fileExists(const std::string &path)
-{
-    struct stat st;
-    return ::stat(path.c_str(), &st) == 0;
-}
-
-std::string
-readFileOrEmpty(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        return "";
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return buf.str();
-}
-
-/** Write @p text to @p path via temp file + rename (atomic publish). */
-void
-writeFileAtomic(const std::string &path, const std::string &temp,
-                const std::string &text)
-{
-    {
-        std::ofstream os(temp);
-        if (!os)
-            fatal("cannot write store file '%s'", temp.c_str());
-        os << text;
-        if (!os.flush())
-            fatal("short write to store file '%s'", temp.c_str());
-    }
-    if (std::rename(temp.c_str(), path.c_str()) != 0)
-        fatal("cannot publish store file '%s': %s", path.c_str(),
-              std::strerror(errno));
-}
-
-bool
-endsWith(const std::string &text, const std::string &suffix)
-{
-    return text.size() >= suffix.size() &&
-           text.compare(text.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-}
+constexpr ArtifactSpec store_spec{"store", "store", "store_meta.json",
+                                  "storeVersion", store_format_version};
 
 } // namespace
 
-ResultStore::ResultStore(std::string dir, int schema_version)
-    : dir_(std::move(dir)), schemaVersion_(schema_version)
+ArtifactLayout
+ResultStore::layout(int schema_version)
 {
-    if (dir_.empty())
-        fatal("result store directory must not be empty");
-    while (dir_.size() > 1 && dir_.back() == '/')
-        dir_.pop_back();
-    makeDir(dir_);
+    return {"", "json", schema_version};
+}
 
-    const std::string meta_path = dir_ + "/" + meta_name;
-    const std::string meta_text = readFileOrEmpty(meta_path);
-    if (!meta_text.empty()) {
-        // An existing store: its pinned versions must match ours, or
-        // every lookup would be answered from configurations whose
-        // fingerprints mean something else (stale-store poisoning).
-        JsonValue meta;
-        std::string error;
-        if (!tryParseJson(meta_text, meta, &error, meta_path))
-            fatal("corrupt store metadata: %s", error.c_str());
-        const JsonValue *store_v =
-            meta.isObject() ? meta.find("storeVersion") : nullptr;
-        const JsonValue *schema_v =
-            meta.isObject() ? meta.find("schemaVersion") : nullptr;
-        if (!store_v || !store_v->isInt() || !schema_v ||
-            !schema_v->isInt())
-            fatal("store metadata '%s' is missing its version members",
-                  meta_path.c_str());
-        if (store_v->asInt() != store_format_version)
-            fatal("store '%s' uses file format v%lld; this binary "
-                  "writes v%d — refusing to mix formats",
-                  dir_.c_str(),
-                  static_cast<long long>(store_v->asInt()),
-                  store_format_version);
-        if (schema_v->asInt() != schemaVersion_)
-            fatal("store '%s' was written under config schema version "
-                  "%lld; this binary uses version %d — refusing to "
-                  "resume from (or write into) an incompatible store",
-                  dir_.c_str(),
-                  static_cast<long long>(schema_v->asInt()),
-                  schemaVersion_);
-    } else {
-        std::ostringstream os;
-        {
-            JsonWriter w(os);
-            w.beginObject();
-            w.member("storeVersion", store_format_version);
-            w.member("schemaVersion", schemaVersion_);
-            w.endObject();
-        }
-        // Concurrent creators write identical bytes; rename races are
-        // therefore harmless.
-        writeFileAtomic(meta_path,
-                        meta_path + ".tmp." +
-                            std::to_string(::getpid()),
-                        os.str());
-    }
+ResultStore::ResultStore(std::string dir, int schema_version)
+    : area_(std::move(dir), store_spec, layout(schema_version),
+            schema_version)
+{
 }
 
 std::string
 ResultStore::fingerprintHex(const SimJob &job)
 {
-    const std::string key = job.key();
     // Distinct chain from SimJob::rngSeed() (different initial mix), so
     // the store address and the RNG stream stay independent functions
     // of the key.
-    std::uint64_t h = hashMix(0xce5707ed2f00dbadULL ^ key.size());
-    for (char c : key)
-        h = hashCombine(h, static_cast<unsigned char>(c));
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
+    return hex16(hashText(0xce5707ed2f00dbadULL, job.key()));
 }
 
 std::string
 ResultStore::pathFor(const std::string &fp_hex) const
 {
-    return dir_ + "/" + fp_hex.substr(0, 2) + "/" + fp_hex + "-v" +
-           std::to_string(schemaVersion_) + ".json";
+    return area_.pathFor(fp_hex);
 }
 
 bool
 ResultStore::contains(const SimJob &job) const
 {
-    if (!storableKind(job.kind))
-        return false;
-    return fileExists(pathFor(fingerprintHex(job)));
-}
-
-void
-ResultStore::quarantine(const std::string &path)
-{
-    // Another thread/process may have quarantined (or replaced) the
-    // file already; either way the bad bytes are out of the lookup
-    // path, which is all that matters.
-    std::rename(path.c_str(), (path + ".bad").c_str());
-    quarantined_.fetch_add(1);
-    warn("quarantined corrupt store file '%s' (now .bad)", path.c_str());
+    return storableKind(job.kind) && area_.contains(fingerprintHex(job));
 }
 
 bool
-ResultStore::loadFile(const std::string &path, JsonValue &out)
+ResultStore::parseDoc(const std::string &bytes, JsonValue &out) const
 {
-    const std::string text = readFileOrEmpty(path);
-    if (text.empty()) {
-        // Empty reads both for missing files (a plain miss, common)
-        // and zero-byte corpses (quarantine-worthy, rare).
-        if (!fileExists(path))
-            return false;
-        quarantine(path);
-        return false;
-    }
-    std::string error;
-    if (!tryParseJson(text, out, &error, path)) {
-        quarantine(path);
-        return false;
-    }
-    if (!out.isObject()) {
-        quarantine(path);
-        return false;
-    }
-    const JsonValue *store_v = out.find("storeVersion");
-    const JsonValue *schema_v = out.find("schemaVersion");
-    if (!store_v || !store_v->isInt() ||
-        store_v->asInt() != store_format_version || !schema_v ||
-        !schema_v->isInt() || schema_v->asInt() != schemaVersion_) {
-        quarantine(path);
-        return false;
-    }
-    return true;
+    return tryParseJson(bytes, out) && area_.currentVersions(out);
 }
 
 bool
 ResultStore::load(const SimJob &job, SimResult &out)
 {
-    if (!storableKind(job.kind)) {
-        misses_.fetch_add(1);
-        return false;
-    }
-    const std::string fp = fingerprintHex(job);
-    const std::string path = pathFor(fp);
-    JsonValue doc;
-    if (!loadFile(path, doc)) {
-        misses_.fetch_add(1);
-        return false;
-    }
-    // The embedded canonical key turns a fingerprint collision (or a
-    // hand-misplaced file) into a miss instead of a wrong result.
-    const JsonValue *job_key = doc.find("jobKey");
-    const JsonValue *result = doc.find("result");
-    if (!job_key || !job_key->isString() ||
-        job_key->asString() != job.key() || !result ||
-        !readSimResult(*result, out)) {
-        quarantine(path);
-        misses_.fetch_add(1);
-        return false;
-    }
-    hits_.fetch_add(1);
-    return true;
+    // A job that is never stored has no address: a counted miss.
+    const std::string fp =
+        storableKind(job.kind) ? fingerprintHex(job) : std::string();
+    return area_.load(fp, [&](const std::string &bytes) {
+        JsonValue doc;
+        if (!parseDoc(bytes, doc))
+            return false;
+        // The embedded canonical key turns a fingerprint collision (or
+        // a hand-misplaced file) into a miss instead of a wrong result.
+        const JsonValue *job_key = doc.find("jobKey");
+        const JsonValue *result = doc.find("result");
+        return job_key && job_key->isString() &&
+               job_key->asString() == job.key() && result &&
+               readSimResult(*result, out);
+    });
 }
 
 void
@@ -244,15 +80,11 @@ ResultStore::put(const SimJob &job, const SimResult &result,
     if (!storableKind(job.kind))
         return;
     const std::string fp = fingerprintHex(job);
-    makeDir(dir_ + "/" + fp.substr(0, 2));
-    const std::string path = pathFor(fp);
-
     std::ostringstream os;
     {
         JsonWriter w(os);
         w.beginObject();
-        w.member("storeVersion", store_format_version);
-        w.member("schemaVersion", schemaVersion_);
+        area_.writeVersions(w);
         w.member("fingerprint", fp);
         w.member("configFingerprint", job.configTag);
         w.member("jobKey", job.key());
@@ -266,48 +98,21 @@ ResultStore::put(const SimJob &job, const SimResult &result,
         writeSimResult(w, result);
         w.endObject();
     }
-    const std::string temp = path + ".tmp." +
-                             std::to_string(::getpid()) + "." +
-                             std::to_string(tempCounter_.fetch_add(1));
-    writeFileAtomic(path, temp, os.str());
-    writes_.fetch_add(1);
+    area_.put(fp, os.str());
 }
 
 bool
 ResultStore::loadRaw(const std::string &fp_hex, JsonValue &out)
 {
-    if (fp_hex.size() != 16)
-        return false;
-    for (char c : fp_hex)
-        if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')))
-            return false;
-    return loadFile(pathFor(fp_hex), out);
+    return area_.load(fp_hex, [&](const std::string &bytes) {
+        return parseDoc(bytes, out);
+    });
 }
 
 std::size_t
 ResultStore::countEntries() const
 {
-    std::size_t count = 0;
-    DIR *top = ::opendir(dir_.c_str());
-    if (!top)
-        return 0;
-    while (const dirent *shard = ::readdir(top)) {
-        const std::string name = shard->d_name;
-        if (name.size() != 2 || name == "..")
-            continue;
-        DIR *sub = ::opendir((dir_ + "/" + name).c_str());
-        if (!sub)
-            continue;
-        while (const dirent *entry = ::readdir(sub)) {
-            const std::string file = entry->d_name;
-            if (endsWith(file, ".json") &&
-                file.find(".tmp.") == std::string::npos)
-                ++count;
-        }
-        ::closedir(sub);
-    }
-    ::closedir(top);
-    return count;
+    return area_.countLive();
 }
 
 } // namespace p5

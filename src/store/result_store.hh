@@ -13,45 +13,30 @@
  *
  *     <dir>/<fp[0:2]>/<fp>-v<schema>.json
  *
- * Layout properties, each load-bearing:
+ * The directory, shard layout, store_meta.json pin, atomic publish,
+ * quarantine of corrupt files and counters are those of the shared
+ * ArtifactArea (common/artifact.hh, DESIGN §12). What this view adds:
  *
- *  - two-hex-digit shard directories keep any one directory small even
- *    for 10^5-point sweeps (≤ 256-way fanout);
  *  - the config schema version is part of the *filename*, so a store
  *    written by an older schema can never satisfy a lookup from a newer
  *    binary — the on-disk analogue of the fingerprint cache-poisoning
- *    hole p5lint's config-completeness rule guards. A store_meta.json
- *    at the root additionally pins the version, and opening a store
- *    written by a different schema is fatal with a clear message;
- *  - writes go to a temp file in the final directory and are published
- *    with rename(2), so concurrent writers (sharded sweeps over one
- *    shared directory) never expose a torn file; both writers of the
- *    same fingerprint write identical bytes, so last-rename-wins is
- *    harmless;
+ *    hole p5lint's config-completeness rule guards;
  *  - every file embeds the full canonical job key. Loads verify it
  *    against the requesting job, so even a 64-bit fingerprint collision
  *    degrades to a re-simulation, never a wrong result.
  *
- * Corrupt or truncated files (a writer killed mid-write before the
- * rename can't cause this, but disks and manual edits can) are
- * quarantined: renamed to "<name>.bad" and treated as a miss, so the
- * point transparently re-simulates and the evidence survives for
- * inspection.
- *
- * All methods are thread-safe; the store holds no mutable state beyond
- * atomic counters, so concurrent readers and writers — including from
- * multiple processes — need no coordination beyond the filesystem's.
+ * All methods are thread-safe, across processes too.
  */
 
 #ifndef P5SIM_STORE_RESULT_STORE_HH
 #define P5SIM_STORE_RESULT_STORE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/artifact.hh"
 #include "common/json.hh"
 #include "config/config.hh"
 #include "fame/sim_job.hh"
@@ -76,7 +61,8 @@ class ResultStore
 {
   public:
     /**
-     * Open @p dir, creating it (and store_meta.json) when absent.
+     * Open @p dir, creating it, its missing parents and
+     * store_meta.json when absent.
      * Fatal when the directory cannot be created or when an existing
      * store was written by a different config schema version.
      */
@@ -86,8 +72,11 @@ class ResultStore
     ResultStore(const ResultStore &) = delete;
     ResultStore &operator=(const ResultStore &) = delete;
 
-    const std::string &dir() const { return dir_; }
-    int schemaVersion() const { return schemaVersion_; }
+    const std::string &dir() const { return area_.dir(); }
+    int schemaVersion() const { return area_.schemaVersion(); }
+
+    /** File naming of a store at @p schema_version (see store-gc). */
+    static ArtifactLayout layout(int schema_version = config_schema_version);
 
     // --- addressing -----------------------------------------------------
 
@@ -117,32 +106,26 @@ class ResultStore
     /**
      * Raw lookup by fingerprint for the serve path: the parsed stored
      * document, validated like load() but without a requesting job to
-     * check the key against. Invalid files are quarantined.
+     * check the key against. Invalid files are quarantined. Counted
+     * like load().
      */
     bool loadRaw(const std::string &fp_hex, JsonValue &out);
 
-    /** Count of result files currently in the store (directory scan). */
+    /** Count of live result files in the store (directory scan). */
     std::size_t countEntries() const;
 
     // --- observability --------------------------------------------------
 
-    std::uint64_t hits() const { return hits_.load(); }
-    std::uint64_t misses() const { return misses_.load(); }
-    std::uint64_t writes() const { return writes_.load(); }
-    std::uint64_t quarantined() const { return quarantined_.load(); }
+    std::uint64_t hits() const { return area_.hits(); }
+    std::uint64_t misses() const { return area_.misses(); }
+    std::uint64_t writes() const { return area_.writes(); }
+    std::uint64_t quarantined() const { return area_.quarantined(); }
 
   private:
-    /** Parse + validate one store file; quarantines on failure. */
-    bool loadFile(const std::string &path, JsonValue &out);
-    void quarantine(const std::string &path);
+    /** Parse @p bytes as a store document of this store's versions. */
+    bool parseDoc(const std::string &bytes, JsonValue &out) const;
 
-    std::string dir_;
-    int schemaVersion_;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> writes_{0};
-    std::atomic<std::uint64_t> quarantined_{0};
-    std::atomic<std::uint64_t> tempCounter_{0};
+    ArtifactArea area_;
 };
 
 } // namespace p5

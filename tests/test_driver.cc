@@ -9,7 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <dirent.h>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <initializer_list>
@@ -82,29 +82,7 @@ std::string
 freshStoreDir(const std::string &name)
 {
     const std::string dir = tempPath(name);
-    DIR *top = ::opendir(dir.c_str());
-    if (top) {
-        while (const dirent *shard = ::readdir(top)) {
-            const std::string sub = shard->d_name;
-            if (sub == "." || sub == "..")
-                continue;
-            const std::string sub_path = dir + "/" + sub;
-            DIR *inner = ::opendir(sub_path.c_str());
-            if (inner) {
-                while (const dirent *entry = ::readdir(inner)) {
-                    const std::string file = entry->d_name;
-                    if (file != "." && file != "..")
-                        std::remove((sub_path + "/" + file).c_str());
-                }
-                ::closedir(inner);
-                ::rmdir(sub_path.c_str());
-            } else {
-                std::remove(sub_path.c_str());
-            }
-        }
-        ::closedir(top);
-        ::rmdir(dir.c_str());
-    }
+    std::filesystem::remove_all(dir);
     return dir;
 }
 
@@ -932,7 +910,7 @@ TEST(Driver, ServeAnswersMultiGetAndMget)
     const Invocation serve = invokeWithInput(
         {"serve", "--fast", "--store", dir.c_str()},
         "get " + fp_a + " " + fp_b + " 0123456789abcdef\n" +
-            "mget " + fp_a + " 0123456789abcdef\n" + "mget\nquit\n");
+            "mget " + fp_a + " 0123456789abcdef\n" + "mget\nstat\nquit\n");
     ASSERT_EQ(serve.exitCode, 0);
     std::istringstream lines(serve.out);
     std::string line;
@@ -964,9 +942,16 @@ TEST(Driver, ServeAnswersMultiGetAndMget)
         ASSERT_NE(results->elements()[1].find("error"), nullptr);
     }
 
-    // Zero fingerprints is a usage error, then the clean shutdown.
+    // Zero fingerprints is a usage error.
     ASSERT_TRUE(std::getline(lines, line));
     EXPECT_NE(line.find("mget expects"), std::string::npos) << line;
+
+    // Both lookup shapes are counted: 3 documents served, 2 misses.
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_NE(line.find("\"hits\": 3,"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"misses\": 2,"), std::string::npos) << line;
+
+    // Then the clean shutdown.
     ASSERT_TRUE(std::getline(lines, line));
     EXPECT_NE(line.find("\"ok\": true"), std::string::npos) << line;
     EXPECT_FALSE(std::getline(lines, line)) << line;
@@ -983,26 +968,34 @@ TEST(Driver, StoreGcReclaimsDeadFilesOnlyOnApply)
                   .exitCode,
               0);
 
-    // Plant every flavor of garbage next to the live entries.
-    std::string shard;
-    {
-        DIR *top = ::opendir(dir.c_str());
-        ASSERT_NE(top, nullptr);
-        while (const dirent *entry = ::readdir(top)) {
-            const std::string name = entry->d_name;
-            if (name == "." || name == ".." || name == "ckpt" ||
-                name.find('.') != std::string::npos)
-                continue;
-            shard = dir + "/" + name;
-            break;
-        }
-        ::closedir(top);
-    }
+    // Plant every flavor of garbage next to the live entries, in the
+    // result area and in its ckpt/ checkpoint area.
+    namespace fs = std::filesystem;
+    const auto first_shard = [](const std::string &root) {
+        for (const fs::directory_entry &e : fs::directory_iterator(root))
+            if (e.is_directory() && e.path().filename().string().size() == 2)
+                return e.path().string();
+        return std::string();
+    };
+    const std::string shard = first_shard(dir);
+    const std::string ckpt_shard = first_shard(dir + "/ckpt");
     ASSERT_FALSE(shard.empty());
-    const std::string bad = shard + "/deadbeefdeadbeef-v1.json.bad";
-    const std::string temp = shard + "/feedfacefeedface-v1.json.tmp.7";
-    const std::string old_gen = shard + "/0123456789abcdef-v0.json";
-    for (const std::string &path : {bad, temp, old_gen})
+    ASSERT_FALSE(ckpt_shard.empty());
+    std::vector<std::string> live_ckpts;
+    for (const fs::directory_entry &e :
+         fs::recursive_directory_iterator(dir + "/ckpt"))
+        if (e.path().extension() == ".bin")
+            live_ckpts.push_back(e.path().string());
+    ASSERT_EQ(live_ckpts.size(), 2u);
+    const std::vector<std::string> garbage = {
+        shard + "/deadbeefdeadbeef-v1.json.bad",
+        shard + "/feedfacefeedface-v1.json.tmp.7",
+        shard + "/0123456789abcdef-v0.json",
+        ckpt_shard + "/0123456789abcdef-ckpt-v0.bin",
+        ckpt_shard + "/feedfacefeedface-ckpt-v1.bin.tmp.7",
+        ckpt_shard + "/deadbeefdeadbeef-ckpt-v1.bin.bad",
+    };
+    for (const std::string &path : garbage)
         std::ofstream(path) << "junk\n";
 
     // Dry run (the default): candidates are listed, nothing deleted.
@@ -1013,8 +1006,10 @@ TEST(Driver, StoreGcReclaimsDeadFilesOnlyOnApply)
     EXPECT_NE(dry.out.find("orphan temp"), std::string::npos);
     EXPECT_NE(dry.out.find("superseded result schema"),
               std::string::npos);
+    EXPECT_NE(dry.out.find("superseded checkpoint format"),
+              std::string::npos);
     EXPECT_NE(dry.out.find("dry run"), std::string::npos);
-    for (const std::string &path : {bad, temp, old_gen}) {
+    for (const std::string &path : garbage) {
         std::ifstream is(path);
         EXPECT_TRUE(is.good()) << path;
     }
@@ -1025,21 +1020,21 @@ TEST(Driver, StoreGcReclaimsDeadFilesOnlyOnApply)
         invoke({"store-gc", "--store", dir.c_str(), "--apply",
                 ("--json=" + gc_json).c_str()});
     ASSERT_EQ(applied.exitCode, 0);
-    for (const std::string &path : {bad, temp, old_gen}) {
-        std::ifstream is(path);
-        EXPECT_FALSE(is.good()) << path;
-    }
+    for (const std::string &path : garbage)
+        EXPECT_FALSE(fs::exists(path)) << path;
+    for (const std::string &path : live_ckpts)
+        EXPECT_TRUE(fs::exists(path)) << path;
+    EXPECT_TRUE(fs::exists(dir + "/ckpt/ckpt_meta.json"));
     {
-        std::ifstream is(dir + "/store_meta.json");
-        EXPECT_TRUE(is.good());
+        EXPECT_TRUE(fs::exists(dir + "/store_meta.json"));
         ResultStore reopened(dir);
         EXPECT_EQ(reopened.countEntries(), 2u);
     }
     const JsonValue report = readReport(gc_json);
     EXPECT_EQ(report.find("experiment")->asString(), "store-gc");
     EXPECT_TRUE(report.find("applied")->asBool());
-    EXPECT_EQ(report.find("candidates")->asInt(), 3);
-    EXPECT_EQ(report.find("removed")->asInt(), 3);
+    EXPECT_EQ(report.find("candidates")->asInt(), 6);
+    EXPECT_EQ(report.find("removed")->asInt(), 6);
     EXPECT_GT(report.find("bytesReclaimed")->asInt(), 0);
 
     // A clean store has nothing to collect.
@@ -1054,6 +1049,49 @@ TEST(DriverDeath, StoreGcRequiresAStore)
 {
     EXPECT_EXIT(invoke({"store-gc"}), ::testing::ExitedWithCode(1),
                 "store-gc requires --store");
+}
+
+TEST(Driver, StorePathsWithMissingParentsAreCreated)
+{
+    // --store is "created when absent" on every path, including the
+    // ones that open no checkpoint area first.
+    const std::string root = freshStoreDir("store_nested");
+    const std::string swept = root + "/sweep/a/b";
+    ASSERT_EQ(invoke({"sweep", "--fast", "--no-checkpoint", "--sweep",
+                      "core.mem.dram_latency=213,273", "--store",
+                      swept.c_str()})
+                  .exitCode,
+              0);
+    EXPECT_EQ(ResultStore(swept).countEntries(), 2u);
+
+    const std::string served = root + "/serve/a/b";
+    const Invocation serve = invokeWithInput(
+        {"serve", "--fast", "--store", served.c_str()}, "stat\n");
+    ASSERT_EQ(serve.exitCode, 0);
+    EXPECT_NE(serve.out.find("\"entries\": 0"), std::string::npos)
+        << serve.out;
+    EXPECT_TRUE(std::filesystem::exists(served + "/store_meta.json"));
+}
+
+// --- trace -------------------------------------------------------------
+
+TEST(Driver, TraceCheckTreatsAMissingFileAsAMiss)
+{
+    const std::string dir = freshStoreDir("trace_check");
+    std::filesystem::create_directories(dir);
+    const std::string missing = dir + "/missing.trace";
+    const Invocation miss = invoke({"trace", "check", missing.c_str()});
+    EXPECT_EQ(miss.exitCode, 1);
+    EXPECT_NE(miss.err.find("cannot open trace"), std::string::npos)
+        << miss.err;
+    EXPECT_FALSE(std::filesystem::exists(missing + ".bad"));
+
+    // A corrupt file is still quarantined.
+    const std::string broken = dir + "/broken.trace";
+    std::ofstream(broken) << "garbage\n";
+    EXPECT_EQ(invoke({"trace", "check", broken.c_str()}).exitCode, 1);
+    EXPECT_FALSE(std::filesystem::exists(broken));
+    EXPECT_TRUE(std::filesystem::exists(broken + ".bad"));
 }
 
 // --- checkpointed experiments ------------------------------------------

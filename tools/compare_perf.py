@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Diff a fresh bench_sim_perf speedup report against the committed baseline.
+"""Diff a fresh `p5sim perf` speedup report against the committed baseline.
 
 Usage: compare_perf.py BASELINE.json FRESH.json
 
