@@ -11,8 +11,8 @@
  *     written individually in a fixed order through CkptWriter's
  *     little-endian primitives; no struct is ever written via memcpy
  *     (padding bytes are indeterminate) and no unordered container is
- *     ever iterated (there are none in the saved state — heaps are
- *     explicit vectors, maps are std::map).
+ *     ever iterated (there are none in the saved state — heaps and
+ *     the sorted ready arrays are explicit vectors, maps are std::map).
  *
  *  2. Restore reproduces *physical* layout wherever physical-slot
  *     handles exist. The in-flight window ring is saved slot-by-slot
@@ -27,6 +27,8 @@
  * which the warm-phase fingerprint in the checkpoint key guarantees.
  * Geometry reads double as sanity checks and fatal() on mismatch.
  */
+
+#include <algorithm>
 
 #include "branch/bht.hh"
 #include "ckpt/ckpt_io.hh"
@@ -214,13 +216,13 @@ FuPool::restoreState(CkptReader &r)
 void
 IssueQueue::saveState(CkptWriter &w) const
 {
-    // Each queue is an explicit binary heap over a vector; saving the
-    // array verbatim preserves the exact heap layout, so post-restore
-    // pops break stamp ties (there are none — stamps are unique) and
-    // sift elements identically.
-    for (const std::vector<ReadyRef> &q : queues_) {
-        w.u64(static_cast<std::uint64_t>(q.size()));
-        for (const ReadyRef &ref : q) {
+    // Live entries oldest-first: ascending stamps form a valid min-heap
+    // array, the layout images of the binary-heap queues carried, so
+    // the format is unchanged in both directions.
+    for (const Ready &q : queues_) {
+        w.u64(static_cast<std::uint64_t>(q.refs.size() - q.head));
+        for (std::size_t i = q.head; i < q.refs.size(); ++i) {
+            const ReadyRef &ref = q.refs[i];
             w.u64(ref.stamp);
             w.i32(ref.tid);
             w.u64(ref.seq);
@@ -233,15 +235,22 @@ IssueQueue::saveState(CkptWriter &w) const
 void
 IssueQueue::restoreState(CkptReader &r)
 {
-    for (std::vector<ReadyRef> &q : queues_) {
-        q.resize(static_cast<std::size_t>(r.u64()));
-        for (ReadyRef &ref : q) {
+    for (Ready &q : queues_) {
+        q.head = 0;
+        q.refs.resize(static_cast<std::size_t>(r.u64()));
+        for (ReadyRef &ref : q.refs) {
             ref.stamp = r.u64();
             ref.tid = r.i32();
             ref.seq = r.u64();
             ref.epoch = r.u64();
             ref.slot = r.u32();
         }
+        // An image may hold a heap-ordered array; stamps are unique,
+        // so sorting yields the one age order the queue pops in.
+        std::sort(q.refs.begin(), q.refs.end(),
+                  [](const ReadyRef &a, const ReadyRef &b) {
+                      return a.stamp < b.stamp;
+                  });
     }
 }
 

@@ -66,6 +66,7 @@ Cli::parse(int argc, const char *const *argv)
         if (it == flags_.end())
             fatal("unknown flag '--%s' (try --help)", name.c_str());
 
+        bool implied = false;
         if (!have_value) {
             // "--flag value" if the next token is not a flag, else boolean.
             if (i + 1 < argc &&
@@ -73,13 +74,18 @@ Cli::parse(int argc, const char *const *argv)
                 value = argv[++i];
             } else {
                 value = "true";
+                implied = true;
             }
         }
-        if (it->second.multi)
-            it->second.values.push_back(value);
-        else
-            it->second.value = value;
-        it->second.set = true;
+        Flag &f = it->second;
+        if (f.multi) {
+            f.values.push_back(value);
+            f.implied = f.implied || implied;
+        } else {
+            f.value = value;
+            f.implied = implied;
+        }
+        f.set = true;
     }
 }
 
@@ -92,19 +98,27 @@ Cli::find(const std::string &name) const
     return it->second;
 }
 
+const Cli::Flag &
+Cli::findValued(const std::string &name) const
+{
+    const Flag &f = find(name);
+    if (f.implied)
+        fatal("flag '--%s' needs a value", name.c_str());
+    return f;
+}
+
 std::string
 Cli::str(const std::string &name) const
 {
-    const Flag &f = find(name);
-    if (f.multi)
+    if (find(name).multi)
         panic("CLI flag '--%s' is repeatable; use list()", name.c_str());
-    return f.value;
+    return findValued(name).value;
 }
 
 std::int64_t
 Cli::integer(const std::string &name) const
 {
-    const std::string &v = find(name).value;
+    const std::string &v = findValued(name).value;
     std::int64_t out = 0;
     const ParseStatus status = parseInt64(v, out);
     if (status != ParseStatus::Ok)
@@ -116,7 +130,7 @@ Cli::integer(const std::string &name) const
 double
 Cli::real(const std::string &name) const
 {
-    const std::string &v = find(name).value;
+    const std::string &v = findValued(name).value;
     double out = 0.0;
     const ParseStatus status = parseFloat64(v, out);
     if (status != ParseStatus::Ok)
@@ -146,10 +160,9 @@ Cli::isSet(const std::string &name) const
 const std::vector<std::string> &
 Cli::list(const std::string &name) const
 {
-    const Flag &f = find(name);
-    if (!f.multi)
+    if (!find(name).multi)
         panic("CLI flag '--%s' is not repeatable", name.c_str());
-    return f.values;
+    return findValued(name).values;
 }
 
 std::string

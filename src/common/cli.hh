@@ -52,6 +52,12 @@ class Cli
     void setExitOnHelp(bool exit_on_help) { exitOnHelp_ = exit_on_help; }
     bool helpRequested() const { return helpRequested_; }
 
+    /**
+     * Typed accessors. A valued flag given bare ("--json" at the end
+     * of the line or before another flag) carries no value: str(),
+     * integer(), real() and list() fatal() on it, boolean() reads it
+     * as true.
+     */
     std::string str(const std::string &name) const;
     std::int64_t integer(const std::string &name) const;
     double real(const std::string &name) const;
@@ -73,10 +79,14 @@ class Cli
         std::string help;
         bool set = false;
         bool multi = false;
+        bool implied = false; ///< a bare occurrence set "true"
         std::vector<std::string> values;
     };
 
     const Flag &find(const std::string &name) const;
+
+    /** find(), refusing a flag whose value was only implied. */
+    const Flag &findValued(const std::string &name) const;
 
     std::map<std::string, Flag> flags_;
     std::vector<std::string> order_;

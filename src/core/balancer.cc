@@ -1,7 +1,5 @@
 #include "core/balancer.hh"
 
-#include <algorithm>
-
 namespace p5 {
 
 Balancer::Balancer(const BalancerParams &params) : params_(params) {}
@@ -10,30 +8,6 @@ void
 Balancer::setPriorityView(const DecodeSlotAllocator *allocator)
 {
     priorities_ = allocator;
-}
-
-int
-Balancer::lmqThresholdFor(ThreadId tid, int lmq_capacity) const
-{
-    if (!params_.priorityAwareLmq || !priorities_ ||
-        priorities_->mode() != SlotMode::Dual)
-        return params_.lmqThreshold;
-    const double scaled =
-        params_.lmqThreshold * 2.0 * priorities_->shareOf(tid);
-    return std::clamp(static_cast<int>(scaled), 1,
-                      std::max(1, lmq_capacity - 1));
-}
-
-double
-Balancer::gctThresholdFor(ThreadId tid) const
-{
-    if (!params_.priorityAwareGct || !priorities_ ||
-        priorities_->mode() != SlotMode::Dual)
-        return params_.gctShareThreshold;
-    const double scaled =
-        params_.gctShareThreshold * 2.0 * priorities_->shareOf(tid);
-    return std::clamp(scaled, params_.minGctShareThreshold,
-                      params_.maxGctShareThreshold);
 }
 
 BalancerDecision

@@ -14,6 +14,7 @@
 #ifndef P5SIM_CORE_BALANCER_HH
 #define P5SIM_CORE_BALANCER_HH
 
+#include <algorithm>
 #include <array>
 
 #include "common/stats.hh"
@@ -58,10 +59,28 @@ class Balancer
     void setPriorityView(const DecodeSlotAllocator *allocator);
 
     /** Effective GCT-share threshold for @p tid under the priorities. */
-    double gctThresholdFor(ThreadId tid) const;
+    double
+    gctThresholdFor(ThreadId tid) const
+    {
+        if (!params_.priorityAwareGct || !dualPriorities())
+            return params_.gctShareThreshold;
+        const double scaled =
+            params_.gctShareThreshold * 2.0 * priorities_->shareOf(tid);
+        return std::clamp(scaled, params_.minGctShareThreshold,
+                          params_.maxGctShareThreshold);
+    }
 
     /** Effective LMQ-occupancy threshold for @p tid. */
-    int lmqThresholdFor(ThreadId tid, int lmq_capacity) const;
+    int
+    lmqThresholdFor(ThreadId tid, int lmq_capacity) const
+    {
+        if (!params_.priorityAwareLmq || !dualPriorities())
+            return params_.lmqThreshold;
+        const double scaled =
+            params_.lmqThreshold * 2.0 * priorities_->shareOf(tid);
+        return std::clamp(static_cast<int>(scaled), 1,
+                          std::max(1, lmq_capacity - 1));
+    }
 
     /**
      * Evaluate the triggers at cycle @p now without touching the
@@ -124,6 +143,13 @@ class Balancer
     void restoreState(class CkptReader &r);
 
   private:
+    /** A priority view is attached and splits slots R-1:1 (Dual). */
+    bool
+    dualPriorities() const
+    {
+        return priorities_ && priorities_->mode() == SlotMode::Dual;
+    }
+
     BalancerParams params_;
     const DecodeSlotAllocator *priorities_ = nullptr;
     std::array<Counter, num_hw_threads> gctBlocks_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/annotate.hh"
-#include "common/log.hh"
 
 namespace p5 {
 
@@ -12,66 +11,45 @@ IssueQueue::IssueQueue()
     // Above the worst-case high-water mark (both threads' windows are
     // GCT-bound, so ready entries of one class can't exceed the total
     // in-flight count), so pushes never reallocate on the busy path.
-    for (auto &q : queues_)
-        q.reserve(256);
+    for (Ready &q : queues_)
+        q.refs.reserve(256);
 }
 
 void
-IssueQueue::push(FuClass fc, const ReadyRef &ref)
+IssueQueue::Ready::compact()
 {
-    auto &q = queues_[static_cast<int>(fc)];
-    // Pre-reserved in the constructor (above the worst-case
-    // high-water mark); push only spills if that bound is wrong.
-    P5_ALLOW(hot_path_no_alloc) q.push_back(ref);
-    std::push_heap(q.begin(), q.end(), ReadyRefLater{});
+    refs.erase(refs.begin(),
+               refs.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
 }
 
-bool
-IssueQueue::empty(FuClass fc) const
+void
+IssueQueue::Ready::insertAged(const ReadyRef &ref)
 {
-    return queues_[static_cast<int>(fc)].empty();
-}
-
-std::size_t
-IssueQueue::size(FuClass fc) const
-{
-    return queues_[static_cast<int>(fc)].size();
-}
-
-const ReadyRef &
-IssueQueue::top(FuClass fc) const
-{
-    const auto &q = queues_[static_cast<int>(fc)];
-    if (q.empty())
-        panic("IssueQueue::top on empty %s queue", fuClassName(fc));
-    return q.front();
-}
-
-ReadyRef
-IssueQueue::pop(FuClass fc)
-{
-    auto &q = queues_[static_cast<int>(fc)];
-    if (q.empty())
-        panic("IssueQueue::pop on empty %s queue", fuClassName(fc));
-    std::pop_heap(q.begin(), q.end(), ReadyRefLater{});
-    ReadyRef ref = q.back();
-    q.pop_back();
-    return ref;
+    const auto pos = std::upper_bound(
+        refs.begin() + static_cast<std::ptrdiff_t>(head), refs.end(),
+        ref.stamp, [](std::uint64_t stamp, const ReadyRef &r) {
+            return stamp < r.stamp;
+        });
+    // Same capacity argument as push()'s append.
+    P5_ALLOW(hot_path_no_alloc) refs.insert(pos, ref);
 }
 
 void
 IssueQueue::clear()
 {
-    for (auto &q : queues_)
-        q.clear();
+    for (Ready &q : queues_) {
+        q.refs.clear();
+        q.head = 0;
+    }
 }
 
 std::size_t
 IssueQueue::totalSize() const
 {
     std::size_t n = 0;
-    for (const auto &q : queues_)
-        n += q.size();
+    for (const Ready &q : queues_)
+        n += q.refs.size() - q.head;
     return n;
 }
 

@@ -12,40 +12,37 @@
 #define P5SIM_CORE_ISSUE_QUEUE_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/annotate.hh"
+#include "common/log.hh"
 #include "common/types.hh"
 #include "isa/op_class.hh"
 
 namespace p5 {
 
-/** Reference to an in-flight instruction awaiting issue. */
+/** Reference to an in-flight instruction awaiting issue (32 bytes). */
 struct ReadyRef
 {
     std::uint64_t stamp = 0; ///< global dispatch order (issue priority)
-    ThreadId tid = 0;
     SeqNum seq = 0;
     std::uint64_t epoch = 0; ///< thread squash epoch at dispatch
-    std::uint32_t slot = 0;  ///< window-slot hint for O(1) resolve
+    ThreadId tid = 0;
+    std::uint32_t slot = 0; ///< window-slot hint for O(1) resolve
 };
-
-/** Oldest-first (smallest stamp) ordering for the ready heaps. */
-struct ReadyRefLater
-{
-    bool
-    operator()(const ReadyRef &a, const ReadyRef &b) const
-    {
-        return a.stamp > b.stamp;
-    }
-};
+static_assert(sizeof(ReadyRef) == 32, "ReadyRef fields must pack");
 
 /**
  * Per-FuClass oldest-first ready queues.
  *
- * Each queue is a binary heap over a plain vector (std::push_heap /
- * std::pop_heap) rather than std::priority_queue, so observers — the
- * p5check flow checker in particular — can walk the live entries
- * without disturbing them.
+ * Each queue is an array kept sorted by dispatch stamp, oldest at the
+ * head: pop() takes the head in O(1) by advancing a cursor, and a push
+ * carrying the newest stamp yet (every dispatch-time push) appends in
+ * O(1); only a wakeup push of an older instruction binary-searches its
+ * place. Stamps are unique, so the pop sequence — stale entries
+ * included — is exactly that of a min-heap on the stamp. Observers
+ * (the p5check flow checker) walk the live entries through entries().
  */
 class IssueQueue
 {
@@ -53,17 +50,59 @@ class IssueQueue
     IssueQueue();
 
     /** Enqueue a ready instruction for its unit class. */
-    void push(FuClass fc, const ReadyRef &ref);
+    void
+    push(FuClass fc, const ReadyRef &ref)
+    {
+        Ready &q = queues_[static_cast<int>(fc)];
+        if (q.refs.size() == q.refs.capacity() && q.head > 0)
+            q.compact();
+        if (q.refs.empty() || q.refs.back().stamp < ref.stamp) {
+            // Reserved in the constructor above the worst-case
+            // high-water mark, and compacted above; push only spills
+            // if that bound is wrong.
+            P5_ALLOW(hot_path_no_alloc) q.refs.push_back(ref);
+        } else {
+            q.insertAged(ref);
+        }
+    }
 
-    bool empty(FuClass fc) const;
+    bool
+    empty(FuClass fc) const
+    {
+        return queues_[static_cast<int>(fc)].refs.empty();
+    }
 
-    std::size_t size(FuClass fc) const;
+    std::size_t
+    size(FuClass fc) const
+    {
+        const Ready &q = queues_[static_cast<int>(fc)];
+        return q.refs.size() - q.head;
+    }
 
     /** Peek the oldest entry; queue must be non-empty. */
-    const ReadyRef &top(FuClass fc) const;
+    const ReadyRef &
+    top(FuClass fc) const
+    {
+        const Ready &q = queues_[static_cast<int>(fc)];
+        if (q.refs.empty()) [[unlikely]]
+            panic("IssueQueue::top on empty %s queue", fuClassName(fc));
+        return q.refs[q.head];
+    }
 
     /** Remove the oldest entry; queue must be non-empty. */
-    ReadyRef pop(FuClass fc);
+    ReadyRef
+    pop(FuClass fc)
+    {
+        Ready &q = queues_[static_cast<int>(fc)];
+        if (q.refs.empty()) [[unlikely]]
+            panic("IssueQueue::pop on empty %s queue", fuClassName(fc));
+        const ReadyRef ref = q.refs[q.head++];
+        if (q.head == q.refs.size()) {
+            q.refs.clear();
+            q.head = 0;
+        }
+        return ref;
+    }
 
     /** Drop everything (between runs). */
     void clear();
@@ -71,21 +110,42 @@ class IssueQueue
     /** Total entries across all classes. */
     std::size_t totalSize() const;
 
-    /** Live entries of @p fc in heap order (observers only). */
-    const std::vector<ReadyRef> &
+    /**
+     * Live entries of @p fc, oldest first (observers only); the view
+     * is valid until the next push(), pop() or clear().
+     */
+    std::span<const ReadyRef>
     entries(FuClass fc) const
     {
-        return queues_[static_cast<int>(fc)];
+        const Ready &q = queues_[static_cast<int>(fc)];
+        return std::span<const ReadyRef>(q.refs).subspan(q.head);
     }
 
-    /** Serialize every heap array verbatim (heap order preserved). */
+    /**
+     * Serialize each queue's live entries oldest-first. A sorted array
+     * is also a valid min-heap on the stamp, which is the layout this
+     * format has always carried.
+     */
     void saveState(class CkptWriter &w) const;
 
-    /** Restore state saved by saveState(). */
+    /** Restore state saved by saveState(); sorts heap-ordered input. */
     void restoreState(class CkptReader &r);
 
   private:
-    std::vector<ReadyRef> queues_[static_cast<int>(FuClass::NumFuClasses)];
+    /** One class's queue: live entries are refs[head..). */
+    struct Ready
+    {
+        std::vector<ReadyRef> refs;
+        std::size_t head = 0;
+
+        /** Drop the popped prefix so refs[0] is the oldest entry. */
+        void compact();
+
+        /** Insert an entry older than the newest at its stamp rank. */
+        void insertAged(const ReadyRef &ref);
+    };
+
+    Ready queues_[static_cast<int>(FuClass::NumFuClasses)];
 };
 
 } // namespace p5

@@ -568,13 +568,11 @@ SmtCore::pushReady(ThreadState &ts, InFlight &e)
     if (e.inReadyQueue)
         return;
     e.inReadyQueue = true;
-    ReadyRef ref;
-    ref.stamp = e.stamp;
-    ref.tid = ts.tid();
-    ref.seq = e.di.seq;
-    ref.epoch = e.epoch;
-    ref.slot = ts.window.physIndexOf(&e);
-    readyQ_.push(fuClassOf(e.di.op), ref);
+    readyQ_.push(fuClassOf(e.di.op), {.stamp = e.stamp,
+                                      .seq = e.di.seq,
+                                      .epoch = e.epoch,
+                                      .tid = ts.tid(),
+                                      .slot = ts.window.physIndexOf(&e)});
 }
 
 void
@@ -614,8 +612,11 @@ SmtCore::issueStage()
             // Heap storage is pre-reserved in the constructor; push
             // only spills past the high-water mark of in-flight ops.
             P5_ALLOW(hot_path_no_alloc)
-            completions_.push_back({done, ref.tid, ref.seq, ref.epoch,
-                                    ref.slot});
+            completions_.push_back({.cycle = done,
+                                    .seq = ref.seq,
+                                    .epoch = ref.epoch,
+                                    .tid = ref.tid,
+                                    .slot = ref.slot});
             std::push_heap(completions_.begin(), completions_.end(),
                            CompletionLater{});
         }

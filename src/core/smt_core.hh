@@ -292,12 +292,13 @@ class SmtCore
     P5_SERIALIZE_ROOT P5_COLD void restoreState(class CkptReader &r);
 
   private:
+    /** Pending completion (32 bytes: the 4-byte fields pair up). */
     struct Completion
     {
         Cycle cycle;
-        ThreadId tid;
         SeqNum seq;
         std::uint64_t epoch;
+        ThreadId tid;
         std::uint32_t slot; ///< window-slot hint for O(1) resolve
     };
     struct CompletionLater

@@ -749,6 +749,12 @@ cmdSweep(const Cli &cli, DriverContext &ctx, ExpConfig &base)
             if (v.empty())
                 fatal("--sweep axis '%s' has an empty value",
                       axis.path.c_str());
+            // A repeated value would run (and print) the same point twice.
+            if (std::find(axis.values.begin(), axis.values.end(), v) !=
+                axis.values.end())
+                fatal("duplicate value '%s' in --sweep axis '%s': each "
+                      "value may be swept only once",
+                      v.c_str(), axis.path.c_str());
             axis.values.push_back(v);
         }
         axes.push_back(std::move(axis));
@@ -1998,6 +2004,31 @@ sameMatrixMeasurement(const CkptTimedRun &a, const CkptTimedRun &b)
     return true;
 }
 
+/** Instructions of the complete executions a FAME run accounted. */
+std::uint64_t
+accountedInstrs(const FameResult &r)
+{
+    std::uint64_t n = 0;
+    for (const ThreadMeasurement &t : r.thread)
+        n += t.accountedInstrs;
+    return n;
+}
+
+/**
+ * Absolute throughput of a case's fast arm: simulated cycles and
+ * committed instructions per wall-clock second, in millions. Recorded
+ * to track the trend, never gated (wall clock drifts across hosts).
+ */
+void
+writeThroughput(JsonWriter &w, std::uint64_t cycles, std::uint64_t instrs,
+                double wall_ms)
+{
+    w.member("mcyclesPerSecFast",
+             static_cast<double>(cycles) / (wall_ms * 1e3));
+    w.member("minstrPerSecFast",
+             static_cast<double>(instrs) / (wall_ms * 1e3));
+}
+
 int
 writePerfReport(const std::string &path, std::ostream &err)
 {
@@ -2050,6 +2081,8 @@ writePerfReport(const std::string &path, std::ostream &err)
         w.member("wallMsSlow", slow.wallMs);
         w.member("speedup", slow.wallMs / fast.wallMs);
         w.member("identicalStats", identical);
+        writeThroughput(w, fast.result.totalCycles,
+                        accountedInstrs(fast.result), fast.wallMs);
         w.endObject();
 
         err << c.name << ": " << slow.wallMs << " ms -> " << fast.wallMs
@@ -2122,6 +2155,8 @@ writePerfReport(const std::string &path, std::ostream &err)
         w.member("wallMsSlow", synth.wallMs);
         w.member("speedup", synth.wallMs / replay.wallMs);
         w.member("identicalStats", identical);
+        writeThroughput(w, replay.result.totalCycles,
+                        accountedInstrs(replay.result), replay.wallMs);
         w.endObject();
 
         err << trace_case_name << ": " << synth.wallMs << " ms -> "
@@ -2168,6 +2203,8 @@ writePerfReport(const std::string &path, std::ostream &err)
         w.member("identicalStats", identical);
         w.member("migrations",
                  static_cast<std::uint64_t>(fast.result.migrations));
+        writeThroughput(w, fast.result.cycles, fast.result.committed,
+                        fast.wallMs);
         w.endObject();
 
         err << chip_case_name << ": " << slow.wallMs << " ms -> "
@@ -2214,9 +2251,11 @@ writePerfReport(const std::string &path, std::ostream &err)
                     forks == ckpt_case_pairs - 1;
         all_identical = all_identical && identical;
 
-        std::uint64_t matrix_cycles = 0;
-        for (const FameResult &r : forked.results)
+        std::uint64_t matrix_cycles = 0, matrix_instrs = 0;
+        for (const FameResult &r : forked.results) {
             matrix_cycles += r.totalCycles;
+            matrix_instrs += accountedInstrs(r);
+        }
 
         w.beginObject();
         w.member("name", ckpt_case_name);
@@ -2229,6 +2268,9 @@ writePerfReport(const std::string &path, std::ostream &err)
         w.member("wallMsCkpt", forked.wallMs);
         w.member("speedup", cold.wallMs / forked.wallMs);
         w.member("identicalStats", identical);
+        // Effective throughput: a forked pair's result cycles include
+        // the warm-up it restored instead of simulating.
+        writeThroughput(w, matrix_cycles, matrix_instrs, forked.wallMs);
         w.endObject();
 
         err << ckpt_case_name << ": " << cold.wallMs << " ms -> "

@@ -1,6 +1,5 @@
 #include "prio/slot_allocator.hh"
 
-#include <cmath>
 #include <cstdlib>
 
 #include "common/log.hh"
@@ -80,55 +79,63 @@ DecodeSlotAllocator::recompute()
     if (prioP_ == 0 && prioS_ == 0) {
         mode_ = SlotMode::AllOff;
         window_ = 0;
-        return;
-    }
-    // Priority 7 means "run in single-thread mode" (sibling off); the
-    // same happens when the sibling is shut off with priority 0.
-    if (prioP_ == 7 || prioS_ == 0) {
+    } else if (prioP_ == 7 || prioS_ == 0) {
+        // Priority 7 means "run in single-thread mode" (sibling off);
+        // the same happens when the sibling is shut off with priority 0.
         mode_ = SlotMode::SingleP;
         window_ = 1;
-        return;
-    }
-    if (prioS_ == 7 || prioP_ == 0) {
+    } else if (prioS_ == 7 || prioP_ == 0) {
         mode_ = SlotMode::SingleS;
         window_ = 1;
-        return;
-    }
-    if (prioP_ == 1 && prioS_ == 1) {
+    } else if (prioP_ == 1 && prioS_ == 1) {
         mode_ = SlotMode::LowPower;
         window_ = 32;
-        return;
+    } else {
+        mode_ = SlotMode::Dual;
+        window_ = computeR(prioP_, prioS_);
     }
-    mode_ = SlotMode::Dual;
-    window_ = computeR(prioP_, prioS_);
-}
 
-int
-DecodeSlotAllocator::slotWindow() const
-{
-    return window_;
-}
+    for (Cycle r = 0; r < grant_period; ++r)
+        grants_[r] = grantFor(r);
 
-bool
-DecodeSlotAllocator::threadActive(ThreadId tid) const
-{
-    switch (mode_) {
-      case SlotMode::Dual:
-      case SlotMode::LowPower:
-        return tid == 0 || tid == 1;
-      case SlotMode::SingleP:
-        return tid == 0;
-      case SlotMode::SingleS:
-        return tid == 1;
-      case SlotMode::AllOff:
-        return false;
-      default:
-        panic("threadActive: bad mode %d", static_cast<int>(mode_));
+    const auto owns = [this](std::size_t row, Cycle r) {
+        const ThreadId owner = grants_[r].owner;
+        return row == any_row ? owner >= 0
+                              : owner == static_cast<ThreadId>(row);
+    };
+    for (std::size_t t = 0; t < num_hw_threads; ++t) {
+        owned_[t][0] = 0;
+        for (Cycle r = 0; r < grant_period; ++r)
+            owned_[t][r + 1] =
+                static_cast<std::uint8_t>(owned_[t][r] + owns(t, r));
+        active_[t] = owned_[t][grant_period] > 0;
     }
+    // Scan two periods backwards: at position i < grant_period, 'next'
+    // is the first owned position j in (i, i + grant_period].
+    for (std::size_t row = 0; row <= any_row; ++row) {
+        Cycle next = never_cycle;
+        for (Cycle i = 2 * grant_period; i-- > 0;) {
+            const Cycle r = i % grant_period;
+            if (i < grant_period)
+                nextGrant_[row][r] = static_cast<std::uint8_t>(
+                    next == never_cycle ? 0 : next - i);
+            if (owns(row, r))
+                next = i;
+        }
+    }
+
+    // Shares of the owned slots: exact (power-of-two denominators), and
+    // 1/2 each in low-power mode, where both own one slot per period.
+    const std::uint64_t total =
+        owned_[0][grant_period] + owned_[1][grant_period];
+    share_[0] = total == 0 ? 0.0
+                           : static_cast<double>(owned_[0][grant_period]) /
+                                 static_cast<double>(total);
+    share_[1] = 1.0 - share_[0];
 }
 
 SlotGrant
-DecodeSlotAllocator::grantAt(Cycle cycle) const
+DecodeSlotAllocator::grantFor(Cycle r) const
 {
     SlotGrant g;
     switch (mode_) {
@@ -145,118 +152,30 @@ DecodeSlotAllocator::grantAt(Cycle cycle) const
       case SlotMode::LowPower:
         // One instruction decoded every 32 cycles in total; the single
         // slot alternates between the threads.
-        if (cycle % 32 == 0) {
-            g.owner = static_cast<ThreadId>((cycle / 32) % 2);
+        if (r % 32 == 0) {
+            g.owner = static_cast<ThreadId>((r / 32) % 2);
             g.maxWidth = 1;
         }
         return g;
-      case SlotMode::Dual: {
-        const Cycle pos = cycle % static_cast<Cycle>(window_);
-        ThreadId high;
-        if (prioP_ > prioS_) {
-            high = 0;
-        } else if (prioS_ > prioP_) {
-            high = 1;
-        } else {
+      case SlotMode::Dual:
+        if (prioP_ == prioS_) {
             // Equal priorities: R == 2, strict alternation.
-            g.owner = static_cast<ThreadId>(cycle % 2);
-            g.maxWidth = decodeWidth_;
-            return g;
-        }
-        if (pos < static_cast<Cycle>(window_ - 1)) {
-            g.owner = high;
+            g.owner = static_cast<ThreadId>(r % 2);
             g.maxWidth = decodeWidth_;
         } else {
-            g.owner = static_cast<ThreadId>(1 - high);
-            g.maxWidth = minorityWidth_;
+            const ThreadId high = prioP_ > prioS_ ? 0 : 1;
+            if (r % static_cast<Cycle>(window_) <
+                static_cast<Cycle>(window_ - 1)) {
+                g.owner = high;
+                g.maxWidth = decodeWidth_;
+            } else {
+                g.owner = static_cast<ThreadId>(1 - high);
+                g.maxWidth = minorityWidth_;
+            }
         }
         return g;
-      }
       default:
-        panic("grantAt: bad mode %d", static_cast<int>(mode_));
-    }
-}
-
-namespace {
-
-/** Number of c in [begin, end) with c % m == r (m power of two or not). */
-std::uint64_t
-countCongruent(Cycle begin, Cycle end, Cycle m, Cycle r)
-{
-    const auto below = [m, r](Cycle x) -> std::uint64_t {
-        // |{c in [0, x) : c % m == r}|
-        return x > r ? (x - r - 1) / m + 1 : 0;
-    };
-    if (end <= begin)
-        return 0;
-    return below(end) - below(begin);
-}
-
-} // namespace
-
-Cycle
-DecodeSlotAllocator::nextGrantCycle(Cycle after, ThreadId tid) const
-{
-    if (!threadActive(tid))
-        return never_cycle;
-    for (Cycle i = 1; i <= grant_period; ++i) {
-        const Cycle c = saturatingAdd(after, i);
-        if (c == never_cycle)
-            break;
-        if (grantAt(c).owner == tid)
-            return c;
-    }
-    return never_cycle;
-}
-
-Cycle
-DecodeSlotAllocator::nextAnyGrantCycle(Cycle after) const
-{
-    for (Cycle i = 1; i <= grant_period; ++i) {
-        const Cycle c = saturatingAdd(after, i);
-        if (c == never_cycle)
-            break;
-        if (grantAt(c).owner >= 0)
-            return c;
-    }
-    return never_cycle;
-}
-
-std::array<std::uint64_t, num_hw_threads>
-DecodeSlotAllocator::ownedSlotsInRange(Cycle begin, Cycle end) const
-{
-    std::array<std::uint64_t, num_hw_threads> counts{};
-    // grantAt() depends on the cycle only through cycle % grant_period,
-    // so residue 'r' itself is a valid representative of its class.
-    for (Cycle r = 0; r < grant_period; ++r) {
-        const SlotGrant g = grantAt(r);
-        if (g.owner >= 0)
-            counts[static_cast<std::size_t>(g.owner)] +=
-                countCongruent(begin, end, grant_period, r);
-    }
-    return counts;
-}
-
-double
-DecodeSlotAllocator::primaryShare() const
-{
-    switch (mode_) {
-      case SlotMode::AllOff:
-        return 0.0;
-      case SlotMode::SingleP:
-        return 1.0;
-      case SlotMode::SingleS:
-        return 0.0;
-      case SlotMode::LowPower:
-        return 0.5;
-      case SlotMode::Dual:
-        if (prioP_ == prioS_)
-            return 0.5;
-        if (prioP_ > prioS_)
-            return static_cast<double>(window_ - 1) / window_;
-        return 1.0 / window_;
-      default:
-        panic("primaryShare: bad mode %d", static_cast<int>(mode_));
+        panic("grantFor: bad mode %d", static_cast<int>(mode_));
     }
 }
 

@@ -352,9 +352,10 @@ TEST(CheckCorruptionTest, FlowCheckerCatchesForgedReadyEntry)
     reg.add(std::make_unique<check::FlowChecker>());
     const Cycle next = primeSilent(reg, *core);
 
-    core->readyQueue().push(FuClass::FX,
-                            {victim->stamp, 0, victim->di.seq,
-                             victim->epoch});
+    core->readyQueue().push(FuClass::FX, {.stamp = victim->stamp,
+                                          .seq = victim->di.seq,
+                                          .epoch = victim->epoch,
+                                          .tid = 0});
 
     reg.onCycle(*core, next);
     ASSERT_GT(reg.failureCount(), 0u);

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -313,6 +315,40 @@ TEST(CliDeath, RealRejectsTrailingGarbageAndOverflow)
     expectFatalReal("1.5x");
     expectFatalReal("");
     expectFatalReal("1e999999"); // ERANGE overflow
+}
+
+TEST(CliDeath, ABareValuedFlagNeedsAValue)
+{
+    // "--json" at the end of the line, or before another flag, used to
+    // read as the value "true" (and write a file named "true").
+    const auto parsed = [](std::vector<const char *> args) {
+        auto cli = std::make_unique<Cli>();
+        cli->declare("json", "", "");
+        cli->declare("n", "3", "");
+        cli->declare("r", "1.0", "");
+        cli->declare("fast", "false", "");
+        cli->declareMulti("set", "");
+        args.insert(args.begin(), "prog");
+        cli->parse(static_cast<int>(args.size()), args.data());
+        return cli;
+    };
+    EXPECT_EXIT(parsed({"--json"})->str("json"),
+                ::testing::ExitedWithCode(1), "flag '--json' needs a value");
+    EXPECT_EXIT(parsed({"--json", "--fast"})->str("json"),
+                ::testing::ExitedWithCode(1), "flag '--json' needs a value");
+    EXPECT_EXIT(parsed({"--n"})->integer("n"),
+                ::testing::ExitedWithCode(1), "flag '--n' needs a value");
+    EXPECT_EXIT(parsed({"--r", "--fast"})->real("r"),
+                ::testing::ExitedWithCode(1), "flag '--r' needs a value");
+    EXPECT_EXIT(parsed({"--set=a=1", "--set"})->list("set"),
+                ::testing::ExitedWithCode(1), "flag '--set' needs a value");
+
+    // A bare boolean is still true, and an explicit value (even the
+    // text "true") is a value.
+    EXPECT_TRUE(parsed({"--fast", "--json=out.json"})->boolean("fast"));
+    EXPECT_EQ(parsed({"--json", "true"})->str("json"), "true");
+    EXPECT_EQ(parsed({"--json", "--json=a.json"})->str("json"), "a.json");
+    EXPECT_EQ(parsed({"--fast"})->str("json"), "");
 }
 
 TEST(Parse, StatusCoversTheFailureTaxonomy)

@@ -175,6 +175,30 @@ TEST(Driver, OutOfRangeSetIsFatal)
                 ::testing::ExitedWithCode(1), "out of range");
 }
 
+TEST(DriverDeath, BareJsonFlagNeedsAPathAndWritesNothing)
+{
+    // A bare --json used to become the path "true": the report landed
+    // in a file named "true" in the working directory.
+    const std::string dir = freshStoreDir("bare_json");
+    std::filesystem::create_directories(dir);
+    const std::vector<std::vector<const char *>> lines = {
+        {"table3", "--fast", "--json"},
+        {"table3", "--json", "--fast"},
+        {"perf", "--json"},
+    };
+    for (const auto &line : lines) {
+        EXPECT_EXIT(
+            {
+                std::filesystem::current_path(dir);
+                invokeWithInput(line, "");
+            },
+            ::testing::ExitedWithCode(1), "flag '--json' needs a value")
+            << line[0] << " " << line[1];
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir + "/true"));
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+}
+
 // --- provenance --------------------------------------------------------
 
 TEST(Driver, ReportsCarryProvenance)
@@ -544,6 +568,16 @@ TEST(Driver, SweepRejectsDuplicateAxes)
                         "core.lmq_entries=8,12"}),
                 ::testing::ExitedWithCode(1),
                 "duplicate --sweep axis 'core.lmq_entries'");
+}
+
+TEST(Driver, SweepRejectsARepeatedValue)
+{
+    // "8,8" would simulate and print the same point (one fingerprint)
+    // twice.
+    EXPECT_EXIT(invoke({"sweep", "--fast", "--sweep",
+                        "core.lmq_entries=8,16,8"}),
+                ::testing::ExitedWithCode(1),
+                "duplicate value '8' in --sweep axis 'core.lmq_entries'");
 }
 
 TEST(Driver, SweepStoreFlagsAreValidated)

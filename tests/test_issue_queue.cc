@@ -5,6 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <queue>
+#include <random>
+#include <set>
+#include <vector>
+
+#include "ckpt/ckpt_io.hh"
 #include "core/issue_queue.hh"
 
 namespace p5 {
@@ -78,6 +85,177 @@ TEST(IssueQueue, Clear)
     q.push(FuClass::FP, ref(2));
     q.clear();
     EXPECT_EQ(q.totalSize(), 0u);
+}
+
+/** Min-heap on the stamp: the reference the age-ordered arrays match. */
+struct StampLater
+{
+    bool
+    operator()(const ReadyRef &a, const ReadyRef &b) const
+    {
+        return a.stamp > b.stamp;
+    }
+};
+
+using ReferenceQueue =
+    std::priority_queue<ReadyRef, std::vector<ReadyRef>, StampLater>;
+
+TEST(IssueQueue, MatchesAPriorityQueueUnderRandomTraffic)
+{
+    // Dispatch pushes (newest stamp), wakeup pushes (an older stamp not
+    // queued), pops and re-pushes of popped entries, interleaved at
+    // random on two classes; every pop must equal the reference's.
+    std::mt19937_64 rng(1234);
+    IssueQueue q;
+    ReferenceQueue ref[2];
+    std::set<std::uint64_t> live;
+    std::vector<ReadyRef> popped;
+    std::uint64_t next_stamp = 1000;
+    std::uint64_t pops = 0;
+    const FuClass classes[2] = {FuClass::FX, FuClass::LS};
+    for (int step = 0; step < 200000; ++step) {
+        const int c = static_cast<int>(rng() % 2);
+        const FuClass fc = classes[c];
+        // Half pushes, half pops, capped: the occupancy random-walks
+        // over 0..64, around what a busy core queues.
+        const unsigned op =
+            ref[c].size() >= 64 ? 7 : static_cast<unsigned>(rng() % 8);
+        ReadyRef r;
+        if (op < 2) {
+            r.stamp = next_stamp;
+            next_stamp += 1 + rng() % 3;
+        } else if (op == 2) {
+            r.stamp = rng() % next_stamp;
+            if (live.count(r.stamp))
+                continue;
+        } else if (op == 3 && !popped.empty()) {
+            r = popped[rng() % popped.size()];
+            if (live.count(r.stamp))
+                continue;
+        } else {
+            ASSERT_EQ(q.empty(fc), ref[c].empty());
+            ASSERT_EQ(q.size(fc), ref[c].size());
+            if (ref[c].empty())
+                continue;
+            const ReadyRef want = ref[c].top();
+            ASSERT_EQ(q.top(fc).stamp, want.stamp);
+            const ReadyRef got = q.pop(fc);
+            ref[c].pop();
+            ASSERT_EQ(got.stamp, want.stamp) << "step " << step;
+            ASSERT_EQ(got.tid, want.tid);
+            ASSERT_EQ(got.seq, want.seq);
+            ASSERT_EQ(got.epoch, want.epoch);
+            ASSERT_EQ(got.slot, want.slot);
+            live.erase(got.stamp);
+            popped.push_back(got);
+            ++pops;
+            continue;
+        }
+        if (op < 3) {
+            r.tid = static_cast<ThreadId>(rng() % 2);
+            r.seq = rng();
+            r.epoch = rng() % 4;
+            r.slot = static_cast<std::uint32_t>(rng() % 256);
+        }
+        live.insert(r.stamp);
+        q.push(fc, r);
+        ref[c].push(r);
+    }
+    EXPECT_GT(pops, 80000u);
+    EXPECT_EQ(q.totalSize(), ref[0].size() + ref[1].size());
+    for (int c = 0; c < 2; ++c) {
+        const auto entries = q.entries(classes[c]);
+        EXPECT_TRUE(std::is_sorted(entries.begin(), entries.end(),
+                                   [](const ReadyRef &a,
+                                      const ReadyRef &b) {
+                                       return a.stamp < b.stamp;
+                                   }));
+        while (!ref[c].empty()) {
+            ASSERT_EQ(q.pop(classes[c]).stamp, ref[c].top().stamp);
+            ref[c].pop();
+        }
+        EXPECT_TRUE(q.empty(classes[c]));
+    }
+}
+
+TEST(IssueQueue, EntriesListsLiveEntriesOldestFirst)
+{
+    IssueQueue q;
+    for (std::uint64_t s : {40, 10, 30, 20})
+        q.push(FuClass::FP, ref(s));
+    q.pop(FuClass::FP);
+    const auto entries = q.entries(FuClass::FP);
+    ASSERT_EQ(entries.size(), 3u);
+    EXPECT_EQ(entries[0].stamp, 20u);
+    EXPECT_EQ(entries[1].stamp, 30u);
+    EXPECT_EQ(entries[2].stamp, 40u);
+}
+
+TEST(IssueQueue, RestoringAHeapOrderedImagePopsOldestFirst)
+{
+    // Images written by the binary-heap queues hold each class's array
+    // in heap layout, not sorted; restore must still pop by age.
+    std::vector<ReadyRef> heap;
+    for (std::uint64_t s : {17, 3, 42, 8, 25, 1, 33, 12})
+        heap.push_back(ref(s, static_cast<ThreadId>(s % 2), s * 10));
+    std::make_heap(heap.begin(), heap.end(), StampLater{});
+    ASSERT_FALSE(std::is_sorted(heap.begin(), heap.end(),
+                                [](const ReadyRef &a, const ReadyRef &b) {
+                                    return a.stamp < b.stamp;
+                                }));
+
+    CkptWriter w;
+    for (int fc = 0; fc < static_cast<int>(FuClass::NumFuClasses); ++fc) {
+        const bool filled = static_cast<FuClass>(fc) == FuClass::LS;
+        w.u64(filled ? heap.size() : 0);
+        if (!filled)
+            continue;
+        for (const ReadyRef &r : heap) {
+            w.u64(r.stamp);
+            w.i32(r.tid);
+            w.u64(r.seq);
+            w.u64(r.epoch);
+            w.u32(r.slot);
+        }
+    }
+    IssueQueue q;
+    CkptReader r(w.data());
+    q.restoreState(r);
+
+    EXPECT_EQ(q.totalSize(), heap.size());
+    std::uint64_t last = 0;
+    while (!q.empty(FuClass::LS)) {
+        const ReadyRef got = q.pop(FuClass::LS);
+        EXPECT_GT(got.stamp, last);
+        EXPECT_EQ(got.seq, got.stamp * 10);
+        last = got.stamp;
+    }
+    EXPECT_EQ(last, 42u);
+
+    // And saving writes the live entries oldest-first, a valid heap.
+    IssueQueue again;
+    CkptReader r2(w.data());
+    again.restoreState(r2);
+    again.pop(FuClass::LS);
+    CkptWriter saved;
+    again.saveState(saved);
+    CkptReader back(saved.data());
+    for (int fc = 0; fc < static_cast<int>(FuClass::NumFuClasses); ++fc) {
+        const std::uint64_t n = back.u64();
+        std::uint64_t prev = 0;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const std::uint64_t stamp = back.u64();
+            EXPECT_GT(stamp, prev);
+            prev = stamp;
+            back.i32();
+            back.u64();
+            back.u64();
+            back.u32();
+        }
+        EXPECT_EQ(n, static_cast<FuClass>(fc) == FuClass::LS
+                         ? heap.size() - 1
+                         : 0u);
+    }
 }
 
 TEST(IssueQueueDeath, PopEmptyIsPanic)

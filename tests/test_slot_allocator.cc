@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "prio/slot_allocator.hh"
 
 namespace p5 {
@@ -181,6 +184,168 @@ TEST(SlotAllocatorDeath, InvalidPriorityIsFatal)
     DecodeSlotAllocator a(5);
     EXPECT_EXIT(a.setPriorities(9, 4), ::testing::ExitedWithCode(1),
                 "invalid priority");
+}
+
+/**
+ * Brute-force reference for one pair, written from the paper's rules
+ * directly (no tables, no periodicity): the grant of cycle c.
+ */
+SlotGrant
+referenceGrant(int p, int s, Cycle c, int width, int minority)
+{
+    SlotGrant g;
+    if (p == 0 && s == 0)
+        return g;
+    if (p == 7 || s == 0)
+        return {0, width};
+    if (s == 7 || p == 0)
+        return {1, width};
+    if (p == 1 && s == 1) {
+        if (c % 32 == 0)
+            return {static_cast<ThreadId>((c / 32) % 2), 1};
+        return g;
+    }
+    if (p == s)
+        return {static_cast<ThreadId>(c % 2), width};
+    const Cycle r = Cycle{1} << ((p > s ? p - s : s - p) + 1);
+    const ThreadId high = p > s ? 0 : 1;
+    if (c % r != r - 1)
+        return {high, width};
+    return {static_cast<ThreadId>(1 - high), minority};
+}
+
+/** First cycle after @p after granted to @p tid (-1: anyone), by walk. */
+Cycle
+referenceNext(int p, int s, Cycle after, ThreadId tid)
+{
+    for (Cycle i = 1; i <= 64; ++i) {
+        if (after > never_cycle - i || after + i == never_cycle)
+            return never_cycle;
+        const ThreadId owner =
+            referenceGrant(p, s, after + i, 5, 2).owner;
+        if (tid < 0 ? owner >= 0 : owner == tid)
+            return after + i;
+    }
+    return never_cycle;
+}
+
+TEST(SlotAllocator, EveryQueryMatchesABruteForceReferenceOnAll64Pairs)
+{
+    std::mt19937_64 rng(77);
+    // Sample points: low cycles, random ones, and the top of the range
+    // where next-grant searches saturate at never_cycle.
+    const auto sampleCycle = [&rng](int i) -> Cycle {
+        switch (i % 3) {
+          case 0:
+            return rng() % 1000;
+          case 1:
+            return rng();
+          default:
+            return never_cycle - rng() % 200;
+        }
+    };
+    for (int p = 0; p < 8; ++p) {
+        for (int s = 0; s < 8; ++s) {
+            DecodeSlotAllocator a(5, 2);
+            a.setPriorities(p, s);
+            SCOPED_TRACE(::testing::Message() << "pair " << p << "," << s);
+
+            std::uint64_t period_owned[2] = {0, 0};
+            for (Cycle c = 0; c < 64; ++c) {
+                const SlotGrant want = referenceGrant(p, s, c, 5, 2);
+                if (want.owner >= 0)
+                    ++period_owned[want.owner];
+            }
+            for (ThreadId t = 0; t < 2; ++t)
+                EXPECT_EQ(a.threadActive(t), period_owned[t] > 0);
+            EXPECT_FALSE(a.threadActive(2));
+            EXPECT_FALSE(a.threadActive(-1));
+
+            double share;
+            if (p == 0 && s == 0)
+                share = 0.0;
+            else if (p == 7 || s == 0)
+                share = 1.0;
+            else if (s == 7 || p == 0)
+                share = 0.0;
+            else if (p == s)
+                share = 0.5;
+            else if (p > s)
+                share = (DecodeSlotAllocator::computeR(p, s) - 1.0) /
+                        DecodeSlotAllocator::computeR(p, s);
+            else
+                share = 1.0 / DecodeSlotAllocator::computeR(p, s);
+            EXPECT_EQ(a.primaryShare(), share);
+            EXPECT_EQ(a.shareOf(0), share);
+            EXPECT_EQ(a.shareOf(1), 1.0 - share);
+
+            for (int i = 0; i < 300; ++i) {
+                const Cycle c = sampleCycle(i);
+                const SlotGrant got = a.grantAt(c);
+                const SlotGrant want = referenceGrant(p, s, c, 5, 2);
+                ASSERT_EQ(got.owner, want.owner) << "cycle " << c;
+                ASSERT_EQ(got.maxWidth, want.maxWidth) << "cycle " << c;
+                for (ThreadId t = 0; t < 2; ++t)
+                    ASSERT_EQ(a.nextGrantCycle(c, t),
+                              referenceNext(p, s, c, t))
+                        << "cycle " << c << " thread " << t;
+                ASSERT_EQ(a.nextAnyGrantCycle(c),
+                          referenceNext(p, s, c, -1))
+                    << "cycle " << c;
+
+                // A range of up to ~300 cycles starting at c, clipped
+                // to never_cycle, counted slot by slot; and an empty or
+                // reversed range counts nothing.
+                const Cycle len = rng() % 300;
+                const Cycle end =
+                    c > never_cycle - len ? never_cycle : c + len;
+                std::uint64_t want_owned[2] = {0, 0};
+                for (Cycle x = c; x < end; ++x) {
+                    const ThreadId owner =
+                        referenceGrant(p, s, x, 5, 2).owner;
+                    if (owner >= 0)
+                        ++want_owned[owner];
+                }
+                const auto got_owned = a.ownedSlotsInRange(c, end);
+                ASSERT_EQ(got_owned[0], want_owned[0])
+                    << "[" << c << ", " << end << ")";
+                ASSERT_EQ(got_owned[1], want_owned[1])
+                    << "[" << c << ", " << end << ")";
+                const auto none = a.ownedSlotsInRange(end, c);
+                ASSERT_EQ(none[0] + none[1], 0u);
+            }
+
+            // Long ranges: whole periods plus the brute-forced ends.
+            for (int i = 0; i < 50; ++i) {
+                const Cycle begin = rng() % (never_cycle / 2);
+                const Cycle periods = rng() % 1000000;
+                const Cycle end = begin + periods * 64 + rng() % 64;
+                std::uint64_t want_owned[2] = {period_owned[0] * periods,
+                                               period_owned[1] * periods};
+                for (Cycle x = begin + periods * 64; x < end; ++x) {
+                    const ThreadId owner =
+                        referenceGrant(p, s, x, 5, 2).owner;
+                    if (owner >= 0)
+                        ++want_owned[owner];
+                }
+                const auto got_owned = a.ownedSlotsInRange(begin, end);
+                ASSERT_EQ(got_owned[0], want_owned[0]);
+                ASSERT_EQ(got_owned[1], want_owned[1]);
+            }
+            // The whole cycle range: no overflow in the prefix counts.
+            const Cycle last_period = never_cycle / 64 * 64;
+            std::uint64_t want_all[2] = {period_owned[0] * (never_cycle / 64),
+                                         period_owned[1] * (never_cycle / 64)};
+            for (Cycle x = last_period; x < never_cycle; ++x) {
+                const ThreadId owner = referenceGrant(p, s, x, 5, 2).owner;
+                if (owner >= 0)
+                    ++want_all[owner];
+            }
+            const auto all = a.ownedSlotsInRange(0, never_cycle);
+            EXPECT_EQ(all[0], want_all[0]);
+            EXPECT_EQ(all[1], want_all[1]);
+        }
+    }
 }
 
 TEST(SlotMode, Names)

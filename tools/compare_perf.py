@@ -32,6 +32,12 @@ Checks, per baseline case (matched by name):
     is the feature's reason to exist, so a sub-2x result means the
     fork path has regressed, whatever the baseline says.
 
+Absolute throughput (``mcyclesPerSecFast``, ``minstrPerSecFast``:
+simulated cycles and committed instructions per wall second of the fast
+arm, in millions) is printed per case with its ratio to the baseline
+when the baseline records it. It is never gated: wall clock drifts
+across hosts and over time.
+
 The jitter margin exists because compute-bound cases sit at true
 parity (~1.00x): the engine neither skips nor probes there, and the
 measured ratio wobbles a few percent with host scheduling and turbo
@@ -97,6 +103,25 @@ def compare_checkpointed(name, base, case):
     return errors
 
 
+THROUGHPUT = (("mcyclesPerSecFast", "Mcycle/s"),
+              ("minstrPerSecFast", "Minstr/s"))
+
+
+def throughput_note(name, base, case):
+    """One informational line of a case's absolute throughput, or None."""
+    parts = []
+    for member, unit in THROUGHPUT:
+        if member not in case:
+            continue
+        part = f"{case[member]:.2f} {unit}"
+        if base.get(member):
+            part += f" ({case[member] / base[member]:.2f}x baseline)"
+        parts.append(part)
+    if not parts:
+        return None
+    return f"{name}: throughput " + ", ".join(parts)
+
+
 def compare(baseline, fresh):
     errors = []
     fresh_by_name = {c["name"]: c for c in fresh.get("cases", [])}
@@ -106,6 +131,9 @@ def compare(baseline, fresh):
         if case is None:
             errors.append(f"{name}: missing from fresh report")
             continue
+        note = throughput_note(name, base, case)
+        if note:
+            print(note)
         if base.get("checkpointed"):
             errors.extend(compare_checkpointed(name, base, case))
             continue
