@@ -2,27 +2,26 @@
  * @file
  * google-benchmark micro-benchmarks of the simulator itself: raw cycle
  * throughput of the core loop under different workloads, the cost of
- * the primitives (cache lookups, slot grants, program materialization),
- * and end-to-end FAME pair runs with the idle-cycle fast-forward engine
- * on and off.
+ * the primitives (cache lookups, slot grants, program materialization,
+ * checkpoint save and restore), a forked FAME pair, and job-runner
+ * scaling.
  *
- * The end-to-end speedup report (BENCH_sim_perf.json) and the
- * per-stage profile are `p5sim perf --json=FILE` and
- * `p5sim perf --profile-stages`.
+ * The end-to-end fast/slow comparisons (FAME pairs and the chip with
+ * fast-forward on and off, cold vs forked matrices, trace replay) are
+ * `p5sim perf --json=FILE`, which times both arms of each, checks
+ * their stats identical and is gated against BENCH_sim_perf.json; the
+ * per-stage profile is `p5sim perf --profile-stages`.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "ckpt/ckpt_io.hh"
 #include "ckpt/ckpt_manager.hh"
-#include "core/chip.hh"
 #include "core/smt_core.hh"
 #include "fame/fame.hh"
 #include "fame/sim_runner.hh"
 #include "mem/cache.hh"
 #include "prio/slot_allocator.hh"
-#include "sched/alloc_engine.hh"
-#include "sched/workload.hh"
 #include "ubench/ubench.hh"
 
 namespace {
@@ -105,7 +104,7 @@ BM_CoreMixedPair(benchmark::State &state)
 }
 BENCHMARK(BM_CoreMixedPair);
 
-/** Shared FAME setup for the end-to-end pair runs. */
+/** FAME setup of the checkpoint benches (p5sim perf's pair cases). */
 FameParams
 endToEndFame()
 {
@@ -115,107 +114,12 @@ endToEndFame()
 }
 
 /**
- * One full FAME convergence run of a benchmark pair — warmup,
- * repetition accounting and all — with the fast-forward engine per
- * @p fast_forward. This is the workload whose wall clock the engine
- * is meant to cut; the paired Fast/Slow benchmarks below make the
- * speedup visible in plain `--benchmark_format=json` output too.
- */
-void
-famePair(benchmark::State &state, UbenchId p, UbenchId s, int prio_p,
-         int prio_s, bool fast_forward)
-{
-    const SyntheticProgram pp = makeUbench(p);
-    const SyntheticProgram ps = makeUbench(s);
-    CoreParams core;
-    core.fastForward = fast_forward;
-    const FameParams fame = endToEndFame();
-    std::uint64_t sim_cycles = 0;
-    for (auto _ : state) {
-        FameResult res = runFame(core, &pp, &ps, prio_p, prio_s, fame);
-        sim_cycles = res.totalCycles;
-        benchmark::DoNotOptimize(res);
-    }
-    state.counters["simCycles"] = static_cast<double>(sim_cycles);
-}
-
-void
-BM_FameMemPairFast(benchmark::State &state)
-{
-    famePair(state, UbenchId::LdintMem, UbenchId::LdintMem, 4, 4, true);
-}
-BENCHMARK(BM_FameMemPairFast)->Unit(benchmark::kMillisecond);
-
-void
-BM_FameMemPairSlow(benchmark::State &state)
-{
-    famePair(state, UbenchId::LdintMem, UbenchId::LdintMem, 4, 4, false);
-}
-BENCHMARK(BM_FameMemPairSlow)->Unit(benchmark::kMillisecond);
-
-void
-BM_FameCpuPairFast(benchmark::State &state)
-{
-    famePair(state, UbenchId::CpuInt, UbenchId::CpuInt, 4, 4, true);
-}
-BENCHMARK(BM_FameCpuPairFast)->Unit(benchmark::kMillisecond);
-
-void
-BM_FameCpuPairSlow(benchmark::State &state)
-{
-    famePair(state, UbenchId::CpuInt, UbenchId::CpuInt, 4, 4, false);
-}
-BENCHMARK(BM_FameCpuPairSlow)->Unit(benchmark::kMillisecond);
-
-/**
- * End-to-end chip run: 8 ldint_mem threads pinned on a 4-core chip
- * through the allocation engine, with chip-level fast-forward per
- * @p fast_forward. A chip skip needs every core idle at once, so this
- * pair makes the multi-core engine cost visible alongside the
- * single-core Fame pairs above (and mirrors the chip case in the
- * `p5sim perf` speedup report).
- */
-void
-chipAlloc(benchmark::State &state, bool fast_forward)
-{
-    const Workload workload = Workload::fromMix(
-        "ldint_mem,ldint_mem,ldint_mem,ldint_mem,"
-        "ldint_mem,ldint_mem,ldint_mem,ldint_mem");
-    ChipParams params;
-    params.numCores = 4;
-    params.core.fastForward = fast_forward;
-    double ipc = 0;
-    for (auto _ : state) {
-        Chip chip(params);
-        AllocEngine engine(chip, workload, SchedParams{}, 1);
-        AllocRunResult res = engine.run(300000);
-        ipc = res.aggregateIpc;
-        benchmark::DoNotOptimize(res);
-    }
-    state.counters["aggregateIpc"] = ipc;
-}
-
-void
-BM_ChipAllocPinnedFast(benchmark::State &state)
-{
-    chipAlloc(state, true);
-}
-BENCHMARK(BM_ChipAllocPinnedFast)->Unit(benchmark::kMillisecond);
-
-void
-BM_ChipAllocPinnedSlow(benchmark::State &state)
-{
-    chipAlloc(state, false);
-}
-BENCHMARK(BM_ChipAllocPinnedSlow)->Unit(benchmark::kMillisecond);
-
-/**
  * Checkpoint primitives: the cost of snapshotting a warmed core into
  * a byte stream and of rebuilding a fresh core from that stream.
  * Restore is the per-fork overhead every checkpointed priority point
  * pays instead of re-simulating the warm-up, so its wall clock (a few
- * ms for the ~2.6 MB ldint_mem image) against BM_FameMemPairFast's
- * warm phase is the whole economics of the fork engine.
+ * ms for the ~2.6 MB ldint_mem image) against the warm phase of a
+ * cold FAME run is the whole economics of the fork engine.
  */
 void
 BM_CkptSaveState(benchmark::State &state)
@@ -272,11 +176,11 @@ BM_CkptRestoreState(benchmark::State &state)
 BENCHMARK(BM_CkptRestoreState)->Unit(benchmark::kMillisecond);
 
 /**
- * The forked twin of BM_FameMemPairFast at a skewed pair: a warm
- * image is created once outside the timed loop, so each iteration is
- * restore + measure — what every priority point after the first costs
- * under `--checkpoint-dir` (compare against BM_FameMemPairFast, whose
- * every iteration re-simulates the warm-up).
+ * A forked ldint_mem pair at a skewed priority: a warm image is
+ * created once outside the timed loop, so each iteration is restore +
+ * measure — what every priority point after the first costs under
+ * `--checkpoint-dir` (a cold run re-simulates the warm-up each time;
+ * `p5sim perf`'s ckpt case times the two against each other).
  */
 void
 BM_FameMemPairForked(benchmark::State &state)

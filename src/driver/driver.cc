@@ -1,10 +1,10 @@
 #include "driver/driver.hh"
+#include "driver/perf.hh"
 
 #include <dirent.h>
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -12,7 +12,6 @@
 #include <sstream>
 
 #include "ckpt/ckpt.hh"
-#include "ckpt/ckpt_io.hh"
 #include "ckpt/ckpt_manager.hh"
 #include "common/artifact.hh"
 #include "common/cli.hh"
@@ -22,16 +21,13 @@
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "config/config.hh"
-#include "core/chip.hh"
 #include "core/smt_core.hh"
 #include "exp/experiments.hh"
 #include "exp/report.hh"
 #include "fame/fame.hh"
 #include "fame/sim_runner.hh"
 #include "program/trace.hh"
-#include "sched/alloc_engine.hh"
 #include "sched/monitor.hh"
-#include "sched/workload.hh"
 #include "store/result_store.hh"
 #include "ubench/ubench.hh"
 #include "workloads/spec_proxy.hh"
@@ -583,11 +579,11 @@ cmdRun(const Cli &cli, DriverContext &ctx, ExpConfig &config)
     const std::unique_ptr<InstrSource> prog_s =
         has_secondary ? spec_s.build() : nullptr;
 
-    // Canonical-warm protocol, inlined (this command keeps its own core
-    // for the stats dump below): attach at the canonical priority, warm
+    // runFame()'s canonical-warm protocol on a core this command keeps
+    // for the stats dump below: attach at the canonical priority, warm
     // (or fork a checkpoint of that warm state), then switch to the
-    // requested pair at the measurement boundary — the same trajectory
-    // runFame() drives, so the stats match the batch producers'.
+    // requested pair at the measurement boundary, so the stats match
+    // the batch producers'.
     SmtCore core(config.core);
     core.attachThread(0, prog_p.get(), canonical_warm_priority);
     if (prog_s)
@@ -602,6 +598,7 @@ cmdRun(const Cli &cli, DriverContext &ctx, ExpConfig &config)
     QuantumMonitor monitor(core, config.sched.quantum);
     FameRunner runner(config.fame);
     runner.setChunkHook([&monitor](SmtCore &) { monitor.poll(); });
+    std::string warm_key;
     if (config.checkpoints) {
         SimJob job;
         if (has_secondary) {
@@ -613,27 +610,9 @@ cmdRun(const Cli &cli, DriverContext &ctx, ExpConfig &config)
         }
         job.configTag = config.configTag;
         job.warmTag = config.warmTag;
-        const std::string warm_key = job.warmKey();
-        const CkptManager::Acquired acq = config.checkpoints->acquire(
-            warm_key, [&]() -> Checkpoint {
-                runner.runWarmup(core);
-                Checkpoint ck;
-                ck.warmKey = warm_key;
-                ck.fingerprint = ckptFingerprintHex(warm_key);
-                ck.warmCycles = core.cycle();
-                CkptWriter w;
-                core.saveState(w);
-                ck.state = w.data();
-                return ck;
-            });
-        if (!acq.created) {
-            CkptReader r(acq.ckpt->state);
-            core.restoreState(r);
-            r.expectEnd();
-        }
-    } else {
-        runner.runWarmup(core);
+        warm_key = job.warmKey();
     }
+    runner.warmOrFork(core, config.checkpoints, warm_key);
     core.setPriorityPair(prio_p, prog_s ? prio_s : 0);
     const FameResult result = runner.measure(core, 0);
 
@@ -1430,16 +1409,6 @@ cmdStoreGc(const Cli &cli, DriverContext &ctx, ExpConfig &)
 
 // --- perf --------------------------------------------------------------
 
-/**
- * Run the end-to-end fast-forward speedup suite once per engine mode
- * and write the report tools/compare_perf.py reads. Nonzero when any
- * case's stats deviate between modes.
- */
-int writePerfReport(const std::string &path, std::ostream &err);
-
-/** Per-stage wall-time breakdown of the report cases (perf triage). */
-int profileStages(std::ostream &out);
-
 int
 cmdPerf(const Cli &cli, DriverContext &ctx, ExpConfig &)
 {
@@ -1776,554 +1745,4 @@ driverMain(int argc, const char *const *argv, std::ostream &out,
     return rc;
 }
 
-// --- perf report implementation ---------------------------------------
-
-namespace {
-
-/** One end-to-end case in the speedup report. */
-struct PerfCase
-{
-    const char *name;
-    UbenchId primary;
-    UbenchId secondary;
-    int prioP;
-    int prioS;
-};
-
-/**
- * The report suite. ldint_mem+ldint_mem (4,4) is the headline case
- * (the acceptance floor is a 3x end-to-end speedup there); the
- * compute-bound and mixed pairs — balanced and priority-skewed — pin
- * the "no overhead when there is nothing to skip" end of the spectrum.
- */
-constexpr PerfCase report_cases[] = {
-    {"ldint_mem+ldint_mem@4,4", UbenchId::LdintMem, UbenchId::LdintMem,
-     4, 4},
-    {"ldint_mem+ldint_mem@6,2", UbenchId::LdintMem, UbenchId::LdintMem,
-     6, 2},
-    {"ldint_mem+cpu_int@4,4", UbenchId::LdintMem, UbenchId::CpuInt, 4,
-     4},
-    {"ldint_mem+cpu_int@2,6", UbenchId::LdintMem, UbenchId::CpuInt, 2,
-     6},
-    {"cpu_int+cpu_int@4,4", UbenchId::CpuInt, UbenchId::CpuInt, 4, 4},
-    {"cpu_int+cpu_int@6,2", UbenchId::CpuInt, UbenchId::CpuInt, 6, 2},
-};
-
-struct TimedRun
-{
-    double wallMs = 0;
-    FameResult result;
-};
-
-FameParams
-endToEndFame()
-{
-    FameParams fame;
-    fame.minRepetitions = 5;
-    return fame;
-}
-
-TimedRun
-timedFameRun(const PerfCase &c, bool fast_forward)
-{
-    const SyntheticProgram pp = makeUbench(c.primary);
-    const SyntheticProgram ps = makeUbench(c.secondary);
-    CoreParams core;
-    core.fastForward = fast_forward;
-    const FameParams fame = endToEndFame();
-
-    TimedRun run;
-    const auto t0 = std::chrono::steady_clock::now();
-    run.result = runFame(core, &pp, &ps, c.prioP, c.prioS, fame);
-    const auto t1 = std::chrono::steady_clock::now();
-    run.wallMs =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    return run;
-}
-
-bool
-sameMeasurement(const FameResult &a, const FameResult &b)
-{
-    if (a.totalCycles != b.totalCycles || a.converged != b.converged ||
-        a.hitCycleLimit != b.hitCycleLimit)
-        return false;
-    for (size_t t = 0; t < num_hw_threads; ++t) {
-        if (a.thread[t].present != b.thread[t].present ||
-            a.thread[t].executions != b.thread[t].executions ||
-            a.thread[t].accountedCycles != b.thread[t].accountedCycles ||
-            a.thread[t].accountedInstrs != b.thread[t].accountedInstrs)
-            return false;
-    }
-    return true;
-}
-
-/**
- * Best-of-N timing per mode. Repetitions of the two modes are
- * interleaved with alternating order (turbo/thermal effects favor
- * whichever mode runs first in a back-to-back pair) and the minimum
- * wall time per mode is kept: host-side drift inflates individual runs
- * but never deflates them, so min over order-balanced repetitions is
- * the bias-resistant estimator of the true per-mode cost.
- */
-constexpr int report_reps = 4;
-
-// --- chip-level case ---------------------------------------------------
-
-/**
- * The multi-core end-to-end case: a 4-core chip running an 8-thread
- * pinned ldint_mem mix through the allocation engine. Chip
- * fast-forward only fires when every core is idle at once, so this
- * case gates both joint-skip correctness (identical stats across
- * engine modes) and that the chip probe never costs wall clock.
- */
-constexpr const char *chip_case_name = "chip4+ldint_mem*8@pinned";
-constexpr int chip_case_cores = 4;
-constexpr Cycle chip_case_cycles = 300000;
-
-struct ChipTimedRun
-{
-    double wallMs = 0;
-    AllocRunResult result;
-};
-
-ChipTimedRun
-timedChipRun(bool fast_forward)
-{
-    const Workload workload = Workload::fromMix(
-        "ldint_mem,ldint_mem,ldint_mem,ldint_mem,"
-        "ldint_mem,ldint_mem,ldint_mem,ldint_mem");
-    ChipParams params;
-    params.numCores = chip_case_cores;
-    params.core.fastForward = fast_forward;
-    Chip chip(params);
-    AllocEngine engine(chip, workload, SchedParams{}, 1);
-
-    ChipTimedRun run;
-    const auto t0 = std::chrono::steady_clock::now();
-    run.result = engine.run(chip_case_cycles);
-    const auto t1 = std::chrono::steady_clock::now();
-    run.wallMs =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    return run;
-}
-
-bool
-sameChipMeasurement(const AllocRunResult &a, const AllocRunResult &b)
-{
-    if (a.cycles != b.cycles || a.quanta != b.quanta ||
-        a.migrations != b.migrations || a.committed != b.committed ||
-        a.checkViolations != b.checkViolations ||
-        a.threads.size() != b.threads.size())
-        return false;
-    for (std::size_t t = 0; t < a.threads.size(); ++t) {
-        if (a.threads[t].committed != b.threads[t].committed ||
-            a.threads[t].l2Misses != b.threads[t].l2Misses ||
-            a.threads[t].cyclesScheduled != b.threads[t].cyclesScheduled)
-            return false;
-    }
-    return true;
-}
-
-// --- checkpoint/fork case ----------------------------------------------
-
-/**
- * The checkpoint/fork case: one pair-mix measured across the full 6x6
- * priority matrix, cold (every pair re-simulates the warm-up) versus
- * checkpointed (the first pair warms once and the other 35 fork that
- * snapshot in memory). Both arms run with fast-forward enabled, so
- * the recorded speedup is over the fast-forward-only path. The FAME
- * parameters are warm-heavy — a deep warm-up feeding a short measured
- * window, the steady-state regime the checkpoint engine exists for.
- * End to end the cold arm costs K*W + sum(M_i) against W + sum(R+M_i)
- * forked, so the speedup is set by how much of the run is redundant
- * warm-up: the warm depth below makes warm-up the majority cost, as
- * in a long-warm FAME campaign; presets with shallow warm-ups
- * amortize proportionally less (the warm phase always runs at the
- * canonical (4,4) pair, which fast-forward already makes cheap, while
- * the measured region of skewed pairs is irreducible per-pair work).
- */
-constexpr const char *ckpt_case_name =
-    "ckpt:ldint_mem+ldint_mem@matrix36";
-constexpr const char *ckpt_case_key = "perf:ckpt:ldint_mem+ldint_mem";
-constexpr int ckpt_case_prios = 6;
-constexpr int ckpt_case_pairs = ckpt_case_prios * ckpt_case_prios;
-constexpr int ckpt_case_reps = 2;
-
-FameParams
-ckptCaseFame()
-{
-    FameParams fame;
-    fame.warmupRepetitions = 160;
-    fame.minRepetitions = 3;
-    fame.maiv = 0.10;
-    return fame;
-}
-
-struct CkptTimedRun
-{
-    double wallMs = 0;
-    std::vector<FameResult> results;
-};
-
-/**
- * Sweep the priority matrix once; with @p ckpts the first pair warms
- * and every later pair forks, without it each pair warms from scratch
- * (the production cold path, fast-forward on in both arms).
- */
-CkptTimedRun
-timedMatrixRun(CkptManager *ckpts)
-{
-    const SyntheticProgram pp = makeUbench(UbenchId::LdintMem);
-    const SyntheticProgram ps = makeUbench(UbenchId::LdintMem);
-    CoreParams core;
-    core.fastForward = true;
-    const FameParams fame = ckptCaseFame();
-
-    CkptTimedRun run;
-    run.results.reserve(ckpt_case_pairs);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int p = 1; p <= ckpt_case_prios; ++p)
-        for (int s = 1; s <= ckpt_case_prios; ++s)
-            run.results.push_back(
-                runFame(core, &pp, &ps, p, s, fame, ckpts,
-                        ckpts ? ckpt_case_key : ""));
-    const auto t1 = std::chrono::steady_clock::now();
-    run.wallMs =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    return run;
-}
-
-bool
-sameMatrixMeasurement(const CkptTimedRun &a, const CkptTimedRun &b)
-{
-    if (a.results.size() != b.results.size())
-        return false;
-    for (std::size_t i = 0; i < a.results.size(); ++i)
-        if (!sameMeasurement(a.results[i], b.results[i]))
-            return false;
-    return true;
-}
-
-/** Instructions of the complete executions a FAME run accounted. */
-std::uint64_t
-accountedInstrs(const FameResult &r)
-{
-    std::uint64_t n = 0;
-    for (const ThreadMeasurement &t : r.thread)
-        n += t.accountedInstrs;
-    return n;
-}
-
-/**
- * Absolute throughput of a case's fast arm: simulated cycles and
- * committed instructions per wall-clock second, in millions. Recorded
- * to track the trend, never gated (wall clock drifts across hosts).
- */
-void
-writeThroughput(JsonWriter &w, std::uint64_t cycles, std::uint64_t instrs,
-                double wall_ms)
-{
-    w.member("mcyclesPerSecFast",
-             static_cast<double>(cycles) / (wall_ms * 1e3));
-    w.member("minstrPerSecFast",
-             static_cast<double>(instrs) / (wall_ms * 1e3));
-}
-
-int
-writePerfReport(const std::string &path, std::ostream &err)
-{
-    std::ofstream os(path);
-    if (!os) {
-        err << "p5sim perf: cannot open '" << path << "'\n";
-        return 1;
-    }
-
-    bool all_identical = true;
-    JsonWriter w(os);
-    w.beginObject();
-    w.member("experiment", "bench_sim_perf");
-    w.key("cases");
-    w.beginArray();
-    for (const PerfCase &c : report_cases) {
-        // Warm one fast run so first-touch costs (program build, page
-        // sets) don't pollute the slow/fast ratio, then measure the
-        // two modes interleaved and keep each mode's best repetition.
-        timedFameRun(c, true);
-        TimedRun fast, slow;
-        bool identical = true;
-        for (int rep = 0; rep < report_reps; ++rep) {
-            const bool slow_first = (rep % 2) == 0;
-            TimedRun s, f;
-            if (slow_first) {
-                s = timedFameRun(c, false);
-                f = timedFameRun(c, true);
-            } else {
-                f = timedFameRun(c, true);
-                s = timedFameRun(c, false);
-            }
-            identical =
-                identical && sameMeasurement(f.result, s.result);
-            if (rep == 0 || s.wallMs < slow.wallMs)
-                slow = s;
-            if (rep == 0 || f.wallMs < fast.wallMs)
-                fast = f;
-        }
-        all_identical = all_identical && identical;
-
-        w.beginObject();
-        w.member("name", c.name);
-        w.member("simCyclesFast",
-                 static_cast<std::uint64_t>(fast.result.totalCycles));
-        w.member("simCyclesSlow",
-                 static_cast<std::uint64_t>(slow.result.totalCycles));
-        w.member("ipcTotal", fast.result.totalIpc());
-        w.member("wallMsFast", fast.wallMs);
-        w.member("wallMsSlow", slow.wallMs);
-        w.member("speedup", slow.wallMs / fast.wallMs);
-        w.member("identicalStats", identical);
-        writeThroughput(w, fast.result.totalCycles,
-                        accountedInstrs(fast.result), fast.wallMs);
-        w.endObject();
-
-        err << c.name << ": " << slow.wallMs << " ms -> " << fast.wallMs
-            << " ms (" << slow.wallMs / fast.wallMs << "x)"
-            << (identical ? "" : "  STATS DEVIATE") << '\n';
-    }
-
-    {
-        // Trace-replay case: the same pair driven from a dumped trace
-        // versus the synthetic generator, fast-forward on in both
-        // arms. The stream captures its fetch table at construction
-        // either way, so replay must hold generator parity in wall
-        // clock ("speedup" = synthetic/replay, gated by the parity
-        // floor) and stay bit-identical in stats. One recorded
-        // execution keeps the replay table the same size as the
-        // generator's body: the case gates the per-fetch dispatch
-        // cost of the InstrSource seam, not the (inherent, size-
-        // proportional) cache footprint of a deeply unrolled trace.
-        const char *trace_case_name = "trace:cpu_int+cpu_int@4,4";
-        const std::string trace_path = path + ".trace";
-        const SyntheticProgram sp = makeUbench(UbenchId::CpuInt);
-        dumpTrace(sp, 1, trace_path);
-        const std::unique_ptr<TraceProgram> tp = loadTrace(trace_path);
-        std::remove(trace_path.c_str());
-
-        CoreParams core;
-        core.fastForward = true;
-        const FameParams fame = endToEndFame();
-        auto timedArm = [&core, &fame](const InstrSource *prog) {
-            TimedRun run;
-            const auto t0 = std::chrono::steady_clock::now();
-            run.result = runFame(core, prog, prog, 4, 4, fame);
-            const auto t1 = std::chrono::steady_clock::now();
-            run.wallMs = std::chrono::duration<double, std::milli>(
-                             t1 - t0)
-                             .count();
-            return run;
-        };
-
-        timedArm(tp.get()); // first-touch warm
-        TimedRun synth, replay;
-        bool identical = true;
-        for (int rep = 0; rep < report_reps; ++rep) {
-            const bool synth_first = (rep % 2) == 0;
-            TimedRun s, r;
-            if (synth_first) {
-                s = timedArm(&sp);
-                r = timedArm(tp.get());
-            } else {
-                r = timedArm(tp.get());
-                s = timedArm(&sp);
-            }
-            identical =
-                identical && sameMeasurement(s.result, r.result);
-            if (rep == 0 || s.wallMs < synth.wallMs)
-                synth = s;
-            if (rep == 0 || r.wallMs < replay.wallMs)
-                replay = r;
-        }
-        all_identical = all_identical && identical;
-
-        w.beginObject();
-        w.member("name", trace_case_name);
-        w.member("simCyclesFast",
-                 static_cast<std::uint64_t>(replay.result.totalCycles));
-        w.member("simCyclesSlow",
-                 static_cast<std::uint64_t>(synth.result.totalCycles));
-        w.member("ipcTotal", replay.result.totalIpc());
-        w.member("wallMsFast", replay.wallMs);
-        w.member("wallMsSlow", synth.wallMs);
-        w.member("speedup", synth.wallMs / replay.wallMs);
-        w.member("identicalStats", identical);
-        writeThroughput(w, replay.result.totalCycles,
-                        accountedInstrs(replay.result), replay.wallMs);
-        w.endObject();
-
-        err << trace_case_name << ": " << synth.wallMs << " ms -> "
-            << replay.wallMs << " ms ("
-            << synth.wallMs / replay.wallMs << "x)"
-            << (identical ? "" : "  STATS DEVIATE") << '\n';
-    }
-
-    {
-        // The chip case follows the same warm + order-balanced
-        // min-of-N protocol as the single-core pairs above.
-        timedChipRun(true);
-        ChipTimedRun fast, slow;
-        bool identical = true;
-        for (int rep = 0; rep < report_reps; ++rep) {
-            const bool slow_first = (rep % 2) == 0;
-            ChipTimedRun s, f;
-            if (slow_first) {
-                s = timedChipRun(false);
-                f = timedChipRun(true);
-            } else {
-                f = timedChipRun(true);
-                s = timedChipRun(false);
-            }
-            identical =
-                identical && sameChipMeasurement(f.result, s.result);
-            if (rep == 0 || s.wallMs < slow.wallMs)
-                slow = std::move(s);
-            if (rep == 0 || f.wallMs < fast.wallMs)
-                fast = std::move(f);
-        }
-        all_identical = all_identical && identical;
-
-        w.beginObject();
-        w.member("name", chip_case_name);
-        w.member("simCyclesFast",
-                 static_cast<std::uint64_t>(fast.result.cycles));
-        w.member("simCyclesSlow",
-                 static_cast<std::uint64_t>(slow.result.cycles));
-        w.member("ipcTotal", fast.result.aggregateIpc);
-        w.member("wallMsFast", fast.wallMs);
-        w.member("wallMsSlow", slow.wallMs);
-        w.member("speedup", slow.wallMs / fast.wallMs);
-        w.member("identicalStats", identical);
-        w.member("migrations",
-                 static_cast<std::uint64_t>(fast.result.migrations));
-        writeThroughput(w, fast.result.cycles, fast.result.committed,
-                        fast.wallMs);
-        w.endObject();
-
-        err << chip_case_name << ": " << slow.wallMs << " ms -> "
-            << fast.wallMs << " ms (" << slow.wallMs / fast.wallMs
-            << "x)" << (identical ? "" : "  STATS DEVIATE") << '\n';
-    }
-
-    {
-        // Checkpoint/fork over the priority matrix: same warm +
-        // order-balanced min-of-N protocol. Each checkpointed
-        // repetition gets a fresh CkptManager so every repetition
-        // pays exactly one warm-up (1 warm + 35 in-memory forks),
-        // never a warm image cached by an earlier repetition. The
-        // first-touch warm run uses the forked arm: it constructs
-        // the same programs and cores at a fraction of the cold
-        // arm's wall clock.
-        {
-            CkptManager warm_mgr;
-            timedMatrixRun(&warm_mgr);
-        }
-        CkptTimedRun cold, forked;
-        bool identical = true;
-        std::uint64_t warms = 0, forks = 0;
-        for (int rep = 0; rep < ckpt_case_reps; ++rep) {
-            const bool cold_first = (rep % 2) == 0;
-            CkptManager mgr;
-            CkptTimedRun c, f;
-            if (cold_first) {
-                c = timedMatrixRun(nullptr);
-                f = timedMatrixRun(&mgr);
-            } else {
-                f = timedMatrixRun(&mgr);
-                c = timedMatrixRun(nullptr);
-            }
-            identical = identical && sameMatrixMeasurement(c, f);
-            warms = mgr.warms();
-            forks = mgr.memForks();
-            if (rep == 0 || c.wallMs < cold.wallMs)
-                cold = std::move(c);
-            if (rep == 0 || f.wallMs < forked.wallMs)
-                forked = std::move(f);
-        }
-        identical = identical && warms == 1 &&
-                    forks == ckpt_case_pairs - 1;
-        all_identical = all_identical && identical;
-
-        std::uint64_t matrix_cycles = 0, matrix_instrs = 0;
-        for (const FameResult &r : forked.results) {
-            matrix_cycles += r.totalCycles;
-            matrix_instrs += accountedInstrs(r);
-        }
-
-        w.beginObject();
-        w.member("name", ckpt_case_name);
-        w.member("checkpointed", true);
-        w.member("pairs", static_cast<std::int64_t>(ckpt_case_pairs));
-        w.member("warms", static_cast<std::int64_t>(warms));
-        w.member("memForks", static_cast<std::int64_t>(forks));
-        w.member("simCyclesMatrix", matrix_cycles);
-        w.member("wallMsCold", cold.wallMs);
-        w.member("wallMsCkpt", forked.wallMs);
-        w.member("speedup", cold.wallMs / forked.wallMs);
-        w.member("identicalStats", identical);
-        // Effective throughput: a forked pair's result cycles include
-        // the warm-up it restored instead of simulating.
-        writeThroughput(w, matrix_cycles, matrix_instrs, forked.wallMs);
-        w.endObject();
-
-        err << ckpt_case_name << ": " << cold.wallMs << " ms -> "
-            << forked.wallMs << " ms ("
-            << cold.wallMs / forked.wallMs << "x)"
-            << (identical ? "" : "  STATS DEVIATE") << '\n';
-    }
-    w.endArray();
-    w.endObject();
-    os << '\n';
-
-    if (!all_identical) {
-        err << "p5sim perf: fast-forward stats deviated\n";
-        return 1;
-    }
-    return 0;
-}
-
-int
-profileStages(std::ostream &out)
-{
-    constexpr Cycle profile_cycles = 500000;
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "%-26s %10s %10s %10s %10s %10s  %9s %9s %9s\n",
-                  "case", "complet ms", "issue ms", "commit ms",
-                  "decode ms", "probe ms", "ticks", "probes",
-                  "skipped");
-    out << line;
-    for (const PerfCase &c : report_cases) {
-        const SyntheticProgram pp = makeUbench(c.primary);
-        const SyntheticProgram ps = makeUbench(c.secondary);
-        CoreParams params;
-        SmtCore core(params);
-        SmtCore::StageProfile prof;
-        core.setStageProfile(&prof);
-        core.attachThread(0, &pp, c.prioP);
-        core.attachThread(1, &ps, c.prioS);
-        core.run(profile_cycles);
-        const auto ms = [](std::uint64_t ns) { return ns / 1e6; };
-        std::snprintf(
-            line, sizeof(line),
-            "%-26s %10.3f %10.3f %10.3f %10.3f %10.3f  %9llu %9llu "
-            "%9llu\n",
-            c.name, ms(prof.completionsNs), ms(prof.issueNs),
-            ms(prof.commitNs), ms(prof.decodeNs), ms(prof.probeNs),
-            static_cast<unsigned long long>(prof.timedTicks),
-            static_cast<unsigned long long>(core.fastForwardProbes()),
-            static_cast<unsigned long long>(core.idleCyclesSkipped()));
-        out << line;
-    }
-    return 0;
-}
-
-} // namespace
 } // namespace p5

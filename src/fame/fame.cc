@@ -225,6 +225,38 @@ FameRunner::measure(SmtCore &core, Cycle start)
     return res;
 }
 
+void
+FameRunner::warmOrFork(SmtCore &core, CkptManager *ckpts,
+                       const std::string &warm_key)
+{
+    if (!ckpts) {
+        runWarmup(core);
+        return;
+    }
+    if (warm_key.empty())
+        fatal("FAME: checkpointing requires a warm key");
+
+    const CkptManager::Acquired acq =
+        ckpts->acquire(warm_key, [&]() -> Checkpoint {
+            runWarmup(core);
+            Checkpoint ck;
+            ck.warmKey = warm_key;
+            ck.fingerprint = ckptFingerprintHex(warm_key);
+            ck.warmCycles = core.cycle();
+            CkptWriter w;
+            core.saveState(w);
+            ck.state = w.data();
+            return ck;
+        });
+    if (!acq.created) {
+        // Fork: adopt a sibling's (or the store's) warm image instead
+        // of simulating the warm-up.
+        CkptReader r(acq.ckpt->state);
+        core.restoreState(r);
+        r.expectEnd();
+    }
+}
+
 FameResult
 runFame(const CoreParams &core_params, const InstrSource *prog_p,
         const InstrSource *prog_s, int prio_p, int prio_s,
@@ -245,35 +277,7 @@ runFame(const CoreParams &core_params, const InstrSource *prog_p,
         core.attachThread(1, prog_s, canonical_warm_priority);
 
     FameRunner runner(fame_params);
-
-    if (!ckpts) {
-        runner.runWarmup(core);
-        core.setPriorityPair(prio_p, prog_s ? prio_s : 0);
-        return runner.measure(core, 0);
-    }
-
-    if (warm_key.empty())
-        fatal("runFame: checkpointing requires a warm key");
-
-    const CkptManager::Acquired acq =
-        ckpts->acquire(warm_key, [&]() -> Checkpoint {
-            runner.runWarmup(core);
-            Checkpoint ck;
-            ck.warmKey = warm_key;
-            ck.fingerprint = ckptFingerprintHex(warm_key);
-            ck.warmCycles = core.cycle();
-            CkptWriter w;
-            core.saveState(w);
-            ck.state = w.data();
-            return ck;
-        });
-    if (!acq.created) {
-        // Fork: adopt a sibling's (or the store's) warm image instead
-        // of simulating the warm-up.
-        CkptReader r(acq.ckpt->state);
-        core.restoreState(r);
-        r.expectEnd();
-    }
+    runner.warmOrFork(core, ckpts, warm_key);
     core.setPriorityPair(prio_p, prog_s ? prio_s : 0);
     return runner.measure(core, 0);
 }

@@ -102,6 +102,8 @@ struct FameResult
     }
 };
 
+class CkptManager;
+
 /** Drives an already-configured core per the FAME methodology. */
 class FameRunner
 {
@@ -134,6 +136,17 @@ class FameRunner
      */
     FameResult measure(SmtCore &core, Cycle start);
 
+    /**
+     * Phase 1 for a fresh @p core (cycle 0, threads attached at the
+     * canonical warm priority): runWarmup(), or with @p ckpts at most
+     * once per @p warm_key (see CkptManager) — the first caller warms
+     * and snapshots, every later caller restores the snapshot into
+     * @p core instead. Either way @p core is then ready for
+     * measure(core, 0), with bit-identical results.
+     */
+    void warmOrFork(SmtCore &core, CkptManager *ckpts,
+                    const std::string &warm_key);
+
     const FameParams &params() const { return params_; }
 
     /** Observer invoked after every simulation chunk (checkPeriod). */
@@ -150,8 +163,6 @@ class FameRunner
     FameParams params_;
     ChunkHook hook_;
 };
-
-class CkptManager;
 
 /**
  * Priority every thread warms up under, regardless of the pair being

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <functional>
 #include <initializer_list>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -25,6 +26,7 @@
 #include "common/thread_pool.hh"
 #include "config/config.hh"
 #include "driver/driver.hh"
+#include "driver/perf.hh"
 #include "exp/experiments.hh"
 #include "exp/report.hh"
 #include "fame/fame.hh"
@@ -1246,6 +1248,122 @@ TEST(Driver, RunSingleThreadMode)
                 "--secondary=none"});
     EXPECT_EQ(run.exitCode, 0);
     EXPECT_NE(run.out.find("cpu_int + none"), std::string::npos);
+}
+
+TEST(Driver, RunIsIdenticalColdWarmedAndRestoredFromTheStore)
+{
+    const std::string ck = freshStoreDir("ck_run");
+    const std::string ck_flag = "--checkpoint-dir=" + ck;
+    const auto run = [](const std::string &mode, const std::string &json) {
+        const std::string json_flag = "--json=" + json;
+        return invoke({"run", "--fast", "--primary=cpu_int",
+                       "--secondary=ldint_l2", "--prio-p=6", "--prio-s=2",
+                       mode.c_str(), json_flag.c_str()});
+    };
+    const std::string paths[3] = {tempPath("run_cold.json"),
+                                  tempPath("run_warm.json"),
+                                  tempPath("run_restored.json")};
+    const Invocation cold = run("--no-checkpoint", paths[0]);
+    const Invocation warm = run(ck_flag, paths[1]); // warms, publishes
+    const Invocation restored = run(ck_flag, paths[2]);
+    ASSERT_EQ(cold.exitCode, 0);
+    ASSERT_EQ(warm.exitCode, 0);
+    ASSERT_EQ(restored.exitCode, 0);
+    EXPECT_EQ(warm.out, cold.out);
+    EXPECT_EQ(restored.out, cold.out);
+
+    const JsonValue reports[3] = {readReport(paths[0]),
+                                  readReport(paths[1]),
+                                  readReport(paths[2])};
+    const JsonValue *ck_warm =
+        reports[1].find("provenance")->find("checkpoints");
+    const JsonValue *ck_restored =
+        reports[2].find("provenance")->find("checkpoints");
+    EXPECT_EQ(ck_warm->find("warms")->asInt(), 1);
+    EXPECT_EQ(ck_restored->find("warms")->asInt(), 0);
+    EXPECT_EQ(ck_restored->find("storeForks")->asInt(), 1);
+
+    const auto scalarStats = [](const JsonValue &report) {
+        std::vector<std::pair<std::string, std::string>> scalars;
+        for (const auto &m : report.find("data")->find("stats")->members())
+            if (m.second.isNumber())
+                scalars.emplace_back(m.first, m.second.dump());
+        return scalars;
+    };
+    EXPECT_GT(scalarStats(reports[0]).size(), 20u);
+    const JsonValue *base = reports[0].find("data");
+    for (int i = 1; i < 3; ++i) {
+        const JsonValue *data = reports[i].find("data");
+        for (const char *member : {"totalCycles", "converged",
+                                   "ipcPrimary", "ipcSecondary"})
+            EXPECT_EQ(data->find(member)->dump(),
+                      base->find(member)->dump())
+                << member;
+        // Every scalar stat; the symbiosis series differ by design (a
+        // restored run samples no warm-up quanta).
+        EXPECT_EQ(scalarStats(reports[i]), scalarStats(reports[0]));
+    }
+    for (const std::string &path : paths)
+        std::remove(path.c_str());
+}
+
+// --- perf harness ------------------------------------------------------
+
+/**
+ * An abCase() arm with canned wall times: call k logs "<label>k",
+ * advances the fake clock @p now by @p wall_ms[k] inside the timed
+ * region and returns signature {42}, or {7} on call @p deviant_call.
+ */
+Arm
+fakeArm(const std::string &label, std::vector<double> wall_ms,
+        std::vector<std::string> &log, double &now, int deviant_call = -1)
+{
+    auto calls = std::make_shared<int>(0);
+    return [=, &log, &now](const TimeWork &timed) {
+        const int call = (*calls)++;
+        log.push_back(label + std::to_string(call));
+        timed([&] { now += wall_ms.at(static_cast<std::size_t>(call)); });
+        ArmRun run;
+        run.simCycles = 1000;
+        run.signature = {call == deviant_call ? 7u : 42u};
+        return run;
+    };
+}
+
+TEST(PerfHarness, WarmsThenAlternatesAndReportsThePairedMedian)
+{
+    double now = 0;
+    std::vector<std::string> log;
+    std::ostringstream err;
+    // B's call 0 is the discarded first-touch run.
+    const AbResult r = abCase(
+        "case", fakeArm("A", {10, 12, 9, 11}, log, now),
+        fakeArm("B", {100, 5, 4, 6, 5}, log, now), 4, err,
+        [&now] { return now; });
+
+    EXPECT_EQ(log, (std::vector<std::string>{"B0", "A0", "B1", "B2", "A1",
+                                             "A2", "B3", "B4", "A3"}));
+    EXPECT_EQ(r.a.wallMs, 9);
+    EXPECT_EQ(r.b.wallMs, 4);
+    EXPECT_EQ(r.b.simCycles, 1000u);
+    // Paired ratios 2, 3, 1.5, 2.2; the ratio of the minima would be
+    // 9/4 = 2.25.
+    EXPECT_DOUBLE_EQ(r.speedup, (2.0 + 2.2) / 2);
+    EXPECT_TRUE(r.identicalStats);
+    EXPECT_EQ(err.str(), "case: 9 ms -> 4 ms (2.1x)\n");
+}
+
+TEST(PerfHarness, OneDeviantRepetitionFailsTheIdentityCheck)
+{
+    double now = 0;
+    std::vector<std::string> log;
+    std::ostringstream err;
+    const AbResult r = abCase(
+        "case", fakeArm("A", {10, 10, 10, 10}, log, now, 2),
+        fakeArm("B", {5, 5, 5, 5, 5}, log, now), 4, err,
+        [&now] { return now; });
+    EXPECT_FALSE(r.identicalStats);
+    EXPECT_EQ(err.str(), "case: 10 ms -> 5 ms (2x)  STATS DEVIATE\n");
 }
 
 // --- alloc -------------------------------------------------------------

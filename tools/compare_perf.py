@@ -38,12 +38,20 @@ arm, in millions) is printed per case with its ratio to the baseline
 when the baseline records it. It is never gated: wall clock drifts
 across hosts and over time.
 
+Every case is timed by one harness (``abCase`` in src/driver/perf.cc):
+one discarded first-touch run of the fast arm, then N repetitions of
+both arms back to back with alternating order. ``wallMs*`` are each
+arm's fastest repetition; ``speedup`` is the median over repetitions
+of the slow/fast ratio within one repetition. Host drift (other
+tenants, frequency steps) inflates both runs of a back-to-back pair
+alike, so the paired ratio cancels it, while the ratio of two minima
+taken from different repetitions does not.
+
 The jitter margin exists because compute-bound cases sit at true
-parity (~1.00x): the engine neither skips nor probes there, and the
-measured ratio wobbles a few percent with host scheduling and turbo
-state even with the bench's order-balanced min-of-N timing. A genuine
-regression like the pre-overhaul per-cycle probe tax (0.89x) still
-trips the gate.
+parity (~1.00x): the engine neither skips nor probes there, and even
+the paired ratio wobbles a few percent with host scheduling and turbo
+state. A genuine regression like the pre-overhaul per-cycle probe tax
+(0.89x) still trips the gate.
 
 Exits nonzero listing every violation, for the perf-smoke CI job.
 """
