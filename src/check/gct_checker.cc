@@ -104,6 +104,23 @@ GctChecker::onCycle(const SmtCore &core, Cycle cycle)
                      " in-flight instructions (window)",
                  std::to_string(instrs) + " (GCT groups)");
         }
+        // Each group's unfinished count, recounted from its window
+        // entries (the window holds the groups' instructions in order).
+        if (shape_ok && instrs == win.size()) {
+            std::size_t w = 0;
+            for (const GctGroup &g : groups) {
+                int unfinished = 0;
+                for (int k = 0; k < g.count; ++k, ++w)
+                    unfinished += win[w].phase != InstrPhase::Finished;
+                if (g.unfinished != unfinished) {
+                    fail(cycle, t, "group-unfinished",
+                         std::to_string(unfinished) +
+                             " unfinished in the group at seq " +
+                             std::to_string(g.startSeq),
+                         std::to_string(g.unfinished));
+                }
+            }
+        }
         if (shape_ok && !groups.empty() && !win.empty()) {
             if (win.front().di.seq != groups.front().startSeq) {
                 fail(cycle, t, "front-alignment",

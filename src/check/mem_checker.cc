@@ -1,5 +1,7 @@
 #include "check/checkers.hh"
 
+#include <algorithm>
+
 #include "core/smt_core.hh"
 
 namespace p5::check {
@@ -7,22 +9,62 @@ namespace p5::check {
 void
 MemChecker::onCycle(const SmtCore &core, Cycle cycle)
 {
-    // LMQ occupancy: entry windows overlapping "now" never exceed the
-    // queue, and per-thread occupancies account for every busy entry.
+    // LMQ occupancy, recounted by brute force: scan the stored windows
+    // at the queue's synced cycle, which the core keeps equal to its
+    // own. The event-driven busy counts and next edge must match the
+    // scan, busy entries never exceed the queue, and no released window
+    // stays stored.
     const Lmq &lmq = core.lmq();
-    const int busy = lmq.busyAt(cycle);
-    if (busy < 0 || busy > lmq.capacity()) {
+    const Cycle at = lmq.syncedCycle();
+    if (at != core.cycle()) {
+        fail(cycle, -1, "lmq-sync",
+             "LMQ synced to cycle " + std::to_string(core.cycle()),
+             std::to_string(at));
+    }
+    std::array<int, num_hw_threads> scanned{};
+    Cycle next_edge = never_cycle;
+    for (const Lmq::Edge &e : lmq.edges()) {
+        const Lmq::Window &w = e.window;
+        if (w.tid < 0 || w.tid >= num_hw_threads ||
+            w.releaseCycle <= at) {
+            fail(cycle, -1, "lmq-window",
+                 "windows of threads 0.." +
+                     std::to_string(num_hw_threads - 1) +
+                     " releasing after cycle " + std::to_string(at),
+                 "thread " + std::to_string(w.tid) + " releasing at " +
+                     std::to_string(w.releaseCycle));
+            continue;
+        }
+        const bool busy = w.startCycle <= at;
+        if (busy)
+            ++scanned[static_cast<std::size_t>(w.tid)];
+        const Cycle edge = busy ? w.releaseCycle : w.startCycle;
+        if (e.cycle != edge) {
+            fail(cycle, w.tid, "lmq-edge",
+                 "window filed under cycle " + std::to_string(edge),
+                 std::to_string(e.cycle));
+        }
+        next_edge = std::min(next_edge, edge);
+    }
+    int busy = 0;
+    for (ThreadId t = 0; t < num_hw_threads; ++t) {
+        const int n = scanned[static_cast<std::size_t>(t)];
+        busy += n;
+        if (lmq.busyOfAt(t, at) != n) {
+            fail(cycle, t, "lmq-busy-count",
+                 std::to_string(n) + " busy windows (scan)",
+                 std::to_string(lmq.busyOfAt(t, at)));
+        }
+    }
+    if (busy > lmq.capacity()) {
         fail(cycle, -1, "lmq-capacity",
              "0.." + std::to_string(lmq.capacity()) + " busy entries",
              std::to_string(busy));
     }
-    int busy_sum = 0;
-    for (ThreadId t = 0; t < num_hw_threads; ++t)
-        busy_sum += lmq.busyOfAt(t, cycle);
-    if (busy_sum != busy) {
-        fail(cycle, -1, "lmq-occupancy-sum",
-             std::to_string(busy) + " busy entries",
-             std::to_string(busy_sum) + " across threads");
+    if (lmq.nextEventCycle(at) != next_edge) {
+        fail(cycle, -1, "lmq-next-edge",
+             "next edge at " + std::to_string(next_edge) + " (scan)",
+             std::to_string(lmq.nextEventCycle(at)));
     }
 
     const Cache &l1 = core.hierarchy().l1d();

@@ -157,14 +157,13 @@ Bht::restoreState(CkptReader &r)
 void
 Lmq::saveState(CkptWriter &w) const
 {
-    // Window order matters: updateLastRelease() targets the newest
-    // reservation and recycle() compacts in place, so the vector is
-    // reproduced verbatim.
-    w.u64(static_cast<std::uint64_t>(windows_.size()));
-    for (const Window &win : windows_) {
-        w.i32(win.tid);
-        w.u64(win.startCycle);
-        w.u64(win.releaseCycle);
+    // The stored windows in edge order. Only the windows are state: the
+    // busy counts and edges are derived from them on restore.
+    w.u64(static_cast<std::uint64_t>(edges_.size()));
+    for (const Edge &e : edges_) {
+        w.i32(e.window.tid);
+        w.u64(e.window.startCycle);
+        w.u64(e.window.releaseCycle);
     }
     w.counter(allocations_);
     w.counter(queuedMisses_);
@@ -174,11 +173,23 @@ Lmq::saveState(CkptWriter &w) const
 void
 Lmq::restoreState(CkptReader &r)
 {
-    windows_.resize(static_cast<std::size_t>(r.u64()));
-    for (Window &win : windows_) {
+    // Rebuild at cycle 0; the core then advances to its own cycle,
+    // which also drops any released window an image still carries.
+    reset();
+    now_ = 0;
+    const std::uint64_t n = r.u64();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        Window win;
         win.tid = r.i32();
         win.startCycle = r.u64();
         win.releaseCycle = r.u64();
+        if (win.tid < 0 || win.tid >= num_hw_threads ||
+            win.releaseCycle <= win.startCycle)
+            fatal("checkpoint LMQ window is malformed (thread %d)",
+                  win.tid);
+        if (win.startCycle == 0)
+            ++busy_[static_cast<std::size_t>(win.tid)];
+        insert(win);
     }
     r.counter(allocations_);
     r.counter(queuedMisses_);
@@ -259,8 +270,9 @@ IssueQueue::restoreState(CkptReader &r)
 void
 Gct::saveState(CkptWriter &w) const
 {
-    // Nothing holds physical-slot handles into the group rings, so
-    // logical (oldest-first) serialization suffices.
+    // Logical (oldest-first) serialization: the window entries' group
+    // handles and the unfinished counts are derived state, which the
+    // core rebuilds after restore.
     for (const RingDeque<GctGroup> &ring : groups_) {
         w.u64(static_cast<std::uint64_t>(ring.size()));
         for (const GctGroup &g : ring) {
@@ -282,6 +294,8 @@ Gct::restoreState(CkptReader &r)
             GctGroup &g = ring.pushSlot();
             g.startSeq = r.u64();
             g.count = r.i32();
+            // Derived state: the core recounts it from the window.
+            g.unfinished = g.count;
         }
     }
     r.counter(allocated_);
@@ -658,9 +672,12 @@ SmtCore::restoreState(CkptReader &r)
 
     hierarchy_.restoreState(r);
     lmq_.restoreState(r);
+    lmq_.advanceTo(cycle_);
     lsu_.restoreState(r);
     bht_.restoreState(r);
     gct_.restoreState(r);
+    for (const auto &ts : threads_)
+        recountGroups(*ts, 0);
     fuPool_.restoreState(r);
     readyQ_.restoreState(r);
     arbiter_.restoreState(r);

@@ -1,8 +1,35 @@
 #include "core/balancer.hh"
 
+#include <algorithm>
+#include <cmath>
+
 namespace p5 {
 
-Balancer::Balancer(const BalancerParams &params) : params_(params) {}
+const Balancer::PairAllocators &
+Balancer::pairAllocators()
+{
+    // The mode and the slot shares the thresholds scale by depend on
+    // the pair alone, so one allocator per pair serves every balancer.
+    static const PairAllocators table = [] {
+        PairAllocators t;
+        for (int p = 0; p < num_levels; ++p)
+            for (int s = 0; s < num_levels; ++s)
+                t[static_cast<std::size_t>(p * num_levels + s)]
+                    .setPriorities(p, s);
+        return t;
+    }();
+    return table;
+}
+
+Balancer::Balancer(const BalancerParams &params, int gct_capacity,
+                   int lmq_capacity)
+    : params_(params), gctCapacity_(gct_capacity),
+      lmqCapacity_(lmq_capacity)
+{
+    unscaled_ = limitsFor(nullptr);
+    for (std::size_t i = 0; i < num_pairs; ++i)
+        pairs_[i] = limitsFor(&pairAllocators()[i]);
+}
 
 void
 Balancer::setPriorityView(const DecodeSlotAllocator *allocator)
@@ -10,21 +37,62 @@ Balancer::setPriorityView(const DecodeSlotAllocator *allocator)
     priorities_ = allocator;
 }
 
+double
+Balancer::gctThresholdFor(ThreadId tid,
+                          const DecodeSlotAllocator *slots) const
+{
+    if (!params_.priorityAwareGct || !slots ||
+        slots->mode() != SlotMode::Dual)
+        return params_.gctShareThreshold;
+    const double scaled =
+        params_.gctShareThreshold * 2.0 * slots->shareOf(tid);
+    return std::clamp(scaled, params_.minGctShareThreshold,
+                      params_.maxGctShareThreshold);
+}
+
+int
+Balancer::lmqThresholdFor(ThreadId tid,
+                          const DecodeSlotAllocator *slots) const
+{
+    if (!params_.priorityAwareLmq || !slots ||
+        slots->mode() != SlotMode::Dual)
+        return params_.lmqThreshold;
+    const double scaled = params_.lmqThreshold * 2.0 * slots->shareOf(tid);
+    return std::clamp(static_cast<int>(scaled), 1,
+                      std::max(1, lmqCapacity_ - 1));
+}
+
+Balancer::PairLimits
+Balancer::limitsFor(const DecodeSlotAllocator *slots) const
+{
+    // A GCT hog holds held > minGctGroups groups and, as a double,
+    // held > x = threshold * capacity. For an integer held and x >= 0,
+    // held > x exactly when held > floor(x), so both tests fold into
+    // one integer compare against the floor of the very same product.
+    PairLimits lim;
+    for (ThreadId t = 0; t < num_hw_threads; ++t) {
+        const auto ti = static_cast<std::size_t>(t);
+        const double x = gctThresholdFor(t, slots) * gctCapacity_;
+        lim.gctAbove[ti] =
+            std::max(params_.minGctGroups, static_cast<int>(std::floor(x)));
+        lim.lmqAtLeast[ti] = lmqThresholdFor(t, slots);
+    }
+    return lim;
+}
+
 BalancerDecision
 Balancer::probe(const Gct &gct, const Lmq &lmq, const Lsu &lsu,
                 bool both_running, Cycle now) const
 {
     BalancerDecision d;
-    if (!params_.enabled)
+    // Resource hogging is only "offending" when there is a sibling to
+    // block.
+    if (!params_.enabled || !both_running)
         return d;
 
+    const PairLimits &lim = currentLimits();
     for (ThreadId t = 0; t < num_hw_threads; ++t) {
         const auto ti = static_cast<size_t>(t);
-
-        // Resource hogging is only "offending" when there is a sibling
-        // to block.
-        if (!both_running)
-            continue;
 
         // An outstanding TLB walk blocks further decode of the walking
         // thread (it would only pile more work behind the walk).
@@ -34,12 +102,7 @@ Balancer::probe(const Gct &gct, const Lmq &lmq, const Lsu &lsu,
             continue;
         }
 
-        const int gct_held = gct.occupancyOf(t);
-        const bool gct_hog =
-            gct_held > params_.minGctGroups &&
-            static_cast<double>(gct_held) >
-                gctThresholdFor(t) * gct.capacity();
-        if (gct_hog) {
+        if (gct.occupancyOf(t) > lim.gctAbove[ti]) {
             d.block[ti] = true;
             d.reason[ti] = BalanceBlock::Gct;
             if (params_.action == BalanceAction::Flush)
@@ -47,8 +110,7 @@ Balancer::probe(const Gct &gct, const Lmq &lmq, const Lsu &lsu,
             continue;
         }
 
-        if (lmq.busyOfAt(t, now) >=
-            lmqThresholdFor(t, lmq.capacity())) {
+        if (lmq.busyOfAt(t, now) >= lim.lmqAtLeast[ti]) {
             d.block[ti] = true;
             d.reason[ti] = BalanceBlock::Lmq;
         }

@@ -14,7 +14,6 @@
 #ifndef P5SIM_CORE_BALANCER_HH
 #define P5SIM_CORE_BALANCER_HH
 
-#include <algorithm>
 #include <array>
 
 #include "common/stats.hh"
@@ -53,34 +52,28 @@ struct BalancerDecision
 class Balancer
 {
   public:
-    explicit Balancer(const BalancerParams &params);
+    /**
+     * @param gct_capacity and @p lmq_capacity size the per-pair limit
+     *        table: they must be the capacities of the Gct and Lmq
+     *        later passed to probe().
+     */
+    Balancer(const BalancerParams &params, int gct_capacity,
+             int lmq_capacity);
 
-    /** Priority view for the priority-aware GCT threshold. */
+    /** Priority view for the priority-aware thresholds. */
     void setPriorityView(const DecodeSlotAllocator *allocator);
 
-    /** Effective GCT-share threshold for @p tid under the priorities. */
-    double
-    gctThresholdFor(ThreadId tid) const
-    {
-        if (!params_.priorityAwareGct || !dualPriorities())
-            return params_.gctShareThreshold;
-        const double scaled =
-            params_.gctShareThreshold * 2.0 * priorities_->shareOf(tid);
-        return std::clamp(scaled, params_.minGctShareThreshold,
-                          params_.maxGctShareThreshold);
-    }
+    /**
+     * Effective GCT-share threshold for @p tid under the priority pair
+     * @p slots holds (nullptr: no priority view). A builder of the
+     * per-pair limit table.
+     */
+    double gctThresholdFor(ThreadId tid,
+                           const DecodeSlotAllocator *slots) const;
 
-    /** Effective LMQ-occupancy threshold for @p tid. */
-    int
-    lmqThresholdFor(ThreadId tid, int lmq_capacity) const
-    {
-        if (!params_.priorityAwareLmq || !dualPriorities())
-            return params_.lmqThreshold;
-        const double scaled =
-            params_.lmqThreshold * 2.0 * priorities_->shareOf(tid);
-        return std::clamp(static_cast<int>(scaled), 1,
-                          std::max(1, lmq_capacity - 1));
-    }
+    /** Effective LMQ-occupancy threshold for @p tid (table builder). */
+    int lmqThresholdFor(ThreadId tid,
+                        const DecodeSlotAllocator *slots) const;
 
     /**
      * Evaluate the triggers at cycle @p now without touching the
@@ -143,15 +136,50 @@ class Balancer
     void restoreState(class CkptReader &r);
 
   private:
-    /** A priority view is attached and splits slots R-1:1 (Dual). */
-    bool
-    dualPriorities() const
+    /**
+     * Integer trigger limits of one priority pair: thread t is a GCT hog
+     * when it holds more than gctAbove[t] groups, and an LMQ hog when
+     * it has at least lmqAtLeast[t] busy entries.
+     */
+    struct PairLimits
     {
-        return priorities_ && priorities_->mode() == SlotMode::Dual;
+        std::array<int, num_hw_threads> gctAbove{};
+        std::array<int, num_hw_threads> lmqAtLeast{};
+    };
+
+    static constexpr int num_levels = max_priority + 1;
+    static constexpr std::size_t num_pairs = num_levels * num_levels;
+
+    using PairAllocators = std::array<DecodeSlotAllocator, num_pairs>;
+
+    /**
+     * A slot allocator set to each pair, built once per process; like
+     * pairs_, indexed P * num_levels + S.
+     */
+    static const PairAllocators &pairAllocators();
+
+    /** Limits under the pair @p slots holds (nullptr: no view). */
+    PairLimits limitsFor(const DecodeSlotAllocator *slots) const;
+
+    /** The limits of the current pair: one table read. */
+    const PairLimits &
+    currentLimits() const
+    {
+        if (!priorities_)
+            return unscaled_;
+        return pairs_[static_cast<std::size_t>(
+            priorities_->priorityOf(0) * num_levels +
+            priorities_->priorityOf(1))];
     }
 
     BalancerParams params_;
+    int gctCapacity_;
+    int lmqCapacity_;
     const DecodeSlotAllocator *priorities_ = nullptr;
+
+    /** Limits with no priority view, and of every (P, S) pair. */
+    PairLimits unscaled_;
+    std::array<PairLimits, num_pairs> pairs_{};
     std::array<Counter, num_hw_threads> gctBlocks_;
     std::array<Counter, num_hw_threads> lmqBlocks_;
     std::array<Counter, num_hw_threads> tlbBlocks_;

@@ -15,7 +15,7 @@ Gct::Gct(int num_groups) : capacity_(num_groups)
         q.reserve(static_cast<std::size_t>(num_groups));
 }
 
-void
+std::uint32_t
 Gct::allocate(ThreadId tid, SeqNum start_seq, int count)
 {
     if (!hasFreeGroup())
@@ -30,8 +30,35 @@ Gct::allocate(ThreadId tid, SeqNum start_seq, int count)
     }
     // Rings are pre-sized to full GCT capacity in the constructor;
     // occupancy can never exceed it, so this push never reallocates.
-    P5_ALLOW(hot_path_no_alloc) q.push_back({start_seq, count});
+    P5_ALLOW(hot_path_no_alloc) q.push_back({start_seq, count, count});
     ++allocated_;
+    return q.physIndexOf(&q.back());
+}
+
+void
+Gct::finishOne(ThreadId tid, std::uint32_t group, SeqNum seq)
+{
+    auto &q = groups_[static_cast<size_t>(tid)];
+    GctGroup *g = q.liveAtPhys(group);
+    if (!g || !g->contains(seq)) {
+        g = nullptr;
+        for (std::size_t i = 0; i < q.size() && !g; ++i)
+            if (q[i].contains(seq))
+                g = &q[i];
+        if (!g)
+            panic("GCT finishOne: seq %llu of thread %d in no group",
+                  static_cast<unsigned long long>(seq), tid);
+    }
+    if (g->unfinished <= 0)
+        panic("GCT finishOne: group at seq %llu already finished",
+              static_cast<unsigned long long>(g->startSeq));
+    --g->unfinished;
+}
+
+void
+Gct::setUnfinished(ThreadId tid, std::size_t i, int unfinished)
+{
+    groups_[static_cast<size_t>(tid)][i].unfinished = unfinished;
 }
 
 const GctGroup &

@@ -7,6 +7,11 @@
  * dispatches one group per cycle; commit retires the oldest group of a
  * thread once all of its instructions have finished. Per-thread occupancy
  * is what the dynamic resource balancer watches.
+ *
+ * Each group counts its unfinished instructions, so commit readiness is
+ * one read. The core decrements the count as instructions finish and
+ * recounts a group a squash truncated; the count is derived state,
+ * rebuilt from the instruction window on checkpoint restore.
  */
 
 #ifndef P5SIM_CORE_GCT_HH
@@ -23,6 +28,15 @@ struct GctGroup
 {
     SeqNum startSeq = 0;
     int count = 0;
+
+    /** Instructions of the group not yet Finished. */
+    int unfinished = 0;
+
+    bool
+    contains(SeqNum seq) const
+    {
+        return seq - startSeq < static_cast<SeqNum>(count);
+    }
 };
 
 /** The shared GCT. */
@@ -50,8 +64,28 @@ class Gct
 
     bool hasFreeGroup() const { return occupancy() < capacity_; }
 
-    /** Allocate a group; panics if full (caller checks hasFreeGroup). */
-    void allocate(ThreadId tid, SeqNum start_seq, int count);
+    /**
+     * Allocate a group with every instruction unfinished; panics if
+     * full (caller checks hasFreeGroup).
+     *
+     * @return the group's handle for finishOne().
+     */
+    std::uint32_t allocate(ThreadId tid, SeqNum start_seq, int count);
+
+    /**
+     * Instruction @p seq of @p tid finished: decrement its group's
+     * unfinished count. @p group is the handle allocate() returned, a
+     * physical ring slot validated by the group's seq range; a stale
+     * handle falls back to a search, so it is never wrong, at worst
+     * slow.
+     */
+    void finishOne(ThreadId tid, std::uint32_t group, SeqNum seq);
+
+    /**
+     * Set the unfinished count of @p tid's group at logical index @p i
+     * (0 == oldest) after recounting it from the window.
+     */
+    void setUnfinished(ThreadId tid, std::size_t i, int unfinished);
 
     /** @return the oldest group of @p tid; panics if none. */
     const GctGroup &oldest(ThreadId tid) const;
@@ -68,6 +102,8 @@ class Gct
     /**
      * Squash: drop all groups of @p tid whose instructions are entirely
      * after @p last_good_seq and truncate the group that straddles it.
+     * A truncated group keeps its unfinished count: only the caller
+     * knows which dropped instructions had finished, so it recounts.
      */
     void squash(ThreadId tid, SeqNum last_good_seq);
 

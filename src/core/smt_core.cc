@@ -22,7 +22,7 @@ SmtCore::SmtCore(const CoreParams &params, MemBackside *shared_backside)
       bht_(params.bht), gct_(params.gctGroups), fuPool_(params.fuCount),
       arbiter_(params.decodeWidth, params.minoritySlotWidth,
                params.workConservingSlots),
-      balancer_(params.balancer),
+      balancer_(params.balancer, params.gctGroups, params.lmqEntries),
       stats_("core" + std::to_string(params.coreId))
 {
     params_.validate();
@@ -227,6 +227,7 @@ SmtCore::tick()
     if (checks_)
         checks_->onCycle(*this, cycle_);
     ++cycle_;
+    lmq_.advanceTo(cycle_);
 }
 
 void
@@ -325,18 +326,8 @@ bool
 SmtCore::commitReady(ThreadId t) const
 {
     const ThreadState &ts = *threads_[static_cast<size_t>(t)];
-    if (!ts.attached() || gct_.empty(t))
-        return false;
-    const GctGroup group = gct_.oldest(t);
-    for (int i = 0; i < group.count; ++i) {
-        const InFlight *e =
-            ts.find(group.startSeq + static_cast<SeqNum>(i));
-        if (!e)
-            return true; // corrupt: let commitStage() raise the panic
-        if (e->phase != InstrPhase::Finished)
-            return false;
-    }
-    return true;
+    return ts.attached() && !gct_.empty(t) &&
+           gct_.oldest(t).unfinished == 0;
 }
 
 bool
@@ -467,6 +458,7 @@ SmtCore::advanceIdle(Cycle target, const IdleGate &gate)
         checks_->onSkip(*this, cycle_, target);
     idleSkipped_ += gap;
     cycle_ = target;
+    lmq_.advanceTo(cycle_);
 }
 
 Cycle
@@ -535,6 +527,7 @@ SmtCore::processCompletions()
         if (!e || e->phase != InstrPhase::Issued)
             continue; // squashed since issue
         e->phase = InstrPhase::Finished;
+        gct_.finishOne(c.tid, e->gctGroup, e->di.seq);
 
         if (e->di.isBranch()) {
             bht_.update(e->di.pc, e->di.branchTaken);
@@ -632,18 +625,7 @@ SmtCore::commitStage()
             continue;
 
         const GctGroup group = gct_.oldest(t);
-        bool all_finished = true;
-        for (int i = 0; i < group.count; ++i) {
-            InFlight *e = ts.find(group.startSeq +
-                                  static_cast<SeqNum>(i));
-            if (!e)
-                panic("GCT group references missing instruction");
-            if (e->phase != InstrPhase::Finished) {
-                all_finished = false;
-                break;
-            }
-        }
-        if (!all_finished)
+        if (group.unfinished != 0)
             continue;
 
         tickProgress_ = true;
@@ -740,16 +722,17 @@ SmtCore::decodeStage()
             break; // branches end dispatch groups
     }
 
-    gct_.allocate(grant.owner, group.front().seq,
-                  static_cast<int>(group.size()));
+    const std::uint32_t gct_group = gct_.allocate(
+        grant.owner, group.front().seq, static_cast<int>(group.size()));
     for (const DynInstr &di : group)
-        dispatchOne(ts, di);
+        dispatchOne(ts, di, gct_group);
     decoded_[static_cast<size_t>(grant.owner)] +=
         static_cast<std::uint64_t>(group.size());
 }
 
 void
-SmtCore::dispatchOne(ThreadState &ts, const DynInstr &di)
+SmtCore::dispatchOne(ThreadState &ts, const DynInstr &di,
+                     std::uint32_t gct_group)
 {
     // Claim the pooled window slot before touching producers: if the
     // ring ever had to grow it would move entries, and taking producer
@@ -763,6 +746,7 @@ SmtCore::dispatchOne(ThreadState &ts, const DynInstr &di)
     e.epoch = ts.epoch;
     e.stamp = dispatchStamp_++;
     e.inReadyQueue = false;
+    e.gctGroup = gct_group;
     e.dependents.clear();
 
     const std::uint32_t slot = ts.window.physIndexOf(&e);
@@ -792,6 +776,7 @@ SmtCore::dispatchOne(ThreadState &ts, const DynInstr &di)
     if (fuClassOf(di.op) == FuClass::None) {
         // Nops and priority nops consume decode/commit bandwidth only.
         e.phase = InstrPhase::Finished;
+        gct_.finishOne(ts.tid(), gct_group, di.seq);
     } else if (e.pendingSrcs == 0) {
         pushReady(ts, e);
     }
@@ -811,6 +796,7 @@ SmtCore::squashAfter(ThreadState &ts, SeqNum last_good_seq,
         ts.squashedCtr += squashed;
         ++ts.epoch;
         gct_.squashFrom(ts.tid(), last_good_seq + 1);
+        recountGroups(ts, gct_.occupancyOf(ts.tid()) - 1);
         ts.rebuildRenameMap();
         ts.stream().rewindTo(last_good_seq + 1);
     }
@@ -842,8 +828,35 @@ SmtCore::flushDispatched(ThreadState &ts)
     ts.squashedCtr += flushed;
     ++ts.epoch;
     gct_.squashFrom(ts.tid(), first_bad);
+    recountGroups(ts, gct_.occupancyOf(ts.tid()) - 1);
     ts.rebuildRenameMap();
     ts.stream().rewindTo(first_bad);
+}
+
+void
+SmtCore::recountGroups(ThreadState &ts, int first)
+{
+    // The window holds exactly the groups' instructions, in order, so
+    // walking both from the young end pairs each group with its own.
+    const ThreadId t = ts.tid();
+    const RingDeque<GctGroup> &groups = gct_.groupsOf(t);
+    std::size_t w = ts.window.size();
+    for (int i = static_cast<int>(groups.size()) - 1; i >= first && i >= 0;
+         --i) {
+        const GctGroup &g = groups[static_cast<std::size_t>(i)];
+        const std::uint32_t handle = groups.physIndexOf(&g);
+        int unfinished = 0;
+        for (int k = g.count - 1; k >= 0; --k) {
+            if (w == 0)
+                panic("GCT group of thread %d outruns the window", t);
+            InFlight &e = ts.window[--w];
+            if (e.di.seq != g.startSeq + static_cast<SeqNum>(k))
+                panic("window of thread %d out of sync with the GCT", t);
+            e.gctGroup = handle;
+            unfinished += e.phase != InstrPhase::Finished;
+        }
+        gct_.setUnfinished(t, static_cast<std::size_t>(i), unfinished);
+    }
 }
 
 } // namespace p5

@@ -367,12 +367,21 @@ class SmtCore
      */
     bool tryFastForward(Cycle limit);
 
-    void dispatchOne(ThreadState &ts, const DynInstr &di);
+    void dispatchOne(ThreadState &ts, const DynInstr &di,
+                     std::uint32_t gct_group);
     void pushReady(ThreadState &ts, InFlight &e);
     void wakeDependents(ThreadState &ts, InFlight &e);
     void squashAfter(ThreadState &ts, SeqNum last_good_seq,
                      bool redirect_penalty);
     void flushDispatched(ThreadState &ts);
+
+    /**
+     * Recount the unfinished instructions of @p ts's GCT groups from
+     * logical index @p first to the youngest, and re-point their window
+     * entries' group handles: after a squash truncated the youngest
+     * group (first = youngest) and after a restore (first = 0).
+     */
+    void recountGroups(ThreadState &ts, int first);
     void registerStats();
 
     CoreParams params_;

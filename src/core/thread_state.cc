@@ -54,12 +54,6 @@ ThreadState::find(SeqNum seq)
     return &window[static_cast<std::size_t>(idx)];
 }
 
-const InFlight *
-ThreadState::find(SeqNum seq) const
-{
-    return const_cast<ThreadState *>(this)->find(seq);
-}
-
 InFlight *
 ThreadState::find(SeqNum seq, std::uint64_t expected_epoch)
 {

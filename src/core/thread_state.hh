@@ -51,6 +51,9 @@ struct InFlight
     /** Guard against double-insertion into the ready queues. */
     bool inReadyQueue = false;
 
+    /** Handle of the GCT group holding this instruction (Gct::allocate). */
+    std::uint32_t gctGroup = 0;
+
     /**
      * Same-thread consumers to wake on completion. Inline for the
      * common fan-out; a spill's buffer stays with the pooled window
@@ -116,7 +119,6 @@ class ThreadState
 
     /** Find the in-flight entry with @p seq, or nullptr. */
     InFlight *find(SeqNum seq);
-    const InFlight *find(SeqNum seq) const;
 
     /** find() with an epoch identity check. */
     InFlight *find(SeqNum seq, std::uint64_t expected_epoch);

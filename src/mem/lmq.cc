@@ -1,59 +1,125 @@
 #include "mem/lmq.hh"
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
 
 #include "common/log.hh"
 
 namespace p5 {
 
+namespace {
+
+/** Edge order (by edge cycle, then window) — total, so the edge list
+ *  of a given window set is unique whatever the insertion history. */
+bool
+edgeBefore(const Lmq::Edge &a, const Lmq::Edge &b)
+{
+    return std::tie(a.cycle, a.window.startCycle, a.window.releaseCycle,
+                    a.window.tid) < std::tie(b.cycle, b.window.startCycle,
+                                             b.window.releaseCycle,
+                                             b.window.tid);
+}
+
+} // namespace
+
 Lmq::Lmq(int entries) : capacity_(entries)
 {
     if (entries <= 0)
         fatal("LMQ needs at least one entry");
-    windows_.reserve(static_cast<std::size_t>(entries) * 2);
+    edges_.reserve(std::max<std::size_t>(
+        64, static_cast<std::size_t>(entries) * 4));
 }
 
 void
-Lmq::recycle(Cycle now)
+Lmq::unsynced(Cycle now) const
 {
-    std::erase_if(windows_,
-                  [now](const Window &w) { return w.releaseCycle <= now; });
+    panic("LMQ queried at cycle %llu but synced to cycle %llu",
+          static_cast<unsigned long long>(now),
+          static_cast<unsigned long long>(now_));
 }
 
-int
-Lmq::overlapping(Cycle start_cycle, Cycle release_cycle) const
+std::size_t
+Lmq::insert(const Window &w)
 {
-    int n = 0;
-    for (const auto &w : windows_)
-        if (w.startCycle < release_cycle && w.releaseCycle > start_cycle)
-            ++n;
-    return n;
+    // New edges are mostly the latest, so walk in from the back.
+    const Edge e{edgeOf(w), w};
+    edges_.push_back(e);
+    std::size_t i = edges_.size() - 1;
+    for (; i > 0 && edgeBefore(e, edges_[i - 1]); --i)
+        edges_[i] = edges_[i - 1];
+    edges_[i] = e;
+    return i;
+}
+
+std::size_t
+Lmq::refile(std::size_t i)
+{
+    edges_[i].cycle = edgeOf(edges_[i].window);
+    for (; i > 0 && edgeBefore(edges_[i], edges_[i - 1]); --i)
+        std::swap(edges_[i], edges_[i - 1]);
+    for (; i + 1 < edges_.size() && edgeBefore(edges_[i + 1], edges_[i]);
+         ++i)
+        std::swap(edges_[i], edges_[i + 1]);
+    return i;
+}
+
+void
+Lmq::advanceAcross(Cycle now)
+{
+    if (now < now_)
+        panic("LMQ advanced backwards (%llu -> %llu)",
+              static_cast<unsigned long long>(now_),
+              static_cast<unsigned long long>(now));
+    const Cycle from = now_;
+    now_ = now;
+    last_ = no_reservation;
+    while (!edges_.empty() && edges_.front().cycle <= now) {
+        const Window w = edges_.front().window;
+        edges_.pop_front();
+        if (w.startCycle > from) {
+            // A start edge. The window is busy unless it also released
+            // within the jump; a busy one is refiled under its release,
+            // which lies beyond now, so the pops below are unaffected.
+            if (w.releaseCycle > now) {
+                ++busy_[static_cast<std::size_t>(w.tid)];
+                insert(w);
+            }
+        } else {
+            --busy_[static_cast<std::size_t>(w.tid)];
+        }
+    }
 }
 
 Cycle
 Lmq::reserve(ThreadId tid, Cycle now, Cycle start_cycle,
              Cycle release_cycle)
 {
-    recycle(now);
+    advanceTo(now);
+    if (start_cycle < now)
+        panic("LMQ window starts before the current cycle");
     if (release_cycle <= start_cycle)
         panic("LMQ window must have positive duration");
 
     const Cycle requested = start_cycle;
-    while (overlapping(start_cycle, release_cycle) >=
-           capacity_) {
-        // Push the window to the earliest release among the windows
-        // blocking it; each step retires at least one blocker, so the
-        // loop terminates.
+    // Fewer stored windows than entries can never fill the queue.
+    while (edges_.size() >= static_cast<std::size_t>(capacity_)) {
+        // One pass finds the windows overlapping the candidate and the
+        // earliest release among them. While they fill the queue, push
+        // the candidate to that release: each step retires at least
+        // one blocker, so the loop terminates.
+        int blockers = 0;
         Cycle next = never_cycle;
-        for (const auto &w : windows_) {
+        for (const Edge &e : edges_) {
+            const Window &w = e.window;
             if (w.startCycle < release_cycle &&
-                w.releaseCycle > start_cycle &&
-                w.releaseCycle < next) {
-                next = w.releaseCycle;
+                w.releaseCycle > start_cycle) {
+                ++blockers;
+                next = std::min(next, w.releaseCycle);
             }
         }
-        if (next == never_cycle)
-            panic("LMQ overflow with no blocking window");
+        if (blockers < capacity_)
+            break;
         release_cycle += next - start_cycle;
         start_cycle = next;
     }
@@ -62,10 +128,9 @@ Lmq::reserve(ThreadId tid, Cycle now, Cycle start_cycle,
         ++queuedMisses_;
         queuedCycles_ += start_cycle - requested;
     }
-    // windows_ is reserved to 2x the LMQ entry count at construction;
-    // occupancy is bounded by the entry count, so no reallocation.
-    P5_ALLOW(hot_path_no_alloc)
-    windows_.push_back({tid, start_cycle, release_cycle});
+    if (start_cycle == now_)
+        ++busy_[static_cast<std::size_t>(tid)];
+    last_ = insert({tid, start_cycle, release_cycle});
     ++allocations_;
     return start_cycle;
 }
@@ -73,80 +138,36 @@ Lmq::reserve(ThreadId tid, Cycle now, Cycle start_cycle,
 void
 Lmq::updateLastRelease(Cycle release_cycle)
 {
-    if (windows_.empty())
-        panic("LMQ updateLastRelease with no windows");
-    Window &w = windows_.back();
+    if (last_ == no_reservation)
+        panic("LMQ updateLastRelease with no reservation this cycle");
+    Window &w = edges_[last_].window;
     if (release_cycle <= w.startCycle)
         panic("LMQ release before start");
+    // The window starts at or after now_, so it stays stored; refile it
+    // (a busy window's edge is its release, and ties order by release).
     w.releaseCycle = release_cycle;
-}
-
-int
-Lmq::occupancy(Cycle now)
-{
-    recycle(now);
-    int n = 0;
-    for (const auto &w : windows_)
-        if (w.startCycle <= now)
-            ++n;
-    return n;
-}
-
-int
-Lmq::occupancyOf(ThreadId tid, Cycle now)
-{
-    recycle(now);
-    int n = 0;
-    for (const auto &w : windows_)
-        if (w.tid == tid && w.startCycle <= now)
-            ++n;
-    return n;
-}
-
-int
-Lmq::busyAt(Cycle now) const
-{
-    int n = 0;
-    for (const auto &w : windows_)
-        if (w.startCycle <= now && w.releaseCycle > now)
-            ++n;
-    return n;
-}
-
-int
-Lmq::busyOfAt(ThreadId tid, Cycle now) const
-{
-    int n = 0;
-    for (const auto &w : windows_)
-        if (w.tid == tid && w.startCycle <= now && w.releaseCycle > now)
-            ++n;
-    return n;
-}
-
-Cycle
-Lmq::nextEventCycle(Cycle now) const
-{
-    Cycle next = never_cycle;
-    for (const auto &w : windows_) {
-        if (w.startCycle > now && w.startCycle < next)
-            next = w.startCycle;
-        if (w.releaseCycle > now && w.releaseCycle < next)
-            next = w.releaseCycle;
-    }
-    return next;
+    last_ = refile(last_);
 }
 
 void
 Lmq::releaseThread(ThreadId tid)
 {
-    std::erase_if(windows_,
-                  [tid](const Window &w) { return w.tid == tid; });
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < edges_.size(); ++i)
+        if (edges_[i].window.tid != tid)
+            edges_[kept++] = edges_[i];
+    while (edges_.size() > kept)
+        edges_.pop_back();
+    busy_[static_cast<std::size_t>(tid)] = 0;
+    last_ = no_reservation;
 }
 
 void
 Lmq::reset()
 {
-    windows_.clear();
+    edges_.clear();
+    busy_ = {};
+    last_ = no_reservation;
 }
 
 void

@@ -56,13 +56,9 @@ DecodeSlotAllocator::setPriority(ThreadId tid, int prio)
         panic("setPriority: bad thread id %d", tid);
 }
 
-int
-DecodeSlotAllocator::priorityOf(ThreadId tid) const
+void
+DecodeSlotAllocator::badThread(ThreadId tid) const
 {
-    if (tid == 0)
-        return prioP_;
-    if (tid == 1)
-        return prioS_;
     panic("priorityOf: bad thread id %d", tid);
 }
 

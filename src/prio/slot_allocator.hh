@@ -79,7 +79,15 @@ class DecodeSlotAllocator
 
     void setPriority(ThreadId tid, int prio);
 
-    int priorityOf(ThreadId tid) const;
+    int
+    priorityOf(ThreadId tid) const
+    {
+        if (tid == 0)
+            return prioP_;
+        if (tid == 1)
+            return prioS_;
+        badThread(tid);
+    }
 
     /** The R of the formula for the current pair (Dual mode only). */
     int slotWindow() const { return window_; }
@@ -167,6 +175,8 @@ class DecodeSlotAllocator
     }
 
   private:
+    [[noreturn]] void badThread(ThreadId tid) const;
+
     /** Row of nextGrant_ that tracks slots owned by any thread. */
     static constexpr std::size_t any_row = num_hw_threads;
 

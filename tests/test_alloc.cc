@@ -27,6 +27,7 @@
 #include <new>
 
 #include "core/smt_core.hh"
+#include "mem/lmq.hh"
 #include "ubench/ubench.hh"
 
 namespace {
@@ -218,6 +219,24 @@ TEST(Alloc, MemoryBoundFastForwardIsAllocationFree)
     core.attachThread(0, &prog, 4);
     core.attachThread(1, &prog, 4);
     EXPECT_EQ(allocationsDuring(core, 20000, 5000), 0u);
+}
+
+TEST(Alloc, QueuedLmqWindowsFitTheConstructionReservation)
+{
+    // Three times the entries, all queued behind one another: the
+    // window store was sized for this when the queue was built.
+    Lmq q(8);
+    g_allocs.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_relaxed);
+    for (int k = 0; k < 3 * q.capacity(); ++k) {
+        const Cycle start = q.reserve(k % 2, 0, 0, 100);
+        q.updateLastRelease(start + 90);
+    }
+    for (Cycle now = 0; now <= 300; now += 10)
+        q.advanceTo(now);
+    g_counting.store(false, std::memory_order_relaxed);
+    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0u);
+    EXPECT_EQ(q.queuedMisses(), 16u);
 }
 
 } // namespace

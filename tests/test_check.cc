@@ -24,6 +24,23 @@
 #include "test_helpers.hh"
 
 namespace p5 {
+
+/** Reaches into the LMQ's derived state to corrupt it. */
+struct LmqTestAccess
+{
+    static void
+    countBusy(Lmq &q, ThreadId tid)
+    {
+        ++q.busy_[static_cast<std::size_t>(tid)];
+    }
+
+    static void
+    delayNextEdge(Lmq &q)
+    {
+        ++q.edges_.front().cycle;
+    }
+};
+
 namespace {
 
 using check::CheckFailure;
@@ -328,6 +345,36 @@ TEST(CheckCorruptionTest, GctCheckerCatchesLostGroup)
     EXPECT_EQ(reg.failures().front().checker, "gct");
 }
 
+TEST(CheckCorruptionTest, GctCheckerCatchesAnUnfinishedCountDrift)
+{
+    auto p = test::independentAlus(100000);
+    auto s = test::independentAlus(100000);
+    auto core = busyCore(p, s, 200);
+    const InFlight *victim = nullptr;
+    for (Cycle guard = 0; guard < 1000 && !victim; ++guard) {
+        for (const InFlight &e : core->thread(0).window)
+            if (e.phase != InstrPhase::Finished) {
+                victim = &e;
+                break;
+            }
+        if (!victim)
+            core->tick();
+    }
+    ASSERT_NE(victim, nullptr);
+
+    CheckRegistry reg;
+    reg.add(std::make_unique<check::GctChecker>());
+    const Cycle next = primeSilent(reg, *core);
+
+    // Count an instruction finished that never finished.
+    core->gct().finishOne(0, victim->gctGroup, victim->di.seq);
+
+    reg.onCycle(*core, next);
+    ASSERT_GT(reg.failureCount(), 0u);
+    EXPECT_EQ(reg.failures().front().checker, "gct");
+    EXPECT_EQ(reg.failures().front().invariant, "group-unfinished");
+}
+
 TEST(CheckCorruptionTest, FlowCheckerCatchesForgedReadyEntry)
 {
     auto p = test::independentAlus(100000);
@@ -379,6 +426,71 @@ TEST(CheckCorruptionTest, MemCheckerCatchesPhantomFills)
     reg.onCycle(*core, next);
     ASSERT_GT(reg.failureCount(), 0u);
     EXPECT_EQ(reg.failures().front().checker, "mem");
+}
+
+/** A core running two DRAM-bound threads, with LMQ windows stored. */
+std::unique_ptr<SmtCore>
+missingCore(const SyntheticProgram &p, const SyntheticProgram &s)
+{
+    auto core = busyCore(p, s, 2000);
+    while (core->lmq().edges().empty())
+        core->tick();
+    return core;
+}
+
+TEST(CheckCorruptionTest, MemCheckerCatchesALmqBusyCountDrift)
+{
+    auto p = test::dramChase();
+    auto s = test::dramChase();
+    auto core = missingCore(p, s);
+
+    CheckRegistry reg;
+    reg.add(std::make_unique<check::MemChecker>());
+    const Cycle next = primeSilent(reg, *core);
+
+    LmqTestAccess::countBusy(core->lmq(), 1);
+
+    reg.onCycle(*core, next);
+    ASSERT_GT(reg.failureCount(), 0u);
+    EXPECT_EQ(reg.failures().front().checker, "mem");
+    EXPECT_EQ(reg.failures().front().invariant, "lmq-busy-count");
+}
+
+TEST(CheckCorruptionTest, MemCheckerCatchesALmqNextEdgeDrift)
+{
+    auto p = test::dramChase();
+    auto s = test::dramChase();
+    auto core = missingCore(p, s);
+
+    CheckRegistry reg;
+    reg.add(std::make_unique<check::MemChecker>());
+    const Cycle next = primeSilent(reg, *core);
+
+    LmqTestAccess::delayNextEdge(core->lmq());
+
+    reg.onCycle(*core, next);
+    ASSERT_GT(reg.failureCount(), 0u);
+    EXPECT_EQ(reg.failures().front().checker, "mem");
+    EXPECT_EQ(reg.failures().front().invariant, "lmq-edge");
+}
+
+TEST(CheckCorruptionTest, MemCheckerCatchesALmqOutOfSync)
+{
+    auto p = test::dramChase();
+    auto s = test::dramChase();
+    auto core = missingCore(p, s);
+
+    CheckRegistry reg;
+    reg.add(std::make_unique<check::MemChecker>());
+    const Cycle next = primeSilent(reg, *core);
+
+    // Advance the queue behind the core's back.
+    core->lmq().advanceTo(core->cycle() + 5);
+
+    reg.onCycle(*core, next);
+    ASSERT_GT(reg.failureCount(), 0u);
+    EXPECT_EQ(reg.failures().front().checker, "mem");
+    EXPECT_EQ(reg.failures().front().invariant, "lmq-sync");
 }
 
 TEST(CheckCorruptionTest, IpcCheckerCatchesCommitMiscount)

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/ckpt_io.hh"
 #include "core/chip.hh"
 #include "core/smt_core.hh"
 #include "test_helpers.hh"
+#include "ubench/ubench.hh"
 
 namespace p5 {
 namespace {
@@ -150,7 +152,8 @@ TEST(CoreSmt, BalancerBoundsGctHogging)
     // ...and its cap holds: the hog never exceeds its GCT threshold by
     // more than one group.
     EXPECT_LE(core.gct().occupancyOf(1),
-              static_cast<int>(core.balancer().gctThresholdFor(1) *
+              static_cast<int>(core.balancer().gctThresholdFor(
+                                   1, &core.arbiter().allocator()) *
                                core.gct().capacity()) +
                   1);
 
@@ -259,6 +262,71 @@ TEST(Chip, SeparateCoresDoNotShareL1)
     chip.run(5000);
     EXPECT_GT(chip.core(0).hierarchy().l1d().insertions(), 0u);
     EXPECT_EQ(chip.core(1).hierarchy().l1d().insertions(), 0u);
+}
+
+// --- per-group unfinished counts (commit readiness) -------------------
+//
+// The armed GctChecker recounts every group's unfinished instructions
+// from the window each cycle, so these runs fail on the first drift.
+
+TEST(CoreSmt, UnfinishedCountsSurviveBranchSquashes)
+{
+    const SyntheticProgram prog = makeUbench(UbenchId::BrMiss);
+    CoreParams params;
+    SmtCore core(params);
+    test::withCheckers(core);
+    core.attachThread(0, &prog, 4);
+    core.attachThread(1, &prog, 4);
+    core.run(20000);
+    EXPECT_GT(core.stats().value("thread0.mispredicts"), 100.0);
+    EXPECT_GT(core.stats().value("thread0.squashed"), 0.0);
+}
+
+/** The balancer in Flush mode on a pair that keeps it flushing. */
+CoreParams
+flushingParams()
+{
+    CoreParams params;
+    params.lmqEntries = 3;
+    params.balancer.lmqThreshold = 2;
+    params.balancer.action = BalanceAction::Flush;
+    return params;
+}
+
+TEST(CoreSmt, UnfinishedCountsSurviveBalancerFlushesAndRestore)
+{
+    const SyntheticProgram p = makeUbench(UbenchId::LdintMem);
+    const SyntheticProgram s = makeUbench(UbenchId::LdintL2);
+    SmtCore core(flushingParams());
+    test::withCheckers(core);
+    core.attachThread(0, &p, 5);
+    core.attachThread(1, &s, 3);
+    core.run(200000);
+    EXPECT_GT(core.stats().value("thread1.flushedInstrs"), 0.0);
+
+    // Restore mid-run: the counts are rebuilt from the window, not
+    // read from the image, and the restored core runs on identically.
+    CkptWriter w;
+    core.saveState(w);
+    SmtCore twin(flushingParams());
+    test::withCheckers(twin);
+    twin.attachThread(0, &p, 5);
+    twin.attachThread(1, &s, 3);
+    CkptReader r(w.data());
+    twin.restoreState(r);
+    r.expectEnd();
+    for (ThreadId t = 0; t < num_hw_threads; ++t) {
+        const auto &a = core.gct().groupsOf(t);
+        const auto &b = twin.gct().groupsOf(t);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i)
+            EXPECT_EQ(a[i].unfinished, b[i].unfinished);
+    }
+    core.run(50000);
+    twin.run(50000);
+    for (const std::string &name : core.stats().names())
+        EXPECT_EQ(core.stats().value(name), twin.stats().value(name))
+            << name;
 }
 
 } // namespace

@@ -87,6 +87,52 @@ TEST(Gct, ClearThread)
     EXPECT_TRUE(gct.hasFreeGroup());
 }
 
+TEST(Gct, UnfinishedCountsDownAsInstructionsFinish)
+{
+    Gct gct(4);
+    const std::uint32_t a = gct.allocate(0, 0, 3);
+    const std::uint32_t b = gct.allocate(0, 3, 2);
+    EXPECT_EQ(gct.groupsOf(0)[0].unfinished, 3);
+    EXPECT_EQ(gct.groupsOf(0)[1].unfinished, 2);
+    gct.finishOne(0, a, 1);
+    gct.finishOne(0, b, 4);
+    EXPECT_EQ(gct.groupsOf(0)[0].unfinished, 2);
+    EXPECT_EQ(gct.groupsOf(0)[1].unfinished, 1);
+    // A handle that names another group (or no slot) is caught by the
+    // seq-range check and resolved by search.
+    gct.finishOne(0, a, 3);
+    gct.finishOne(0, ~0u, 0);
+    EXPECT_EQ(gct.groupsOf(0)[0].unfinished, 1);
+    EXPECT_EQ(gct.groupsOf(0)[1].unfinished, 0);
+    // Handles survive the retirement of older groups.
+    gct.popOldest(0);
+    const std::uint32_t c = gct.allocate(0, 5, 1);
+    gct.finishOne(0, c, 5);
+    EXPECT_EQ(gct.oldest(0).unfinished, 0);
+    EXPECT_EQ(gct.groupsOf(0).back().unfinished, 0);
+}
+
+TEST(Gct, SquashLeavesTheRecountToTheCaller)
+{
+    Gct gct(4);
+    gct.allocate(0, 0, 5);
+    gct.squash(0, 2); // keep seqs 0..2
+    EXPECT_EQ(gct.oldest(0).count, 3);
+    EXPECT_EQ(gct.oldest(0).unfinished, 5);
+    gct.setUnfinished(0, 0, 1);
+    EXPECT_EQ(gct.oldest(0).unfinished, 1);
+}
+
+TEST(GctDeath, FinishingOutsideEveryGroupIsPanic)
+{
+    Gct gct(4);
+    const std::uint32_t a = gct.allocate(0, 0, 2);
+    EXPECT_DEATH(gct.finishOne(0, a, 2), "in no group");
+    gct.finishOne(0, a, 0);
+    gct.finishOne(0, a, 1);
+    EXPECT_DEATH(gct.finishOne(0, a, 1), "already finished");
+}
+
 TEST(GctDeath, OverflowIsPanic)
 {
     Gct gct(1);
