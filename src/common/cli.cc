@@ -1,6 +1,7 @@
 #include "common/cli.hh"
 
 #include <cstdio>
+#include <string_view>
 
 #include "common/log.hh"
 #include "common/parse.hh"
@@ -35,11 +36,14 @@ Cli::declareMulti(const std::string &name, const std::string &help)
 void
 Cli::parse(int argc, const char *const *argv)
 {
+    const auto isFlag = [](std::string_view arg) {
+        return arg.substr(0, 2) == "--";
+    };
     for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0)
-            fatal("unexpected positional argument '%s'", arg.c_str());
-        arg = arg.substr(2);
+        std::string_view arg = argv[i];
+        if (!isFlag(arg))
+            fatal("unexpected positional argument '%s'", argv[i]);
+        arg.remove_prefix(2);
 
         if (arg == "help") {
             if (!exitOnHelp_) {
@@ -50,17 +54,14 @@ Cli::parse(int argc, const char *const *argv)
             std::exit(0);
         }
 
-        std::string name;
+        // "--name=value" splits at the first '='; the value may hold
+        // more of them ("--set=a=1") or be empty ("--name=").
+        const std::size_t eq = arg.find('=');
+        const bool have_value = eq != std::string_view::npos;
+        const std::string name(arg.substr(0, eq));
         std::string value;
-        bool have_value = false;
-        auto eq = arg.find('=');
-        if (eq != std::string::npos) {
-            name = arg.substr(0, eq);
+        if (have_value)
             value = arg.substr(eq + 1);
-            have_value = true;
-        } else {
-            name = arg;
-        }
 
         auto it = flags_.find(name);
         if (it == flags_.end())
@@ -69,8 +70,7 @@ Cli::parse(int argc, const char *const *argv)
         bool implied = false;
         if (!have_value) {
             // "--flag value" if the next token is not a flag, else boolean.
-            if (i + 1 < argc &&
-                std::string(argv[i + 1]).rfind("--", 0) != 0) {
+            if (i + 1 < argc && !isFlag(argv[i + 1])) {
                 value = argv[++i];
             } else {
                 value = "true";

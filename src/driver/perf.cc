@@ -313,6 +313,19 @@ writeFastSlowCase(JsonWriter &w, const char *name, const AbResult &r,
 
 } // namespace
 
+void
+writeBuildInfo(JsonWriter &w)
+{
+    // The P5SIM_BUILD_* macros are defined for this file by
+    // src/CMakeLists.txt.
+    w.beginObject();
+    w.member("compiler", P5SIM_BUILD_COMPILER_ID);
+    w.member("compilerVersion", P5SIM_BUILD_COMPILER_VERSION);
+    w.member("buildType", P5SIM_BUILD_TYPE);
+    w.member("ipo", P5SIM_BUILD_IPO != 0);
+    w.endObject();
+}
+
 int
 writePerfReport(const std::string &path, std::ostream &err)
 {
@@ -326,6 +339,8 @@ writePerfReport(const std::string &path, std::ostream &err)
     JsonWriter w(os);
     w.beginObject();
     w.member("experiment", "bench_sim_perf");
+    w.key("build");
+    writeBuildInfo(w);
     w.key("cases");
     w.beginArray();
     for (const PerfCase &c : report_cases) {

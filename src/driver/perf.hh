@@ -17,6 +17,8 @@
 
 namespace p5 {
 
+class JsonWriter;
+
 /** What one run of an A/B arm computed, and how long it took. */
 struct ArmRun
 {
@@ -62,6 +64,14 @@ struct AbResult
 AbResult abCase(const std::string &name, const Arm &arm_a,
                 const Arm &arm_b, int reps, std::ostream &err,
                 const std::function<double()> &clock = steadyWallMs);
+
+/**
+ * Write the report's "build" object: compiler id and version, build
+ * type and whether the library was built with interprocedural
+ * optimisation. Absolute throughput is comparable only between reports
+ * whose build objects match.
+ */
+void writeBuildInfo(JsonWriter &w);
 
 /**
  * Write the report tools/compare_perf.py reads to @p path. Nonzero

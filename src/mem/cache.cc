@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 
@@ -33,18 +34,22 @@ Cache::Cache(const CacheParams &params) : params_(params)
         fatal("cache '%s': set count must be a power of two",
               params_.name.c_str());
     lines_.resize(lines);
+    // Both are powers of two, so the shifts equal the divides exactly.
+    lineShift_ =
+        std::countr_zero(static_cast<std::uint64_t>(params_.lineBytes));
+    tagShift_ = lineShift_ + std::countr_zero(numSets_);
 }
 
 std::uint64_t
 Cache::setIndex(Addr addr) const
 {
-    return (addr / params_.lineBytes) & (numSets_ - 1);
+    return (addr >> lineShift_) & (numSets_ - 1);
 }
 
 Addr
 Cache::tagOf(Addr addr) const
 {
-    return (addr / params_.lineBytes) / numSets_;
+    return addr >> tagShift_;
 }
 
 bool

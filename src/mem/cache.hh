@@ -106,6 +106,8 @@ class Cache
 
     CacheParams params_;
     std::uint64_t numSets_;
+    int lineShift_; ///< log2(lineBytes): address to line number
+    int tagShift_;  ///< log2(lineBytes * numSets_): address to tag
     std::vector<Line> lines_; // numSets_ * assoc, row-major by set
     std::uint64_t useClock_ = 0;
     Cycle nextFree_ = 0;

@@ -1,5 +1,7 @@
 #include "mem/tlb.hh"
 
+#include <bit>
+
 #include "common/log.hh"
 
 namespace p5 {
@@ -18,6 +20,8 @@ Tlb::Tlb(const TlbParams &params) : params_(params)
         fatal("tlb '%s': set count must be a power of two",
               params_.name.c_str());
     entries_.resize(static_cast<std::size_t>(params_.entries));
+    // A power of two, so the shift equals the divide exactly.
+    pageShift_ = std::countr_zero(params_.pageBytes);
 }
 
 std::uint64_t
@@ -29,7 +33,7 @@ Tlb::setIndex(std::uint64_t vpn) const
 TlbResult
 Tlb::access(Addr addr)
 {
-    const std::uint64_t vpn = addr / params_.pageBytes;
+    const std::uint64_t vpn = addr >> pageShift_;
     const std::uint64_t set = setIndex(vpn);
     Entry *base = &entries_[set * params_.assoc];
 
@@ -61,7 +65,7 @@ Tlb::access(Addr addr)
 bool
 Tlb::probe(Addr addr) const
 {
-    const std::uint64_t vpn = addr / params_.pageBytes;
+    const std::uint64_t vpn = addr >> pageShift_;
     const std::uint64_t set = setIndex(vpn);
     const Entry *base = &entries_[set * params_.assoc];
     for (int w = 0; w < params_.assoc; ++w)

@@ -79,6 +79,7 @@ class Tlb
 
     TlbParams params_;
     std::uint64_t numSets_;
+    int pageShift_; ///< log2(pageBytes): address to virtual page number
     std::vector<Entry> entries_;
     std::uint64_t useClock_ = 0;
 

@@ -1,0 +1,148 @@
+/**
+ * @file
+ * Reference set-associative LRU array indexed with the divide formula,
+ * the differential oracle for the Cache and Tlb models (which index
+ * with precomputed shifts and a mask), and the address pool that
+ * drives it.
+ */
+
+#ifndef P5SIM_TESTS_LRU_REFERENCE_HH
+#define P5SIM_TESTS_LRU_REFERENCE_HH
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.hh"
+#include "common/types.hh"
+
+namespace p5::test {
+
+/**
+ * block = addr / blockBytes, set = block % sets, tag = block / sets.
+ * Replacement takes the first invalid way, else the least recently
+ * used one, as both models do.
+ */
+class LruReference
+{
+  public:
+    LruReference(std::uint64_t block_bytes, std::uint64_t sets, int assoc)
+        : blockBytes_(block_bytes), sets_(sets), assoc_(assoc),
+          ways_(sets * static_cast<std::uint64_t>(assoc))
+    {
+    }
+
+    /** True iff the block of @p addr is present; no side effects. */
+    bool
+    probe(Addr addr) const
+    {
+        return find(addr) >= 0;
+    }
+
+    /** On a hit the block becomes most recently used. */
+    bool
+    lookup(Addr addr)
+    {
+        const int w = find(addr);
+        if (w >= 0)
+            ways_[base(addr) + w].lastUse = ++clock_;
+        return w >= 0;
+    }
+
+    /**
+     * Install the block of @p addr (a hit only refreshes recency).
+     * @return true iff a valid block was evicted.
+     */
+    bool
+    insert(Addr addr)
+    {
+        if (lookup(addr))
+            return false;
+        Way *ways = &ways_[base(addr)];
+        Way *victim = ways;
+        for (int w = 0; w < assoc_; ++w) {
+            if (!ways[w].valid) {
+                victim = &ways[w];
+                break;
+            }
+            if (ways[w].lastUse < victim->lastUse)
+                victim = &ways[w];
+        }
+        const bool evicted = victim->valid;
+        *victim = {tagOf(addr), true, ++clock_};
+        return evicted;
+    }
+
+    void
+    invalidate(Addr addr)
+    {
+        const int w = find(addr);
+        if (w >= 0)
+            ways_[base(addr) + w].valid = false;
+    }
+
+  private:
+    struct Way
+    {
+        std::uint64_t tag = 0;
+        bool valid = false;
+        std::uint64_t lastUse = 0;
+    };
+
+    std::uint64_t
+    tagOf(Addr addr) const
+    {
+        return addr / blockBytes_ / sets_;
+    }
+
+    /** Index of the first way of @p addr's set. */
+    std::size_t
+    base(Addr addr) const
+    {
+        return addr / blockBytes_ % sets_ *
+               static_cast<std::uint64_t>(assoc_);
+    }
+
+    /** The way holding @p addr's block, or -1. */
+    int
+    find(Addr addr) const
+    {
+        for (int w = 0; w < assoc_; ++w) {
+            const Way &way = ways_[base(addr) + w];
+            if (way.valid && way.tag == tagOf(addr))
+                return w;
+        }
+        return -1;
+    }
+
+    std::uint64_t blockBytes_;
+    std::uint64_t sets_;
+    int assoc_;
+    std::vector<Way> ways_;
+    std::uint64_t clock_ = 0;
+};
+
+/**
+ * @p count tags for addresses tag * @p span + offset: alternately a
+ * neighbour of one random base tag (base + i) and the base with one
+ * random bit of the tag flipped. An index function that drops or
+ * misplaces any tag bit makes two of them alias.
+ */
+inline std::vector<std::uint64_t>
+collidingTags(Rng &rng, std::uint64_t span, int count)
+{
+    int tag_bits = 64;
+    for (std::uint64_t s = span; s > 1; s /= 2)
+        --tag_bits;
+    const std::uint64_t base = rng.next() / span;
+    std::vector<std::uint64_t> tags;
+    for (int i = 0; i < count; ++i)
+        tags.push_back(i % 2 == 0
+                           ? base + static_cast<std::uint64_t>(i / 2)
+                           : base ^ (1ULL << rng.below(tag_bits)));
+    return tags;
+}
+
+} // namespace p5::test
+
+#endif // P5SIM_TESTS_LRU_REFERENCE_HH

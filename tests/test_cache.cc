@@ -3,8 +3,13 @@
  * Unit and property tests for the set-associative cache model.
  */
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
+#include "lru_reference.hh"
 #include "mem/cache.hh"
 
 namespace p5 {
@@ -165,6 +170,69 @@ INSTANTIATE_TEST_SUITE_P(Geometries, CacheResidencyTest,
                                                               8),
                                             ::testing::Values(64, 128,
                                                               256)));
+
+// Differential: shift-and-mask indexing must reproduce the divide
+// formula's hit, miss and eviction sequence on every geometry.
+TEST(Cache, ShiftIndexingMatchesTheDivideFormula)
+{
+    std::uint64_t geometry = 0;
+    for (const int line : {32, 64, 128, 256}) {
+        for (const std::uint64_t sets : {1, 2, 64, 1024, 4096}) {
+            for (const int assoc : {1, 2, 4, 8, 16}) {
+                SCOPED_TRACE(testing::Message()
+                             << line << "B lines, " << sets << " sets, "
+                             << assoc << " ways");
+                const std::uint64_t span =
+                    sets * static_cast<std::uint64_t>(line);
+                Cache c(CacheParams{"diff", span * assoc, assoc, line, 2,
+                                    1});
+                test::LruReference ref(line, sets, assoc);
+                Rng rng(0xd1ff5eedULL + geometry++);
+
+                // Tags from a pool three times the associativity, over
+                // at most four sets, so lines collide and evict; one
+                // access in eight is a uniformly random address. Pool
+                // tags are neighbours of one base or differ from it in
+                // one bit, so dropping any tag bit aliases two of them.
+                const std::vector<std::uint64_t> tags =
+                    test::collidingTags(rng, span, 3 * assoc);
+                const std::uint64_t hot_sets = std::min<std::uint64_t>(
+                    sets, 4);
+                for (int op = 0; op < 4000; ++op) {
+                    Addr addr = rng.next();
+                    if (!rng.chance(0.125))
+                        addr = tags[rng.below(tags.size())] * span +
+                               rng.below(hot_sets) * line +
+                               rng.below(line);
+                    switch (rng.below(4)) {
+                    case 0:
+                        ASSERT_EQ(c.probe(addr), ref.probe(addr)) << op;
+                        break;
+                    case 1:
+                        ASSERT_EQ(c.lookup(addr), ref.lookup(addr)) << op;
+                        break;
+                    case 2: {
+                        const std::uint64_t before = c.evictions();
+                        const bool evicted = ref.insert(addr);
+                        c.insert(addr);
+                        ASSERT_EQ(c.evictions() - before, evicted ? 1u : 0u)
+                            << op;
+                        break;
+                    }
+                    default:
+                        if (rng.chance(0.1)) {
+                            c.invalidate(addr);
+                            ref.invalidate(addr);
+                        } else {
+                            ASSERT_EQ(c.lookup(addr), ref.lookup(addr))
+                                << op;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
 
 } // namespace
 } // namespace p5

@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -349,6 +350,40 @@ TEST(CliDeath, ABareValuedFlagNeedsAValue)
     EXPECT_EQ(parsed({"--json", "true"})->str("json"), "true");
     EXPECT_EQ(parsed({"--json", "--json=a.json"})->str("json"), "a.json");
     EXPECT_EQ(parsed({"--fast"})->str("json"), "");
+}
+
+TEST(Cli, ValueSplitsAtTheFirstEquals)
+{
+    Cli cli;
+    cli.declare("a", "", "");
+    cli.declareMulti("set", "");
+    const char *argv[] = {"prog", "--a=b=c", "--set=x=1", "--set", "y=2"};
+    cli.parse(5, argv);
+    EXPECT_EQ(cli.str("a"), "b=c");
+    EXPECT_EQ(cli.list("set"), (std::vector<std::string>{"x=1", "y=2"}));
+}
+
+TEST(Cli, EmptyValueIsAValue)
+{
+    // "--name=" sets the empty string: it is not a bare flag, so it
+    // neither needs a value nor takes the next token.
+    Cli cli;
+    cli.declare("name", "default", "");
+    cli.declare("fast", "false", "");
+    const char *argv[] = {"prog", "--name=", "--fast"};
+    cli.parse(3, argv);
+    EXPECT_TRUE(cli.isSet("name"));
+    EXPECT_EQ(cli.str("name"), "");
+    EXPECT_TRUE(cli.boolean("fast"));
+}
+
+TEST(CliDeath, BareDoubleDashIsAnUnknownFlag)
+{
+    Cli cli;
+    cli.declare("known", "0", "");
+    const char *argv[] = {"prog", "--", "value"};
+    EXPECT_EXIT(cli.parse(3, argv), ::testing::ExitedWithCode(1),
+                "unknown flag '--' ");
 }
 
 TEST(Parse, StatusCoversTheFailureTaxonomy)

@@ -1366,6 +1366,19 @@ TEST(PerfHarness, OneDeviantRepetitionFailsTheIdentityCheck)
     EXPECT_EQ(err.str(), "case: 10 ms -> 5 ms (2x)  STATS DEVIATE\n");
 }
 
+TEST(PerfHarness, BuildInfoNamesTheCompilerBuildTypeAndIpo)
+{
+    std::ostringstream os;
+    {
+        JsonWriter w(os);
+        writeBuildInfo(w);
+    }
+    const JsonValue build = parseJson(os.str());
+    for (const char *member : {"compiler", "compilerVersion", "buildType"})
+        EXPECT_FALSE(build.find(member)->asString().empty()) << member;
+    EXPECT_TRUE(build.find("ipo")->isBool());
+}
+
 // --- alloc -------------------------------------------------------------
 
 TEST(Driver, AllocComparesPoliciesOnAnNCoreChip)

@@ -3,8 +3,13 @@
  * Unit tests for the D-TLB model.
  */
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
+#include "lru_reference.hh"
 #include "mem/tlb.hh"
 
 namespace p5 {
@@ -81,6 +86,49 @@ TEST(Tlb, CapacityReach)
         if (t.probe(p * 4096))
             ++resident;
     EXPECT_EQ(resident, 8);
+}
+
+// Differential: the page shift must reproduce the divide formula's
+// hit and miss sequence on every geometry.
+TEST(Tlb, ShiftIndexingMatchesTheDivideFormula)
+{
+    std::uint64_t geometry = 0;
+    for (const std::uint64_t page : {4096ULL, 65536ULL, 1ULL << 24}) {
+        for (const int sets : {1, 4, 256}) {
+            for (const int assoc : {1, 2, 4, 16}) {
+                SCOPED_TRACE(testing::Message()
+                             << page << "B pages, " << sets << " sets, "
+                             << assoc << " ways");
+                Tlb t(TlbParams{"diff", sets * assoc, assoc, page, 100});
+                test::LruReference ref(page, sets, assoc);
+                Rng rng(0x71b5eedULL + geometry++);
+
+                // Pages collide over at most four sets, as in the cache
+                // test; one access in eight is uniformly random.
+                const std::uint64_t span =
+                    page * static_cast<std::uint64_t>(sets);
+                const std::vector<std::uint64_t> tags =
+                    test::collidingTags(rng, span, 3 * assoc);
+                const int hot_sets = std::min(sets, 4);
+                for (int op = 0; op < 4000; ++op) {
+                    Addr addr = rng.next();
+                    if (!rng.chance(0.125))
+                        addr = tags[rng.below(tags.size())] * span +
+                               rng.below(hot_sets) * page + rng.below(page);
+                    if (rng.chance(0.25)) {
+                        ASSERT_EQ(t.probe(addr), ref.probe(addr)) << op;
+                        continue;
+                    }
+                    const bool hit = ref.lookup(addr);
+                    if (!hit)
+                        ref.insert(addr);
+                    const TlbResult r = t.access(addr);
+                    ASSERT_EQ(r.hit, hit) << op;
+                    ASSERT_EQ(r.latency, hit ? 0 : 100) << op;
+                }
+            }
+        }
+    }
 }
 
 TEST(TlbDeath, BadGeometryIsFatal)

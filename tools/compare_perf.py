@@ -36,7 +36,11 @@ Absolute throughput (``mcyclesPerSecFast``, ``minstrPerSecFast``:
 simulated cycles and committed instructions per wall second of the fast
 arm, in millions) is printed per case with its ratio to the baseline
 when the baseline records it. It is never gated: wall clock drifts
-across hosts and over time.
+across hosts and over time. Each report's ``build`` object (compiler,
+build type, interprocedural optimisation on/off) says how the binary
+was built; when the two reports' builds differ, or one has none, a
+note says so, because absolute throughput from differently built
+binaries does not compare. The note never gates either.
 
 Every case is timed by one harness (``abCase`` in src/driver/perf.cc):
 one discarded first-touch run of the fast arm, then N repetitions of
@@ -130,8 +134,29 @@ def throughput_note(name, base, case):
     return f"{name}: throughput " + ", ".join(parts)
 
 
+def describe_build(report):
+    build = report.get("build")
+    if build is None:
+        return "unrecorded"
+    ipo = "IPO on" if build.get("ipo") else "IPO off"
+    return (f"{build.get('compiler')} {build.get('compilerVersion')}, "
+            f"{build.get('buildType')}, {ipo}")
+
+
+def build_note(baseline, fresh):
+    """A note when the two reports come from different builds, or None."""
+    if baseline.get("build") == fresh.get("build"):
+        return None
+    return (f"note: builds differ (baseline: {describe_build(baseline)}; "
+            f"fresh: {describe_build(fresh)}), so absolute throughput "
+            f"is not comparable")
+
+
 def compare(baseline, fresh):
     errors = []
+    note = build_note(baseline, fresh)
+    if note:
+        print(note)
     fresh_by_name = {c["name"]: c for c in fresh.get("cases", [])}
     for base in baseline.get("cases", []):
         name = base["name"]
