@@ -1301,7 +1301,12 @@ gcReason(const std::string &name)
     return nullptr;
 }
 
-/** Recursively collect gc candidates under @p dir (sorted later). */
+/**
+ * Recursively collect gc candidates under @p dir (sorted later). Uses
+ * lstat, so a symlink is never descended into: a link to "." would
+ * loop, and a link out of the store would let --apply delete files
+ * that the store does not own.
+ */
 void
 gcScan(const std::string &dir, std::vector<GcCandidate> &out)
 {
@@ -1314,7 +1319,7 @@ gcScan(const std::string &dir, std::vector<GcCandidate> &out)
             continue;
         const std::string path = dir + "/" + name;
         struct stat st;
-        if (::stat(path.c_str(), &st) != 0)
+        if (::lstat(path.c_str(), &st) != 0)
             continue;
         if (S_ISDIR(st.st_mode)) {
             gcScan(path, out);

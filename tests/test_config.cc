@@ -6,6 +6,7 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -396,15 +397,28 @@ TEST(ConfigTree, FingerprintIsStableAcrossInstances)
 
 TEST(ConfigTree, FingerprintTracksIdentityFields)
 {
-    ExpConfig base, changed;
-    ConfigTree changed_tree(changed);
-    changed_tree.set("core.lmq_entries", "16");
-    EXPECT_NE(ConfigTree(base).fingerprint(), changed_tree.fingerprint());
-
-    ExpConfig seeded;
-    ConfigTree seeded_tree(seeded);
-    seeded_tree.set("exp.seed", "99");
-    EXPECT_NE(ConfigTree(base).fingerprint(), seeded_tree.fingerprint());
+    const auto fingerprintWith = [](const char *path, const char *value) {
+        ExpConfig config;
+        ConfigTree tree(config);
+        tree.set(path, value);
+        return tree.fingerprint();
+    };
+    // Each override moves the fingerprint to a value of its own (chip
+    // and scheduler paths included), and repeating it gives the same.
+    ExpConfig base;
+    std::vector<std::uint64_t> seen = {ConfigTree(base).fingerprint()};
+    const std::pair<const char *, const char *> overrides[] = {
+        {"core.lmq_entries", "16"},   {"exp.seed", "99"},
+        {"chip.num_cores", "4"},      {"sched.policy", "symbiosis"},
+        {"sched.quantum", "8192"},
+    };
+    for (const auto &[path, value] : overrides) {
+        const std::uint64_t fp = fingerprintWith(path, value);
+        EXPECT_EQ(fp, fingerprintWith(path, value)) << path;
+        EXPECT_EQ(std::find(seen.begin(), seen.end(), fp), seen.end())
+            << path;
+        seen.push_back(fp);
+    }
 }
 
 TEST(ConfigTree, ExecutionOnlyFieldsStayOutOfTheFingerprint)

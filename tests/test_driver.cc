@@ -652,17 +652,14 @@ TEST(Driver, SweepResumeRecomputesOnlyTheMissingPoints)
         "");
     ASSERT_EQ(second.exitCode, 0);
     const JsonValue report_b = readReport(full_b);
-    EXPECT_EQ(
-        report_b.find("data")->find("store")->find("stored")->asInt(),
-        4);
-    EXPECT_EQ(report_b.find("data")
-                  ->find("store")
-                  ->find("recomputed")
-                  ->asInt(),
-              0);
+    const JsonValue *store_b = report_b.find("data")->find("store");
+    EXPECT_EQ(store_b->find("stored")->asInt(), 4);
+    EXPECT_EQ(store_b->find("recomputed")->asInt(), 0);
+    EXPECT_EQ(store_b->find("presentBefore")->asInt(), 4);
+    EXPECT_EQ(store_b->find("quarantined")->asInt(), 0);
 
     // Store-served and freshly-simulated runs publish byte-identical
-    // point data (what CI's store-smoke job diffs).
+    // point data.
     EXPECT_EQ(report_a.find("data")->find("points")->dump(),
               report_b.find("data")->find("points")->dump());
     std::remove(half.c_str());
@@ -852,6 +849,8 @@ TEST(Driver, ServeAnswersFingerprintAndStoreQueries)
 
     ASSERT_TRUE(std::getline(lines, line));
     EXPECT_NE(line.find("\"entries\": 2"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"schemaVersion\": 1"), std::string::npos)
+        << line;
 
     ASSERT_TRUE(std::getline(lines, line));
     EXPECT_NE(line.find("no stored result"), std::string::npos) << line;
@@ -1081,6 +1080,34 @@ TEST(Driver, StoreGcReclaimsDeadFilesOnlyOnApply)
     std::remove(gc_json.c_str());
 }
 
+TEST(Driver, StoreGcDoesNotFollowSymlinksOutOfTheStore)
+{
+    // A link back to the store and a link out of it: following either
+    // would list files twice (or forever) and let --apply delete a
+    // file the store does not own.
+    namespace fs = std::filesystem;
+    const std::string root = freshStoreDir("store_gc_links");
+    const std::string dir = root + "/store";
+    const std::string victim = root + "/outside/victim.bad";
+    fs::create_directories(dir);
+    fs::create_directories(root + "/outside");
+    std::ofstream(dir + "/a.bad") << "junk\n";
+    std::ofstream(victim) << "junk\n";
+    fs::create_directory_symlink(".", dir + "/loop");
+    fs::create_directory_symlink("../outside", dir + "/link");
+
+    const Invocation dry = invoke({"store-gc", "--store", dir.c_str()});
+    ASSERT_EQ(dry.exitCode, 0);
+    EXPECT_NE(dry.out.find("store-gc: 1 candidate,"), std::string::npos)
+        << dry.out;
+
+    const Invocation applied =
+        invoke({"store-gc", "--store", dir.c_str(), "--apply"});
+    EXPECT_EQ(applied.exitCode, 0) << applied.out;
+    EXPECT_FALSE(fs::exists(dir + "/a.bad"));
+    EXPECT_TRUE(fs::exists(victim));
+}
+
 TEST(DriverDeath, StoreGcRequiresAStore)
 {
     EXPECT_EXIT(invoke({"store-gc"}), ::testing::ExitedWithCode(1),
@@ -1125,6 +1152,89 @@ TEST(Driver, TraceCheckTreatsAMissingFileAsAMiss)
     // A corrupt file is still quarantined.
     const std::string broken = dir + "/broken.trace";
     std::ofstream(broken) << "garbage\n";
+    EXPECT_EQ(invoke({"trace", "check", broken.c_str()}).exitCode, 1);
+    EXPECT_FALSE(std::filesystem::exists(broken));
+    EXPECT_TRUE(std::filesystem::exists(broken + ".bad"));
+}
+
+/**
+ * The trace CLI end to end for one benchmark: dump, info and check a
+ * trace; replay it through `run` byte-identical to the generator; and
+ * store a sweep point and its trace twin as two distinct entries. The
+ * dump scale matches ExpConfig::fast()'s ubench scale, since a trace
+ * records one concrete body.
+ */
+TEST(Driver, TraceDumpReplaysByteIdenticalAndStoresApart)
+{
+    const std::string dir = freshStoreDir("trace_cli");
+    std::filesystem::create_directories(dir);
+    const std::string trace = dir + "/cpu_int.trace";
+    ASSERT_EQ(invoke({"trace", "dump", "--benchmark", "cpu_int", "--scale",
+                      "0.5", "--executions", "200", "--out",
+                      trace.c_str()})
+                  .exitCode,
+              0);
+    const Invocation info = invoke({"trace", "info", trace.c_str()});
+    ASSERT_EQ(info.exitCode, 0);
+    EXPECT_NE(info.out.find("cpu_int"), std::string::npos) << info.out;
+    const Invocation check = invoke({"trace", "check", trace.c_str()});
+    ASSERT_EQ(check.exitCode, 0);
+    EXPECT_NE(check.out.find(" ok ("), std::string::npos) << check.out;
+
+    const std::string set_p = "workload.trace=" + trace;
+    const std::string set_s = "workload.trace_secondary=" + trace;
+    const Invocation synth = invoke(
+        {"run", "--fast", "--primary", "cpu_int", "--secondary", "cpu_int"});
+    const Invocation replay = invoke({"run", "--fast", "--set",
+                                      set_p.c_str(), "--set",
+                                      set_s.c_str()});
+    ASSERT_EQ(synth.exitCode, 0);
+    ASSERT_EQ(replay.exitCode, 0);
+    EXPECT_EQ(replay.out, synth.out);
+
+    // The trace's content fingerprint folds into the point's, so both
+    // land in one store as separate entries. The axis value is unique
+    // to this test so the process-wide result cache is cold.
+    const std::string store = dir + "/store";
+    const std::string j_synth = dir + "/sweep_synth.json";
+    const std::string j_trace = dir + "/sweep_trace.json";
+    const char *axis = "core.mem.dram_latency=219";
+    ASSERT_EQ(invoke({"sweep", "--fast", "--store", store.c_str(),
+                      "--sweep", axis, ("--json=" + j_synth).c_str()})
+                  .exitCode,
+              0);
+    ASSERT_EQ(invoke({"sweep", "--fast", "--store", store.c_str(), "--set",
+                      set_p.c_str(), "--sweep", axis,
+                      ("--json=" + j_trace).c_str()})
+                  .exitCode,
+              0);
+    const JsonValue r_synth = readReport(j_synth);
+    const JsonValue r_trace = readReport(j_trace);
+    const auto point_fp = [](const JsonValue &report) {
+        return report.find("data")
+            ->find("points")
+            ->elements()
+            .at(0)
+            .find("fingerprint")
+            ->asString();
+    };
+    EXPECT_NE(point_fp(r_synth), point_fp(r_trace));
+    const JsonValue *counts = r_trace.find("data")->find("store");
+    EXPECT_EQ(counts->find("entries")->asInt(), 2);
+    EXPECT_EQ(counts->find("quarantined")->asInt(), 0);
+    const JsonValue *primary =
+        r_trace.find("provenance")->find("trace")->find("primary");
+    ASSERT_NE(primary, nullptr);
+    EXPECT_EQ(primary->find("name")->asString(), "cpu_int");
+    const std::string fp = primary->find("fingerprint")->asString();
+    EXPECT_EQ(fp.size(), 16u);
+    EXPECT_EQ(fp.find_first_not_of("0123456789abcdef"), std::string::npos)
+        << fp;
+
+    // A truncated copy fails `trace check` and is quarantined.
+    const std::string broken = dir + "/broken.trace";
+    std::filesystem::copy_file(trace, broken);
+    std::filesystem::resize_file(broken, 2000);
     EXPECT_EQ(invoke({"trace", "check", broken.c_str()}).exitCode, 1);
     EXPECT_FALSE(std::filesystem::exists(broken));
     EXPECT_TRUE(std::filesystem::exists(broken + ".bad"));
@@ -1183,8 +1293,10 @@ TEST(Driver, CheckpointedTable3IsByteIdenticalAndAccounted)
     const std::int64_t warmed = ck1->find("warms")->asInt();
     EXPECT_GT(warmed, 0);
     EXPECT_EQ(ck1->find("storeForks")->asInt(), 0);
+    EXPECT_EQ(ck1->find("storeWrites")->asInt(), warmed);
     EXPECT_EQ(ck2->find("warms")->asInt(), 0);
     EXPECT_EQ(ck2->find("storeForks")->asInt(), warmed);
+    EXPECT_EQ(ck2->find("storeQuarantined")->asInt(), 0);
     EXPECT_FALSE(ck3->find("enabled")->asBool());
 
     // The accounting line goes to stderr, never stdout.
@@ -1423,6 +1535,35 @@ TEST(Driver, AllocComparesPoliciesOnAnNCoreChip)
     EXPECT_EQ(readReport(path_b).find("data")->dump(), data->dump());
     std::remove(path_a.c_str());
     std::remove(path_b.c_str());
+}
+
+TEST(Driver, AllocSymbiosisSplitsTheDramStreamersAndBeatsPinned)
+{
+    // The mix is ordered so pinned co-schedules the two DRAM streamers
+    // on one core; the symbiosis predictor must split them.
+    const std::string path = tempPath("alloc_symbiosis.json");
+    ASSERT_EQ(invoke({"alloc", "--fast",
+                      "--mix=cpu_int,cpu_int,ldint_mem,ldint_mem",
+                      "--policies=pinned,symbiosis", "--cycles=80000",
+                      "--set", "chip.num_cores=2", "--set",
+                      "sched.quantum=5000", ("--json=" + path).c_str()})
+                  .exitCode,
+              0);
+    const JsonValue report = readReport(path);
+    const JsonValue *outcomes = report.find("data")->find("outcomes");
+    ASSERT_EQ(outcomes->elements().size(), 2u);
+    const JsonValue &pinned = outcomes->elements()[0];
+    const JsonValue &symbiosis = outcomes->elements()[1];
+    EXPECT_EQ(pinned.find("policy")->asString(), "pinned");
+    EXPECT_EQ(symbiosis.find("policy")->asString(), "symbiosis");
+    for (const JsonValue &out : outcomes->elements()) {
+        EXPECT_EQ(out.find("quanta")->asInt(), 16);
+        EXPECT_EQ(out.find("checkViolations")->asInt(), 0);
+    }
+    EXPECT_EQ(pinned.find("migrations")->asInt(), 0);
+    EXPECT_GT(symbiosis.find("aggregateIpc")->asDouble(),
+              pinned.find("aggregateIpc")->asDouble());
+    std::remove(path.c_str());
 }
 
 TEST(Driver, AllocRejectsBadInputs)
