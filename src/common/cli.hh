@@ -63,6 +63,12 @@ class Cli
     double real(const std::string &name) const;
     bool boolean(const std::string &name) const;
 
+    /** True iff the flag was declared. */
+    bool declared(const std::string &name) const
+    {
+        return flags_.count(name) != 0;
+    }
+
     /** True iff the flag was explicitly set on the command line. */
     bool isSet(const std::string &name) const;
 

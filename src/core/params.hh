@@ -142,8 +142,8 @@ struct P5_CONFIG_STRUCT CoreParams
      * component event instead of ticking through the gap. Stall, slot
      * and balancer counters are advanced arithmetically, so every
      * observable stat is bit-identical to cycle-by-cycle ticking — the
-     * knob exists as an escape hatch (--no-fast-forward) and for the
-     * equivalence tests, not because results differ.
+     * knob exists as an escape hatch (--set core.fast_forward=false)
+     * and for the equivalence tests, not because results differ.
      */
     bool fastForward = true;
 

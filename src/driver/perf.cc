@@ -7,9 +7,12 @@
 #include <memory>
 
 #include "ckpt/ckpt_manager.hh"
+#include "common/cli.hh"
 #include "common/json.hh"
+#include "common/log.hh"
 #include "core/chip.hh"
 #include "core/smt_core.hh"
+#include "driver/commands.hh"
 #include "fame/fame.hh"
 #include "program/trace.hh"
 #include "sched/alloc_engine.hh"
@@ -78,6 +81,19 @@ abCase(const std::string &name, const Arm &arm_a, const Arm &arm_b,
         << " ms (" << res.speedup << "x)"
         << (res.identicalStats ? "" : "  STATS DEVIATE") << '\n';
     return res;
+}
+
+void
+writeBuildInfo(JsonWriter &w)
+{
+    // The P5SIM_BUILD_* macros are defined for this file by
+    // src/CMakeLists.txt.
+    w.beginObject();
+    w.member("compiler", P5SIM_BUILD_COMPILER_ID);
+    w.member("compilerVersion", P5SIM_BUILD_COMPILER_VERSION);
+    w.member("buildType", P5SIM_BUILD_TYPE);
+    w.member("ipo", P5SIM_BUILD_IPO != 0);
+    w.endObject();
 }
 
 namespace {
@@ -311,21 +327,10 @@ writeFastSlowCase(JsonWriter &w, const char *name, const AbResult &r,
     w.endObject();
 }
 
-} // namespace
-
-void
-writeBuildInfo(JsonWriter &w)
-{
-    // The P5SIM_BUILD_* macros are defined for this file by
-    // src/CMakeLists.txt.
-    w.beginObject();
-    w.member("compiler", P5SIM_BUILD_COMPILER_ID);
-    w.member("compilerVersion", P5SIM_BUILD_COMPILER_VERSION);
-    w.member("buildType", P5SIM_BUILD_TYPE);
-    w.member("ipo", P5SIM_BUILD_IPO != 0);
-    w.endObject();
-}
-
+/**
+ * Write the report tools/compare_perf.py reads to @p path. Nonzero
+ * when the file cannot be written or any case's arms disagree.
+ */
 int
 writePerfReport(const std::string &path, std::ostream &err)
 {
@@ -428,6 +433,7 @@ writePerfReport(const std::string &path, std::ostream &err)
     return 0;
 }
 
+/** Per-stage wall-time breakdown of the report's pair cases. */
 int
 profileStages(std::ostream &out)
 {
@@ -462,6 +468,19 @@ profileStages(std::ostream &out)
         out << line;
     }
     return 0;
+}
+
+} // namespace
+
+int
+cmdPerf(const Cli &cli, DriverContext &ctx, ExpConfig &)
+{
+    if (cli.boolean("profile-stages"))
+        return profileStages(*ctx.out);
+    if (!ctx.jsonPath.empty())
+        return writePerfReport(ctx.jsonPath, *ctx.err);
+    fatal("perf requires --json=FILE (speedup report) or "
+          "--profile-stages");
 }
 
 } // namespace p5

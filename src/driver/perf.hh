@@ -73,15 +73,6 @@ AbResult abCase(const std::string &name, const Arm &arm_a,
  */
 void writeBuildInfo(JsonWriter &w);
 
-/**
- * Write the report tools/compare_perf.py reads to @p path. Nonzero
- * when the file cannot be written or any case's arms disagree.
- */
-int writePerfReport(const std::string &path, std::ostream &err);
-
-/** Per-stage wall-time breakdown of the report's pair cases. */
-int profileStages(std::ostream &out);
-
 } // namespace p5
 
 #endif // P5SIM_DRIVER_PERF_HH

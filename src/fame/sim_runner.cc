@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <numeric>
 
-#include "common/job_graph.hh"
 #include "common/log.hh"
 #include "common/thread_pool.hh"
 #include "store/result_store.hh"
@@ -160,13 +159,15 @@ SimRunner::run(const std::vector<SimJob> &batch,
             claimed.reserve(toRun.size());
             for (const Pending &p : toRun)
                 claimed.push_back(p.job);
+            // executeOne never throws (it settles every promise), and
+            // the pool's destructor drains its FIFO queue, so the jobs
+            // start in dispatch order and have all finished at the
+            // closing brace.
             ThreadPool pool(workers);
-            JobGraph graph;
             for (std::size_t i : dispatchOrder(claimed)) {
                 Pending &p = toRun[i];
-                graph.add([&executeOne, &p] { executeOne(p); });
+                pool.submit([&executeOne, &p] { executeOne(p); });
             }
-            graph.run(pool);
         }
     }
 

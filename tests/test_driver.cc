@@ -118,17 +118,43 @@ TEST(Driver, GlobalHelpListsSubcommands)
         EXPECT_NE(help.out.find(sub), std::string::npos) << sub;
 }
 
+/** The subcommand names `p5sim help` lists, e.g. "fig2", "trace dump". */
+std::vector<std::string>
+listedSubcommands()
+{
+    const std::string help = invoke({"help"}).out;
+    std::istringstream lines(help.substr(help.find("subcommands:\n")));
+    std::vector<std::string> names;
+    std::string line;
+    std::getline(lines, line);
+    while (std::getline(lines, line) && !line.empty())
+        names.push_back(line.substr(2, line.find("  ", 2) - 2));
+    return names;
+}
+
 TEST(Driver, EverySubcommandAnswersHelp)
 {
-    for (const char *sub :
-         {"table1", "table2", "table3", "table4", "fig2", "fig3",
-          "fig4", "fig5", "fig6", "ablation", "run", "sweep", "alloc",
-          "serve", "perf"}) {
-        const Invocation help = invoke({sub, "--help"});
-        EXPECT_EQ(help.exitCode, 0) << sub;
-        EXPECT_NE(help.out.find("usage: p5sim " + std::string(sub)),
-                  std::string::npos)
-            << sub;
+    const std::vector<std::string> names = listedSubcommands();
+    for (const char *expected :
+         {"fig5", "store-gc", "trace dump", "trace info", "trace check"})
+        EXPECT_NE(std::find(names.begin(), names.end(), expected),
+                  names.end())
+            << expected;
+    for (const std::string &name : names) {
+        // Split "trace dump" into its words; --help is answered in
+        // process, never by exiting.
+        std::vector<std::string> words;
+        std::istringstream split(name);
+        for (std::string word; split >> word;)
+            words.push_back(word);
+        std::vector<const char *> args;
+        for (const std::string &word : words)
+            args.push_back(word.c_str());
+        args.push_back("--help");
+        const Invocation help = invokeWithInput(args, "");
+        EXPECT_EQ(help.exitCode, 0) << name;
+        EXPECT_NE(help.out.find("usage: p5sim " + name), std::string::npos)
+            << name << ": " << help.out;
     }
     // The pair/sweep/alloc/store flags only appear where they apply.
     EXPECT_NE(invoke({"sweep", "--help"}).out.find("--sweep"),
@@ -595,6 +621,19 @@ TEST(Driver, SweepStoreFlagsAreValidated)
                     ::testing::ExitedWithCode(1),
                     "--shard expects i/N")
             << bad;
+}
+
+TEST(DriverDeath, UnwritableJsonFailsBeforeAnyPointIsStored)
+{
+    // The --json destination is checked before the work: a sweep used
+    // to simulate and store every point, then fail on the report.
+    const std::string dir = freshStoreDir("json_unwritable");
+    const std::string json = dir + "/missing/report.json";
+    EXPECT_EXIT(invoke({"sweep", "--fast", "--sweep",
+                        "core.mem.dram_latency=217,277", "--store",
+                        dir.c_str(), "--json", json.c_str()}),
+                ::testing::ExitedWithCode(1), "cannot open --json file");
+    EXPECT_EQ(ResultStore(dir).countEntries(), 0u);
 }
 
 // --- sweep + persistent store -----------------------------------------
@@ -1155,6 +1194,21 @@ TEST(Driver, TraceCheckTreatsAMissingFileAsAMiss)
     EXPECT_EQ(invoke({"trace", "check", broken.c_str()}).exitCode, 1);
     EXPECT_FALSE(std::filesystem::exists(broken));
     EXPECT_TRUE(std::filesystem::exists(broken + ".bad"));
+}
+
+TEST(DriverDeath, TraceVerbsRejectUnknownFlags)
+{
+    const std::string dir = freshStoreDir("trace_flags");
+    std::filesystem::create_directories(dir);
+    const std::string trace = dir + "/t.trace";
+    ASSERT_EQ(invoke({"trace", "dump", "--executions", "2", "--out",
+                      trace.c_str()})
+                  .exitCode,
+              0);
+    EXPECT_EXIT(invoke({"trace", "info", trace.c_str(), "--bogus"}),
+                ::testing::ExitedWithCode(1), "unknown flag '--bogus'");
+    EXPECT_EXIT(invoke({"trace", "check", trace.c_str(), "--bogus"}),
+                ::testing::ExitedWithCode(1), "unknown flag '--bogus'");
 }
 
 /**

@@ -1,11 +1,10 @@
 /**
  * @file
  * Tests for the common concurrency layer: ThreadPool (result delivery,
- * exception propagation, saturation), JobGraph (dependency ordering,
- * failure containment) and the thread safety of the log globals.
+ * exception propagation, saturation, draining) and the thread safety
+ * of the log globals.
  */
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -14,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/job_graph.hh"
 #include "common/log.hh"
 #include "common/thread_pool.hh"
 
@@ -78,48 +76,6 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks)
             });
     }
     EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(JobGraph, RespectsDependencyOrder)
-{
-    ThreadPool pool(4);
-    JobGraph graph;
-    std::atomic<int> stamp{0};
-    std::array<int, 4> when{};
-
-    // d depends on b and c, which both depend on a.
-    auto a = graph.add([&] { when[0] = stamp.fetch_add(1); });
-    auto b = graph.add([&] { when[1] = stamp.fetch_add(1); }, {a});
-    auto c = graph.add([&] { when[2] = stamp.fetch_add(1); }, {a});
-    graph.add([&] { when[3] = stamp.fetch_add(1); }, {b, c});
-    graph.run(pool);
-
-    EXPECT_LT(when[0], when[1]);
-    EXPECT_LT(when[0], when[2]);
-    EXPECT_GT(when[3], when[1]);
-    EXPECT_GT(when[3], when[2]);
-}
-
-TEST(JobGraph, FailureSkipsDependentsAndRethrows)
-{
-    ThreadPool pool(2);
-    JobGraph graph;
-    std::atomic<bool> dependent_ran{false};
-    auto bad = graph.add([] { throw std::runtime_error("node failed"); });
-    graph.add([&] { dependent_ran = true; }, {bad});
-    EXPECT_THROW(graph.run(pool), std::runtime_error);
-    EXPECT_FALSE(dependent_ran.load());
-}
-
-TEST(JobGraph, ParallelRootsAllRun)
-{
-    ThreadPool pool(4);
-    JobGraph graph;
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 100; ++i)
-        graph.add([&ran] { ran.fetch_add(1); });
-    graph.run(pool);
-    EXPECT_EQ(ran.load(), 100);
 }
 
 TEST(Log, WarnCountAndLevelAreThreadSafe)
