@@ -13,8 +13,9 @@
  *    instruction windows, capacity is never exceeded, groups stay
  *    contiguous and retire in program order;
  *  - FlowChecker: decoded = committed + squashed + in-flight per thread,
- *    ready-queue entries and window phases agree, FU busy counts stay
- *    within the pool;
+ *    ready-queue entries and window phases agree, wake lists match the
+ *    pending sources, nothing finishes before its result is due, FU
+ *    busy counts stay within the pool;
  *  - MemChecker: LMQ occupancy and L1/LMQ/LSU counters cohere;
  *  - IpcChecker: the duplicated committed/executions accounting and the
  *    stats layer agree with the architectural state.
@@ -32,6 +33,10 @@
 #include "check/check.hh"
 #include "common/types.hh"
 
+namespace p5 {
+class ThreadState;
+} // namespace p5
+
 namespace p5::check {
 
 /** Per-thread counter snapshot used by the delta-based checkers. */
@@ -42,6 +47,7 @@ struct ThreadCounters
     std::uint64_t committedCtr = 0;
     std::uint64_t squashed = 0;
     std::size_t windowSize = 0;
+    std::uint64_t bindings = 0;
     bool attached = false;
 };
 
@@ -147,7 +153,10 @@ class GctChecker : public InvariantChecker
     std::array<bool, num_hw_threads> prevHadFront_{};
 };
 
-/** Dispatch/issue/commit flow conservation and ready-queue sanity. */
+/**
+ * Dispatch/issue/commit flow conservation, ready-queue sanity, wake
+ * lists and completion timing.
+ */
 class FlowChecker : public InvariantChecker
 {
   public:
@@ -155,6 +164,13 @@ class FlowChecker : public InvariantChecker
     void onCycle(const SmtCore &core, Cycle cycle) override;
 
   private:
+    /**
+     * Every wake edge names a live consumer younger than its producer,
+     * no finished producer holds edges, and each Dispatched consumer
+     * sits on exactly as many lists as it has pending sources.
+     */
+    void checkWakeLists(const ThreadState &ts, Cycle cycle);
+
     bool primed_ = false;
     std::array<ThreadCounters, num_hw_threads> prev_{};
 };

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "core/smt_core.hh"
 
@@ -29,6 +30,45 @@ findInWindow(const ThreadState &ts, SeqNum seq, std::uint64_t epoch)
 } // namespace
 
 void
+FlowChecker::checkWakeLists(const ThreadState &ts, Cycle cycle)
+{
+    const RingDeque<InFlight> &win = ts.window;
+    const ThreadId t = ts.tid();
+    // In-edges per live consumer slot, counted from the producers' side.
+    std::vector<int> in_edges(win.capacity(), 0);
+    for (const InFlight &p : win) {
+        std::size_t steps = 0;
+        for (std::uint32_t edge = p.wakeHead; edge != no_wake_edge;
+             edge = ts.nextWake(edge)) {
+            const std::uint32_t slot = edge >> 1;
+            if (++steps > 2 * win.capacity() || !win.livePhys(slot) ||
+                win.slotAt(slot).di.seq <= p.di.seq) {
+                fail(cycle, t, "wake-list",
+                     "seq " + std::to_string(p.di.seq) +
+                         " wakes only live, younger consumers",
+                     "edge " + std::to_string(edge));
+                break;
+            }
+            ++in_edges[slot];
+        }
+        if (p.phase == InstrPhase::Finished && p.wakeHead != no_wake_edge)
+            fail(cycle, t, "wake-list",
+                 "finished seq " + std::to_string(p.di.seq) +
+                     " holds no wake edges",
+                 "edge " + std::to_string(p.wakeHead));
+    }
+    for (const InFlight &c : win) {
+        const int edges = in_edges[win.physIndexOf(&c)];
+        if (c.phase == InstrPhase::Dispatched && c.pendingSrcs != edges)
+            fail(cycle, t, "wake-list",
+                 "seq " + std::to_string(c.di.seq) + " on " +
+                     std::to_string(c.pendingSrcs) +
+                     " wake lists (its pending sources)",
+                 "on " + std::to_string(edges));
+    }
+}
+
+void
 FlowChecker::onCycle(const SmtCore &core, Cycle cycle)
 {
     // Flow conservation per thread: every decoded instruction is either
@@ -42,10 +82,14 @@ FlowChecker::onCycle(const SmtCore &core, Cycle cycle)
         cur.committed = core.committedOf(t);
         cur.squashed = ts.squashedCtr.value();
         cur.windowSize = ts.window.size();
+        cur.bindings = ts.bindings;
         cur.attached = ts.attached();
 
+        // A detach drops the window unsquashed: re-baseline on any
+        // change of binding.
         const ThreadCounters &prev = prev_[ti];
         const bool stable = primed_ && cur.attached == prev.attached &&
+                            cur.bindings == prev.bindings &&
                             cur.committed >= prev.committed &&
                             cur.decoded >= prev.decoded;
         if (stable) {
@@ -128,7 +172,20 @@ FlowChecker::onCycle(const SmtCore &core, Cycle cycle)
         const ThreadState &ts = core.thread(t);
         if (!ts.attached())
             continue;
+        checkWakeLists(ts, cycle);
         for (const InFlight &e : ts.window) {
+            // Only a completion finishes an executing instruction, and
+            // not before its result is due: an early finish means a
+            // stale completion validated against the wrong instruction.
+            if (e.phase == InstrPhase::Finished &&
+                fuClassOf(e.di.op) != FuClass::None &&
+                e.di.completeCycle > cycle) {
+                fail(cycle, t, "finished-before-complete",
+                     "seq " + std::to_string(e.di.seq) +
+                         " finished at or after cycle " +
+                         std::to_string(e.di.completeCycle),
+                     "finished by cycle " + std::to_string(cycle));
+            }
             if (e.phase != InstrPhase::Dispatched || e.pendingSrcs != 0 ||
                 fuClassOf(e.di.op) == FuClass::None)
                 continue;

@@ -17,10 +17,11 @@
  *  2. Restore reproduces *physical* layout wherever physical-slot
  *     handles exist. The in-flight window ring is saved slot-by-slot
  *     (vacant slots included) together with its head index, so the slot
- *     hints recorded in ready-queue and completion-heap entries resolve
- *     to the same slots after restore; stats stay bit-identical by
- *     construction rather than by luck. Structures nothing points into
- *     (GCT group rings) are saved logically.
+ *     handles recorded in ready-queue and completion-heap entries
+ *     resolve to the same slots after restore; stats stay bit-identical
+ *     by construction rather than by luck. Structures nothing points
+ *     into (GCT group rings) are saved logically, and derived links
+ *     (the window's wake lists) are rebuilt rather than read.
  *
  * Configuration is deliberately NOT in the stream: a checkpoint is only
  * ever restored into a core built with the same params and programs,
@@ -29,6 +30,7 @@
  */
 
 #include <algorithm>
+#include <vector>
 
 #include "branch/bht.hh"
 #include "ckpt/ckpt_io.hh"
@@ -492,20 +494,32 @@ restoreDynInstr(CkptReader &r, DynInstr &di)
     di.completeCycle = r.u64();
 }
 
+/**
+ * Window slot @p phys of @p ts. The trailing handle list holds a live
+ * producer's wake list, oldest consumer first, as (slot, seq, epoch)
+ * handles, and is empty for a vacant slot.
+ */
 void
-saveInFlight(CkptWriter &w, const InFlight &e)
+saveInFlight(CkptWriter &w, const ThreadState &ts, std::size_t phys)
 {
+    const InFlight &e = ts.window.slotAt(phys);
     saveDynInstr(w, e.di);
     w.u8(static_cast<std::uint8_t>(e.phase));
     w.i32(e.pendingSrcs);
     w.u64(e.epoch);
     w.u64(e.stamp);
     w.b(e.inReadyQueue);
-    w.u64(static_cast<std::uint64_t>(e.dependents.size()));
-    for (const InFlightRef &dep : e.dependents) {
-        w.u32(dep.slot);
-        w.u64(dep.seq);
-        w.u64(dep.epoch);
+    std::vector<std::uint32_t> slots;
+    if (ts.window.livePhys(static_cast<std::uint32_t>(phys)))
+        for (std::uint32_t edge = e.wakeHead; edge != no_wake_edge;
+             edge = ts.nextWake(edge))
+            slots.push_back(edge >> 1);
+    w.u64(static_cast<std::uint64_t>(slots.size()));
+    for (auto it = slots.rbegin(); it != slots.rend(); ++it) {
+        const InFlight &consumer = ts.window.slotAt(*it);
+        w.u32(*it);
+        w.u64(consumer.di.seq);
+        w.u64(consumer.epoch);
     }
 }
 
@@ -518,15 +532,14 @@ restoreInFlight(CkptReader &r, InFlight &e)
     e.epoch = r.u64();
     e.stamp = r.u64();
     e.inReadyQueue = r.b();
-    e.dependents.clear();
+    // The handle list is derived state, which rebuildWakeLists()
+    // re-derives from the window; images may also carry handles of
+    // squashed consumers there.
     const std::uint64_t n = r.u64();
-    e.dependents.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
-        InFlightRef dep;
-        dep.slot = r.u32();
-        dep.seq = r.u64();
-        dep.epoch = r.u64();
-        e.dependents.push_back(dep);
+        r.u32();
+        r.u64();
+        r.u64();
     }
 }
 
@@ -547,7 +560,7 @@ ThreadState::saveState(CkptWriter &w) const
     w.u64(static_cast<std::uint64_t>(window.headIndex()));
     w.u64(static_cast<std::uint64_t>(window.size()));
     for (std::size_t phys = 0; phys < window.capacity(); ++phys)
-        saveInFlight(w, window.slotAt(phys));
+        saveInFlight(w, *this, phys);
 
     for (const RenameEntry &re : renameMap) {
         w.b(re.valid);
@@ -588,6 +601,7 @@ ThreadState::restoreState(CkptReader &r)
     for (std::size_t phys = 0; phys < cap; ++phys)
         restoreInFlight(r, window.slotAt(phys));
     window.setShape(head, size);
+    rebuildWakeLists();
 
     for (RenameEntry &re : renameMap) {
         re.valid = r.b();

@@ -8,18 +8,14 @@
  * lists both push at the tail and pop at the head every few cycles).
  * RingDeque replaces that with a power-of-two ring whose slots are
  * constructed once and then *reused*: popping never destroys, pushing
- * hands back the stale slot for the caller to overwrite. A slot's
- * acquired resources (e.g. a spilled SmallVector buffer) therefore
- * survive reuse, which is what makes the steady-state tick loop
- * allocation-free.
+ * hands back the stale slot for the caller to overwrite field-wise.
  *
  * Slots also serve as stable handles: a live element never moves, so
  * `physIndexOf()` / `liveAtPhys()` give O(1) re-resolution of an
  * element by its physical slot (validated by the caller against
- * seq/epoch identity). Handles are hints — growth re-layouts the ring,
- * after which `liveAtPhys` misses and callers fall back to a logical
- * lookup — so pre-size with `reserve()` where the population bound is
- * known.
+ * seq/epoch identity). Growth re-layouts the ring and so breaks every
+ * handle; owners that hand out slots `reserve()` the population bound
+ * once, before the first push, and never grow.
  */
 
 #ifndef P5SIM_COMMON_RING_DEQUE_HH
@@ -50,11 +46,11 @@ class RingDeque
     /**
      * Grow the ring to at least @p capacity slots (rounded up to a
      * power of two). Re-layouts the ring: physical-slot handles taken
-     * before a grow stop resolving (they miss, they don't mislead).
+     * before a grow no longer name their elements.
      */
     // Spill path: runs at attach-time reservation and only again if
     // that reservation was undersized; steady-state pushSlot() reuses
-    // acquired capacity.
+    // the slots.
     P5_ALLOW(hot_path_no_alloc)
     void
     reserve(std::size_t capacity)
@@ -75,7 +71,7 @@ class RingDeque
     /**
      * Extend the deque by one at the tail and return the slot. The slot
      * holds whatever its previous occupant left behind — the caller
-     * overwrites every live field (and may reuse acquired capacity).
+     * overwrites every live field.
      */
     T &
     pushSlot()
@@ -119,19 +115,6 @@ class RingDeque
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
     std::size_t capacity() const { return slots_.size(); }
-
-    /**
-     * Visit every constructed slot, vacant ones included. This is how a
-     * caller pre-warms pooled per-slot resources (e.g. reserving a
-     * SmallVector's spill buffer) so the busy path never grows them.
-     */
-    template <typename Fn>
-    void
-    forEachSlot(Fn &&fn)
-    {
-        for (T &slot : slots_)
-            fn(slot);
-    }
 
     T &front() { return slots_[head_]; }
     const T &front() const { return slots_[head_]; }
@@ -183,20 +166,22 @@ class RingDeque
         return static_cast<std::uint32_t>(element - slots_.data());
     }
 
+    /** Whether physical slot @p phys holds a live element. */
+    bool
+    livePhys(std::uint32_t phys) const
+    {
+        return phys <= mask_ && ((phys - head_) & mask_) < size_;
+    }
+
     /**
      * The element occupying physical slot @p phys, or nullptr when the
-     * slot is vacant, out of range, or the ring re-layouted since the
-     * handle was taken. A non-null result still needs an identity check
-     * by the caller — the slot may have been reused.
+     * slot is vacant or out of range. A non-null result still needs an
+     * identity check by the caller: the slot may have been reused.
      */
     T *
     liveAtPhys(std::uint32_t phys)
     {
-        if (phys >= slots_.size())
-            return nullptr;
-        if (((phys - head_) & mask_) >= size_)
-            return nullptr;
-        return &slots_[phys];
+        return livePhys(phys) ? &slots_[phys] : nullptr;
     }
 
     // --- iteration (oldest first) ------------------------------------

@@ -80,75 +80,6 @@ Balancer::limitsFor(const DecodeSlotAllocator *slots) const
     return lim;
 }
 
-BalancerDecision
-Balancer::probe(const Gct &gct, const Lmq &lmq, const Lsu &lsu,
-                bool both_running, Cycle now) const
-{
-    BalancerDecision d;
-    // Resource hogging is only "offending" when there is a sibling to
-    // block.
-    if (!params_.enabled || !both_running)
-        return d;
-
-    const PairLimits &lim = currentLimits();
-    for (ThreadId t = 0; t < num_hw_threads; ++t) {
-        const auto ti = static_cast<size_t>(t);
-
-        // An outstanding TLB walk blocks further decode of the walking
-        // thread (it would only pile more work behind the walk).
-        if (params_.blockOnTlbMiss && lsu.tlbWalkInProgress(t, now)) {
-            d.block[ti] = true;
-            d.reason[ti] = BalanceBlock::Tlb;
-            continue;
-        }
-
-        if (gct.occupancyOf(t) > lim.gctAbove[ti]) {
-            d.block[ti] = true;
-            d.reason[ti] = BalanceBlock::Gct;
-            if (params_.action == BalanceAction::Flush)
-                d.flush[ti] = true;
-            continue;
-        }
-
-        if (lmq.busyOfAt(t, now) >= lim.lmqAtLeast[ti]) {
-            d.block[ti] = true;
-            d.reason[ti] = BalanceBlock::Lmq;
-        }
-    }
-    return d;
-}
-
-void
-Balancer::charge(const BalancerDecision &d, std::uint64_t cycles)
-{
-    for (size_t ti = 0; ti < num_hw_threads; ++ti) {
-        switch (d.reason[ti]) {
-          case BalanceBlock::None:
-            break;
-          case BalanceBlock::Tlb:
-            tlbBlocks_[ti] += cycles;
-            break;
-          case BalanceBlock::Gct:
-            gctBlocks_[ti] += cycles;
-            if (d.flush[ti])
-                flushes_[ti] += cycles;
-            break;
-          case BalanceBlock::Lmq:
-            lmqBlocks_[ti] += cycles;
-            break;
-        }
-    }
-}
-
-BalancerDecision
-Balancer::evaluate(const Gct &gct, const Lmq &lmq, const Lsu &lsu,
-                   bool both_running, Cycle now)
-{
-    BalancerDecision d = probe(gct, lmq, lsu, both_running, now);
-    charge(d, 1);
-    return d;
-}
-
 void
 Balancer::registerStats(StatGroup &group) const
 {

@@ -80,9 +80,44 @@ class Balancer
      * per-trigger counters. Pure policy over observable state: calling
      * probe() repeatedly at the same cycle returns the same decision.
      */
-    BalancerDecision probe(const Gct &gct, const Lmq &lmq,
-                           const Lsu &lsu, bool both_running,
-                           Cycle now) const;
+    BalancerDecision
+    probe(const Gct &gct, const Lmq &lmq, const Lsu &lsu,
+          bool both_running, Cycle now) const
+    {
+        BalancerDecision d;
+        // Resource hogging is only "offending" when there is a sibling
+        // to block.
+        if (!params_.enabled || !both_running)
+            return d;
+
+        const PairLimits &lim = currentLimits();
+        for (ThreadId t = 0; t < num_hw_threads; ++t) {
+            const auto ti = static_cast<size_t>(t);
+
+            // An outstanding TLB walk blocks further decode of the
+            // walking thread (it would only pile more work behind the
+            // walk).
+            if (params_.blockOnTlbMiss && lsu.tlbWalkInProgress(t, now)) {
+                d.block[ti] = true;
+                d.reason[ti] = BalanceBlock::Tlb;
+                continue;
+            }
+
+            if (gct.occupancyOf(t) > lim.gctAbove[ti]) {
+                d.block[ti] = true;
+                d.reason[ti] = BalanceBlock::Gct;
+                if (params_.action == BalanceAction::Flush)
+                    d.flush[ti] = true;
+                continue;
+            }
+
+            if (lmq.busyOfAt(t, now) >= lim.lmqAtLeast[ti]) {
+                d.block[ti] = true;
+                d.reason[ti] = BalanceBlock::Lmq;
+            }
+        }
+        return d;
+    }
 
     /**
      * Account @p cycles cycles of decision @p d in the per-trigger
@@ -91,7 +126,27 @@ class Balancer
      * decision is constant across the gap, so charging it N times in
      * one call is bit-identical to N evaluate() calls.
      */
-    void charge(const BalancerDecision &d, std::uint64_t cycles);
+    void
+    charge(const BalancerDecision &d, std::uint64_t cycles)
+    {
+        for (size_t ti = 0; ti < num_hw_threads; ++ti) {
+            switch (d.reason[ti]) {
+              case BalanceBlock::None:
+                break;
+              case BalanceBlock::Tlb:
+                tlbBlocks_[ti] += cycles;
+                break;
+              case BalanceBlock::Gct:
+                gctBlocks_[ti] += cycles;
+                if (d.flush[ti])
+                    flushes_[ti] += cycles;
+                break;
+              case BalanceBlock::Lmq:
+                lmqBlocks_[ti] += cycles;
+                break;
+            }
+        }
+    }
 
     /**
      * Evaluate the triggers at cycle @p now and account one cycle:
@@ -100,9 +155,14 @@ class Balancer
      * @param both_running whether both threads are attached and active;
      *        resource hogging is only "offending" when a sibling exists.
      */
-    BalancerDecision evaluate(const Gct &gct, const Lmq &lmq,
-                              const Lsu &lsu, bool both_running,
-                              Cycle now);
+    BalancerDecision
+    evaluate(const Gct &gct, const Lmq &lmq, const Lsu &lsu,
+             bool both_running, Cycle now)
+    {
+        BalancerDecision d = probe(gct, lmq, lsu, both_running, now);
+        charge(d, 1);
+        return d;
+    }
 
     const BalancerParams &params() const { return params_; }
 

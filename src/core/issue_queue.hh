@@ -29,7 +29,7 @@ struct ReadyRef
     SeqNum seq = 0;
     std::uint64_t epoch = 0; ///< thread squash epoch at dispatch
     ThreadId tid = 0;
-    std::uint32_t slot = 0; ///< window-slot hint for O(1) resolve
+    std::uint32_t slot = 0; ///< window slot, for O(1) resolve
 };
 static_assert(sizeof(ReadyRef) == 32, "ReadyRef fields must pack");
 

@@ -5,7 +5,6 @@
 
 #include "check/check.hh"
 #include "common/log.hh"
-#include "common/small_vector.hh"
 
 // -DP5SIM_CHECK=1 (the P5SIM_CHECK CMake option) turns every core into
 // a checked core: the standard p5check suite is installed at
@@ -97,9 +96,10 @@ SmtCore::attachThread(ThreadId tid, const InstrSource *program,
     if (tid < 0 || tid >= num_hw_threads)
         panic("attachThread: bad tid %d", tid);
     ThreadState &ts = *threads_[static_cast<size_t>(tid)];
-    // The window can never outgrow the GCT's instruction capacity; one
-    // extra group of slack keeps the ring from re-layouting (which
-    // would invalidate slot handles until their first fallback lookup).
+    // The window can never outgrow the GCT's instruction capacity, so
+    // the ring is sized once here and slot handles stay exact; the
+    // extra group is the slack decode fetches into before the GCT
+    // admits the group.
     const std::size_t window_cap =
         static_cast<std::size_t>(params_.gctGroups + 1) *
         static_cast<std::size_t>(params_.groupSize);
@@ -523,7 +523,7 @@ SmtCore::processCompletions()
                       CompletionLater{});
         completions_.pop_back();
         ThreadState &ts = *threads_[static_cast<size_t>(c.tid)];
-        InFlight *e = ts.resolve({c.slot, c.seq, c.epoch});
+        InFlight *e = ts.resolve(c.slot, c.seq, c.epoch);
         if (!e || e->phase != InstrPhase::Issued)
             continue; // squashed since issue
         e->phase = InstrPhase::Finished;
@@ -545,14 +545,16 @@ SmtCore::processCompletions()
 void
 SmtCore::wakeDependents(ThreadState &ts, InFlight &e)
 {
-    for (const InFlightRef &dep : e.dependents) {
-        InFlight *d = ts.resolve(dep);
-        if (!d || d->phase != InstrPhase::Dispatched)
-            continue;
-        if (d->pendingSrcs > 0 && --d->pendingSrcs == 0)
-            pushReady(ts, *d);
+    // Every edge names a live Dispatched consumer still waiting on this
+    // source: a squash trims its victims from the lists, and nothing
+    // else removes a waiting consumer.
+    for (std::uint32_t edge = e.wakeHead; edge != no_wake_edge;
+         edge = ts.nextWake(edge)) {
+        InFlight &d = ts.wakeConsumer(edge);
+        if (--d.pendingSrcs == 0)
+            pushReady(ts, d);
     }
-    e.dependents.clear();
+    e.wakeHead = no_wake_edge;
 }
 
 void
@@ -578,7 +580,7 @@ SmtCore::issueStage()
             tickProgress_ = true;
             ReadyRef ref = readyQ_.pop(fc);
             ThreadState &ts = *threads_[static_cast<size_t>(ref.tid)];
-            InFlight *e = ts.resolve({ref.slot, ref.seq, ref.epoch});
+            InFlight *e = ts.resolve(ref.slot, ref.seq, ref.epoch);
             if (!e || e->phase != InstrPhase::Dispatched ||
                 e->pendingSrcs > 0)
                 continue; // stale reference
@@ -709,76 +711,74 @@ SmtCore::decodeStage()
     ThreadState &ts = *threads_[static_cast<size_t>(grant.owner)];
     const int width = std::min(grant.maxWidth, params_.groupSize);
 
-    // Inline capacity covers the 5-wide decode; a (configured) wider
-    // group would spill once per cycle, so keep the margin generous.
-    SmallVector<DynInstr, 8> group;
-    while (static_cast<int>(group.size()) < width) {
-        DynInstr di = ts.stream().fetch();
-        if (di.isBranch())
-            di.branchPredictedTaken = bht_.predict(di.pc);
-        const bool ends_group = di.isBranch();
-        group.push_back(di);
-        if (ends_group)
+    // Fetch (and predict) the group straight into window slots; the
+    // GCT admits the group before any of it is renamed, because a nop
+    // finishes at dispatch into its group.
+    const std::size_t first = ts.window.size();
+    int count = 0;
+    while (count < width) {
+        InFlight &e = ts.window.pushSlot();
+        e.di = ts.stream().fetch();
+        ++count;
+        if (e.di.isBranch()) {
+            e.di.branchPredictedTaken = bht_.predict(e.di.pc);
             break; // branches end dispatch groups
+        }
     }
 
-    const std::uint32_t gct_group = gct_.allocate(
-        grant.owner, group.front().seq, static_cast<int>(group.size()));
-    for (const DynInstr &di : group)
-        dispatchOne(ts, di, gct_group);
+    const std::uint32_t gct_group =
+        gct_.allocate(grant.owner, ts.window[first].di.seq, count);
+    for (std::size_t i = first; i < ts.window.size(); ++i)
+        dispatchOne(ts, ts.window[i], gct_group);
     decoded_[static_cast<size_t>(grant.owner)] +=
-        static_cast<std::uint64_t>(group.size());
+        static_cast<std::uint64_t>(count);
 }
 
 void
-SmtCore::dispatchOne(ThreadState &ts, const DynInstr &di,
-                     std::uint32_t gct_group)
+SmtCore::dispatchOne(ThreadState &ts, InFlight &e, std::uint32_t gct_group)
 {
-    // Claim the pooled window slot before touching producers: if the
-    // ring ever had to grow it would move entries, and taking producer
-    // pointers afterwards keeps them valid either way. The stale slot
-    // is reset field-wise; dependents.clear() keeps any spilled buffer,
-    // so steady-state dispatch performs no allocation.
-    InFlight &e = ts.window.pushSlot();
-    e.di = di;
+    // e is a freshly pushed window slot whose di decode just fetched;
+    // every other field still holds the previous occupant's values.
+    const DynInstr &di = e.di;
     e.phase = InstrPhase::Dispatched;
-    e.pendingSrcs = 0;
     e.epoch = ts.epoch;
     e.stamp = dispatchStamp_++;
     e.inReadyQueue = false;
     e.gctGroup = gct_group;
-    e.dependents.clear();
+    e.wakeHead = no_wake_edge;
 
-    const std::uint32_t slot = ts.window.physIndexOf(&e);
-
-    int pending = 0;
-    for (RegIndex src : {di.src0, di.src1}) {
-        if (src == invalid_reg)
-            continue;
-        const RenameEntry &re = ts.renameMap[src];
-        if (!re.valid)
-            continue;
-        InFlight *producer = ts.find(re.seq, re.epoch);
-        if (producer && producer->phase != InstrPhase::Finished) {
-            ++pending;
-            producer->dependents.push_back({slot, di.seq, e.epoch});
+    if (fuClassOf(di.op) == FuClass::None) {
+        // Nops and priority nops consume decode/commit bandwidth only:
+        // they wait on nothing, so they join no wake list.
+        e.phase = InstrPhase::Finished;
+        e.pendingSrcs = 0;
+        gct_.finishOne(ts.tid(), gct_group, di.seq);
+    } else {
+        const std::uint32_t slot = ts.window.physIndexOf(&e);
+        int pending = 0;
+        const RegIndex srcs[] = {di.src0, di.src1};
+        for (int k = 0; k < 2; ++k) {
+            if (srcs[k] == invalid_reg)
+                continue;
+            const RenameEntry &re = ts.renameMap[srcs[k]];
+            if (!re.valid)
+                continue;
+            InFlight *producer = ts.find(re.seq, re.epoch);
+            if (producer && producer->phase != InstrPhase::Finished) {
+                ++pending;
+                ts.linkWake(*producer, slot, k);
+            }
         }
+        e.pendingSrcs = pending;
+        if (pending == 0)
+            pushReady(ts, e);
     }
-    e.pendingSrcs = pending;
 
     if (di.dst != invalid_reg) {
         RenameEntry &re = ts.renameMap[di.dst];
         re.valid = true;
         re.seq = di.seq;
         re.epoch = e.epoch;
-    }
-
-    if (fuClassOf(di.op) == FuClass::None) {
-        // Nops and priority nops consume decode/commit bandwidth only.
-        e.phase = InstrPhase::Finished;
-        gct_.finishOne(ts.tid(), gct_group, di.seq);
-    } else if (e.pendingSrcs == 0) {
-        pushReady(ts, e);
     }
 }
 
@@ -797,7 +797,7 @@ SmtCore::squashAfter(ThreadState &ts, SeqNum last_good_seq,
         ++ts.epoch;
         gct_.squashFrom(ts.tid(), last_good_seq + 1);
         recountGroups(ts, gct_.occupancyOf(ts.tid()) - 1);
-        ts.rebuildRenameMap();
+        ts.repairAfterSquash();
         ts.stream().rewindTo(last_good_seq + 1);
     }
     if (redirect_penalty) {
@@ -829,7 +829,7 @@ SmtCore::flushDispatched(ThreadState &ts)
     ++ts.epoch;
     gct_.squashFrom(ts.tid(), first_bad);
     recountGroups(ts, gct_.occupancyOf(ts.tid()) - 1);
-    ts.rebuildRenameMap();
+    ts.repairAfterSquash();
     ts.stream().rewindTo(first_bad);
 }
 

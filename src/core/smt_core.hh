@@ -299,7 +299,7 @@ class SmtCore
         SeqNum seq;
         std::uint64_t epoch;
         ThreadId tid;
-        std::uint32_t slot; ///< window-slot hint for O(1) resolve
+        std::uint32_t slot; ///< window slot, for O(1) resolve
     };
     struct CompletionLater
     {
@@ -367,9 +367,10 @@ class SmtCore
      */
     bool tryFastForward(Cycle limit);
 
-    void dispatchOne(ThreadState &ts, const DynInstr &di,
-                     std::uint32_t gct_group);
+    /** Rename and link the freshly fetched window slot @p e. */
+    void dispatchOne(ThreadState &ts, InFlight &e, std::uint32_t gct_group);
     void pushReady(ThreadState &ts, InFlight &e);
+    /** Wake and empty @p e's wake list (e just finished). */
     void wakeDependents(ThreadState &ts, InFlight &e);
     void squashAfter(ThreadState &ts, SeqNum last_good_seq,
                      bool redirect_penalty);

@@ -12,23 +12,14 @@ ThreadState::attach(const InstrSource *source,
         panic("ThreadState::attach(null source)");
     stream_ = std::make_unique<InstrStream>(source, tid_);
     window.clear();
-    if (window_capacity > 0) {
-        window.reserve(window_capacity);
-        // Pre-warm every pooled slot's wakeup-list spill buffer to the
-        // fan-out high-water mark (a hot producer in a tight loop feeds
-        // every consumer dispatched before it completes — ~30 on the
-        // compute-bound micro-benchmarks). Paying all the growth here
-        // keeps steady-state dispatch allocation-free (DESIGN §8).
-        window.forEachSlot(
-            [](InFlight &e) { e.dependents.reserve(dependents_reserve); });
-    }
+    window.reserve(window_capacity);
     for (auto &e : renameMap)
         e = RenameEntry{};
-    epoch = 0;
     decodeBlockedUntil = 0;
     committed = 0;
     executionsCompleted = 0;
     lastExecutionCycle = 0;
+    ++bindings;
 }
 
 void
@@ -38,43 +29,56 @@ ThreadState::detach()
     window.clear();
     for (auto &e : renameMap)
         e = RenameEntry{};
-}
-
-InFlight *
-ThreadState::find(SeqNum seq)
-{
-    if (window.empty())
-        return nullptr;
-    const SeqNum head = window.front().di.seq;
-    if (seq < head)
-        return nullptr;
-    const std::uint64_t idx = seq - head;
-    if (idx >= window.size())
-        return nullptr;
-    return &window[static_cast<std::size_t>(idx)];
-}
-
-InFlight *
-ThreadState::find(SeqNum seq, std::uint64_t expected_epoch)
-{
-    InFlight *e = find(seq);
-    if (!e || e->epoch != expected_epoch)
-        return nullptr;
-    return e;
+    // The ready queues and the completion heap may still hold handles
+    // to the dropped window. A fresh binding restarts at seq 0 in the
+    // same slots, so only a new epoch keeps those handles from
+    // validating against the next program's instructions.
+    ++epoch;
 }
 
 void
-ThreadState::rebuildRenameMap()
+ThreadState::repairAfterSquash()
 {
     for (auto &e : renameMap)
         e = RenameEntry{};
-    for (const auto &entry : window) {
+    for (InFlight &entry : window) {
         if (entry.di.dst != invalid_reg) {
             RenameEntry &re = renameMap[entry.di.dst];
             re.valid = true;
             re.seq = entry.di.seq;
             re.epoch = entry.epoch;
         }
+        while (entry.wakeHead != no_wake_edge &&
+               !window.livePhys(entry.wakeHead >> 1))
+            entry.wakeHead = nextWake(entry.wakeHead);
+    }
+}
+
+void
+ThreadState::rebuildWakeLists()
+{
+    // Slot of the youngest producer of each register seen so far
+    // (no_wake_edge: none yet).
+    std::uint32_t writer[num_arch_regs];
+    for (auto &w : writer)
+        w = no_wake_edge;
+    for (InFlight &e : window) {
+        const std::uint32_t slot = window.physIndexOf(&e);
+        e.wakeHead = no_wake_edge;
+        if (e.phase == InstrPhase::Dispatched &&
+            fuClassOf(e.di.op) != FuClass::None) {
+            const RegIndex srcs[] = {e.di.src0, e.di.src1};
+            for (int k = 0; k < 2; ++k) {
+                const RegIndex src = srcs[k];
+                if (src == invalid_reg || writer[src] == no_wake_edge)
+                    continue;
+                InFlight &producer = window.slotAt(writer[src]);
+                if (producer.phase != InstrPhase::Finished)
+                    linkWake(producer, slot, k);
+            }
+        }
+        if (e.di.dst != invalid_reg)
+            writer[e.di.dst] = slot;
     }
 }
 

@@ -7,10 +7,10 @@
 #ifndef P5SIM_CORE_THREAD_STATE_HH
 #define P5SIM_CORE_THREAD_STATE_HH
 
+#include <array>
 #include <memory>
 
 #include "common/ring_deque.hh"
-#include "common/small_vector.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "isa/instruction.hh"
@@ -19,25 +19,17 @@
 
 namespace p5 {
 
-/**
- * Handle to an in-flight instruction: a physical window-slot hint plus
- * the (seq, epoch) identity that validates it. Resolution is an O(1)
- * slot access on the hot path; when the hint misses (the slot was
- * reused, or the ring re-layouted on growth) resolve() falls back to
- * the seq-indexed lookup, so a handle is never wrong — at worst slow.
- */
-struct InFlightRef
-{
-    std::uint32_t slot = 0;
-    SeqNum seq = 0;
-    std::uint64_t epoch = 0;
-};
+/** End of a wake list: no further edge. */
+inline constexpr std::uint32_t no_wake_edge = ~std::uint32_t{0};
 
 /** One in-flight instruction plus its dataflow bookkeeping. */
 struct InFlight
 {
     DynInstr di;
     InstrPhase phase = InstrPhase::Dispatched;
+
+    /** Guard against double-insertion into the ready queues. */
+    bool inReadyQueue = false;
 
     /** Source operands still waiting for a producer. */
     int pendingSrcs = 0;
@@ -48,28 +40,20 @@ struct InFlight
     /** Global dispatch stamp: age priority for oldest-first issue. */
     std::uint64_t stamp = 0;
 
-    /** Guard against double-insertion into the ready queues. */
-    bool inReadyQueue = false;
-
     /** Handle of the GCT group holding this instruction (Gct::allocate). */
     std::uint32_t gctGroup = 0;
 
     /**
-     * Same-thread consumers to wake on completion. Inline for the
-     * common fan-out; a spill's buffer stays with the pooled window
-     * slot, and attach() pre-warms every slot to @ref
-     * dependents_reserve, so steady-state dispatch never allocates.
+     * Intrusive wake list (DESIGN §8). Each waiting source operand of a
+     * consumer is one edge, numbered consumer window slot * 2 + k for
+     * its source k. wakeHead is the youngest edge waiting on this
+     * instruction's result; wakeNext[k] links the edge of this
+     * instruction's source k to the next (older) edge of the same
+     * producer's list. Only Dispatched, non-nop consumers are linked.
      */
-    SmallVector<InFlightRef, 4> dependents;
+    std::uint32_t wakeHead = no_wake_edge;
+    std::array<std::uint32_t, 2> wakeNext{no_wake_edge, no_wake_edge};
 };
-
-/**
- * Pre-warmed wakeup-list capacity per pooled window slot: double the
- * largest fan-out observed across the paper's micro-benchmarks (~30,
- * a loop-carried value read by every consumer dispatched before it
- * completes).
- */
-inline constexpr std::size_t dependents_reserve = 64;
 
 /** Rename-map entry: the youngest producer of an architectural reg. */
 struct RenameEntry
@@ -87,14 +71,18 @@ class ThreadState
 
     /**
      * Bind an instruction source; resets window, rename state and
-     * accounting. @p window_capacity pre-sizes the in-flight ring (the
-     * core passes its GCT bound) so the window never re-layouts
-     * mid-run; 0 keeps the current capacity and grows on demand.
+     * accounting, but not the squash epoch (see detach()). The window
+     * ring is sized once here to @p window_capacity (the core passes
+     * its GCT bound) and never re-layouts, so a window slot names one
+     * place for the whole binding.
      */
-    void attach(const InstrSource *source,
-                std::size_t window_capacity = 0);
+    void attach(const InstrSource *source, std::size_t window_capacity);
 
-    /** Unbind; the thread decodes nothing afterwards. */
+    /**
+     * Unbind; the thread decodes nothing afterwards. Bumps the epoch,
+     * so no handle minted before the detach validates against a
+     * program attached later.
+     */
     void detach();
 
     bool attached() const { return stream_ != nullptr; }
@@ -108,7 +96,7 @@ class ThreadState
     /** Rename map over the flat architectural register space. */
     RenameEntry renameMap[num_arch_regs];
 
-    /** Current squash epoch (bumped by every squash). */
+    /** Current squash epoch (bumped by every squash and detach). */
     std::uint64_t epoch = 0;
 
     /** Decode is blocked until this cycle (redirect penalty). */
@@ -117,38 +105,82 @@ class ThreadState
     /** Privilege the thread's software runs at (for or-nops). */
     PrivilegeLevel privilege = PrivilegeLevel::User;
 
-    /** Find the in-flight entry with @p seq, or nullptr. */
-    InFlight *find(SeqNum seq);
-
-    /** find() with an epoch identity check. */
-    InFlight *find(SeqNum seq, std::uint64_t expected_epoch);
+    /** The in-flight entry with @p seq and @p epoch, or nullptr. */
+    InFlight *
+    find(SeqNum seq, std::uint64_t expected_epoch)
+    {
+        if (window.empty() || seq < window.front().di.seq)
+            return nullptr;
+        const std::uint64_t idx = seq - window.front().di.seq;
+        if (idx >= window.size())
+            return nullptr;
+        InFlight &e = window[static_cast<std::size_t>(idx)];
+        return e.epoch == expected_epoch ? &e : nullptr;
+    }
 
     /**
-     * Resolve a handle: O(1) slot access validated by (seq, epoch),
-     * with the seq-indexed lookup as the miss fallback. nullptr when
-     * the instruction is gone (committed or squashed).
+     * Resolve a (window slot, seq, epoch) handle: the slot is exact
+     * because the ring never re-layouts, and (seq, epoch) reject a
+     * slot reused since the handle was taken. nullptr when the
+     * instruction is gone (committed, squashed or detached).
      */
     InFlight *
-    resolve(const InFlightRef &ref)
+    resolve(std::uint32_t slot, SeqNum seq, std::uint64_t epoch)
     {
-        InFlight *e = window.liveAtPhys(ref.slot);
-        if (e && e->di.seq == ref.seq && e->epoch == ref.epoch)
+        InFlight *e = window.liveAtPhys(slot);
+        if (e && e->di.seq == seq && e->epoch == epoch)
             return e;
-        return find(ref.seq, ref.epoch);
+        return nullptr;
     }
 
-    /** The handle of a live window entry. */
-    InFlightRef
-    refOf(const InFlight &e) const
+    /** Push the edge of @p consumer_slot's source @p k on @p producer. */
+    void
+    linkWake(InFlight &producer, std::uint32_t consumer_slot, int k)
     {
-        return {window.physIndexOf(&e), e.di.seq, e.epoch};
+        const auto ki = static_cast<std::uint32_t>(k);
+        window.slotAt(consumer_slot).wakeNext[ki] = producer.wakeHead;
+        producer.wakeHead = consumer_slot * 2 + ki;
+    }
+
+    /** The consumer named by wake edge @p edge. */
+    InFlight &
+    wakeConsumer(std::uint32_t edge)
+    {
+        return window.slotAt(edge >> 1);
+    }
+
+    /** The edge after @p edge in its producer's wake list. */
+    std::uint32_t
+    nextWake(std::uint32_t edge) const
+    {
+        return window.slotAt(edge >> 1).wakeNext[edge & 1];
     }
 
     /**
-     * Rebuild the rename map from the surviving window after a squash
-     * (youngest surviving producer of each register wins).
+     * Repair after a squash or flush popped the youngest entries:
+     * rebuild the rename map from the surviving window (youngest
+     * surviving producer of each register wins) and, in the same walk,
+     * cut each surviving producer's wake list down to live consumers.
+     * The squashed consumers were the youngest, and wake lists are
+     * youngest first, so they are exactly a prefix of each list.
      */
-    void rebuildRenameMap();
+    void repairAfterSquash();
+
+    /**
+     * Re-derive every wake list from the window alone: replay the
+     * rename order oldest first and link each Dispatched, non-nop
+     * consumer's source to its youngest older producer that has not
+     * finished. Checkpoint restore uses this; the lists come out as
+     * dispatch built them.
+     */
+    void rebuildWakeLists();
+
+    /**
+     * Times attach() bound a source. A detach drops the window without
+     * counting it squashed, so observers use this to tell a re-bound
+     * thread from one that kept running.
+     */
+    std::uint64_t bindings = 0;
 
     /** Retirement accounting. */
     std::uint64_t committed = 0;
@@ -170,8 +202,9 @@ class ThreadState
      * Serialize the complete per-thread state: the window ring's
      * physical layout (every slot verbatim, vacant ones included, so
      * slot handles recorded in the ready/completion queues stay valid
-     * after restore), rename map, epoch/accounting scalars, stream
-     * cursor and counters.
+     * after restore; each live producer's wake list is written oldest
+     * first as the consumers' handles), rename map, epoch/accounting
+     * scalars, stream cursor and counters.
      */
     void saveState(class CkptWriter &w) const;
 
@@ -179,6 +212,8 @@ class ThreadState
      * Restore state saved by saveState(). @pre attach() was already
      * called with the same program and window capacity — restore
      * overwrites position and window contents but not the binding.
+     * The saved wake-list handles are read and dropped; the lists are
+     * rebuilt with rebuildWakeLists().
      */
     void restoreState(class CkptReader &r);
 

@@ -6,10 +6,10 @@
  * wrappers; the counter is only live inside a measured window, so
  * gtest's own bookkeeping doesn't pollute it. After a warmup long
  * enough for every pooled structure to reach its high-water mark
- * (window rings, ready queues, completion heap, spilled dependent
- * lists), a busy simulation must run thousands of cycles without a
- * single heap allocation — including the mispredict squash/replay
- * path, whose re-fetches hit the memoized program table.
+ * (window rings, ready queues, completion heap), a busy simulation
+ * must run thousands of cycles without a single heap allocation —
+ * including the mispredict squash/replay path, whose re-fetches hit
+ * the memoized program table.
  *
  * Lives in its own test binary (p5sim_alloc_tests): the operator
  * new/delete replacement is process-wide and has no business wrapping
@@ -219,6 +219,26 @@ TEST(Alloc, MemoryBoundFastForwardIsAllocationFree)
     core.attachThread(0, &prog, 4);
     core.attachThread(1, &prog, 4);
     EXPECT_EQ(allocationsDuring(core, 20000, 5000), 0u);
+}
+
+TEST(Alloc, AttachAllocatesNoPerSlotBuffers)
+{
+    // Attaching sizes each window ring once, to the GCT bound, and no
+    // window slot owns a heap buffer: a deeper GCT (and window) makes
+    // the ring bigger but costs no further allocation.
+    const SyntheticProgram prog = makeUbench(UbenchId::CpuInt);
+    const auto attach_allocs = [&prog](int gct_groups) {
+        CoreParams params;
+        params.gctGroups = gct_groups;
+        SmtCore core(params);
+        g_allocs.store(0, std::memory_order_relaxed);
+        g_counting.store(true, std::memory_order_relaxed);
+        core.attachThread(0, &prog, 4);
+        core.attachThread(1, &prog, 4);
+        g_counting.store(false, std::memory_order_relaxed);
+        return g_allocs.load(std::memory_order_relaxed);
+    };
+    EXPECT_EQ(attach_allocs(20), attach_allocs(40));
 }
 
 TEST(Alloc, QueuedLmqWindowsFitTheConstructionReservation)

@@ -409,6 +409,38 @@ TEST(CheckCorruptionTest, FlowCheckerCatchesForgedReadyEntry)
     EXPECT_EQ(reg.failures().front().checker, "flow");
 }
 
+TEST(CheckCorruptionTest, FlowCheckerCatchesADroppedWakeEdge)
+{
+    auto p = test::serialChain(100000);
+    auto s = test::serialChain(100000);
+    auto core = busyCore(p, s, 200);
+    ThreadState &ts = core->thread(0);
+    InFlight *producer = nullptr;
+    for (Cycle guard = 0; guard < 1000 && !producer; ++guard) {
+        for (InFlight &e : ts.window)
+            if (e.wakeHead != no_wake_edge) {
+                producer = &e;
+                break;
+            }
+        if (!producer)
+            core->tick();
+    }
+    ASSERT_NE(producer, nullptr);
+
+    CheckRegistry reg;
+    reg.add(std::make_unique<check::FlowChecker>());
+    const Cycle next = primeSilent(reg, *core);
+
+    // Unlink the youngest waiting consumer: it still counts the pending
+    // source, but no completion will ever wake it.
+    producer->wakeHead = ts.nextWake(producer->wakeHead);
+
+    reg.onCycle(*core, next);
+    ASSERT_GT(reg.failureCount(), 0u);
+    EXPECT_EQ(reg.failures().front().checker, "flow");
+    EXPECT_EQ(reg.failures().front().invariant, "wake-list");
+}
+
 TEST(CheckCorruptionTest, MemCheckerCatchesPhantomFills)
 {
     auto p = test::nops(100000);

@@ -15,6 +15,7 @@
 #include <dirent.h>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -473,6 +474,65 @@ TEST(CkptCheckers, ReArmCleanlyOnARestoredCore)
     EXPECT_GT(core.checks().cyclesChecked() +
                   core.checks().cyclesSkipped(),
               0u);
+}
+
+/**
+ * Every live producer's wake list in @p core, as (thread, producer seq,
+ * consumer seq, source) tuples in list order.
+ */
+std::vector<std::tuple<ThreadId, SeqNum, SeqNum, std::uint32_t>>
+wakeLists(SmtCore &core)
+{
+    std::vector<std::tuple<ThreadId, SeqNum, SeqNum, std::uint32_t>> out;
+    for (ThreadId t = 0; t < num_hw_threads; ++t) {
+        ThreadState &ts = core.thread(t);
+        for (const InFlight &e : ts.window)
+            for (std::uint32_t edge = e.wakeHead; edge != no_wake_edge;
+                 edge = ts.nextWake(edge))
+                out.emplace_back(t, e.di.seq,
+                                 ts.wakeConsumer(edge).di.seq, edge & 1);
+    }
+    return out;
+}
+
+/**
+ * The image carries each wake list only as handles, which restore
+ * ignores: it re-derives the lists from the window. On a squash-heavy
+ * pair, where the saver's lists were trimmed many times, the rebuilt
+ * lists must equal the saver's edge for edge (dispatch links no nop
+ * consumer, so there is nothing wake would skip), and both cores must
+ * run on identically.
+ */
+TEST(Ckpt, WakeListsRebuiltOnRestoreMatchTheLiveCore)
+{
+    const SyntheticProgram pp = makeUbench(UbenchId::BrMiss);
+    const SyntheticProgram ps = makeUbench(UbenchId::LdintL2);
+    CoreParams params;
+    SmtCore core(params);
+    core.attachThread(0, &pp, 4);
+    core.attachThread(1, &ps, 4);
+    core.run(30000);
+    for (Cycle guard = 0; guard < 1000 && wakeLists(core).size() < 4;
+         ++guard)
+        core.tick();
+    ASSERT_GE(wakeLists(core).size(), 4u);
+    EXPECT_GT(core.stats().value("thread0.squashed"), 1000.0);
+
+    CkptWriter w;
+    core.saveState(w);
+    SmtCore twin(params);
+    twin.attachThread(0, &pp, 4);
+    twin.attachThread(1, &ps, 4);
+    CkptReader r(w.data());
+    twin.restoreState(r);
+    r.expectEnd();
+    EXPECT_EQ(wakeLists(core), wakeLists(twin));
+
+    core.run(50000);
+    twin.run(50000);
+    for (const std::string &name : core.stats().names())
+        EXPECT_EQ(core.stats().value(name), twin.stats().value(name))
+            << name;
 }
 
 } // namespace

@@ -329,5 +329,29 @@ TEST(CoreSmt, UnfinishedCountsSurviveBalancerFlushesAndRestore)
             << name;
 }
 
+TEST(CoreSmt, ReattachNeverHonoursAStaleCompletion)
+{
+    // Detaching drops the window but not the completions and ready
+    // entries already queued for it, and the next program restarts at
+    // seq 0 in the same window slots. Only the epoch detach() bumps
+    // keeps those handles from finishing the new program's instructions
+    // early (FlowChecker's finished-before-complete invariant). The
+    // alloc engine detaches and re-attaches like this at quantum
+    // boundaries.
+    const SyntheticProgram p = makeUbench(UbenchId::LdintMem);
+    const SyntheticProgram s = makeUbench(UbenchId::CpuInt);
+    CoreParams params;
+    SmtCore core(params);
+    test::withCheckers(core);
+    core.attachThread(1, &s, 4);
+    for (int round = 0; round < 20; ++round) {
+        core.attachThread(0, &p, 4);
+        core.run(512);
+        EXPECT_FALSE(core.thread(0).window.empty());
+        core.detachThread(0);
+    }
+    EXPECT_EQ(core.checks().failureCount(), 0u);
+}
+
 } // namespace
 } // namespace p5
