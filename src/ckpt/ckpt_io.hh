@@ -9,7 +9,10 @@
  * keeps padding bytes out of the stream — the stream is a pure function
  * of simulated state, and therefore deterministic across runs. That
  * determinism is what lets the equivalence suite compare checksums and
- * what the p5lint determinism rule audits serialization code for.
+ * what the p5lint determinism rule audits serialization code for. A
+ * u32 or u64 field moves as one whole host word: the build admits only
+ * little-endian hosts (static_assert below), whose words already are
+ * the wire format.
  *
  * The reader treats underrun or trailing bytes as fatal: every blob it
  * sees has already passed the file-level length + checksum validation
@@ -20,6 +23,7 @@
 #ifndef P5SIM_CKPT_CKPT_IO_HH
 #define P5SIM_CKPT_CKPT_IO_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -30,6 +34,11 @@
 #include "common/stats.hh"
 
 namespace p5 {
+
+// Words move as whole host words, so the host must store them in the
+// wire format's byte order.
+static_assert(std::endian::native == std::endian::little,
+              "checkpoint words are copied as little-endian host words");
 
 /** Appends fixed-width little-endian fields to a growing byte buffer. */
 class CkptWriter
@@ -43,19 +52,8 @@ class CkptWriter
 
     void b(bool v) { u8(v ? 1 : 0); }
 
-    void
-    u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    void u32(std::uint32_t v) { word(v); }
+    void u64(std::uint64_t v) { word(v); }
 
     void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
@@ -88,6 +86,15 @@ class CkptWriter
     }
 
   private:
+    /** Append @p v's bytes: little-endian, as the host stores it. */
+    template <typename Word>
+    void
+    word(Word v)
+    {
+        const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
+        bytes_.insert(bytes_.end(), p, p + sizeof(v));
+    }
+
     std::vector<std::uint8_t> bytes_;
 };
 
@@ -112,25 +119,8 @@ class CkptReader
 
     bool b() { return u8() != 0; }
 
-    std::uint32_t
-    u32()
-    {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-        return v;
-    }
+    std::uint32_t u32() { return word<std::uint32_t>(); }
+    std::uint64_t u64() { return word<std::uint64_t>(); }
 
     std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
@@ -171,6 +161,18 @@ class CkptReader
     }
 
   private:
+    /** Read one little-endian word (see CkptWriter::word). */
+    template <typename Word>
+    Word
+    word()
+    {
+        need(sizeof(Word));
+        Word v;
+        std::memcpy(&v, data_ + pos_, sizeof(v));
+        pos_ += sizeof(v);
+        return v;
+    }
+
     void
     need(std::uint64_t n) const
     {

@@ -46,6 +46,7 @@
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "mem/lmq.hh"
+#include "mem/lru_array.hh"
 #include "mem/tlb.hh"
 
 namespace p5 {
@@ -64,70 +65,85 @@ expectGeom(const char *what, std::uint64_t saved, std::uint64_t built)
 
 } // namespace
 
-// --- Cache ------------------------------------------------------------
+// --- LruArray / Cache / Tlb -----------------------------------------
 
 void
-Cache::saveState(CkptWriter &w) const
+LruArray::saveState(CkptWriter &w) const
 {
-    w.u64(static_cast<std::uint64_t>(lines_.size()));
-    for (const Line &line : lines_) {
-        w.u64(line.tag);
-        w.b(line.valid);
-        w.u64(line.lastUse);
+    // The wire format keeps a valid flag per entry; lastUse == 0 is it.
+    w.u64(static_cast<std::uint64_t>(entries_.size()));
+    for (const Entry &e : entries_) {
+        w.u64(e.tag);
+        w.b(e.lastUse != 0);
+        w.u64(e.lastUse);
     }
-    w.u64(useClock_);
-    w.u64(nextFree_);
+    w.u64(clock_);
+}
+
+void
+LruArray::restoreState(CkptReader &r)
+{
+    expectGeom("LRU array entries", r.u64(), entries_.size());
+    for (Entry &e : entries_) {
+        e.tag = r.u64();
+        const bool valid = r.b();
+        e.lastUse = r.u64();
+        if (!valid)
+            e.lastUse = 0;
+    }
+    clock_ = r.u64();
+}
+
+void
+LruArray::saveCounters(CkptWriter &w, bool fills) const
+{
     w.counter(hits_);
     w.counter(misses_);
+    if (!fills)
+        return;
     w.counter(insertions_);
     w.counter(evictions_);
 }
 
 void
-Cache::restoreState(CkptReader &r)
+LruArray::restoreCounters(CkptReader &r, bool fills)
 {
-    expectGeom("cache lines", r.u64(), lines_.size());
-    for (Line &line : lines_) {
-        line.tag = r.u64();
-        line.valid = r.b();
-        line.lastUse = r.u64();
-    }
-    useClock_ = r.u64();
-    nextFree_ = r.u64();
     r.counter(hits_);
     r.counter(misses_);
+    if (!fills)
+        return;
     r.counter(insertions_);
     r.counter(evictions_);
 }
 
-// --- Tlb --------------------------------------------------------------
+void
+Cache::saveState(CkptWriter &w) const
+{
+    lines_.saveState(w);
+    w.u64(nextFree_);
+    lines_.saveCounters(w, true);
+}
+
+void
+Cache::restoreState(CkptReader &r)
+{
+    lines_.restoreState(r);
+    nextFree_ = r.u64();
+    lines_.restoreCounters(r, true);
+}
 
 void
 Tlb::saveState(CkptWriter &w) const
 {
-    w.u64(static_cast<std::uint64_t>(entries_.size()));
-    for (const Entry &e : entries_) {
-        w.u64(e.vpn);
-        w.b(e.valid);
-        w.u64(e.lastUse);
-    }
-    w.u64(useClock_);
-    w.counter(hits_);
-    w.counter(misses_);
+    pages_.saveState(w);
+    pages_.saveCounters(w, false);
 }
 
 void
 Tlb::restoreState(CkptReader &r)
 {
-    expectGeom("TLB entries", r.u64(), entries_.size());
-    for (Entry &e : entries_) {
-        e.vpn = r.u64();
-        e.valid = r.b();
-        e.lastUse = r.u64();
-    }
-    useClock_ = r.u64();
-    r.counter(hits_);
-    r.counter(misses_);
+    pages_.restoreState(r);
+    pages_.restoreCounters(r, false);
 }
 
 // --- Bht --------------------------------------------------------------

@@ -21,15 +21,11 @@ FuPool::tryAcquire(FuClass fc, Cycle now, int occupancy)
         ++acquisitions_[static_cast<int>(fc)];
         return true;
     }
-    auto &units = busyUntil_[static_cast<int>(fc)];
-    for (auto &until : units) {
-        if (until <= now) {
-            until = now + static_cast<Cycle>(occupancy);
-            ++acquisitions_[static_cast<int>(fc)];
-            return true;
-        }
-    }
-    return false;
+    const int unit = freeUnit(fc, now);
+    if (unit < 0)
+        return false;
+    occupy(fc, unit, now, occupancy);
+    return true;
 }
 
 int

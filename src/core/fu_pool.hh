@@ -36,6 +36,32 @@ class FuPool
      */
     bool tryAcquire(FuClass fc, Cycle now, int occupancy);
 
+    /**
+     * The first unit of class @p fc free at cycle @p now, or -1 when
+     * every unit is busy. @pre fc != FuClass::None.
+     */
+    int
+    freeUnit(FuClass fc, Cycle now) const
+    {
+        const auto &units = busyUntil_[static_cast<int>(fc)];
+        for (std::size_t u = 0; u < units.size(); ++u)
+            if (units[u] <= now)
+                return static_cast<int>(u);
+        return -1;
+    }
+
+    /**
+     * Hold @p unit (from freeUnit()) of class @p fc for @p occupancy
+     * cycles from @p now, and count the acquisition.
+     */
+    void
+    occupy(FuClass fc, int unit, Cycle now, int occupancy)
+    {
+        busyUntil_[static_cast<int>(fc)][static_cast<std::size_t>(unit)] =
+            now + static_cast<Cycle>(occupancy);
+        ++acquisitions_[static_cast<int>(fc)];
+    }
+
     /** Free units of class @p fc at cycle @p now. */
     int freeUnits(FuClass fc, Cycle now) const;
 

@@ -141,25 +141,26 @@ Lsu::issueLoad(ThreadId tid, Addr addr, Cycle now)
 {
     const Addr ea = effectiveAddr(tid, addr);
 
-    bool walked = false;
-    Cycle ready = translate(tid, ea, now, &walked);
+    MemAccessResult res;
+    Cycle ready = translate(tid, ea, now, &res.tlbMiss);
     ready = portGate(tid, now, ready);
 
-    // An L1 miss occupies an LMQ entry for the miss duration; when the
-    // queue is full the miss queues behind the blocking entries.
-    const MemLevel probed = hierarchy_->probeLevel(ea);
-    if (probed != MemLevel::L1) {
+    // One walk finds and fills the line. An L1 miss then occupies an
+    // LMQ entry for the miss duration; when the queue is full the miss
+    // queues behind the blocking entries. The reservation touches no
+    // line state, so walking before it times the same as after.
+    res.level = hierarchy_->walk(tid, ea);
+    const bool l1_miss = res.level != MemLevel::L1;
+    if (l1_miss) {
         const Cycle est_release =
-            ready + static_cast<Cycle>(estimatedLatency(probed));
+            ready + static_cast<Cycle>(estimatedLatency(res.level));
         ready = lmq_->reserve(tid, now, ready, est_release);
     }
-
-    MemAccessResult res = hierarchy_->accessCaches(tid, ea, false, now, ready);
-    res.tlbMiss = walked;
+    res.doneCycle = hierarchy_->serve(res.level, now, ready);
     ++loads_[static_cast<size_t>(tid)];
     ++levelCounts_[static_cast<int>(res.level)];
 
-    if (probed != MemLevel::L1)
+    if (l1_miss)
         lmq_->updateLastRelease(res.doneCycle);
     return res;
 }
@@ -168,8 +169,6 @@ int
 Lsu::estimatedLatency(MemLevel level) const
 {
     switch (level) {
-      case MemLevel::L1:
-        return params_.mem.l1d.hitLatency;
       case MemLevel::L2:
         return params_.mem.l2.hitLatency;
       case MemLevel::L3:
@@ -185,12 +184,11 @@ MemAccessResult
 Lsu::issueStore(ThreadId tid, Addr addr, Cycle now)
 {
     const Addr ea = effectiveAddr(tid, addr);
-    bool walked = false;
-    Cycle ready = translate(tid, ea, now, &walked);
+    MemAccessResult res;
+    Cycle ready = translate(tid, ea, now, &res.tlbMiss);
     ready = portGate(tid, now, ready);
-    MemAccessResult res =
-        hierarchy_->accessCaches(tid, ea, true, now, ready);
-    res.tlbMiss = walked;
+    res.level = hierarchy_->walk(tid, ea);
+    res.doneCycle = hierarchy_->serve(res.level, now, ready);
     ++stores_[static_cast<size_t>(tid)];
     return res;
 }

@@ -109,7 +109,7 @@ class Lsu
     /** Translate; returns the cycle the physical access may start. */
     Cycle translate(ThreadId tid, Addr ea, Cycle now, bool *walked);
 
-    /** Expected latency of a miss serviced at @p level (for LMQ
+    /** Expected latency of an L1 miss serviced at @p level (for LMQ
      *  windows). */
     int estimatedLatency(MemLevel level) const;
 

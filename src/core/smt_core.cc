@@ -473,7 +473,7 @@ SmtCore::computeIdleTarget(Cycle limit, IdleGate *gate) const
     if (!completions_.empty() && completions_.front().cycle <= cycle_)
         return cycle_;
     for (FuClass fc : issue_classes)
-        if (!readyQ_.empty(fc) && fuPool_.freeUnits(fc, cycle_) > 0)
+        if (!readyQ_.empty(fc) && fuPool_.freeUnit(fc, cycle_) >= 0)
             return cycle_;
     for (ThreadId t = 0; t < num_hw_threads; ++t)
         if (commitReady(t))
@@ -573,10 +573,13 @@ SmtCore::pushReady(ThreadState &ts, InFlight &e)
 void
 SmtCore::issueStage()
 {
-    static constexpr FuClass kClasses[] = {FuClass::FX, FuClass::FP,
-                                           FuClass::LS, FuClass::BR};
-    for (FuClass fc : kClasses) {
-        while (!readyQ_.empty(fc) && fuPool_.freeUnits(fc, cycle_) > 0) {
+    for (FuClass fc : issue_classes) {
+        while (!readyQ_.empty(fc)) {
+            // Issue holds the unit found here; nothing below frees or
+            // takes a unit before occupy().
+            const int unit = fuPool_.freeUnit(fc, cycle_);
+            if (unit < 0)
+                break;
             tickProgress_ = true;
             ReadyRef ref = readyQ_.pop(fc);
             ThreadState &ts = *threads_[static_cast<size_t>(ref.tid)];
@@ -598,9 +601,7 @@ SmtCore::issueStage()
                 done = cycle_ + static_cast<Cycle>(opLatency(e->di.op));
             }
 
-            if (!fuPool_.tryAcquire(fc, cycle_,
-                                    params_.fuOccupancy(e->di.op)))
-                panic("FU acquire failed with free units available");
+            fuPool_.occupy(fc, unit, cycle_, params_.fuOccupancy(e->di.op));
 
             e->phase = InstrPhase::Issued;
             e->di.completeCycle = done;

@@ -155,6 +155,17 @@ fameRun(const FameResult &r)
     return run;
 }
 
+/** A runFame() inspector adding the core's ticked cycles and
+ *  fast-forward probes to @p run. */
+auto
+countInto(ArmRun &run)
+{
+    return [&run](const SmtCore &core) {
+        run.tickedCycles += core.cycle() - core.idleCyclesSkipped();
+        run.ffProbes += core.fastForwardProbes();
+    };
+}
+
 /** One FAME run of a pair, fast-forward on or off. */
 Arm
 fameArm(bool fast_forward, const InstrSource *prog_p,
@@ -163,12 +174,16 @@ fameArm(bool fast_forward, const InstrSource *prog_p,
     return [=](const TimeWork &timed) {
         CoreParams core;
         core.fastForward = fast_forward;
+        ArmRun counts;
         FameResult r;
         timed([&] {
             r = runFame(core, prog_p, prog_s, prio_p, prio_s,
-                        endToEndFame());
+                        endToEndFame(), nullptr, "", countInto(counts));
         });
-        return fameRun(r);
+        ArmRun run = fameRun(r);
+        run.tickedCycles = counts.tickedCycles;
+        run.ffProbes = counts.ffProbes;
+        return run;
     };
 }
 
@@ -205,6 +220,8 @@ chipArm(const Workload &workload, bool fast_forward,
         run.ipc = r.aggregateIpc;
         run.signature = {r.cycles, r.quanta, r.migrations, r.committed,
                          r.checkViolations};
+        for (int c = 0; c < chip.numCores(); ++c)
+            countInto(run)(chip.core(c));
         for (const auto &t : r.threads)
             run.signature.insert(run.signature.end(),
                                  {t.committed, t.l2Misses,
@@ -260,6 +277,7 @@ matrixArm(const InstrSource &prog, bool checkpointed, std::uint64_t &warms,
         CkptManager mgr;
         CkptManager *ckpts = checkpointed ? &mgr : nullptr;
 
+        ArmRun run;
         std::vector<FameResult> results;
         results.reserve(ckpt_case_pairs);
         timed([&] {
@@ -267,10 +285,10 @@ matrixArm(const InstrSource &prog, bool checkpointed, std::uint64_t &warms,
                 for (int s = 1; s <= ckpt_case_prios; ++s)
                     results.push_back(
                         runFame(core, &prog, &prog, p, s, fame, ckpts,
-                                checkpointed ? ckpt_case_key : ""));
+                                checkpointed ? ckpt_case_key : "",
+                                countInto(run)));
         });
 
-        ArmRun run;
         for (const FameResult &r : results) {
             const ArmRun one = fameRun(r);
             run.simCycles += one.simCycles;
@@ -307,6 +325,14 @@ writeThroughput(JsonWriter &w, const ArmRun &fast)
              static_cast<double>(fast.instrs) / (fast.wallMs * 1e3));
 }
 
+/** The work counts of a case's fast arm (see ArmRun). */
+void
+writeWorkCounts(JsonWriter &w, const ArmRun &fast)
+{
+    w.member("tickedCycles", fast.tickedCycles);
+    w.member("ffProbes", fast.ffProbes);
+}
+
 /** A fast/slow case's report object; B is the fast arm. */
 void
 writeFastSlowCase(JsonWriter &w, const char *name, const AbResult &r,
@@ -321,6 +347,7 @@ writeFastSlowCase(JsonWriter &w, const char *name, const AbResult &r,
     w.member("wallMsSlow", r.a.wallMs);
     w.member("speedup", r.speedup);
     w.member("identicalStats", r.identicalStats);
+    writeWorkCounts(w, r.b);
     if (migrations)
         w.member("migrations", *migrations);
     writeThroughput(w, r.b);
@@ -417,6 +444,7 @@ writePerfReport(const std::string &path, std::ostream &err)
         w.member("wallMsCkpt", r.b.wallMs);
         w.member("speedup", r.speedup);
         w.member("identicalStats", r.identicalStats);
+        writeWorkCounts(w, r.b);
         // Effective throughput: a forked pair's result cycles include
         // the warm-up it restored instead of simulating.
         writeThroughput(w, r.b);

@@ -261,7 +261,8 @@ FameResult
 runFame(const CoreParams &core_params, const InstrSource *prog_p,
         const InstrSource *prog_s, int prio_p, int prio_s,
         const FameParams &fame_params, CkptManager *ckpts,
-        const std::string &warm_key)
+        const std::string &warm_key,
+        const std::function<void(const SmtCore &)> &inspect)
 {
     if (!prog_p)
         fatal("runFame: primary program is required");
@@ -279,7 +280,10 @@ runFame(const CoreParams &core_params, const InstrSource *prog_p,
     FameRunner runner(fame_params);
     runner.warmOrFork(core, ckpts, warm_key);
     core.setPriorityPair(prio_p, prog_s ? prio_s : 0);
-    return runner.measure(core, 0);
+    const FameResult result = runner.measure(core, 0);
+    if (inspect)
+        inspect(core);
+    return result;
 }
 
 } // namespace p5

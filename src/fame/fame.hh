@@ -187,13 +187,18 @@ constexpr int canonical_warm_priority = 4;
  * @p warm_key (see CkptManager): the first caller warms and snapshots,
  * every later caller forks by restoring the snapshot into its fresh
  * core. Checkpointed and cold paths produce bit-identical results.
+ *
+ * @p inspect, when set, sees the core once measurement ends (p5sim
+ * perf reads its ticked cycles and fast-forward probes there).
  */
 FameResult runFame(const CoreParams &core_params,
                    const InstrSource *prog_p,
                    const InstrSource *prog_s, int prio_p, int prio_s,
                    const FameParams &fame_params = FameParams{},
                    CkptManager *ckpts = nullptr,
-                   const std::string &warm_key = std::string());
+                   const std::string &warm_key = std::string(),
+                   const std::function<void(const SmtCore &)> &inspect =
+                       nullptr);
 
 } // namespace p5
 

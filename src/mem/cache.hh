@@ -3,11 +3,11 @@
  * Set-associative cache model with true-LRU replacement.
  *
  * p5sim uses a latency model rather than a message-passing memory system:
- * a lookup tells you whether the line is present (updating recency), an
- * insert victimizes the LRU way, and a per-cache service-bandwidth gate
- * (minimum gap between serviced requests) models port/bank contention —
- * which is what makes two co-running memory-bound threads slow each other
- * down as in the paper's Table 3.
+ * an access tells you whether the line was present and fills it if not
+ * (one walk of the set, see LruArray), and a per-cache service-bandwidth
+ * gate (minimum gap between serviced requests) models port/bank
+ * contention — which is what makes two co-running memory-bound threads
+ * slow each other down as in the paper's Table 3.
  */
 
 #ifndef P5SIM_MEM_CACHE_HH
@@ -15,11 +15,11 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/annotate.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "mem/lru_array.hh"
 
 namespace p5 {
 
@@ -42,27 +42,25 @@ struct P5_CONFIG_STRUCT CacheParams
     int serviceGap = 1;
 };
 
-/** One level of set-associative cache. */
+/** One level of set-associative cache: an LruArray of lines plus a
+ *  service-bandwidth gate. */
 class Cache
 {
   public:
     explicit Cache(const CacheParams &params);
 
     /**
-     * Look up @p addr; on a hit the line becomes most-recently-used.
+     * Look up @p addr and fill it on a miss (see LruArray::access).
      *
      * @return true on hit.
      */
-    bool lookup(Addr addr);
+    bool access(Addr addr) { return lines_.access(addr); }
 
     /** True iff @p addr is present; does not touch recency or stats. */
-    bool probe(Addr addr) const;
-
-    /** Insert the line containing @p addr, evicting LRU if needed. */
-    void insert(Addr addr);
+    bool probe(Addr addr) const { return lines_.probe(addr); }
 
     /** Invalidate the line containing @p addr if present. */
-    void invalidate(Addr addr);
+    void invalidate(Addr addr) { lines_.invalidate(addr); }
 
     /** Drop all lines and reset the bandwidth gate (not the stats). */
     void flushAll();
@@ -79,13 +77,17 @@ class Cache
     const CacheParams &params() const { return params_; }
     std::uint64_t numSets() const { return numSets_; }
 
-    std::uint64_t hits() const { return hits_.value(); }
-    std::uint64_t misses() const { return misses_.value(); }
-    std::uint64_t insertions() const { return insertions_.value(); }
-    std::uint64_t evictions() const { return evictions_.value(); }
+    std::uint64_t hits() const { return lines_.hits(); }
+    std::uint64_t misses() const { return lines_.misses(); }
+    std::uint64_t insertions() const { return lines_.insertions(); }
+    std::uint64_t evictions() const { return lines_.evictions(); }
 
     /** Register this cache's statistics into @p group. */
-    void registerStats(StatGroup &group) const;
+    void
+    registerStats(StatGroup &group) const
+    {
+        lines_.registerStats(group, params_.name, true);
+    }
 
     /** Serialize lines, recency clock, bandwidth gate and counters. */
     void saveState(class CkptWriter &w) const;
@@ -94,28 +96,10 @@ class Cache
     void restoreState(class CkptReader &r);
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        std::uint64_t lastUse = 0;
-    };
-
-    std::uint64_t setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
-
     CacheParams params_;
     std::uint64_t numSets_;
-    int lineShift_; ///< log2(lineBytes): address to line number
-    int tagShift_;  ///< log2(lineBytes * numSets_): address to tag
-    std::vector<Line> lines_; // numSets_ * assoc, row-major by set
-    std::uint64_t useClock_ = 0;
+    LruArray lines_;
     Cycle nextFree_ = 0;
-
-    Counter hits_;
-    Counter misses_;
-    Counter insertions_;
-    Counter evictions_;
 };
 
 } // namespace p5

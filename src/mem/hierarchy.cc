@@ -28,48 +28,31 @@ MemBackside::MemBackside(const HierarchyParams &params)
 {
 }
 
-MemAccessResult
-MemBackside::access(Addr addr, Cycle now, Cycle ready, bool *beyond_l2)
+MemLevel
+MemBackside::walk(Addr addr)
 {
-    MemAccessResult res;
-    *beyond_l2 = false;
+    if (l2_.access(addr))
+        return MemLevel::L2;
+    if (l3_.access(addr))
+        return MemLevel::L3;
+    return MemLevel::Mem;
+}
 
-    if (l2_.lookup(addr)) {
-        res.level = MemLevel::L2;
-        Cycle start = l2_.reserveService(now, ready);
-        res.doneCycle = start + static_cast<Cycle>(params_.l2.hitLatency);
-        return res;
-    }
-    *beyond_l2 = true;
-
-    if (l3_.lookup(addr)) {
-        res.level = MemLevel::L3;
-        Cycle start = l3_.reserveService(now, ready);
-        res.doneCycle = start + static_cast<Cycle>(params_.l3.hitLatency);
-        l2_.insert(addr);
-        return res;
-    }
-
-    res.level = MemLevel::Mem;
-    Cycle start = std::max(ready, dramNextFree_);
+Cycle
+MemBackside::serve(MemLevel level, Cycle now, Cycle ready)
+{
+    if (level == MemLevel::L2)
+        return l2_.reserveService(now, ready) +
+               static_cast<Cycle>(params_.l2.hitLatency);
+    if (level == MemLevel::L3)
+        return l3_.reserveService(now, ready) +
+               static_cast<Cycle>(params_.l3.hitLatency);
+    const Cycle start = std::max(ready, dramNextFree_);
     // As in Cache::reserveService: consume DRAM bandwidth in request
     // order so future-scheduled accesses don't block earlier ones.
     dramNextFree_ = std::min(start, std::max(now, dramNextFree_)) +
                     static_cast<Cycle>(params_.dramServiceGap);
-    res.doneCycle = start + static_cast<Cycle>(params_.dramLatency);
-    l3_.insert(addr);
-    l2_.insert(addr);
-    return res;
-}
-
-MemLevel
-MemBackside::probeLevel(Addr addr) const
-{
-    if (l2_.probe(addr))
-        return MemLevel::L2;
-    if (l3_.probe(addr))
-        return MemLevel::L3;
-    return MemLevel::Mem;
+    return start + static_cast<Cycle>(params_.dramLatency);
 }
 
 void
@@ -105,59 +88,37 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
 }
 
 MemAccessResult
-CacheHierarchy::access(ThreadId tid, Addr addr, bool is_store, Cycle now)
+CacheHierarchy::access(ThreadId tid, Addr addr, Cycle now)
 {
-    auto &tlb = *tlbs_[static_cast<size_t>(tid)];
-
-    Cycle t = now;
-    bool tlb_miss = false;
-    TlbResult tr = tlb.access(addr);
-    if (!tr.hit) {
-        tlb_miss = true;
+    const TlbResult tr = tlb(tid).access(addr);
+    if (!tr.hit)
         ++tlbMisses_[static_cast<size_t>(tid)];
-        t += static_cast<Cycle>(tr.latency);
-    }
-
-    MemAccessResult res = accessCaches(tid, addr, is_store, now, t);
-    res.tlbMiss = tlb_miss;
-    return res;
-}
-
-MemAccessResult
-CacheHierarchy::accessCaches(ThreadId tid, Addr addr, bool is_store,
-                             Cycle now, Cycle ready)
-{
-    (void)is_store; // write-allocate: stores follow the load path
-
-    if (l1d_.lookup(addr)) {
-        MemAccessResult res;
-        res.level = MemLevel::L1;
-        res.doneCycle =
-            ready + static_cast<Cycle>(params_.l1d.hitLatency);
-        return res;
-    }
-    ++l1Misses_[static_cast<size_t>(tid)];
-
-    bool beyond_l2 = false;
-    MemAccessResult res = backside_->access(addr, now, ready, &beyond_l2);
-    if (beyond_l2)
-        ++beyondL2_[static_cast<size_t>(tid)];
-    l1d_.insert(addr);
+    MemAccessResult res;
+    res.tlbMiss = !tr.hit;
+    res.level = walk(tid, addr);
+    res.doneCycle =
+        serve(res.level, now, now + static_cast<Cycle>(tr.latency));
     return res;
 }
 
 MemLevel
-CacheHierarchy::probeLevel(Addr addr) const
+CacheHierarchy::walk(ThreadId tid, Addr addr)
 {
-    if (l1d_.probe(addr))
+    if (l1d_.access(addr))
         return MemLevel::L1;
-    return backside_->probeLevel(addr);
+    ++l1Misses_[static_cast<size_t>(tid)];
+    const MemLevel level = backside_->walk(addr);
+    if (level != MemLevel::L2)
+        ++beyondL2_[static_cast<size_t>(tid)];
+    return level;
 }
 
-bool
-CacheHierarchy::wouldTlbMiss(ThreadId tid, Addr addr) const
+Cycle
+CacheHierarchy::serve(MemLevel level, Cycle now, Cycle ready)
 {
-    return !tlbs_[static_cast<size_t>(tid)]->probe(addr);
+    if (level == MemLevel::L1)
+        return ready + static_cast<Cycle>(params_.l1d.hitLatency);
+    return backside_->serve(level, now, ready);
 }
 
 void

@@ -60,16 +60,18 @@ class MemBackside
     explicit MemBackside(const HierarchyParams &params);
 
     /**
-     * Service an L1 miss issued at @p now that becomes serviceable at
-     * @p ready (>= now; later when translation is still walking).
-     *
-     * @param beyond_l2 set to true when L2 missed too.
+     * Walk L2, then L3, for an L1 miss and fill the line into both
+     * (inclusive); returns the level that held it.
      */
-    MemAccessResult access(Addr addr, Cycle now, Cycle ready,
-                           bool *beyond_l2);
+    MemLevel walk(Addr addr);
 
-    /** Level that @p addr would hit below L1; no side effects. */
-    MemLevel probeLevel(Addr addr) const;
+    /**
+     * Cycle the data of a miss serviced at @p level (L2, L3 or Mem)
+     * arrives, for a request issued at @p now that becomes serviceable
+     * at @p ready (>= now; later when translation is still walking).
+     * Applies that level's service-bandwidth gate; touches no lines.
+     */
+    Cycle serve(MemLevel level, Cycle now, Cycle ready);
 
     /** Drop all cached state and bandwidth gates (not stats). */
     void flushAll();
@@ -104,28 +106,27 @@ class CacheHierarchy
                             MemBackside *shared = nullptr);
 
     /**
-     * Perform a data access for thread @p tid at cycle @p now.
-     *
-     * Fills all levels on the way back (inclusive hierarchy) and charges
-     * TLB-walk and service-bandwidth delays. (The core's LSU uses
-     * accessCaches() instead and arbitrates walks itself.)
+     * Perform a data access for thread @p tid at cycle @p now: the
+     * TLB, the line walk and the timing step in one call, charging
+     * the TLB walk inline. (The core's LSU calls walk() and serve()
+     * itself, since it arbitrates table walks and LMQ entries.)
      */
-    MemAccessResult access(ThreadId tid, Addr addr, bool is_store,
-                           Cycle now);
+    MemAccessResult access(ThreadId tid, Addr addr, Cycle now);
 
     /**
-     * Cache-only access path (no TLB): the request is issued at @p now
-     * and becomes serviceable at @p ready. Used by the LSU, which
-     * handles translation and the shared table-walk engine itself.
+     * Walk the levels for @p tid's access to @p addr, filling every
+     * level on the way back (inclusive hierarchy; stores write-allocate
+     * like loads), and count the thread's L1 and L2 misses. Returns
+     * the level that held the line.
      */
-    MemAccessResult accessCaches(ThreadId tid, Addr addr, bool is_store,
-                                 Cycle now, Cycle ready);
+    MemLevel walk(ThreadId tid, Addr addr);
 
-    /** Level that @p addr would hit, with no side effects on state. */
-    MemLevel probeLevel(Addr addr) const;
-
-    /** Whether the next access by @p tid to @p addr would miss the TLB. */
-    bool wouldTlbMiss(ThreadId tid, Addr addr) const;
+    /**
+     * Cycle an access serviced at @p level completes, issued at @p now
+     * and serviceable at @p ready: the L1 hit latency, or the
+     * backside's gated service (MemBackside::serve).
+     */
+    Cycle serve(MemLevel level, Cycle now, Cycle ready);
 
     /** Drop all cached state (lines, TLB entries, bandwidth gates). */
     void flushAll();

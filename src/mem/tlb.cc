@@ -6,86 +6,37 @@
 
 namespace p5 {
 
-Tlb::Tlb(const TlbParams &params) : params_(params)
-{
-    if (params_.entries <= 0 || params_.assoc <= 0 ||
-        params_.entries % params_.assoc != 0)
-        fatal("tlb '%s': bad geometry", params_.name.c_str());
-    if (params_.pageBytes == 0 ||
-        (params_.pageBytes & (params_.pageBytes - 1)) != 0)
-        fatal("tlb '%s': page size must be a power of two",
-              params_.name.c_str());
-    numSets_ = static_cast<std::uint64_t>(params_.entries / params_.assoc);
-    if ((numSets_ & (numSets_ - 1)) != 0)
-        fatal("tlb '%s': set count must be a power of two",
-              params_.name.c_str());
-    entries_.resize(static_cast<std::size_t>(params_.entries));
-    // A power of two, so the shift equals the divide exactly.
-    pageShift_ = std::countr_zero(params_.pageBytes);
-}
+namespace {
 
+/** Set count of @p params; fatal() on a bad geometry. */
 std::uint64_t
-Tlb::setIndex(std::uint64_t vpn) const
+validatedSets(const TlbParams &params)
 {
-    return vpn & (numSets_ - 1);
+    if (params.entries <= 0 || params.assoc <= 0 ||
+        params.entries % params.assoc != 0)
+        fatal("tlb '%s': bad geometry", params.name.c_str());
+    if (params.pageBytes == 0 ||
+        (params.pageBytes & (params.pageBytes - 1)) != 0)
+        fatal("tlb '%s': page size must be a power of two",
+              params.name.c_str());
+    const auto sets =
+        static_cast<std::uint64_t>(params.entries / params.assoc);
+    if ((sets & (sets - 1)) != 0)
+        fatal("tlb '%s': set count must be a power of two",
+              params.name.c_str());
+    return sets;
 }
 
-TlbResult
-Tlb::access(Addr addr)
+} // namespace
+
+// The page size is a power of two, so the shift equals the divide
+// exactly. The tag is the whole virtual page number, set bits included.
+Tlb::Tlb(const TlbParams &params)
+    : params_(params),
+      pages_(validatedSets(params), params.assoc,
+             std::countr_zero(params.pageBytes),
+             std::countr_zero(params.pageBytes))
 {
-    const std::uint64_t vpn = addr >> pageShift_;
-    const std::uint64_t set = setIndex(vpn);
-    Entry *base = &entries_[set * params_.assoc];
-
-    for (int w = 0; w < params_.assoc; ++w) {
-        if (base[w].valid && base[w].vpn == vpn) {
-            base[w].lastUse = ++useClock_;
-            ++hits_;
-            return {true, 0};
-        }
-    }
-
-    // Miss: walk, then install over invalid/LRU.
-    ++misses_;
-    int victim = 0;
-    for (int w = 0; w < params_.assoc; ++w) {
-        if (!base[w].valid) {
-            victim = w;
-            break;
-        }
-        if (base[w].lastUse < base[victim].lastUse)
-            victim = w;
-    }
-    base[victim].valid = true;
-    base[victim].vpn = vpn;
-    base[victim].lastUse = ++useClock_;
-    return {false, params_.walkLatency};
-}
-
-bool
-Tlb::probe(Addr addr) const
-{
-    const std::uint64_t vpn = addr >> pageShift_;
-    const std::uint64_t set = setIndex(vpn);
-    const Entry *base = &entries_[set * params_.assoc];
-    for (int w = 0; w < params_.assoc; ++w)
-        if (base[w].valid && base[w].vpn == vpn)
-            return true;
-    return false;
-}
-
-void
-Tlb::flushAll()
-{
-    for (auto &e : entries_)
-        e.valid = false;
-}
-
-void
-Tlb::registerStats(StatGroup &group) const
-{
-    group.registerCounter(params_.name + ".hits", &hits_);
-    group.registerCounter(params_.name + ".misses", &misses_);
 }
 
 } // namespace p5

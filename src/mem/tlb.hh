@@ -14,11 +14,11 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/annotate.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "mem/lru_array.hh"
 
 namespace p5 {
 
@@ -40,26 +40,40 @@ struct TlbResult
     int latency = 0; ///< extra cycles (0 on hit, walkLatency on miss)
 };
 
-/** Set-associative TLB with LRU replacement. */
+/** Set-associative TLB with LRU replacement: an LruArray of pages. */
 class Tlb
 {
   public:
     explicit Tlb(const TlbParams &params);
 
     /** Translate @p addr: fills on miss and charges the walk. */
-    TlbResult access(Addr addr);
+    TlbResult
+    access(Addr addr)
+    {
+        if (pages_.access(addr))
+            return {true, 0};
+        return {false, params_.walkLatency};
+    }
 
     /** True iff the page of @p addr is cached; no side effects. */
-    bool probe(Addr addr) const;
+    bool probe(Addr addr) const { return pages_.probe(addr); }
 
     /** Drop all entries (e.g. on a context switch). */
-    void flushAll();
+    void flushAll() { pages_.flushAll(); }
 
     const TlbParams &params() const { return params_; }
-    std::uint64_t hits() const { return hits_.value(); }
-    std::uint64_t misses() const { return misses_.value(); }
+    std::uint64_t hits() const { return pages_.hits(); }
+    std::uint64_t misses() const { return pages_.misses(); }
+    /** Fill counters: outside the stat set, so not checkpointed. */
+    std::uint64_t insertions() const { return pages_.insertions(); }
+    std::uint64_t evictions() const { return pages_.evictions(); }
 
-    void registerStats(StatGroup &group) const;
+    /** Register the hit and miss counters, a TLB's whole stat set. */
+    void
+    registerStats(StatGroup &group) const
+    {
+        pages_.registerStats(group, params_.name, false);
+    }
 
     /** Serialize entries, recency clock and counters. */
     void saveState(class CkptWriter &w) const;
@@ -68,23 +82,8 @@ class Tlb
     void restoreState(class CkptReader &r);
 
   private:
-    struct Entry
-    {
-        std::uint64_t vpn = 0;
-        bool valid = false;
-        std::uint64_t lastUse = 0;
-    };
-
-    std::uint64_t setIndex(std::uint64_t vpn) const;
-
     TlbParams params_;
-    std::uint64_t numSets_;
-    int pageShift_; ///< log2(pageBytes): address to virtual page number
-    std::vector<Entry> entries_;
-    std::uint64_t useClock_ = 0;
-
-    Counter hits_;
-    Counter misses_;
+    LruArray pages_; ///< tagged by the full virtual page number
 };
 
 } // namespace p5

@@ -2,8 +2,8 @@
  * @file
  * Reference set-associative LRU array indexed with the divide formula,
  * the differential oracle for the Cache and Tlb models (which index
- * with precomputed shifts and a mask), and the address pool that
- * drives it.
+ * with precomputed shifts and a mask, and fill in the same walk that
+ * looks up), and the address pool that drives it.
  */
 
 #ifndef P5SIM_TESTS_LRU_REFERENCE_HH
@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hh"
@@ -21,7 +22,8 @@ namespace p5::test {
 /**
  * block = addr / blockBytes, set = block % sets, tag = block / sets.
  * Replacement takes the first invalid way, else the least recently
- * used one, as both models do.
+ * used one, as the models do. Entries keep a separate valid flag, so
+ * the oracle does not share the models' lastUse == 0 encoding.
  */
 class LruReference
 {
@@ -51,11 +53,13 @@ class LruReference
 
     /**
      * Install the block of @p addr (a hit only refreshes recency).
-     * @return true iff a valid block was evicted.
+     * @return true iff a valid block was evicted; its address is then
+     *         in lastVictim().
      */
     bool
     insert(Addr addr)
     {
+        victim_.reset();
         if (lookup(addr))
             return false;
         Way *ways = &ways_[base(addr)];
@@ -68,10 +72,34 @@ class LruReference
             if (ways[w].lastUse < victim->lastUse)
                 victim = &ways[w];
         }
-        const bool evicted = victim->valid;
+        if (victim->valid)
+            victim_ = (victim->tag * sets_ + addr / blockBytes_ % sets_) *
+                      blockBytes_;
         *victim = {tagOf(addr), true, ++clock_};
-        return evicted;
+        return victim_.has_value();
     }
+
+    /**
+     * Lookup, then insert on a miss: the two-pass sequence the models
+     * fold into one walk, counted the way they count it.
+     */
+    bool
+    access(Addr addr)
+    {
+        victim_.reset();
+        if (lookup(addr)) {
+            ++hits;
+            return true;
+        }
+        ++misses;
+        ++insertions;
+        if (insert(addr))
+            ++evictions;
+        return false;
+    }
+
+    /** Address of the block the last insert or access evicted. */
+    std::optional<Addr> lastVictim() const { return victim_; }
 
     void
     invalidate(Addr addr)
@@ -80,6 +108,18 @@ class LruReference
         if (w >= 0)
             ways_[base(addr) + w].valid = false;
     }
+
+    void
+    flushAll()
+    {
+        for (Way &way : ways_)
+            way.valid = false;
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t insertions = 0;
+    std::uint64_t evictions = 0;
 
   private:
     struct Way
@@ -120,6 +160,7 @@ class LruReference
     int assoc_;
     std::vector<Way> ways_;
     std::uint64_t clock_ = 0;
+    std::optional<Addr> victim_;
 };
 
 /**

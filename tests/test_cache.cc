@@ -25,18 +25,18 @@ smallCache()
 TEST(Cache, MissThenHit)
 {
     Cache c(smallCache());
-    EXPECT_FALSE(c.lookup(0x100));
-    c.insert(0x100);
-    EXPECT_TRUE(c.lookup(0x100));
+    EXPECT_FALSE(c.access(0x100)); // the miss fills the line
+    EXPECT_TRUE(c.access(0x100));
     EXPECT_EQ(c.hits(), 1u);
     EXPECT_EQ(c.misses(), 1u);
+    EXPECT_EQ(c.insertions(), 1u);
 }
 
 TEST(Cache, SameLineDifferentOffsets)
 {
     Cache c(smallCache());
-    c.insert(0x100);
-    EXPECT_TRUE(c.lookup(0x13F)); // same 64B line
+    c.access(0x100);
+    EXPECT_TRUE(c.access(0x13F)); // same 64B line
     EXPECT_FALSE(c.probe(0x140)); // next line
 }
 
@@ -44,10 +44,10 @@ TEST(Cache, LruEviction)
 {
     Cache c(smallCache());
     // Three lines mapping to the same set (set stride = 4 * 64 = 256).
-    c.insert(0x000);
-    c.insert(0x100);
-    c.lookup(0x000);  // make 0x000 MRU
-    c.insert(0x200);  // evicts LRU = 0x100
+    c.access(0x000);
+    c.access(0x100);
+    c.access(0x000); // make 0x000 MRU
+    c.access(0x200); // evicts LRU = 0x100
     EXPECT_TRUE(c.probe(0x000));
     EXPECT_FALSE(c.probe(0x100));
     EXPECT_TRUE(c.probe(0x200));
@@ -57,12 +57,12 @@ TEST(Cache, LruEviction)
 TEST(Cache, ProbeHasNoSideEffects)
 {
     Cache c(smallCache());
-    c.insert(0x000);
-    c.insert(0x100);
+    c.access(0x000);
+    c.access(0x100);
     // Probing 0x000 must NOT refresh it.
     c.probe(0x000);
-    c.lookup(0x100); // 0x100 MRU
-    c.insert(0x200); // evicts 0x000 (still LRU)
+    c.access(0x100); // 0x100 MRU
+    c.access(0x200); // evicts 0x000 (still LRU)
     EXPECT_FALSE(c.probe(0x000));
     std::uint64_t hits = c.hits();
     c.probe(0x100);
@@ -72,20 +72,24 @@ TEST(Cache, ProbeHasNoSideEffects)
 TEST(Cache, FlushAll)
 {
     Cache c(smallCache());
-    c.insert(0x000);
-    c.insert(0x100);
+    c.access(0x000);
+    c.access(0x100);
     c.flushAll();
     EXPECT_FALSE(c.probe(0x000));
     EXPECT_FALSE(c.probe(0x100));
+    // A flushed way is invalid again: refilling it evicts nothing.
+    c.access(0x000);
+    EXPECT_EQ(c.evictions(), 0u);
 }
 
 TEST(Cache, InsertExistingRefreshesRecency)
 {
     Cache c(smallCache());
-    c.insert(0x000);
-    c.insert(0x100);
-    c.insert(0x000); // refresh, no new insertion slot taken
-    c.insert(0x200); // evict 0x100
+    c.access(0x000);
+    c.access(0x100);
+    c.access(0x000); // hit: refresh, no new insertion slot taken
+    EXPECT_EQ(c.insertions(), 2u);
+    c.access(0x200); // evict 0x100
     EXPECT_TRUE(c.probe(0x000));
     EXPECT_FALSE(c.probe(0x100));
 }
@@ -137,7 +141,7 @@ TEST_P(CacheResidencyTest, FittingSetStaysResident)
     Cache c(p);
     const int lines = static_cast<int>(p.sizeBytes) / line;
     for (int i = 0; i < lines; ++i)
-        c.insert(static_cast<Addr>(i) * static_cast<Addr>(line));
+        c.access(static_cast<Addr>(i) * static_cast<Addr>(line));
     for (int i = 0; i < lines; ++i)
         EXPECT_TRUE(
             c.probe(static_cast<Addr>(i) * static_cast<Addr>(line)));
@@ -154,12 +158,8 @@ TEST_P(CacheResidencyTest, OversizedCyclicSetAlwaysMisses)
     // capacity, the second pass must miss every line.
     for (int pass = 0; pass < 2; ++pass) {
         std::uint64_t misses_before = c.misses();
-        for (int i = 0; i < lines; ++i) {
-            if (!c.lookup(static_cast<Addr>(i) *
-                          static_cast<Addr>(line)))
-                c.insert(static_cast<Addr>(i) *
-                         static_cast<Addr>(line));
-        }
+        for (int i = 0; i < lines; ++i)
+            c.access(static_cast<Addr>(i) * static_cast<Addr>(line));
         EXPECT_EQ(c.misses() - misses_before,
                   static_cast<std::uint64_t>(lines));
     }
@@ -171,8 +171,10 @@ INSTANTIATE_TEST_SUITE_P(Geometries, CacheResidencyTest,
                                             ::testing::Values(64, 128,
                                                               256)));
 
-// Differential: shift-and-mask indexing must reproduce the divide
-// formula's hit, miss and eviction sequence on every geometry.
+// Differential: the single-walk access() with shift-and-mask indexing
+// must reproduce the divide formula's lookup-then-insert sequence on
+// every geometry: hit or miss, the victim (first invalid way, else
+// LRU), and all four counters, through invalidations and flushes.
 TEST(Cache, ShiftIndexingMatchesTheDivideFormula)
 {
     std::uint64_t geometry = 0;
@@ -204,30 +206,26 @@ TEST(Cache, ShiftIndexingMatchesTheDivideFormula)
                         addr = tags[rng.below(tags.size())] * span +
                                rng.below(hot_sets) * line +
                                rng.below(line);
-                    switch (rng.below(4)) {
-                    case 0:
+                    const std::uint64_t kind = rng.below(4);
+                    if (kind == 0) {
                         ASSERT_EQ(c.probe(addr), ref.probe(addr)) << op;
-                        break;
-                    case 1:
-                        ASSERT_EQ(c.lookup(addr), ref.lookup(addr)) << op;
-                        break;
-                    case 2: {
-                        const std::uint64_t before = c.evictions();
-                        const bool evicted = ref.insert(addr);
-                        c.insert(addr);
-                        ASSERT_EQ(c.evictions() - before, evicted ? 1u : 0u)
-                            << op;
-                        break;
-                    }
-                    default:
-                        if (rng.chance(0.1)) {
-                            c.invalidate(addr);
-                            ref.invalidate(addr);
-                        } else {
-                            ASSERT_EQ(c.lookup(addr), ref.lookup(addr))
-                                << op;
+                    } else if (kind == 1 && rng.chance(0.1)) {
+                        c.invalidate(addr);
+                        ref.invalidate(addr);
+                    } else if (kind == 1 && rng.chance(0.02)) {
+                        c.flushAll();
+                        ref.flushAll();
+                    } else {
+                        ASSERT_EQ(c.access(addr), ref.access(addr)) << op;
+                        ASSERT_TRUE(c.probe(addr)) << op;
+                        if (const auto victim = ref.lastVictim()) {
+                            ASSERT_FALSE(c.probe(*victim)) << op;
                         }
                     }
+                    ASSERT_EQ(c.hits(), ref.hits) << op;
+                    ASSERT_EQ(c.misses(), ref.misses) << op;
+                    ASSERT_EQ(c.insertions(), ref.insertions) << op;
+                    ASSERT_EQ(c.evictions(), ref.evictions) << op;
                 }
             }
         }

@@ -451,9 +451,10 @@ TEST(CheckCorruptionTest, MemCheckerCatchesPhantomFills)
     reg.add(std::make_unique<check::MemChecker>());
     const Cycle next = primeSilent(reg, *core);
 
-    // Fill L1 lines that no miss ever requested.
-    core->hierarchy().l1d().insert(0x10000);
-    core->hierarchy().l1d().insert(0x20000);
+    // Fill L1 lines behind the hierarchy's back: the cache counts the
+    // misses, but no thread's miss counter does.
+    core->hierarchy().l1d().access(0x10000);
+    core->hierarchy().l1d().access(0x20000);
 
     reg.onCycle(*core, next);
     ASSERT_GT(reg.failureCount(), 0u);

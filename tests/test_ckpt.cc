@@ -535,5 +535,81 @@ TEST(Ckpt, WakeListsRebuiltOnRestoreMatchTheLiveCore)
             << name;
 }
 
+// --- wire format ------------------------------------------------------
+
+/** A pair's saved image: its size and CkptWriter checksum. */
+struct PinnedImage
+{
+    std::size_t bytes;
+    std::uint64_t checksum;
+};
+
+/** @p core's image as saved now. */
+PinnedImage
+imageOf(const SmtCore &core, std::vector<std::uint8_t> *bytes = nullptr)
+{
+    CkptWriter w;
+    core.saveState(w);
+    if (bytes)
+        *bytes = w.data();
+    return {w.size(), w.checksum()};
+}
+
+/**
+ * The checkpoint wire format, pinned byte for byte. Each ubench pair
+ * runs 300k cycles at (4,4) from a fresh core and is saved; the image
+ * is then restored into another fresh core, which runs 100k cycles
+ * more and is saved again. A moved size means a changed format; a
+ * moved checksum alone means a changed format or a changed simulation.
+ * Either must be deliberate: bump ckpt_format_version for a format
+ * change, and re-record the images here.
+ */
+TEST(Ckpt, WireFormatMatchesTheRecordedImages)
+{
+    struct Case
+    {
+        UbenchId primary;
+        UbenchId secondary;
+        PinnedImage saved;
+        PinnedImage resumed;
+    };
+    const Case cases[] = {
+        {UbenchId::LdintMem, UbenchId::CpuInt,
+         {2591233, 0x080ae948be45f71eULL}, {2591109, 0xcd778c797c5f90eeULL}},
+        {UbenchId::LdintL2, UbenchId::LdintMem,
+         {2589981, 0xdaa25d5a0556507bULL}, {2589913, 0xd36e8e64f535da9fULL}},
+        {UbenchId::CpuInt, UbenchId::LdintL1,
+         {2591629, 0x0e58c9d85c5f1b7aULL}, {2591513, 0xa0d1251eac201cfbULL}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(ubenchName(c.primary)) + "+" +
+                     ubenchName(c.secondary));
+        const SyntheticProgram pp = makeUbench(c.primary);
+        const SyntheticProgram ps = makeUbench(c.secondary);
+        CoreParams params;
+        SmtCore core(params);
+        core.attachThread(0, &pp, 4);
+        core.attachThread(1, &ps, 4);
+        core.run(300000);
+        std::vector<std::uint8_t> bytes;
+        const PinnedImage saved = imageOf(core, &bytes);
+        EXPECT_EQ(saved.bytes, c.saved.bytes);
+        EXPECT_EQ(saved.checksum, c.saved.checksum)
+            << std::hex << "0x" << saved.checksum;
+
+        SmtCore resumed(params);
+        resumed.attachThread(0, &pp, 4);
+        resumed.attachThread(1, &ps, 4);
+        CkptReader r(bytes);
+        resumed.restoreState(r);
+        r.expectEnd();
+        resumed.run(100000);
+        const PinnedImage later = imageOf(resumed);
+        EXPECT_EQ(later.bytes, c.resumed.bytes);
+        EXPECT_EQ(later.checksum, c.resumed.checksum)
+            << std::hex << "0x" << later.checksum;
+    }
+}
+
 } // namespace
 } // namespace p5

@@ -26,7 +26,7 @@ tinyHierarchy()
 TEST(Hierarchy, ColdAccessGoesToDram)
 {
     CacheHierarchy h(tinyHierarchy());
-    MemAccessResult r = h.access(0, 4096, false, 0);
+    MemAccessResult r = h.access(0, 4096, 0);
     EXPECT_EQ(r.level, MemLevel::Mem);
     EXPECT_TRUE(r.tlbMiss);
     // TLB walk (100) + DRAM (230).
@@ -36,8 +36,8 @@ TEST(Hierarchy, ColdAccessGoesToDram)
 TEST(Hierarchy, FillsAllLevelsInclusively)
 {
     CacheHierarchy h(tinyHierarchy());
-    h.access(0, 0x2000, false, 0);
-    EXPECT_EQ(h.probeLevel(0x2000), MemLevel::L1);
+    h.access(0, 0x2000, 0);
+    EXPECT_TRUE(h.l1d().probe(0x2000));
     EXPECT_TRUE(h.backside().l2().probe(0x2000));
     EXPECT_TRUE(h.backside().l3().probe(0x2000));
 }
@@ -45,8 +45,8 @@ TEST(Hierarchy, FillsAllLevelsInclusively)
 TEST(Hierarchy, L1HitIsFast)
 {
     CacheHierarchy h(tinyHierarchy());
-    h.access(0, 0x2000, false, 0);
-    MemAccessResult r = h.access(0, 0x2000, false, 1000);
+    h.access(0, 0x2000, 0);
+    MemAccessResult r = h.access(0, 0x2000, 1000);
     EXPECT_EQ(r.level, MemLevel::L1);
     EXPECT_FALSE(r.tlbMiss);
     EXPECT_EQ(r.doneCycle, 1002u);
@@ -58,18 +58,18 @@ TEST(Hierarchy, L2HitAfterL1Eviction)
     CacheHierarchy h(params);
     // Fill L1 (1 KiB / 64B = 16 lines) twice over to evict line 0.
     for (Addr a = 0; a < 2 * 1024; a += 64)
-        h.access(0, a, false, 0);
-    EXPECT_NE(h.probeLevel(0), MemLevel::L1);
-    MemAccessResult r = h.access(0, 0, false, 10000);
+        h.access(0, a, 0);
+    EXPECT_FALSE(h.l1d().probe(0));
+    MemAccessResult r = h.access(0, 0, 10000);
     EXPECT_EQ(r.level, MemLevel::L2);
 }
 
 TEST(Hierarchy, PerThreadTlbs)
 {
     CacheHierarchy h(tinyHierarchy());
-    h.access(0, 0x4000, false, 0);
-    EXPECT_FALSE(h.wouldTlbMiss(0, 0x4000));
-    EXPECT_TRUE(h.wouldTlbMiss(1, 0x4000));
+    h.access(0, 0x4000, 0);
+    EXPECT_TRUE(h.tlb(0).probe(0x4000));
+    EXPECT_FALSE(h.tlb(1).probe(0x4000));
     EXPECT_EQ(h.tlbMissesOf(0), 1u);
     EXPECT_EQ(h.tlbMissesOf(1), 0u);
 }
@@ -77,7 +77,7 @@ TEST(Hierarchy, PerThreadTlbs)
 TEST(Hierarchy, PerThreadMissCounters)
 {
     CacheHierarchy h(tinyHierarchy());
-    h.access(1, 0x8000, false, 0);
+    h.access(1, 0x8000, 0);
     EXPECT_EQ(h.l1MissesOf(1), 1u);
     EXPECT_EQ(h.beyondL2Of(1), 1u);
     EXPECT_EQ(h.l1MissesOf(0), 0u);
@@ -90,9 +90,9 @@ TEST(Hierarchy, SharedBacksideSeesBothFrontends)
     CacheHierarchy core0(params, &shared);
     CacheHierarchy core1(params, &shared);
 
-    core0.access(0, 0xA000, false, 0);
+    core0.access(0, 0xA000, 0);
     // Core 1 misses its own L1 but hits the shared L2.
-    MemAccessResult r = core1.access(0, 0xA000, false, 1000);
+    MemAccessResult r = core1.access(0, 0xA000, 1000);
     EXPECT_EQ(r.level, MemLevel::L2);
 }
 
@@ -101,9 +101,9 @@ TEST(Hierarchy, DramBandwidthGate)
     auto params = tinyHierarchy();
     CacheHierarchy h(params);
     // Warm the TLB page so the measured pair has no walk skew.
-    h.access(0, 1ull << 20, false, 0);
-    MemAccessResult a = h.access(0, (1ull << 20) + 64, false, 500);
-    MemAccessResult b = h.access(0, (1ull << 20) + 128, false, 500);
+    h.access(0, 1ull << 20, 0);
+    MemAccessResult a = h.access(0, (1ull << 20) + 64, 500);
+    MemAccessResult b = h.access(0, (1ull << 20) + 128, 500);
     EXPECT_FALSE(a.tlbMiss);
     EXPECT_EQ(a.level, MemLevel::Mem);
     // Second DRAM access waits one service gap.
@@ -114,10 +114,12 @@ TEST(Hierarchy, DramBandwidthGate)
 TEST(Hierarchy, FlushAllDropsEverything)
 {
     CacheHierarchy h(tinyHierarchy());
-    h.access(0, 0x2000, false, 0);
+    h.access(0, 0x2000, 0);
     h.flushAll();
-    EXPECT_EQ(h.probeLevel(0x2000), MemLevel::Mem);
-    EXPECT_TRUE(h.wouldTlbMiss(0, 0x2000));
+    EXPECT_FALSE(h.l1d().probe(0x2000));
+    EXPECT_FALSE(h.backside().l2().probe(0x2000));
+    EXPECT_FALSE(h.backside().l3().probe(0x2000));
+    EXPECT_FALSE(h.tlb(0).probe(0x2000));
 }
 
 TEST(Hierarchy, LevelNames)
@@ -129,10 +131,10 @@ TEST(Hierarchy, LevelNames)
 TEST(Hierarchy, StoreFollowsLoadPath)
 {
     CacheHierarchy h(tinyHierarchy());
-    MemAccessResult r = h.access(0, 0x3000, true, 0);
-    EXPECT_EQ(r.level, MemLevel::Mem);
-    // Write-allocate: the line is now resident.
-    EXPECT_EQ(h.probeLevel(0x3000), MemLevel::L1);
+    // Stores walk the load path: a miss allocates the line.
+    EXPECT_EQ(h.walk(0, 0x3000), MemLevel::Mem);
+    EXPECT_TRUE(h.l1d().probe(0x3000));
+    EXPECT_EQ(h.walk(0, 0x3000), MemLevel::L1);
 }
 
 } // namespace

@@ -88,8 +88,10 @@ TEST(Tlb, CapacityReach)
     EXPECT_EQ(resident, 8);
 }
 
-// Differential: the page shift must reproduce the divide formula's
-// hit and miss sequence on every geometry.
+// Differential: the page shift and the single-walk fill must
+// reproduce the divide formula's lookup-then-insert sequence on every
+// geometry: hit or miss and its walk charge, the victim (first invalid
+// way, else LRU) and all four counters, through flushes.
 TEST(Tlb, ShiftIndexingMatchesTheDivideFormula)
 {
     std::uint64_t geometry = 0;
@@ -117,14 +119,22 @@ TEST(Tlb, ShiftIndexingMatchesTheDivideFormula)
                                rng.below(hot_sets) * page + rng.below(page);
                     if (rng.chance(0.25)) {
                         ASSERT_EQ(t.probe(addr), ref.probe(addr)) << op;
-                        continue;
+                    } else if (rng.chance(0.005)) {
+                        t.flushAll();
+                        ref.flushAll();
+                    } else {
+                        const bool hit = ref.access(addr);
+                        const TlbResult r = t.access(addr);
+                        ASSERT_EQ(r.hit, hit) << op;
+                        ASSERT_EQ(r.latency, hit ? 0 : 100) << op;
+                        if (const auto victim = ref.lastVictim()) {
+                            ASSERT_FALSE(t.probe(*victim)) << op;
+                        }
                     }
-                    const bool hit = ref.lookup(addr);
-                    if (!hit)
-                        ref.insert(addr);
-                    const TlbResult r = t.access(addr);
-                    ASSERT_EQ(r.hit, hit) << op;
-                    ASSERT_EQ(r.latency, hit ? 0 : 100) << op;
+                    ASSERT_EQ(t.hits(), ref.hits) << op;
+                    ASSERT_EQ(t.misses(), ref.misses) << op;
+                    ASSERT_EQ(t.insertions(), ref.insertions) << op;
+                    ASSERT_EQ(t.evictions(), ref.evictions) << op;
                 }
             }
         }

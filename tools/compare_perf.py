@@ -22,6 +22,13 @@ Checks, per baseline case (matched by name):
     clock on any workload, so a sub-parity case is a regression in its
     own right, whatever the committed baseline says (no re-baking
     regressions into the baseline);
+  * ``tickedCycles`` and ``ffProbes`` (the fast arm's ticked cycles
+    and fast-forward probes) equal the baseline exactly, when the
+    baseline records them. Both are pure functions of the code and the
+    workload, so they check without a clock what the parity floor
+    below checks with one: a change to when the engine probes or skips
+    shows up as a count, not as a few percent of wall time. A change
+    that moves them on purpose regenerates the baseline;
   * checkpointed cases (marked ``"checkpointed": true``) compare the
     checkpoint/fork path against the fast-forward-only path over a
     priority matrix.  Their fork accounting (``warms``/``memForks``)
@@ -68,12 +75,25 @@ SPEEDUP_FLOOR = 0.75
 SPEEDUP_ABS_FLOOR = 1.0
 JITTER_MARGIN = 0.07
 CKPT_SPEEDUP_ABS_FLOOR = 2.0
+WORK_COUNTS = ("tickedCycles", "ffProbes")
 
 
 def within(actual, expected, tolerance):
     if expected == 0:
         return actual == 0
     return abs(actual - expected) <= tolerance * abs(expected)
+
+
+def compare_work_counts(name, base, case):
+    """Exact-match errors for the deterministic work counts."""
+    errors = []
+    for member in WORK_COUNTS:
+        if member in base and case.get(member) != base[member]:
+            errors.append(
+                f"{name}: {member} {case.get(member)} != baseline "
+                f"{base[member]} — the engine ticks or probes "
+                f"differently")
+    return errors
 
 
 def compare_checkpointed(name, base, case):
@@ -167,6 +187,7 @@ def compare(baseline, fresh):
         note = throughput_note(name, base, case)
         if note:
             print(note)
+        errors.extend(compare_work_counts(name, base, case))
         if base.get("checkpointed"):
             errors.extend(compare_checkpointed(name, base, case))
             continue

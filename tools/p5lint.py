@@ -33,14 +33,9 @@ P5_ALLOW(rule)).  P5_ALLOW placed on a declaration exempts the whole
 function/member from one rule; placed at the start of a statement it
 exempts that statement only.
 
-Frontends:
-  lex   (default) a self-contained C++ lexer/parser tuned to this
-        codebase's idiom; needs nothing beyond the Python stdlib, so it
-        runs anywhere the repo builds.
-  clang an optional clang.cindex (libclang) frontend that feeds the
-        same rule engines from a real AST; requires python3-clang and
-        libclang at runtime (experimental — the reference environment
-        does not ship them).
+The frontend is a self-contained C++ lexer/parser tuned to this
+codebase's idiom; it needs nothing beyond the Python stdlib, so it runs
+anywhere the repo builds.
 
 Findings are keyed "file:function:rule" and diffed against the
 committed tools/p5lint_baseline.json.  New findings and stale baseline
@@ -267,7 +262,7 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# Parser (lex frontend)
+# Parser
 # ---------------------------------------------------------------------------
 
 ANNO_TOKENS = {
@@ -1476,127 +1471,6 @@ class Analysis:
 
 
 # ---------------------------------------------------------------------------
-# clang.cindex frontend (optional, experimental)
-# ---------------------------------------------------------------------------
-
-def build_model_clang(files, build_dir):  # pragma: no cover - needs libclang
-    """Feed the same Model from libclang ASTs.  Requires the `clang`
-    Python package and a matching libclang shared library; the reference
-    container ships neither, so this path is opt-in via --frontend=clang."""
-    try:
-        from clang import cindex
-    except ImportError as e:
-        sys.exit(f"p5lint: --frontend=clang requires the python clang "
-                 f"bindings (import clang.cindex failed: {e}); "
-                 f"use the default --frontend=lex instead")
-    model = Model()
-    db = None
-    if build_dir:
-        db = cindex.CompilationDatabase.fromDirectory(build_dir)
-    index = cindex.Index.create()
-
-    def annos_of(cursor):
-        out = set()
-        for ch in cursor.get_children():
-            if ch.kind == cindex.CursorKind.ANNOTATE_ATTR:
-                s = ch.spelling
-                if s.startswith("p5:allow:"):
-                    out.add("allow:" + s[len("p5:allow:"):])
-                elif s.startswith("p5:"):
-                    out.add(s[len("p5:"):])
-        return out
-
-    def visit(cursor, cls_name):
-        for ch in cursor.get_children():
-            k = ch.kind
-            if k in (cindex.CursorKind.NAMESPACE,):
-                visit(ch, cls_name)
-            elif k in (cindex.CursorKind.CLASS_DECL,
-                       cindex.CursorKind.STRUCT_DECL) and ch.is_definition():
-                c = model.cls(ch.spelling)
-                c.annos |= annos_of(ch)
-                c.file = os.path.relpath(str(ch.location.file), repo_root())
-                c.line = ch.location.line
-                for base in ch.get_children():
-                    if base.kind == cindex.CursorKind.CXX_BASE_SPECIFIER:
-                        bn = base.type.spelling.split("::")[-1].split("<")[0]
-                        c.bases.append(bn)
-                        model.derived.setdefault(bn, []).append(c.name)
-                visit(ch, ch.spelling)
-            elif k == cindex.CursorKind.FIELD_DECL and cls_name:
-                c = model.cls(cls_name)
-                c.members[ch.spelling] = Member(
-                    name=ch.spelling, type=ch.type.spelling,
-                    annos=annos_of(ch),
-                    file=os.path.relpath(str(ch.location.file), repo_root()),
-                    line=ch.location.line)
-            elif k in (cindex.CursorKind.CXX_METHOD,
-                       cindex.CursorKind.FUNCTION_DECL,
-                       cindex.CursorKind.CONSTRUCTOR):
-                fn = Func(
-                    name=ch.spelling,
-                    cls=cls_name or (ch.semantic_parent.spelling
-                                     if ch.semantic_parent and
-                                     ch.semantic_parent.kind in (
-                                         cindex.CursorKind.CLASS_DECL,
-                                         cindex.CursorKind.STRUCT_DECL)
-                                     else ""),
-                    const=getattr(ch, "is_const_method", lambda: False)(),
-                    annos=annos_of(ch),
-                    ret=ch.result_type.spelling,
-                    body=None,
-                    file=os.path.relpath(str(ch.location.file), repo_root()),
-                    line=ch.location.line,
-                    virtual=ch.is_virtual_method()
-                    if k == cindex.CursorKind.CXX_METHOD else False)
-                if ch.is_definition():
-                    ext = ch.extent
-                    with open(str(ch.location.file), encoding="utf-8",
-                              errors="replace") as f:
-                        src = f.read()
-                    # Re-lex the body so the shared rule engines see the
-                    # same token representation as the lex frontend.
-                    body_src = "\n" * (ext.start.line - 1) + \
-                        src.splitlines(True)[ext.start.line - 1:ext.end.line]
-                    toks = tokenize("".join(
-                        src.splitlines(True)[ext.start.line - 1:ext.end.line]))
-                    depth = 0
-                    body = []
-                    for tk in toks:
-                        if tk.text == "{":
-                            depth += 1
-                            if depth == 1:
-                                continue
-                        elif tk.text == "}":
-                            depth -= 1
-                            if depth == 0:
-                                break
-                        if depth >= 1:
-                            tk.line += ext.start.line - 1
-                            body.append(tk)
-                    fn.body = body or None
-                model.add_func(fn)
-    global _REPO_ROOT
-    for f in files:
-        args = ["-std=c++20", "-xc++"]
-        if db:
-            cmds = db.getCompileCommands(f)
-            if cmds:
-                args = [a for a in list(cmds[0].arguments)[1:-1]
-                        if a != "-c" and not a.endswith(".o")]
-        tu = index.parse(f, args=args)
-        visit(tu.cursor, None)
-    return model
-
-
-_REPO_ROOT = None
-
-
-def repo_root():
-    return _REPO_ROOT or os.getcwd()
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -1665,9 +1539,6 @@ def main(argv=None):
                     help="rewrite the baseline with current findings")
     ap.add_argument("--json", metavar="OUT",
                     help="write findings as JSON to OUT ('-' for stdout)")
-    ap.add_argument("--frontend", choices=("lex", "clang"), default="lex",
-                    help="parser frontend (default: lex — self-contained; "
-                         "clang requires python3 clang bindings)")
     ap.add_argument("-q", "--quiet", action="store_true")
     args = ap.parse_args(argv)
 
@@ -1676,7 +1547,6 @@ def main(argv=None):
         if r not in RULES:
             ap.error(f"unknown rule '{r}' (known: {', '.join(RULES)})")
 
-    global _REPO_ROOT
     if args.files:
         root = os.getcwd()
         files = [os.path.abspath(f) for f in args.files]
@@ -1685,13 +1555,8 @@ def main(argv=None):
                 sys.exit(f"p5lint: no such file: {f}")
     else:
         root, files = discover_files(args.build_dir)
-    _REPO_ROOT = root
 
-    if args.frontend == "clang":
-        model = build_model_clang(files, None if args.files
-                                  else args.build_dir)
-    else:
-        model = build_model_lex(files, root)
+    model = build_model_lex(files, root)
 
     an = Analysis(model)
     if "hot_path_no_alloc" in rules:
@@ -1744,8 +1609,7 @@ def main(argv=None):
               f"{k}")
     if not args.quiet:
         print(f"p5lint: {len(files)} files, {len(findings)} finding(s) "
-              f"({len(new)} new, {len(stale)} stale baseline) "
-              f"[frontend={args.frontend}]")
+              f"({len(new)} new, {len(stale)} stale baseline)")
     return 1 if (new or stale) else 0
 
 
