@@ -8,7 +8,7 @@ namespace {
 
 constexpr ArtifactSpec ckpt_spec{"checkpoint", "checkpoint area",
                                  "ckpt_meta.json", "ckptVersion",
-                                 ckpt_format_version};
+                                 ckpt_format_version, true};
 constexpr const char *header_magic = "p5sim-ckpt";
 
 } // namespace

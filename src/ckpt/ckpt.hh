@@ -21,7 +21,10 @@
  * truncated, corrupt, checksum or version mismatch, foreign warm key —
  * is quarantined to "<name>.bad" and treated as a miss. A
  * ckpt_meta.json at the root pins the format and config schema
- * versions; opening an area written by other versions is fatal.
+ * versions. An area written under another config schema is fatal to
+ * open. An area pinned at another format is a superseded cache: it is
+ * re-pinned to this binary's format, its old files (named by their
+ * version) miss, every pair-mix re-warms, and store-gc reclaims them.
  */
 
 #ifndef P5SIM_CKPT_CKPT_HH
@@ -38,7 +41,7 @@
 namespace p5 {
 
 /** Version of the checkpoint container + state stream layout. */
-constexpr int ckpt_format_version = 1;
+constexpr int ckpt_format_version = 2;
 
 /** A warmed core's serialized state plus its warm identity. */
 struct Checkpoint
@@ -65,8 +68,9 @@ class CkptStore
   public:
     /**
      * Open @p dir, creating it, its missing parents and ckpt_meta.json
-     * when absent. Fatal when an existing area was written by a
-     * different checkpoint format or config schema version.
+     * when absent. Fatal when an existing area was written under a
+     * different config schema version; an area pinned at a different
+     * checkpoint format is re-pinned to this one.
      */
     explicit CkptStore(std::string dir,
                        int schema_version = config_schema_version);

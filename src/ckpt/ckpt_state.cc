@@ -14,14 +14,17 @@
  *     ever iterated (there are none in the saved state — heaps and
  *     the sorted ready arrays are explicit vectors, maps are std::map).
  *
- *  2. Restore reproduces *physical* layout wherever physical-slot
- *     handles exist. The in-flight window ring is saved slot-by-slot
- *     (vacant slots included) together with its head index, so the slot
- *     handles recorded in ready-queue and completion-heap entries
- *     resolve to the same slots after restore; stats stay bit-identical
- *     by construction rather than by luck. Structures nothing points
- *     into (GCT group rings) are saved logically, and derived links
- *     (the window's wake lists) are rebuilt rather than read.
+ *  2. The stream holds primary state only, so save(restore(image))
+ *     reproduces the image byte for byte. What the core can derive is
+ *     rebuilt on restore instead: the window's wake lists and rename
+ *     map, the GCT groups' unfinished counts and window handles, and
+ *     the LMQ's busy counts and edges. Physical layout survives where
+ *     physical-slot handles point into it: the window ring's head index
+ *     is saved, and live entry i goes back to slot (head + i) & mask, so
+ *     the handles in ready-queue and completion-heap entries resolve to
+ *     the same slots. Vacant slots are not saved; nothing reads one
+ *     before dispatch overwrites it. Structures nothing points into (GCT
+ *     group rings) are saved logically.
  *
  * Configuration is deliberately NOT in the stream: a checkpoint is only
  * ever restored into a core built with the same params and programs,
@@ -29,7 +32,6 @@
  * Geometry reads double as sanity checks and fatal() on mismatch.
  */
 
-#include <algorithm>
 #include <vector>
 
 #include "branch/bht.hh"
@@ -70,14 +72,16 @@ expectGeom(const char *what, std::uint64_t saved, std::uint64_t built)
 void
 LruArray::saveState(CkptWriter &w) const
 {
-    // The wire format keeps a valid flag per entry; lastUse == 0 is it.
     w.u64(static_cast<std::uint64_t>(entries_.size()));
     for (const Entry &e : entries_) {
         w.u64(e.tag);
-        w.b(e.lastUse != 0);
         w.u64(e.lastUse);
     }
     w.u64(clock_);
+    w.counter(hits_);
+    w.counter(misses_);
+    w.counter(insertions_);
+    w.counter(evictions_);
 }
 
 void
@@ -86,32 +90,11 @@ LruArray::restoreState(CkptReader &r)
     expectGeom("LRU array entries", r.u64(), entries_.size());
     for (Entry &e : entries_) {
         e.tag = r.u64();
-        const bool valid = r.b();
         e.lastUse = r.u64();
-        if (!valid)
-            e.lastUse = 0;
     }
     clock_ = r.u64();
-}
-
-void
-LruArray::saveCounters(CkptWriter &w, bool fills) const
-{
-    w.counter(hits_);
-    w.counter(misses_);
-    if (!fills)
-        return;
-    w.counter(insertions_);
-    w.counter(evictions_);
-}
-
-void
-LruArray::restoreCounters(CkptReader &r, bool fills)
-{
     r.counter(hits_);
     r.counter(misses_);
-    if (!fills)
-        return;
     r.counter(insertions_);
     r.counter(evictions_);
 }
@@ -121,7 +104,6 @@ Cache::saveState(CkptWriter &w) const
 {
     lines_.saveState(w);
     w.u64(nextFree_);
-    lines_.saveCounters(w, true);
 }
 
 void
@@ -129,21 +111,18 @@ Cache::restoreState(CkptReader &r)
 {
     lines_.restoreState(r);
     nextFree_ = r.u64();
-    lines_.restoreCounters(r, true);
 }
 
 void
 Tlb::saveState(CkptWriter &w) const
 {
     pages_.saveState(w);
-    pages_.saveCounters(w, false);
 }
 
 void
 Tlb::restoreState(CkptReader &r)
 {
     pages_.restoreState(r);
-    pages_.restoreCounters(r, false);
 }
 
 // --- Bht --------------------------------------------------------------
@@ -173,10 +152,12 @@ Bht::restoreState(CkptReader &r)
 // --- Lmq --------------------------------------------------------------
 
 void
-Lmq::saveState(CkptWriter &w) const
+Lmq::saveState(CkptWriter &w, Cycle now) const
 {
-    // The stored windows in edge order. Only the windows are state: the
-    // busy counts and edges are derived from them on restore.
+    // The stored windows in edge order. The queue is synced to @p now,
+    // so every one of them releases after it. Only the windows are
+    // state: the busy counts and edges are derived from them on restore.
+    checkSynced(now);
     w.u64(static_cast<std::uint64_t>(edges_.size()));
     for (const Edge &e : edges_) {
         w.i32(e.window.tid);
@@ -189,12 +170,10 @@ Lmq::saveState(CkptWriter &w) const
 }
 
 void
-Lmq::restoreState(CkptReader &r)
+Lmq::restoreState(CkptReader &r, Cycle now)
 {
-    // Rebuild at cycle 0; the core then advances to its own cycle,
-    // which also drops any released window an image still carries.
     reset();
-    now_ = 0;
+    now_ = now;
     const std::uint64_t n = r.u64();
     for (std::uint64_t i = 0; i < n; ++i) {
         Window win;
@@ -202,10 +181,10 @@ Lmq::restoreState(CkptReader &r)
         win.startCycle = r.u64();
         win.releaseCycle = r.u64();
         if (win.tid < 0 || win.tid >= num_hw_threads ||
-            win.releaseCycle <= win.startCycle)
+            win.releaseCycle <= win.startCycle || win.releaseCycle <= now)
             fatal("checkpoint LMQ window is malformed (thread %d)",
                   win.tid);
-        if (win.startCycle == 0)
+        if (win.startCycle <= now)
             ++busy_[static_cast<std::size_t>(win.tid)];
         insert(win);
     }
@@ -245,9 +224,8 @@ FuPool::restoreState(CkptReader &r)
 void
 IssueQueue::saveState(CkptWriter &w) const
 {
-    // Live entries oldest-first: ascending stamps form a valid min-heap
-    // array, the layout images of the binary-heap queues carried, so
-    // the format is unchanged in both directions.
+    // Live entries oldest-first: the age order the queue pops in, so
+    // restore takes them as they are.
     for (const Ready &q : queues_) {
         w.u64(static_cast<std::uint64_t>(q.refs.size() - q.head));
         for (std::size_t i = q.head; i < q.refs.size(); ++i) {
@@ -274,12 +252,6 @@ IssueQueue::restoreState(CkptReader &r)
             ref.epoch = r.u64();
             ref.slot = r.u32();
         }
-        // An image may hold a heap-ordered array; stamps are unique,
-        // so sorting yields the one age order the queue pops in.
-        std::sort(q.refs.begin(), q.refs.end(),
-                  [](const ReadyRef &a, const ReadyRef &b) {
-                      return a.stamp < b.stamp;
-                  });
     }
 }
 
@@ -488,7 +460,6 @@ saveDynInstr(CkptWriter &w, const DynInstr &di)
     w.b(di.branchPredictedTaken);
     w.i32(di.prioNopReg);
     w.u64(di.pc);
-    w.u8(static_cast<std::uint8_t>(di.phase));
     w.u64(di.completeCycle);
 }
 
@@ -506,37 +477,18 @@ restoreDynInstr(CkptReader &r, DynInstr &di)
     di.branchPredictedTaken = r.b();
     di.prioNopReg = r.i32();
     di.pc = r.u64();
-    di.phase = static_cast<InstrPhase>(r.u8());
     di.completeCycle = r.u64();
 }
 
-/**
- * Window slot @p phys of @p ts. The trailing handle list holds a live
- * producer's wake list, oldest consumer first, as (slot, seq, epoch)
- * handles, and is empty for a vacant slot.
- */
 void
-saveInFlight(CkptWriter &w, const ThreadState &ts, std::size_t phys)
+saveInFlight(CkptWriter &w, const InFlight &e)
 {
-    const InFlight &e = ts.window.slotAt(phys);
     saveDynInstr(w, e.di);
     w.u8(static_cast<std::uint8_t>(e.phase));
     w.i32(e.pendingSrcs);
     w.u64(e.epoch);
     w.u64(e.stamp);
     w.b(e.inReadyQueue);
-    std::vector<std::uint32_t> slots;
-    if (ts.window.livePhys(static_cast<std::uint32_t>(phys)))
-        for (std::uint32_t edge = e.wakeHead; edge != no_wake_edge;
-             edge = ts.nextWake(edge))
-            slots.push_back(edge >> 1);
-    w.u64(static_cast<std::uint64_t>(slots.size()));
-    for (auto it = slots.rbegin(); it != slots.rend(); ++it) {
-        const InFlight &consumer = ts.window.slotAt(*it);
-        w.u32(*it);
-        w.u64(consumer.di.seq);
-        w.u64(consumer.epoch);
-    }
 }
 
 void
@@ -548,15 +500,6 @@ restoreInFlight(CkptReader &r, InFlight &e)
     e.epoch = r.u64();
     e.stamp = r.u64();
     e.inReadyQueue = r.b();
-    // The handle list is derived state, which rebuildWakeLists()
-    // re-derives from the window; images may also carry handles of
-    // squashed consumers there.
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        r.u32();
-        r.u64();
-        r.u64();
-    }
 }
 
 } // namespace
@@ -568,21 +511,15 @@ ThreadState::saveState(CkptWriter &w) const
     if (!attached())
         return;
 
-    // The window ring, physically: every slot verbatim (vacant ones
-    // carry deterministic leftovers from this run and are overwritten
-    // field-wise before any reuse), so the slot hints held by the
-    // ready queues and the completion heap stay valid after restore.
+    // The live window entries oldest-first, after the ring's head
+    // index: restore puts them back in the same physical slots, so the
+    // slot handles held by the ready queues and the completion heap
+    // stay valid.
     w.u64(static_cast<std::uint64_t>(window.capacity()));
     w.u64(static_cast<std::uint64_t>(window.headIndex()));
     w.u64(static_cast<std::uint64_t>(window.size()));
-    for (std::size_t phys = 0; phys < window.capacity(); ++phys)
-        saveInFlight(w, *this, phys);
-
-    for (const RenameEntry &re : renameMap) {
-        w.b(re.valid);
-        w.u64(re.seq);
-        w.u64(re.epoch);
-    }
+    for (const InFlight &e : window)
+        saveInFlight(w, e);
 
     w.u64(epoch);
     w.u64(decodeBlockedUntil);
@@ -609,21 +546,13 @@ ThreadState::restoreState(CkptReader &r)
     if (!was_attached)
         return;
 
-    const auto cap = static_cast<std::size_t>(r.u64());
-    window.reserve(cap);
-    expectGeom("window capacity", cap, window.capacity());
+    expectGeom("window capacity", r.u64(), window.capacity());
     const auto head = static_cast<std::size_t>(r.u64());
     const auto size = static_cast<std::size_t>(r.u64());
-    for (std::size_t phys = 0; phys < cap; ++phys)
-        restoreInFlight(r, window.slotAt(phys));
     window.setShape(head, size);
-    rebuildWakeLists();
-
-    for (RenameEntry &re : renameMap) {
-        re.valid = r.b();
-        re.seq = r.u64();
-        re.epoch = r.u64();
-    }
+    for (InFlight &e : window)
+        restoreInFlight(r, e);
+    rebuildFromWindow();
 
     epoch = r.u64();
     decodeBlockedUntil = r.u64();
@@ -656,7 +585,7 @@ SmtCore::saveState(CkptWriter &w) const
         ts->saveState(w);
 
     hierarchy_.saveState(w);
-    lmq_.saveState(w);
+    lmq_.saveState(w, cycle_);
     lsu_.saveState(w);
     bht_.saveState(w);
     gct_.saveState(w);
@@ -701,8 +630,7 @@ SmtCore::restoreState(CkptReader &r)
         ts->restoreState(r);
 
     hierarchy_.restoreState(r);
-    lmq_.restoreState(r);
-    lmq_.advanceTo(cycle_);
+    lmq_.restoreState(r, cycle_);
     lsu_.restoreState(r);
     bht_.restoreState(r);
     gct_.restoreState(r);

@@ -310,7 +310,8 @@ ArtifactArea::ArtifactArea(std::string dir, const ArtifactSpec &spec,
             !schema_v->isInt())
             fatal("%s metadata '%s' is missing its version members",
                   spec_.noun, meta_path.c_str());
-        if (format_v->asInt() != spec_.formatVersion)
+        const bool same_format = format_v->asInt() == spec_.formatVersion;
+        if (!same_format && !spec_.cache)
             fatal("%s '%s' uses format v%lld; this binary writes v%d — "
                   "refusing to mix formats",
                   spec_.area, dir_.c_str(),
@@ -323,18 +324,26 @@ ArtifactArea::ArtifactArea(std::string dir, const ArtifactSpec &spec,
                   spec_.area, dir_.c_str(),
                   static_cast<long long>(schema_v->asInt()),
                   schemaVersion_, spec_.area);
-    } else {
-        std::ostringstream os;
-        {
-            JsonWriter w(os);
-            w.beginObject();
-            writeVersions(w);
-            w.endObject();
-        }
-        // Concurrent creators write identical bytes; rename races are
-        // therefore harmless.
-        publishFile(meta_path, os.str(), spec_.noun);
+        if (same_format)
+            return;
+        // A cache at another format: every file name carries its
+        // version, so the old files just miss and are recomputed.
+        inform("%s '%s' was pinned at format v%lld; re-pinned to v%d "
+               "(store-gc reclaims the superseded files)",
+               spec_.area, dir_.c_str(),
+               static_cast<long long>(format_v->asInt()),
+               spec_.formatVersion);
     }
+    std::ostringstream os;
+    {
+        JsonWriter w(os);
+        w.beginObject();
+        writeVersions(w);
+        w.endObject();
+    }
+    // Concurrent creators (and re-pinners) write identical bytes;
+    // rename races are therefore harmless.
+    publishFile(meta_path, os.str(), spec_.noun);
 }
 
 std::string

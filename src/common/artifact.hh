@@ -9,7 +9,9 @@
  *
  *  - directory setup: mkdir -p of an area and its shard directories;
  *  - a root meta file pinning the area's format and config schema
- *    versions; opening an area written by other versions is fatal;
+ *    versions; opening an area written under another config schema is
+ *    fatal, and so is another format, except that a cache area is
+ *    re-pinned to this binary's format (its old files just miss);
  *  - path naming: <dir>/<fp[0:2]>/<fp>-<tag>v<N>.<ext>, where fp is a
  *    16-hex-digit content address; the two-digit shards keep any one
  *    directory small (≤ 256-way fanout) even for 10^5-point sweeps;
@@ -153,6 +155,9 @@ struct ArtifactSpec
     const char *metaName;      ///< root meta file
     const char *versionMember; ///< meta/file member holding the format
     int formatVersion;
+    /** The files can be recomputed: meta pinned at another format is
+     *  re-pinned to formatVersion instead of fatal. */
+    bool cache;
 };
 
 /**
@@ -167,6 +172,8 @@ class ArtifactArea
     /**
      * Open @p dir (mkdir -p), then check its meta file against
      * @p spec's format version and @p schema_version, or write one.
+     * A foreign schema is fatal; a foreign format is fatal too, unless
+     * @p spec is a cache, whose meta file is then rewritten.
      */
     ArtifactArea(std::string dir, const ArtifactSpec &spec,
                  ArtifactLayout layout, int schema_version);

@@ -141,9 +141,9 @@ class RingDeque
 
     /**
      * Overwrite head/size without touching slot contents. Checkpoint
-     * restore uses this after reserve() + slotAt() writes to reproduce
-     * the exact physical layout of the saved ring, so slot handles
-     * recorded elsewhere in the checkpoint stay valid.
+     * restore sets the saved shape and then writes the live elements
+     * through operator[], which reproduces their physical slots, so
+     * slot handles recorded elsewhere in the checkpoint stay valid.
      * @pre head < capacity() && size <= capacity()
      */
     void

@@ -121,14 +121,10 @@ class IssueQueue
         return std::span<const ReadyRef>(q.refs).subspan(q.head);
     }
 
-    /**
-     * Serialize each queue's live entries oldest-first. A sorted array
-     * is also a valid min-heap on the stamp, which is the layout this
-     * format has always carried.
-     */
+    /** Serialize each queue's live entries oldest-first. */
     void saveState(class CkptWriter &w) const;
 
-    /** Restore state saved by saveState(); sorts heap-ordered input. */
+    /** Restore state saved by saveState(), already in age order. */
     void restoreState(class CkptReader &r);
 
   private:

@@ -55,13 +55,16 @@ ThreadState::repairAfterSquash()
 }
 
 void
-ThreadState::rebuildWakeLists()
+ThreadState::rebuildFromWindow()
 {
     // Slot of the youngest producer of each register seen so far
-    // (no_wake_edge: none yet).
+    // (no_wake_edge: none yet), and the same producer as the rename map
+    // names it.
     std::uint32_t writer[num_arch_regs];
     for (auto &w : writer)
         w = no_wake_edge;
+    for (auto &re : renameMap)
+        re = RenameEntry{};
     for (InFlight &e : window) {
         const std::uint32_t slot = window.physIndexOf(&e);
         e.wakeHead = no_wake_edge;
@@ -77,8 +80,10 @@ ThreadState::rebuildWakeLists()
                     linkWake(producer, slot, k);
             }
         }
-        if (e.di.dst != invalid_reg)
+        if (e.di.dst != invalid_reg) {
             writer[e.di.dst] = slot;
+            renameMap[e.di.dst] = {true, e.di.seq, e.epoch};
+        }
     }
 }
 

@@ -167,13 +167,17 @@ class ThreadState
     void repairAfterSquash();
 
     /**
-     * Re-derive every wake list from the window alone: replay the
-     * rename order oldest first and link each Dispatched, non-nop
-     * consumer's source to its youngest older producer that has not
-     * finished. Checkpoint restore uses this; the lists come out as
-     * dispatch built them.
+     * Re-derive every wake list and the rename map from the window
+     * alone: replay the rename order oldest first and link each
+     * Dispatched, non-nop consumer's source to its youngest older
+     * producer that has not finished. Checkpoint restore uses this; the
+     * lists come out as dispatch built them. The map names each
+     * register's youngest producer in the window and is invalid where
+     * there is none. Dispatch reads an entry only through find(), which
+     * is null for a committed producer, so such an entry of the live
+     * map acts exactly like an invalid one.
      */
-    void rebuildWakeLists();
+    void rebuildFromWindow();
 
     /**
      * Times attach() bound a source. A detach drops the window without
@@ -199,12 +203,11 @@ class ThreadState
     Counter prioNopsIgnored;
 
     /**
-     * Serialize the complete per-thread state: the window ring's
-     * physical layout (every slot verbatim, vacant ones included, so
-     * slot handles recorded in the ready/completion queues stay valid
-     * after restore; each live producer's wake list is written oldest
-     * first as the consumers' handles), rename map, epoch/accounting
-     * scalars, stream cursor and counters.
+     * Serialize the per-thread primary state: the window ring's head
+     * index and its live entries oldest-first (restore puts each back
+     * in its physical slot, so slot handles recorded in the
+     * ready/completion queues stay valid), epoch/accounting scalars,
+     * stream cursor and counters.
      */
     void saveState(class CkptWriter &w) const;
 
@@ -212,8 +215,8 @@ class ThreadState
      * Restore state saved by saveState(). @pre attach() was already
      * called with the same program and window capacity — restore
      * overwrites position and window contents but not the binding.
-     * The saved wake-list handles are read and dropped; the lists are
-     * rebuilt with rebuildWakeLists().
+     * The wake lists and the rename map are rebuilt with
+     * rebuildFromWindow().
      */
     void restoreState(class CkptReader &r);
 

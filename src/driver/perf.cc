@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -76,6 +77,12 @@ abCase(const std::string &name, const Arm &arm_a, const Arm &arm_b,
     const std::size_t mid = ratios.size() / 2;
     res.speedup = ratios.size() % 2 ? ratios[mid]
                                     : (ratios[mid - 1] + ratios[mid]) / 2;
+    // A median of n samples has a standard error of about 1.2533 sigma
+    // / sqrt(n), and a normal sigma is about the IQR / 1.349.
+    const double iqr =
+        ratios[ratios.size() * 3 / 4] - ratios[ratios.size() / 4];
+    res.spread =
+        3 * 1.2533 / 1.349 * iqr / std::sqrt(static_cast<double>(reps));
 
     err << name << ": " << res.a.wallMs << " ms -> " << res.b.wallMs
         << " ms (" << res.speedup << "x)"
@@ -127,8 +134,12 @@ constexpr PerfCase report_cases[] = {
     {"cpu_int+cpu_int@6,2", UbenchId::CpuInt, UbenchId::CpuInt, 6, 2},
 };
 
-/** Repetitions per arm of every case but the checkpoint matrix. */
-constexpr int report_reps = 4;
+/**
+ * Repetitions per arm of every case but the checkpoint matrix. On a
+ * shared 4-vCPU host, 16 left the A/A spread of some parity cases at
+ * 0.13-0.21; at 32 it read 0.007-0.095 (median 0.036) over 11 reports.
+ */
+constexpr int report_reps = 32;
 
 FameParams
 endToEndFame()
@@ -254,7 +265,9 @@ constexpr const char *ckpt_case_name =
 constexpr const char *ckpt_case_key = "perf:ckpt:ldint_mem+ldint_mem";
 constexpr int ckpt_case_prios = 6;
 constexpr int ckpt_case_pairs = ckpt_case_prios * ckpt_case_prios;
-constexpr int ckpt_case_reps = 2;
+/** Two repetitions read noise: the per-repetition ratios of one
+ *  report spread from 2.9x to 4.8x, and medians of six 3.8x-4.5x. */
+constexpr int ckpt_case_reps = 6;
 
 /**
  * Sweep the priority matrix once. The checkpointed arm gets a fresh
@@ -333,11 +346,20 @@ writeWorkCounts(JsonWriter &w, const ArmRun &fast)
     w.member("ffProbes", fast.ffProbes);
 }
 
-/** A fast/slow case's report object; B is the fast arm. */
-void
-writeFastSlowCase(JsonWriter &w, const char *name, const AbResult &r,
-                  const std::uint64_t *migrations = nullptr)
+/**
+ * Time one fast/slow case and write its report object; B is the fast
+ * arm. A parity case, whose fast arm skips no cycle, so that its true
+ * ratio is 1, also runs the fast arm against itself (its A/A arm) and
+ * records that arm's median ratio and spread, which size the case's
+ * parity margin. False when any arm's stats deviate.
+ */
+bool
+fastSlowCase(JsonWriter &w, const std::string &name, const Arm &slow,
+             const Arm &fast, std::ostream &err,
+             const std::uint64_t *migrations = nullptr)
 {
+    const AbResult r = abCase(name, slow, fast, report_reps, err);
+    bool identical = r.identicalStats;
     w.beginObject();
     w.member("name", name);
     w.member("simCyclesFast", r.b.simCycles);
@@ -348,10 +370,18 @@ writeFastSlowCase(JsonWriter &w, const char *name, const AbResult &r,
     w.member("speedup", r.speedup);
     w.member("identicalStats", r.identicalStats);
     writeWorkCounts(w, r.b);
+    if (r.b.tickedCycles == r.b.simCycles) {
+        const AbResult aa =
+            abCase(name + " A/A", fast, fast, report_reps, err);
+        identical = identical && aa.identicalStats;
+        w.member("aaSpeedup", aa.speedup);
+        w.member("aaSpread", aa.spread);
+    }
     if (migrations)
         w.member("migrations", *migrations);
     writeThroughput(w, r.b);
     w.endObject();
+    return identical;
 }
 
 /**
@@ -378,13 +408,10 @@ writePerfReport(const std::string &path, std::ostream &err)
     for (const PerfCase &c : report_cases) {
         const SyntheticProgram pp = makeUbench(c.primary);
         const SyntheticProgram ps = makeUbench(c.secondary);
-        const AbResult r = abCase(
-            c.name,
-            fameArm(false, &pp, &ps, c.prioP, c.prioS),
-            fameArm(true, &pp, &ps, c.prioP, c.prioS),
-            report_reps, err);
-        all_identical = all_identical && r.identicalStats;
-        writeFastSlowCase(w, c.name, r);
+        all_identical &=
+            fastSlowCase(w, c.name,
+                         fameArm(false, &pp, &ps, c.prioP, c.prioS),
+                         fameArm(true, &pp, &ps, c.prioP, c.prioS), err);
     }
 
     {
@@ -405,12 +432,9 @@ writePerfReport(const std::string &path, std::ostream &err)
         const std::unique_ptr<TraceProgram> tp = loadTrace(trace_path);
         std::remove(trace_path.c_str());
 
-        const AbResult r =
-            abCase(trace_case_name, fameArm(true, &sp, &sp, 4, 4),
-                   fameArm(true, tp.get(), tp.get(), 4, 4), report_reps,
-                   err);
-        all_identical = all_identical && r.identicalStats;
-        writeFastSlowCase(w, trace_case_name, r);
+        all_identical &=
+            fastSlowCase(w, trace_case_name, fameArm(true, &sp, &sp, 4, 4),
+                         fameArm(true, tp.get(), tp.get(), 4, 4), err);
     }
 
     {
@@ -418,11 +442,9 @@ writePerfReport(const std::string &path, std::ostream &err)
             "ldint_mem,ldint_mem,ldint_mem,ldint_mem,"
             "ldint_mem,ldint_mem,ldint_mem,ldint_mem");
         std::uint64_t migrations = 0;
-        const AbResult r =
-            abCase(chip_case_name, chipArm(workload, false, migrations),
-                   chipArm(workload, true, migrations), report_reps, err);
-        all_identical = all_identical && r.identicalStats;
-        writeFastSlowCase(w, chip_case_name, r, &migrations);
+        all_identical &= fastSlowCase(
+            w, chip_case_name, chipArm(workload, false, migrations),
+            chipArm(workload, true, migrations), err, &migrations);
     }
 
     {

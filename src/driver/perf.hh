@@ -54,6 +54,13 @@ struct AbResult
     /** Median over repetitions of a.wallMs / b.wallMs within each. */
     double speedup = 0;
 
+    /**
+     * Three standard errors of that median, estimated from the
+     * interquartile range of the repetitions' ratios. It shrinks with
+     * the square root of the repetitions.
+     */
+    double spread = 0;
+
     /** Every repetition of both arms produced the same signature. */
     bool identicalStats = true;
 };

@@ -23,8 +23,7 @@ enum class InstrPhase : std::uint8_t
 {
     Dispatched, ///< in the GCT, waiting for operands / issue
     Issued,     ///< executing on a functional unit
-    Finished,   ///< result produced, waiting for in-order completion
-    Squashed    ///< cancelled by a branch-mispredict or balancer flush
+    Finished    ///< result produced, waiting for in-order completion
 };
 
 /** One dynamic (in-flight) instruction. */
@@ -55,8 +54,6 @@ struct DynInstr
 
     /** Synthetic PC of the static instruction (BHT index for branches). */
     Addr pc = 0;
-
-    InstrPhase phase = InstrPhase::Dispatched;
 
     /** Cycle the instruction's result becomes available (valid once
      *  Issued). */

@@ -147,15 +147,18 @@ class Lmq
 
     void registerStats(StatGroup &group) const;
 
-    /** Serialize the stored windows and counters. */
-    void saveState(class CkptWriter &w) const;
+    /**
+     * Serialize the stored windows and counters. @p now must be the
+     * synced cycle, so every stored window releases after it.
+     */
+    void saveState(class CkptWriter &w, Cycle now) const;
 
     /**
-     * Restore state saved by saveState(); capacity must match. The
-     * queue comes back synced to cycle 0: the owner advances it to its
-     * own cycle.
+     * Restore state saved by saveState() at cycle @p now; the queue
+     * comes back synced to @p now. A window that is malformed or
+     * already released at @p now is fatal.
      */
-    void restoreState(class CkptReader &r);
+    void restoreState(class CkptReader &r, Cycle now);
 
   private:
     friend struct LmqTestAccess; // corruption injection in p5check tests

@@ -115,20 +115,11 @@ class LruArray
         group.registerCounter(prefix + ".evictions", &evictions_);
     }
 
-    /** Serialize the entries and the recency clock. */
+    /** Serialize the entries, the recency clock and all four counters. */
     void saveState(class CkptWriter &w) const;
 
     /** Restore state saved by saveState(); geometry must match. */
     void restoreState(class CkptReader &r);
-
-    /**
-     * Serialize the hit and miss counters, and with @p fills the
-     * insertion and eviction counters: exactly the registered set.
-     */
-    void saveCounters(class CkptWriter &w, bool fills) const;
-
-    /** Restore counters saved by saveCounters() with the same flag. */
-    void restoreCounters(class CkptReader &r, bool fills);
 
   private:
     struct Entry

@@ -10,7 +10,8 @@ namespace p5 {
 namespace {
 
 constexpr ArtifactSpec store_spec{"store", "store", "store_meta.json",
-                                  "storeVersion", store_format_version};
+                                  "storeVersion", store_format_version,
+                                  false};
 
 } // namespace
 

@@ -4,9 +4,10 @@
  * (priorities and measurement knobs excluded), bit-identical
  * restored-vs-cold measurements across the full priority-pair matrix,
  * the on-disk checkpoint format's corruption/truncation/foreign-key
- * quarantine discipline, version-pinning refusal, CkptManager
- * warm/fork accounting, and invariant-checker re-arming on a restored
- * core.
+ * quarantine discipline, version pinning (a foreign config schema is
+ * refused, a superseded format re-warms), CkptManager warm/fork
+ * accounting, invariant-checker re-arming on a restored core, and the
+ * pinned wire format, whose images round-trip byte for byte.
  */
 
 #include <sys/stat.h>
@@ -14,6 +15,7 @@
 #include <cstdio>
 #include <dirent.h>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -381,17 +383,49 @@ TEST(CkptStoreTest, ForeignWarmKeyIsQuarantined)
     EXPECT_TRUE(store.load(a.warmKey(), out));
 }
 
-TEST(CkptStoreDeath, ForeignFormatVersionIsRefused)
+/**
+ * A checkpoint area is a cache: one pinned at another format, holding
+ * that format's files, opens, is re-pinned to this binary's format,
+ * misses on the old file and re-warms with identical stats. The old
+ * file stays for store-gc.
+ */
+TEST(CkptStoreTest, SupersededFormatAreaIsRepinnedAndRewarmed)
 {
-    const std::string dir = freshCkptDir("foreign_version");
-    { CkptStore store(dir); } // writes ckpt_meta.json
+    const std::string dir = freshCkptDir("superseded_format");
+    const SimJob job =
+        fastPair(UbenchId::CpuInt, UbenchId::LdintL1, 4, 4);
+    const std::string fp = ckptFingerprintHex(job.warmKey());
+    const std::string live = publishOne(dir, job);
+    const std::string old_path =
+        live.substr(0, live.rfind('/') + 1) + fp + "-ckpt-v1.bin";
+    ASSERT_EQ(std::rename(live.c_str(), old_path.c_str()), 0);
     {
         std::ofstream os(dir + "/ckpt_meta.json", std::ios::trunc);
-        os << "{\n  \"ckptVersion\": 99,\n  \"schemaVersion\": "
+        os << "{\n  \"ckptVersion\": 1,\n  \"schemaVersion\": "
            << config_schema_version << "\n}\n";
     }
-    EXPECT_EXIT(CkptStore store(dir), ::testing::ExitedWithCode(1),
-                "format v99");
+
+    CkptStore store(dir);
+    {
+        std::ifstream is(dir + "/ckpt_meta.json");
+        std::string meta((std::istreambuf_iterator<char>(is)),
+                         std::istreambuf_iterator<char>());
+        EXPECT_NE(meta.find("\"ckptVersion\": " +
+                            std::to_string(ckpt_format_version)),
+                  std::string::npos)
+            << meta;
+    }
+    Checkpoint out;
+    EXPECT_FALSE(store.load(job.warmKey(), out));
+    EXPECT_EQ(store.quarantined(), 0u);
+
+    CkptManager mgr;
+    mgr.setStore(&store);
+    expectIdentical(job.execute(nullptr).fame, job.execute(&mgr).fame);
+    EXPECT_EQ(mgr.warms(), 1u);
+    EXPECT_EQ(store.writes(), 1u);
+    EXPECT_TRUE(fileExists(live));
+    EXPECT_TRUE(fileExists(old_path));
 }
 
 TEST(CkptStoreDeath, ForeignConfigSchemaIsRefused)
@@ -496,12 +530,12 @@ wakeLists(SmtCore &core)
 }
 
 /**
- * The image carries each wake list only as handles, which restore
- * ignores: it re-derives the lists from the window. On a squash-heavy
- * pair, where the saver's lists were trimmed many times, the rebuilt
- * lists must equal the saver's edge for edge (dispatch links no nop
- * consumer, so there is nothing wake would skip), and both cores must
- * run on identically.
+ * The image carries no wake list and no rename map: restore re-derives
+ * both from the window. On a squash-heavy pair, where the saver's lists
+ * were trimmed many times, the rebuilt lists must equal the saver's
+ * edge for edge (dispatch links no nop consumer, so there is nothing
+ * wake would skip), the restored core must save the same image, and
+ * both cores must run on identically.
  */
 TEST(Ckpt, WakeListsRebuiltOnRestoreMatchTheLiveCore)
 {
@@ -527,6 +561,9 @@ TEST(Ckpt, WakeListsRebuiltOnRestoreMatchTheLiveCore)
     twin.restoreState(r);
     r.expectEnd();
     EXPECT_EQ(wakeLists(core), wakeLists(twin));
+    CkptWriter again;
+    twin.saveState(again);
+    EXPECT_TRUE(again.data() == w.data());
 
     core.run(50000);
     twin.run(50000);
@@ -562,7 +599,9 @@ imageOf(const SmtCore &core, std::vector<std::uint8_t> *bytes = nullptr)
  * more and is saved again. A moved size means a changed format; a
  * moved checksum alone means a changed format or a changed simulation.
  * Either must be deliberate: bump ckpt_format_version for a format
- * change, and re-record the images here.
+ * change, and re-record the images here. The stream holds primary
+ * state only, so the restored core, saved before it runs on, must
+ * reproduce the image byte for byte.
  */
 TEST(Ckpt, WireFormatMatchesTheRecordedImages)
 {
@@ -575,11 +614,11 @@ TEST(Ckpt, WireFormatMatchesTheRecordedImages)
     };
     const Case cases[] = {
         {UbenchId::LdintMem, UbenchId::CpuInt,
-         {2591233, 0x080ae948be45f71eULL}, {2591109, 0xcd778c797c5f90eeULL}},
+         {2420395, 0x438a17a218a8c5c6ULL}, {2419966, 0x606e046daa54a74dULL}},
         {UbenchId::LdintL2, UbenchId::LdintMem,
-         {2589981, 0xdaa25d5a0556507bULL}, {2589913, 0xd36e8e64f535da9fULL}},
+         {2419058, 0xa5e4eb3415f7f14dULL}, {2419147, 0x399b4748d2cd46dcULL}},
         {UbenchId::CpuInt, UbenchId::LdintL1,
-         {2591629, 0x0e58c9d85c5f1b7aULL}, {2591513, 0xa0d1251eac201cfbULL}},
+         {2422653, 0xed8da2abddf93742ULL}, {2422557, 0x6bcb8d795a0570b7ULL}},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(std::string(ubenchName(c.primary)) + "+" +
@@ -603,6 +642,9 @@ TEST(Ckpt, WireFormatMatchesTheRecordedImages)
         CkptReader r(bytes);
         resumed.restoreState(r);
         r.expectEnd();
+        std::vector<std::uint8_t> again;
+        imageOf(resumed, &again);
+        EXPECT_TRUE(again == bytes);
         resumed.run(100000);
         const PinnedImage later = imageOf(resumed);
         EXPECT_EQ(later.bytes, c.resumed.bytes);

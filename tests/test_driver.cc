@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/ckpt.hh"
 #include "common/json.hh"
 #include "common/thread_pool.hh"
 #include "config/config.hh"
@@ -706,6 +707,62 @@ TEST(Driver, SweepResumeRecomputesOnlyTheMissingPoints)
     std::remove(full_b.c_str());
 }
 
+TEST(Driver, SweepResumeRewarmsASupersededCheckpointArea)
+{
+    // A store whose ckpt/ area an older checkpoint format wrote: its
+    // meta pins v1 and its images are named -ckpt-v1.bin. With the
+    // result entries gone, --resume recomputes every point; the area
+    // is re-pinned, the old images miss, and both pair-mixes re-warm.
+    namespace fs = std::filesystem;
+    const std::string dir = freshStoreDir("store_superseded_ckpt");
+    std::vector<const char *> args = {"sweep", "--fast", "--sweep",
+                                      "core.mem.dram_latency=221,281",
+                                      "--store", dir.c_str()};
+    const Invocation first = invokeWithInput(args, "");
+    ASSERT_EQ(first.exitCode, 0);
+
+    const std::string live_suffix =
+        "-ckpt-v" + std::to_string(ckpt_format_version) + ".bin";
+    std::vector<fs::path> files;
+    for (const fs::directory_entry &e :
+         fs::recursive_directory_iterator(dir))
+        if (e.is_regular_file() &&
+            e.path().parent_path().filename().string().size() == 2)
+            files.push_back(e.path());
+    std::vector<fs::path> old_images;
+    for (const fs::path &path : files) {
+        const std::string name = path.filename().string();
+        if (name.ends_with(live_suffix)) {
+            old_images.push_back(
+                path.parent_path() /
+                (name.substr(0, name.size() - live_suffix.size()) +
+                 "-ckpt-v1.bin"));
+            fs::rename(path, old_images.back());
+        } else {
+            fs::remove(path);
+        }
+    }
+    ASSERT_EQ(old_images.size(), 2u);
+    std::ofstream(dir + "/ckpt/ckpt_meta.json", std::ios::trunc)
+        << "{\n  \"ckptVersion\": 1,\n  \"schemaVersion\": "
+        << config_schema_version << "\n}\n";
+
+    ResultCache::process().clear();
+    args.push_back("--resume");
+    const Invocation resumed = invokeWithInput(args, "");
+    ASSERT_EQ(resumed.exitCode, 0);
+    EXPECT_EQ(resumed.out, first.out);
+    EXPECT_NE(resumed.err.find("checkpoints: 2 warmed"), std::string::npos)
+        << resumed.err;
+    std::size_t live = 0;
+    for (const fs::directory_entry &e :
+         fs::recursive_directory_iterator(dir + "/ckpt"))
+        live += e.path().filename().string().ends_with(live_suffix);
+    EXPECT_EQ(live, 2u);
+    for (const fs::path &path : old_images)
+        EXPECT_TRUE(fs::exists(path)) << path;
+}
+
 TEST(Driver, ShardsPartitionTheProductWithIdenticalFingerprints)
 {
     const std::string full = tempPath("shard_full.json");
@@ -1066,6 +1123,7 @@ TEST(Driver, StoreGcReclaimsDeadFilesOnlyOnApply)
         shard + "/feedfacefeedface-v1.json.tmp.7",
         shard + "/0123456789abcdef-v0.json",
         ckpt_shard + "/0123456789abcdef-ckpt-v0.bin",
+        ckpt_shard + "/0123456789abcdef-ckpt-v1.bin",
         ckpt_shard + "/feedfacefeedface-ckpt-v1.bin.tmp.7",
         ckpt_shard + "/deadbeefdeadbeef-ckpt-v1.bin.bad",
     };
@@ -1082,6 +1140,10 @@ TEST(Driver, StoreGcReclaimsDeadFilesOnlyOnApply)
               std::string::npos);
     EXPECT_NE(dry.out.find("superseded checkpoint format"),
               std::string::npos);
+    EXPECT_NE(dry.out.find("0123456789abcdef-ckpt-v1.bin (superseded "
+                           "checkpoint format"),
+              std::string::npos)
+        << dry.out;
     EXPECT_NE(dry.out.find("dry run"), std::string::npos);
     for (const std::string &path : garbage) {
         std::ifstream is(path);
@@ -1107,8 +1169,8 @@ TEST(Driver, StoreGcReclaimsDeadFilesOnlyOnApply)
     const JsonValue report = readReport(gc_json);
     EXPECT_EQ(report.find("experiment")->asString(), "store-gc");
     EXPECT_TRUE(report.find("applied")->asBool());
-    EXPECT_EQ(report.find("candidates")->asInt(), 6);
-    EXPECT_EQ(report.find("removed")->asInt(), 6);
+    EXPECT_EQ(report.find("candidates")->asInt(), 7);
+    EXPECT_EQ(report.find("removed")->asInt(), 7);
     EXPECT_GT(report.find("bytesReclaimed")->asInt(), 0);
 
     // A clean store has nothing to collect.

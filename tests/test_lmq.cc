@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "ckpt/ckpt_io.hh"
 #include "common/rng.hh"
 #include "mem/lmq.hh"
 
@@ -180,6 +181,37 @@ TEST(LmqDeath, QueriesOffTheSyncedCycleArePanics)
     q.advanceTo(10);
     EXPECT_DEATH(q.advanceTo(9), "backwards");
     EXPECT_DEATH(q.updateLastRelease(50), "no reservation");
+}
+
+TEST(LmqDeath, RestoreRoundTripsAndRejectsAReleasedWindow)
+{
+    // Saved at cycle 60: [50, 100) is busy, [80, 120) pending. Restored
+    // at 60 the queue is synced there and saves the same bytes; restored
+    // at 100, the first window has already released.
+    Lmq q(2);
+    q.reserve(0, 50, 50, 100);
+    q.reserve(1, 50, 80, 120);
+    q.advanceTo(60);
+    CkptWriter w;
+    q.saveState(w, 60);
+
+    Lmq back(2);
+    CkptReader r(w.data());
+    back.restoreState(r, 60);
+    EXPECT_EQ(back.busyOfAt(0, 60), 1);
+    EXPECT_EQ(back.busyOfAt(1, 60), 0);
+    EXPECT_EQ(back.nextEventCycle(60), 80u);
+    CkptWriter again;
+    back.saveState(again, 60);
+    EXPECT_TRUE(again.data() == w.data());
+
+    EXPECT_EXIT(
+        {
+            Lmq late(2);
+            CkptReader lr(w.data());
+            late.restoreState(lr, 100);
+        },
+        ::testing::ExitedWithCode(1), "LMQ window is malformed");
 }
 
 // Property: with capacity N and identical W-cycle windows arriving

@@ -17,11 +17,14 @@ Checks, per baseline case (matched by name):
     regenerated deliberately;
   * ``speedup`` has not dropped below 75% of the baseline speedup
     (one-sided: going faster is never a failure);
-  * ``speedup`` is never below 1.0 minus a small jitter margin — since
+  * ``speedup`` is never below 1.0 minus the case's margin — since
     the busy-path overhaul the fast-forward engine must not cost wall
     clock on any workload, so a sub-parity case is a regression in its
     own right, whatever the committed baseline says (no re-baking
-    regressions into the baseline);
+    regressions into the baseline). A parity case (one whose baseline
+    records ``aaSpread``) takes its margin from the fresh report's own
+    A/A spread (two spreads, see below); every other case has no
+    margin;
   * ``tickedCycles`` and ``ffProbes`` (the fast arm's ticked cycles
     and fast-forward probes) equal the baseline exactly, when the
     baseline records them. Both are pure functions of the code and the
@@ -58,11 +61,19 @@ tenants, frequency steps) inflates both runs of a back-to-back pair
 alike, so the paired ratio cancels it, while the ratio of two minima
 taken from different repetitions does not.
 
-The jitter margin exists because compute-bound cases sit at true
+The parity margin exists because compute-bound cases sit at true
 parity (~1.00x): the engine neither skips nor probes there, and even
 the paired ratio wobbles a few percent with host scheduling and turbo
-state. A genuine regression like the pre-overhaul per-cycle probe tax
-(0.89x) still trips the gate.
+state. How much it wobbles depends on the host and the hour, so the
+report measures it: each parity case also runs its fast arm against
+itself through the same harness (the A/A arm), and ``aaSpread`` is
+three standard errors of that arm's median ratio, estimated from the
+interquartile range of its per-repetition ratios. The A/B median also
+drifts between reports in ways one report's A/A arm cannot see: over
+11 reports of one binary on a shared 4-vCPU host, its deficit below
+1.0 reached 1.7 spreads, so the margin is two spreads. A genuine
+regression like the pre-overhaul per-cycle probe tax (0.89x) still
+trips the gate on a host quiet enough to resolve it.
 
 Exits nonzero listing every violation, for the perf-smoke CI job.
 """
@@ -73,7 +84,7 @@ import sys
 REL_TOLERANCE = 0.25
 SPEEDUP_FLOOR = 0.75
 SPEEDUP_ABS_FLOOR = 1.0
-JITTER_MARGIN = 0.07
+PARITY_SPREADS = 2.0
 CKPT_SPEEDUP_ABS_FLOOR = 2.0
 WORK_COUNTS = ("tickedCycles", "ffProbes")
 
@@ -212,17 +223,23 @@ def compare(baseline, fresh):
             errors.append(
                 f"{name}: ipcTotal {case['ipcTotal']:.4f} outside "
                 f"{REL_TOLERANCE:.0%} of baseline {base['ipcTotal']:.4f}")
+        margin = 0.0
+        if "aaSpread" in base:
+            if "aaSpread" not in case:
+                errors.append(f"{name}: the fresh case has no A/A arm")
+                continue
+            margin = PARITY_SPREADS * case["aaSpread"]
         if case["speedup"] < base["speedup"] * SPEEDUP_FLOOR:
             errors.append(
                 f"{name}: speedup {case['speedup']:.2f}x below "
                 f"{SPEEDUP_FLOOR:.0%} of baseline "
                 f"{base['speedup']:.2f}x")
-        elif case["speedup"] < SPEEDUP_ABS_FLOOR - JITTER_MARGIN:
+        elif case["speedup"] < SPEEDUP_ABS_FLOOR - margin:
             errors.append(
                 f"{name}: speedup {case['speedup']:.2f}x below the "
                 f"absolute {SPEEDUP_ABS_FLOOR:.2f}x parity floor "
-                f"(jitter margin {JITTER_MARGIN:.2f}) — the engine must "
-                f"never cost wall clock")
+                f"(A/A margin {margin:.3f}) — the engine must never "
+                f"cost wall clock")
         else:
             print(f"{name}: speedup {case['speedup']:.2f}x "
                   f"(baseline {base['speedup']:.2f}x) OK")
