@@ -78,11 +78,13 @@ abCase(const std::string &name, const Arm &arm_a, const Arm &arm_b,
     res.speedup = ratios.size() % 2 ? ratios[mid]
                                     : (ratios[mid - 1] + ratios[mid]) / 2;
     // A median of n samples has a standard error of about 1.2533 sigma
-    // / sqrt(n), and a normal sigma is about the IQR / 1.349.
+    // / sqrt(n), and a normal sigma is about the IQR / 1.349. The
+    // quartiles are the sorted ratios at n/4 and 3n/4 (the 9th and
+    // 25th of 32).
     const double iqr =
         ratios[ratios.size() * 3 / 4] - ratios[ratios.size() / 4];
-    res.spread =
-        3 * 1.2533 / 1.349 * iqr / std::sqrt(static_cast<double>(reps));
+    res.stdErr =
+        1.2533 / 1.349 * iqr / std::sqrt(static_cast<double>(reps));
 
     err << name << ": " << res.a.wallMs << " ms -> " << res.b.wallMs
         << " ms (" << res.speedup << "x)"
@@ -136,8 +138,9 @@ constexpr PerfCase report_cases[] = {
 
 /**
  * Repetitions per arm of every case but the checkpoint matrix. On a
- * shared 4-vCPU host, 16 left the A/A spread of some parity cases at
- * 0.13-0.21; at 32 it read 0.007-0.095 (median 0.036) over 11 reports.
+ * shared 4-vCPU host, 16 left the A/A standard error of some parity
+ * cases at 0.04-0.07; at 32 it read 0.002-0.032 (median 0.012) over 11
+ * reports.
  */
 constexpr int report_reps = 32;
 
@@ -350,8 +353,8 @@ writeWorkCounts(JsonWriter &w, const ArmRun &fast)
  * Time one fast/slow case and write its report object; B is the fast
  * arm. A parity case, whose fast arm skips no cycle, so that its true
  * ratio is 1, also runs the fast arm against itself (its A/A arm) and
- * records that arm's median ratio and spread, which size the case's
- * parity margin. False when any arm's stats deviate.
+ * records the standard error of that arm's median ratio, which sizes
+ * the case's parity margin. False when any arm's stats deviate.
  */
 bool
 fastSlowCase(JsonWriter &w, const std::string &name, const Arm &slow,
@@ -374,8 +377,7 @@ fastSlowCase(JsonWriter &w, const std::string &name, const Arm &slow,
         const AbResult aa =
             abCase(name + " A/A", fast, fast, report_reps, err);
         identical = identical && aa.identicalStats;
-        w.member("aaSpeedup", aa.speedup);
-        w.member("aaSpread", aa.spread);
+        w.member("aaStdErr", aa.stdErr);
     }
     if (migrations)
         w.member("migrations", *migrations);

@@ -55,11 +55,11 @@ struct AbResult
     double speedup = 0;
 
     /**
-     * Three standard errors of that median, estimated from the
+     * The standard error of that median, estimated from the
      * interquartile range of the repetitions' ratios. It shrinks with
      * the square root of the repetitions.
      */
-    double spread = 0;
+    double stdErr = 0;
 
     /** Every repetition of both arms produced the same signature. */
     bool identicalStats = true;

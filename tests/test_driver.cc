@@ -1577,6 +1577,9 @@ TEST(PerfHarness, WarmsThenAlternatesAndReportsThePairedMedian)
     // Paired ratios 2, 3, 1.5, 2.2; the ratio of the minima would be
     // 9/4 = 2.25.
     EXPECT_DOUBLE_EQ(r.speedup, (2.0 + 2.2) / 2);
+    // Sorted 1.5, 2, 2.2, 3: the quartiles at n/4 and 3n/4 are 2 and 3,
+    // and the median's standard error is 1.2533 IQR/1.349 / sqrt(4).
+    EXPECT_DOUBLE_EQ(r.stdErr, 1.2533 / 1.349 * (3.0 - 2.0) / 2);
     EXPECT_TRUE(r.identicalStats);
     EXPECT_EQ(err.str(), "case: 9 ms -> 4 ms (2.1x)\n");
 }

@@ -307,6 +307,21 @@ TEST(ResultStoreDeath, RefusesAStoreFromAnotherSchemaVersion)
                 "schema version");
 }
 
+TEST(ResultStoreDeath, RefusesAStoreFromAnotherFormatVersion)
+{
+    // Unlike a checkpoint area, the result store is not re-pinned at
+    // another format: its entries are the results themselves.
+    const std::string dir = storeDir("format_mismatch");
+    { ResultStore store(dir, 1); }
+    {
+        std::ofstream os(dir + "/store_meta.json", std::ios::trunc);
+        os << "{\"storeVersion\": " << store_format_version + 1
+           << ", \"schemaVersion\": 1}";
+    }
+    EXPECT_EXIT(ResultStore(dir, 1), ::testing::ExitedWithCode(1),
+                "format v");
+}
+
 TEST(ResultStoreDeath, RefusesCorruptMetadata)
 {
     const std::string dir = storeDir("bad_meta");

@@ -22,9 +22,8 @@ Checks, per baseline case (matched by name):
     clock on any workload, so a sub-parity case is a regression in its
     own right, whatever the committed baseline says (no re-baking
     regressions into the baseline). A parity case (one whose baseline
-    records ``aaSpread``) takes its margin from the fresh report's own
-    A/A spread (two spreads, see below); every other case has no
-    margin;
+    records ``aaStdErr``) takes its margin from the fresh report's own
+    A/A arm (see below); every other case has no margin;
   * ``tickedCycles`` and ``ffProbes`` (the fast arm's ticked cycles
     and fast-forward probes) equal the baseline exactly, when the
     baseline records them. Both are pure functions of the code and the
@@ -66,14 +65,16 @@ parity (~1.00x): the engine neither skips nor probes there, and even
 the paired ratio wobbles a few percent with host scheduling and turbo
 state. How much it wobbles depends on the host and the hour, so the
 report measures it: each parity case also runs its fast arm against
-itself through the same harness (the A/A arm), and ``aaSpread`` is
-three standard errors of that arm's median ratio, estimated from the
-interquartile range of its per-repetition ratios. The A/B median also
-drifts between reports in ways one report's A/A arm cannot see: over
-11 reports of one binary on a shared 4-vCPU host, its deficit below
-1.0 reached 1.7 spreads, so the margin is two spreads. A genuine
-regression like the pre-overhaul per-cycle probe tax (0.89x) still
-trips the gate on a host quiet enough to resolve it.
+itself through the same harness (the A/A arm), and ``aaStdErr`` is the
+standard error of that arm's median ratio, estimated from the
+interquartile range of its per-repetition ratios. The margin is six
+standard errors, never more than 0.07: the A/B median also drifts
+between reports in ways one report's A/A arm cannot see (over 11
+reports of one binary on a shared 4-vCPU host, its deficit below 1.0
+reached 5.1 standard errors), and a noisy host must not widen the
+gate past 0.07. So a quiet host gets a tighter floor, and a genuine
+regression like the pre-overhaul per-cycle probe tax (0.89x) trips
+the gate on any host.
 
 Exits nonzero listing every violation, for the perf-smoke CI job.
 """
@@ -84,7 +85,8 @@ import sys
 REL_TOLERANCE = 0.25
 SPEEDUP_FLOOR = 0.75
 SPEEDUP_ABS_FLOOR = 1.0
-PARITY_SPREADS = 2.0
+PARITY_STDERRS = 6.0
+PARITY_MARGIN_CAP = 0.07
 CKPT_SPEEDUP_ABS_FLOOR = 2.0
 WORK_COUNTS = ("tickedCycles", "ffProbes")
 
@@ -224,11 +226,12 @@ def compare(baseline, fresh):
                 f"{name}: ipcTotal {case['ipcTotal']:.4f} outside "
                 f"{REL_TOLERANCE:.0%} of baseline {base['ipcTotal']:.4f}")
         margin = 0.0
-        if "aaSpread" in base:
-            if "aaSpread" not in case:
+        if "aaStdErr" in base:
+            if "aaStdErr" not in case:
                 errors.append(f"{name}: the fresh case has no A/A arm")
                 continue
-            margin = PARITY_SPREADS * case["aaSpread"]
+            margin = min(PARITY_MARGIN_CAP,
+                         PARITY_STDERRS * case["aaStdErr"])
         if case["speedup"] < base["speedup"] * SPEEDUP_FLOOR:
             errors.append(
                 f"{name}: speedup {case['speedup']:.2f}x below "
