@@ -41,7 +41,7 @@
 namespace p5 {
 
 /** Version of the checkpoint container + state stream layout. */
-constexpr int ckpt_format_version = 2;
+constexpr int ckpt_format_version = 3;
 
 /** A warmed core's serialized state plus its warm identity. */
 struct Checkpoint

@@ -26,6 +26,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,14 @@ class CkptWriter
 
     void u32(std::uint32_t v) { word(v); }
     void u64(std::uint64_t v) { word(v); }
+
+    /** Append every word of @p v in order, as u64() would: one copy. */
+    void
+    u64s(std::span<const std::uint64_t> v)
+    {
+        const auto *p = reinterpret_cast<const std::uint8_t *>(v.data());
+        bytes_.insert(bytes_.end(), p, p + v.size_bytes());
+    }
 
     void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
@@ -121,6 +130,15 @@ class CkptReader
 
     std::uint32_t u32() { return word<std::uint32_t>(); }
     std::uint64_t u64() { return word<std::uint64_t>(); }
+
+    /** Fill @p out with the next out.size() words: one copy. */
+    void
+    u64s(std::span<std::uint64_t> out)
+    {
+        need(out.size_bytes());
+        std::memcpy(out.data(), data_ + pos_, out.size_bytes());
+        pos_ += out.size_bytes();
+    }
 
     std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }

@@ -8,8 +8,9 @@
  * Two contracts hold throughout:
  *
  *  1. The stream is a pure function of simulated state. Every field is
- *     written individually in a fixed order through CkptWriter's
- *     little-endian primitives; no struct is ever written via memcpy
+ *     written in a fixed order through CkptWriter's little-endian
+ *     primitives, individually or, for an array of plain words (the
+ *     LRU tags), as one bulk copy; no struct is ever written via memcpy
  *     (padding bytes are indeterminate) and no unordered container is
  *     ever iterated (there are none in the saved state — heaps and
  *     the sorted ready arrays are explicit vectors, maps are std::map).
@@ -32,6 +33,7 @@
  * Geometry reads double as sanity checks and fatal() on mismatch.
  */
 
+#include <algorithm>
 #include <vector>
 
 #include "branch/bht.hh"
@@ -72,12 +74,8 @@ expectGeom(const char *what, std::uint64_t saved, std::uint64_t built)
 void
 LruArray::saveState(CkptWriter &w) const
 {
-    w.u64(static_cast<std::uint64_t>(entries_.size()));
-    for (const Entry &e : entries_) {
-        w.u64(e.tag);
-        w.u64(e.lastUse);
-    }
-    w.u64(clock_);
+    w.u64(static_cast<std::uint64_t>(tags_.size()));
+    w.u64s(tags_);
     w.counter(hits_);
     w.counter(misses_);
     w.counter(insertions_);
@@ -87,12 +85,25 @@ LruArray::saveState(CkptWriter &w) const
 void
 LruArray::restoreState(CkptReader &r)
 {
-    expectGeom("LRU array entries", r.u64(), entries_.size());
-    for (Entry &e : entries_) {
-        e.tag = r.u64();
-        e.lastUse = r.u64();
+    expectGeom("LRU array entries", r.u64(), tags_.size());
+    r.u64s(tags_);
+    // Recency is the way order, so a set must hold its valid tags as a
+    // prefix, each once; anything else is no state access() can reach.
+    for (std::size_t base = 0; base < tags_.size(); base += assoc_) {
+        const Addr *set = &tags_[base];
+        int valid = 0;
+        while (valid < assoc_ && set[valid] != invalid_tag)
+            ++valid;
+        for (int w = valid; w < assoc_; ++w)
+            if (set[w] != invalid_tag)
+                fatal("checkpoint LRU set %zu has a valid tag after an "
+                      "invalid way",
+                      base / assoc_);
+        for (int w = 1; w < valid; ++w)
+            if (std::find(set, set + w, set[w]) != set + w)
+                fatal("checkpoint LRU set %zu holds a tag twice",
+                      base / assoc_);
     }
-    clock_ = r.u64();
     r.counter(hits_);
     r.counter(misses_);
     r.counter(insertions_);

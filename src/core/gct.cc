@@ -35,24 +35,21 @@ Gct::allocate(ThreadId tid, SeqNum start_seq, int count)
     return q.physIndexOf(&q.back());
 }
 
-void
-Gct::finishOne(ThreadId tid, std::uint32_t group, SeqNum seq)
+GctGroup *
+Gct::findUnfinished(ThreadId tid, SeqNum seq)
 {
     auto &q = groups_[static_cast<size_t>(tid)];
-    GctGroup *g = q.liveAtPhys(group);
-    if (!g || !g->contains(seq)) {
-        g = nullptr;
-        for (std::size_t i = 0; i < q.size() && !g; ++i)
-            if (q[i].contains(seq))
-                g = &q[i];
-        if (!g)
-            panic("GCT finishOne: seq %llu of thread %d in no group",
-                  static_cast<unsigned long long>(seq), tid);
-    }
+    GctGroup *g = nullptr;
+    for (std::size_t i = 0; i < q.size() && !g; ++i)
+        if (q[i].contains(seq))
+            g = &q[i];
+    if (!g)
+        panic("GCT finishOne: seq %llu of thread %d in no group",
+              static_cast<unsigned long long>(seq), tid);
     if (g->unfinished <= 0)
         panic("GCT finishOne: group at seq %llu already finished",
               static_cast<unsigned long long>(g->startSeq));
-    --g->unfinished;
+    return g;
 }
 
 void
@@ -61,13 +58,10 @@ Gct::setUnfinished(ThreadId tid, std::size_t i, int unfinished)
     groups_[static_cast<size_t>(tid)][i].unfinished = unfinished;
 }
 
-const GctGroup &
-Gct::oldest(ThreadId tid) const
+void
+Gct::panicNoOldest(ThreadId tid) const
 {
-    const auto &q = groups_[static_cast<size_t>(tid)];
-    if (q.empty())
-        panic("GCT oldest() on empty thread %d", tid);
-    return q.front();
+    panic("GCT oldest() on empty thread %d", tid);
 }
 
 void

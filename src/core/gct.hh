@@ -79,7 +79,14 @@ class Gct
      * handle falls back to a search, so it is never wrong, at worst
      * slow.
      */
-    void finishOne(ThreadId tid, std::uint32_t group, SeqNum seq);
+    void
+    finishOne(ThreadId tid, std::uint32_t group, SeqNum seq)
+    {
+        GctGroup *g = groups_[static_cast<size_t>(tid)].liveAtPhys(group);
+        if (!g || !g->contains(seq) || g->unfinished <= 0) [[unlikely]]
+            g = findUnfinished(tid, seq);
+        --g->unfinished;
+    }
 
     /**
      * Set the unfinished count of @p tid's group at logical index @p i
@@ -88,7 +95,14 @@ class Gct
     void setUnfinished(ThreadId tid, std::size_t i, int unfinished);
 
     /** @return the oldest group of @p tid; panics if none. */
-    const GctGroup &oldest(ThreadId tid) const;
+    const GctGroup &
+    oldest(ThreadId tid) const
+    {
+        const auto &q = groups_[static_cast<size_t>(tid)];
+        if (q.empty()) [[unlikely]]
+            panicNoOldest(tid);
+        return q.front();
+    }
 
     bool
     empty(ThreadId tid) const
@@ -135,6 +149,16 @@ class Gct
     void restoreState(class CkptReader &r);
 
   private:
+    /**
+     * finishOne()'s slow path: the group of @p tid holding @p seq,
+     * found by search; panics if there is none or it has no
+     * unfinished instruction left.
+     */
+    GctGroup *findUnfinished(ThreadId tid, SeqNum seq);
+
+    /** oldest() on an empty thread. */
+    [[noreturn]] void panicNoOldest(ThreadId tid) const;
+
     int capacity_;
     RingDeque<GctGroup> groups_[num_hw_threads];
     Counter allocated_;

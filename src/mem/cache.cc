@@ -9,19 +9,13 @@ namespace p5 {
 
 namespace {
 
-bool
-isPowerOfTwo(std::uint64_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
-
 /** Set count of @p params; fatal() on a bad geometry. */
 std::uint64_t
 validatedSets(const CacheParams &params)
 {
     if (params.sizeBytes == 0 || params.assoc <= 0 || params.lineBytes <= 0)
         fatal("cache '%s': bad geometry", params.name.c_str());
-    if (!isPowerOfTwo(static_cast<std::uint64_t>(params.lineBytes)))
+    if (!std::has_single_bit(static_cast<std::uint64_t>(params.lineBytes)))
         fatal("cache '%s': line size must be a power of two",
               params.name.c_str());
     const std::uint64_t lines =
@@ -29,7 +23,7 @@ validatedSets(const CacheParams &params)
     if (lines == 0 || lines % params.assoc != 0)
         fatal("cache '%s': size/assoc/line mismatch", params.name.c_str());
     const std::uint64_t sets = lines / params.assoc;
-    if (!isPowerOfTwo(sets))
+    if (!std::has_single_bit(sets))
         fatal("cache '%s': set count must be a power of two",
               params.name.c_str());
     return sets;

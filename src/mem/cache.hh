@@ -89,7 +89,7 @@ class Cache
         lines_.registerStats(group, params_.name, true);
     }
 
-    /** Serialize lines, recency clock, bandwidth gate and counters. */
+    /** Serialize lines, bandwidth gate and counters. */
     void saveState(class CkptWriter &w) const;
 
     /** Restore state saved by saveState(); geometry must match. */

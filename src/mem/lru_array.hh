@@ -3,21 +3,24 @@
  * Set-associative true-LRU array: the one storage primitive behind the
  * caches and the D-TLBs.
  *
- * An entry is {tag, lastUse}, 16 bytes. lastUse == 0 marks an invalid
- * entry; the recency clock starts at 1, so a valid entry never reads 0.
- * That encoding makes replacement one comparison: the entry with the
- * smallest lastUse is the first invalid way when there is one, else
- * the least recently used way. access() therefore finds, refreshes or
- * fills a block in a single walk of its set.
+ * An entry is the tag alone, 8 bytes, and a set keeps its ways in
+ * recency order: way 0 is the most recently used, the valid tags form
+ * a prefix, and invalid_tag (all ones) fills the rest. A tag is
+ * addr >> tag_shift with a shift of at least 1, so it is never all
+ * ones. access() finds, refreshes or fills a block in one walk of the
+ * valid prefix: the ways before it move down one and it takes way 0;
+ * a fill into a full set pushes the last, least recently used, way out.
  */
 
 #ifndef P5SIM_MEM_LRU_ARRAY_HH
 #define P5SIM_MEM_LRU_ARRAY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -31,13 +34,15 @@ class LruArray
      * @param sets        number of sets, a power of two
      * @param assoc       ways per set
      * @param index_shift set = (addr >> index_shift) & (sets - 1)
-     * @param tag_shift   tag = addr >> tag_shift
+     * @param tag_shift   tag = addr >> tag_shift, at least 1
      */
     LruArray(std::uint64_t sets, int assoc, int index_shift, int tag_shift)
         : assoc_(assoc), setMask_(sets - 1), indexShift_(index_shift),
           tagShift_(tag_shift),
-          entries_(sets * static_cast<std::uint64_t>(assoc))
+          tags_(sets * static_cast<std::uint64_t>(assoc), invalid_tag)
     {
+        if (tag_shift < 1)
+            fatal("LRU array: a tag shift of 0 cannot mark invalid ways");
     }
 
     /**
@@ -50,47 +55,50 @@ class LruArray
     access(Addr addr)
     {
         const Addr tag = addr >> tagShift_;
-        Entry *set = setOf(addr);
-        Entry *victim = set;
-        for (int w = 0; w < assoc_; ++w) {
-            Entry &e = set[w];
-            if (e.tag == tag && e.lastUse != 0) {
-                e.lastUse = ++clock_;
-                ++hits_;
-                return true;
+        Addr *set = &tags_[setBase(addr)];
+        int w = 0;
+        while (w < assoc_ && set[w] != tag && set[w] != invalid_tag)
+            ++w;
+        const bool hit = w < assoc_ && set[w] == tag;
+        if (hit) {
+            ++hits_;
+        } else {
+            ++misses_;
+            ++insertions_;
+            if (w == assoc_) {
+                ++evictions_;
+                --w;
             }
-            if (e.lastUse < victim->lastUse)
-                victim = &e;
         }
-        ++misses_;
-        ++insertions_;
-        if (victim->lastUse != 0)
-            ++evictions_;
-        *victim = {tag, ++clock_};
-        return false;
+        for (; w > 0; --w)
+            set[w] = set[w - 1];
+        set[0] = tag;
+        return hit;
     }
 
     /** True iff the block of @p addr is present; no side effects. */
     bool
     probe(Addr addr) const
     {
-        return find(addr) != nullptr;
+        return find(addr) >= 0;
     }
 
     /** Invalidate the block of @p addr if present. */
     void
     invalidate(Addr addr)
     {
-        if (Entry *e = find(addr))
-            e->lastUse = 0;
+        Addr *set = &tags_[setBase(addr)];
+        if (const int w = find(addr); w >= 0) {
+            std::copy(set + w + 1, set + assoc_, set + w);
+            set[assoc_ - 1] = invalid_tag;
+        }
     }
 
-    /** Invalidate every block (the counters and the clock stay). */
+    /** Invalidate every block (the counters stay). */
     void
     flushAll()
     {
-        for (Entry &e : entries_)
-            e.lastUse = 0;
+        std::fill(tags_.begin(), tags_.end(), invalid_tag);
     }
 
     std::uint64_t hits() const { return hits_.value(); }
@@ -115,50 +123,45 @@ class LruArray
         group.registerCounter(prefix + ".evictions", &evictions_);
     }
 
-    /** Serialize the entries, the recency clock and all four counters. */
+    /** Serialize the tags, in recency order, and all four counters. */
     void saveState(class CkptWriter &w) const;
 
-    /** Restore state saved by saveState(); geometry must match. */
+    /**
+     * Restore state saved by saveState(); geometry must match, and a
+     * set whose valid tags do not form a prefix or repeat is fatal.
+     */
     void restoreState(class CkptReader &r);
 
   private:
-    struct Entry
-    {
-        Addr tag = 0;
-        std::uint64_t lastUse = 0; ///< 0: invalid
-    };
+    /** Marks an invalid way; never equal to a valid tag. */
+    static constexpr Addr invalid_tag = ~Addr{0};
+    static_assert(sizeof(Addr) == 8, "an LRU entry is one 8-byte tag");
 
-    Entry *
-    setOf(Addr addr)
+    /** Index of the first way of @p addr's set. */
+    std::uint64_t
+    setBase(Addr addr) const
     {
-        return &entries_[((addr >> indexShift_) & setMask_) *
-                         static_cast<std::uint64_t>(assoc_)];
+        return ((addr >> indexShift_) & setMask_) *
+               static_cast<std::uint64_t>(assoc_);
     }
 
-    /** The valid entry holding @p addr's block, or nullptr. */
-    Entry *
-    find(Addr addr)
-    {
-        const Addr tag = addr >> tagShift_;
-        Entry *set = setOf(addr);
-        for (int w = 0; w < assoc_; ++w)
-            if (set[w].tag == tag && set[w].lastUse != 0)
-                return &set[w];
-        return nullptr;
-    }
-
-    const Entry *
+    /** The way holding @p addr's block, or -1. */
+    int
     find(Addr addr) const
     {
-        return const_cast<LruArray *>(this)->find(addr);
+        const Addr tag = addr >> tagShift_;
+        const Addr *set = &tags_[setBase(addr)];
+        for (int w = 0; w < assoc_ && set[w] != invalid_tag; ++w)
+            if (set[w] == tag)
+                return w;
+        return -1;
     }
 
     int assoc_;
     std::uint64_t setMask_;
     int indexShift_;
     int tagShift_;
-    std::vector<Entry> entries_; ///< sets * assoc, row-major by set
-    std::uint64_t clock_ = 0;
+    std::vector<Addr> tags_; ///< sets * assoc, row-major by set
 
     Counter hits_;
     Counter misses_;

@@ -15,13 +15,12 @@ validatedSets(const TlbParams &params)
     if (params.entries <= 0 || params.assoc <= 0 ||
         params.entries % params.assoc != 0)
         fatal("tlb '%s': bad geometry", params.name.c_str());
-    if (params.pageBytes == 0 ||
-        (params.pageBytes & (params.pageBytes - 1)) != 0)
+    if (!std::has_single_bit(params.pageBytes))
         fatal("tlb '%s': page size must be a power of two",
               params.name.c_str());
     const auto sets =
         static_cast<std::uint64_t>(params.entries / params.assoc);
-    if ((sets & (sets - 1)) != 0)
+    if (!std::has_single_bit(sets))
         fatal("tlb '%s': set count must be a power of two",
               params.name.c_str());
     return sets;

@@ -75,7 +75,7 @@ class Tlb
         pages_.registerStats(group, params_.name, false);
     }
 
-    /** Serialize entries, recency clock and counters. */
+    /** Serialize entries and counters. */
     void saveState(class CkptWriter &w) const;
 
     /** Restore state saved by saveState(); geometry must match. */

@@ -9,6 +9,7 @@
 #ifndef P5SIM_TESTS_LRU_REFERENCE_HH
 #define P5SIM_TESTS_LRU_REFERENCE_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -22,8 +23,9 @@ namespace p5::test {
 /**
  * block = addr / blockBytes, set = block % sets, tag = block / sets.
  * Replacement takes the first invalid way, else the least recently
- * used one, as the models do. Entries keep a separate valid flag, so
- * the oracle does not share the models' lastUse == 0 encoding.
+ * used one, as the models do. Entries keep a valid flag and a lastUse
+ * stamp, so the oracle shares none of the models' encoding, where the
+ * way order is the recency order and all ones marks an invalid way.
  */
 class LruReference
 {
@@ -96,6 +98,25 @@ class LruReference
         if (insert(addr))
             ++evictions;
         return false;
+    }
+
+    /** The valid tags of set @p set, most recently used first. */
+    std::vector<std::uint64_t>
+    tagsNewestFirst(std::uint64_t set) const
+    {
+        const Way *ways = &ways_[set * static_cast<std::uint64_t>(assoc_)];
+        std::vector<const Way *> valid;
+        for (int w = 0; w < assoc_; ++w)
+            if (ways[w].valid)
+                valid.push_back(&ways[w]);
+        std::sort(valid.begin(), valid.end(),
+                  [](const Way *a, const Way *b) {
+                      return a->lastUse > b->lastUse;
+                  });
+        std::vector<std::uint64_t> tags;
+        for (const Way *way : valid)
+            tags.push_back(way->tag);
+        return tags;
     }
 
     /** Address of the block the last insert or access evicted. */

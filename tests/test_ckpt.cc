@@ -387,45 +387,53 @@ TEST(CkptStoreTest, ForeignWarmKeyIsQuarantined)
  * A checkpoint area is a cache: one pinned at another format, holding
  * that format's files, opens, is re-pinned to this binary's format,
  * misses on the old file and re-warms with identical stats. The old
- * file stays for store-gc.
+ * file stays for store-gc. Checked for the first format and for the one
+ * this binary's format superseded.
  */
 TEST(CkptStoreTest, SupersededFormatAreaIsRepinnedAndRewarmed)
 {
-    const std::string dir = freshCkptDir("superseded_format");
-    const SimJob job =
-        fastPair(UbenchId::CpuInt, UbenchId::LdintL1, 4, 4);
-    const std::string fp = ckptFingerprintHex(job.warmKey());
-    const std::string live = publishOne(dir, job);
-    const std::string old_path =
-        live.substr(0, live.rfind('/') + 1) + fp + "-ckpt-v1.bin";
-    ASSERT_EQ(std::rename(live.c_str(), old_path.c_str()), 0);
-    {
-        std::ofstream os(dir + "/ckpt_meta.json", std::ios::trunc);
-        os << "{\n  \"ckptVersion\": 1,\n  \"schemaVersion\": "
-           << config_schema_version << "\n}\n";
-    }
+    for (const int old_version : {1, ckpt_format_version - 1}) {
+        SCOPED_TRACE("pinned at v" + std::to_string(old_version));
+        const std::string dir = freshCkptDir(
+            "superseded_format_v" + std::to_string(old_version));
+        const SimJob job =
+            fastPair(UbenchId::CpuInt, UbenchId::LdintL1, 4, 4);
+        const std::string fp = ckptFingerprintHex(job.warmKey());
+        const std::string live = publishOne(dir, job);
+        const std::string old_path = live.substr(0, live.rfind('/') + 1) +
+                                     fp + "-ckpt-v" +
+                                     std::to_string(old_version) + ".bin";
+        ASSERT_EQ(std::rename(live.c_str(), old_path.c_str()), 0);
+        {
+            std::ofstream os(dir + "/ckpt_meta.json", std::ios::trunc);
+            os << "{\n  \"ckptVersion\": " << old_version
+               << ",\n  \"schemaVersion\": " << config_schema_version
+               << "\n}\n";
+        }
 
-    CkptStore store(dir);
-    {
-        std::ifstream is(dir + "/ckpt_meta.json");
-        std::string meta((std::istreambuf_iterator<char>(is)),
-                         std::istreambuf_iterator<char>());
-        EXPECT_NE(meta.find("\"ckptVersion\": " +
-                            std::to_string(ckpt_format_version)),
-                  std::string::npos)
-            << meta;
-    }
-    Checkpoint out;
-    EXPECT_FALSE(store.load(job.warmKey(), out));
-    EXPECT_EQ(store.quarantined(), 0u);
+        CkptStore store(dir);
+        {
+            std::ifstream is(dir + "/ckpt_meta.json");
+            std::string meta((std::istreambuf_iterator<char>(is)),
+                             std::istreambuf_iterator<char>());
+            EXPECT_NE(meta.find("\"ckptVersion\": " +
+                                std::to_string(ckpt_format_version)),
+                      std::string::npos)
+                << meta;
+        }
+        Checkpoint out;
+        EXPECT_FALSE(store.load(job.warmKey(), out));
+        EXPECT_EQ(store.quarantined(), 0u);
 
-    CkptManager mgr;
-    mgr.setStore(&store);
-    expectIdentical(job.execute(nullptr).fame, job.execute(&mgr).fame);
-    EXPECT_EQ(mgr.warms(), 1u);
-    EXPECT_EQ(store.writes(), 1u);
-    EXPECT_TRUE(fileExists(live));
-    EXPECT_TRUE(fileExists(old_path));
+        CkptManager mgr;
+        mgr.setStore(&store);
+        expectIdentical(job.execute(nullptr).fame,
+                        job.execute(&mgr).fame);
+        EXPECT_EQ(mgr.warms(), 1u);
+        EXPECT_EQ(store.writes(), 1u);
+        EXPECT_TRUE(fileExists(live));
+        EXPECT_TRUE(fileExists(old_path));
+    }
 }
 
 TEST(CkptStoreDeath, ForeignConfigSchemaIsRefused)
@@ -614,11 +622,11 @@ TEST(Ckpt, WireFormatMatchesTheRecordedImages)
     };
     const Case cases[] = {
         {UbenchId::LdintMem, UbenchId::CpuInt,
-         {2420395, 0x438a17a218a8c5c6ULL}, {2419966, 0x606e046daa54a74dULL}},
+         {1222275, 0xeaeb68e319b0f4c1ULL}, {1221846, 0xd9e1822de454693fULL}},
         {UbenchId::LdintL2, UbenchId::LdintMem,
-         {2419058, 0xa5e4eb3415f7f14dULL}, {2419147, 0x399b4748d2cd46dcULL}},
+         {1220938, 0xa722b68822eaa5a1ULL}, {1221027, 0xa098ba4275d677dbULL}},
         {UbenchId::CpuInt, UbenchId::LdintL1,
-         {2422653, 0xed8da2abddf93742ULL}, {2422557, 0x6bcb8d795a0570b7ULL}},
+         {1224533, 0xb720401662cb1c54ULL}, {1224437, 0x6c734d4fb84ce9caULL}},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(std::string(ubenchName(c.primary)) + "+" +

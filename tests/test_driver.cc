@@ -1124,6 +1124,7 @@ TEST(Driver, StoreGcReclaimsDeadFilesOnlyOnApply)
         shard + "/0123456789abcdef-v0.json",
         ckpt_shard + "/0123456789abcdef-ckpt-v0.bin",
         ckpt_shard + "/0123456789abcdef-ckpt-v1.bin",
+        ckpt_shard + "/0123456789abcdef-ckpt-v2.bin",
         ckpt_shard + "/feedfacefeedface-ckpt-v1.bin.tmp.7",
         ckpt_shard + "/deadbeefdeadbeef-ckpt-v1.bin.bad",
     };
@@ -1140,10 +1141,11 @@ TEST(Driver, StoreGcReclaimsDeadFilesOnlyOnApply)
               std::string::npos);
     EXPECT_NE(dry.out.find("superseded checkpoint format"),
               std::string::npos);
-    EXPECT_NE(dry.out.find("0123456789abcdef-ckpt-v1.bin (superseded "
-                           "checkpoint format"),
-              std::string::npos)
-        << dry.out;
+    for (const char *old : {"0123456789abcdef-ckpt-v1.bin (superseded "
+                            "checkpoint format",
+                            "0123456789abcdef-ckpt-v2.bin (superseded "
+                            "checkpoint format"})
+        EXPECT_NE(dry.out.find(old), std::string::npos) << dry.out;
     EXPECT_NE(dry.out.find("dry run"), std::string::npos);
     for (const std::string &path : garbage) {
         std::ifstream is(path);
@@ -1169,8 +1171,8 @@ TEST(Driver, StoreGcReclaimsDeadFilesOnlyOnApply)
     const JsonValue report = readReport(gc_json);
     EXPECT_EQ(report.find("experiment")->asString(), "store-gc");
     EXPECT_TRUE(report.find("applied")->asBool());
-    EXPECT_EQ(report.find("candidates")->asInt(), 7);
-    EXPECT_EQ(report.find("removed")->asInt(), 7);
+    EXPECT_EQ(report.find("candidates")->asInt(), 8);
+    EXPECT_EQ(report.find("removed")->asInt(), 8);
     EXPECT_GT(report.find("bytesReclaimed")->asInt(), 0);
 
     // A clean store has nothing to collect.
