@@ -51,11 +51,11 @@ class Bht
 
     void registerStats(StatGroup &group) const;
 
-    /** Serialize the counter table and prediction stats. */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(); table size must match. */
-    void restoreState(class CkptReader &r);
+    /**
+     * Checkpoint body (ckpt_state.cc): the counter table and prediction
+     * stats. On restore the table size must match.
+     */
+    template <class Self, class Io> static void ckpt(Self &self, Io &io);
 
   private:
     std::size_t indexOf(Addr pc) const;

@@ -14,6 +14,13 @@
  * little-endian hosts (static_assert below), whose words already are
  * the wire format.
  *
+ * The two classes share one method set, so a component's checkpoint
+ * body is written once as a template over the stream (see
+ * ckpt_state.cc): the writer's methods take a field by const reference
+ * and append it, the reader's take it by reference and fill it, and
+ * `restoring` tells the body which it is running. geom() is the one
+ * asymmetric field: the writer records a geometry, the reader checks it.
+ *
  * The reader treats underrun or trailing bytes as fatal: every blob it
  * sees has already passed the file-level length + checksum validation
  * (see ckpt.hh), so a structural mismatch means a version-skew bug, not
@@ -27,7 +34,6 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/log.hh"
@@ -41,20 +47,45 @@ namespace p5 {
 static_assert(std::endian::native == std::endian::little,
               "checkpoint words are copied as little-endian host words");
 
-/** Appends fixed-width little-endian fields to a growing byte buffer. */
+/**
+ * Appends fixed-width little-endian fields to a growing byte buffer.
+ * Each method's name fixes the field's width on the wire, whatever the
+ * C++ type of the value: an enum travels as u8, a RegIndex as i32.
+ */
 class CkptWriter
 {
   public:
+    static constexpr bool restoring = false;
+
+    template <class T>
     void
-    u8(std::uint8_t v)
+    u8(const T &v)
     {
-        bytes_.push_back(v);
+        bytes_.push_back(static_cast<std::uint8_t>(v));
     }
 
-    void b(bool v) { u8(v ? 1 : 0); }
+    void b(bool v) { u8(v); }
 
-    void u32(std::uint32_t v) { word(v); }
-    void u64(std::uint64_t v) { word(v); }
+    template <class T>
+    void
+    u32(const T &v)
+    {
+        word(static_cast<std::uint32_t>(v));
+    }
+
+    template <class T>
+    void
+    u64(const T &v)
+    {
+        word(static_cast<std::uint64_t>(v));
+    }
+
+    template <class T>
+    void
+    i32(const T &v)
+    {
+        word(static_cast<std::uint32_t>(static_cast<std::int32_t>(v)));
+    }
 
     /** Append every word of @p v in order, as u64() would: one copy. */
     void
@@ -64,25 +95,10 @@ class CkptWriter
         bytes_.insert(bytes_.end(), p, p + v.size_bytes());
     }
 
-    void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
-    void
-    f64(double v)
-    {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
-    }
-
     void counter(const Counter &c) { u64(c.value()); }
 
-    void
-    str(const std::string &s)
-    {
-        u64(s.size());
-        bytes_.insert(bytes_.end(), s.begin(), s.end());
-    }
+    /** Record the restoring core's geometry @p n (the reader checks it). */
+    void geom(const char *, std::uint64_t n) { u64(n); }
 
     const std::vector<std::uint8_t> &data() const { return bytes_; }
     std::size_t size() const { return bytes_.size(); }
@@ -107,10 +123,15 @@ class CkptWriter
     std::vector<std::uint8_t> bytes_;
 };
 
-/** Consumes a CkptWriter stream; fatal() on structural mismatch. */
+/**
+ * Consumes a CkptWriter stream into the fields it names, with the same
+ * method names and widths as the writer; fatal() on structural mismatch.
+ */
 class CkptReader
 {
   public:
+    static constexpr bool restoring = true;
+
     CkptReader(const std::uint8_t *data, std::size_t size)
         : data_(data), size_(size)
     {}
@@ -119,17 +140,36 @@ class CkptReader
         : CkptReader(bytes.data(), bytes.size())
     {}
 
-    std::uint8_t
-    u8()
+    template <class T>
+    void
+    u8(T &v)
     {
         need(1);
-        return data_[pos_++];
+        v = static_cast<T>(data_[pos_++]);
     }
 
-    bool b() { return u8() != 0; }
+    void b(bool &v) { u8(v); }
 
-    std::uint32_t u32() { return word<std::uint32_t>(); }
-    std::uint64_t u64() { return word<std::uint64_t>(); }
+    template <class T>
+    void
+    u32(T &v)
+    {
+        v = static_cast<T>(word<std::uint32_t>());
+    }
+
+    template <class T>
+    void
+    u64(T &v)
+    {
+        v = static_cast<T>(word<std::uint64_t>());
+    }
+
+    template <class T>
+    void
+    i32(T &v)
+    {
+        v = static_cast<T>(static_cast<std::int32_t>(word<std::uint32_t>()));
+    }
 
     /** Fill @p out with the next out.size() words: one copy. */
     void
@@ -140,42 +180,28 @@ class CkptReader
         pos_ += out.size_bytes();
     }
 
-    std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+    void counter(Counter &c) { c.restore(word<std::uint64_t>()); }
 
-    double
-    f64()
+    /** Read a geometry the writer recorded; fatal unless it is @p built. */
+    void
+    geom(const char *what, std::uint64_t built)
     {
-        const std::uint64_t bits = u64();
-        double v = 0.0;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
+        const auto saved = word<std::uint64_t>();
+        if (saved != built)
+            fatal("checkpoint geometry mismatch: %s is %llu in the stream "
+                  "but %llu in the restoring core (checkpoint key bug?)",
+                  what, static_cast<unsigned long long>(saved),
+                  static_cast<unsigned long long>(built));
     }
-
-    void counter(Counter &c) { c.restore(u64()); }
-
-    std::string
-    str()
-    {
-        const std::uint64_t n = u64();
-        need(n);
-        std::string s(reinterpret_cast<const char *>(data_ + pos_),
-                      static_cast<std::size_t>(n));
-        pos_ += static_cast<std::size_t>(n);
-        return s;
-    }
-
-    std::size_t remaining() const { return size_ - pos_; }
-    bool exhausted() const { return pos_ == size_; }
 
     /** Assert the whole stream was consumed (end-of-restore check). */
     void
     expectEnd() const
     {
-        if (!exhausted())
+        if (pos_ != size_)
             fatal("checkpoint blob has %zu trailing bytes "
                   "(serializer/deserializer version skew)",
-                  remaining());
+                  size_ - pos_);
     }
 
   private:

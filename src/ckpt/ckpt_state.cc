@@ -2,10 +2,15 @@
  * @file
  * Architectural-state serialization for every checkpointable component.
  *
- * All saveState()/restoreState() bodies live in this one translation
- * unit so the complete set of bytes that enters a checkpoint can be
- * audited in a single place (the p5lint determinism rule points here).
- * Two contracts hold throughout:
+ * Each component has one checkpoint body, `ckpt(self, io)`, a static
+ * member template over the stream: run with a CkptWriter (self const)
+ * it saves, run with a CkptReader it restores, so every field list
+ * exists once and save and restore cannot drift apart. What only a
+ * restore does sits under `if constexpr (Io::restoring)`, in stream
+ * order: the validity checks and the rebuild of derived state. All
+ * bodies live in this one translation unit so the complete set of
+ * bytes that enters a checkpoint can be audited in a single place (the
+ * p5lint determinism rule points here). Two contracts hold throughout:
  *
  *  1. The stream is a pure function of simulated state. Every field is
  *     written in a fixed order through CkptWriter's little-endian
@@ -30,11 +35,11 @@
  * Configuration is deliberately NOT in the stream: a checkpoint is only
  * ever restored into a core built with the same params and programs,
  * which the warm-phase fingerprint in the checkpoint key guarantees.
- * Geometry reads double as sanity checks and fatal() on mismatch.
+ * Geometry fields (CkptReader::geom) double as sanity checks and
+ * fatal() on mismatch.
  */
 
 #include <algorithm>
-#include <vector>
 
 #include "branch/bht.hh"
 #include "ckpt/ckpt_io.hh"
@@ -57,620 +62,398 @@ namespace p5 {
 
 namespace {
 
+/** Every counter of each of @p arrays, array by array. */
+template <class Io, class... Arrays>
 void
-expectGeom(const char *what, std::uint64_t saved, std::uint64_t built)
+counterArrays(Io &io, Arrays &...arrays)
 {
-    if (saved != built)
-        fatal("checkpoint geometry mismatch: %s is %llu in the stream "
-              "but %llu in the restoring core (checkpoint key bug?)",
-              what, static_cast<unsigned long long>(saved),
-              static_cast<unsigned long long>(built));
+    const auto one = [&io](auto &counters) {
+        for (auto &c : counters)
+            io.counter(c);
+    };
+    (one(arrays), ...);
 }
 
 } // namespace
 
 // --- LruArray / Cache / Tlb -----------------------------------------
 
+template <class Self, class Io>
 void
-LruArray::saveState(CkptWriter &w) const
+LruArray::ckpt(Self &self, Io &io)
 {
-    w.u64(static_cast<std::uint64_t>(tags_.size()));
-    w.u64s(tags_);
-    w.counter(hits_);
-    w.counter(misses_);
-    w.counter(insertions_);
-    w.counter(evictions_);
-}
-
-void
-LruArray::restoreState(CkptReader &r)
-{
-    expectGeom("LRU array entries", r.u64(), tags_.size());
-    r.u64s(tags_);
-    // Recency is the way order, so a set must hold its valid tags as a
-    // prefix, each once; anything else is no state access() can reach.
-    for (std::size_t base = 0; base < tags_.size(); base += assoc_) {
-        const Addr *set = &tags_[base];
-        int valid = 0;
-        while (valid < assoc_ && set[valid] != invalid_tag)
-            ++valid;
-        for (int w = valid; w < assoc_; ++w)
-            if (set[w] != invalid_tag)
-                fatal("checkpoint LRU set %zu has a valid tag after an "
-                      "invalid way",
-                      base / assoc_);
-        for (int w = 1; w < valid; ++w)
-            if (std::find(set, set + w, set[w]) != set + w)
-                fatal("checkpoint LRU set %zu holds a tag twice",
-                      base / assoc_);
+    io.geom("LRU array entries", self.tags_.size());
+    io.u64s(self.tags_);
+    if constexpr (Io::restoring) {
+        // Recency is the way order, so a set must hold its valid tags
+        // as a prefix, each once; anything else is no state access()
+        // can reach.
+        const int assoc = self.assoc_;
+        for (std::size_t base = 0; base < self.tags_.size();
+             base += assoc) {
+            const Addr *set = &self.tags_[base];
+            int valid = 0;
+            while (valid < assoc && set[valid] != invalid_tag)
+                ++valid;
+            for (int w = valid; w < assoc; ++w)
+                if (set[w] != invalid_tag)
+                    fatal("checkpoint LRU set %zu has a valid tag after "
+                          "an invalid way",
+                          base / assoc);
+            for (int w = 1; w < valid; ++w)
+                if (std::find(set, set + w, set[w]) != set + w)
+                    fatal("checkpoint LRU set %zu holds a tag twice",
+                          base / assoc);
+        }
     }
-    r.counter(hits_);
-    r.counter(misses_);
-    r.counter(insertions_);
-    r.counter(evictions_);
+    io.counter(self.hits_);
+    io.counter(self.misses_);
+    io.counter(self.insertions_);
+    io.counter(self.evictions_);
 }
 
+template void LruArray::ckpt(const LruArray &, CkptWriter &);
+template void LruArray::ckpt(LruArray &, CkptReader &);
+
+template <class Self, class Io>
 void
-Cache::saveState(CkptWriter &w) const
+Cache::ckpt(Self &self, Io &io)
 {
-    lines_.saveState(w);
-    w.u64(nextFree_);
+    LruArray::ckpt(self.lines_, io);
+    io.u64(self.nextFree_);
 }
 
+template <class Self, class Io>
 void
-Cache::restoreState(CkptReader &r)
+Tlb::ckpt(Self &self, Io &io)
 {
-    lines_.restoreState(r);
-    nextFree_ = r.u64();
-}
-
-void
-Tlb::saveState(CkptWriter &w) const
-{
-    pages_.saveState(w);
-}
-
-void
-Tlb::restoreState(CkptReader &r)
-{
-    pages_.restoreState(r);
+    LruArray::ckpt(self.pages_, io);
 }
 
 // --- Bht --------------------------------------------------------------
 
+template <class Self, class Io>
 void
-Bht::saveState(CkptWriter &w) const
+Bht::ckpt(Self &self, Io &io)
 {
-    w.u64(static_cast<std::uint64_t>(counters_.size()));
-    for (std::uint8_t c : counters_)
-        w.u8(c);
-    w.counter(lookups_);
-    w.counter(correct_);
-    w.counter(mispredicts_);
-}
-
-void
-Bht::restoreState(CkptReader &r)
-{
-    expectGeom("BHT counters", r.u64(), counters_.size());
-    for (std::uint8_t &c : counters_)
-        c = r.u8();
-    r.counter(lookups_);
-    r.counter(correct_);
-    r.counter(mispredicts_);
+    io.geom("BHT counters", self.counters_.size());
+    for (auto &c : self.counters_)
+        io.u8(c);
+    io.counter(self.lookups_);
+    io.counter(self.correct_);
+    io.counter(self.mispredicts_);
 }
 
 // --- Lmq --------------------------------------------------------------
 
+template <class Self, class Io>
 void
-Lmq::saveState(CkptWriter &w, Cycle now) const
+Lmq::ckpt(Self &self, Io &io, Cycle now)
 {
     // The stored windows in edge order. The queue is synced to @p now,
     // so every one of them releases after it. Only the windows are
     // state: the busy counts and edges are derived from them on restore.
-    checkSynced(now);
-    w.u64(static_cast<std::uint64_t>(edges_.size()));
-    for (const Edge &e : edges_) {
-        w.i32(e.window.tid);
-        w.u64(e.window.startCycle);
-        w.u64(e.window.releaseCycle);
+    if constexpr (Io::restoring) {
+        self.reset();
+        self.now_ = now;
+    } else {
+        self.checkSynced(now);
     }
-    w.counter(allocations_);
-    w.counter(queuedMisses_);
-    w.counter(queuedCycles_);
+    auto n = self.edges_.size();
+    io.u64(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        Window win;
+        if constexpr (!Io::restoring)
+            win = self.edges_[i].window;
+        io.i32(win.tid);
+        io.u64(win.startCycle);
+        io.u64(win.releaseCycle);
+        if constexpr (Io::restoring) {
+            if (win.tid < 0 || win.tid >= num_hw_threads ||
+                win.releaseCycle <= win.startCycle ||
+                win.releaseCycle <= now)
+                fatal("checkpoint LMQ window is malformed (thread %d)",
+                      win.tid);
+            if (win.startCycle <= now)
+                ++self.busy_[static_cast<std::size_t>(win.tid)];
+            self.insert(win);
+        }
+    }
+    io.counter(self.allocations_);
+    io.counter(self.queuedMisses_);
+    io.counter(self.queuedCycles_);
 }
 
-void
-Lmq::restoreState(CkptReader &r, Cycle now)
-{
-    reset();
-    now_ = now;
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Window win;
-        win.tid = r.i32();
-        win.startCycle = r.u64();
-        win.releaseCycle = r.u64();
-        if (win.tid < 0 || win.tid >= num_hw_threads ||
-            win.releaseCycle <= win.startCycle || win.releaseCycle <= now)
-            fatal("checkpoint LMQ window is malformed (thread %d)",
-                  win.tid);
-        if (win.startCycle <= now)
-            ++busy_[static_cast<std::size_t>(win.tid)];
-        insert(win);
-    }
-    r.counter(allocations_);
-    r.counter(queuedMisses_);
-    r.counter(queuedCycles_);
-}
+template void Lmq::ckpt(const Lmq &, CkptWriter &, Cycle);
+template void Lmq::ckpt(Lmq &, CkptReader &, Cycle);
 
 // --- FuPool -----------------------------------------------------------
 
+template <class Self, class Io>
 void
-FuPool::saveState(CkptWriter &w) const
+FuPool::ckpt(Self &self, Io &io)
 {
     for (int fc = 0; fc < static_cast<int>(FuClass::NumFuClasses); ++fc) {
-        const std::vector<Cycle> &units = busyUntil_[fc];
-        w.u64(static_cast<std::uint64_t>(units.size()));
-        for (Cycle c : units)
-            w.u64(c);
-        w.counter(acquisitions_[fc]);
-    }
-}
-
-void
-FuPool::restoreState(CkptReader &r)
-{
-    for (int fc = 0; fc < static_cast<int>(FuClass::NumFuClasses); ++fc) {
-        std::vector<Cycle> &units = busyUntil_[fc];
-        expectGeom("FU units", r.u64(), units.size());
-        for (Cycle &c : units)
-            c = r.u64();
-        r.counter(acquisitions_[fc]);
+        auto &units = self.busyUntil_[fc];
+        io.geom("FU units", units.size());
+        for (auto &c : units)
+            io.u64(c);
+        io.counter(self.acquisitions_[fc]);
     }
 }
 
 // --- IssueQueue -------------------------------------------------------
 
+template <class Self, class Io>
 void
-IssueQueue::saveState(CkptWriter &w) const
+IssueQueue::ckpt(Self &self, Io &io)
 {
     // Live entries oldest-first: the age order the queue pops in, so
     // restore takes them as they are.
-    for (const Ready &q : queues_) {
-        w.u64(static_cast<std::uint64_t>(q.refs.size() - q.head));
+    for (auto &q : self.queues_) {
+        auto n = q.refs.size() - q.head;
+        io.u64(n);
+        if constexpr (Io::restoring) {
+            q.head = 0;
+            q.refs.resize(n);
+        }
         for (std::size_t i = q.head; i < q.refs.size(); ++i) {
-            const ReadyRef &ref = q.refs[i];
-            w.u64(ref.stamp);
-            w.i32(ref.tid);
-            w.u64(ref.seq);
-            w.u64(ref.epoch);
-            w.u32(ref.slot);
+            auto &ref = q.refs[i];
+            io.u64(ref.stamp);
+            io.i32(ref.tid);
+            io.u64(ref.seq);
+            io.u64(ref.epoch);
+            io.u32(ref.slot);
         }
     }
 }
 
-void
-IssueQueue::restoreState(CkptReader &r)
-{
-    for (Ready &q : queues_) {
-        q.head = 0;
-        q.refs.resize(static_cast<std::size_t>(r.u64()));
-        for (ReadyRef &ref : q.refs) {
-            ref.stamp = r.u64();
-            ref.tid = r.i32();
-            ref.seq = r.u64();
-            ref.epoch = r.u64();
-            ref.slot = r.u32();
-        }
-    }
-}
+template void IssueQueue::ckpt(const IssueQueue &, CkptWriter &);
+template void IssueQueue::ckpt(IssueQueue &, CkptReader &);
 
 // --- Gct --------------------------------------------------------------
 
+template <class Self, class Io>
 void
-Gct::saveState(CkptWriter &w) const
+Gct::ckpt(Self &self, Io &io)
 {
     // Logical (oldest-first) serialization: the window entries' group
     // handles and the unfinished counts are derived state, which the
     // core rebuilds after restore.
-    for (const RingDeque<GctGroup> &ring : groups_) {
-        w.u64(static_cast<std::uint64_t>(ring.size()));
-        for (const GctGroup &g : ring) {
-            w.u64(g.startSeq);
-            w.i32(g.count);
+    for (auto &ring : self.groups_) {
+        auto n = ring.size();
+        io.u64(n);
+        if constexpr (Io::restoring) {
+            ring.clear();
+            for (std::size_t i = 0; i < n; ++i)
+                ring.pushSlot();
         }
-    }
-    w.counter(allocated_);
-    w.counter(retired_);
-}
-
-void
-Gct::restoreState(CkptReader &r)
-{
-    for (RingDeque<GctGroup> &ring : groups_) {
-        ring.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            GctGroup &g = ring.pushSlot();
-            g.startSeq = r.u64();
-            g.count = r.i32();
+        for (auto &g : ring) {
+            io.u64(g.startSeq);
+            io.i32(g.count);
             // Derived state: the core recounts it from the window.
-            g.unfinished = g.count;
+            if constexpr (Io::restoring)
+                g.unfinished = g.count;
         }
     }
-    r.counter(allocated_);
-    r.counter(retired_);
+    io.counter(self.allocated_);
+    io.counter(self.retired_);
 }
 
 // --- Lsu --------------------------------------------------------------
 
+template <class Self, class Io>
 void
-Lsu::saveState(CkptWriter &w) const
+Lsu::ckpt(Self &self, Io &io)
 {
-    w.u64(walkerNextFree_);
-    for (Cycle c : lastWalkRequest_)
-        w.u64(c);
-    for (Cycle c : walkUntil_)
-        w.u64(c);
-    w.i32(walkerTid_);
-    w.u64(walkerServiceUntil_);
-    w.u64(portNextFree_);
-    for (const Counter &c : loads_)
-        w.counter(c);
-    for (const Counter &c : stores_)
-        w.counter(c);
-    for (const Counter &c : walks_)
-        w.counter(c);
-    for (const Counter &c : levelCounts_)
-        w.counter(c);
+    io.u64(self.walkerNextFree_);
+    for (auto &c : self.lastWalkRequest_)
+        io.u64(c);
+    for (auto &c : self.walkUntil_)
+        io.u64(c);
+    io.i32(self.walkerTid_);
+    io.u64(self.walkerServiceUntil_);
+    io.u64(self.portNextFree_);
+    counterArrays(io, self.loads_, self.stores_, self.walks_,
+                  self.levelCounts_);
 }
 
+// --- Balancer / DecodeArbiter -----------------------------------------
+
+template <class Self, class Io>
 void
-Lsu::restoreState(CkptReader &r)
+Balancer::ckpt(Self &self, Io &io)
 {
-    walkerNextFree_ = r.u64();
-    for (Cycle &c : lastWalkRequest_)
-        c = r.u64();
-    for (Cycle &c : walkUntil_)
-        c = r.u64();
-    walkerTid_ = r.i32();
-    walkerServiceUntil_ = r.u64();
-    portNextFree_ = r.u64();
-    for (Counter &c : loads_)
-        r.counter(c);
-    for (Counter &c : stores_)
-        r.counter(c);
-    for (Counter &c : walks_)
-        r.counter(c);
-    for (Counter &c : levelCounts_)
-        r.counter(c);
+    counterArrays(io, self.gctBlocks_, self.lmqBlocks_, self.tlbBlocks_,
+                  self.flushes_);
 }
 
-// --- Balancer ---------------------------------------------------------
-
+template <class Self, class Io>
 void
-Balancer::saveState(CkptWriter &w) const
+DecodeArbiter::ckpt(Self &self, Io &io)
 {
-    for (const Counter &c : gctBlocks_)
-        w.counter(c);
-    for (const Counter &c : lmqBlocks_)
-        w.counter(c);
-    for (const Counter &c : tlbBlocks_)
-        w.counter(c);
-    for (const Counter &c : flushes_)
-        w.counter(c);
-}
-
-void
-Balancer::restoreState(CkptReader &r)
-{
-    for (Counter &c : gctBlocks_)
-        r.counter(c);
-    for (Counter &c : lmqBlocks_)
-        r.counter(c);
-    for (Counter &c : tlbBlocks_)
-        r.counter(c);
-    for (Counter &c : flushes_)
-        r.counter(c);
-}
-
-// --- DecodeArbiter ----------------------------------------------------
-
-void
-DecodeArbiter::saveState(CkptWriter &w) const
-{
-    for (const Counter &c : granted_)
-        w.counter(c);
-    for (const Counter &c : forfeited_)
-        w.counter(c);
-    for (const Counter &c : reassigned_)
-        w.counter(c);
-}
-
-void
-DecodeArbiter::restoreState(CkptReader &r)
-{
-    for (Counter &c : granted_)
-        r.counter(c);
-    for (Counter &c : forfeited_)
-        r.counter(c);
-    for (Counter &c : reassigned_)
-        r.counter(c);
+    counterArrays(io, self.granted_, self.forfeited_, self.reassigned_);
 }
 
 // --- MemBackside / CacheHierarchy -------------------------------------
 
+template <class Self, class Io>
 void
-MemBackside::saveState(CkptWriter &w) const
+MemBackside::ckpt(Self &self, Io &io)
 {
-    l2_.saveState(w);
-    l3_.saveState(w);
-    w.u64(dramNextFree_);
+    Cache::ckpt(self.l2_, io);
+    Cache::ckpt(self.l3_, io);
+    io.u64(self.dramNextFree_);
 }
 
+template <class Self, class Io>
 void
-MemBackside::restoreState(CkptReader &r)
+CacheHierarchy::ckpt(Self &self, Io &io)
 {
-    l2_.restoreState(r);
-    l3_.restoreState(r);
-    dramNextFree_ = r.u64();
-}
-
-void
-CacheHierarchy::saveState(CkptWriter &w) const
-{
-    if (backside_ != ownedBackside_.get())
+    if (self.backside_ != self.ownedBackside_.get())
         fatal("checkpointing a shared-backside hierarchy is not "
               "supported (the snapshot would tear chip-wide state)");
-    l1d_.saveState(w);
-    for (const auto &tlb : tlbs_)
-        tlb->saveState(w);
-    backside_->saveState(w);
-    for (const Counter &c : tlbMisses_)
-        w.counter(c);
-    for (const Counter &c : l1Misses_)
-        w.counter(c);
-    for (const Counter &c : beyondL2_)
-        w.counter(c);
-}
-
-void
-CacheHierarchy::restoreState(CkptReader &r)
-{
-    if (backside_ != ownedBackside_.get())
-        fatal("restoring into a shared-backside hierarchy is not "
-              "supported");
-    l1d_.restoreState(r);
-    for (const auto &tlb : tlbs_)
-        tlb->restoreState(r);
-    backside_->restoreState(r);
-    for (Counter &c : tlbMisses_)
-        r.counter(c);
-    for (Counter &c : l1Misses_)
-        r.counter(c);
-    for (Counter &c : beyondL2_)
-        r.counter(c);
+    Cache::ckpt(self.l1d_, io);
+    for (const auto &tlb : self.tlbs_)
+        Tlb::ckpt(*tlb, io);
+    MemBackside::ckpt(*self.backside_, io);
+    counterArrays(io, self.tlbMisses_, self.l1Misses_, self.beyondL2_);
 }
 
 // --- ThreadState ------------------------------------------------------
 
 namespace {
 
+/** One window entry: its instruction, then its pipeline state. */
+template <class Entry, class Io>
 void
-saveDynInstr(CkptWriter &w, const DynInstr &di)
+ckptInFlight(Entry &e, Io &io)
 {
-    w.i32(di.tid);
-    w.u64(di.seq);
-    w.u8(static_cast<std::uint8_t>(di.op));
-    w.i32(di.dst);
-    w.i32(di.src0);
-    w.i32(di.src1);
-    w.u64(di.addr);
-    w.b(di.branchTaken);
-    w.b(di.branchPredictedTaken);
-    w.i32(di.prioNopReg);
-    w.u64(di.pc);
-    w.u64(di.completeCycle);
-}
-
-void
-restoreDynInstr(CkptReader &r, DynInstr &di)
-{
-    di.tid = r.i32();
-    di.seq = r.u64();
-    di.op = static_cast<OpClass>(r.u8());
-    di.dst = static_cast<RegIndex>(r.i32());
-    di.src0 = static_cast<RegIndex>(r.i32());
-    di.src1 = static_cast<RegIndex>(r.i32());
-    di.addr = r.u64();
-    di.branchTaken = r.b();
-    di.branchPredictedTaken = r.b();
-    di.prioNopReg = r.i32();
-    di.pc = r.u64();
-    di.completeCycle = r.u64();
-}
-
-void
-saveInFlight(CkptWriter &w, const InFlight &e)
-{
-    saveDynInstr(w, e.di);
-    w.u8(static_cast<std::uint8_t>(e.phase));
-    w.i32(e.pendingSrcs);
-    w.u64(e.epoch);
-    w.u64(e.stamp);
-    w.b(e.inReadyQueue);
-}
-
-void
-restoreInFlight(CkptReader &r, InFlight &e)
-{
-    restoreDynInstr(r, e.di);
-    e.phase = static_cast<InstrPhase>(r.u8());
-    e.pendingSrcs = r.i32();
-    e.epoch = r.u64();
-    e.stamp = r.u64();
-    e.inReadyQueue = r.b();
+    auto &di = e.di;
+    io.i32(di.tid);
+    io.u64(di.seq);
+    io.u8(di.op);
+    io.i32(di.dst);
+    io.i32(di.src0);
+    io.i32(di.src1);
+    io.u64(di.addr);
+    io.b(di.branchTaken);
+    io.b(di.branchPredictedTaken);
+    io.i32(di.prioNopReg);
+    io.u64(di.pc);
+    io.u64(di.completeCycle);
+    io.u8(e.phase);
+    io.i32(e.pendingSrcs);
+    io.u64(e.epoch);
+    io.u64(e.stamp);
+    io.b(e.inReadyQueue);
 }
 
 } // namespace
 
+template <class Self, class Io>
 void
-ThreadState::saveState(CkptWriter &w) const
+ThreadState::ckpt(Self &self, Io &io)
 {
-    w.b(attached());
-    if (!attached())
+    bool attached = self.attached();
+    io.b(attached);
+    if constexpr (Io::restoring)
+        if (attached != self.attached())
+            fatal("checkpoint thread-attachment mismatch on thread %d "
+                  "(checkpoint key bug?)", self.tid_);
+    if (!attached)
         return;
 
     // The live window entries oldest-first, after the ring's head
     // index: restore puts them back in the same physical slots, so the
     // slot handles held by the ready queues and the completion heap
     // stay valid.
-    w.u64(static_cast<std::uint64_t>(window.capacity()));
-    w.u64(static_cast<std::uint64_t>(window.headIndex()));
-    w.u64(static_cast<std::uint64_t>(window.size()));
-    for (const InFlight &e : window)
-        saveInFlight(w, e);
+    io.geom("window capacity", self.window.capacity());
+    auto head = self.window.headIndex();
+    auto size = self.window.size();
+    io.u64(head);
+    io.u64(size);
+    if constexpr (Io::restoring)
+        self.window.setShape(head, size);
+    for (auto &e : self.window)
+        ckptInFlight(e, io);
+    if constexpr (Io::restoring)
+        self.rebuildFromWindow();
 
-    w.u64(epoch);
-    w.u64(decodeBlockedUntil);
-    w.u8(static_cast<std::uint8_t>(privilege));
-    w.u64(committed);
-    w.u64(executionsCompleted);
-    w.u64(lastExecutionCycle);
-    w.u64(stream_->nextSeq());
+    io.u64(self.epoch);
+    io.u64(self.decodeBlockedUntil);
+    io.u8(self.privilege);
+    io.u64(self.committed);
+    io.u64(self.executionsCompleted);
+    io.u64(self.lastExecutionCycle);
+    auto next_seq = self.stream_->nextSeq();
+    io.u64(next_seq);
+    if constexpr (Io::restoring)
+        self.stream_->seekTo(next_seq);
 
-    w.counter(committedCtr);
-    w.counter(squashedCtr);
-    w.counter(mispredictsCtr);
-    w.counter(prioNopsApplied);
-    w.counter(prioNopsIgnored);
-}
-
-void
-ThreadState::restoreState(CkptReader &r)
-{
-    const bool was_attached = r.b();
-    if (was_attached != attached())
-        fatal("checkpoint thread-attachment mismatch on thread %d "
-              "(checkpoint key bug?)", tid_);
-    if (!was_attached)
-        return;
-
-    expectGeom("window capacity", r.u64(), window.capacity());
-    const auto head = static_cast<std::size_t>(r.u64());
-    const auto size = static_cast<std::size_t>(r.u64());
-    window.setShape(head, size);
-    for (InFlight &e : window)
-        restoreInFlight(r, e);
-    rebuildFromWindow();
-
-    epoch = r.u64();
-    decodeBlockedUntil = r.u64();
-    privilege = static_cast<PrivilegeLevel>(r.u8());
-    committed = r.u64();
-    executionsCompleted = r.u64();
-    lastExecutionCycle = r.u64();
-    stream_->seekTo(r.u64());
-
-    r.counter(committedCtr);
-    r.counter(squashedCtr);
-    r.counter(mispredictsCtr);
-    r.counter(prioNopsApplied);
-    r.counter(prioNopsIgnored);
+    io.counter(self.committedCtr);
+    io.counter(self.squashedCtr);
+    io.counter(self.mispredictsCtr);
+    io.counter(self.prioNopsApplied);
+    io.counter(self.prioNopsIgnored);
 }
 
 // --- SmtCore ----------------------------------------------------------
 
+template <class Self, class Io>
+void
+SmtCore::ckpt(Self &self, Io &io)
+{
+    io.u64(self.cycle_);
+    io.u64(self.dispatchStamp_);
+    io.u64(self.idleSkipped_);
+    io.u64(self.ffProbes_);
+    io.b(self.tickProgress_);
+    io.u32(self.idleStreak_);
+
+    for (const auto &ts : self.threads_)
+        ThreadState::ckpt(*ts, io);
+
+    CacheHierarchy::ckpt(self.hierarchy_, io);
+    Lmq::ckpt(self.lmq_, io, self.cycle_);
+    Lsu::ckpt(self.lsu_, io);
+    Bht::ckpt(self.bht_, io);
+    Gct::ckpt(self.gct_, io);
+    if constexpr (Io::restoring)
+        for (const auto &ts : self.threads_)
+            self.recountGroups(*ts, 0);
+    FuPool::ckpt(self.fuPool_, io);
+    IssueQueue::ckpt(self.readyQ_, io);
+    DecodeArbiter::ckpt(self.arbiter_, io);
+    Balancer::ckpt(self.balancer_, io);
+
+    // The completion heap array verbatim (heap layout preserved).
+    auto n = self.completions_.size();
+    io.u64(n);
+    if constexpr (Io::restoring)
+        self.completions_.resize(n);
+    for (auto &c : self.completions_) {
+        io.u64(c.cycle);
+        io.i32(c.tid);
+        io.u64(c.seq);
+        io.u64(c.epoch);
+        io.u32(c.slot);
+    }
+
+    counterArrays(io, self.decoded_, self.stallBalancer_,
+                  self.stallRedirect_, self.stallGct_, self.flushedInstrs_);
+}
+
 void
 SmtCore::saveState(CkptWriter &w) const
 {
-    w.u64(cycle_);
-    w.u64(dispatchStamp_);
-    w.u64(idleSkipped_);
-    w.u64(ffProbes_);
-    w.b(tickProgress_);
-    w.u32(idleStreak_);
-
-    for (const auto &ts : threads_)
-        ts->saveState(w);
-
-    hierarchy_.saveState(w);
-    lmq_.saveState(w, cycle_);
-    lsu_.saveState(w);
-    bht_.saveState(w);
-    gct_.saveState(w);
-    fuPool_.saveState(w);
-    readyQ_.saveState(w);
-    arbiter_.saveState(w);
-    balancer_.saveState(w);
-
-    // The completion heap array verbatim (heap layout preserved).
-    w.u64(static_cast<std::uint64_t>(completions_.size()));
-    for (const Completion &c : completions_) {
-        w.u64(c.cycle);
-        w.i32(c.tid);
-        w.u64(c.seq);
-        w.u64(c.epoch);
-        w.u32(c.slot);
-    }
-
-    for (const Counter &c : decoded_)
-        w.counter(c);
-    for (const Counter &c : stallBalancer_)
-        w.counter(c);
-    for (const Counter &c : stallRedirect_)
-        w.counter(c);
-    for (const Counter &c : stallGct_)
-        w.counter(c);
-    for (const Counter &c : flushedInstrs_)
-        w.counter(c);
+    ckpt(*this, w);
 }
 
 void
 SmtCore::restoreState(CkptReader &r)
 {
-    cycle_ = r.u64();
-    dispatchStamp_ = r.u64();
-    idleSkipped_ = r.u64();
-    ffProbes_ = r.u64();
-    tickProgress_ = r.b();
-    idleStreak_ = r.u32();
-
-    for (const auto &ts : threads_)
-        ts->restoreState(r);
-
-    hierarchy_.restoreState(r);
-    lmq_.restoreState(r, cycle_);
-    lsu_.restoreState(r);
-    bht_.restoreState(r);
-    gct_.restoreState(r);
-    for (const auto &ts : threads_)
-        recountGroups(*ts, 0);
-    fuPool_.restoreState(r);
-    readyQ_.restoreState(r);
-    arbiter_.restoreState(r);
-    balancer_.restoreState(r);
-
-    completions_.resize(static_cast<std::size_t>(r.u64()));
-    for (Completion &c : completions_) {
-        c.cycle = r.u64();
-        c.tid = r.i32();
-        c.seq = r.u64();
-        c.epoch = r.u64();
-        c.slot = r.u32();
-    }
-
-    for (Counter &c : decoded_)
-        r.counter(c);
-    for (Counter &c : stallBalancer_)
-        r.counter(c);
-    for (Counter &c : stallRedirect_)
-        r.counter(c);
-    for (Counter &c : stallGct_)
-        r.counter(c);
-    for (Counter &c : flushedInstrs_)
-        r.counter(c);
+    ckpt(*this, r);
 }
 
 } // namespace p5

@@ -189,11 +189,11 @@ class Balancer
 
     void registerStats(StatGroup &group) const;
 
-    /** Serialize the per-trigger counters (policy itself is stateless). */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(). */
-    void restoreState(class CkptReader &r);
+    /**
+     * Checkpoint body (ckpt_state.cc): the per-trigger counters (the
+     * policy itself is stateless).
+     */
+    template <class Self, class Io> static void ckpt(Self &self, Io &io);
 
   private:
     /**

@@ -64,11 +64,10 @@ Chip::run(Cycle cycles)
     // progress. Arming is a pure wall-clock optimization — an
     // un-probed idle cycle is simply ticked — so it never changes
     // stats. Armed at entry like a fresh core.
-    constexpr std::uint32_t arm_streak = 2;
-    std::uint32_t idle_streak = arm_streak;
+    std::uint32_t idle_streak = SmtCore::ff_arm_streak;
 
     while (cycle() < end) {
-        if (ff && idle_streak >= arm_streak) {
+        if (ff && idle_streak >= SmtCore::ff_arm_streak) {
             // A joint skip is valid only when every core is idle this
             // cycle: the probes are side-effect-free, and jumping all
             // cores to the chip-wide minimum target keeps each core

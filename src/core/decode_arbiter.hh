@@ -71,13 +71,11 @@ class DecodeArbiter
     void registerStats(StatGroup &group) const;
 
     /**
-     * Serialize the slot counters. The allocator is a pure function of
-     * the priorities, which the restoring core re-applies itself.
+     * Checkpoint body (ckpt_state.cc): the slot counters. The allocator
+     * is a pure function of the priorities, which the restoring core
+     * re-applies itself.
      */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(). */
-    void restoreState(class CkptReader &r);
+    template <class Self, class Io> static void ckpt(Self &self, Io &io);
 
   private:
     DecodeSlotAllocator allocator_;

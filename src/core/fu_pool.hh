@@ -86,11 +86,11 @@ class FuPool
 
     void registerStats(StatGroup &group) const;
 
-    /** Serialize per-unit busy-until cycles and counters. */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(); unit counts must match. */
-    void restoreState(class CkptReader &r);
+    /**
+     * Checkpoint body (ckpt_state.cc): per-unit busy-until cycles and
+     * counters. On restore the unit counts must match.
+     */
+    template <class Self, class Io> static void ckpt(Self &self, Io &io);
 
   private:
     std::vector<Cycle> busyUntil_[static_cast<int>(FuClass::NumFuClasses)];

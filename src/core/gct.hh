@@ -142,11 +142,8 @@ class Gct
 
     void registerStats(StatGroup &group) const;
 
-    /** Serialize both threads' group rings and counters. */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(); capacity must match. */
-    void restoreState(class CkptReader &r);
+    /** Checkpoint body (ckpt_state.cc): both group rings and counters. */
+    template <class Self, class Io> static void ckpt(Self &self, Io &io);
 
   private:
     /**

@@ -121,11 +121,11 @@ class IssueQueue
         return std::span<const ReadyRef>(q.refs).subspan(q.head);
     }
 
-    /** Serialize each queue's live entries oldest-first. */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(), already in age order. */
-    void restoreState(class CkptReader &r);
+    /**
+     * Checkpoint body (ckpt_state.cc): each queue's live entries
+     * oldest-first, which a restore takes as they are.
+     */
+    template <class Self, class Io> static void ckpt(Self &self, Io &io);
 
   private:
     /** One class's queue: live entries are refs[head..). */

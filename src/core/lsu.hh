@@ -96,14 +96,12 @@ class Lsu
     void registerStats(StatGroup &group) const;
 
     /**
-     * Serialize walker/port timing state and counters. The params /
-     * hierarchy / lmq / priority-view pointers are wiring, not state —
-     * the restoring core re-establishes them at construction.
+     * Checkpoint body (ckpt_state.cc): walker/port timing state and
+     * counters. The params / hierarchy / lmq / priority-view pointers
+     * are wiring, not state — the restoring core re-establishes them
+     * at construction.
      */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(). */
-    void restoreState(class CkptReader &r);
+    template <class Self, class Io> static void ckpt(Self &self, Io &io);
 
   private:
     /** Translate; returns the cycle the physical access may start. */

@@ -250,6 +250,15 @@ class SmtCore
     bool tickMadeProgress() const { return tickProgress_; }
 
     /**
+     * Consecutive no-progress ticks after which the run loops (this
+     * core's and Chip::run()'s) probe for an idle skip, so the 1–2
+     * cycle bubbles that pepper compute-bound runs never pay for a
+     * (mostly failing) gate replay. Skipping a probe never changes
+     * stats — an un-probed idle cycle is simply ticked.
+     */
+    static constexpr std::uint32_t ff_arm_streak = 2;
+
+    /**
      * Per-stage wall-time accumulators for `p5sim perf --profile-stages`.
      * While a profile is attached every tick routes through a timed
      * path; detach (nullptr) to restore the untimed hot loop.
@@ -292,6 +301,9 @@ class SmtCore
     P5_SERIALIZE_ROOT P5_COLD void restoreState(class CkptReader &r);
 
   private:
+    /** The checkpoint body behind both entry points (ckpt_state.cc). */
+    template <class Self, class Io> static void ckpt(Self &self, Io &io);
+
     /** Pending completion (32 bytes: the 4-byte fields pair up). */
     struct Completion
     {
@@ -408,12 +420,8 @@ class SmtCore
      * Adaptive-probe state: tick() clears tickProgress_ and the stages
      * set it on any state mutation; the run loops count consecutive
      * no-progress ticks and only probe once the streak reaches
-     * ff_arm_streak, so the 1–2 cycle bubbles that pepper compute-bound
-     * runs never pay for a (mostly failing) gate replay. Skipping a
-     * probe never changes stats — an un-probed idle cycle is simply
-     * ticked.
+     * ff_arm_streak.
      */
-    static constexpr std::uint32_t ff_arm_streak = 2;
     bool tickProgress_ = false;
     std::uint32_t idleStreak_ = ff_arm_streak;
 

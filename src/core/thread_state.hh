@@ -203,22 +203,17 @@ class ThreadState
     Counter prioNopsIgnored;
 
     /**
-     * Serialize the per-thread primary state: the window ring's head
-     * index and its live entries oldest-first (restore puts each back
-     * in its physical slot, so slot handles recorded in the
-     * ready/completion queues stay valid), epoch/accounting scalars,
-     * stream cursor and counters.
+     * Checkpoint body (ckpt_state.cc): the per-thread primary state —
+     * the window ring's head index and its live entries oldest-first
+     * (restore puts each back in its physical slot, so slot handles
+     * recorded in the ready/completion queues stay valid),
+     * epoch/accounting scalars, stream cursor and counters. A restore
+     * needs attach() to have been called with the same program and
+     * window capacity: it overwrites position and window contents but
+     * not the binding, and rebuilds the wake lists and the rename map
+     * with rebuildFromWindow().
      */
-    void saveState(class CkptWriter &w) const;
-
-    /**
-     * Restore state saved by saveState(). @pre attach() was already
-     * called with the same program and window capacity — restore
-     * overwrites position and window contents but not the binding.
-     * The wake lists and the rename map are rebuilt with
-     * rebuildFromWindow().
-     */
-    void restoreState(class CkptReader &r);
+    template <class Self, class Io> static void ckpt(Self &self, Io &io);
 
   private:
     ThreadId tid_;

@@ -89,11 +89,8 @@ class Cache
         lines_.registerStats(group, params_.name, true);
     }
 
-    /** Serialize lines, bandwidth gate and counters. */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(); geometry must match. */
-    void restoreState(class CkptReader &r);
+    /** Checkpoint body (ckpt_state.cc): lines, counters, bandwidth gate. */
+    template <class Self, class Io> static void ckpt(Self &self, Io &io);
 
   private:
     CacheParams params_;

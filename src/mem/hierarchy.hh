@@ -81,11 +81,8 @@ class MemBackside
 
     void registerStats(StatGroup &group) const;
 
-    /** Serialize L2/L3 contents and the DRAM bandwidth gate. */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(); geometry must match. */
-    void restoreState(class CkptReader &r);
+    /** Checkpoint body (ckpt_state.cc): L2, L3, DRAM bandwidth gate. */
+    template <class Self, class Io> static void ckpt(Self &self, Io &io);
 
   private:
     HierarchyParams params_;
@@ -159,14 +156,12 @@ class CacheHierarchy
     void registerStats(StatGroup &group) const;
 
     /**
-     * Serialize L1D, both TLBs, the per-thread miss counters and the
-     * backside through backside_. @pre the backside is private to this
-     * hierarchy (checkpointing rejects shared-backside chips).
+     * Checkpoint body (ckpt_state.cc): L1D, both TLBs, the backside
+     * through backside_ and the per-thread miss counters. @pre the
+     * backside is private to this hierarchy (checkpointing rejects
+     * shared-backside chips).
      */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(); geometry must match. */
-    void restoreState(class CkptReader &r);
+    template <class Self, class Io> static void ckpt(Self &self, Io &io);
 
   private:
     HierarchyParams params_;

@@ -148,17 +148,14 @@ class Lmq
     void registerStats(StatGroup &group) const;
 
     /**
-     * Serialize the stored windows and counters. @p now must be the
-     * synced cycle, so every stored window releases after it.
+     * Checkpoint body (ckpt_state.cc): the stored windows and counters
+     * at cycle @p now. A save needs @p now to be the synced cycle, so
+     * every stored window releases after it; a restore comes back
+     * synced to @p now, and a window that is malformed or already
+     * released at @p now is fatal.
      */
-    void saveState(class CkptWriter &w, Cycle now) const;
-
-    /**
-     * Restore state saved by saveState() at cycle @p now; the queue
-     * comes back synced to @p now. A window that is malformed or
-     * already released at @p now is fatal.
-     */
-    void restoreState(class CkptReader &r, Cycle now);
+    template <class Self, class Io>
+    static void ckpt(Self &self, Io &io, Cycle now);
 
   private:
     friend struct LmqTestAccess; // corruption injection in p5check tests

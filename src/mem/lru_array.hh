@@ -123,14 +123,12 @@ class LruArray
         group.registerCounter(prefix + ".evictions", &evictions_);
     }
 
-    /** Serialize the tags, in recency order, and all four counters. */
-    void saveState(class CkptWriter &w) const;
-
     /**
-     * Restore state saved by saveState(); geometry must match, and a
-     * set whose valid tags do not form a prefix or repeat is fatal.
+     * Checkpoint body (ckpt_state.cc): the tags, in recency order, and
+     * all four counters. On restore the geometry must match, and a set
+     * whose valid tags do not form a prefix or repeat is fatal.
      */
-    void restoreState(class CkptReader &r);
+    template <class Self, class Io> static void ckpt(Self &self, Io &io);
 
   private:
     /** Marks an invalid way; never equal to a valid tag. */

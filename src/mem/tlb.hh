@@ -75,11 +75,8 @@ class Tlb
         pages_.registerStats(group, params_.name, false);
     }
 
-    /** Serialize entries and counters. */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(); geometry must match. */
-    void restoreState(class CkptReader &r);
+    /** Checkpoint body (ckpt_state.cc): entries and counters. */
+    template <class Self, class Io> static void ckpt(Self &self, Io &io);
 
   private:
     TlbParams params_;

@@ -661,5 +661,93 @@ TEST(Ckpt, WireFormatMatchesTheRecordedImages)
     }
 }
 
+// --- restore-side checks ----------------------------------------------
+
+/** The image of a default core running ldint_l2 + cpu_int for 20k cycles. */
+std::vector<std::uint8_t>
+smallImage()
+{
+    const SyntheticProgram pp = makeUbench(UbenchId::LdintL2);
+    const SyntheticProgram ps = makeUbench(UbenchId::CpuInt);
+    SmtCore core(CoreParams{});
+    core.attachThread(0, &pp, 4);
+    core.attachThread(1, &ps, 4);
+    core.run(20000);
+    std::vector<std::uint8_t> bytes;
+    imageOf(core, &bytes);
+    return bytes;
+}
+
+/**
+ * Restore @p image into a fresh core built with @p params, with the
+ * saver's programs attached (thread 1's only if @p both), and check
+ * that the whole stream was consumed.
+ */
+void
+restoreInto(const std::vector<std::uint8_t> &image, const CoreParams &params,
+            bool both = true)
+{
+    const SyntheticProgram pp = makeUbench(UbenchId::LdintL2);
+    const SyntheticProgram ps = makeUbench(UbenchId::CpuInt);
+    SmtCore core(params);
+    core.attachThread(0, &pp, 4);
+    if (both)
+        core.attachThread(1, &ps, 4);
+    CkptReader r(image);
+    core.restoreState(r);
+    r.expectEnd();
+}
+
+// A core whose geometry differs from the saver's refuses the image at
+// the first field that records it: the window capacity, a functional
+// unit class's unit count, or the BHT size.
+TEST(CkptDeath, RestoreIntoADifferentGeometryIsFatal)
+{
+    const std::vector<std::uint8_t> image = smallImage();
+    restoreInto(image, CoreParams{});
+
+    CoreParams bht;
+    bht.bht.entries /= 2;
+    EXPECT_EXIT(restoreInto(image, bht), ::testing::ExitedWithCode(1),
+                "checkpoint geometry mismatch: BHT counters is 16384 in "
+                "the stream but 8192 in the restoring core");
+
+    CoreParams fu;
+    ++fu.fuCount[0];
+    EXPECT_EXIT(restoreInto(image, fu), ::testing::ExitedWithCode(1),
+                "checkpoint geometry mismatch: FU units is 2 in the stream "
+                "but 3 in the restoring core");
+
+    CoreParams window;
+    window.gctGroups /= 2;
+    EXPECT_EXIT(restoreInto(image, window), ::testing::ExitedWithCode(1),
+                "checkpoint geometry mismatch: window capacity is");
+}
+
+TEST(CkptDeath, ThreadAttachmentMismatchIsFatal)
+{
+    const std::vector<std::uint8_t> image = smallImage();
+    EXPECT_EXIT(restoreInto(image, CoreParams{}, false),
+                ::testing::ExitedWithCode(1),
+                "checkpoint thread-attachment mismatch on thread 1");
+}
+
+TEST(CkptDeath, TruncatedStreamUnderruns)
+{
+    std::vector<std::uint8_t> image = smallImage();
+    image.resize(image.size() / 2);
+    EXPECT_EXIT(restoreInto(image, CoreParams{}),
+                ::testing::ExitedWithCode(1), "checkpoint blob underrun");
+}
+
+TEST(CkptDeath, TrailingBytesAreFatal)
+{
+    std::vector<std::uint8_t> image = smallImage();
+    image.push_back(0);
+    EXPECT_EXIT(restoreInto(image, CoreParams{}),
+                ::testing::ExitedWithCode(1),
+                "checkpoint blob has 1 trailing bytes");
+}
+
 } // namespace
 } // namespace p5

@@ -9,6 +9,7 @@
 #include <queue>
 #include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "ckpt/ckpt_io.hh"
@@ -202,14 +203,14 @@ TEST(IssueQueue, SaveRestoreRoundTripsTheAgeOrder)
     q.push(FuClass::FX, ref(5));
     q.pop(FuClass::LS);
     CkptWriter w;
-    q.saveState(w);
+    IssueQueue::ckpt(std::as_const(q), w);
 
     IssueQueue restored;
     CkptReader r(w.data());
-    restored.restoreState(r);
+    IssueQueue::ckpt(restored, r);
     r.expectEnd();
     CkptWriter again;
-    restored.saveState(again);
+    IssueQueue::ckpt(std::as_const(restored), again);
     EXPECT_TRUE(again.data() == w.data());
 
     EXPECT_EQ(restored.totalSize(), 8u);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "ckpt/ckpt_io.hh"
@@ -193,23 +194,23 @@ TEST(LmqDeath, RestoreRoundTripsAndRejectsAReleasedWindow)
     q.reserve(1, 50, 80, 120);
     q.advanceTo(60);
     CkptWriter w;
-    q.saveState(w, 60);
+    Lmq::ckpt(std::as_const(q), w, 60);
 
     Lmq back(2);
     CkptReader r(w.data());
-    back.restoreState(r, 60);
+    Lmq::ckpt(back, r, 60);
     EXPECT_EQ(back.busyOfAt(0, 60), 1);
     EXPECT_EQ(back.busyOfAt(1, 60), 0);
     EXPECT_EQ(back.nextEventCycle(60), 80u);
     CkptWriter again;
-    back.saveState(again, 60);
+    Lmq::ckpt(std::as_const(back), again, 60);
     EXPECT_TRUE(again.data() == w.data());
 
     EXPECT_EXIT(
         {
             Lmq late(2);
             CkptReader lr(w.data());
-            late.restoreState(lr, 100);
+            Lmq::ckpt(late, lr, 100);
         },
         ::testing::ExitedWithCode(1), "LMQ window is malformed");
 }

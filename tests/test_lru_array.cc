@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,9 +26,11 @@ std::vector<std::uint64_t>
 savedTags(const LruArray &arr)
 {
     CkptWriter w;
-    arr.saveState(w);
+    LruArray::ckpt(arr, w);
     CkptReader r(w.data());
-    std::vector<std::uint64_t> tags(r.u64());
+    std::uint64_t entries = 0;
+    r.u64(entries);
+    std::vector<std::uint64_t> tags(entries);
     r.u64s(tags);
     return tags;
 }
@@ -91,13 +94,13 @@ TEST(LruArrayDeath, MalformedImageIsRefused)
     for (const Addr addr : {0x000, 0x080, 0x100})
         arr.access(addr); // set 0: three valid ways, then one invalid
     CkptWriter w;
-    arr.saveState(w);
+    LruArray::ckpt(std::as_const(arr), w);
     const auto restoreWithWay = [&](int way, std::uint64_t tag) {
         std::vector<std::uint8_t> image = w.data();
         std::memcpy(&image[8 + 8 * way], &tag, sizeof(tag));
         LruArray again(2, 4, 6, 7);
         CkptReader r(image);
-        again.restoreState(r);
+        LruArray::ckpt(again, r);
     };
     restoreWithWay(1, 7); // a fresh tag keeps the set well formed
     EXPECT_EXIT(restoreWithWay(1, 2), ::testing::ExitedWithCode(1),

@@ -35,6 +35,8 @@ CASES = [
     ("good_bound_field.cc", None),
     ("bad_serialize_unordered.cc", "determinism"),
     ("good_serialize_ordered.cc", None),
+    ("bad_serialize_member_template.cc", "determinism"),
+    ("good_serialize_member_template.cc", None),
     ("bad_trace_cursor_unordered.cc", "determinism"),
     ("good_trace_cursor_ordered.cc", None),
     ("bad_cold_on_hot.cc", "hot_path_no_alloc"),

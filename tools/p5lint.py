@@ -183,6 +183,7 @@ class Func:
     file: str
     line: int
     virtual: bool = False
+    params: list = field(default_factory=list)  # parameter-list tokens
 
     @property
     def qname(self) -> str:
@@ -227,6 +228,7 @@ class Model:
                     prev.const == fn.const:
                 if prev.body is None:
                     prev.body, prev.file, prev.line = fn.body, fn.file, fn.line
+                    prev.params = fn.params
                 prev.annos |= fn.annos
                 fn.annos = prev.annos
                 if not prev.ret.strip():
@@ -622,7 +624,7 @@ class FileParser:
             t += 1
         fn = Func(name=name, cls=owner, const=const, annos=annos,
                   ret=ret, body=body, file=self.rel, line=line,
-                  virtual=virtual)
+                  virtual=virtual, params=toks[paren_at + 1:close_p])
         self.model.add_func(fn)
         return max(t, start + 1)
 
@@ -723,9 +725,40 @@ class BodyScope:
         self.fn = fn
         self.locals = {}
         if fn.body:
+            self.collect_params(fn.params)
             self.collect_locals(fn.body)
 
     # ---- locals ----------------------------------------------------------
+
+    def collect_params(self, params):
+        """Seed the locals with the named parameters `Type name [= d]`.
+        A member's parameter of type Self is the object itself (the
+        checkpoint bodies' `ckpt(Self &self, Io &io)` idiom), so it
+        resolves to the owning class."""
+        pieces, start, depth = [], 0, 0
+        for k, t in enumerate(params):
+            if t.text in ("(", "<", "[", "{"):
+                depth += 1
+            elif t.text in (")", ">", "]", "}"):
+                depth -= 1
+            elif t.text == ">>":
+                depth -= 2
+            elif t.text == "," and depth == 0:
+                pieces.append(params[start:k])
+                start = k + 1
+        pieces.append(params[start:])
+        for p in pieces:
+            eq = next((k for k, t in enumerate(p) if t.text == "="), len(p))
+            ids = [k for k in range(eq) if p[k].kind == "id"]
+            if not ids or not any(p[k].text not in DECL_QUALIFIERS and
+                                  p[k].text not in ("const", "class",
+                                                    "struct")
+                                  for k in ids[:-1]):
+                continue  # unnamed parameter
+            typ = " ".join(t.text for t in p[:ids[-1]])
+            if base_name(typ) == "Self" and self.fn.cls:
+                typ = self.fn.cls
+            self.locals[p[ids[-1]].text] = typ
 
     def collect_locals(self, body):
         i = 0
