@@ -143,10 +143,9 @@ bool
 Cli::boolean(const std::string &name) const
 {
     const std::string &v = find(name).value;
-    if (v == "true" || v == "1" || v == "yes" || v == "on")
-        return true;
-    if (v == "false" || v == "0" || v == "no" || v == "off")
-        return false;
+    bool out = false;
+    if (parseBool(v, out))
+        return out;
     fatal("flag '--%s' expects a boolean, got '%s'", name.c_str(),
           v.c_str());
 }

@@ -221,6 +221,14 @@ JsonWriter::null()
     return *this;
 }
 
+JsonWriter &
+JsonWriter::literal(std::string_view token)
+{
+    prepareValue();
+    os_ << token;
+    return *this;
+}
+
 std::string
 formatDouble(double v)
 {
@@ -254,11 +262,12 @@ JsonValue::makeInt(std::int64_t v)
 }
 
 JsonValue
-JsonValue::makeDouble(double v)
+JsonValue::makeDouble(double v, std::string wide_token)
 {
     JsonValue out;
     out.kind_ = Kind::Double;
     out.double_ = v;
+    out.string_ = std::move(wide_token);
     return out;
 }
 
@@ -345,6 +354,16 @@ JsonValue::asString() const
     if (kind_ != Kind::String)
         fatal("JSON value is %s, expected string", jsonKindName(kind_));
     return string_;
+}
+
+std::string
+JsonValue::numberText() const
+{
+    if (kind_ == Kind::Int)
+        return std::to_string(int_);
+    if (kind_ != Kind::Double)
+        fatal("JSON value is %s, expected number", jsonKindName(kind_));
+    return string_.empty() ? formatDouble(double_) : string_;
 }
 
 const std::vector<JsonValue> &
@@ -765,14 +784,15 @@ class JsonParser
                 pos_ = start;
                 badNumber(token);
             }
-            // Out-of-range integers fall through to double.
+            // Out-of-range integers fall through to double, keeping
+            // their digits for numberText().
         }
         double v = 0.0;
         if (parseFloat64(token, v) != ParseStatus::Ok) {
             pos_ = start;
             badNumber(token);
         }
-        return JsonValue::makeDouble(v);
+        return JsonValue::makeDouble(v, integral ? token : std::string());
     }
 
     [[noreturn]] void

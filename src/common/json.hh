@@ -65,6 +65,9 @@ class JsonWriter
     }
     JsonWriter &null();
 
+    /** Emit @p token, a rendered JSON number or true/false, verbatim. */
+    JsonWriter &literal(std::string_view token);
+
     /** key(name) followed by value(v). */
     template <typename T>
     JsonWriter &
@@ -112,7 +115,8 @@ class JsonValue
     static JsonValue makeNull() { return JsonValue(); }
     static JsonValue makeBool(bool v);
     static JsonValue makeInt(std::int64_t v);
-    static JsonValue makeDouble(double v);
+    /** @p wide_token: the source of an integer too wide for int64. */
+    static JsonValue makeDouble(double v, std::string wide_token = {});
     static JsonValue makeString(std::string v);
     static JsonValue makeArray();
     static JsonValue makeObject();
@@ -132,6 +136,20 @@ class JsonValue
     std::int64_t asInt() const;       ///< Int only
     double asDouble() const;          ///< Int or Double
     const std::string &asString() const;
+
+    /**
+     * A number as text that parses back to it exactly: the source
+     * token of an integer too wide for int64 (parsed as a Double, so
+     * no digit is lost), else the value rendered. fatal() unless
+     * isNumber().
+     */
+    std::string numberText() const;
+
+    /** An integer token, including one too wide for int64. */
+    bool isIntegral() const
+    {
+        return isInt() || (isDouble() && !string_.empty());
+    }
 
     /** Array elements; fatal() unless isArray(). */
     const std::vector<JsonValue> &elements() const;

@@ -89,4 +89,30 @@ parseFloat64(const std::string &text, double &out)
     return ParseStatus::Ok;
 }
 
+bool
+parseBool(const std::string &text, bool &out)
+{
+    if (text == "true" || text == "1" || text == "yes" || text == "on")
+        out = true;
+    else if (text == "false" || text == "0" || text == "no" ||
+             text == "off")
+        out = false;
+    else
+        return false;
+    return true;
+}
+
+std::vector<std::string>
+splitList(const std::string &text, char sep)
+{
+    std::vector<std::string> out(1);
+    for (char c : text) {
+        if (c == sep)
+            out.emplace_back();
+        else
+            out.back() += c;
+    }
+    return out;
+}
+
 } // namespace p5

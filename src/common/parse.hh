@@ -18,6 +18,9 @@
  *
  * Callers that treat failure as a user error combine the returned
  * status with parseStatusName() in their fatal() message.
+ *
+ * The same surfaces share the boolean spelling table (parseBool) and
+ * the list split (splitList) for comma-separated values.
  */
 
 #ifndef P5SIM_COMMON_PARSE_HH
@@ -25,6 +28,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace p5 {
 
@@ -54,6 +58,19 @@ ParseStatus parseUint64(const std::string &text, std::uint64_t &out);
  * error; gradual underflow to a subnormal or zero is accepted.
  */
 ParseStatus parseFloat64(const std::string &text, double &out);
+
+/**
+ * Parse @p text as a boolean: "true", "1", "yes", "on" or "false",
+ * "0", "no", "off". Returns false (leaving @p out alone) otherwise.
+ */
+bool parseBool(const std::string &text, bool &out);
+
+/**
+ * Split @p text at every @p sep. Empty pieces are kept, so n
+ * separators always give n + 1 pieces and "" gives one empty piece.
+ */
+std::vector<std::string> splitList(const std::string &text,
+                                   char sep = ',');
 
 } // namespace p5
 

@@ -37,88 +37,6 @@ class Counter
     std::uint64_t value_ = 0;
 };
 
-/** Running mean/min/max over a stream of samples. */
-class Average
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++count_;
-        if (count_ == 1 || v < min_)
-            min_ = v;
-        if (count_ == 1 || v > max_)
-            max_ = v;
-    }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double min() const { return min_; }
-    double max() const { return max_; }
-
-    void
-    reset()
-    {
-        sum_ = 0.0;
-        count_ = 0;
-        min_ = 0.0;
-        max_ = 0.0;
-    }
-
-  private:
-    double sum_ = 0.0;
-    std::uint64_t count_ = 0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/** Fixed-bucket histogram over [0, buckets * bucketWidth). */
-class Distribution
-{
-  public:
-    Distribution(std::size_t buckets, double bucket_width)
-        : counts_(buckets, 0), bucketWidth_(bucket_width)
-    {}
-
-    void
-    sample(double v)
-    {
-        ++total_;
-        if (v < 0) {
-            ++underflow_;
-            return;
-        }
-        auto idx = static_cast<std::size_t>(v / bucketWidth_);
-        if (idx >= counts_.size())
-            ++overflow_;
-        else
-            ++counts_[idx];
-    }
-
-    std::uint64_t total() const { return total_; }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-    std::size_t numBuckets() const { return counts_.size(); }
-    double bucketWidth() const { return bucketWidth_; }
-
-    void
-    reset()
-    {
-        std::fill(counts_.begin(), counts_.end(), 0);
-        total_ = underflow_ = overflow_ = 0;
-    }
-
-  private:
-    std::vector<std::uint64_t> counts_;
-    double bucketWidth_;
-    std::uint64_t total_ = 0;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-};
-
 /**
  * A named collection of scalar statistics.
  *

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/artifact.hh"
 #include "common/log.hh"
@@ -37,85 +38,79 @@ editDistance(const std::string &a, const std::string &b)
 
 namespace {
 
-std::int64_t
-parseIntText(const std::string &path, const std::string &value)
+/** BalanceAction and AllocPolicy spellings, in enumerator order. */
+const char *const balance_action_names[] = {"stall", "flush"};
+const char *const alloc_policy_names[] = {"pinned", "random", "symbiosis"};
+
+/** Canonical text of a bound scalar. */
+template <class T>
+std::string
+valueText(T v)
 {
-    std::int64_t out = 0;
-    const ParseStatus status = parseInt64(value, out);
-    if (status != ParseStatus::Ok)
-        fatal("config key '%s' expects an integer, got '%s' (%s)",
-              path.c_str(), value.c_str(), parseStatusName(status));
-    return out;
+    if constexpr (std::is_same_v<T, bool>)
+        return v ? "true" : "false";
+    else if constexpr (std::is_floating_point_v<T>)
+        return formatDouble(v);
+    else
+        return std::to_string(v);
 }
 
-double
-parseDoubleText(const std::string &path, const std::string &value)
+/**
+ * What a bound scalar's text parses into before its range check: int
+ * and unsigned widen to int64, so "99999999999" or "-1" is reported
+ * out of range instead of wrapping.
+ */
+template <class T>
+using Wide = std::conditional_t<std::is_same_v<T, int> ||
+                                    std::is_same_v<T, unsigned>,
+                                std::int64_t, T>;
+
+std::string
+parseError(const char *what, const std::string &text, ParseStatus status)
 {
-    double out = 0.0;
-    const ParseStatus status = parseFloat64(value, out);
-    if (status != ParseStatus::Ok)
-        fatal("config key '%s' expects a number, got '%s' (%s)",
-              path.c_str(), value.c_str(), parseStatusName(status));
-    return out;
+    if (status == ParseStatus::Ok)
+        return {};
+    return std::string("expects ") + what + ", got '" + text + "' (" +
+           parseStatusName(status) + ")";
 }
 
-bool
-parseBoolText(const std::string &path, const std::string &value)
+std::string
+parseValue(const std::string &text, bool &out)
 {
-    if (value == "true" || value == "1" || value == "yes" ||
-        value == "on")
-        return true;
-    if (value == "false" || value == "0" || value == "no" ||
-        value == "off")
-        return false;
-    fatal("config key '%s' expects a boolean, got '%s'", path.c_str(),
-          value.c_str());
+    return parseBool(text, out) ? ""
+                                : "expects a boolean, got '" + text + "'";
 }
 
-std::uint64_t
-parseU64Text(const std::string &path, const std::string &value)
+std::string
+parseValue(const std::string &text, std::int64_t &out)
 {
-    std::uint64_t out = 0;
-    const ParseStatus status = parseUint64(value, out);
-    if (status != ParseStatus::Ok)
-        fatal("config key '%s' expects an unsigned integer, got '%s' "
-              "(%s)",
-              path.c_str(), value.c_str(), parseStatusName(status));
-    return out;
+    return parseError("an integer", text, parseInt64(text, out));
 }
 
-std::vector<std::string>
-splitPath(const std::string &path, char sep)
+std::string
+parseValue(const std::string &text, std::uint64_t &out)
 {
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : path) {
-        if (c == sep) {
-            out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    out.push_back(cur);
-    return out;
+    return parseError("an unsigned integer", text, parseUint64(text, out));
 }
 
-const char *
-balanceActionName(BalanceAction action)
+std::string
+parseValue(const std::string &text, double &out)
 {
-    return action == BalanceAction::Flush ? "flush" : "stall";
+    return parseError("a number", text, parseFloat64(text, out));
 }
 
-BalanceAction
-balanceActionFromName(const std::string &path, const std::string &name)
+std::string
+unknownKey(const ConfigTree &tree, const std::string &path)
 {
-    if (name == "stall")
-        return BalanceAction::Stall;
-    if (name == "flush")
-        return BalanceAction::Flush;
-    fatal("config key '%s' expects 'stall' or 'flush', got '%s'",
-          path.c_str(), name.c_str());
+    return "unknown config key '" + path + "'; did you mean '" +
+           tree.suggest(path) + "'?";
+}
+
+void
+fatalOn(const std::string &error)
+{
+    if (!error.empty())
+        fatal("%s", error.c_str());
 }
 
 } // namespace
@@ -125,219 +120,91 @@ ConfigTree::ConfigTree(ExpConfig &config) : config_(config)
     bindAll();
 }
 
-// --- binding helpers ---------------------------------------------------
+// --- binders -----------------------------------------------------------
 
+template <class T>
 void
-ConfigTree::bindBool(const std::string &path, bool &ref, const char *help,
-                     bool identity)
+ConfigTree::bind(std::string path, T &ref, std::type_identity_t<T> lo,
+                 std::type_identity_t<T> hi, const char *help, bool identity)
 {
-    Field f;
-    f.path = path;
-    f.help = help;
-    f.identity = identity;
-    bool *p = &ref;
-    f.get = [p] { return std::string(*p ? "true" : "false"); };
-    f.set = [p, path](const std::string &value) {
-        *p = parseBoolText(path, value);
-    };
-    f.writeValue = [p](JsonWriter &w) { w.value(*p); };
-    f.setFromJson = [p, path](const JsonValue &v) {
-        if (!v.isBool())
-            fatal("config key '%s' expects a JSON boolean",
-                  path.c_str());
-        *p = v.asBool();
-    };
-    fields_.push_back(std::move(f));
+    T *p = &ref;
+    const JsonKind kind = std::is_same_v<T, bool> ? JsonKind::Bool
+                          : std::is_floating_point_v<T> ? JsonKind::Number
+                                                        : JsonKind::Integer;
+    fields_.push_back(
+        {std::move(path), help, identity, kind,
+         [p] { return valueText(*p); },
+         [p, lo, hi](const std::string &text) {
+             Wide<T> v{};
+             std::string error = parseValue(text, v);
+             if (error.empty() && !(v >= Wide<T>(lo) && v <= Wide<T>(hi)))
+                 error = "= " + valueText(v) + " out of range [" +
+                         valueText(lo) + ", " + valueText(hi) + "]";
+             if (error.empty())
+                 *p = static_cast<T>(v);
+             return error;
+         }});
+}
+
+template <class E, std::size_t N>
+void
+ConfigTree::bindEnum(const char *path, E &ref,
+                     const char *const (&names)[N], const char *help)
+{
+    E *p = &ref;
+    const char *const *spelled = names;
+    fields_.push_back(
+        {path, help, true, JsonKind::String,
+         [p, spelled] {
+             return std::string(spelled[static_cast<std::size_t>(*p)]);
+         },
+         [p, spelled](const std::string &text) {
+             std::string expected;
+             for (std::size_t i = 0; i < N; ++i) {
+                 if (text == spelled[i]) {
+                     *p = static_cast<E>(i);
+                     return std::string();
+                 }
+                 expected += i == 0 ? "'" : i + 1 < N ? ", '" : " or '";
+                 expected += spelled[i];
+                 expected += '\'';
+             }
+             return "expects " + expected + ", got '" + text + "'";
+         }});
 }
 
 void
-ConfigTree::bindInt(const std::string &path, int &ref, int lo, int hi,
-                    const char *help, bool identity)
-{
-    Field f;
-    f.path = path;
-    f.help = help;
-    f.identity = identity;
-    int *p = &ref;
-    auto assign = [p, path, lo, hi](std::int64_t v) {
-        if (v < lo || v > hi)
-            fatal("config key '%s' = %lld out of range [%d, %d]",
-                  path.c_str(), static_cast<long long>(v), lo, hi);
-        *p = static_cast<int>(v);
-    };
-    f.get = [p] { return std::to_string(*p); };
-    f.set = [assign, path](const std::string &value) {
-        assign(parseIntText(path, value));
-    };
-    f.writeValue = [p](JsonWriter &w) { w.value(*p); };
-    f.setFromJson = [assign, path](const JsonValue &v) {
-        if (!v.isInt())
-            fatal("config key '%s' expects a JSON integer",
-                  path.c_str());
-        assign(v.asInt());
-    };
-    fields_.push_back(std::move(f));
-}
-
-void
-ConfigTree::bindU64(const std::string &path, std::uint64_t &ref,
-                    std::uint64_t lo, std::uint64_t hi, const char *help,
-                    bool identity)
-{
-    Field f;
-    f.path = path;
-    f.help = help;
-    f.identity = identity;
-    std::uint64_t *p = &ref;
-    auto assign = [p, path, lo, hi](std::uint64_t v) {
-        if (v < lo || v > hi)
-            fatal("config key '%s' = %llu out of range [%llu, %llu]",
-                  path.c_str(), static_cast<unsigned long long>(v),
-                  static_cast<unsigned long long>(lo),
-                  static_cast<unsigned long long>(hi));
-        *p = v;
-    };
-    f.get = [p] { return std::to_string(*p); };
-    f.set = [assign, path](const std::string &value) {
-        assign(parseU64Text(path, value));
-    };
-    f.writeValue = [p](JsonWriter &w) { w.value(*p); };
-    f.setFromJson = [assign, path](const JsonValue &v) {
-        if (!v.isInt() || v.asInt() < 0)
-            fatal("config key '%s' expects a non-negative JSON integer",
-                  path.c_str());
-        assign(static_cast<std::uint64_t>(v.asInt()));
-    };
-    fields_.push_back(std::move(f));
-}
-
-void
-ConfigTree::bindUnsigned(const std::string &path, unsigned &ref,
-                         unsigned lo, unsigned hi, const char *help,
-                         bool identity)
-{
-    Field f;
-    f.path = path;
-    f.help = help;
-    f.identity = identity;
-    unsigned *p = &ref;
-    auto assign = [p, path, lo, hi](std::int64_t v) {
-        if (v < static_cast<std::int64_t>(lo) ||
-            v > static_cast<std::int64_t>(hi))
-            fatal("config key '%s' = %lld out of range [%u, %u]",
-                  path.c_str(), static_cast<long long>(v), lo, hi);
-        *p = static_cast<unsigned>(v);
-    };
-    f.get = [p] { return std::to_string(*p); };
-    f.set = [assign, path](const std::string &value) {
-        assign(parseIntText(path, value));
-    };
-    f.writeValue = [p](JsonWriter &w) { w.value(*p); };
-    f.setFromJson = [assign, path](const JsonValue &v) {
-        if (!v.isInt())
-            fatal("config key '%s' expects a JSON integer",
-                  path.c_str());
-        assign(v.asInt());
-    };
-    fields_.push_back(std::move(f));
-}
-
-void
-ConfigTree::bindDouble(const std::string &path, double &ref, double lo,
-                       double hi, const char *help, bool identity)
-{
-    Field f;
-    f.path = path;
-    f.help = help;
-    f.identity = identity;
-    double *p = &ref;
-    auto assign = [p, path, lo, hi](double v) {
-        if (!(v >= lo && v <= hi))
-            fatal("config key '%s' = %s out of range [%s, %s]",
-                  path.c_str(), formatDouble(v).c_str(),
-                  formatDouble(lo).c_str(), formatDouble(hi).c_str());
-        *p = v;
-    };
-    f.get = [p] { return formatDouble(*p); };
-    f.set = [assign, path](const std::string &value) {
-        assign(parseDoubleText(path, value));
-    };
-    f.writeValue = [p](JsonWriter &w) { w.value(*p); };
-    f.setFromJson = [assign, path](const JsonValue &v) {
-        if (!v.isNumber())
-            fatal("config key '%s' expects a JSON number",
-                  path.c_str());
-        assign(v.asDouble());
-    };
-    fields_.push_back(std::move(f));
-}
-
-void
-ConfigTree::bindTrace(const std::string &path_key,
-                      const std::string &fp_key, std::string &path_ref,
-                      std::string &fp_ref, const char *help)
+ConfigTree::bindTrace(const char *path_key, const char *fp_key,
+                      std::string &path_ref, std::string &fp_ref,
+                      const char *help)
 {
     std::string *pp = &path_ref;
     std::string *fp = &fp_ref;
-    {
-        // The path is where the bytes live, not what they are: it is
-        // execution-only. Assigning it reads the trace header (fatal on
-        // a missing or corrupt file) and derives the fingerprint field
-        // below, which carries the content identity.
-        Field f;
-        f.path = path_key;
-        f.help = help;
-        f.identity = false;
-        const std::string key = path_key;
-        auto assign = [pp, fp](const std::string &value) {
-            if (value.empty()) {
-                pp->clear();
-                fp->clear();
-                return;
-            }
-            *pp = value;
-            *fp = readTraceHeader(value).fingerprint();
-        };
-        f.get = [pp] { return *pp; };
-        f.set = assign;
-        f.writeValue = [pp](JsonWriter &w) { w.value(*pp); };
-        f.setFromJson = [assign, key](const JsonValue &v) {
-            if (!v.isString())
-                fatal("config key '%s' expects a JSON string",
-                      key.c_str());
-            assign(v.asString());
-        };
-        fields_.push_back(std::move(f));
-    }
-    {
-        Field f;
-        f.path = fp_key;
-        f.help = "content fingerprint of the companion trace path "
-                 "(derived; identity)";
-        f.identity = true;
-        const std::string key = fp_key;
-        auto assign = [fp, key](const std::string &value) {
-            if (!value.empty()) {
-                if (value.size() != 16 ||
-                    value.find_first_not_of("0123456789abcdef") !=
-                        std::string::npos)
-                    fatal("config key '%s' = '%s' is not a 16-digit "
-                          "lowercase hex fingerprint",
-                          key.c_str(), value.c_str());
-            }
-            *fp = value;
-        };
-        f.get = [fp] { return *fp; };
-        f.set = assign;
-        f.writeValue = [fp](JsonWriter &w) { w.value(*fp); };
-        f.setFromJson = [assign, key](const JsonValue &v) {
-            if (!v.isString())
-                fatal("config key '%s' expects a JSON string",
-                      key.c_str());
-            assign(v.asString());
-        };
-        fields_.push_back(std::move(f));
-    }
+    // The path is where the bytes live, not what they are: it is
+    // execution-only. Assigning it reads the trace header (fatal on a
+    // missing or corrupt file) and derives the fingerprint field below,
+    // which carries the content identity.
+    fields_.push_back(
+        {path_key, help, false, JsonKind::String, [pp] { return *pp; },
+         [pp, fp](const std::string &text) {
+             *fp = text.empty() ? std::string()
+                                : readTraceHeader(text).fingerprint();
+             *pp = text;
+             return std::string();
+         }});
+    fields_.push_back(
+        {fp_key,
+         "content fingerprint of the companion trace path (derived; "
+         "identity)",
+         true, JsonKind::String, [fp] { return *fp; },
+         [fp](const std::string &text) {
+             std::uint64_t value = 0;
+             if (!text.empty() && !parseHex16(text, value))
+                 return "= '" + text +
+                        "' is not a 16-digit lowercase hex fingerprint";
+             *fp = text;
+             return std::string();
+         }});
 }
 
 // --- the schema --------------------------------------------------------
@@ -347,82 +214,61 @@ ConfigTree::bindAll()
 {
     CoreParams &core = config_.core;
 
-    bindInt("core.core_id", core.coreId, 0, 7,
-            "identity of this core on the chip (affects address spaces)");
-    bindInt("core.decode_width", core.decodeWidth, 1, 8,
-            "instructions per decode slot (one thread/cycle)");
-    bindInt("core.minority_slot_width", core.minoritySlotWidth, 1, 8,
-            "instructions deliverable in the lower-priority thread's "
-            "single slot");
-    bindInt("core.group_size", core.groupSize, 1, 8,
-            "max instructions per GCT group");
-    bindInt("core.gct_groups", core.gctGroups, 2, 1024,
-            "shared GCT capacity in groups");
-    bindInt("core.fu_fx", core.fuCount[static_cast<int>(FuClass::FX)], 1,
-            8, "fixed-point functional units");
-    bindInt("core.fu_fp", core.fuCount[static_cast<int>(FuClass::FP)], 1,
-            8, "floating-point functional units");
-    bindInt("core.fu_ls", core.fuCount[static_cast<int>(FuClass::LS)], 1,
-            8, "load/store functional units");
-    bindInt("core.fu_br", core.fuCount[static_cast<int>(FuClass::BR)], 1,
-            8, "branch functional units");
-    bindInt("core.lmq_entries", core.lmqEntries, 1, 64,
-            "load-miss-queue entries shared by both threads");
-    bindInt("core.mispredict_penalty", core.mispredictPenalty, 0, 1000,
-            "decode-redirect delay after a mispredicted branch");
-    bindBool("core.work_conserving_slots", core.workConservingSlots,
-             "give forfeited decode slots to the sibling (ablation)");
-    bindInt("core.asid_shift", core.asidShift, 16, 56,
-            "per-thread address-space separation (bits)");
-    bindBool("core.priority_aware_walker", core.priorityAwareWalker,
-             "schedule the shared table-walk engine by thread priority");
-    bindInt("core.walker_port_gap", core.walkerPortGap, 0, 64,
-            "sibling LSU port-gate cycles while the walker is busy");
-    bindBool("core.fast_forward", core.fastForward,
-             "skip verified-idle cycles in SmtCore::run()");
+    bind("core.core_id", core.coreId, 0, 7,
+         "identity of this core on the chip (affects address spaces)");
+    bind("core.decode_width", core.decodeWidth, 1, 8,
+         "instructions per decode slot (one thread/cycle)");
+    bind("core.minority_slot_width", core.minoritySlotWidth, 1, 8,
+         "instructions deliverable in the lower-priority thread's "
+         "single slot");
+    bind("core.group_size", core.groupSize, 1, 8,
+         "max instructions per GCT group");
+    bind("core.gct_groups", core.gctGroups, 2, 1024,
+         "shared GCT capacity in groups");
+    bind("core.fu_fx", core.fuCount[static_cast<int>(FuClass::FX)], 1, 8,
+         "fixed-point functional units");
+    bind("core.fu_fp", core.fuCount[static_cast<int>(FuClass::FP)], 1, 8,
+         "floating-point functional units");
+    bind("core.fu_ls", core.fuCount[static_cast<int>(FuClass::LS)], 1, 8,
+         "load/store functional units");
+    bind("core.fu_br", core.fuCount[static_cast<int>(FuClass::BR)], 1, 8,
+         "branch functional units");
+    bind("core.lmq_entries", core.lmqEntries, 1, 64,
+         "load-miss-queue entries shared by both threads");
+    bind("core.mispredict_penalty", core.mispredictPenalty, 0, 1000,
+         "decode-redirect delay after a mispredicted branch");
+    bind("core.work_conserving_slots", core.workConservingSlots, false, true,
+         "give forfeited decode slots to the sibling (ablation)");
+    bind("core.asid_shift", core.asidShift, 16, 56,
+         "per-thread address-space separation (bits)");
+    bind("core.priority_aware_walker", core.priorityAwareWalker, false, true,
+         "schedule the shared table-walk engine by thread priority");
+    bind("core.walker_port_gap", core.walkerPortGap, 0, 64,
+         "sibling LSU port-gate cycles while the walker is busy");
+    bind("core.fast_forward", core.fastForward, false, true,
+         "skip verified-idle cycles in SmtCore::run()");
 
     BalancerParams &bal = core.balancer;
-    bindBool("core.balancer.enabled", bal.enabled,
-             "dynamic hardware resource balancer");
-    bindDouble("core.balancer.gct_share_threshold", bal.gctShareThreshold,
-               0.01, 1.0, "GCT share above which a thread is offending");
-    bindBool("core.balancer.priority_aware_gct", bal.priorityAwareGct,
-             "scale the GCT threshold by decode-slot share");
-    bindDouble("core.balancer.min_gct_share_threshold",
-               bal.minGctShareThreshold, 0.01, 1.0,
-               "lower clamp of the priority-scaled GCT threshold");
-    bindDouble("core.balancer.max_gct_share_threshold",
-               bal.maxGctShareThreshold, 0.01, 1.0,
-               "upper clamp of the priority-scaled GCT threshold");
-    bindBool("core.balancer.priority_aware_lmq", bal.priorityAwareLmq,
-             "scale the LMQ threshold by decode-slot share");
-    bindInt("core.balancer.min_gct_groups", bal.minGctGroups, 0, 1024,
-            "GCT groups a thread may always hold");
-    bindInt("core.balancer.lmq_threshold", bal.lmqThreshold, 1, 64,
-            "LMQ entries by one thread counting as too many L2 misses");
-    bindBool("core.balancer.block_on_tlb_miss", bal.blockOnTlbMiss,
-             "block decode of a thread with an outstanding TLB walk");
-    {
-        Field f;
-        f.path = "core.balancer.action";
-        f.help = "corrective action: 'stall' or 'flush'";
-        BalanceAction *p = &bal.action;
-        const std::string path = f.path;
-        f.get = [p] { return std::string(balanceActionName(*p)); };
-        f.set = [p, path](const std::string &value) {
-            *p = balanceActionFromName(path, value);
-        };
-        f.writeValue = [p](JsonWriter &w) {
-            w.value(balanceActionName(*p));
-        };
-        f.setFromJson = [p, path](const JsonValue &v) {
-            if (!v.isString())
-                fatal("config key '%s' expects a JSON string",
-                      path.c_str());
-            *p = balanceActionFromName(path, v.asString());
-        };
-        fields_.push_back(std::move(f));
-    }
+    bind("core.balancer.enabled", bal.enabled, false, true,
+         "dynamic hardware resource balancer");
+    bind("core.balancer.gct_share_threshold", bal.gctShareThreshold, 0.01, 1.0,
+         "GCT share above which a thread is offending");
+    bind("core.balancer.priority_aware_gct", bal.priorityAwareGct, false, true,
+         "scale the GCT threshold by decode-slot share");
+    bind("core.balancer.min_gct_share_threshold", bal.minGctShareThreshold,
+         0.01, 1.0, "lower clamp of the priority-scaled GCT threshold");
+    bind("core.balancer.max_gct_share_threshold", bal.maxGctShareThreshold,
+         0.01, 1.0, "upper clamp of the priority-scaled GCT threshold");
+    bind("core.balancer.priority_aware_lmq", bal.priorityAwareLmq, false, true,
+         "scale the LMQ threshold by decode-slot share");
+    bind("core.balancer.min_gct_groups", bal.minGctGroups, 0, 1024,
+         "GCT groups a thread may always hold");
+    bind("core.balancer.lmq_threshold", bal.lmqThreshold, 1, 64,
+         "LMQ entries by one thread counting as too many L2 misses");
+    bind("core.balancer.block_on_tlb_miss", bal.blockOnTlbMiss, false, true,
+         "block decode of a thread with an outstanding TLB walk");
+    bindEnum("core.balancer.action", bal.action, balance_action_names,
+             "corrective action: 'stall' or 'flush'");
 
     HierarchyParams &mem = core.mem;
     const struct
@@ -437,81 +283,57 @@ ConfigTree::bindAll()
     for (const auto &lvl : levels) {
         const std::string prefix = lvl.prefix;
         CacheParams &c = *lvl.params;
-        bindU64(prefix + ".size_bytes", c.sizeBytes, 1024,
-                std::uint64_t{1} << 40, "capacity in bytes");
-        bindInt(prefix + ".assoc", c.assoc, 1, 128, "associativity");
-        bindInt(prefix + ".line_bytes", c.lineBytes, 16, 4096,
-                "line size in bytes");
-        bindInt(prefix + ".hit_latency", c.hitLatency, 0, 10000,
-                "hit latency in cycles");
-        bindInt(prefix + ".service_gap", c.serviceGap, 0, 100000,
-                "min cycles between serviced requests");
+        bind(prefix + ".size_bytes", c.sizeBytes, 1024, std::uint64_t{1} << 40,
+             "capacity in bytes");
+        bind(prefix + ".assoc", c.assoc, 1, 128, "associativity");
+        bind(prefix + ".line_bytes", c.lineBytes, 16, 4096,
+             "line size in bytes");
+        bind(prefix + ".hit_latency", c.hitLatency, 0, 10000,
+             "hit latency in cycles");
+        bind(prefix + ".service_gap", c.serviceGap, 0, 100000,
+             "min cycles between serviced requests");
     }
 
     TlbParams &tlb = mem.tlb;
-    bindInt("core.mem.tlb.entries", tlb.entries, 1, 1 << 20,
-            "TLB entries");
-    bindInt("core.mem.tlb.assoc", tlb.assoc, 1, 128,
-            "TLB associativity");
-    bindU64("core.mem.tlb.page_bytes", tlb.pageBytes, 256,
-            std::uint64_t{1} << 30, "page size in bytes");
-    bindInt("core.mem.tlb.walk_latency", tlb.walkLatency, 0, 100000,
-            "table-walk latency in cycles");
+    bind("core.mem.tlb.entries", tlb.entries, 1, 1 << 20, "TLB entries");
+    bind("core.mem.tlb.assoc", tlb.assoc, 1, 128, "TLB associativity");
+    bind("core.mem.tlb.page_bytes", tlb.pageBytes, 256, std::uint64_t{1} << 30,
+         "page size in bytes");
+    bind("core.mem.tlb.walk_latency", tlb.walkLatency, 0, 100000,
+         "table-walk latency in cycles");
 
-    bindInt("core.mem.dram_latency", mem.dramLatency, 1, 100000,
-            "DRAM access latency in cycles");
-    bindInt("core.mem.dram_service_gap", mem.dramServiceGap, 0, 100000,
-            "min cycles between serviced DRAM requests");
+    bind("core.mem.dram_latency", mem.dramLatency, 1, 100000,
+         "DRAM access latency in cycles");
+    bind("core.mem.dram_service_gap", mem.dramServiceGap, 0, 100000,
+         "min cycles between serviced DRAM requests");
 
-    bindInt("core.bht.entries", core.bht.entries, 1, 1 << 26,
-            "branch-history-table 2-bit counters");
+    bind("core.bht.entries", core.bht.entries, 1, 1 << 26,
+         "branch-history-table 2-bit counters");
 
     FameParams &fame = config_.fame;
-    bindU64("fame.min_repetitions", fame.minRepetitions, 1,
-            std::uint64_t{1} << 32,
-            "minimum complete executions per thread");
-    bindDouble("fame.maiv", fame.maiv, 1e-6, 1.0,
-               "maximum allowable IPC variation");
-    bindU64("fame.warmup_repetitions", fame.warmupRepetitions, 0,
-            std::uint64_t{1} << 32,
-            "warm-up repetitions before the measurement window");
-    bindDouble("fame.warmup_tolerance", fame.warmupTolerance, 1e-6, 10.0,
-               "per-repetition IPC change below which warm-up ends");
-    bindU64("fame.max_cycles", fame.maxCycles, 1000,
-            std::uint64_t{1} << 40, "hard cycle guard");
-    bindU64("fame.check_period", fame.checkPeriod, 1,
-            std::uint64_t{1} << 32,
-            "simulation chunk between convergence checks");
+    bind("fame.min_repetitions", fame.minRepetitions, 1,
+         std::uint64_t{1} << 32, "minimum complete executions per thread");
+    bind("fame.maiv", fame.maiv, 1e-6, 1.0, "maximum allowable IPC variation");
+    bind("fame.warmup_repetitions", fame.warmupRepetitions, 0,
+         std::uint64_t{1} << 32,
+         "warm-up repetitions before the measurement window");
+    bind("fame.warmup_tolerance", fame.warmupTolerance, 1e-6, 10.0,
+         "per-repetition IPC change below which warm-up ends");
+    bind("fame.max_cycles", fame.maxCycles, 1000, std::uint64_t{1} << 40,
+         "hard cycle guard");
+    bind("fame.check_period", fame.checkPeriod, 1, std::uint64_t{1} << 32,
+         "simulation chunk between convergence checks");
 
-    bindInt("chip.num_cores", config_.numCores, 1, max_cores,
-            "SMT cores per chip in chip-level studies");
+    bind("chip.num_cores", config_.numCores, 1, max_cores,
+         "SMT cores per chip in chip-level studies");
 
     SchedParams &sched = config_.sched;
-    {
-        Field f;
-        f.path = "sched.policy";
-        f.help = "allocation policy: 'pinned', 'random' or 'symbiosis'";
-        AllocPolicy *p = &sched.policy;
-        const std::string path = f.path;
-        f.get = [p] { return std::string(allocPolicyName(*p)); };
-        f.set = [p](const std::string &value) {
-            *p = allocPolicyFromName(value);
-        };
-        f.writeValue = [p](JsonWriter &w) {
-            w.value(allocPolicyName(*p));
-        };
-        f.setFromJson = [p, path](const JsonValue &v) {
-            if (!v.isString())
-                fatal("config key '%s' expects a JSON string",
-                      path.c_str());
-            *p = allocPolicyFromName(v.asString());
-        };
-        fields_.push_back(std::move(f));
-    }
-    bindU64("sched.quantum", sched.quantum, 256,
-            std::uint64_t{1} << 32, "cycles between allocation decisions");
-    bindInt("sched.history_quanta", sched.historyQuanta, 1, 64,
-            "per-thread counter samples the allocator may look back over");
+    bindEnum("sched.policy", sched.policy, alloc_policy_names,
+             "allocation policy: 'pinned', 'random' or 'symbiosis'");
+    bind("sched.quantum", sched.quantum, 256, std::uint64_t{1} << 32,
+         "cycles between allocation decisions");
+    bind("sched.history_quanta", sched.historyQuanta, 1, 64,
+         "per-thread counter samples the allocator may look back over");
 
     bindTrace("workload.trace", "workload.trace_fingerprint",
               config_.workloadTrace, config_.workloadTraceFp,
@@ -524,66 +346,54 @@ ConfigTree::bindAll()
               "trace file replayed as the secondary thread's workload "
               "('' = synthetic generator)");
 
-    bindDouble("exp.ubench_scale", config_.ubenchScale, 0.001, 1000.0,
-               "work multiplier per micro-benchmark repetition");
-    bindU64("exp.seed", config_.seed, 0,
-            ~std::uint64_t{0},
-            "master seed folded into the config fingerprint");
-    bindUnsigned("exp.jobs", config_.jobs, 0, 1024,
-                 "simulation worker threads (0 = hardware concurrency)",
-                 /*identity=*/false);
-    {
-        // Benchmark selection: "presented" (the paper's six), "all"
-        // (all fifteen), or a comma-separated list of paper names.
-        // Execution-only: it selects which jobs run, never how one
-        // simulates, so it stays out of the fingerprint.
-        Field f;
-        f.path = "exp.benchmarks";
-        f.help = "'presented', 'all', or comma-separated paper names";
-        f.identity = false;
-        std::vector<UbenchId> *p = &config_.benchmarks;
-        const std::string path = f.path;
-        auto render = [p]() -> std::string {
-            if (*p == presentedUbench())
-                return "presented";
-            if (*p == allUbench())
-                return "all";
-            std::string out;
-            for (std::size_t i = 0; i < p->size(); ++i) {
-                if (i)
-                    out += ',';
-                out += ubenchName((*p)[i]);
-            }
-            return out;
-        };
-        auto assign = [p, path](const std::string &value) {
-            if (value == "presented") {
-                *p = presentedUbench();
-                return;
-            }
-            if (value == "all") {
-                *p = allUbench();
-                return;
-            }
-            if (value.empty())
-                fatal("config key '%s' must name at least one "
-                      "benchmark", path.c_str());
-            std::vector<UbenchId> ids;
-            for (const std::string &name : splitPath(value, ','))
-                ids.push_back(ubenchFromName(name));
-            *p = std::move(ids);
-        };
-        f.get = render;
-        f.set = assign;
-        f.writeValue = [render](JsonWriter &w) { w.value(render()); };
-        f.setFromJson = [assign, path](const JsonValue &v) {
-            if (!v.isString())
-                fatal("config key '%s' expects a JSON string",
-                      path.c_str());
-            assign(v.asString());
-        };
-        fields_.push_back(std::move(f));
-    }
+    bind("exp.ubench_scale", config_.ubenchScale, 0.001, 1000.0,
+         "work multiplier per micro-benchmark repetition");
+    bind("exp.seed", config_.seed, 0, ~std::uint64_t{0},
+         "master seed folded into the config fingerprint");
+    bind("exp.jobs", config_.jobs, 0, 1024,
+         "simulation worker threads (0 = hardware concurrency)",
+         /*identity=*/false);
+    // Benchmark selection: "presented" (the paper's six), "all" (all
+    // fifteen), or a comma-separated list of paper names.
+    // Execution-only: it selects which jobs run, never how one
+    // simulates, so it stays out of the fingerprint.
+    std::vector<UbenchId> *benchmarks = &config_.benchmarks;
+    fields_.push_back(
+        {"exp.benchmarks",
+         "'presented', 'all', or comma-separated paper names", false,
+         JsonKind::String,
+         [benchmarks] {
+             if (*benchmarks == presentedUbench())
+                 return std::string("presented");
+             if (*benchmarks == allUbench())
+                 return std::string("all");
+             std::string out;
+             for (UbenchId id : *benchmarks)
+                 out += (out.empty() ? "" : ",") + std::string(ubenchName(id));
+             return out;
+         },
+         [benchmarks](const std::string &text) {
+             if (text == "presented" || text == "all") {
+                 *benchmarks = text == "all" ? allUbench() : presentedUbench();
+                 return std::string();
+             }
+             if (text.empty())
+                 return std::string("must name at least one benchmark");
+             const std::vector<UbenchId> &known = allUbench();
+             std::vector<UbenchId> ids;
+             for (const std::string &name : splitList(text)) {
+                 const auto it =
+                     std::find_if(known.begin(), known.end(),
+                                  [&](UbenchId id) {
+                                      return name == ubenchName(id);
+                                  });
+                 if (it == known.end())
+                     return "names unknown micro-benchmark '" + name + "'";
+                 ids.push_back(*it);
+             }
+             *benchmarks = std::move(ids);
+             return std::string();
+         }});
 }
 
 // --- field access ------------------------------------------------------
@@ -617,14 +427,16 @@ const ConfigTree::Field &
 ConfigTree::requireField(const std::string &path) const
 {
     const Field *f = findField(path);
-    if (!f) {
-        const std::string near = suggest(path);
-        if (near.empty())
-            fatal("unknown config key '%s'", path.c_str());
-        fatal("unknown config key '%s'; did you mean '%s'?",
-              path.c_str(), near.c_str());
-    }
+    if (!f)
+        fatal("%s", unknownKey(*this, path).c_str());
     return *f;
+}
+
+std::string
+ConfigTree::assign(const Field &f, const std::string &text)
+{
+    const std::string error = f.set(text);
+    return error.empty() ? error : "config key '" + f.path + "' " + error;
 }
 
 std::string
@@ -633,19 +445,32 @@ ConfigTree::get(const std::string &path) const
     return requireField(path).get();
 }
 
+std::string
+ConfigTree::trySet(const std::string &path, const std::string &value)
+{
+    const Field *f = findField(path);
+    return f ? assign(*f, value) : unknownKey(*this, path);
+}
+
 void
 ConfigTree::set(const std::string &path, const std::string &value)
 {
-    requireField(path).set(value);
+    fatalOn(trySet(path, value));
+}
+
+std::string
+ConfigTree::tryApplyOverride(const std::string &assignment)
+{
+    const auto eq = assignment.find('=');
+    if (eq == std::string::npos || eq == 0)
+        return "expected key=value, got '" + assignment + "'";
+    return trySet(assignment.substr(0, eq), assignment.substr(eq + 1));
 }
 
 void
 ConfigTree::applyOverride(const std::string &assignment)
 {
-    const auto eq = assignment.find('=');
-    if (eq == std::string::npos || eq == 0)
-        fatal("--set expects key=value, got '%s'", assignment.c_str());
-    set(assignment.substr(0, eq), assignment.substr(eq + 1));
+    fatalOn(tryApplyOverride(assignment));
 }
 
 std::string
@@ -680,7 +505,7 @@ ConfigTree::save(JsonWriter &w) const
     std::vector<std::string> open;
     w.beginObject();
     for (const Field &f : fields_) {
-        std::vector<std::string> comps = splitPath(f.path, '.');
+        std::vector<std::string> comps = splitList(f.path, '.');
         const std::string leaf = comps.back();
         comps.pop_back();
 
@@ -698,7 +523,11 @@ ConfigTree::save(JsonWriter &w) const
             open.push_back(comps[open.size()]);
         }
         w.key(leaf);
-        f.writeValue(w);
+        // Strings are quoted; every other kind's text is a JSON literal.
+        if (f.kind == JsonKind::String)
+            w.value(f.get());
+        else
+            w.literal(f.get());
     }
     while (!open.empty()) {
         w.endObject();
@@ -730,14 +559,27 @@ ConfigTree::saveFile(const std::string &path) const
 void
 ConfigTree::loadObject(const JsonValue &node, const std::string &prefix)
 {
+    static const char *const kind_names[] = {"boolean", "integer", "number",
+                                             "string"};
     for (const JsonValue::Member &m : node.members()) {
         const std::string path =
             prefix.empty() ? m.first : prefix + "." + m.first;
-        if (m.second.isObject()) {
-            loadObject(m.second, path);
+        const JsonValue &v = m.second;
+        if (v.isObject()) {
+            loadObject(v, path);
             continue;
         }
-        requireField(path).setFromJson(m.second);
+        const Field &f = requireField(path);
+        const bool kind_ok = f.kind == JsonKind::Bool      ? v.isBool()
+                             : f.kind == JsonKind::Integer ? v.isIntegral()
+                             : f.kind == JsonKind::Number  ? v.isNumber()
+                                                           : v.isString();
+        if (!kind_ok)
+            fatal("config key '%s' expects a JSON %s", path.c_str(),
+                  kind_names[static_cast<int>(f.kind)]);
+        fatalOn(assign(f, v.isString() ? v.asString()
+                          : v.isBool() ? valueText(v.asBool())
+                                       : v.numberText()));
     }
 }
 
@@ -766,17 +608,7 @@ ConfigTree::loadFile(const std::string &path)
 std::string
 ConfigTree::canonical() const
 {
-    std::string out = "p5sim-config schema=" +
-                      std::to_string(config_schema_version) + "\n";
-    for (const Field &f : fields_) {
-        if (!f.identity)
-            continue;
-        out += f.path;
-        out += '=';
-        out += f.get();
-        out += '\n';
-    }
-    return out;
+    return identityLines("p5sim-config", false);
 }
 
 std::uint64_t
@@ -812,10 +644,16 @@ warmExcluded(const std::string &path)
 std::string
 ConfigTree::warmCanonical() const
 {
-    std::string out = "p5sim-warm schema=" +
+    return identityLines("p5sim-warm", true);
+}
+
+std::string
+ConfigTree::identityLines(const char *header, bool warm) const
+{
+    std::string out = std::string(header) + " schema=" +
                       std::to_string(config_schema_version) + "\n";
     for (const Field &f : fields_) {
-        if (!f.identity || warmExcluded(f.path))
+        if (!f.identity || (warm && warmExcluded(f.path)))
             continue;
         out += f.path;
         out += '=';
@@ -876,18 +714,14 @@ ConfigTree::validate() const
                "workload.trace_secondary_fingerprint",
                config_.workloadTraceSecondaryFp);
     // Per-field ranges were enforced at set time; re-check them here so
-    // a config mutated directly through the structs is covered too.
+    // a config mutated directly through the structs is covered too
+    // (chip.num_cores, a positive fame.maiv and a non-empty
+    // exp.benchmarks are such ranges).
     for (const Field &f : fields_)
-        f.set(f.get());
+        fatalOn(assign(f, f.get()));
     // Cross-field invariants.
     config_.core.validate();
     config_.sched.validate();
-    if (config_.numCores < 1 || config_.numCores > max_cores)
-        fatal("chip.num_cores must be in [1, %d]", max_cores);
-    if (config_.fame.maiv <= 0.0)
-        fatal("fame.maiv must be positive");
-    if (config_.benchmarks.empty())
-        fatal("exp.benchmarks must name at least one benchmark");
 }
 
 } // namespace p5

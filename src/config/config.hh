@@ -7,14 +7,21 @@
  * BalancerParams, HierarchyParams/CacheParams/TlbParams, BhtParams,
  * FameParams, ExpConfig). ConfigTree binds each field of an ExpConfig
  * instance to a dotted snake_case path ("core.decode_width",
- * "core.balancer.gct_share_threshold", "fame.min_repetitions", ...)
- * and provides, over those bindings:
+ * "core.balancer.gct_share_threshold", "fame.min_repetitions", ...).
+ * A binding is a path, a help line, an identity flag, a JSON kind and
+ * two closures: get() renders the field's canonical text and
+ * set(text) parses, range-checks and assigns it, returning why it
+ * refused instead of exiting. Everything else derives from those:
  *
- *  - JSON save/load (nested objects mirroring the dotted paths) with
- *    unknown keys fatal, suggesting the nearest valid path;
- *  - "--set key=value" style textual overrides with the same checking;
- *  - per-field range validation (fatal at set time, not deep inside a
- *    simulation);
+ *  - JSON save/load (nested objects mirroring the dotted paths): save
+ *    writes get()'s text as the field's JSON kind; load checks the
+ *    kind, then hands the value's text to set(). Unknown keys are
+ *    fatal, suggesting the nearest valid path;
+ *  - "--set key=value" overrides, sweep axes and the serve protocol's
+ *    fingerprint queries go through the same set(), so every surface
+ *    shares one parser and one range check per field. set() and
+ *    applyOverride() are fatal for the CLI; trySet() and
+ *    tryApplyOverride() return the message for callers that recover;
  *  - a canonical rendering of all *identity* fields — the ones that can
  *    change a simulation's outcome — and a stable SplitMix64
  *    fingerprint over it. The fingerprint is folded into every SimJob
@@ -34,6 +41,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/json.hh"
@@ -77,12 +85,20 @@ class ConfigTree
     std::string get(const std::string &path) const;
 
     /**
-     * Parse @p value and assign it to @p path. Unknown paths are fatal
-     * with a nearest-match suggestion; out-of-range values are fatal.
+     * Parse @p value and assign it to @p path. Returns "" on success,
+     * else the reason (an unknown path names the nearest match; a
+     * malformed or out-of-range value names the path and the value),
+     * leaving the field unchanged.
      */
+    std::string trySet(const std::string &path, const std::string &value);
+
+    /** trySet(), fatal on error (the CLI's entry point). */
     void set(const std::string &path, const std::string &value);
 
-    /** Apply one "--set" assignment of the form "path=value". */
+    /** trySet() of one "path=value" assignment. */
+    std::string tryApplyOverride(const std::string &assignment);
+
+    /** Apply one "--set" assignment "path=value"; fatal on error. */
     void applyOverride(const std::string &assignment);
 
     /** Nearest bound path to @p path by edit distance ("" if none). */
@@ -156,15 +172,22 @@ class ConfigTree
     void validate() const;
 
   private:
+    /** How a field's text is written to (and checked in) JSON. */
+    enum class JsonKind : std::uint8_t { Bool, Integer, Number, String };
+
     struct Field
     {
         std::string path;
         std::string help;
         bool identity = true;
+        JsonKind kind = JsonKind::String;
+        /** Canonical text of the bound value. */
         std::function<std::string()> get;
-        std::function<void(const std::string &value)> set;
-        std::function<void(JsonWriter &w)> writeValue;
-        std::function<void(const JsonValue &v)> setFromJson;
+        /**
+         * Parse, check and assign @p text. Returns "" on success, else
+         * the reason, worded to follow "config key '<path>' ".
+         */
+        std::function<std::string(const std::string &text)> set;
     };
 
     void bindAll();
@@ -172,17 +195,25 @@ class ConfigTree
     const Field &requireField(const std::string &path) const;
     void loadObject(const JsonValue &node, const std::string &prefix);
 
-    void bindBool(const std::string &path, bool &ref, const char *help,
-                  bool identity = true);
-    void bindInt(const std::string &path, int &ref, int lo, int hi,
-                 const char *help, bool identity = true);
-    void bindU64(const std::string &path, std::uint64_t &ref,
-                 std::uint64_t lo, std::uint64_t hi, const char *help,
-                 bool identity = true);
-    void bindDouble(const std::string &path, double &ref, double lo,
-                    double hi, const char *help, bool identity = true);
-    void bindUnsigned(const std::string &path, unsigned &ref, unsigned lo,
-                      unsigned hi, const char *help, bool identity = true);
+    /** f.set(text), its error prefixed with the field's path. */
+    static std::string assign(const Field &f, const std::string &text);
+
+    /** @p header's schema line, then each (warm) identity path=value. */
+    std::string identityLines(const char *header, bool warm) const;
+
+    /**
+     * Bind a bool, int, unsigned, u64 or double field whose values
+     * must lie in [lo, hi] (bools pass false, true).
+     */
+    template <class T>
+    void bind(std::string path, T &ref, std::type_identity_t<T> lo,
+              std::type_identity_t<T> hi, const char *help,
+              bool identity = true);
+
+    /** Bind an enum whose values 0..N-1 are spelled @p names. */
+    template <class E, std::size_t N>
+    void bindEnum(const char *path, E &ref, const char *const (&names)[N],
+                  const char *help);
 
     /**
      * Bind a trace path / trace fingerprint field pair. The path field
@@ -191,7 +222,7 @@ class ConfigTree
      * identity the config fingerprint folds in. Assigning "" clears
      * both.
      */
-    void bindTrace(const std::string &path_key, const std::string &fp_key,
+    void bindTrace(const char *path_key, const char *fp_key,
                    std::string &path_ref, std::string &fp_ref,
                    const char *help);
 

@@ -6,8 +6,8 @@
  * the first core and measures on the second; the Chip class makes that
  * setup expressible — one core can run a noise workload while another
  * runs the experiment, contending only below L1. Beyond the paper's
- * dual-core part, the core count is a ChipParams knob (ROADMAP item 3:
- * the SYNPA-style allocation studies in src/sched/ schedule M runnable
+ * dual-core part, the core count is a ChipParams knob (the SYNPA-style
+ * allocation studies in src/sched/, see PAPERS.md, schedule M runnable
  * threads onto N cores x 2 hardware contexts).
  *
  * Lockstep contract: every Chip entry point (tick(), run()) advances

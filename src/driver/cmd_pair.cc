@@ -19,23 +19,6 @@ namespace p5 {
 
 namespace {
 
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : text) {
-        if (c == ',') {
-            out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    out.push_back(cur);
-    return out;
-}
-
 /** The FAME pair the run and sweep subcommands simulate. */
 struct PairJob
 {

@@ -146,12 +146,11 @@ gcScan(const std::string &dir, std::vector<GcCandidate> &out)
  *   stat                         store-wide counters and entry count
  *   quit                         {"ok":true}, then exit 0 (EOF too)
  *
- * Unknown commands, unknown config keys and absent fingerprints are
- * error replies, not process exits — a prober must survive its own
- * typos. Malformed *values* (e.g. "fingerprint core.decode_width=8x")
- * still go through the fatal config-validation path by design: they
- * indicate a broken caller, and exiting matches every other p5sim
- * surface.
+ * Unknown commands, unknown config keys, malformed or out-of-range
+ * values (e.g. "fingerprint core.decode_width=8x") and absent
+ * fingerprints are error replies, not process exits — a prober must
+ * survive its own typos. Overrides that break a cross-field invariant
+ * (ConfigTree::validate) still exit.
  */
 int
 cmdServe(const Cli &cli, DriverContext &ctx, ExpConfig &base)
@@ -261,30 +260,13 @@ cmdServe(const Cli &cli, DriverContext &ctx, ExpConfig &base)
             // configurations.
             ExpConfig cfg = base;
             ConfigTree tree(cfg);
-            bool ok = true;
-            for (std::size_t i = 1; i < tokens.size(); ++i) {
-                const auto eq = tokens[i].find('=');
-                if (eq == std::string::npos || eq == 0) {
-                    serveError(out, "expected key=value, got '" +
-                                        tokens[i] + "'");
-                    ok = false;
-                    break;
-                }
-                const std::string key = tokens[i].substr(0, eq);
-                if (!tree.has(key)) {
-                    std::string message = "unknown config key '" + key +
-                                          "'";
-                    const std::string near = tree.suggest(key);
-                    if (!near.empty())
-                        message += " (did you mean '" + near + "'?)";
-                    serveError(out, message);
-                    ok = false;
-                    break;
-                }
-                tree.set(key, tokens[i].substr(eq + 1));
-            }
-            if (!ok)
+            std::string error;
+            for (std::size_t i = 1; i < tokens.size() && error.empty(); ++i)
+                error = tree.tryApplyOverride(tokens[i]);
+            if (!error.empty()) {
+                serveError(out, error);
                 continue;
+            }
             tree.validate();
             tree.stampTag();
             {

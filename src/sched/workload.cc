@@ -1,30 +1,10 @@
 #include "sched/workload.hh"
 
 #include "common/log.hh"
+#include "common/parse.hh"
 #include "ubench/ubench.hh"
 
 namespace p5 {
-
-namespace {
-
-std::vector<std::string>
-splitNames(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : text) {
-        if (c == ',') {
-            out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    out.push_back(cur);
-    return out;
-}
-
-} // namespace
 
 int
 Workload::add(ProgramSpec spec, int priority)
@@ -42,7 +22,7 @@ Workload
 Workload::fromMix(const std::string &mix, double scale)
 {
     Workload w;
-    for (const std::string &name : splitNames(mix)) {
+    for (const std::string &name : splitList(mix)) {
         if (name.empty())
             fatal("workload mix '%s' has an empty benchmark name",
                   mix.c_str());

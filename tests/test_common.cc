@@ -116,38 +116,6 @@ TEST(Stats, CounterBasics)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Stats, AverageTracksMinMaxMean)
-{
-    Average a;
-    a.sample(2.0);
-    a.sample(4.0);
-    a.sample(6.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(a.min(), 2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 6.0);
-    EXPECT_EQ(a.count(), 3u);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-}
-
-TEST(Stats, DistributionBuckets)
-{
-    Distribution d(4, 10.0);
-    d.sample(5.0);   // bucket 0
-    d.sample(15.0);  // bucket 1
-    d.sample(35.0);  // bucket 3
-    d.sample(45.0);  // overflow
-    d.sample(-1.0);  // underflow
-    EXPECT_EQ(d.total(), 5u);
-    EXPECT_EQ(d.bucket(0), 1u);
-    EXPECT_EQ(d.bucket(1), 1u);
-    EXPECT_EQ(d.bucket(2), 0u);
-    EXPECT_EQ(d.bucket(3), 1u);
-    EXPECT_EQ(d.overflow(), 1u);
-    EXPECT_EQ(d.underflow(), 1u);
-}
-
 TEST(Stats, GroupCounterAndDerived)
 {
     StatGroup g("test");

@@ -127,6 +127,20 @@ TEST(JsonValue, MalformedNumbersAreFatalWithTheOffendingToken)
     EXPECT_TRUE(parseJson("123456789012345678901234567890").isDouble());
 }
 
+TEST(JsonValue, WideIntegersKeepTheirDigits)
+{
+    // Too wide for int64: a double for arithmetic, but numberText()
+    // keeps the exact token so an unsigned parse sees every digit.
+    const JsonValue wide = parseJson("18446744073709551615");
+    EXPECT_TRUE(wide.isDouble());
+    EXPECT_TRUE(wide.isIntegral());
+    EXPECT_EQ(wide.numberText(), "18446744073709551615");
+    EXPECT_EQ(parseJson("-42").numberText(), "-42");
+    EXPECT_EQ(parseJson("0.25").numberText(), "0.25");
+    EXPECT_FALSE(parseJson("16.0").isIntegral());
+    EXPECT_FALSE(parseJson("1e2").isIntegral());
+}
+
 TEST(FormatDouble, ShortestRoundTrip)
 {
     EXPECT_EQ(formatDouble(0.5), "0.5");
@@ -312,7 +326,95 @@ TEST(ConfigTree, ApplyOverrideParsesAssignments)
                 ::testing::ExitedWithCode(1), "key=value");
 }
 
+TEST(ConfigTree, LargestSeedSurvivesSaveAndLoad)
+{
+    ExpConfig config;
+    ConfigTree tree(config);
+    tree.set("exp.seed", "18446744073709551615");
+    ExpConfig loaded_config;
+    ConfigTree loaded(loaded_config);
+    loaded.loadString(tree.saveString(), "max-seed");
+    EXPECT_EQ(loaded_config.seed, ~std::uint64_t{0});
+    EXPECT_EQ(loaded.fingerprint(), tree.fingerprint());
+}
+
 // --- validation and errors --------------------------------------------
+
+TEST(ConfigTree, JsonValueOfTheWrongKindIsFatalNamingTheKey)
+{
+    ExpConfig config;
+    ConfigTree tree(config);
+    const std::pair<const char *, const char *> cases[] = {
+        {"{\"core\": {\"fast_forward\": 1}}",
+         "config key 'core.fast_forward' expects a JSON boolean"},
+        {"{\"core\": {\"lmq_entries\": \"16\"}}",
+         "config key 'core.lmq_entries' expects a JSON integer"},
+        {"{\"core\": {\"lmq_entries\": 16.0}}",
+         "config key 'core.lmq_entries' expects a JSON integer"},
+        {"{\"exp\": {\"seed\": true}}",
+         "config key 'exp.seed' expects a JSON integer"},
+        {"{\"fame\": {\"maiv\": \"0.05\"}}",
+         "config key 'fame.maiv' expects a JSON number"},
+        {"{\"core\": {\"balancer\": {\"action\": 1}}}",
+         "config key 'core.balancer.action' expects a JSON string"},
+        {"{\"exp\": {\"benchmarks\": false}}",
+         "config key 'exp.benchmarks' expects a JSON string"},
+    };
+    for (const auto &[doc, message] : cases)
+        EXPECT_EXIT(tree.loadString(doc, "kind"),
+                    ::testing::ExitedWithCode(1), message)
+            << doc;
+    // The right kind with a bad value gets the text parser's message.
+    EXPECT_EXIT(tree.loadString("{\"exp\": {\"seed\": -1}}", "kind"),
+                ::testing::ExitedWithCode(1),
+                "config key 'exp.seed' expects an unsigned integer");
+}
+
+TEST(ConfigTree, TrySetReturnsTheErrorAndKeepsTheValue)
+{
+    ExpConfig config;
+    ConfigTree tree(config);
+    const int lmq = config.core.lmqEntries;
+    EXPECT_EQ(tree.trySet("core.lmq_entries", "abc"),
+              "config key 'core.lmq_entries' expects an integer, got "
+              "'abc' (not a number (or trailing garbage))");
+    EXPECT_EQ(tree.trySet("core.lmq_entries", "99"),
+              "config key 'core.lmq_entries' = 99 out of range [1, 64]");
+    EXPECT_EQ(tree.trySet("core.lmq_entries", "99999999999"),
+              "config key 'core.lmq_entries' = 99999999999 out of range "
+              "[1, 64]");
+    EXPECT_EQ(config.core.lmqEntries, lmq);
+    EXPECT_EQ(tree.trySet("fame.maiv", "2"),
+              "config key 'fame.maiv' = 2 out of range [1e-06, 1]");
+    EXPECT_EQ(tree.trySet("core.fast_forward", "maybe"),
+              "config key 'core.fast_forward' expects a boolean, got "
+              "'maybe'");
+    EXPECT_EQ(tree.trySet("core.balancer.action", "explode"),
+              "config key 'core.balancer.action' expects 'stall' or "
+              "'flush', got 'explode'");
+    EXPECT_EQ(tree.trySet("sched.policy", "fifo"),
+              "config key 'sched.policy' expects 'pinned', 'random' or "
+              "'symbiosis', got 'fifo'");
+    EXPECT_EQ(tree.trySet("workload.trace_fingerprint", "ABCDEF0123456789"),
+              "config key 'workload.trace_fingerprint' = "
+              "'ABCDEF0123456789' is not a 16-digit lowercase hex "
+              "fingerprint");
+    EXPECT_EQ(tree.trySet("exp.benchmarks", "cpu_int,nope"),
+              "config key 'exp.benchmarks' names unknown "
+              "micro-benchmark 'nope'");
+    EXPECT_EQ(config.benchmarks, presentedUbench());
+    EXPECT_EQ(tree.trySet("core.decode_widht", "4"),
+              "unknown config key 'core.decode_widht'; did you mean "
+              "'core.decode_width'?");
+    EXPECT_EQ(tree.tryApplyOverride("no-equals-sign"),
+              "expected key=value, got 'no-equals-sign'");
+
+    EXPECT_EQ(tree.tryApplyOverride("core.lmq_entries=16"), "");
+    EXPECT_EQ(config.core.lmqEntries, 16);
+    EXPECT_EQ(tree.trySet("sched.policy", "random"), "");
+    EXPECT_EQ(config.sched.policy, AllocPolicy::Random);
+    EXPECT_EQ(tree.get("sched.policy"), allocPolicyName(AllocPolicy::Random));
+}
 
 TEST(ConfigTree, UnknownKeySuggestsNearestPath)
 {
@@ -461,6 +563,39 @@ TEST(ConfigTree, CanonicalFormIsSchemaVersionedPathValueLines)
     // ...but the derived fingerprint is.
     EXPECT_NE(canonical.find("workload.trace_fingerprint=\n"),
               std::string::npos);
+}
+
+/**
+ * Store and checkpoint addresses derive from these fingerprints, so a
+ * change re-keys every result store and checkpoint area. The literals
+ * were recorded before the config bindings were last rewritten.
+ */
+TEST(ConfigTree, FingerprintsArePinned)
+{
+    ensureGuardTrace();
+    ExpConfig defaults;
+    ExpConfig fast = ExpConfig::fast();
+    ExpConfig non_default;
+    {
+        ConfigTree tree(non_default);
+        for (const auto &[path, value] : non_default_values)
+            tree.set(path, value);
+    }
+    const struct
+    {
+        ExpConfig *config;
+        const char *fingerprint;
+        const char *warm;
+    } pins[] = {
+        {&defaults, "1e98645e7fbafc0d", "caa44cfe3087efd1"},
+        {&fast, "c04c6a8aa3df252e", "6a66002e4dafabca"},
+        {&non_default, "a8fd92e2f9acf1a2", "813c5b43b847e141"},
+    };
+    for (const auto &pin : pins) {
+        ConfigTree tree(*pin.config);
+        EXPECT_EQ(tree.fingerprintHex(), pin.fingerprint);
+        EXPECT_EQ(tree.warmFingerprintHex(), pin.warm);
+    }
 }
 
 // --- workload.trace binding --------------------------------------------

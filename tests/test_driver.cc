@@ -932,6 +932,9 @@ TEST(Driver, ServeAnswersFingerprintAndStoreQueries)
         "get not-a-fingerprint\n"
         "fingerprint core.mem.dram_latencee=211\n"
         "frobnicate\n"
+        "fingerprint core.lmq_entries=abc\n"
+        "fingerprint core.lmq_entries=99\n"
+        "fingerprint core.balancer.action=explode\n"
         "quit\n");
     ASSERT_EQ(serve.exitCode, 0);
 
@@ -960,6 +963,18 @@ TEST(Driver, ServeAnswersFingerprintAndStoreQueries)
 
     ASSERT_TRUE(std::getline(lines, line));
     EXPECT_NE(line.find("unknown command"), std::string::npos) << line;
+
+    // A malformed, out-of-range or misspelled value is an error reply
+    // naming the key, and the session keeps serving.
+    for (const char *expect :
+         {"core.lmq_entries' expects an integer, got 'abc'",
+          "core.lmq_entries' = 99 out of range [1, 64]",
+          "core.balancer.action' expects 'stall' or 'flush', got "
+          "'explode'"}) {
+        ASSERT_TRUE(std::getline(lines, line));
+        EXPECT_EQ(line.rfind("{\"error\": ", 0), 0u) << line;
+        EXPECT_NE(line.find(expect), std::string::npos) << line;
+    }
 
     ASSERT_TRUE(std::getline(lines, line));
     EXPECT_NE(line.find("\"ok\": true"), std::string::npos) << line;
@@ -1724,6 +1739,33 @@ TEST(Driver, SaveConfigThenLoadReproducesTheFingerprint)
                   .find("provenance")
                   ->find("fingerprint")
                   ->asString());
+    std::remove(cfg.c_str());
+    std::remove(path_a.c_str());
+    std::remove(path_b.c_str());
+}
+
+TEST(Driver, SavedConfigWithTheLargestSeedLoadsBack)
+{
+    // 2^64 - 1 is saved as a bare JSON integer too wide for int64; the
+    // load must keep every digit rather than refuse a rounded double.
+    const std::string cfg = tempPath("max_seed_config.json");
+    const std::string path_a = tempPath("max_seed_a.json");
+    const std::string path_b = tempPath("max_seed_b.json");
+    ASSERT_EQ(invoke({"table1", "--set", "exp.seed=18446744073709551615",
+                      ("--save-config=" + cfg).c_str(),
+                      ("--json=" + path_a).c_str()})
+                  .exitCode,
+              0);
+    ASSERT_EQ(invoke({"table1", ("--config=" + cfg).c_str(),
+                      ("--json=" + path_b).c_str()})
+                  .exitCode,
+              0);
+    const JsonValue a = readReport(path_a);
+    const JsonValue b = readReport(path_b);
+    EXPECT_EQ(b.find("provenance")->find("seed")->numberText(),
+              "18446744073709551615");
+    EXPECT_EQ(a.find("provenance")->find("fingerprint")->asString(),
+              b.find("provenance")->find("fingerprint")->asString());
     std::remove(cfg.c_str());
     std::remove(path_a.c_str());
     std::remove(path_b.c_str());
