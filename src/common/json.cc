@@ -587,9 +587,15 @@ class JsonParser
         skipWs();
         switch (peek()) {
           case '{':
-            return parseObject();
-          case '[':
-            return parseArray();
+          case '[': {
+            // Bounded so hostile input cannot exhaust the stack; nothing
+            // p5sim writes nests deeper than a handful of levels.
+            if (++depth_ > max_depth)
+                error("nesting deeper than 512 levels");
+            JsonValue v = peek() == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+          }
           case '"':
             return JsonValue::makeString(parseString());
           case 't':
@@ -804,9 +810,12 @@ class JsonParser
         error(what);
     }
 
+    static constexpr int max_depth = 512;
+
     std::string_view text_;
     std::string where_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 } // namespace

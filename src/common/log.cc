@@ -73,6 +73,13 @@ fatal(const char *fmt, ...)
 }
 
 void
+fatalOn(const std::string &error)
+{
+    if (!error.empty())
+        fatal("%s", error.c_str());
+}
+
+void
 warn(const char *fmt, ...)
 {
     g_warn_count.fetch_add(1);

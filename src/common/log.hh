@@ -36,6 +36,9 @@ LogLevel logLevel();
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/** fatal() with @p error unless it is empty (a try-form's fatal twin). */
+void fatalOn(const std::string &error);
+
 /** Report a suspicious condition; execution continues. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -106,13 +106,6 @@ unknownKey(const ConfigTree &tree, const std::string &path)
            tree.suggest(path) + "'?";
 }
 
-void
-fatalOn(const std::string &error)
-{
-    if (!error.empty())
-        fatal("%s", error.c_str());
-}
-
 } // namespace
 
 ConfigTree::ConfigTree(ExpConfig &config) : config_(config)
@@ -682,8 +675,8 @@ ConfigTree::stampTag()
     config_.warmTag = warmFingerprintHex();
 }
 
-void
-ConfigTree::validate() const
+std::string
+ConfigTree::tryValidate() const
 {
     // Trace path/fingerprint coherence: the fingerprint is derived
     // whenever the path is assigned, so a mismatch means the file
@@ -691,37 +684,49 @@ ConfigTree::validate() const
     // hand) — either way the identity is a lie and must not propagate
     // into job keys. Checked before the set(get()) roundtrip below,
     // which re-derives the fingerprint and would mask the mismatch.
-    auto checkTrace = [](const char *path_key, const std::string &path,
-                         const char *fp_key, const std::string &fp) {
-        if (path.empty()) {
-            if (!fp.empty())
-                fatal("config key '%s' is set but '%s' is empty: a "
-                      "trace fingerprint without a trace is "
-                      "meaningless", fp_key, path_key);
-            return;
-        }
-        const std::string actual = readTraceHeader(path).fingerprint();
+    auto checkTrace = [](const std::string &path_key,
+                         const std::string &path, const std::string &fp_key,
+                         const std::string &fp) -> std::string {
+        if (path.empty())
+            return fp.empty()
+                       ? ""
+                       : "config key '" + fp_key + "' is set but '" +
+                             path_key + "' is empty: a trace fingerprint "
+                             "without a trace is meaningless";
+        TraceHeader h;
+        std::string error;
+        if (!tryReadTraceHeader(path, h, &error))
+            return error;
+        const std::string actual = h.fingerprint();
         if (fp != actual)
-            fatal("config key '%s' = '%s' does not match trace '%s' "
-                  "(fingerprint %s): the file changed since it was "
-                  "keyed", fp_key, fp.c_str(), path.c_str(),
-                  actual.c_str());
+            return "config key '" + fp_key + "' = '" + fp +
+                   "' does not match trace '" + path + "' (fingerprint " +
+                   actual + "): the file changed since it was keyed";
+        return "";
     };
-    checkTrace("workload.trace", config_.workloadTrace,
-               "workload.trace_fingerprint", config_.workloadTraceFp);
-    checkTrace("workload.trace_secondary",
-               config_.workloadTraceSecondary,
-               "workload.trace_secondary_fingerprint",
-               config_.workloadTraceSecondaryFp);
+    if (std::string e = checkTrace("workload.trace", config_.workloadTrace,
+                                   "workload.trace_fingerprint",
+                                   config_.workloadTraceFp);
+        !e.empty())
+        return e;
+    if (std::string e = checkTrace("workload.trace_secondary",
+                                   config_.workloadTraceSecondary,
+                                   "workload.trace_secondary_fingerprint",
+                                   config_.workloadTraceSecondaryFp);
+        !e.empty())
+        return e;
     // Per-field ranges were enforced at set time; re-check them here so
     // a config mutated directly through the structs is covered too
     // (chip.num_cores, a positive fame.maiv and a non-empty
     // exp.benchmarks are such ranges).
     for (const Field &f : fields_)
-        fatalOn(assign(f, f.get()));
+        if (std::string e = assign(f, f.get()); !e.empty())
+            return e;
     // Cross-field invariants.
-    config_.core.validate();
-    config_.sched.validate();
+    if (std::string e = config_.core.tryValidate(); !e.empty())
+        return e;
+    return config_.sched.tryValidate();
 }
+
 
 } // namespace p5

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "common/log.hh"
 #include "exp/experiments.hh"
 
 namespace p5 {
@@ -168,8 +169,14 @@ class ConfigTree
      */
     void stampTag();
 
-    /** Range-check every field plus the cross-field struct checks. */
-    void validate() const;
+    /**
+     * Range-check every field plus the cross-field struct checks:
+     * "" when the config is sound, else the first reason.
+     */
+    std::string tryValidate() const;
+
+    /** tryValidate(), fatal on error (the CLI's entry point). */
+    void validate() const { fatalOn(tryValidate()); }
 
   private:
     /** How a field's text is written to (and checked in) JSON. */

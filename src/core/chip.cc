@@ -56,48 +56,11 @@ Chip::tick()
 void
 Chip::run(Cycle cycles)
 {
-    const Cycle end = saturatingAdd(cycle(), cycles);
-    const bool ff = cores_[0]->params().fastForward;
-
-    // Chip-level adaptive arming, mirroring SmtCore::run(): probe the
-    // coordinated skip only after a tick in which no core made
-    // progress. Arming is a pure wall-clock optimization — an
-    // un-probed idle cycle is simply ticked — so it never changes
-    // stats. Armed at entry like a fresh core.
-    std::uint32_t idle_streak = SmtCore::ff_arm_streak;
-
-    while (cycle() < end) {
-        if (ff && idle_streak >= SmtCore::ff_arm_streak) {
-            // A joint skip is valid only when every core is idle this
-            // cycle: the probes are side-effect-free, and jumping all
-            // cores to the chip-wide minimum target keeps each core
-            // inside its own verified-idle gap (any prefix of an idle
-            // gap is idle) while no core can touch the shared
-            // backside in between.
-            Cycle target = end;
-            bool all_idle = true;
-            for (std::size_t c = 0; c < cores_.size(); ++c) {
-                const Cycle t = cores_[c]->idleTarget(end, &gates_[c]);
-                if (t <= cores_[c]->cycle()) {
-                    all_idle = false;
-                    break;
-                }
-                if (t < target)
-                    target = t;
-            }
-            if (all_idle) {
-                for (std::size_t c = 0; c < cores_.size(); ++c)
-                    cores_[c]->skipIdleTo(target, gates_[c]);
-                continue;
-            }
-        }
-        bool progress = false;
-        for (auto &core : cores_) {
-            core->tick();
-            progress = progress || core->tickMadeProgress();
-        }
-        idle_streak = progress ? 0 : idle_streak + 1;
-    }
+    // A fresh streak armed at entry, like a fresh core's: arming only
+    // decides when to probe, so it never changes stats.
+    std::uint32_t streak = SmtCore::ff_arm_streak;
+    SmtCore::advance(cores_, gates_.data(), streak,
+                     saturatingAdd(cycle(), cycles), [] { return false; });
 }
 
 Cycle

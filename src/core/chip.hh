@@ -66,14 +66,12 @@ class Chip
     P5_HOT_PATH void tick();
 
     /**
-     * Advance all cores @p cycles cycles in lockstep. With
-     * fastForward enabled on the base CoreParams, stretches where
-     * *every* core is provably idle are skipped in one coordinated
-     * jump to the earliest event on any core; stats are bit-identical
-     * to cycle-by-cycle ticking. A joint skip is the only safe kind:
-     * while any core has work it may touch the shared backside, whose
-     * first-come-first-served gates make results depend on the global
-     * order of accesses.
+     * Advance all cores @p cycles cycles in lockstep: SmtCore::advance()
+     * over every core, with a fresh armed probe streak. Stretches where
+     * *every* core is provably idle are skipped in one joint jump; a
+     * joint skip is the only safe kind, since a core with work may
+     * touch the shared backside, whose first-come-first-served gates
+     * make results depend on the global order of accesses.
      */
     P5_HOT_PATH void run(Cycle cycles);
 
@@ -88,7 +86,7 @@ class Chip
     std::unique_ptr<MemBackside> backside_;
     std::vector<std::unique_ptr<SmtCore>> cores_;
 
-    /** Scratch gates for the coordinated fast-forward (one per core). */
+    /** Scratch gates for the joint fast-forward (one per core). */
     std::vector<SmtCore::IdleGate> gates_;
 };
 

@@ -24,30 +24,34 @@ CoreParams::fuOccupancy(OpClass oc) const
     }
 }
 
-void
-CoreParams::validate() const
+std::string
+CoreParams::tryValidate() const
 {
+    using std::to_string;
     if (decodeWidth <= 0 || decodeWidth > 8)
-        fatal("decodeWidth %d out of range", decodeWidth);
+        return "decodeWidth " + to_string(decodeWidth) + " out of range";
     if (minoritySlotWidth <= 0 || minoritySlotWidth > decodeWidth)
-        fatal("minoritySlotWidth must be in [1, decodeWidth]");
+        return "minoritySlotWidth must be in [1, decodeWidth]";
     if (groupSize <= 0 || groupSize > decodeWidth)
-        fatal("groupSize %d must be in [1, decodeWidth]", groupSize);
+        return "groupSize " + to_string(groupSize) +
+               " must be in [1, decodeWidth]";
     if (gctGroups <= 1)
-        fatal("gctGroups %d too small", gctGroups);
+        return "gctGroups " + to_string(gctGroups) + " too small";
     if (lmqEntries <= 0)
-        fatal("lmqEntries %d must be positive", lmqEntries);
+        return "lmqEntries " + to_string(lmqEntries) + " must be positive";
     if (mispredictPenalty < 0)
-        fatal("mispredictPenalty must be >= 0");
+        return "mispredictPenalty must be >= 0";
     for (int fc = 0; fc < static_cast<int>(FuClass::None); ++fc)
         if (fuCount[fc] <= 0)
-            fatal("fuCount[%s] must be positive",
-                  fuClassName(static_cast<FuClass>(fc)));
+            return std::string("fuCount[") +
+                   fuClassName(static_cast<FuClass>(fc)) +
+                   "] must be positive";
     if (balancer.gctShareThreshold <= 0.0 ||
         balancer.gctShareThreshold > 1.0)
-        fatal("balancer.gctShareThreshold must be in (0, 1]");
+        return "balancer.gctShareThreshold must be in (0, 1]";
     if (balancer.lmqThreshold <= 0 || balancer.lmqThreshold > lmqEntries)
-        fatal("balancer.lmqThreshold must be in [1, lmqEntries]");
+        return "balancer.lmqThreshold must be in [1, lmqEntries]";
+    return {};
 }
 
 } // namespace p5

@@ -7,9 +7,11 @@
 #define P5SIM_CORE_PARAMS_HH
 
 #include <cstdint>
+#include <string>
 
 #include "branch/bht.hh"
 #include "common/annotate.hh"
+#include "common/log.hh"
 #include "isa/op_class.hh"
 #include "mem/hierarchy.hh"
 
@@ -151,8 +153,11 @@ struct P5_CONFIG_STRUCT CoreParams
     HierarchyParams mem;
     BhtParams bht;
 
-    /** Sanity-check the configuration; fatal() on nonsense. */
-    void validate() const;
+    /** Sanity-check the configuration: "" when sound, else the reason. */
+    std::string tryValidate() const;
+
+    /** tryValidate(), fatal on error. */
+    void validate() const { fatalOn(tryValidate()); }
 };
 
 } // namespace p5

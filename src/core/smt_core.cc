@@ -1,7 +1,6 @@
 #include "core/smt_core.hh"
 
 #include <algorithm>
-#include <chrono>
 
 #include "check/check.hh"
 #include "common/log.hh"
@@ -152,12 +151,6 @@ SmtCore::priorityOf(ThreadId tid) const
 }
 
 void
-SmtCore::setPrivilege(ThreadId tid, PrivilegeLevel priv)
-{
-    threads_[static_cast<size_t>(tid)]->privilege = priv;
-}
-
-void
 SmtCore::setPrioNopListener(PrioNopListener fn)
 {
     prioNopListener_ = std::move(fn);
@@ -233,89 +226,49 @@ SmtCore::tick()
 void
 SmtCore::tickTimed()
 {
-    using clock = std::chrono::steady_clock;
-    const auto ns = [](clock::time_point a, clock::time_point b) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
-                .count());
-    };
-    const auto t0 = clock::now();
+    const auto t0 = Clock::now();
     processCompletions();
-    const auto t1 = clock::now();
+    const auto t1 = Clock::now();
     issueStage();
-    const auto t2 = clock::now();
+    const auto t2 = Clock::now();
     commitStage();
-    const auto t3 = clock::now();
+    const auto t3 = Clock::now();
     decodeStage();
-    const auto t4 = clock::now();
-    profile_->completionsNs += ns(t0, t1);
-    profile_->issueNs += ns(t1, t2);
-    profile_->commitNs += ns(t2, t3);
-    profile_->decodeNs += ns(t3, t4);
+    const auto t4 = Clock::now();
+    profile_->completionsNs += nsBetween(t0, t1);
+    profile_->issueNs += nsBetween(t1, t2);
+    profile_->commitNs += nsBetween(t2, t3);
+    profile_->decodeNs += nsBetween(t3, t4);
     ++profile_->timedTicks;
-}
-
-bool
-SmtCore::probeFastForward(Cycle limit)
-{
-    ++ffProbes_;
-    if (!profile_)
-        return tryFastForward(limit);
-    using clock = std::chrono::steady_clock;
-    const auto t0 = clock::now();
-    const bool skipped = tryFastForward(limit);
-    profile_->probeNs += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() -
-                                                             t0)
-            .count());
-    ++profile_->timedProbes;
-    return skipped;
 }
 
 void
 SmtCore::run(Cycle cycles)
 {
-    const Cycle end = saturatingAdd(cycle_, cycles);
-    while (cycle_ < end) {
-        // A successful skip leaves the probe armed: the landing cycle
-        // usually has work, but conservative event sources mean it may
-        // not, and only a probe can prove that.
-        if (params_.fastForward && idleStreak_ >= ff_arm_streak &&
-            probeFastForward(end))
-            continue;
-        tick();
-        idleStreak_ = tickProgress_ ? 0 : idleStreak_ + 1;
-    }
+    runUntil(saturatingAdd(cycle_, cycles), [] { return false; });
 }
 
 bool
 SmtCore::runUntilExecutions(ThreadId tid, std::uint64_t executions,
                             Cycle max_cycles)
 {
-    const Cycle limit = saturatingAdd(cycle_, max_cycles);
-    while (cycle_ < limit) {
-        if (executionsOf(tid) >= executions)
-            return true;
-        if (params_.fastForward && idleStreak_ >= ff_arm_streak &&
-            probeFastForward(limit))
-            continue;
-        tick();
-        idleStreak_ = tickProgress_ ? 0 : idleStreak_ + 1;
-    }
-    return executionsOf(tid) >= executions;
+    return runUntil(saturatingAdd(cycle_, max_cycles), [&] {
+        return executionsOf(tid) >= executions;
+    });
 }
 
 // --- idle-cycle fast-forward ------------------------------------------
 //
 // A cycle is *idle* when tick() would change nothing except the cycle
 // number and a fixed set of per-cycle counters (stall, balancer-block
-// and slot-forfeit counters). tryFastForward() proves a cycle idle by
-// replaying each stage's gating read-only, computes the earliest future
-// cycle at which any gate input can change, and jumps there with the
-// counters advanced arithmetically. Counters are affine in the gap
-// length because every gate input is constant across the gap — which
-// the equivalence suite (test_fast_forward.cc) and the skip-aware
-// p5check protocol both verify.
+// and slot-forfeit counters). idleTarget() proves a cycle idle by
+// replaying each stage's gating read-only and computes the earliest
+// future cycle at which any gate input can change; skipIdleTo() jumps
+// there with the counters advanced arithmetically. Counters are affine
+// in the gap length because every gate input is constant across the
+// gap — which the equivalence suite (test_fast_forward.cc) and the
+// skip-aware p5check protocol both verify. advance() (smt_core.hh)
+// decides when to probe and whether to skip.
 
 namespace {
 constexpr FuClass issue_classes[] = {FuClass::FX, FuClass::FP,
@@ -423,8 +376,10 @@ SmtCore::nextInterestingCycle(Cycle limit, const IdleGate &gate) const
 }
 
 void
-SmtCore::advanceIdle(Cycle target, const IdleGate &gate)
+SmtCore::skipIdleTo(Cycle target, const IdleGate &gate)
 {
+    if (target <= cycle_)
+        return;
     const std::uint64_t gap = target - cycle_;
 
     // What decodeStage() would have accumulated over the gap, cycle by
@@ -462,13 +417,15 @@ SmtCore::advanceIdle(Cycle target, const IdleGate &gate)
 }
 
 Cycle
-SmtCore::computeIdleTarget(Cycle limit, IdleGate *gate) const
+SmtCore::idleTarget(Cycle limit, IdleGate *gate) const
 {
+    // Probe accounting, not simulation state (ffProbes_ is mutable).
+    P5_ALLOW(probe_purity) ++ffProbes_;
     // Reset the caller's gate: Chip::run() reuses per-core gate
-    // storage across probes, and probeDecodeIdle() only ever *sets*
+    // storage across calls, and probeDecodeIdle() only ever *sets*
     // fields — a stale canUse[] from an earlier probe would make
     // every later probe report busy (and mis-attribute skipped-cycle
-    // stats in advanceIdle()).
+    // stats in skipIdleTo()).
     *gate = IdleGate{};
     if (!completions_.empty() && completions_.front().cycle <= cycle_)
         return cycle_;
@@ -481,33 +438,6 @@ SmtCore::computeIdleTarget(Cycle limit, IdleGate *gate) const
     if (!probeDecodeIdle(gate))
         return cycle_;
     return nextInterestingCycle(limit, *gate);
-}
-
-bool
-SmtCore::tryFastForward(Cycle limit)
-{
-    IdleGate gate;
-    const Cycle target = computeIdleTarget(limit, &gate);
-    if (target <= cycle_)
-        return false;
-    advanceIdle(target, gate);
-    return true;
-}
-
-Cycle
-SmtCore::idleTarget(Cycle limit, IdleGate *gate) const
-{
-    // Probe accounting, not simulation state (ffProbes_ is mutable).
-    P5_ALLOW(probe_purity) ++ffProbes_;
-    return computeIdleTarget(limit, gate);
-}
-
-void
-SmtCore::skipIdleTo(Cycle target, const IdleGate &gate)
-{
-    if (target <= cycle_)
-        return;
-    advanceIdle(target, gate);
 }
 
 // --- pipeline stages ---------------------------------------------------

@@ -19,7 +19,9 @@
 #ifndef P5SIM_CORE_SMT_CORE_HH
 #define P5SIM_CORE_SMT_CORE_HH
 
+#include <algorithm>
 #include <array>
+#include <chrono>
 #include <functional>
 #include <memory>
 
@@ -89,8 +91,6 @@ class SmtCore
 
     int priorityOf(ThreadId tid) const;
 
-    void setPrivilege(ThreadId tid, PrivilegeLevel priv);
-
     /** Called after every committed PrioNop: (tid, level, applied). */
     using PrioNopListener = std::function<void(ThreadId, int, bool)>;
     void setPrioNopListener(PrioNopListener fn);
@@ -101,18 +101,10 @@ class SmtCore
     P5_HOT_PATH void tick();
 
     /**
-     * Advance @p cycles cycles. With params().fastForward (the
-     * default), idle gaps — stretches where no thread can decode and
-     * nothing can issue or commit — are skipped in one jump to the
-     * earliest component event, with all counters advanced
-     * arithmetically; every observable stat is bit-identical to
-     * cycle-by-cycle ticking.
-     *
-     * Probing is adaptive: the fast-forward gate replay only runs
-     * after a tick that made no forward progress (nothing completed,
-     * issued, committed, decoded or flushed). Busy stretches pay one
-     * progress-flag write per cycle instead of a full probe; idle gaps
-     * pay at most one extra tick before the jump.
+     * Advance @p cycles cycles: the one-core case of advance(). With
+     * params().fastForward (the default) verified-idle gaps are
+     * skipped in one jump; every observable stat is bit-identical to
+     * ticking each cycle.
      */
     P5_HOT_PATH void run(Cycle cycles);
 
@@ -125,6 +117,13 @@ class SmtCore
     P5_HOT_PATH bool runUntilExecutions(ThreadId tid,
                                         std::uint64_t executions,
                                         Cycle max_cycles);
+
+    /**
+     * advance() over this core alone, to cycle @p end or until
+     * @p stop() holds. The arming streak persists across calls, so a
+     * sliced run probes and ticks exactly like an unsliced one.
+     */
+    template <class Stop> P5_HOT_PATH bool runUntil(Cycle end, Stop &&stop);
 
     Cycle cycle() const { return cycle_; }
 
@@ -183,27 +182,22 @@ class SmtCore
     }
 
     /**
-     * Cycles run() crossed by fast-forward jumps instead of ticks.
-     * Observability only — deliberately *not* a registered stat, so the
-     * stat set stays identical with fastForward on and off.
+     * Cycles crossed by fast-forward jumps instead of ticks, and probes
+     * attempted (successful or not). Observability only — deliberately
+     * *not* registered stats, so the stat set stays identical with
+     * fastForward on and off.
      */
     std::uint64_t idleCyclesSkipped() const { return idleSkipped_; }
-
-    /**
-     * Fast-forward probes attempted (successful or not). Like
-     * idleCyclesSkipped() this is observability only, not a stat; the
-     * adaptive-probe test uses it to show busy runs barely probe.
-     */
     std::uint64_t fastForwardProbes() const { return ffProbes_; }
 
-    // --- chip-coordinated fast-forward ---------------------------------
+    // --- the time-advance body ----------------------------------------
 
     /**
      * Side-effect-free replica of the per-cycle gating: the balancer
      * decision and per-thread decode usability at cycle(), plus how
      * each non-usable thread's stall would be classified by
-     * decodeStage(). Opaque to callers: Chip::run() holds one per core
-     * between idleTarget() and skipIdleTo().
+     * decodeStage(). Opaque to callers: advance() fills one per core
+     * in idleTarget() and consumes it in skipIdleTo().
      */
     struct IdleGate
     {
@@ -220,43 +214,31 @@ class SmtCore
     };
 
     /**
-     * Probe for a chip-coordinated fast-forward: when the current
-     * cycle is provably idle for this core, return the earliest cycle
-     * in (cycle(), limit] at which anything can happen here and fill
-     * @p gate; return cycle() itself when this cycle has work. The
-     * caller (Chip::run) intersects the targets of all cores — a joint
-     * skip is only valid when every core is idle, since an active core
-     * could touch the shared backside mid-gap — and then jumps each
-     * core with skipIdleTo(). Counts as a fast-forward probe; no other
-     * side effects.
-     */
-    P5_PROBE_PURE Cycle idleTarget(Cycle limit, IdleGate *gate) const;
-
-    /**
-     * Jump cycle() to @p target across a gap idleTarget() verified
-     * (with the gate it filled), advancing all counters exactly as
-     * (target - cycle()) individual ticks would have. @p target may be
-     * earlier than this core's own idleTarget() — any prefix of a
-     * verified-idle gap is idle — which is what lets Chip::run() jump
-     * every core to the chip-wide minimum.
-     */
-    void skipIdleTo(Cycle target, const IdleGate &gate);
-
-    /**
-     * Whether the most recent tick() mutated any state (completion,
-     * issue, commit, decode or flush). Chip::run() uses it to arm its
-     * coordinated probe the same way run() arms the per-core one.
-     */
-    bool tickMadeProgress() const { return tickProgress_; }
-
-    /**
-     * Consecutive no-progress ticks after which the run loops (this
-     * core's and Chip::run()'s) probe for an idle skip, so the 1–2
-     * cycle bubbles that pepper compute-bound runs never pay for a
-     * (mostly failing) gate replay. Skipping a probe never changes
-     * stats — an un-probed idle cycle is simply ticked.
+     * Consecutive no-progress ticks after which advance() probes, so
+     * the 1–2 cycle bubbles of compute-bound runs never pay for a
+     * (mostly failing) gate replay. An un-probed idle cycle is simply
+     * ticked, so arming never changes stats.
      */
     static constexpr std::uint32_t ff_arm_streak = 2;
+
+    /**
+     * The simulator's one time-advance body (DESIGN §7). Advances
+     * @p cores (SmtCore pointers at one cycle) in lockstep until cycle
+     * @p end or until @p stop(), asked before every step, holds. A step
+     * arms (fastForward on and @p streak at ff_arm_streak ticks in
+     * which no core made progress), probes every core (idleTarget(),
+     * one IdleGate each in @p gates), skips all of them to the smallest
+     * target when all are idle (skipIdleTo(); a skip stays armed), and
+     * otherwise ticks every core in index order. Stats are
+     * bit-identical to ticking every cycle. The first core's
+     * StageProfile times each probe and its skip into probeNs.
+     *
+     * @return stop() when the run ends.
+     */
+    template <class Cores, class Stop>
+    P5_HOT_PATH static bool advance(const Cores &cores, IdleGate *gates,
+                                    std::uint32_t &streak, Cycle end,
+                                    Stop &&stop);
 
     /**
      * Per-stage wall-time accumulators for `p5sim perf --profile-stages`.
@@ -330,17 +312,58 @@ class SmtCore
     /** tick() body with per-stage timing (profile attached). */
     void tickTimed();
 
-    /** Counted (and, with a profile, timed) tryFastForward wrapper. */
-    bool probeFastForward(Cycle limit);
-
     // --- idle-cycle fast-forward --------------------------------------
+
+    /**
+     * The probe: when cycle() is provably idle for this core, return
+     * the earliest cycle in (cycle(), limit] at which anything can
+     * happen here and fill @p gate; return cycle() itself when this
+     * cycle has work. Counts as a fast-forward probe; no other side
+     * effects.
+     */
+    P5_PROBE_PURE Cycle idleTarget(Cycle limit, IdleGate *gate) const;
+
+    /**
+     * The skip: jump cycle() to @p target across a gap idleTarget()
+     * verified (with the gate it filled), advancing the stall,
+     * balancer and slot-forfeit counters by exactly what
+     * (target - cycle()) individual ticks would have added, then
+     * notifying the checkers' skip protocol. @p target may be earlier
+     * than this core's own idleTarget(), which is what lets advance()
+     * jump every core to the smallest target.
+     */
+    void skipIdleTo(Cycle target, const IdleGate &gate);
+
+    using Clock = std::chrono::steady_clock;
+
+    static std::uint64_t
+    nsBetween(Clock::time_point a, Clock::time_point b)
+    {
+        return static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
+                .count());
+    }
+
+    /** Charges its lifetime to a profile's probe time (none: no-op). */
+    struct ProbeClock
+    {
+        StageProfile *profile;
+        Clock::time_point t0 = profile ? Clock::now() : Clock::time_point{};
+        ~ProbeClock()
+        {
+            if (profile) {
+                profile->probeNs += nsBetween(t0, Clock::now());
+                ++profile->timedProbes;
+            }
+        }
+    };
 
     /**
      * Probe whether decode could make progress (or mutate state) at
      * cycle_. Returns false — "activity, must tick" — when the slot
      * owner (or a work-conserving sibling) could decode, or when a
      * balancer flush would actually drop instructions. Fills @p gate
-     * for advanceIdle()'s arithmetic counter advance.
+     * for skipIdleTo()'s arithmetic counter advance.
      */
     P5_PROBE_PURE bool probeDecodeIdle(IdleGate *gate) const;
 
@@ -357,27 +380,6 @@ class SmtCore
      */
     P5_PROBE_PURE Cycle nextInterestingCycle(Cycle limit,
                                              const IdleGate &gate) const;
-
-    /**
-     * idleTarget() without the probe accounting: the shared body of
-     * the per-core and chip-coordinated fast-forward paths.
-     */
-    P5_PROBE_PURE Cycle computeIdleTarget(Cycle limit, IdleGate *gate) const;
-
-    /**
-     * Jump cycle_ -> target across a verified-idle gap, advancing the
-     * stall, balancer and slot-forfeit counters by exactly what
-     * (target - cycle_) individual ticks would have added, then
-     * notifying the checkers' skip protocol.
-     */
-    void advanceIdle(Cycle target, const IdleGate &gate);
-
-    /**
-     * One fast-forward attempt bounded by @p limit: returns true when
-     * an idle gap was skipped (cycle_ advanced), false when this cycle
-     * has work and the caller must tick().
-     */
-    bool tryFastForward(Cycle limit);
 
     /** Rename and link the freshly fetched window slot @p e. */
     void dispatchOne(ThreadState &ts, InFlight &e, std::uint32_t gct_group);
@@ -418,9 +420,10 @@ class SmtCore
 
     /**
      * Adaptive-probe state: tick() clears tickProgress_ and the stages
-     * set it on any state mutation; the run loops count consecutive
-     * no-progress ticks and only probe once the streak reaches
-     * ff_arm_streak.
+     * set it on any state mutation; advance() counts consecutive
+     * no-progress ticks and only probes once the streak reaches
+     * ff_arm_streak. idleStreak_ is runUntil()'s streak, kept across
+     * calls (FAME runs a measurement as many short run() slices).
      */
     bool tickProgress_ = false;
     std::uint32_t idleStreak_ = ff_arm_streak;
@@ -448,6 +451,58 @@ class SmtCore
     std::array<Counter, num_hw_threads> stallGct_;
     std::array<Counter, num_hw_threads> flushedInstrs_;
 };
+
+template <class Stop>
+bool
+SmtCore::runUntil(Cycle end, Stop &&stop)
+{
+    const std::array<SmtCore *, 1> self{this};
+    IdleGate gate;
+    return advance(self, &gate, idleStreak_, end, stop);
+}
+
+template <class Cores, class Stop>
+bool
+SmtCore::advance(const Cores &cores, IdleGate *gates,
+                 std::uint32_t &streak, Cycle end, Stop &&stop)
+{
+    const std::size_t n = cores.size();
+    SmtCore &lead = *cores[0];
+    const bool ff = lead.params_.fastForward;
+    while (lead.cycle_ < end) {
+        if (stop())
+            return true;
+        if (ff && streak >= ff_arm_streak) {
+            const ProbeClock probe_clock{lead.profile_};
+            Cycle target = end;
+            std::size_t idle = 0;
+            for (; idle < n; ++idle) {
+                SmtCore &core = *cores[idle];
+                const Cycle t = core.idleTarget(end, &gates[idle]);
+                if (t <= core.cycle_)
+                    break;
+                target = std::min(target, t);
+            }
+            if (idle == n) {
+                for (std::size_t c = 0; c < n; ++c) {
+                    SmtCore &core = *cores[c];
+                    core.skipIdleTo(target, gates[c]);
+                }
+                // Stay armed: event sources are conservative, so the
+                // landing cycle may still be idle.
+                continue;
+            }
+        }
+        bool progress = false;
+        for (std::size_t c = 0; c < n; ++c) {
+            SmtCore &core = *cores[c];
+            core.tick();
+            progress = progress || core.tickProgress_;
+        }
+        streak = progress ? 0 : streak + 1;
+    }
+    return stop();
+}
 
 } // namespace p5
 

@@ -147,10 +147,10 @@ gcScan(const std::string &dir, std::vector<GcCandidate> &out)
  *   quit                         {"ok":true}, then exit 0 (EOF too)
  *
  * Unknown commands, unknown config keys, malformed or out-of-range
- * values (e.g. "fingerprint core.decode_width=8x") and absent
+ * values (e.g. "fingerprint core.decode_width=8x"), overrides that
+ * break a cross-field invariant (ConfigTree::tryValidate) and absent
  * fingerprints are error replies, not process exits — a prober must
- * survive its own typos. Overrides that break a cross-field invariant
- * (ConfigTree::validate) still exit.
+ * survive its own typos.
  */
 int
 cmdServe(const Cli &cli, DriverContext &ctx, ExpConfig &base)
@@ -263,11 +263,12 @@ cmdServe(const Cli &cli, DriverContext &ctx, ExpConfig &base)
             std::string error;
             for (std::size_t i = 1; i < tokens.size() && error.empty(); ++i)
                 error = tree.tryApplyOverride(tokens[i]);
+            if (error.empty())
+                error = tree.tryValidate();
             if (!error.empty()) {
                 serveError(out, error);
                 continue;
             }
-            tree.validate();
             tree.stampTag();
             {
                 JsonWriter w(out, -1);

@@ -1,5 +1,7 @@
 #include "os/kernel.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace p5 {
@@ -20,23 +22,22 @@ KernelSim::KernelSim(SmtCore *core, const KernelParams &params)
 }
 
 void
-KernelSim::tick()
-{
-    if (core_->cycle() >= nextTimer_) {
-        ++timerIrqs_;
-        for (ThreadId t = 0; t < num_hw_threads; ++t)
-            if (core_->threadAttached(t))
-                enterKernel(t, KernelEntry::Interrupt);
-        nextTimer_ += params_.timerPeriod;
-    }
-    core_->tick();
-}
-
-void
 KernelSim::run(Cycle cycles)
 {
-    for (Cycle i = 0; i < cycles; ++i)
-        tick();
+    const Cycle end = saturatingAdd(core_->cycle(), cycles);
+    while (core_->cycle() < end) {
+        if (core_->cycle() >= nextTimer_) {
+            ++timerIrqs_;
+            for (ThreadId t = 0; t < num_hw_threads; ++t)
+                if (core_->threadAttached(t))
+                    enterKernel(t, KernelEntry::Interrupt);
+            nextTimer_ += params_.timerPeriod;
+        }
+        // Run to the next timer edge; a timer still behind the core
+        // (it was advanced without the kernel) fires once per cycle.
+        const Cycle edge = std::max(nextTimer_, core_->cycle() + 1);
+        core_->run(std::min(end, edge) - core_->cycle());
+    }
 }
 
 void

@@ -58,12 +58,10 @@ class KernelSim
     const KernelParams &params() const { return params_; }
 
     /**
-     * Advance the core one cycle, injecting timer interrupts on both
-     * hardware threads at the configured period.
+     * Advance the core @p cycles cycles, injecting a timer interrupt on
+     * both hardware threads at the start of every timer period. The
+     * core runs (and fast-forwards) from one timer edge to the next.
      */
-    void tick();
-
-    /** Advance @p cycles cycles. */
     void run(Cycle cycles);
 
     /**

@@ -32,15 +32,16 @@ allocPolicyFromName(const std::string &name)
           name.c_str());
 }
 
-void
-SchedParams::validate() const
+std::string
+SchedParams::tryValidate() const
 {
     if (quantum < 256)
-        fatal("SchedParams::quantum %llu too small (min 256 cycles)",
-              static_cast<unsigned long long>(quantum));
+        return "SchedParams::quantum " + std::to_string(quantum) +
+               " too small (min 256 cycles)";
     if (historyQuanta < 1 || historyQuanta > 64)
-        fatal("SchedParams::historyQuanta %d out of range [1, 64]",
-              historyQuanta);
+        return "SchedParams::historyQuanta " +
+               std::to_string(historyQuanta) + " out of range [1, 64]";
+    return {};
 }
 
 } // namespace p5

@@ -12,6 +12,7 @@
 #include "common/types.hh"
 
 #include "common/annotate.hh"
+#include "common/log.hh"
 
 namespace p5 {
 
@@ -53,8 +54,11 @@ struct P5_CONFIG_STRUCT SchedParams
     /** Per-thread counter samples the allocator may look back over. */
     int historyQuanta = 4;
 
-    /** fatal() on out-of-range values. */
-    void validate() const;
+    /** "" when every value is in range, else the reason. */
+    std::string tryValidate() const;
+
+    /** tryValidate(), fatal on error. */
+    void validate() const { fatalOn(tryValidate()); }
 };
 
 } // namespace p5

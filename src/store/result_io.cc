@@ -53,9 +53,10 @@ readDouble(const JsonValue &obj, const char *name, double &out)
     return true;
 }
 
-// A full-range uint64 (e.g. the SplitMix64 rngSeed) cannot ride a JSON
-// number: values above INT64_MAX would be demoted to doubles by the
-// parser and lose low bits. It is stored as a decimal string instead.
+// A full-range uint64 (e.g. the SplitMix64 rngSeed) is stored as a
+// decimal string. That form predates the parser keeping a wide
+// integer's digits (JsonValue::numberText()) and stays because it is
+// the stored documents' schema: a JSON number would change every file.
 bool
 readU64String(const JsonValue &obj, const char *name, std::uint64_t &out)
 {

@@ -1,6 +1,7 @@
 #include "workloads/pipeline_app.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/log.hh"
@@ -91,7 +92,9 @@ PipelineApp::PipelineApp(const PipelineParams &params) : params_(params)
 }
 
 PipelineResult
-PipelineApp::runSmt(const CoreParams &core_params) const
+PipelineApp::runSmt(const CoreParams &core_params,
+                    const std::function<void(const SmtCore &)> &inspect)
+    const
 {
     const SyntheticProgram fft = makeFftStage(params_.scale);
     const SyntheticProgram lu = makeLuStage(params_.scale);
@@ -112,49 +115,47 @@ PipelineApp::runSmt(const CoreParams &core_params) const
 
     for (int iter = 0; iter < total_iters; ++iter) {
         const auto target = static_cast<std::uint64_t>(iter) + 1;
-        bool fft_done = false;
-        bool lu_done = false;
-        Cycle fft_at = 0;
-        Cycle lu_at = 0;
+        // Cycle at which each stage reached the barrier (0: not yet).
+        std::array<Cycle, num_hw_threads> at{};
+        const auto arrived = [&](std::size_t t) {
+            return at[t] == 0 &&
+                   core.executionsOf(static_cast<ThreadId>(t)) >= target;
+        };
         const Cycle guard = core.cycle() + params_.maxCyclesPerIteration;
 
-        while (!(fft_done && lu_done)) {
-            if (core.cycle() >= guard) {
+        while (at[0] == 0 || at[1] == 0) {
+            if (!core.runUntil(guard,
+                               [&] { return arrived(0) || arrived(1); })) {
                 res.hitCycleLimit = true;
                 warn("pipeline iteration hit its cycle guard");
                 break;
             }
-            core.tick();
-            if (!fft_done && core.executionsOf(0) >= target) {
-                fft_done = true;
-                fft_at = core.cycle();
-                // Producer reached the barrier first: it blocks in MPI
-                // send/receive, the kernel idles its hardware thread and
-                // the consumer continues in ST mode.
-                if (!lu_done)
-                    core.setPriorityPair(0, params_.prioLu);
-            }
-            if (!lu_done && core.executionsOf(1) >= target) {
-                lu_done = true;
-                lu_at = core.cycle();
-                if (!fft_done)
-                    core.setPriorityPair(params_.prioFft, 0);
-            }
+            for (std::size_t t = 0; t < at.size(); ++t)
+                if (arrived(t))
+                    at[t] = core.cycle();
+            // A stage alone at the barrier blocks in MPI send/receive:
+            // the kernel idles its hardware thread and the sibling
+            // continues in ST mode.
+            if ((at[0] == 0) != (at[1] == 0))
+                core.setPriorityPair(at[0] ? 0 : params_.prioFft,
+                                     at[1] ? 0 : params_.prioLu);
         }
 
         // Barrier: both stages restart under the configured priorities.
         core.setPriorityPair(params_.prioFft, params_.prioLu);
 
-        const Cycle iter_end = std::max(fft_at, lu_at);
+        const Cycle iter_end = std::max(at[0], at[1]);
         if (iter > 0) { // skip the pipeline-fill iteration
-            fft_sum += static_cast<double>(fft_at - iter_start);
-            lu_sum += static_cast<double>(lu_at - iter_start);
+            fft_sum += static_cast<double>(at[0] - iter_start);
+            lu_sum += static_cast<double>(at[1] - iter_start);
             iter_sum += static_cast<double>(iter_end - iter_start);
         }
         iter_start = iter_end;
         if (res.hitCycleLimit)
             break;
     }
+    if (inspect)
+        inspect(core);
 
     const double n = params_.iterations;
     res.fftCycles = fft_sum / n;
@@ -164,33 +165,29 @@ PipelineApp::runSmt(const CoreParams &core_params) const
 }
 
 PipelineResult
-PipelineApp::runSingleThread(const CoreParams &core_params) const
+PipelineApp::runSingleThread(
+    const CoreParams &core_params,
+    const std::function<void(const SmtCore &)> &inspect) const
 {
     const SyntheticProgram fft = makeFftStage(params_.scale);
     const SyntheticProgram lu = makeLuStage(params_.scale);
     const auto reps = static_cast<std::uint64_t>(params_.iterations);
+    const Cycle deadline = (reps + 1) * params_.maxCyclesPerIteration;
 
     PipelineResult res;
 
     // Skip the first (cold-cache) execution, like runSmt() skips its
-    // pipeline-fill iteration.
+    // pipeline-fill iteration: note where it ends, then run on to the
+    // same deadline.
     auto measure = [&](const SyntheticProgram &prog) {
         SmtCore core(core_params);
         core.attachThread(0, &prog, default_priority);
-        if (!core.runUntilExecutions(0, reps + 1,
-                                     (reps + 1) *
-                                         params_.maxCyclesPerIteration))
+        core.runUntilExecutions(0, 1, deadline);
+        const Cycle first = core.lastExecutionCycleOf(0);
+        if (!core.runUntilExecutions(0, reps + 1, deadline - core.cycle()))
             res.hitCycleLimit = true;
-        Cycle first = 0;
-        {
-            // Re-derive the first execution boundary: run a twin core
-            // for one execution only.
-            SmtCore warm(core_params);
-            warm.attachThread(0, &prog, default_priority);
-            warm.runUntilExecutions(0, 1,
-                                    params_.maxCyclesPerIteration);
-            first = warm.lastExecutionCycleOf(0);
-        }
+        if (inspect)
+            inspect(core);
         return (static_cast<double>(core.lastExecutionCycleOf(0)) -
                 static_cast<double>(first)) /
                static_cast<double>(core.executionsOf(0) - 1);

@@ -14,6 +14,8 @@
 #ifndef P5SIM_WORKLOADS_PIPELINE_APP_HH
 #define P5SIM_WORKLOADS_PIPELINE_APP_HH
 
+#include <functional>
+
 #include "core/smt_core.hh"
 #include "program/program.hh"
 
@@ -65,15 +67,20 @@ class PipelineApp
      * Run the two stages in SMT mode under the configured priorities.
      * A stage that reaches the barrier first is put to sleep (its
      * hardware thread shuts off, leaving the sibling in ST mode) until
-     * the other arrives.
+     * the other arrives. @p inspect, when set, sees the core at the end.
      */
-    PipelineResult runSmt(const CoreParams &core_params) const;
+    PipelineResult
+    runSmt(const CoreParams &core_params,
+           const std::function<void(const SmtCore &)> &inspect = {}) const;
 
     /**
      * Reference: run the two stages back-to-back on one thread
-     * (the paper's "single-thread mode" row of Table 4).
+     * (the paper's "single-thread mode" row of Table 4), each on its
+     * own core. @p inspect, when set, sees each stage's core at the end.
      */
-    PipelineResult runSingleThread(const CoreParams &core_params) const;
+    PipelineResult runSingleThread(
+        const CoreParams &core_params,
+        const std::function<void(const SmtCore &)> &inspect = {}) const;
 
     const PipelineParams &params() const { return params_; }
 

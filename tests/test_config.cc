@@ -141,6 +141,22 @@ TEST(JsonValue, WideIntegersKeepTheirDigits)
     EXPECT_FALSE(parseJson("1e2").isIntegral());
 }
 
+TEST(JsonValue, DeepNestingIsAnErrorNotACrash)
+{
+    // Far past any stack: the parser refuses at the depth bound with a
+    // positioned error instead of recursing until it faults.
+    const std::size_t depth = 2'000'000;
+    const std::string deep = std::string(depth, '[') + std::string(depth, ']');
+    JsonValue out;
+    std::string error;
+    EXPECT_FALSE(tryParseJson(deep, out, &error, "deep"));
+    EXPECT_EQ(error, "deep:1:513: nesting deeper than 512 levels");
+
+    // The bound itself still parses.
+    const std::string ok = std::string(512, '[') + std::string(512, ']');
+    EXPECT_TRUE(tryParseJson(ok, out, &error, "ok")) << error;
+}
+
 TEST(FormatDouble, ShortestRoundTrip)
 {
     EXPECT_EQ(formatDouble(0.5), "0.5");

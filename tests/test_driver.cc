@@ -935,6 +935,8 @@ TEST(Driver, ServeAnswersFingerprintAndStoreQueries)
         "fingerprint core.lmq_entries=abc\n"
         "fingerprint core.lmq_entries=99\n"
         "fingerprint core.balancer.action=explode\n"
+        "fingerprint core.decode_width=4\n"
+        "stat\n"
         "quit\n");
     ASSERT_EQ(serve.exitCode, 0);
 
@@ -975,6 +977,16 @@ TEST(Driver, ServeAnswersFingerprintAndStoreQueries)
         EXPECT_EQ(line.rfind("{\"error\": ", 0), 0u) << line;
         EXPECT_NE(line.find(expect), std::string::npos) << line;
     }
+
+    // So is an override that breaks a cross-field invariant (the
+    // default group size no longer fits the decode width).
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line.rfind("{\"error\": ", 0), 0u) << line;
+    EXPECT_NE(line.find("groupSize 5 must be in [1, decodeWidth]"),
+              std::string::npos)
+        << line;
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_NE(line.find("\"entries\": 2"), std::string::npos) << line;
 
     ASSERT_TRUE(std::getline(lines, line));
     EXPECT_NE(line.find("\"ok\": true"), std::string::npos) << line;

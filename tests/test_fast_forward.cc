@@ -15,11 +15,15 @@
 
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/smt_core.hh"
 #include "fame/fame.hh"
+#include "os/kernel.hh"
 #include "test_helpers.hh"
 #include "ubench/ubench.hh"
+#include "workloads/pipeline_app.hh"
 
 namespace p5 {
 namespace {
@@ -32,6 +36,22 @@ struct RunSnapshot
     std::array<std::uint64_t, num_hw_threads> executions{};
     std::uint64_t idleSkipped = 0;
 };
+
+/** Everything a caller can observe of @p core. */
+RunSnapshot
+snapshot(const SmtCore &core)
+{
+    RunSnapshot snap;
+    snap.cycle = core.cycle();
+    for (const std::string &name : core.stats().names())
+        snap.stats.emplace(name, core.stats().value(name));
+    for (ThreadId t = 0; t < num_hw_threads; ++t) {
+        snap.committed[static_cast<size_t>(t)] = core.committedOf(t);
+        snap.executions[static_cast<size_t>(t)] = core.executionsOf(t);
+    }
+    snap.idleSkipped = core.idleCyclesSkipped();
+    return snap;
+}
 
 /**
  * Run @p prog against itself for @p cycles at the given priority pair
@@ -49,17 +69,7 @@ runPair(const SyntheticProgram &prog, int prio_p, int prio_s,
     core.attachThread(0, &prog, prio_p);
     core.attachThread(1, &prog, prio_s);
     core.run(cycles);
-
-    RunSnapshot snap;
-    snap.cycle = core.cycle();
-    for (const std::string &name : core.stats().names())
-        snap.stats.emplace(name, core.stats().value(name));
-    for (ThreadId t = 0; t < num_hw_threads; ++t) {
-        snap.committed[static_cast<size_t>(t)] = core.committedOf(t);
-        snap.executions[static_cast<size_t>(t)] = core.executionsOf(t);
-    }
-    snap.idleSkipped = core.idleCyclesSkipped();
-    return snap;
+    return snapshot(core);
 }
 
 void
@@ -181,6 +191,93 @@ TEST(FastForward, FameRunsAreEquivalent)
                   slow.thread[t].accountedCycles);
         EXPECT_EQ(fast.thread[t].accountedInstrs,
                   slow.thread[t].accountedInstrs);
+    }
+}
+
+/**
+ * The FFT -> LU pipeline advances by stop predicate ("a stage just
+ * reached the barrier") and parks the finished stage at priority 0,
+ * leaving its sibling in ST mode: a mode the pair sweep never enters.
+ * Both Table 4 drivers must land on the same result and the same core
+ * stats with fast-forward on and off, for each stage finishing first.
+ */
+TEST(FastForward, PipelineRunsAreEquivalent)
+{
+    for (const auto &[prio_fft, prio_lu] :
+         {std::pair{4, 4}, std::pair{6, 3}, std::pair{2, 6}}) {
+        PipelineParams pp;
+        pp.iterations = 2;
+        pp.scale = 0.1;
+        pp.prioFft = prio_fft;
+        pp.prioLu = prio_lu;
+        const PipelineApp app(pp);
+        const std::string label = "pipeline (" + std::to_string(prio_fft) +
+                                  "," + std::to_string(prio_lu) + ")";
+
+        for (const bool smt : {true, false}) {
+            std::vector<RunSnapshot> cores[2];
+            PipelineResult res[2];
+            for (const bool fast_forward : {false, true}) {
+                CoreParams params;
+                params.fastForward = fast_forward;
+                const auto keep = [&](const SmtCore &core) {
+                    cores[fast_forward].push_back(snapshot(core));
+                };
+                res[fast_forward] = smt ? app.runSmt(params, keep)
+                                        : app.runSingleThread(params, keep);
+            }
+            const std::string what = label + (smt ? " smt" : " st");
+            EXPECT_EQ(res[1].fftCycles, res[0].fftCycles) << what;
+            EXPECT_EQ(res[1].luCycles, res[0].luCycles) << what;
+            EXPECT_EQ(res[1].iterationCycles, res[0].iterationCycles)
+                << what;
+            EXPECT_EQ(res[1].hitCycleLimit, res[0].hitCycleLimit) << what;
+            ASSERT_EQ(cores[0].size(), smt ? 1u : 2u) << what;
+            ASSERT_EQ(cores[1].size(), cores[0].size()) << what;
+            for (std::size_t c = 0; c < cores[0].size(); ++c)
+                expectIdentical(cores[1][c], cores[0][c], what);
+            EXPECT_GT(cores[1][0].idleSkipped, 0u) << what;
+        }
+    }
+}
+
+/**
+ * The kernel model runs the core from one timer edge to the next and
+ * rewrites priorities at each interrupt. Interrupt and reset counts and
+ * every core stat must match ticking, for the stock and patched kernel
+ * and for run() slices that end between edges.
+ */
+TEST(FastForward, KernelRunsAreEquivalent)
+{
+    const SyntheticProgram prog = makeUbench(UbenchId::LdintMem, 0.25);
+    for (const bool patched : {false, true}) {
+        RunSnapshot snap[2];
+        std::uint64_t irqs[2];
+        std::uint64_t resets[2];
+        for (const bool fast_forward : {false, true}) {
+            CoreParams params;
+            params.fastForward = fast_forward;
+            SmtCore core(params);
+            core.attachThread(0, &prog, 6);
+            core.attachThread(1, &prog, 3);
+            KernelParams kp;
+            kp.patched = patched;
+            kp.timerPeriod = 1500;
+            KernelSim kernel(&core, kp);
+            kernel.run(2345);
+            kernel.sysSetPriority(0, 2);
+            kernel.run(6000);
+            snap[fast_forward] = snapshot(core);
+            irqs[fast_forward] = kernel.timerInterrupts();
+            resets[fast_forward] = kernel.priorityResets();
+        }
+        const std::string label = patched ? "patched" : "stock";
+        expectIdentical(snap[1], snap[0], label);
+        EXPECT_EQ(irqs[1], irqs[0]) << label;
+        EXPECT_EQ(resets[1], resets[0]) << label;
+        EXPECT_EQ(irqs[0], 5u) << label;
+        EXPECT_EQ(resets[0], patched ? 0u : 3u) << label;
+        EXPECT_GT(snap[1].idleSkipped, 0u) << label;
     }
 }
 

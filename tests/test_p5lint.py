@@ -41,6 +41,8 @@ CASES = [
     ("good_trace_cursor_ordered.cc", None),
     ("bad_cold_on_hot.cc", "hot_path_no_alloc"),
     ("good_cold_off_hot.cc", None),
+    ("bad_hot_alloc_via_template.cc", "hot_path_no_alloc"),
+    ("good_hot_alloc_via_template.cc", None),
 ]
 
 

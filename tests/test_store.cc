@@ -260,14 +260,23 @@ TEST(ResultStore, NonJsonGarbageIsQuarantined)
 
     const std::string path =
         store.pathFor(ResultStore::fingerprintHex(job));
-    {
-        std::ofstream os(path, std::ios::trunc);
-        os << "this is not json at all";
+    // Plain garbage, and a document nested far past any stack.
+    const std::size_t deep = 2'000'000;
+    const std::string garbage[] = {
+        "this is not json at all",
+        std::string(deep, '[') + std::string(deep, ']')};
+    std::uint64_t quarantined = 0;
+    for (const std::string &text : garbage) {
+        {
+            std::ofstream os(path, std::ios::trunc);
+            os << text;
+        }
+        SimResult out;
+        EXPECT_FALSE(store.load(job, out));
+        EXPECT_EQ(store.quarantined(), ++quarantined);
+        EXPECT_TRUE(fileExists(path + ".bad"));
+        EXPECT_FALSE(fileExists(path));
     }
-    SimResult out;
-    EXPECT_FALSE(store.load(job, out));
-    EXPECT_EQ(store.quarantined(), 1u);
-    EXPECT_TRUE(fileExists(path + ".bad"));
 }
 
 TEST(ResultStore, MisplacedFileFailsTheJobKeyCheck)
