@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "common/cli.hh"
+#include "common/log.hh"
 #include "common/table.hh"
 #include "os/kernel.hh"
 #include "ubench/ubench.hh"
@@ -53,9 +54,13 @@ demo(bool patched, p5::Table &t)
 
 int
 main(int argc, char **argv)
-{
+try {
     p5::Cli cli;
     cli.parse(argc, argv);
+    if (cli.helpRequested()) {
+        std::fputs(cli.usage(argv[0]).c_str(), stdout);
+        return 0;
+    }
 
     p5::Table t("Setting priorities (6,2) under stock vs patched kernel");
     t.setColumns({"kernel", "prio 6 applied?", "prio 2 applied?",
@@ -71,4 +76,9 @@ main(int argc, char **argv)
         "exposes 1..6 and removes the resets,\nwhich is what makes the "
         "paper's characterization possible.\n");
     return 0;
+} catch (const p5::Error &e) {
+    // Every library error (a bad flag, name or configuration) is a
+    // p5::Error carrying its message.
+    std::fprintf(stderr, "fatal: %s\n", e.what());
+    return 1;
 }

@@ -12,16 +12,21 @@
 #include <iostream>
 
 #include "common/cli.hh"
+#include "common/log.hh"
 #include "common/table.hh"
 #include "workloads/pipeline_app.hh"
 
 int
 main(int argc, char **argv)
-{
+try {
     p5::Cli cli;
     cli.declare("scale", "1.0", "work multiplier for both stages");
     cli.declare("iterations", "6", "measured pipeline iterations");
     cli.parse(argc, argv);
+    if (cli.helpRequested()) {
+        std::fputs(cli.usage(argv[0]).c_str(), stdout);
+        return 0;
+    }
 
     p5::CoreParams core_params;
 
@@ -68,4 +73,9 @@ main(int argc, char **argv)
                     (1.0 - best / st.iterationCycles) * 100.0);
     }
     return 0;
+} catch (const p5::Error &e) {
+    // Every library error (a bad flag, name or configuration) is a
+    // p5::Error carrying its message.
+    std::fprintf(stderr, "fatal: %s\n", e.what());
+    return 1;
 }

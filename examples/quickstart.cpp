@@ -9,12 +9,13 @@
 #include <cstdio>
 
 #include "common/cli.hh"
+#include "common/log.hh"
 #include "fame/fame.hh"
 #include "ubench/ubench.hh"
 
 int
 main(int argc, char **argv)
-{
+try {
     p5::Cli cli;
     cli.declare("pthread", "cpu_int", "primary thread micro-benchmark");
     cli.declare("sthread", "ldint_mem",
@@ -23,6 +24,10 @@ main(int argc, char **argv)
     cli.declare("prios", "4", "secondary thread priority (0-7)");
     cli.declare("reps", "10", "minimum FAME repetitions");
     cli.parse(argc, argv);
+    if (cli.helpRequested()) {
+        std::fputs(cli.usage(argv[0]).c_str(), stdout);
+        return 0;
+    }
 
     const auto prog_p =
         p5::makeUbench(p5::ubenchFromName(cli.str("pthread")));
@@ -67,4 +72,9 @@ main(int argc, char **argv)
     }
     std::printf("total IPC: %.3f\n", res.totalIpc());
     return 0;
+} catch (const p5::Error &e) {
+    // Every library error (a bad flag, name or configuration) is a
+    // p5::Error carrying its message.
+    std::fprintf(stderr, "fatal: %s\n", e.what());
+    return 1;
 }

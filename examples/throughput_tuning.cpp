@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "common/cli.hh"
+#include "common/log.hh"
 #include "common/table.hh"
 #include "exp/experiments.hh"
 #include "fame/fame.hh"
@@ -19,13 +20,17 @@
 
 int
 main(int argc, char **argv)
-{
+try {
     p5::Cli cli;
     cli.declare("primary", "h264ref",
                 "first workload (h264ref, mcf, applu, equake)");
     cli.declare("secondary", "mcf", "second workload");
     cli.declare("maxdiff", "5", "largest priority difference to try");
     cli.parse(argc, argv);
+    if (cli.helpRequested()) {
+        std::fputs(cli.usage(argv[0]).c_str(), stdout);
+        return 0;
+    }
 
     const auto prog_p = p5::makeSpecProxy(
         p5::specProxyFromName(cli.str("primary")));
@@ -74,4 +79,9 @@ main(int argc, char **argv)
                 bp, bs, best_total,
                 (best_total / base_total - 1.0) * 100.0);
     return 0;
+} catch (const p5::Error &e) {
+    // Every library error (a bad flag, name or configuration) is a
+    // p5::Error carrying its message.
+    std::fprintf(stderr, "fatal: %s\n", e.what());
+    return 1;
 }

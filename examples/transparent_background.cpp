@@ -12,17 +12,22 @@
 #include <iostream>
 
 #include "common/cli.hh"
+#include "common/log.hh"
 #include "common/table.hh"
 #include "fame/fame.hh"
 #include "ubench/ubench.hh"
 
 int
 main(int argc, char **argv)
-{
+try {
     p5::Cli cli;
     cli.declare("foreground", "ldint_mem", "foreground micro-benchmark");
     cli.declare("background", "cpu_int", "background micro-benchmark");
     cli.parse(argc, argv);
+    if (cli.helpRequested()) {
+        std::fputs(cli.usage(argv[0]).c_str(), stdout);
+        return 0;
+    }
 
     const auto fg =
         p5::makeUbench(p5::ubenchFromName(cli.str("foreground")));
@@ -54,4 +59,9 @@ main(int argc, char **argv)
     std::printf("\nA ratio near 1.000 means the background is "
                 "transparent to the foreground.\n");
     return 0;
+} catch (const p5::Error &e) {
+    // Every library error (a bad flag, name or configuration) is a
+    // p5::Error carrying its message.
+    std::fprintf(stderr, "fatal: %s\n", e.what());
+    return 1;
 }

@@ -1,5 +1,6 @@
 #include "ckpt/ckpt.hh"
 
+#include "common/log.hh"
 #include "common/rng.hh"
 
 namespace p5 {
@@ -44,31 +45,24 @@ CkptStore::load(const std::string &warm_key, Checkpoint &out)
 {
     const std::string fp = ckptFingerprintHex(warm_key);
     return area_.load(fp, [&](const std::string &bytes) {
-        JsonValue header;
-        std::string_view payload;
-        if (!parseFrame(bytes, pathFor(fp), "checkpoint", header_magic,
-                        header, payload, nullptr) ||
-            !area_.currentVersions(header))
-            return false;
-        const JsonValue *fp_v = header.find("fingerprint");
-        const JsonValue *key_v = header.find("warmKey");
-        const JsonValue *cycles = header.find("warmCycles");
+        const Frame frame =
+            parseFrame(bytes, pathFor(fp), "checkpoint", header_magic);
+        if (!area_.currentVersions(frame.header))
+            fatal("checkpoint is not at this area's versions");
         // The embedded warm key turns a fingerprint collision (or a
         // misplaced file) into a miss instead of a foreign-state
         // restore.
-        if (!fp_v || !fp_v->isString() || fp_v->asString() != fp ||
-            !key_v || !key_v->isString() ||
-            key_v->asString() != warm_key || !cycles ||
-            !cycles->isInt() ||
-            !checkFramePayload(header, payload, "checkpoint", nullptr))
-            return false;
+        if (frame.header.at("fingerprint").asString() != fp ||
+            frame.header.at("warmKey").asString() != warm_key)
+            fatal("checkpoint holds another warm key's state");
+        const Cycle warm_cycles = frame.header.at("warmCycles").asUint();
+        checkFramePayload(frame, "checkpoint");
         out.warmKey = warm_key;
         out.fingerprint = fp;
-        out.warmCycles = static_cast<Cycle>(cycles->asInt());
+        out.warmCycles = warm_cycles;
         const auto *data =
-            reinterpret_cast<const std::uint8_t *>(payload.data());
-        out.state.assign(data, data + payload.size());
-        return true;
+            reinterpret_cast<const std::uint8_t *>(frame.payload.data());
+        out.state.assign(data, data + frame.payload.size());
     });
 }
 

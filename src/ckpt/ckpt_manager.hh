@@ -25,7 +25,9 @@
  * shared_future per key, first-claimant-computes. Blocking a pool
  * thread on the future cannot deadlock because an entry only exists
  * while (or after) its creator is actively warming on another pool
- * thread.
+ * thread. A claim that fails (warm() or the store throws) hands its
+ * message to every waiting sibling, which fails with it, and releases
+ * the key, so a later caller claims it afresh.
  */
 
 #ifndef P5SIM_CKPT_CKPT_MANAGER_HH
@@ -78,7 +80,8 @@ class CkptManager
      * per area. The first caller claims the key: it loads from the
      * attached store when possible, otherwise runs @p warm inline and
      * publishes (write-through to the store). Later callers block until
-     * the claimant finishes and receive the shared image.
+     * the claimant finishes and receive the shared image, or fatal()
+     * with the message of the claimant's failure.
      *
      * When Acquired.created is true the caller's own core already holds
      * the warm state (warm ran on it) and must NOT restore; otherwise
@@ -101,8 +104,15 @@ class CkptManager
   private:
     using Shared = std::shared_ptr<const Checkpoint>;
 
+    /** What a claim resolves to: the image, or why its warm-up failed. */
+    struct Outcome
+    {
+        Shared ckpt;
+        std::string error; ///< set when ckpt is null
+    };
+
     std::mutex mutex_;
-    std::map<std::string, std::shared_future<Shared>> cache_;
+    std::map<std::string, std::shared_future<Outcome>> cache_;
     CkptStore *store_ = nullptr;
     std::atomic<std::uint64_t> warms_{0};
     std::atomic<std::uint64_t> memForks_{0};

@@ -25,14 +25,6 @@ endsWith(const std::string &text, const std::string &suffix)
                         suffix) == 0;
 }
 
-bool
-failWith(std::string *error, const std::string &why)
-{
-    if (error)
-        *error = why;
-    return false;
-}
-
 /**
  * mkdir -p. A checkpoint area often lives inside a result store that
  * does not exist yet, and --store may name a path several components
@@ -158,98 +150,86 @@ FrameWriter::finish()
 
 namespace {
 
-bool
+JsonValue
 parseFrameHeader(std::string_view line, const std::string &path,
-                 const char *noun, const char *magic, JsonValue &header,
-                 std::string *error)
+                 const char *noun, const char *magic)
 {
+    JsonValue header;
     std::string parse_error;
     if (!tryParseJson(line, header, &parse_error, path))
-        return failWith(error, std::string("bad ") + noun +
-                                   " header: " + parse_error);
+        fatal("bad %s header: %s", noun, parse_error.c_str());
     if (!header.isObject())
-        return failWith(error, std::string(noun) +
-                                   " header is not a JSON object");
+        fatal("%s header is not a JSON object", noun);
     const JsonValue *m = header.find("magic");
     if (!m || !m->isString() || m->asString() != magic)
-        return failWith(error, std::string("not a p5sim ") + noun +
-                                   " (bad magic)");
-    return true;
+        fatal("not a p5sim %s (bad magic)", noun);
+    return header;
 }
 
-std::string
+[[noreturn]] void
 noHeaderLine(const char *noun, const std::string &path)
 {
-    return std::string(noun) + " '" + path + "' has no header line";
+    fatal("%s '%s' has no header line", noun, path.c_str());
 }
 
-std::string
+[[noreturn]] void
 cannotOpen(const char *noun, const std::string &path)
 {
-    return std::string("cannot open ") + noun + " '" + path + "'";
+    fatal("cannot open %s '%s'", noun, path.c_str());
 }
 
 } // namespace
 
-bool
+Frame
 parseFrame(const std::string &blob, const std::string &path,
-           const char *noun, const char *magic, JsonValue &header,
-           std::string_view &payload, std::string *error)
+           const char *noun, const char *magic)
 {
     const std::size_t nl = blob.find('\n');
     if (nl == std::string::npos)
-        return failWith(error, noHeaderLine(noun, path));
-    if (!parseFrameHeader(std::string_view(blob).substr(0, nl), path,
-                          noun, magic, header, error))
-        return false;
-    payload = std::string_view(blob).substr(nl + 1);
-    return true;
+        noHeaderLine(noun, path);
+    return {parseFrameHeader(std::string_view(blob).substr(0, nl), path,
+                             noun, magic),
+            std::string_view(blob).substr(nl + 1)};
 }
 
-bool
+Frame
 readFrame(const std::string &path, const char *noun, const char *magic,
-          std::string &blob, JsonValue &header, std::string_view &payload,
-          std::string *error)
+          std::string &blob)
 {
     if (!readFileBytes(path, blob))
-        return failWith(error, cannotOpen(noun, path));
-    return parseFrame(blob, path, noun, magic, header, payload, error);
+        cannotOpen(noun, path);
+    return parseFrame(blob, path, noun, magic);
 }
 
-bool
+JsonValue
 readFrameHeader(const std::string &path, const char *noun,
-                const char *magic, JsonValue &header, std::string *error)
+                const char *magic)
 {
     std::ifstream is(path, std::ios::binary);
     if (!is)
-        return failWith(error, cannotOpen(noun, path));
+        cannotOpen(noun, path);
     std::string line;
     if (!std::getline(is, line) || line.empty())
-        return failWith(error, noHeaderLine(noun, path));
-    return parseFrameHeader(line, path, noun, magic, header, error);
+        noHeaderLine(noun, path);
+    return parseFrameHeader(line, path, noun, magic);
 }
 
-bool
-checkFramePayload(const JsonValue &header, std::string_view payload,
-                  const char *noun, std::string *error)
+void
+checkFramePayload(const Frame &frame, const char *noun)
 {
-    const JsonValue *bytes = header.find("bytes");
-    const JsonValue *checksum = header.find("checksum");
+    const JsonValue *bytes = frame.header.find("bytes");
+    const JsonValue *checksum = frame.header.find("checksum");
     if (!bytes || !bytes->isInt() || !checksum || !checksum->isString())
-        return failWith(error, std::string(noun) +
-                                   " header has no payload size or "
-                                   "checksum");
-    if (bytes->asInt() != static_cast<std::int64_t>(payload.size()))
-        return failWith(error, std::string(noun) + " payload is " +
-                                   std::to_string(payload.size()) +
-                                   " bytes, header says " +
-                                   std::to_string(bytes->asInt()));
-    const auto *data = reinterpret_cast<const std::uint8_t *>(payload.data());
-    if (hex16(hashBytes(data, payload.size())) !=
+        fatal("%s header has no payload size or checksum", noun);
+    if (bytes->asInt() != static_cast<std::int64_t>(frame.payload.size()))
+        fatal("%s payload is %zu bytes, header says %lld", noun,
+              frame.payload.size(),
+              static_cast<long long>(bytes->asInt()));
+    const auto *data =
+        reinterpret_cast<const std::uint8_t *>(frame.payload.data());
+    if (hex16(hashBytes(data, frame.payload.size())) !=
         checksum->asString())
-        return failWith(error,
-                        std::string(noun) + " payload checksum mismatch");
-    return true;
+        fatal("%s payload checksum mismatch", noun);
 }
 
 // --- file names ----------------------------------------------------------
@@ -361,7 +341,7 @@ ArtifactArea::contains(const std::string &fp) const
 
 bool
 ArtifactArea::load(const std::string &fp,
-                   const std::function<bool(const std::string &)> &accept)
+                   const std::function<void(const std::string &)> &decode)
 {
     std::uint64_t fp_value = 0;
     const bool address = parseHex16(fp, fp_value);
@@ -371,7 +351,9 @@ ArtifactArea::load(const std::string &fp,
         misses_.fetch_add(1);
         return false;
     }
-    if (!accept(bytes)) {
+    try {
+        decode(bytes);
+    } catch (const Error &) {
         // Another thread or process may have quarantined (or replaced)
         // the file already; either way the bad bytes are out of the
         // lookup path, which is all that matters.

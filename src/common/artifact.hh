@@ -98,28 +98,33 @@ class FrameWriter
     std::size_t size_;
 };
 
+/** A parsed frame: its header object and a view of its payload. */
+struct Frame
+{
+    JsonValue header;
+    std::string_view payload;
+};
+
 /**
  * Split @p blob into header and payload and parse the header line: a
- * JSON object whose "magic" member is @p magic. Errors (into @p error)
- * name the artifact as a @p noun, and the file as @p path.
+ * JSON object whose "magic" member is @p magic. Errors are fatal(),
+ * naming the artifact as a @p noun and the file as @p path. The
+ * payload views @p blob.
  */
-bool parseFrame(const std::string &blob, const std::string &path,
-                const char *noun, const char *magic, JsonValue &header,
-                std::string_view &payload, std::string *error);
+Frame parseFrame(const std::string &blob, const std::string &path,
+                 const char *noun, const char *magic);
 
 /** parseFrame over the whole file at @p path (read into @p blob). */
-bool readFrame(const std::string &path, const char *noun,
-               const char *magic, std::string &blob, JsonValue &header,
-               std::string_view &payload, std::string *error);
+Frame readFrame(const std::string &path, const char *noun,
+                const char *magic, std::string &blob);
 
 /** Read and parse only the header line of the frame at @p path. */
-bool readFrameHeader(const std::string &path, const char *noun,
-                     const char *magic, JsonValue &header,
-                     std::string *error);
+JsonValue readFrameHeader(const std::string &path, const char *noun,
+                          const char *magic);
 
-/** Check @p payload against the header's "bytes" and "checksum". */
-bool checkFramePayload(const JsonValue &header, std::string_view payload,
-                       const char *noun, std::string *error);
+/** fatal() unless the payload matches the header's "bytes" and
+ *  "checksum". */
+void checkFramePayload(const Frame &frame, const char *noun);
 
 // --- file names ----------------------------------------------------------
 
@@ -192,11 +197,12 @@ class ArtifactArea
 
     /**
      * The one counted lookup. A malformed address or an absent file is
-     * a miss; otherwise @p accept decodes the bytes, and a file it
-     * rejects is quarantined and reported as a miss.
+     * a miss; otherwise @p decode reads the bytes, and a file it
+     * rejects (by throwing p5::Error) is quarantined and reported as a
+     * miss.
      */
     bool load(const std::string &fp,
-              const std::function<bool(const std::string &)> &accept);
+              const std::function<void(const std::string &)> &decode);
 
     /** Publish @p bytes at address @p fp. */
     void put(const std::string &fp, const std::string &bytes);

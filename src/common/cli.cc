@@ -1,6 +1,5 @@
 #include "common/cli.hh"
 
-#include <cstdio>
 #include <string_view>
 
 #include "common/log.hh"
@@ -46,12 +45,8 @@ Cli::parse(int argc, const char *const *argv)
         arg.remove_prefix(2);
 
         if (arg == "help") {
-            if (!exitOnHelp_) {
-                helpRequested_ = true;
-                continue;
-            }
-            std::fputs(usage(argv[0]).c_str(), stdout);
-            std::exit(0);
+            helpRequested_ = true;
+            continue;
         }
 
         // "--name=value" splits at the first '='; the value may hold

@@ -42,14 +42,12 @@ class Cli
     void declareMulti(const std::string &name, const std::string &help);
 
     /**
-     * Parse argv; fatal() on unknown flags. "--help" prints usage and
-     * exits unless setExitOnHelp(false) was called, in which case
-     * helpRequested() reports it and parsing continues.
+     * Parse argv; fatal() on unknown flags. "--help" sets
+     * helpRequested() and parsing continues; printing usage() is the
+     * caller's move.
      */
     void parse(int argc, const char *const *argv);
 
-    /** In-process help handling for the driver (and its tests). */
-    void setExitOnHelp(bool exit_on_help) { exitOnHelp_ = exit_on_help; }
     bool helpRequested() const { return helpRequested_; }
 
     /**
@@ -96,7 +94,6 @@ class Cli
 
     std::map<std::string, Flag> flags_;
     std::vector<std::string> order_;
-    bool exitOnHelp_ = true;
     bool helpRequested_ = false;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <sstream>
 
@@ -18,7 +19,9 @@ JsonWriter::JsonWriter(std::ostream &os, int indentWidth)
 
 JsonWriter::~JsonWriter()
 {
-    if (!stack_.empty())
+    // Open scopes while an exception unwinds are a document cut short
+    // by the error being reported, not a misuse of the writer.
+    if (!stack_.empty() && std::uncaught_exceptions() == 0)
         panic("JsonWriter destroyed with %zu open scopes", stack_.size());
     if (indentWidth_ >= 0)
         os_ << '\n';
@@ -338,6 +341,15 @@ JsonValue::asInt() const
     return int_;
 }
 
+std::uint64_t
+JsonValue::asUint() const
+{
+    if (asInt() < 0)
+        fatal("JSON integer %lld is negative, expected unsigned",
+              static_cast<long long>(int_));
+    return static_cast<std::uint64_t>(int_);
+}
+
 double
 JsonValue::asDouble() const
 {
@@ -397,6 +409,16 @@ JsonValue::find(std::string_view name) const
         if (m.first == name)
             return &m.second;
     return nullptr;
+}
+
+const JsonValue &
+JsonValue::at(std::string_view name) const
+{
+    const JsonValue *v = find(name);
+    if (!v)
+        fatal("JSON object has no member '%.*s'",
+              static_cast<int>(name.size()), name.data());
+    return *v;
 }
 
 void
@@ -497,15 +519,9 @@ JsonValue::operator==(const JsonValue &other) const
 
 namespace {
 
-/** Internal: carries a parse error to the fatal/non-fatal front-ends. */
-struct JsonParseError
-{
-    std::string message;
-};
-
 /**
- * Recursive-descent JSON parser; every error throws JsonParseError with
- * a line:column position (parseJson() turns that into fatal()).
+ * Recursive-descent JSON parser; every error is fatal() with a
+ * line:column position.
  */
 class JsonParser
 {
@@ -538,11 +554,8 @@ class JsonParser
                 ++col;
             }
         }
-        char buf[512];
-        std::snprintf(buf, sizeof(buf), "%s:%zu:%zu: %s",
-                      where_.empty() ? "<json>" : where_.c_str(), line,
-                      col, what);
-        throw JsonParseError{buf};
+        fatal("%s:%zu:%zu: %s", where_.empty() ? "<json>" : where_.c_str(),
+              line, col, what);
     }
 
     void
@@ -823,11 +836,7 @@ class JsonParser
 JsonValue
 parseJson(std::string_view text, const std::string &where)
 {
-    try {
-        return JsonParser(text, where).parseDocument();
-    } catch (const JsonParseError &e) {
-        fatal("%s", e.message.c_str());
-    }
+    return JsonParser(text, where).parseDocument();
 }
 
 bool
@@ -835,11 +844,11 @@ tryParseJson(std::string_view text, JsonValue &out, std::string *error,
              const std::string &where)
 {
     try {
-        out = JsonParser(text, where).parseDocument();
+        out = parseJson(text, where);
         return true;
-    } catch (const JsonParseError &e) {
+    } catch (const Error &e) {
         if (error)
-            *error = e.message;
+            *error = e.what();
         return false;
     }
 }

@@ -41,7 +41,10 @@ class JsonWriter
   public:
     explicit JsonWriter(std::ostream &os, int indentWidth = 2);
 
-    /** All containers must be closed by the time this runs. */
+    /**
+     * All containers must be closed by the time this runs, unless an
+     * exception is unwinding through the document.
+     */
     ~JsonWriter();
 
     JsonWriter &beginObject();
@@ -134,6 +137,7 @@ class JsonValue
     /** Typed accessors; fatal() on kind mismatch. */
     bool asBool() const;
     std::int64_t asInt() const;       ///< Int only
+    std::uint64_t asUint() const;     ///< non-negative Int only
     double asDouble() const;          ///< Int or Double
     const std::string &asString() const;
 
@@ -160,6 +164,9 @@ class JsonValue
 
     /** Member lookup; nullptr when absent. fatal() unless isObject(). */
     const JsonValue *find(std::string_view name) const;
+
+    /** Member lookup; fatal() when absent or unless isObject(). */
+    const JsonValue &at(std::string_view name) const;
 
     /** Append to an array; fatal() unless isArray(). */
     void append(JsonValue v);
@@ -200,10 +207,9 @@ JsonValue parseJson(std::string_view text, const std::string &where = "");
 JsonValue parseJsonFile(const std::string &path);
 
 /**
- * Non-fatal parse for untrusted input (e.g. store files that may have
- * been truncated by a killed writer). Returns false on malformed input
- * with the position-annotated message in @p error; @p out is
- * unspecified on failure.
+ * parseJson() as a bool: false on malformed input with the
+ * position-annotated message in @p error; @p out is unspecified on
+ * failure.
  */
 bool tryParseJson(std::string_view text, JsonValue &out,
                   std::string *error = nullptr,

@@ -67,16 +67,9 @@ fatal(const char *fmt, ...)
 {
     va_list ap;
     va_start(ap, fmt);
-    emit("fatal", fmt, ap);
+    std::string message = detail::vformat(fmt, ap);
     va_end(ap);
-    std::exit(1);
-}
-
-void
-fatalOn(const std::string &error)
-{
-    if (!error.empty())
-        fatal("%s", error.c_str());
+    throw Error(message);
 }
 
 void

@@ -3,7 +3,7 @@
  * Logging and error-reporting helpers in the gem5 style.
  *
  * panic()  — internal simulator bug; aborts.
- * fatal()  — user/configuration error; exits with status 1.
+ * fatal()  — user/configuration error; throws p5::Error.
  * warn()   — suspicious but non-fatal condition.
  * inform() — status message.
  *
@@ -15,9 +15,22 @@
 
 #include <cstdarg>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 namespace p5 {
+
+/**
+ * What fatal() throws: a user or input error, carrying the message and
+ * printing nothing. driverMain turns it into "fatal: <msg>" and exit
+ * code 1; callers that recover (serve, store lookups, trace check, the
+ * job runner and the checkpoint manager) catch it. DESIGN "Errors".
+ */
+class Error : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /** Verbosity control: messages below this level are suppressed. */
 enum class LogLevel { Silent = 0, Fatal = 1, Warn = 2, Inform = 3 };
@@ -32,12 +45,9 @@ LogLevel logLevel();
 [[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Report an unrecoverable user error and exit(1). */
+/** Report a user or input error: throw p5::Error with the message. */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/** fatal() with @p error unless it is empty (a try-form's fatal twin). */
-void fatalOn(const std::string &error);
 
 /** Report a suspicious condition; execution continues. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -53,16 +53,6 @@ StatGroup::hasSeries(const std::string &series_name) const
     return series_.count(series_name) != 0;
 }
 
-std::vector<std::string>
-StatGroup::seriesNames() const
-{
-    std::vector<std::string> out;
-    out.reserve(series_.size());
-    for (const auto &kv : series_)
-        out.push_back(kv.first);
-    return out;
-}
-
 const std::vector<double> &
 StatGroup::series(const std::string &series_name) const
 {

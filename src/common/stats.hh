@@ -75,9 +75,6 @@ class StatGroup
     /** True iff a series named @p series_name is registered. */
     bool hasSeries(const std::string &series_name) const;
 
-    /** All registered series names, sorted. */
-    std::vector<std::string> seriesNames() const;
-
     /** Read a series by name; fatal() if unknown. */
     const std::vector<double> &series(const std::string &series_name) const;
 

@@ -99,13 +99,6 @@ parseValue(const std::string &text, double &out)
     return parseError("a number", text, parseFloat64(text, out));
 }
 
-std::string
-unknownKey(const ConfigTree &tree, const std::string &path)
-{
-    return "unknown config key '" + path + "'; did you mean '" +
-           tree.suggest(path) + "'?";
-}
-
 } // namespace
 
 ConfigTree::ConfigTree(ExpConfig &config) : config_(config)
@@ -421,15 +414,16 @@ ConfigTree::requireField(const std::string &path) const
 {
     const Field *f = findField(path);
     if (!f)
-        fatal("%s", unknownKey(*this, path).c_str());
+        fatal("unknown config key '%s'; did you mean '%s'?", path.c_str(),
+              suggest(path).c_str());
     return *f;
 }
 
-std::string
+void
 ConfigTree::assign(const Field &f, const std::string &text)
 {
-    const std::string error = f.set(text);
-    return error.empty() ? error : "config key '" + f.path + "' " + error;
+    if (const std::string error = f.set(text); !error.empty())
+        fatal("config key '%s' %s", f.path.c_str(), error.c_str());
 }
 
 std::string
@@ -438,32 +432,19 @@ ConfigTree::get(const std::string &path) const
     return requireField(path).get();
 }
 
-std::string
-ConfigTree::trySet(const std::string &path, const std::string &value)
-{
-    const Field *f = findField(path);
-    return f ? assign(*f, value) : unknownKey(*this, path);
-}
-
 void
 ConfigTree::set(const std::string &path, const std::string &value)
 {
-    fatalOn(trySet(path, value));
-}
-
-std::string
-ConfigTree::tryApplyOverride(const std::string &assignment)
-{
-    const auto eq = assignment.find('=');
-    if (eq == std::string::npos || eq == 0)
-        return "expected key=value, got '" + assignment + "'";
-    return trySet(assignment.substr(0, eq), assignment.substr(eq + 1));
+    assign(requireField(path), value);
 }
 
 void
 ConfigTree::applyOverride(const std::string &assignment)
 {
-    fatalOn(tryApplyOverride(assignment));
+    const auto eq = assignment.find('=');
+    if (eq == std::string::npos || eq == 0)
+        fatal("expected key=value, got '%s'", assignment.c_str());
+    set(assignment.substr(0, eq), assignment.substr(eq + 1));
 }
 
 std::string
@@ -570,9 +551,9 @@ ConfigTree::loadObject(const JsonValue &node, const std::string &prefix)
         if (!kind_ok)
             fatal("config key '%s' expects a JSON %s", path.c_str(),
                   kind_names[static_cast<int>(f.kind)]);
-        fatalOn(assign(f, v.isString() ? v.asString()
-                          : v.isBool() ? valueText(v.asBool())
-                                       : v.numberText()));
+        assign(f, v.isString() ? v.asString()
+                  : v.isBool() ? valueText(v.asBool())
+                               : v.numberText());
     }
 }
 
@@ -675,8 +656,8 @@ ConfigTree::stampTag()
     config_.warmTag = warmFingerprintHex();
 }
 
-std::string
-ConfigTree::tryValidate() const
+void
+ConfigTree::validate() const
 {
     // Trace path/fingerprint coherence: the fingerprint is derived
     // whenever the path is assigned, so a mismatch means the file
@@ -684,48 +665,35 @@ ConfigTree::tryValidate() const
     // hand) — either way the identity is a lie and must not propagate
     // into job keys. Checked before the set(get()) roundtrip below,
     // which re-derives the fingerprint and would mask the mismatch.
-    auto checkTrace = [](const std::string &path_key,
-                         const std::string &path, const std::string &fp_key,
-                         const std::string &fp) -> std::string {
-        if (path.empty())
-            return fp.empty()
-                       ? ""
-                       : "config key '" + fp_key + "' is set but '" +
-                             path_key + "' is empty: a trace fingerprint "
-                             "without a trace is meaningless";
-        TraceHeader h;
-        std::string error;
-        if (!tryReadTraceHeader(path, h, &error))
-            return error;
-        const std::string actual = h.fingerprint();
+    auto checkTrace = [](const char *path_key, const std::string &path,
+                         const char *fp_key, const std::string &fp) {
+        if (path.empty()) {
+            if (!fp.empty())
+                fatal("config key '%s' is set but '%s' is empty: a trace "
+                      "fingerprint without a trace is meaningless",
+                      fp_key, path_key);
+            return;
+        }
+        const std::string actual = readTraceHeader(path).fingerprint();
         if (fp != actual)
-            return "config key '" + fp_key + "' = '" + fp +
-                   "' does not match trace '" + path + "' (fingerprint " +
-                   actual + "): the file changed since it was keyed";
-        return "";
+            fatal("config key '%s' = '%s' does not match trace '%s' "
+                  "(fingerprint %s): the file changed since it was keyed",
+                  fp_key, fp.c_str(), path.c_str(), actual.c_str());
     };
-    if (std::string e = checkTrace("workload.trace", config_.workloadTrace,
-                                   "workload.trace_fingerprint",
-                                   config_.workloadTraceFp);
-        !e.empty())
-        return e;
-    if (std::string e = checkTrace("workload.trace_secondary",
-                                   config_.workloadTraceSecondary,
-                                   "workload.trace_secondary_fingerprint",
-                                   config_.workloadTraceSecondaryFp);
-        !e.empty())
-        return e;
+    checkTrace("workload.trace", config_.workloadTrace,
+               "workload.trace_fingerprint", config_.workloadTraceFp);
+    checkTrace("workload.trace_secondary", config_.workloadTraceSecondary,
+               "workload.trace_secondary_fingerprint",
+               config_.workloadTraceSecondaryFp);
     // Per-field ranges were enforced at set time; re-check them here so
     // a config mutated directly through the structs is covered too
     // (chip.num_cores, a positive fame.maiv and a non-empty
     // exp.benchmarks are such ranges).
     for (const Field &f : fields_)
-        if (std::string e = assign(f, f.get()); !e.empty())
-            return e;
+        assign(f, f.get());
     // Cross-field invariants.
-    if (std::string e = config_.core.tryValidate(); !e.empty())
-        return e;
-    return config_.sched.tryValidate();
+    config_.core.validate();
+    config_.sched.validate();
 }
 
 

@@ -11,7 +11,8 @@
  * A binding is a path, a help line, an identity flag, a JSON kind and
  * two closures: get() renders the field's canonical text and
  * set(text) parses, range-checks and assigns it, returning why it
- * refused instead of exiting. Everything else derives from those:
+ * refused ("" when it took the value). Everything else derives from
+ * those:
  *
  *  - JSON save/load (nested objects mirroring the dotted paths): save
  *    writes get()'s text as the field's JSON kind; load checks the
@@ -19,9 +20,9 @@
  *    fatal, suggesting the nearest valid path;
  *  - "--set key=value" overrides, sweep axes and the serve protocol's
  *    fingerprint queries go through the same set(), so every surface
- *    shares one parser and one range check per field. set() and
- *    applyOverride() are fatal for the CLI; trySet() and
- *    tryApplyOverride() return the message for callers that recover;
+ *    shares one parser and one range check per field. set(),
+ *    applyOverride() and validate() fatal() (throw p5::Error) with
+ *    the message; serve catches it and answers {"error": ...};
  *  - a canonical rendering of all *identity* fields — the ones that can
  *    change a simulation's outcome — and a stable SplitMix64
  *    fingerprint over it. The fingerprint is folded into every SimJob
@@ -45,7 +46,6 @@
 #include <vector>
 
 #include "common/json.hh"
-#include "common/log.hh"
 #include "exp/experiments.hh"
 
 namespace p5 {
@@ -86,20 +86,14 @@ class ConfigTree
     std::string get(const std::string &path) const;
 
     /**
-     * Parse @p value and assign it to @p path. Returns "" on success,
-     * else the reason (an unknown path names the nearest match; a
-     * malformed or out-of-range value names the path and the value),
-     * leaving the field unchanged.
+     * Parse @p value and assign it to @p path. fatal() with the reason
+     * (an unknown path names the nearest match; a malformed or
+     * out-of-range value names the path and the value), leaving the
+     * field unchanged.
      */
-    std::string trySet(const std::string &path, const std::string &value);
-
-    /** trySet(), fatal on error (the CLI's entry point). */
     void set(const std::string &path, const std::string &value);
 
-    /** trySet() of one "path=value" assignment. */
-    std::string tryApplyOverride(const std::string &assignment);
-
-    /** Apply one "--set" assignment "path=value"; fatal on error. */
+    /** set() of one "--set" assignment "path=value". */
     void applyOverride(const std::string &assignment);
 
     /** Nearest bound path to @p path by edit distance ("" if none). */
@@ -170,13 +164,10 @@ class ConfigTree
     void stampTag();
 
     /**
-     * Range-check every field plus the cross-field struct checks:
-     * "" when the config is sound, else the first reason.
+     * Range-check every field plus the cross-field struct checks;
+     * fatal() with the first reason.
      */
-    std::string tryValidate() const;
-
-    /** tryValidate(), fatal on error (the CLI's entry point). */
-    void validate() const { fatalOn(tryValidate()); }
+    void validate() const;
 
   private:
     /** How a field's text is written to (and checked in) JSON. */
@@ -202,8 +193,8 @@ class ConfigTree
     const Field &requireField(const std::string &path) const;
     void loadObject(const JsonValue &node, const std::string &prefix);
 
-    /** f.set(text), its error prefixed with the field's path. */
-    static std::string assign(const Field &f, const std::string &text);
+    /** f.set(text); fatal() with its error prefixed by the path. */
+    static void assign(const Field &f, const std::string &text);
 
     /** @p header's schema line, then each (warm) identity path=value. */
     std::string identityLines(const char *header, bool warm) const;

@@ -24,34 +24,30 @@ CoreParams::fuOccupancy(OpClass oc) const
     }
 }
 
-std::string
-CoreParams::tryValidate() const
+void
+CoreParams::validate() const
 {
-    using std::to_string;
     if (decodeWidth <= 0 || decodeWidth > 8)
-        return "decodeWidth " + to_string(decodeWidth) + " out of range";
+        fatal("decodeWidth %d out of range", decodeWidth);
     if (minoritySlotWidth <= 0 || minoritySlotWidth > decodeWidth)
-        return "minoritySlotWidth must be in [1, decodeWidth]";
+        fatal("minoritySlotWidth must be in [1, decodeWidth]");
     if (groupSize <= 0 || groupSize > decodeWidth)
-        return "groupSize " + to_string(groupSize) +
-               " must be in [1, decodeWidth]";
+        fatal("groupSize %d must be in [1, decodeWidth]", groupSize);
     if (gctGroups <= 1)
-        return "gctGroups " + to_string(gctGroups) + " too small";
+        fatal("gctGroups %d too small", gctGroups);
     if (lmqEntries <= 0)
-        return "lmqEntries " + to_string(lmqEntries) + " must be positive";
+        fatal("lmqEntries %d must be positive", lmqEntries);
     if (mispredictPenalty < 0)
-        return "mispredictPenalty must be >= 0";
+        fatal("mispredictPenalty must be >= 0");
     for (int fc = 0; fc < static_cast<int>(FuClass::None); ++fc)
         if (fuCount[fc] <= 0)
-            return std::string("fuCount[") +
-                   fuClassName(static_cast<FuClass>(fc)) +
-                   "] must be positive";
+            fatal("fuCount[%s] must be positive",
+                  fuClassName(static_cast<FuClass>(fc)));
     if (balancer.gctShareThreshold <= 0.0 ||
         balancer.gctShareThreshold > 1.0)
-        return "balancer.gctShareThreshold must be in (0, 1]";
+        fatal("balancer.gctShareThreshold must be in (0, 1]");
     if (balancer.lmqThreshold <= 0 || balancer.lmqThreshold > lmqEntries)
-        return "balancer.lmqThreshold must be in [1, lmqEntries]";
-    return {};
+        fatal("balancer.lmqThreshold must be in [1, lmqEntries]");
 }
 
 } // namespace p5

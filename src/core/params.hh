@@ -11,7 +11,6 @@
 
 #include "branch/bht.hh"
 #include "common/annotate.hh"
-#include "common/log.hh"
 #include "isa/op_class.hh"
 #include "mem/hierarchy.hh"
 
@@ -153,11 +152,8 @@ struct P5_CONFIG_STRUCT CoreParams
     HierarchyParams mem;
     BhtParams bht;
 
-    /** Sanity-check the configuration: "" when sound, else the reason. */
-    std::string tryValidate() const;
-
-    /** tryValidate(), fatal on error. */
-    void validate() const { fatalOn(tryValidate()); }
+    /** Sanity-check the configuration; fatal() with the reason. */
+    void validate() const;
 };
 
 } // namespace p5

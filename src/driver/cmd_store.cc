@@ -148,7 +148,7 @@ gcScan(const std::string &dir, std::vector<GcCandidate> &out)
  *
  * Unknown commands, unknown config keys, malformed or out-of-range
  * values (e.g. "fingerprint core.decode_width=8x"), overrides that
- * break a cross-field invariant (ConfigTree::tryValidate) and absent
+ * break a cross-field invariant (ConfigTree::validate) and absent
  * fingerprints are error replies, not process exits — a prober must
  * survive its own typos.
  */
@@ -260,13 +260,12 @@ cmdServe(const Cli &cli, DriverContext &ctx, ExpConfig &base)
             // configurations.
             ExpConfig cfg = base;
             ConfigTree tree(cfg);
-            std::string error;
-            for (std::size_t i = 1; i < tokens.size() && error.empty(); ++i)
-                error = tree.tryApplyOverride(tokens[i]);
-            if (error.empty())
-                error = tree.tryValidate();
-            if (!error.empty()) {
-                serveError(out, error);
+            try {
+                for (std::size_t i = 1; i < tokens.size(); ++i)
+                    tree.applyOverride(tokens[i]);
+                tree.validate();
+            } catch (const Error &e) {
+                serveError(out, e.what());
                 continue;
             }
             tree.stampTag();

@@ -60,15 +60,15 @@ int
 cmdTraceCheck(const Cli &cli, DriverContext &ctx, ExpConfig &)
 {
     const std::string &path = ctx.operand;
-    std::unique_ptr<TraceProgram> prog;
-    std::string why;
-    if (tryLoadTrace(path, prog, &why)) {
+    try {
+        const std::unique_ptr<TraceProgram> prog = loadTrace(path);
         *ctx.out << "trace check: " << path << " ok (" << prog->records()
                  << " records, fingerprint "
                  << prog->header().fingerprint() << ")\n";
         return 0;
+    } catch (const Error &e) {
+        *ctx.err << "trace check: " << path << ": " << e.what() << "\n";
     }
-    *ctx.err << "trace check: " << path << ": " << why << "\n";
     // A missing file is a miss, not a corrupt artifact.
     if (!cli.boolean("keep") && fileExists(path))
         quarantineTrace(path); // warns with the .bad name

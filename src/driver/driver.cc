@@ -368,10 +368,9 @@ checkWritable(const std::string &path)
         std::remove(path.c_str());
 }
 
-} // namespace
-
+/** driverMain's body: dispatch, flags, config and the subcommand. */
 int
-driverMain(int argc, const char *const *argv, std::ostream &out,
+runCommand(int argc, const char *const *argv, std::ostream &out,
            std::ostream &err, std::istream &in)
 {
     if (argc < 2) {
@@ -412,7 +411,6 @@ driverMain(int argc, const char *const *argv, std::ostream &out,
         else
             cli.declareMulti(flag.name, flag.help);
     }
-    cli.setExitOnHelp(false);
     std::vector<const char *> args;
     args.push_back(argv[0]);
     args.insert(args.end(), argv + next, argv + argc);
@@ -475,6 +473,21 @@ driverMain(int argc, const char *const *argv, std::ostream &out,
         err << "\n";
     }
     return rc;
+}
+
+} // namespace
+
+int
+driverMain(int argc, const char *const *argv, std::ostream &out,
+           std::ostream &err, std::istream &in)
+{
+    // The one place an error becomes an exit code.
+    try {
+        return runCommand(argc, argv, out, err, in);
+    } catch (const Error &e) {
+        err << "fatal: " << e.what() << "\n";
+        return 1;
+    }
 }
 
 } // namespace p5

@@ -20,9 +20,11 @@ namespace p5 {
 /**
  * Entry point of the p5sim binary: argv[1] (with argv[2] for a verb
  * such as "trace dump") selects the subcommand, the rest are its
- * operand and flags. Returns the process exit code; all user errors
- * are fatal() (exit 1) like the rest of the CLI surface. @p in feeds
- * the serve subcommand's line protocol (tests inject a stringstream).
+ * operand and flags. Returns the process exit code. It is the one
+ * place an error becomes one: a p5::Error (what fatal() throws) from
+ * any step is written to @p err as "fatal: <msg>" and returns 1. @p in
+ * feeds the serve subcommand's line protocol (tests inject a
+ * stringstream).
  */
 int driverMain(int argc, const char *const *argv,
                std::ostream &out = std::cout,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <numeric>
 
 #include "common/log.hh"
@@ -122,7 +123,20 @@ SimRunner::run(const std::vector<SimJob> &batch,
     }
 
     static const StoreProvenance no_provenance;
-    auto executeOne = [this](Pending &p) {
+    // The first failure ends the batch: every claim not yet started is
+    // abandoned with that exception instead of running, so one bad
+    // input does not wait for the rest of the batch to simulate.
+    std::mutex failure_mutex;
+    std::exception_ptr failure;
+    auto executeOne = [&](Pending &p) {
+        {
+            std::lock_guard<std::mutex> lock(failure_mutex);
+            if (failure) {
+                cache_->abandon(p.key);
+                p.claim.promise->set_exception(failure);
+                return;
+            }
+        }
         try {
             // Beneath the in-process cache: a stored result satisfies
             // the claim without simulating (read-through), and a fresh
@@ -144,6 +158,9 @@ SimRunner::run(const std::vector<SimJob> &batch,
             // batch's caller through the future.
             cache_->abandon(p.key);
             p.claim.promise->set_exception(std::current_exception());
+            std::lock_guard<std::mutex> lock(failure_mutex);
+            if (!failure)
+                failure = std::current_exception();
         }
     };
 
@@ -161,7 +178,7 @@ SimRunner::run(const std::vector<SimJob> &batch,
                 claimed.push_back(p.job);
             // executeOne never throws (it settles every promise), and
             // the pool's destructor drains its FIFO queue, so the jobs
-            // start in dispatch order and have all finished at the
+            // start in dispatch order and have all been settled at the
             // closing brace.
             ThreadPool pool(workers);
             for (std::size_t i : dispatchOrder(claimed)) {
@@ -170,11 +187,13 @@ SimRunner::run(const std::vector<SimJob> &batch,
             }
         }
     }
+    if (failure)
+        std::rethrow_exception(failure);
 
     std::vector<SimResult> results;
     results.reserve(batch.size());
     for (auto &future : futures)
-        results.push_back(future.get()); // rethrows job exceptions
+        results.push_back(future.get()); // rethrows a failed duplicate
     return results;
 }
 

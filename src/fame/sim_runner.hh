@@ -117,8 +117,10 @@ class SimRunner
 
     /**
      * Execute @p batch and return results in batch order. Every unique
-     * key is executed at most once (per process, via the cache); an
-     * exception from a job is rethrown here after the batch drains.
+     * key is executed at most once (per process, via the cache). The
+     * first job to throw ends the batch: jobs already running finish,
+     * every claimed job not yet started is abandoned with that
+     * exception, and it is rethrown here.
      *
      * @p provenance, when given, must parallel @p batch; entry i is
      * stamped into the store file of batch[i] (write-through only).

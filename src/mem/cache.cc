@@ -9,9 +9,9 @@ namespace p5 {
 
 namespace {
 
-/** Set count of @p params; fatal() on a bad geometry. */
-std::uint64_t
-validatedSets(const CacheParams &params)
+/** The line array of @p params; fatal() on a bad geometry. */
+LruArray
+makeLines(const CacheParams &params)
 {
     if (params.sizeBytes == 0 || params.assoc <= 0 || params.lineBytes <= 0)
         fatal("cache '%s': bad geometry", params.name.c_str());
@@ -26,19 +26,17 @@ validatedSets(const CacheParams &params)
     if (!std::has_single_bit(sets))
         fatal("cache '%s': set count must be a power of two",
               params.name.c_str());
-    return sets;
+    // Both the line size and the set count are powers of two, so the
+    // array's shifts equal the divide formula exactly.
+    const auto line_bytes = static_cast<std::uint64_t>(params.lineBytes);
+    return LruArray(sets, params.assoc, std::countr_zero(line_bytes),
+                    std::countr_zero(sets * line_bytes));
 }
 
 } // namespace
 
-// Both the line size and the set count are powers of two, so the
-// array's shifts equal the divide formula exactly.
 Cache::Cache(const CacheParams &params)
-    : params_(params), numSets_(validatedSets(params)),
-      lines_(numSets_, params.assoc,
-             std::countr_zero(static_cast<std::uint64_t>(params.lineBytes)),
-             std::countr_zero(numSets_ *
-                              static_cast<std::uint64_t>(params.lineBytes)))
+    : params_(params), lines_(makeLines(params))
 {
 }
 

@@ -75,7 +75,6 @@ class Cache
     Cycle reserveService(Cycle now, Cycle ready);
 
     const CacheParams &params() const { return params_; }
-    std::uint64_t numSets() const { return numSets_; }
 
     std::uint64_t hits() const { return lines_.hits(); }
     std::uint64_t misses() const { return lines_.misses(); }
@@ -94,7 +93,6 @@ class Cache
 
   private:
     CacheParams params_;
-    std::uint64_t numSets_;
     LruArray lines_;
     Cycle nextFree_ = 0;
 };

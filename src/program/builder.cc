@@ -202,12 +202,6 @@ ProgramBuilder::prioNop(int or_reg)
     return *this;
 }
 
-std::size_t
-ProgramBuilder::currentBodySize() const
-{
-    return phases_.empty() ? 0 : phases_.back().body.size();
-}
-
 SyntheticProgram
 ProgramBuilder::build()
 {

@@ -81,9 +81,6 @@ class ProgramBuilder
     ProgramBuilder &nop();
     ProgramBuilder &prioNop(int or_reg);
 
-    /** Number of instructions appended to the current phase body. */
-    std::size_t currentBodySize() const;
-
     /** Finalize. The builder must not be reused afterwards. */
     SyntheticProgram build();
 

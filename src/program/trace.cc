@@ -39,45 +39,34 @@ unzigzag(std::uint64_t v)
            -static_cast<std::int64_t>(v & 1);
 }
 
-/** Bounds-checked payload cursor; every read reports underrun. */
+/** Bounds-checked payload cursor; every read fatal()s on underrun. */
 struct ByteReader
 {
     const std::uint8_t *data;
     std::size_t size;
     std::size_t pos = 0;
 
-    bool
-    u8(std::uint8_t &out)
+    std::uint8_t
+    u8()
     {
         if (pos >= size)
-            return false;
-        out = data[pos++];
-        return true;
+            fatal("trace payload truncated");
+        return data[pos++];
     }
 
-    bool
-    varint(std::uint64_t &out)
+    std::uint64_t
+    varint()
     {
-        out = 0;
+        std::uint64_t out = 0;
         for (int shift = 0; shift < 64; shift += 7) {
-            std::uint8_t byte = 0;
-            if (!u8(byte))
-                return false;
+            const std::uint8_t byte = u8();
             out |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
             if (!(byte & 0x80))
-                return true;
+                return out;
         }
-        return false; // > 10 continuation bytes: malformed
+        fatal("trace payload truncated"); // > 10 continuation bytes
     }
 };
-
-bool
-failLoad(std::string *error, const std::string &why)
-{
-    if (error)
-        *error = why;
-    return false;
-}
 
 /** Source-register wire encoding: 0 none, even = producer distance,
  *  odd = literal live-in register. */
@@ -93,79 +82,67 @@ encodeSrc(RegIndex reg, const std::vector<SeqNum> &producer_of,
     return ((static_cast<std::uint64_t>(reg) + 1) << 1) | 1;
 }
 
-bool
+RegIndex
 decodeSrc(std::uint64_t wire, const std::vector<PredecodedInstr> &table,
-          std::uint64_t idx, RegIndex &out, std::string *error)
+          std::uint64_t idx)
 {
-    if (wire == 0) {
-        out = invalid_reg;
-        return true;
-    }
+    if (wire == 0)
+        return invalid_reg;
     const std::uint64_t payload = wire >> 1;
     if (wire & 1) { // literal live-in register
         if (payload == 0 ||
             payload > static_cast<std::uint64_t>(num_arch_regs))
-            return failLoad(error, "source register out of range");
-        out = static_cast<RegIndex>(payload - 1);
-        return true;
+            fatal("source register out of range");
+        return static_cast<RegIndex>(payload - 1);
     }
     // Backward distance to the producer record.
     if (payload == 0 || payload > idx)
-        return failLoad(error, "dependence distance out of bounds");
+        fatal("dependence distance out of bounds");
     const RegIndex dst =
         table[static_cast<std::size_t>(idx - payload)].proto.dst;
     if (dst == invalid_reg)
-        return failLoad(error,
-                        "dependence distance points at a non-producer");
-    out = dst;
-    return true;
+        fatal("dependence distance points at a non-producer");
+    return dst;
 }
 
 std::uint64_t
-headerU64(const JsonValue &hdr, const char *field, bool &ok)
+headerU64(const JsonValue &hdr, const char *field)
 {
     const JsonValue *v = hdr.find(field);
-    if (!v || !v->isInt() || v->asInt() < 0) {
-        ok = false;
-        return 0;
-    }
+    if (!v || !v->isInt() || v->asInt() < 0)
+        fatal("trace header has a bad count field");
     return static_cast<std::uint64_t>(v->asInt());
 }
 
 /** Decode and validate the trace members of a frame header. */
-bool
-decodeHeader(const JsonValue &hdr, TraceHeader &out, std::string *error)
+TraceHeader
+decodeHeader(const JsonValue &hdr)
 {
     const JsonValue *version = hdr.find("version");
     if (!version || !version->isInt() ||
         version->asInt() != trace_format_version)
-        return failLoad(error, "unsupported trace format version");
+        fatal("unsupported trace format version");
     const JsonValue *name = hdr.find("name");
     if (!name || !name->isString() || name->asString().empty())
-        return failLoad(error, "trace header has no name");
+        fatal("trace header has no name");
 
     TraceHeader h;
     h.name = name->asString();
-    bool ok = true;
-    h.instrsPerExecution = headerU64(hdr, "instrsPerExecution", ok);
-    h.records = headerU64(hdr, "records", ok);
-    h.executions = headerU64(hdr, "executions", ok);
-    h.bytes = headerU64(hdr, "bytes", ok);
-    if (!ok)
-        return failLoad(error, "trace header has a bad count field");
+    h.instrsPerExecution = headerU64(hdr, "instrsPerExecution");
+    h.records = headerU64(hdr, "records");
+    h.executions = headerU64(hdr, "executions");
+    h.bytes = headerU64(hdr, "bytes");
     const JsonValue *checksum = hdr.find("checksum");
     if (!checksum || !checksum->isString() ||
         !parseHex16(checksum->asString(), h.checksum))
-        return failLoad(error, "trace header has a bad checksum field");
+        fatal("trace header has a bad checksum field");
 
     if (h.instrsPerExecution == 0 || h.executions == 0 ||
         h.records == 0)
-        return failLoad(error, "trace header has a zero count");
+        fatal("trace header has a zero count");
     if (h.records != h.executions * h.instrsPerExecution)
-        return failLoad(error,
-                        "trace records != executions * instrsPerExecution");
-    out = h;
-    return true;
+        fatal("trace records != executions * instrsPerExecution");
+    return h;
 }
 
 } // namespace
@@ -267,114 +244,66 @@ dumpTrace(const InstrSource &source, std::uint64_t executions,
     publishFile(path, frame.finish(), "trace");
 }
 
-bool
-tryReadTraceHeader(const std::string &path, TraceHeader &out,
-                   std::string *error)
-{
-    JsonValue hdr;
-    return readFrameHeader(path, "trace", trace_magic, hdr, error) &&
-           decodeHeader(hdr, out, error);
-}
-
 TraceHeader
 readTraceHeader(const std::string &path)
 {
-    TraceHeader h;
-    std::string error;
-    if (!tryReadTraceHeader(path, h, &error))
-        fatal("%s", error.c_str());
-    return h;
+    return decodeHeader(readFrameHeader(path, "trace", trace_magic));
 }
 
-bool
-tryLoadTrace(const std::string &path,
-             std::unique_ptr<TraceProgram> &out, std::string *error)
+std::unique_ptr<TraceProgram>
+loadTrace(const std::string &path)
 {
     std::string blob;
-    JsonValue hdr;
-    std::string_view frame_payload;
-    TraceHeader h;
-    if (!readFrame(path, "trace", trace_magic, blob, hdr, frame_payload,
-                   error) ||
-        !decodeHeader(hdr, h, error) ||
-        !checkFramePayload(hdr, frame_payload, "trace", error))
-        return false;
-    const auto *payload =
-        reinterpret_cast<const std::uint8_t *>(frame_payload.data());
-    const std::size_t payload_size = frame_payload.size();
+    const Frame frame = readFrame(path, "trace", trace_magic, blob);
+    const TraceHeader h = decodeHeader(frame.header);
+    checkFramePayload(frame, "trace");
 
     std::vector<PredecodedInstr> table;
     table.reserve(static_cast<std::size_t>(h.records));
-    ByteReader r{payload, payload_size};
+    ByteReader r{reinterpret_cast<const std::uint8_t *>(frame.payload.data()),
+                 frame.payload.size()};
     Addr prev_pc = 0;
     Addr prev_addr = 0;
     for (std::uint64_t i = 0; i < h.records; ++i) {
-        std::uint8_t op_byte = 0;
-        std::uint64_t dst = 0, src0 = 0, src1 = 0;
-        if (!r.u8(op_byte) || !r.varint(dst) || !r.varint(src0) ||
-            !r.varint(src1))
-            return failLoad(error, "trace payload truncated");
+        const std::uint8_t op_byte = r.u8();
+        const std::uint64_t dst = r.varint();
+        const std::uint64_t src0 = r.varint();
+        const std::uint64_t src1 = r.varint();
         const std::uint8_t op_raw = op_byte & 0x7f;
         if (op_raw >= static_cast<std::uint8_t>(OpClass::NumOpClasses))
-            return failLoad(error, "trace record has a bad op class");
+            fatal("trace record has a bad op class");
         const auto op = static_cast<OpClass>(op_raw);
         if ((op_byte & 0x80) && op != OpClass::Branch)
-            return failLoad(error,
-                            "taken bit set on a non-branch record");
+            fatal("taken bit set on a non-branch record");
         if (dst > static_cast<std::uint64_t>(num_arch_regs))
-            return failLoad(error,
-                            "destination register out of range");
+            fatal("destination register out of range");
 
         PredecodedInstr ps;
         ps.proto.op = op;
         ps.proto.dst =
             dst == 0 ? invalid_reg : static_cast<RegIndex>(dst - 1);
         ps.proto.branchTaken = (op_byte & 0x80) != 0;
-        if (!decodeSrc(src0, table, i, ps.proto.src0, error) ||
-            !decodeSrc(src1, table, i, ps.proto.src1, error))
-            return false;
+        ps.proto.src0 = decodeSrc(src0, table, i);
+        ps.proto.src1 = decodeSrc(src1, table, i);
         if (op == OpClass::PrioNop) {
-            std::uint64_t prio_reg = 0;
-            if (!r.varint(prio_reg))
-                return failLoad(error, "trace payload truncated");
+            const std::uint64_t prio_reg = r.varint();
             if (prio_reg >= static_cast<std::uint64_t>(num_arch_regs))
-                return failLoad(error,
-                                "PrioNop register out of range");
+                fatal("PrioNop register out of range");
             ps.proto.prioNopReg = static_cast<int>(prio_reg);
         }
-        std::uint64_t pc_delta = 0;
-        if (!r.varint(pc_delta))
-            return failLoad(error, "trace payload truncated");
-        ps.proto.pc =
-            prev_pc + static_cast<Addr>(unzigzag(pc_delta));
+        ps.proto.pc = prev_pc + static_cast<Addr>(unzigzag(r.varint()));
         prev_pc = ps.proto.pc;
         if (isMemOp(op)) {
-            std::uint64_t addr_delta = 0;
-            if (!r.varint(addr_delta))
-                return failLoad(error, "trace payload truncated");
             ps.proto.addr =
-                prev_addr + static_cast<Addr>(unzigzag(addr_delta));
+                prev_addr + static_cast<Addr>(unzigzag(r.varint()));
             prev_addr = ps.proto.addr;
         }
         table.push_back(ps);
     }
     if (r.pos != r.size)
-        return failLoad(error,
-                        "trace payload has trailing bytes after the "
-                        "last record");
+        fatal("trace payload has trailing bytes after the last record");
 
-    out = std::make_unique<TraceProgram>(h, std::move(table));
-    return true;
-}
-
-std::unique_ptr<TraceProgram>
-loadTrace(const std::string &path)
-{
-    std::unique_ptr<TraceProgram> prog;
-    std::string error;
-    if (!tryLoadTrace(path, prog, &error))
-        fatal("%s", error.c_str());
-    return prog;
+    return std::make_unique<TraceProgram>(h, std::move(table));
 }
 
 std::string

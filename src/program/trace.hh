@@ -118,25 +118,15 @@ void dumpTrace(const InstrSource &source, std::uint64_t executions,
 
 /**
  * Header-only read (cheap: first line, no payload decode or checksum).
- * Returns false with a reason in @p error on any validation failure.
+ * fatal() with the reason on any validation failure.
  */
-bool tryReadTraceHeader(const std::string &path, TraceHeader &out,
-                        std::string *error = nullptr);
-
-/** tryReadTraceHeader that fatal()s with the reason. */
 TraceHeader readTraceHeader(const std::string &path);
 
 /**
  * Full validated load: header, payload size, checksum, and per-record
  * bounds (op class, register indices, dependence distances pointing at
- * real producers). Returns false with a reason in @p error; @p out is
- * untouched on failure.
+ * real producers). fatal() with the reason on any failure.
  */
-bool tryLoadTrace(const std::string &path,
-                  std::unique_ptr<TraceProgram> &out,
-                  std::string *error = nullptr);
-
-/** tryLoadTrace that fatal()s with the reason. */
 std::unique_ptr<TraceProgram> loadTrace(const std::string &path);
 
 /**

@@ -32,16 +32,15 @@ allocPolicyFromName(const std::string &name)
           name.c_str());
 }
 
-std::string
-SchedParams::tryValidate() const
+void
+SchedParams::validate() const
 {
     if (quantum < 256)
-        return "SchedParams::quantum " + std::to_string(quantum) +
-               " too small (min 256 cycles)";
+        fatal("SchedParams::quantum %llu too small (min 256 cycles)",
+              static_cast<unsigned long long>(quantum));
     if (historyQuanta < 1 || historyQuanta > 64)
-        return "SchedParams::historyQuanta " +
-               std::to_string(historyQuanta) + " out of range [1, 64]";
-    return {};
+        fatal("SchedParams::historyQuanta %d out of range [1, 64]",
+              historyQuanta);
 }
 
 } // namespace p5

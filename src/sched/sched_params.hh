@@ -12,7 +12,6 @@
 #include "common/types.hh"
 
 #include "common/annotate.hh"
-#include "common/log.hh"
 
 namespace p5 {
 
@@ -54,11 +53,8 @@ struct P5_CONFIG_STRUCT SchedParams
     /** Per-thread counter samples the allocator may look back over. */
     int historyQuanta = 4;
 
-    /** "" when every value is in range, else the reason. */
-    std::string tryValidate() const;
-
-    /** tryValidate(), fatal on error. */
-    void validate() const { fatalOn(tryValidate()); }
+    /** fatal() unless every value is in range. */
+    void validate() const;
 };
 
 } // namespace p5

@@ -7,63 +7,18 @@ namespace p5 {
 
 namespace {
 
-// --- non-fatal JsonValue readers ---------------------------------------
-//
-// JsonValue's asInt()/asString() accessors are fatal() on kind
-// mismatch, which is right for config files (the user must fix them)
-// and wrong for store files (the store must quarantine them). These
-// helpers probe kind first and report failure through their return
-// value.
-
-const JsonValue *
-member(const JsonValue &obj, const char *name)
-{
-    if (!obj.isObject())
-        return nullptr;
-    return obj.find(name);
-}
-
-bool
-readU64(const JsonValue &obj, const char *name, std::uint64_t &out)
-{
-    const JsonValue *v = member(obj, name);
-    if (!v || !v->isInt() || v->asInt() < 0)
-        return false;
-    out = static_cast<std::uint64_t>(v->asInt());
-    return true;
-}
-
-bool
-readBool(const JsonValue &obj, const char *name, bool &out)
-{
-    const JsonValue *v = member(obj, name);
-    if (!v || !v->isBool())
-        return false;
-    out = v->asBool();
-    return true;
-}
-
-bool
-readDouble(const JsonValue &obj, const char *name, double &out)
-{
-    const JsonValue *v = member(obj, name);
-    if (!v || !v->isNumber())
-        return false;
-    out = v->asDouble();
-    return true;
-}
-
 // A full-range uint64 (e.g. the SplitMix64 rngSeed) is stored as a
 // decimal string. That form predates the parser keeping a wide
 // integer's digits (JsonValue::numberText()) and stays because it is
 // the stored documents' schema: a JSON number would change every file.
-bool
-readU64String(const JsonValue &obj, const char *name, std::uint64_t &out)
+std::uint64_t
+readU64String(const JsonValue &v)
 {
-    const JsonValue *v = member(obj, name);
-    if (!v || !v->isString())
-        return false;
-    return parseUint64(v->asString(), out) == ParseStatus::Ok;
+    std::uint64_t out = 0;
+    if (parseUint64(v.asString(), out) != ParseStatus::Ok)
+        fatal("stored value '%s' is not an unsigned integer",
+              v.asString().c_str());
+    return out;
 }
 
 void
@@ -88,27 +43,26 @@ writeFame(JsonWriter &w, const FameResult &fame)
     w.endObject();
 }
 
-bool
-readFame(const JsonValue &node, FameResult &out)
+FameResult
+readFame(const JsonValue &node)
 {
-    if (!readU64(node, "totalCycles", out.totalCycles) ||
-        !readBool(node, "converged", out.converged) ||
-        !readBool(node, "hitCycleLimit", out.hitCycleLimit))
-        return false;
-    const JsonValue *threads = member(node, "threads");
-    if (!threads || !threads->isArray() ||
-        threads->elements().size() != out.thread.size())
-        return false;
+    FameResult out;
+    out.totalCycles = node.at("totalCycles").asUint();
+    out.converged = node.at("converged").asBool();
+    out.hitCycleLimit = node.at("hitCycleLimit").asBool();
+    const std::vector<JsonValue> &threads = node.at("threads").elements();
+    if (threads.size() != out.thread.size())
+        fatal("stored result has %zu threads, expected %zu",
+              threads.size(), out.thread.size());
     for (std::size_t i = 0; i < out.thread.size(); ++i) {
-        const JsonValue &t = threads->elements()[i];
+        const JsonValue &t = threads[i];
         ThreadMeasurement &m = out.thread[i];
-        if (!readBool(t, "present", m.present) ||
-            !readU64(t, "executions", m.executions) ||
-            !readU64(t, "accountedCycles", m.accountedCycles) ||
-            !readU64(t, "accountedInstrs", m.accountedInstrs))
-            return false;
+        m.present = t.at("present").asBool();
+        m.executions = t.at("executions").asUint();
+        m.accountedCycles = t.at("accountedCycles").asUint();
+        m.accountedInstrs = t.at("accountedInstrs").asUint();
     }
-    return true;
+    return out;
 }
 
 void
@@ -122,13 +76,15 @@ writePipeline(JsonWriter &w, const PipelineResult &pipe)
     w.endObject();
 }
 
-bool
-readPipeline(const JsonValue &node, PipelineResult &out)
+PipelineResult
+readPipeline(const JsonValue &node)
 {
-    return readDouble(node, "fftCycles", out.fftCycles) &&
-           readDouble(node, "luCycles", out.luCycles) &&
-           readDouble(node, "iterationCycles", out.iterationCycles) &&
-           readBool(node, "hitCycleLimit", out.hitCycleLimit);
+    PipelineResult out;
+    out.fftCycles = node.at("fftCycles").asDouble();
+    out.luCycles = node.at("luCycles").asDouble();
+    out.iterationCycles = node.at("iterationCycles").asDouble();
+    out.hitCycleLimit = node.at("hitCycleLimit").asBool();
+    return out;
 }
 
 } // namespace
@@ -200,30 +156,20 @@ writeSimResult(JsonWriter &w, const SimResult &result)
     w.endObject();
 }
 
-bool
-readSimResult(const JsonValue &node, SimResult &out)
+SimResult
+readSimResult(const JsonValue &node)
 {
-    const JsonValue *kind = member(node, "kind");
-    if (!kind || !kind->isString() ||
-        !simJobKindFromName(kind->asString(), out.kind) ||
-        !storableKind(out.kind))
-        return false;
-    if (!readU64String(node, "rngSeed", out.rngSeed))
-        return false;
-    switch (out.kind) {
-      case SimJobKind::FamePair: {
-        const JsonValue *fame = member(node, "fame");
-        return fame && readFame(*fame, out.fame);
-      }
-      case SimJobKind::PipelineSingleThread:
-      case SimJobKind::PipelineSmt: {
-        const JsonValue *pipe = member(node, "pipeline");
-        return pipe && readPipeline(*pipe, out.pipeline);
-      }
-      case SimJobKind::AllocMix:
-        break;
-    }
-    return false;
+    SimResult out;
+    const std::string &kind = node.at("kind").asString();
+    if (!simJobKindFromName(kind, out.kind) || !storableKind(out.kind))
+        fatal("stored result has kind '%s', not a storable job kind",
+              kind.c_str());
+    out.rngSeed = readU64String(node.at("rngSeed"));
+    if (out.kind == SimJobKind::FamePair)
+        out.fame = readFame(node.at("fame"));
+    else
+        out.pipeline = readPipeline(node.at("pipeline"));
+    return out;
 }
 
 } // namespace p5

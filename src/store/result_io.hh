@@ -8,11 +8,10 @@
  * produced — derived values (avgIpc, avgExecTime) are recomputed from
  * the same integers and therefore agree to the last bit.
  *
- * Reading is strictly non-fatal: a store file may have been truncated
- * by a killed writer or corrupted on disk, and the store's contract is
- * to quarantine such files and re-simulate, never to bring the process
- * down. readSimResult() therefore validates every member's presence
- * and kind and returns false on the first mismatch.
+ * A store file may have been truncated by a killed writer or
+ * corrupted on disk. readSimResult() validates every member's presence
+ * and kind and fatal()s on the first mismatch; the store catches that
+ * error, quarantines the file and re-simulates.
  *
  * AllocMix results are not storable: they carry an unbounded per-
  * quantum log whose faithful round-trip would dominate the store, and
@@ -43,11 +42,10 @@ bool storableKind(SimJobKind kind);
 void writeSimResult(JsonWriter &w, const SimResult &result);
 
 /**
- * Reconstruct a SimResult from @p node. Returns false (leaving @p out
- * unspecified) on any missing member, kind mismatch or non-storable
- * kind; never fatal.
+ * Reconstruct a SimResult from @p node. fatal() on any missing member,
+ * kind mismatch or non-storable kind.
  */
-bool readSimResult(const JsonValue &node, SimResult &out);
+SimResult readSimResult(const JsonValue &node);
 
 } // namespace p5
 

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/log.hh"
 #include "common/rng.hh"
 #include "store/result_io.hh"
 
@@ -48,10 +49,13 @@ ResultStore::contains(const SimJob &job) const
     return storableKind(job.kind) && area_.contains(fingerprintHex(job));
 }
 
-bool
-ResultStore::parseDoc(const std::string &bytes, JsonValue &out) const
+JsonValue
+ResultStore::parseDoc(const std::string &bytes) const
 {
-    return tryParseJson(bytes, out) && area_.currentVersions(out);
+    JsonValue doc = parseJson(bytes);
+    if (!area_.currentVersions(doc))
+        fatal("store document is not at this store's versions");
+    return doc;
 }
 
 bool
@@ -61,16 +65,12 @@ ResultStore::load(const SimJob &job, SimResult &out)
     const std::string fp =
         storableKind(job.kind) ? fingerprintHex(job) : std::string();
     return area_.load(fp, [&](const std::string &bytes) {
-        JsonValue doc;
-        if (!parseDoc(bytes, doc))
-            return false;
+        const JsonValue doc = parseDoc(bytes);
         // The embedded canonical key turns a fingerprint collision (or
         // a hand-misplaced file) into a miss instead of a wrong result.
-        const JsonValue *job_key = doc.find("jobKey");
-        const JsonValue *result = doc.find("result");
-        return job_key && job_key->isString() &&
-               job_key->asString() == job.key() && result &&
-               readSimResult(*result, out);
+        if (doc.at("jobKey").asString() != job.key())
+            fatal("store document holds another job's result");
+        out = readSimResult(doc.at("result"));
     });
 }
 
@@ -106,7 +106,7 @@ bool
 ResultStore::loadRaw(const std::string &fp_hex, JsonValue &out)
 {
     return area_.load(fp_hex, [&](const std::string &bytes) {
-        return parseDoc(bytes, out);
+        out = parseDoc(bytes);
     });
 }
 

@@ -123,7 +123,7 @@ class ResultStore
 
   private:
     /** Parse @p bytes as a store document of this store's versions. */
-    bool parseDoc(const std::string &bytes, JsonValue &out) const;
+    JsonValue parseDoc(const std::string &bytes) const;
 
     ArtifactArea area_;
 };

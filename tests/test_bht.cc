@@ -7,6 +7,7 @@
 
 #include "branch/bht.hh"
 #include "common/rng.hh"
+#include "test_helpers.hh"
 
 namespace p5 {
 namespace {
@@ -104,8 +105,7 @@ TEST(Bht, StatsCount)
 
 TEST(BhtDeath, NonPow2IsFatal)
 {
-    EXPECT_EXIT({ Bht bht(BhtParams{100}); },
-                ::testing::ExitedWithCode(1), "power of two");
+    EXPECT_FATAL({ Bht bht(BhtParams{100}); }, "power of two");
 }
 
 } // namespace

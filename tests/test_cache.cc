@@ -11,6 +11,7 @@
 #include "common/rng.hh"
 #include "lru_reference.hh"
 #include "mem/cache.hh"
+#include "test_helpers.hh"
 
 namespace p5 {
 namespace {
@@ -116,15 +117,13 @@ TEST(Cache, FutureReservationDoesNotBlockPresent)
 TEST(CacheDeath, BadGeometryIsFatal)
 {
     CacheParams p{"bad", 0, 4, 64, 1, 1};
-    EXPECT_EXIT({ Cache c(p); }, ::testing::ExitedWithCode(1),
-                "bad geometry");
+    EXPECT_FATAL({ Cache c(p); }, "bad geometry");
 }
 
 TEST(CacheDeath, NonPow2LineIsFatal)
 {
     CacheParams p{"bad", 512, 2, 48, 1, 1};
-    EXPECT_EXIT({ Cache c(p); }, ::testing::ExitedWithCode(1),
-                "power of two");
+    EXPECT_FATAL({ Cache c(p); }, "power of two");
 }
 
 // Property: a working set that fits is fully resident after one pass,

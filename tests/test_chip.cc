@@ -45,11 +45,9 @@ TEST(ChipN, CoreCountValidated)
 {
     ChipParams params;
     params.numCores = 0;
-    EXPECT_EXIT(Chip{params}, ::testing::ExitedWithCode(1),
-                "out of range");
+    EXPECT_FATAL(Chip{params}, "out of range");
     params.numCores = max_cores + 1;
-    EXPECT_EXIT(Chip{params}, ::testing::ExitedWithCode(1),
-                "out of range");
+    EXPECT_FATAL(Chip{params}, "out of range");
 }
 
 TEST(ChipN, CompatConstructorIsDualCore)

@@ -12,11 +12,14 @@
 
 #include <sys/stat.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <dirent.h>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -31,6 +34,7 @@
 #include "exp/experiments.hh"
 #include "fame/fame.hh"
 #include "fame/sim_job.hh"
+#include "test_helpers.hh"
 #include "ubench/ubench.hh"
 
 namespace p5 {
@@ -167,8 +171,7 @@ TEST(WarmKey, NonFameJobsAreFatal)
 {
     PipelineParams pp;
     const SimJob job = SimJob::pipelineSmt(pp, CoreParams{});
-    EXPECT_EXIT(job.warmKey(), ::testing::ExitedWithCode(1),
-                "non-FAME");
+    EXPECT_FATAL(job.warmKey(), "non-FAME");
 }
 
 TEST(WarmKey, ConfigWarmFingerprintExcludesMeasurementKnobs)
@@ -445,20 +448,75 @@ TEST(CkptStoreDeath, ForeignConfigSchemaIsRefused)
         os << "{\n  \"ckptVersion\": " << ckpt_format_version
            << ",\n  \"schemaVersion\": 99\n}\n";
     }
-    EXPECT_EXIT(CkptStore store(dir), ::testing::ExitedWithCode(1),
-                "schema");
+    EXPECT_FATAL(CkptStore store(dir), "schema");
 }
 
 TEST(CkptManagerDeath, CheckpointCreatedUnderTheWrongKeyIsFatal)
 {
     CkptManager mgr;
-    EXPECT_EXIT(mgr.acquire("warm|key-a",
-                            []() -> Checkpoint {
-                                Checkpoint ck;
-                                ck.warmKey = "warm|key-b";
-                                return ck;
-                            }),
-                ::testing::ExitedWithCode(1), "claimed as");
+    EXPECT_FATAL(mgr.acquire("warm|key-a",
+                             []() -> Checkpoint {
+                                 Checkpoint ck;
+                                 ck.warmKey = "warm|key-b";
+                                 return ck;
+                             }),
+                 "claimed as");
+}
+
+/**
+ * A claimant whose warm-up throws hands its error to every sibling
+ * blocked on the key and frees the key: a later claim warms afresh
+ * instead of inheriting a broken promise.
+ */
+TEST(CkptManager, ConcurrentWarmFailureReachesSiblingsAndReleasesTheKey)
+{
+    CkptManager mgr;
+    const std::string key = "warm|fails-once";
+    std::atomic<bool> warming{false};
+    std::atomic<int> waiting{0};
+    std::thread claimant([&] {
+        EXPECT_FATAL(mgr.acquire(key,
+                                 [&]() -> Checkpoint {
+                                     warming = true;
+                                     while (waiting.load() < 2)
+                                         std::this_thread::yield();
+                                     // Let both siblings reach the key.
+                                     std::this_thread::sleep_for(
+                                         std::chrono::milliseconds(100));
+                                     throw Error("boom");
+                                 }),
+                     "^boom$");
+    });
+    std::vector<std::string> errors(2);
+    std::vector<std::thread> siblings;
+    for (std::string &error : errors)
+        siblings.emplace_back([&] {
+            while (!warming.load())
+                std::this_thread::yield();
+            ++waiting;
+            try {
+                mgr.acquire(key, []() -> Checkpoint {
+                    ADD_FAILURE() << "a sibling claimed the key";
+                    return {};
+                });
+            } catch (const std::exception &e) {
+                error = e.what();
+            }
+        });
+    claimant.join();
+    for (std::thread &t : siblings)
+        t.join();
+    for (const std::string &error : errors)
+        EXPECT_EQ(error, "boom");
+    EXPECT_EQ(mgr.memForks(), 0u);
+
+    const CkptManager::Acquired again = mgr.acquire(key, [&] {
+        Checkpoint ck;
+        ck.warmKey = key;
+        return ck;
+    });
+    EXPECT_TRUE(again.created);
+    EXPECT_EQ(mgr.warms(), 1u);
 }
 
 // --- checker re-arm ----------------------------------------------------
@@ -708,45 +766,42 @@ TEST(CkptDeath, RestoreIntoADifferentGeometryIsFatal)
 
     CoreParams bht;
     bht.bht.entries /= 2;
-    EXPECT_EXIT(restoreInto(image, bht), ::testing::ExitedWithCode(1),
-                "checkpoint geometry mismatch: BHT counters is 16384 in "
-                "the stream but 8192 in the restoring core");
+    EXPECT_FATAL(restoreInto(image, bht),
+                 "checkpoint geometry mismatch: BHT counters is 16384 in "
+                 "the stream but 8192 in the restoring core");
 
     CoreParams fu;
     ++fu.fuCount[0];
-    EXPECT_EXIT(restoreInto(image, fu), ::testing::ExitedWithCode(1),
-                "checkpoint geometry mismatch: FU units is 2 in the stream "
-                "but 3 in the restoring core");
+    EXPECT_FATAL(restoreInto(image, fu),
+                 "checkpoint geometry mismatch: FU units is 2 in the stream "
+                 "but 3 in the restoring core");
 
     CoreParams window;
     window.gctGroups /= 2;
-    EXPECT_EXIT(restoreInto(image, window), ::testing::ExitedWithCode(1),
-                "checkpoint geometry mismatch: window capacity is");
+    EXPECT_FATAL(restoreInto(image, window),
+                 "checkpoint geometry mismatch: window capacity is");
 }
 
 TEST(CkptDeath, ThreadAttachmentMismatchIsFatal)
 {
     const std::vector<std::uint8_t> image = smallImage();
-    EXPECT_EXIT(restoreInto(image, CoreParams{}, false),
-                ::testing::ExitedWithCode(1),
-                "checkpoint thread-attachment mismatch on thread 1");
+    EXPECT_FATAL(restoreInto(image, CoreParams{}, false),
+                 "checkpoint thread-attachment mismatch on thread 1");
 }
 
 TEST(CkptDeath, TruncatedStreamUnderruns)
 {
     std::vector<std::uint8_t> image = smallImage();
     image.resize(image.size() / 2);
-    EXPECT_EXIT(restoreInto(image, CoreParams{}),
-                ::testing::ExitedWithCode(1), "checkpoint blob underrun");
+    EXPECT_FATAL(restoreInto(image, CoreParams{}), "checkpoint blob underrun");
 }
 
 TEST(CkptDeath, TrailingBytesAreFatal)
 {
     std::vector<std::uint8_t> image = smallImage();
     image.push_back(0);
-    EXPECT_EXIT(restoreInto(image, CoreParams{}),
-                ::testing::ExitedWithCode(1),
-                "checkpoint blob has 1 trailing bytes");
+    EXPECT_FATAL(restoreInto(image, CoreParams{}),
+                 "checkpoint blob has 1 trailing bytes");
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "test_helpers.hh"
 
 namespace p5 {
 namespace {
@@ -147,8 +148,7 @@ TEST(Stats, GroupDumpFormat)
 TEST(StatsDeath, UnknownStatIsFatal)
 {
     StatGroup g("test");
-    EXPECT_EXIT(g.value("nope"), ::testing::ExitedWithCode(1),
-                "unknown stat");
+    EXPECT_FATAL(g.value("nope"), "unknown stat");
 }
 
 // --- table -------------------------------------------------------------
@@ -233,8 +233,7 @@ TEST(CliDeath, UnknownFlagIsFatal)
     Cli cli;
     cli.declare("known", "0", "");
     const char *argv[] = {"prog", "--unknown=1"};
-    EXPECT_EXIT(cli.parse(2, argv), ::testing::ExitedWithCode(1),
-                "unknown flag");
+    EXPECT_FATAL(cli.parse(2, argv), "unknown flag");
 }
 
 TEST(CliDeath, BadIntegerIsFatal)
@@ -243,8 +242,7 @@ TEST(CliDeath, BadIntegerIsFatal)
     cli.declare("n", "0", "");
     const char *argv[] = {"prog", "--n=abc"};
     cli.parse(2, argv);
-    EXPECT_EXIT(cli.integer("n"), ::testing::ExitedWithCode(1),
-                "expects an integer");
+    EXPECT_FATAL(cli.integer("n"), "expects an integer");
 }
 
 TEST(CliDeath, IntegerRejectsTrailingGarbageRangeAndEmpty)
@@ -257,8 +255,7 @@ TEST(CliDeath, IntegerRejectsTrailingGarbageRangeAndEmpty)
         const std::string arg = std::string("--n=") + text;
         const char *argv[] = {"prog", arg.c_str()};
         cli.parse(2, argv);
-        EXPECT_EXIT(cli.integer("n"), ::testing::ExitedWithCode(1),
-                    "expects an integer")
+        EXPECT_FATAL(cli.integer("n"), "expects an integer")
             << text;
     };
     expectFatalInteger("8x");
@@ -277,8 +274,7 @@ TEST(CliDeath, RealRejectsTrailingGarbageAndOverflow)
         const std::string arg = std::string("--r=") + text;
         const char *argv[] = {"prog", arg.c_str()};
         cli.parse(2, argv);
-        EXPECT_EXIT(cli.real("r"), ::testing::ExitedWithCode(1),
-                    "expects a number")
+        EXPECT_FATAL(cli.real("r"), "expects a number")
             << text;
     };
     expectFatalReal("1.5x");
@@ -301,16 +297,15 @@ TEST(CliDeath, ABareValuedFlagNeedsAValue)
         cli->parse(static_cast<int>(args.size()), args.data());
         return cli;
     };
-    EXPECT_EXIT(parsed({"--json"})->str("json"),
-                ::testing::ExitedWithCode(1), "flag '--json' needs a value");
-    EXPECT_EXIT(parsed({"--json", "--fast"})->str("json"),
-                ::testing::ExitedWithCode(1), "flag '--json' needs a value");
-    EXPECT_EXIT(parsed({"--n"})->integer("n"),
-                ::testing::ExitedWithCode(1), "flag '--n' needs a value");
-    EXPECT_EXIT(parsed({"--r", "--fast"})->real("r"),
-                ::testing::ExitedWithCode(1), "flag '--r' needs a value");
-    EXPECT_EXIT(parsed({"--set=a=1", "--set"})->list("set"),
-                ::testing::ExitedWithCode(1), "flag '--set' needs a value");
+    EXPECT_FATAL(parsed({"--json"})->str("json"),
+                 "flag '--json' needs a value");
+    EXPECT_FATAL(parsed({"--json", "--fast"})->str("json"),
+                 "flag '--json' needs a value");
+    EXPECT_FATAL(parsed({"--n"})->integer("n"), "flag '--n' needs a value");
+    EXPECT_FATAL(parsed({"--r", "--fast"})->real("r"),
+                 "flag '--r' needs a value");
+    EXPECT_FATAL(parsed({"--set=a=1", "--set"})->list("set"),
+                 "flag '--set' needs a value");
 
     // A bare boolean is still true, and an explicit value (even the
     // text "true") is a value.
@@ -350,8 +345,7 @@ TEST(CliDeath, BareDoubleDashIsAnUnknownFlag)
     Cli cli;
     cli.declare("known", "0", "");
     const char *argv[] = {"prog", "--", "value"};
-    EXPECT_EXIT(cli.parse(3, argv), ::testing::ExitedWithCode(1),
-                "unknown flag '--' ");
+    EXPECT_FATAL(cli.parse(3, argv), "unknown flag '--' ");
 }
 
 TEST(Parse, StatusCoversTheFailureTaxonomy)
@@ -468,6 +462,21 @@ TEST(Json, DoublesRoundTripExactly)
         w.value(0.1234567890123456789);
     }
     EXPECT_EQ(std::stod(os.str()), 0.1234567890123456789);
+}
+
+/** A document cut short by an error unwinds without a panic. */
+TEST(Json, OpenScopesDoNotPanicWhileAnErrorUnwinds)
+{
+    std::ostringstream os;
+    EXPECT_FATAL(
+        {
+            JsonWriter w(os);
+            w.beginObject();
+            w.key("data");
+            fatal("payload failed after %d members", 1);
+        },
+        "^payload failed after 1 members$");
+    EXPECT_EQ(os.str(), "{\n  \"data\": \n");
 }
 
 } // namespace

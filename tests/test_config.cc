@@ -17,6 +17,7 @@
 #include "config/config.hh"
 #include "exp/experiments.hh"
 #include "program/trace.hh"
+#include "test_helpers.hh"
 #include "ubench/ubench.hh"
 
 namespace p5 {
@@ -94,31 +95,24 @@ TEST(JsonValue, DumpReparsesToEqualTree)
 
 TEST(JsonValue, ParseErrorsAreFatalWithPosition)
 {
-    EXPECT_EXIT(parseJson("{\"a\": }", "doc"),
-                ::testing::ExitedWithCode(1), "doc:1:7");
-    EXPECT_EXIT(parseJson("[1, 2", "doc"), ::testing::ExitedWithCode(1),
-                "doc");
-    EXPECT_EXIT(parseJson("{\"a\": 1, \"a\": 2}"),
-                ::testing::ExitedWithCode(1), "duplicate");
+    EXPECT_FATAL(parseJson("{\"a\": }", "doc"), "doc:1:7");
+    EXPECT_FATAL(parseJson("[1, 2", "doc"), "doc");
+    EXPECT_FATAL(parseJson("{\"a\": 1, \"a\": 2}"), "duplicate");
 }
 
 TEST(JsonValue, TrailingGarbageIsFatal)
 {
-    EXPECT_EXIT(parseJson("1 2"), ::testing::ExitedWithCode(1), "");
+    EXPECT_FATAL(parseJson("1 2"), "");
 }
 
 TEST(JsonValue, MalformedNumbersAreFatalWithTheOffendingToken)
 {
     // Leading zeros are rejected (the shared integer parser would read
     // them as octal, silently changing the value).
-    EXPECT_EXIT(parseJson("010", "doc"), ::testing::ExitedWithCode(1),
-                "invalid number '010'");
-    EXPECT_EXIT(parseJson("-010", "doc"), ::testing::ExitedWithCode(1),
-                "invalid number '-010'");
-    EXPECT_EXIT(parseJson("1.2.3", "doc"), ::testing::ExitedWithCode(1),
-                "invalid number '1.2.3'");
-    EXPECT_EXIT(parseJson("1e", "doc"), ::testing::ExitedWithCode(1),
-                "invalid number '1e'");
+    EXPECT_FATAL(parseJson("010", "doc"), "invalid number '010'");
+    EXPECT_FATAL(parseJson("-010", "doc"), "invalid number '-010'");
+    EXPECT_FATAL(parseJson("1.2.3", "doc"), "invalid number '1.2.3'");
+    EXPECT_FATAL(parseJson("1e", "doc"), "invalid number '1e'");
     // Sane numbers are untouched by the strict path.
     EXPECT_EQ(parseJson("0").asInt(), 0);
     EXPECT_EQ(parseJson("-0").asInt(), 0);
@@ -338,8 +332,7 @@ TEST(ConfigTree, ApplyOverrideParsesAssignments)
     ConfigTree tree(config);
     tree.applyOverride("core.gct_groups=32");
     EXPECT_EQ(config.core.gctGroups, 32);
-    EXPECT_EXIT(tree.applyOverride("no-equals-sign"),
-                ::testing::ExitedWithCode(1), "key=value");
+    EXPECT_FATAL(tree.applyOverride("no-equals-sign"), "key=value");
 }
 
 TEST(ConfigTree, LargestSeedSurvivesSaveAndLoad)
@@ -377,57 +370,63 @@ TEST(ConfigTree, JsonValueOfTheWrongKindIsFatalNamingTheKey)
          "config key 'exp.benchmarks' expects a JSON string"},
     };
     for (const auto &[doc, message] : cases)
-        EXPECT_EXIT(tree.loadString(doc, "kind"),
-                    ::testing::ExitedWithCode(1), message)
+        EXPECT_FATAL(tree.loadString(doc, "kind"), message)
             << doc;
     // The right kind with a bad value gets the text parser's message.
-    EXPECT_EXIT(tree.loadString("{\"exp\": {\"seed\": -1}}", "kind"),
-                ::testing::ExitedWithCode(1),
-                "config key 'exp.seed' expects an unsigned integer");
+    EXPECT_FATAL(tree.loadString("{\"exp\": {\"seed\": -1}}", "kind"),
+                 "config key 'exp.seed' expects an unsigned integer");
 }
 
 TEST(ConfigTree, TrySetReturnsTheErrorAndKeepsTheValue)
 {
     ExpConfig config;
     ConfigTree tree(config);
+    // The exact message a refused set() or applyOverride() throws ("" when
+    // it took the value).
+    auto setError = [&](const char *path, const char *value) {
+        return test::fatalMessage([&] { tree.set(path, value); });
+    };
+    auto overrideError = [&](const char *assignment) {
+        return test::fatalMessage([&] { tree.applyOverride(assignment); });
+    };
     const int lmq = config.core.lmqEntries;
-    EXPECT_EQ(tree.trySet("core.lmq_entries", "abc"),
+    EXPECT_EQ(setError("core.lmq_entries", "abc"),
               "config key 'core.lmq_entries' expects an integer, got "
               "'abc' (not a number (or trailing garbage))");
-    EXPECT_EQ(tree.trySet("core.lmq_entries", "99"),
+    EXPECT_EQ(setError("core.lmq_entries", "99"),
               "config key 'core.lmq_entries' = 99 out of range [1, 64]");
-    EXPECT_EQ(tree.trySet("core.lmq_entries", "99999999999"),
+    EXPECT_EQ(setError("core.lmq_entries", "99999999999"),
               "config key 'core.lmq_entries' = 99999999999 out of range "
               "[1, 64]");
     EXPECT_EQ(config.core.lmqEntries, lmq);
-    EXPECT_EQ(tree.trySet("fame.maiv", "2"),
+    EXPECT_EQ(setError("fame.maiv", "2"),
               "config key 'fame.maiv' = 2 out of range [1e-06, 1]");
-    EXPECT_EQ(tree.trySet("core.fast_forward", "maybe"),
+    EXPECT_EQ(setError("core.fast_forward", "maybe"),
               "config key 'core.fast_forward' expects a boolean, got "
               "'maybe'");
-    EXPECT_EQ(tree.trySet("core.balancer.action", "explode"),
+    EXPECT_EQ(setError("core.balancer.action", "explode"),
               "config key 'core.balancer.action' expects 'stall' or "
               "'flush', got 'explode'");
-    EXPECT_EQ(tree.trySet("sched.policy", "fifo"),
+    EXPECT_EQ(setError("sched.policy", "fifo"),
               "config key 'sched.policy' expects 'pinned', 'random' or "
               "'symbiosis', got 'fifo'");
-    EXPECT_EQ(tree.trySet("workload.trace_fingerprint", "ABCDEF0123456789"),
+    EXPECT_EQ(setError("workload.trace_fingerprint", "ABCDEF0123456789"),
               "config key 'workload.trace_fingerprint' = "
               "'ABCDEF0123456789' is not a 16-digit lowercase hex "
               "fingerprint");
-    EXPECT_EQ(tree.trySet("exp.benchmarks", "cpu_int,nope"),
+    EXPECT_EQ(setError("exp.benchmarks", "cpu_int,nope"),
               "config key 'exp.benchmarks' names unknown "
               "micro-benchmark 'nope'");
     EXPECT_EQ(config.benchmarks, presentedUbench());
-    EXPECT_EQ(tree.trySet("core.decode_widht", "4"),
+    EXPECT_EQ(setError("core.decode_widht", "4"),
               "unknown config key 'core.decode_widht'; did you mean "
               "'core.decode_width'?");
-    EXPECT_EQ(tree.tryApplyOverride("no-equals-sign"),
+    EXPECT_EQ(overrideError("no-equals-sign"),
               "expected key=value, got 'no-equals-sign'");
 
-    EXPECT_EQ(tree.tryApplyOverride("core.lmq_entries=16"), "");
+    EXPECT_EQ(overrideError("core.lmq_entries=16"), "");
     EXPECT_EQ(config.core.lmqEntries, 16);
-    EXPECT_EQ(tree.trySet("sched.policy", "random"), "");
+    EXPECT_EQ(setError("sched.policy", "random"), "");
     EXPECT_EQ(config.sched.policy, AllocPolicy::Random);
     EXPECT_EQ(tree.get("sched.policy"), allocPolicyName(AllocPolicy::Random));
 }
@@ -438,30 +437,22 @@ TEST(ConfigTree, UnknownKeySuggestsNearestPath)
     ConfigTree tree(config);
     EXPECT_EQ(tree.suggest("core.decode_widht"), "core.decode_width");
     EXPECT_EQ(tree.suggest("fame.mavi"), "fame.maiv");
-    EXPECT_EXIT(tree.set("core.decode_widht", "4"),
-                ::testing::ExitedWithCode(1),
-                "did you mean 'core.decode_width'");
-    EXPECT_EXIT(
-        tree.loadString("{\"core\": {\"decode_wdith\": 4}}", "bad"),
-        ::testing::ExitedWithCode(1), "did you mean");
+    EXPECT_FATAL(tree.set("core.decode_widht", "4"),
+                 "did you mean 'core.decode_width'");
+    EXPECT_FATAL(tree.loadString("{\"core\": {\"decode_wdith\": 4}}", "bad"),
+                 "did you mean");
 }
 
 TEST(ConfigTree, OutOfRangeValuesAreFatal)
 {
     ExpConfig config;
     ConfigTree tree(config);
-    EXPECT_EXIT(tree.set("core.decode_width", "9"),
-                ::testing::ExitedWithCode(1), "out of range");
-    EXPECT_EXIT(tree.set("core.decode_width", "0"),
-                ::testing::ExitedWithCode(1), "out of range");
-    EXPECT_EXIT(tree.set("fame.maiv", "2"),
-                ::testing::ExitedWithCode(1), "out of range");
-    EXPECT_EXIT(tree.set("core.decode_width", "abc"),
-                ::testing::ExitedWithCode(1), "integer");
-    EXPECT_EXIT(tree.set("core.balancer.action", "explode"),
-                ::testing::ExitedWithCode(1), "stall");
-    EXPECT_EXIT(tree.set("exp.benchmarks", "not_a_benchmark"),
-                ::testing::ExitedWithCode(1), "");
+    EXPECT_FATAL(tree.set("core.decode_width", "9"), "out of range");
+    EXPECT_FATAL(tree.set("core.decode_width", "0"), "out of range");
+    EXPECT_FATAL(tree.set("fame.maiv", "2"), "out of range");
+    EXPECT_FATAL(tree.set("core.decode_width", "abc"), "integer");
+    EXPECT_FATAL(tree.set("core.balancer.action", "explode"), "stall");
+    EXPECT_FATAL(tree.set("exp.benchmarks", "not_a_benchmark"), "");
 }
 
 TEST(ConfigTree, MalformedNumbersAreFatalNotTruncated)
@@ -471,23 +462,16 @@ TEST(ConfigTree, MalformedNumbersAreFatalNotTruncated)
     // strings are all fatal at set time.
     ExpConfig config;
     ConfigTree tree(config);
-    EXPECT_EXIT(tree.set("core.decode_width", "8x"),
-                ::testing::ExitedWithCode(1), "trailing garbage");
-    EXPECT_EXIT(tree.set("core.decode_width", ""),
-                ::testing::ExitedWithCode(1), "empty value");
-    EXPECT_EXIT(tree.set("core.decode_width",
-                         "99999999999999999999999"),
-                ::testing::ExitedWithCode(1), "out of range");
-    EXPECT_EXIT(tree.set("fame.maiv", "0.01oops"),
-                ::testing::ExitedWithCode(1), "trailing garbage");
-    EXPECT_EXIT(tree.set("fame.maiv", "1e999999"),
-                ::testing::ExitedWithCode(1), "out of range");
-    EXPECT_EXIT(tree.set("exp.seed", "12e"),
-                ::testing::ExitedWithCode(1), "trailing garbage");
-    EXPECT_EXIT(tree.set("exp.seed", "-1"),
-                ::testing::ExitedWithCode(1), "");
-    EXPECT_EXIT(tree.set("exp.seed", " "),
-                ::testing::ExitedWithCode(1), "empty value");
+    EXPECT_FATAL(tree.set("core.decode_width", "8x"), "trailing garbage");
+    EXPECT_FATAL(tree.set("core.decode_width", ""), "empty value");
+    EXPECT_FATAL(tree.set("core.decode_width",
+                          "99999999999999999999999"),
+                 "out of range");
+    EXPECT_FATAL(tree.set("fame.maiv", "0.01oops"), "trailing garbage");
+    EXPECT_FATAL(tree.set("fame.maiv", "1e999999"), "out of range");
+    EXPECT_FATAL(tree.set("exp.seed", "12e"), "trailing garbage");
+    EXPECT_FATAL(tree.set("exp.seed", "-1"), "");
+    EXPECT_FATAL(tree.set("exp.seed", " "), "empty value");
 }
 
 TEST(ConfigTree, ValidateRunsCrossFieldChecks)
@@ -500,8 +484,7 @@ TEST(ConfigTree, ValidateRunsCrossFieldChecks)
     // CoreParams cross-field invariant even though both fields are
     // individually in range.
     config.core.decodeWidth = 4;
-    EXPECT_EXIT(tree.validate(), ::testing::ExitedWithCode(1),
-                "groupSize");
+    EXPECT_FATAL(tree.validate(), "groupSize");
 }
 
 // --- identity / fingerprint -------------------------------------------
@@ -647,20 +630,20 @@ TEST(ConfigTraceDeath, MissingFileAndBrokenIdentityAreFatal)
     ensureGuardTrace();
     ExpConfig config;
     ConfigTree tree(config);
-    EXPECT_DEATH(tree.set("workload.trace", "no_such.trace"),
+    EXPECT_FATAL(tree.set("workload.trace", "no_such.trace"),
                  "no_such.trace");
-    EXPECT_DEATH(tree.set("workload.trace_fingerprint", "xyz"),
+    EXPECT_FATAL(tree.set("workload.trace_fingerprint", "xyz"),
                  "hex fingerprint");
 
     // A fingerprint without a trace is meaningless...
     config.workloadTraceFp = "0123456789abcdef";
-    EXPECT_DEATH(tree.validate(), "without a trace");
+    EXPECT_FATAL(tree.validate(), "without a trace");
     config.workloadTraceFp.clear();
 
     // ...and a stale fingerprint (file changed since keying) is a lie.
     tree.set("workload.trace", config_guard_trace);
     config.workloadTraceFp = "0123456789abcdef";
-    EXPECT_DEATH(tree.validate(), "changed since it was keyed");
+    EXPECT_FATAL(tree.validate(), "changed since it was keyed");
 }
 
 // --- coverage guard ----------------------------------------------------

@@ -8,6 +8,8 @@
  */
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "ckpt/ckpt.hh"
+#include "common/artifact.hh"
 #include "common/json.hh"
 #include "common/thread_pool.hh"
 #include "config/config.hh"
@@ -33,6 +36,7 @@
 #include "fame/fame.hh"
 #include "fame/sim_runner.hh"
 #include "store/result_store.hh"
+#include "test_helpers.hh"
 #include "ubench/ubench.hh"
 #include "workloads/spec_proxy.hh"
 
@@ -68,6 +72,20 @@ Invocation
 invoke(std::initializer_list<const char *> args)
 {
     return invokeWithInput(std::vector<const char *>(args), "");
+}
+
+/** The driver's error path: exit code 1 and @p regex in its err text. */
+::testing::AssertionResult
+failsWith(const Invocation &run, const char *regex)
+{
+    if (run.exitCode != 1)
+        return ::testing::AssertionFailure()
+               << "exit code " << run.exitCode << ", err: " << run.err;
+    if (!test::containsRegex(run.err, regex))
+        return ::testing::AssertionFailure()
+               << "err '" << run.err << "' does not match /" << regex
+               << "/";
+    return ::testing::AssertionSuccess();
 }
 
 std::string
@@ -193,15 +211,14 @@ TEST(Driver, UnknownSubcommandFails)
 
 TEST(Driver, UnknownSetKeySuggestsNearestPath)
 {
-    EXPECT_EXIT(invoke({"table1", "--set", "core.decode_widht=4"}),
-                ::testing::ExitedWithCode(1),
-                "did you mean 'core.decode_width'");
+    EXPECT_TRUE(failsWith(invoke({"table1", "--set", "core.decode_widht=4"}),
+                          "did you mean 'core.decode_width'"));
 }
 
 TEST(Driver, OutOfRangeSetIsFatal)
 {
-    EXPECT_EXIT(invoke({"table1", "--set", "core.decode_width=99"}),
-                ::testing::ExitedWithCode(1), "out of range");
+    EXPECT_TRUE(failsWith(invoke({"table1", "--set", "core.decode_width=99"}),
+                          "out of range"));
 }
 
 TEST(DriverDeath, BareJsonFlagNeedsAPathAndWritesNothing)
@@ -215,15 +232,13 @@ TEST(DriverDeath, BareJsonFlagNeedsAPathAndWritesNothing)
         {"table3", "--json", "--fast"},
         {"perf", "--json"},
     };
-    for (const auto &line : lines) {
-        EXPECT_EXIT(
-            {
-                std::filesystem::current_path(dir);
-                invokeWithInput(line, "");
-            },
-            ::testing::ExitedWithCode(1), "flag '--json' needs a value")
+    const std::filesystem::path cwd = std::filesystem::current_path();
+    std::filesystem::current_path(dir);
+    for (const auto &line : lines)
+        EXPECT_TRUE(failsWith(invokeWithInput(line, ""),
+                              "flag '--json' needs a value"))
             << line[0] << " " << line[1];
-    }
+    std::filesystem::current_path(cwd);
     EXPECT_FALSE(std::filesystem::exists(dir + "/true"));
     EXPECT_TRUE(std::filesystem::is_empty(dir));
 }
@@ -579,48 +594,44 @@ TEST(Driver, RepeatedSweepIsServedFromTheResultCache)
 
 TEST(Driver, SweepWithoutAxesIsFatal)
 {
-    EXPECT_EXIT(invoke({"sweep", "--fast"}),
-                ::testing::ExitedWithCode(1), "--sweep");
-    EXPECT_EXIT(invoke({"sweep", "--fast", "--sweep", "no-equals"}),
-                ::testing::ExitedWithCode(1), "key=v1,v2");
-    EXPECT_EXIT(invoke({"sweep", "--fast", "--sweep",
-                        "core.lmq_entrees=4,8"}),
-                ::testing::ExitedWithCode(1), "did you mean");
+    EXPECT_TRUE(failsWith(invoke({"sweep", "--fast"}), "--sweep"));
+    EXPECT_TRUE(failsWith(invoke({"sweep", "--fast", "--sweep", "no-equals"}),
+                          "key=v1,v2"));
+    EXPECT_TRUE(failsWith(invoke({"sweep", "--fast", "--sweep",
+                                  "core.lmq_entrees=4,8"}),
+                          "did you mean"));
 }
 
 TEST(Driver, SweepRejectsDuplicateAxes)
 {
     // A path swept twice would multiply the point count while only the
     // later axis's value ever applied.
-    EXPECT_EXIT(invoke({"sweep", "--fast", "--sweep",
-                        "core.lmq_entries=8,16", "--sweep",
-                        "core.lmq_entries=8,12"}),
-                ::testing::ExitedWithCode(1),
-                "duplicate --sweep axis 'core.lmq_entries'");
+    EXPECT_TRUE(failsWith(invoke({"sweep", "--fast", "--sweep",
+                                  "core.lmq_entries=8,16", "--sweep",
+                                  "core.lmq_entries=8,12"}),
+                          "duplicate --sweep axis 'core.lmq_entries'"));
 }
 
 TEST(Driver, SweepRejectsARepeatedValue)
 {
     // "8,8" would simulate and print the same point (one fingerprint)
     // twice.
-    EXPECT_EXIT(invoke({"sweep", "--fast", "--sweep",
-                        "core.lmq_entries=8,16,8"}),
-                ::testing::ExitedWithCode(1),
-                "duplicate value '8' in --sweep axis 'core.lmq_entries'");
+    EXPECT_TRUE(failsWith(invoke({"sweep", "--fast", "--sweep",
+                                  "core.lmq_entries=8,16,8"}),
+                          "duplicate value '8' in --sweep axis "
+                          "'core.lmq_entries'"));
 }
 
 TEST(Driver, SweepStoreFlagsAreValidated)
 {
-    EXPECT_EXIT(invoke({"sweep", "--fast", "--sweep",
-                        "core.lmq_entries=8,16", "--resume"}),
-                ::testing::ExitedWithCode(1),
-                "--resume requires --store");
+    EXPECT_TRUE(failsWith(invoke({"sweep", "--fast", "--sweep",
+                                  "core.lmq_entries=8,16", "--resume"}),
+                          "--resume requires --store"));
     for (const char *bad : {"2", "a/b", "2/2", "-1/2", "0/0", "1/2x"})
-        EXPECT_EXIT(invoke({"sweep", "--fast", "--sweep",
-                            "core.lmq_entries=8,16", "--store",
-                            "/tmp/unused", "--shard", bad}),
-                    ::testing::ExitedWithCode(1),
-                    "--shard expects i/N")
+        EXPECT_TRUE(failsWith(invoke({"sweep", "--fast", "--sweep",
+                                      "core.lmq_entries=8,16", "--store",
+                                      "/tmp/unused", "--shard", bad}),
+                              "--shard expects i/N"))
             << bad;
 }
 
@@ -630,10 +641,10 @@ TEST(DriverDeath, UnwritableJsonFailsBeforeAnyPointIsStored)
     // to simulate and store every point, then fail on the report.
     const std::string dir = freshStoreDir("json_unwritable");
     const std::string json = dir + "/missing/report.json";
-    EXPECT_EXIT(invoke({"sweep", "--fast", "--sweep",
-                        "core.mem.dram_latency=217,277", "--store",
-                        dir.c_str(), "--json", json.c_str()}),
-                ::testing::ExitedWithCode(1), "cannot open --json file");
+    EXPECT_TRUE(failsWith(invoke({"sweep", "--fast", "--sweep",
+                                  "core.mem.dram_latency=217,277", "--store",
+                                  dir.c_str(), "--json", json.c_str()}),
+                          "cannot open --json file"));
     EXPECT_EQ(ResultStore(dir).countEntries(), 0u);
 }
 
@@ -896,10 +907,10 @@ TEST(DriverDeath, ResumeFromAForeignSchemaVersionIsRefused)
         std::ofstream os(dir + "/store_meta.json", std::ios::trunc);
         os << "{\n  \"storeVersion\": 1,\n  \"schemaVersion\": 99\n}\n";
     }
-    EXPECT_EXIT(invoke({"sweep", "--fast", "--sweep",
-                        "core.mem.dram_latency=209,269", "--store",
-                        dir.c_str(), "--resume"}),
-                ::testing::ExitedWithCode(1), "schema version");
+    EXPECT_TRUE(failsWith(invoke({"sweep", "--fast", "--sweep",
+                                  "core.mem.dram_latency=209,269", "--store",
+                                  dir.c_str(), "--resume"}),
+                          "schema version"));
 }
 
 // --- serve -------------------------------------------------------------
@@ -936,6 +947,7 @@ TEST(Driver, ServeAnswersFingerprintAndStoreQueries)
         "fingerprint core.lmq_entries=99\n"
         "fingerprint core.balancer.action=explode\n"
         "fingerprint core.decode_width=4\n"
+        "fingerprint workload.trace=no_such.trace\n"
         "stat\n"
         "quit\n");
     ASSERT_EQ(serve.exitCode, 0);
@@ -985,6 +997,10 @@ TEST(Driver, ServeAnswersFingerprintAndStoreQueries)
     EXPECT_NE(line.find("groupSize 5 must be in [1, decodeWidth]"),
               std::string::npos)
         << line;
+
+    // And so is a trace path whose header cannot be read.
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line, "{\"error\": \"cannot open trace 'no_such.trace'\"}");
     ASSERT_TRUE(std::getline(lines, line));
     EXPECT_NE(line.find("\"entries\": 2"), std::string::npos) << line;
 
@@ -1036,9 +1052,8 @@ TEST(Driver, ServeReturnsStoredDocumentsVerbatim)
 
 TEST(DriverDeath, ServeRequiresAStore)
 {
-    EXPECT_EXIT(invoke({"serve", "--fast"}),
-                ::testing::ExitedWithCode(1),
-                "serve requires --store");
+    EXPECT_TRUE(failsWith(invoke({"serve", "--fast"}),
+                          "serve requires --store"));
 }
 
 TEST(Driver, ServeAnswersMultiGetAndMget)
@@ -1240,8 +1255,7 @@ TEST(Driver, StoreGcDoesNotFollowSymlinksOutOfTheStore)
 
 TEST(DriverDeath, StoreGcRequiresAStore)
 {
-    EXPECT_EXIT(invoke({"store-gc"}), ::testing::ExitedWithCode(1),
-                "store-gc requires --store");
+    EXPECT_TRUE(failsWith(invoke({"store-gc"}), "store-gc requires --store"));
 }
 
 TEST(Driver, StorePathsWithMissingParentsAreCreated)
@@ -1296,10 +1310,57 @@ TEST(DriverDeath, TraceVerbsRejectUnknownFlags)
                       trace.c_str()})
                   .exitCode,
               0);
-    EXPECT_EXIT(invoke({"trace", "info", trace.c_str(), "--bogus"}),
-                ::testing::ExitedWithCode(1), "unknown flag '--bogus'");
-    EXPECT_EXIT(invoke({"trace", "check", trace.c_str(), "--bogus"}),
-                ::testing::ExitedWithCode(1), "unknown flag '--bogus'");
+    EXPECT_TRUE(failsWith(invoke({"trace", "info", trace.c_str(), "--bogus"}),
+                          "unknown flag '--bogus'"));
+    EXPECT_TRUE(failsWith(invoke({"trace", "check", trace.c_str(), "--bogus"}),
+                          "unknown flag '--bogus'"));
+}
+
+/**
+ * A trace rewritten while a sweep replays it fails the run: the rewrite
+ * lands once the first point is stored, so a later point's build finds
+ * other content under the keyed path, and the batch stops there.
+ */
+TEST(DriverDeath, TraceRewrittenMidSweepFailsTheRun)
+{
+    const std::string dir = freshStoreDir("trace_rewritten");
+    std::filesystem::create_directories(dir);
+    const std::string trace = dir + "/t.trace";
+    const std::string store = dir + "/store";
+    ASSERT_EQ(invoke({"trace", "dump", "--scale", "0.37", "--out",
+                      trace.c_str()})
+                  .exitCode,
+              0);
+    auto storedAny = [&store] {
+        std::error_code ec;
+        for (auto it = std::filesystem::recursive_directory_iterator(store,
+                                                                     ec);
+             !ec && it != std::filesystem::recursive_directory_iterator();
+             it.increment(ec)) {
+            if (classifyArtifactFile(it->path().filename().string(),
+                                     ResultStore::layout()) ==
+                ArtifactFile::Live)
+                return true;
+        }
+        return false;
+    };
+    std::atomic<bool> done{false};
+    std::thread rewriter([&] {
+        while (!done.load() && !storedAny())
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        invoke({"trace", "dump", "--scale", "0.41", "--out", trace.c_str()});
+    });
+    const Invocation run = invoke(
+        {"sweep", "--fast", "--jobs=1", "--set",
+         ("workload.trace=" + trace).c_str(), "--store", store.c_str(),
+         "--sweep",
+         "core.mem.dram_latency=201,202,203,204,205,206,207,208,209,210,"
+         "211,212,213,214,215,216"});
+    done = true;
+    rewriter.join();
+    EXPECT_TRUE(
+        failsWith(run, "^fatal: trace '.*' changed since it was keyed"));
+    EXPECT_EQ(run.out, "");
 }
 
 /**
@@ -1716,12 +1777,12 @@ TEST(Driver, AllocSymbiosisSplitsTheDramStreamersAndBeatsPinned)
 
 TEST(Driver, AllocRejectsBadInputs)
 {
-    EXPECT_EXIT(invoke({"alloc", "--fast", "--policies=bogus"}),
-                ::testing::ExitedWithCode(1), "bogus");
-    EXPECT_EXIT(invoke({"alloc", "--fast", "--mix=not_a_bench"}),
-                ::testing::ExitedWithCode(1), "not_a_bench");
-    EXPECT_EXIT(invoke({"alloc", "--fast", "--cycles=0"}),
-                ::testing::ExitedWithCode(1), "cycles");
+    EXPECT_TRUE(failsWith(invoke({"alloc", "--fast", "--policies=bogus"}),
+                          "bogus"));
+    EXPECT_TRUE(failsWith(invoke({"alloc", "--fast", "--mix=not_a_bench"}),
+                          "not_a_bench"));
+    EXPECT_TRUE(
+        failsWith(invoke({"alloc", "--fast", "--cycles=0"}), "cycles"));
 }
 
 // --- config file / save-config round trip ------------------------------

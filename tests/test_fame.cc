@@ -118,20 +118,17 @@ TEST(FameDeath, NoThreadsIsFatal)
     CoreParams cp;
     SmtCore core(cp);
     FameRunner runner(quickFame());
-    EXPECT_EXIT(runner.run(core), ::testing::ExitedWithCode(1),
-                "no attached threads");
+    EXPECT_FATAL(runner.run(core), "no attached threads");
 }
 
 TEST(FameDeath, BadParamsAreFatal)
 {
     FameParams p;
     p.minRepetitions = 0;
-    EXPECT_EXIT({ FameRunner r(p); }, ::testing::ExitedWithCode(1),
-                "at least one repetition");
+    EXPECT_FATAL({ FameRunner r(p); }, "at least one repetition");
     FameParams q;
     q.maiv = 0.0;
-    EXPECT_EXIT({ FameRunner r(q); }, ::testing::ExitedWithCode(1),
-                "MAIV");
+    EXPECT_FATAL({ FameRunner r(q); }, "MAIV");
 }
 
 TEST(Fame, DeterministicResults)

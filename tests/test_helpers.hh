@@ -1,18 +1,78 @@
 /**
  * @file
- * Shared helpers for the core-level tests: tiny programs with known
- * shapes and a fast experiment configuration.
+ * Shared helpers for the tests: tiny programs with known shapes, a
+ * fast experiment configuration, and EXPECT_FATAL for error paths.
  */
 
 #ifndef P5SIM_TESTS_TEST_HELPERS_HH
 #define P5SIM_TESTS_TEST_HELPERS_HH
 
+#include <regex.h>
+
+#include <string>
+
+#include <gtest/gtest.h>
+
 #include "check/check.hh"
+#include "common/log.hh"
 #include "core/smt_core.hh"
 #include "program/builder.hh"
 #include "program/program.hh"
 
 namespace p5::test {
+
+/**
+ * True when @p text contains a match of @p regex, a POSIX extended
+ * expression read as a gtest death test reads it ("" matches all).
+ */
+inline bool
+containsRegex(const std::string &text, const char *regex)
+{
+    regex_t re;
+    if (regcomp(&re, *regex ? regex : "()", REG_EXTENDED | REG_NOSUB) != 0) {
+        ADD_FAILURE() << "bad regex /" << regex << "/";
+        return false;
+    }
+    const bool found = regexec(&re, text.c_str(), 0, nullptr, 0) == 0;
+    regfree(&re);
+    return found;
+}
+
+/** The message of the p5::Error @p fn throws; "" when it returns. */
+template <class Fn>
+std::string
+fatalMessage(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const Error &e) {
+        return e.what();
+    }
+    return {};
+}
+
+/** Success iff @p fn throws a p5::Error whose message matches @p regex. */
+template <class Fn>
+::testing::AssertionResult
+throwsFatal(Fn &&fn, const char *regex)
+{
+    const std::string message = fatalMessage(fn);
+    if (message.empty())
+        return ::testing::AssertionFailure()
+               << "no p5::Error thrown (expected /" << regex << "/)";
+    if (!containsRegex(message, regex))
+        return ::testing::AssertionFailure()
+               << "error '" << message << "' does not match /" << regex
+               << "/";
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * @p statement fails with a fatal() whose message matches @p regex, in
+ * this process (fatal() throws p5::Error). Streams like EXPECT_TRUE.
+ */
+#define EXPECT_FATAL(statement, regex)                                    \
+    EXPECT_TRUE(::p5::test::throwsFatal([&] { statement; }, regex))
 
 /**
  * Arm the standard p5check invariant suite on @p core with violations

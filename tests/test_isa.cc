@@ -8,6 +8,7 @@
 
 #include "isa/instruction.hh"
 #include "isa/op_class.hh"
+#include "test_helpers.hh"
 
 namespace p5 {
 namespace {
@@ -22,8 +23,7 @@ TEST(OpClass, NamesRoundTrip)
 
 TEST(OpClassDeath, UnknownNameIsFatal)
 {
-    EXPECT_EXIT(opClassFromName("NotAnOp"), ::testing::ExitedWithCode(1),
-                "unknown op class");
+    EXPECT_FATAL(opClassFromName("NotAnOp"), "unknown op class");
 }
 
 TEST(OpClass, FuMapping)

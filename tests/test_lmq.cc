@@ -14,6 +14,7 @@
 #include "ckpt/ckpt_io.hh"
 #include "common/rng.hh"
 #include "mem/lmq.hh"
+#include "test_helpers.hh"
 
 namespace p5 {
 namespace {
@@ -168,8 +169,7 @@ TEST(Lmq, QueuedWindowsOutnumberTheEntries)
 
 TEST(LmqDeath, ZeroCapacityIsFatal)
 {
-    EXPECT_EXIT({ Lmq q(0); }, ::testing::ExitedWithCode(1),
-                "at least one entry");
+    EXPECT_FATAL({ Lmq q(0); }, "at least one entry");
 }
 
 TEST(LmqDeath, QueriesOffTheSyncedCycleArePanics)
@@ -206,13 +206,13 @@ TEST(LmqDeath, RestoreRoundTripsAndRejectsAReleasedWindow)
     Lmq::ckpt(std::as_const(back), again, 60);
     EXPECT_TRUE(again.data() == w.data());
 
-    EXPECT_EXIT(
+    EXPECT_FATAL(
         {
             Lmq late(2);
             CkptReader lr(w.data());
             Lmq::ckpt(late, lr, 100);
         },
-        ::testing::ExitedWithCode(1), "LMQ window is malformed");
+        "LMQ window is malformed");
 }
 
 // Property: with capacity N and identical W-cycle windows arriving

@@ -17,6 +17,7 @@
 #include "common/rng.hh"
 #include "lru_reference.hh"
 #include "mem/lru_array.hh"
+#include "test_helpers.hh"
 
 namespace p5 {
 namespace {
@@ -103,16 +104,14 @@ TEST(LruArrayDeath, MalformedImageIsRefused)
         LruArray::ckpt(again, r);
     };
     restoreWithWay(1, 7); // a fresh tag keeps the set well formed
-    EXPECT_EXIT(restoreWithWay(1, 2), ::testing::ExitedWithCode(1),
-                "holds a tag twice");
-    EXPECT_EXIT(restoreWithWay(0, ~std::uint64_t{0}),
-                ::testing::ExitedWithCode(1), "valid tag after an invalid");
+    EXPECT_FATAL(restoreWithWay(1, 2), "holds a tag twice");
+    EXPECT_FATAL(restoreWithWay(0, ~std::uint64_t{0}),
+                 "valid tag after an invalid");
 }
 
 TEST(LruArrayDeath, ZeroTagShiftIsRefused)
 {
-    EXPECT_EXIT(LruArray(1, 1, 0, 0), ::testing::ExitedWithCode(1),
-                "tag shift");
+    EXPECT_FATAL(LruArray(1, 1, 0, 0), "tag shift");
 }
 
 } // namespace

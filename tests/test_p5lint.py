@@ -43,6 +43,8 @@ CASES = [
     ("good_cold_off_hot.cc", None),
     ("bad_hot_alloc_via_template.cc", "hot_path_no_alloc"),
     ("good_hot_alloc_via_template.cc", None),
+    ("bad_process_exit.cc", "single_exit"),
+    ("good_error_thrown.cc", None),
 ]
 
 

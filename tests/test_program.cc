@@ -10,6 +10,7 @@
 #include "program/pattern.hh"
 #include "program/program.hh"
 #include "program/stream.hh"
+#include "test_helpers.hh"
 
 namespace p5 {
 namespace {
@@ -128,16 +129,14 @@ TEST(Builder, BuildsExpectedShape)
 TEST(BuilderDeath, InstrBeforePhaseIsFatal)
 {
     ProgramBuilder b("bad");
-    EXPECT_EXIT(b.intAlu(0, 1), ::testing::ExitedWithCode(1),
-                "before beginPhase");
+    EXPECT_FATAL(b.intAlu(0, 1), "before beginPhase");
 }
 
 TEST(BuilderDeath, BadPatternIdIsFatal)
 {
     ProgramBuilder b("bad");
     b.beginPhase(1);
-    EXPECT_EXIT(b.load(0, 5), ::testing::ExitedWithCode(1),
-                "bad pattern id");
+    EXPECT_FATAL(b.load(0, 5), "bad pattern id");
 }
 
 TEST(Program, MaterializeIsPureFunctionOfIndex)
@@ -209,7 +208,7 @@ TEST(Program, MultiPhase)
 TEST(ProgramDeath, EmptyProgramIsFatal)
 {
     ProgramBuilder b("empty");
-    EXPECT_EXIT(b.build(), ::testing::ExitedWithCode(1), "no phases");
+    EXPECT_FATAL(b.build(), "no phases");
 }
 
 // --- stream ----------------------------------------------------------------

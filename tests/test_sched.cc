@@ -84,10 +84,8 @@ TEST(Workload, FromMixBuildsThreadsInOrder)
 
 TEST(Workload, UnknownMixNameIsFatal)
 {
-    EXPECT_EXIT(Workload::fromMix("cpu_int,bogus_bench"),
-                ::testing::ExitedWithCode(1), "bogus_bench");
-    EXPECT_EXIT(Workload::fromMix(""), ::testing::ExitedWithCode(1),
-                "empty");
+    EXPECT_FATAL(Workload::fromMix("cpu_int,bogus_bench"), "bogus_bench");
+    EXPECT_FATAL(Workload::fromMix(""), "empty");
 }
 
 TEST(Workload, ProgramAddressesStableAcrossGrowth)
@@ -134,8 +132,7 @@ TEST(AllocPolicy, NamesRoundTrip)
     for (AllocPolicy p : {AllocPolicy::Pinned, AllocPolicy::Random,
                           AllocPolicy::Symbiosis})
         EXPECT_EQ(allocPolicyFromName(allocPolicyName(p)), p);
-    EXPECT_EXIT(allocPolicyFromName("bogus"),
-                ::testing::ExitedWithCode(1), "bogus");
+    EXPECT_FATAL(allocPolicyFromName("bogus"), "bogus");
 }
 
 // --- Allocator contract ------------------------------------------------

@@ -5,10 +5,17 @@
  * engine exists for), and bit-identical results across worker counts.
  */
 
+#include <filesystem>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "exp/experiments.hh"
 #include "fame/sim_runner.hh"
+#include "program/trace.hh"
+#include "store/result_store.hh"
+#include "test_helpers.hh"
 
 namespace p5 {
 namespace {
@@ -262,6 +269,56 @@ TEST(SimRunner, ExpConfigProducersMatchAcrossWorkerCounts)
             for (std::size_t d = 0; d < a.rel[i][j].size(); ++d)
                 EXPECT_EQ(a.rel[i][j][d], b.rel[i][j][d])
                     << i << "," << j << "," << d;
+}
+
+/**
+ * The first failed job ends its batch. Its trace is rewritten after the
+ * job was keyed, so its build fails; with one worker no later job
+ * starts, with four only the three already running finish. The store
+ * counts who started (each started job looks itself up: a miss) and
+ * who finished (a write, and a cached result).
+ */
+TEST(SimRunner, BatchStopsAtItsFirstFailure)
+{
+    for (const unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(workers);
+        const std::string dir = ::testing::TempDir() +
+                                "p5sim_batch_stop_" +
+                                std::to_string(workers);
+        std::filesystem::remove_all(dir);
+        const std::string trace = dir + ".trace";
+        dumpTrace(makeUbench(UbenchId::CpuInt, 0.25), 2, trace);
+
+        // All (4,4): equal costs keep submission order on the pool too.
+        std::vector<SimJob> batch = {SimJob::famePair(
+            ProgramSpec::trace(trace),
+            ProgramSpec::ubench(UbenchId::LdintMem, 0.5), 4, 4,
+            CoreParams{}, fastFame())};
+        dumpTrace(makeUbench(UbenchId::CpuInt, 0.5), 2, trace);
+        for (int i = 0; i < 12; ++i) {
+            SimJob good = fastPair(UbenchId::CpuInt, UbenchId::LdintMem, 4, 4);
+            good.core.mem.dramLatency = 200 + i;
+            batch.push_back(good);
+        }
+
+        ResultCache cache;
+        ResultStore store(dir);
+        SimRunner runner(workers, &cache);
+        runner.setStore(&store, true);
+        EXPECT_FATAL(runner.run(batch),
+                     "^trace '.*' changed since it was keyed");
+        if (workers == 1) {
+            EXPECT_EQ(store.misses(), 1u);
+            EXPECT_EQ(store.writes(), 0u);
+        } else {
+            EXPECT_LE(store.misses(), 4u);
+            EXPECT_LE(store.writes(), 3u);
+        }
+        // Abandoned claims leave the cache; finished ones stay.
+        EXPECT_EQ(cache.size(), store.writes());
+        std::filesystem::remove_all(dir);
+        std::remove(trace.c_str());
+    }
 }
 
 } // namespace

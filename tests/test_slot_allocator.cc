@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "prio/slot_allocator.hh"
+#include "test_helpers.hh"
 
 namespace p5 {
 namespace {
@@ -182,8 +183,7 @@ TEST(SlotAllocator, SetPriorityByThread)
 TEST(SlotAllocatorDeath, InvalidPriorityIsFatal)
 {
     DecodeSlotAllocator a(5);
-    EXPECT_EXIT(a.setPriorities(9, 4), ::testing::ExitedWithCode(1),
-                "invalid priority");
+    EXPECT_FATAL(a.setPriorities(9, 4), "invalid priority");
 }
 
 /**

@@ -22,6 +22,7 @@
 #include "fame/sim_runner.hh"
 #include "store/result_io.hh"
 #include "store/result_store.hh"
+#include "test_helpers.hh"
 
 namespace p5 {
 namespace {
@@ -210,8 +211,7 @@ TEST(ResultStore, RoundTripsAFullRangeRngSeed)
         JsonWriter w(os);
         writeSimResult(w, result);
     }
-    SimResult back;
-    ASSERT_TRUE(readSimResult(parseJson(os.str()), back));
+    const SimResult back = readSimResult(parseJson(os.str()));
     EXPECT_EQ(back.rngSeed, 0xfedcba9876543210ULL);
     EXPECT_EQ(back.pipeline.fftCycles, 1.5);
     EXPECT_EQ(back.pipeline.iterationCycles, 4.0);
@@ -312,8 +312,7 @@ TEST(ResultStoreDeath, RefusesAStoreFromAnotherSchemaVersion)
 {
     const std::string dir = storeDir("schema_mismatch");
     { ResultStore store(dir, 1); }
-    EXPECT_EXIT(ResultStore(dir, 2), ::testing::ExitedWithCode(1),
-                "schema version");
+    EXPECT_FATAL(ResultStore(dir, 2), "schema version");
 }
 
 TEST(ResultStoreDeath, RefusesAStoreFromAnotherFormatVersion)
@@ -327,8 +326,7 @@ TEST(ResultStoreDeath, RefusesAStoreFromAnotherFormatVersion)
         os << "{\"storeVersion\": " << store_format_version + 1
            << ", \"schemaVersion\": 1}";
     }
-    EXPECT_EXIT(ResultStore(dir, 1), ::testing::ExitedWithCode(1),
-                "format v");
+    EXPECT_FATAL(ResultStore(dir, 1), "format v");
 }
 
 TEST(ResultStoreDeath, RefusesCorruptMetadata)
@@ -339,8 +337,7 @@ TEST(ResultStoreDeath, RefusesCorruptMetadata)
         std::ofstream os(dir + "/store_meta.json", std::ios::trunc);
         os << "{broken";
     }
-    EXPECT_EXIT(ResultStore{dir}, ::testing::ExitedWithCode(1),
-                "corrupt store metadata");
+    EXPECT_FATAL(ResultStore{dir}, "corrupt store metadata");
 }
 
 TEST(ResultStore, DifferentSchemaVersionsNeverShareFiles)

@@ -11,6 +11,7 @@
 #include "common/rng.hh"
 #include "lru_reference.hh"
 #include "mem/tlb.hh"
+#include "test_helpers.hh"
 
 namespace p5 {
 namespace {
@@ -144,8 +145,7 @@ TEST(Tlb, ShiftIndexingMatchesTheDivideFormula)
 TEST(TlbDeath, BadGeometryIsFatal)
 {
     TlbParams p{"bad", 7, 2, 4096, 100};
-    EXPECT_EXIT({ Tlb t(p); }, ::testing::ExitedWithCode(1),
-                "bad geometry");
+    EXPECT_FATAL({ Tlb t(p); }, "bad geometry");
 }
 
 } // namespace

@@ -448,7 +448,7 @@ TEST(TraceIdentityDeath, FileSwapAfterKeyingIsFatal)
 
     const SyntheticProgram other = makeUbench(UbenchId::CpuInt, 0.5);
     dumpTrace(other, 2, path); // overwrite with different content
-    EXPECT_DEATH(spec.build(), "changed since it was keyed");
+    EXPECT_FATAL(spec.build(), "changed since it was keyed");
     std::remove(path.c_str());
 }
 
@@ -476,22 +476,19 @@ TEST(TraceValidation, LoaderRejectsCorruptFiles)
     const std::string good_path = tracePath("valid");
     dumpTrace(prog, 2, good_path);
     const std::string good = readFile(good_path);
-    std::unique_ptr<TraceProgram> out;
-    std::string why;
 
     // Pristine file loads.
-    ASSERT_TRUE(tryLoadTrace(good_path, out, &why)) << why;
+    ASSERT_EQ(loadTrace(good_path)->records(), prog.instrsPerExecution() * 2);
 
     const std::string bad_path = tracePath("corrupt");
 
     // Truncated payload: size no longer matches the header.
     writeFile(bad_path, good.substr(0, good.size() - 10));
-    EXPECT_FALSE(tryLoadTrace(bad_path, out, &why));
-    EXPECT_NE(why.find("payload"), std::string::npos) << why;
+    EXPECT_FATAL(loadTrace(bad_path), "payload");
 
     // Garbage header.
     writeFile(bad_path, "not a trace at all\n");
-    EXPECT_FALSE(tryLoadTrace(bad_path, out, &why));
+    EXPECT_FATAL(loadTrace(bad_path), "");
 
     // Version skew: future versions are refused, not misparsed.
     std::string skewed = good;
@@ -500,16 +497,14 @@ TEST(TraceValidation, LoaderRejectsCorruptFiles)
     ASSERT_NE(at, std::string::npos);
     skewed.replace(at, v1.size(), "\"version\":2");
     writeFile(bad_path, skewed);
-    EXPECT_FALSE(tryLoadTrace(bad_path, out, &why));
-    EXPECT_NE(why.find("version"), std::string::npos) << why;
+    EXPECT_FATAL(loadTrace(bad_path), "version");
 
     // Flipped payload byte: caught by the checksum.
     std::string flipped = good;
     flipped[flipped.size() - 20] =
         static_cast<char>(flipped[flipped.size() - 20] ^ 0x5a);
     writeFile(bad_path, flipped);
-    EXPECT_FALSE(tryLoadTrace(bad_path, out, &why));
-    EXPECT_NE(why.find("checksum"), std::string::npos) << why;
+    EXPECT_FATAL(loadTrace(bad_path), "checksum");
 
     std::remove(bad_path.c_str());
     std::remove(good_path.c_str());
@@ -534,17 +529,17 @@ TEST(TraceValidation, QuarantineFollowsBadFileDiscipline)
 TEST(TraceValidationDeath, FatalWrappersNameTheProblem)
 {
     const std::string path = tracePath("death");
-    EXPECT_DEATH(readTraceHeader(path), "death");
+    EXPECT_FATAL(readTraceHeader(path), "death");
 
     writeFile(path, "garbage\n");
-    EXPECT_DEATH(loadTrace(path), "trace");
+    EXPECT_FATAL(loadTrace(path), "trace");
 
     const SyntheticProgram prog = makeUbench(UbenchId::CpuInt, 0.25);
     dumpTrace(prog, 2, path);
     std::string truncated = readFile(path);
     truncated.resize(truncated.size() / 2);
     writeFile(path, truncated);
-    EXPECT_DEATH(loadTrace(path), "payload");
+    EXPECT_FATAL(loadTrace(path), "payload");
     std::remove(path.c_str());
 }
 

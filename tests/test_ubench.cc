@@ -8,6 +8,7 @@
 
 #include "core/smt_core.hh"
 #include "fame/fame.hh"
+#include "test_helpers.hh"
 #include "ubench/ubench.hh"
 
 namespace p5 {
@@ -31,8 +32,7 @@ TEST(Ubench, NamesRoundTrip)
 
 TEST(UbenchDeath, UnknownNameIsFatal)
 {
-    EXPECT_EXIT(ubenchFromName("nope"), ::testing::ExitedWithCode(1),
-                "unknown micro-benchmark");
+    EXPECT_FATAL(ubenchFromName("nope"), "unknown micro-benchmark");
 }
 
 TEST(Ubench, PresentedSetIsTheSixOfThePaper)

@@ -8,6 +8,7 @@
 
 #include "core/smt_core.hh"
 #include "fame/fame.hh"
+#include "test_helpers.hh"
 #include "workloads/pipeline_app.hh"
 #include "workloads/spec_proxy.hh"
 
@@ -26,8 +27,7 @@ TEST(SpecProxy, AllBuildAndRoundTrip)
 
 TEST(SpecProxyDeath, UnknownNameIsFatal)
 {
-    EXPECT_EXIT(specProxyFromName("gcc"), ::testing::ExitedWithCode(1),
-                "unknown SPEC proxy");
+    EXPECT_FATAL(specProxyFromName("gcc"), "unknown SPEC proxy");
 }
 
 double
@@ -158,12 +158,10 @@ TEST(PipelineDeath, BadParamsAreFatal)
 {
     PipelineParams pp;
     pp.iterations = 0;
-    EXPECT_EXIT({ PipelineApp app(pp); }, ::testing::ExitedWithCode(1),
-                "at least one");
+    EXPECT_FATAL({ PipelineApp app(pp); }, "at least one");
     PipelineParams pq;
     pq.prioFft = 9;
-    EXPECT_EXIT({ PipelineApp app(pq); }, ::testing::ExitedWithCode(1),
-                "invalid priorities");
+    EXPECT_FATAL({ PipelineApp app(pq); }, "invalid priorities");
 }
 
 } // namespace

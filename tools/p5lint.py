@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """p5lint — static enforcement of the simulator's engine contracts.
 
-Four rules, driven by the exported compile_commands.json:
+Five rules, driven by the exported compile_commands.json:
 
   hot_path_no_alloc    nothing transitively reachable from a P5_HOT_PATH
                        root may allocate (operator new, malloc, growing
@@ -20,6 +20,10 @@ Four rules, driven by the exported compile_commands.json:
                        stream, so the exemption is void there.
   config_completeness  every field of a P5_CONFIG_STRUCT must be bound
                        by a bind* call in ConfigTree::bindAll().
+  single_exit          no call to exit, _Exit, quick_exit or abort
+                       outside panic() in src/common/log.cc: errors are
+                       fatal(), which throws p5::Error to its caller,
+                       and driverMain alone turns one into an exit code.
 
 hot_path_no_alloc additionally rejects any P5_COLD function reachable
 from a hot root: P5_COLD documents a path (checkpoint restore, store
@@ -58,7 +62,7 @@ import sys
 from dataclasses import dataclass, field
 
 RULES = ("hot_path_no_alloc", "probe_purity", "determinism",
-         "config_completeness")
+         "config_completeness", "single_exit")
 
 ANNO_HOT = "hot_path"
 ANNO_PURE = "probe_pure"
@@ -81,7 +85,8 @@ FREE_ALLOCATORS = {
     "make_unique", "make_shared", "to_string",
 }
 
-# noreturn death paths: allocation on the way to abort() is fine.
+# Error paths: allocation on the way to abort() (panic) or to a throw
+# (fatal) is fine, since neither returns to the caller's loop.
 EXEMPT_CALLS = {"panic", "fatal", "assert", "abort", "exit",
                 "static_assert", "__assert_fail"}
 
@@ -91,6 +96,11 @@ BANNED_IDENTS = {"rand", "srand", "random_device", "mt19937",
                  "mt19937_64", "minstd_rand", "system_clock"}
 
 RNG_WHITELIST_SUFFIX = os.path.join("src", "common", "rng.hh")
+
+# Calls that end the process, and the one function allowed to make one.
+EXIT_CALLS = {"exit", "_Exit", "quick_exit", "abort"}
+EXIT_OWNER_SUFFIX = os.path.join("src", "common", "log.cc")
+EXIT_OWNER = "panic"
 
 
 # ---------------------------------------------------------------------------
@@ -946,6 +956,7 @@ class CallSite:
     is_new: bool = False
     argc: int = 0
     first_arg_type: str = ""
+    member: bool = False  # called through '.' or '->'
 
 
 @dataclass
@@ -1034,7 +1045,8 @@ def scan_body(model: Model, fn: Func):
             events.append(CallSite(name=text, recv_type=recv_type,
                                    recv_known=recv_known, qual=qual,
                                    line=t.line, allows=set(stmt_allows),
-                                   argc=argc, first_arg_type=first_arg_type))
+                                   argc=argc, first_arg_type=first_arg_type,
+                                   member=prev in (".", "->")))
             i += 1
             continue
         if t.kind == "id" and i + 1 < n and body[i + 1].text in ASSIGN_OPS \
@@ -1424,6 +1436,23 @@ class Analysis:
                                  "— P5_ALLOW(determinism) does not "
                                  "apply to the serialized byte stream")
 
+    # ---- rule 5: single_exit ---------------------------------------------
+
+    def run_single_exit(self):
+        rule = "single_exit"
+        for fn in self.all_funcs():
+            if not fn.body or (fn.qname == EXIT_OWNER and
+                               fn.file.endswith(EXIT_OWNER_SUFFIX)):
+                continue
+            events, _ = scan_body(self.model, fn)
+            for ev in events:
+                if isinstance(ev, CallSite) and ev.name in EXIT_CALLS \
+                        and not ev.member and not ev.qual:
+                    self.add(fn.file, fn.qname, rule, ev.line,
+                             f"'{ev.name}()' ends the process — call "
+                             "fatal() (throws p5::Error) or, for a "
+                             "simulator bug, panic()")
+
     # ---- rule 4: config_completeness ------------------------------------
 
     def run_config_completeness(self):
@@ -1600,6 +1629,8 @@ def main(argv=None):
         an.run_determinism()
     if "config_completeness" in rules:
         an.run_config_completeness()
+    if "single_exit" in rules:
+        an.run_single_exit()
     findings = sorted(an.findings, key=lambda f: f.key)
 
     if args.json:
