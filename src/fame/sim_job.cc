@@ -375,17 +375,10 @@ SimJob::execute(CkptManager *ckpts) const
       case SimJobKind::FamePair: {
         const std::string warm_key = ckpts ? warmKey() : std::string();
         const std::unique_ptr<InstrSource> prog_p = primary.build();
-        if (secondary.present()) {
-            const std::unique_ptr<InstrSource> prog_s =
-                secondary.build();
-            res.fame =
-                runFame(core, prog_p.get(), prog_s.get(), prioPrimary,
-                        prioSecondary, fame, ckpts, warm_key);
-        } else {
-            res.fame =
-                runFame(core, prog_p.get(), nullptr, prioPrimary,
-                        prioSecondary, fame, ckpts, warm_key);
-        }
+        const std::unique_ptr<InstrSource> prog_s =
+            secondary.present() ? secondary.build() : nullptr;
+        res.fame = runFame(core, prog_p.get(), prog_s.get(), prioPrimary,
+                           prioSecondary, fame, ckpts, warm_key);
         break;
       }
       case SimJobKind::PipelineSingleThread: {

@@ -49,13 +49,6 @@ struct StaticInstr
      * requested priority level.
      */
     int prioNopReg = 0;
-
-    /**
-     * Synthetic program counter, assigned by SyntheticProgram's
-     * constructor (derived from the program name and body position).
-     * Used by the shared BHT to index its counters.
-     */
-    Addr pc = 0;
 };
 
 /** Number of architectural registers per thread in the flat space. */

@@ -209,7 +209,7 @@ ProgramBuilder::build()
         panic("ProgramBuilder for '%s' reused after build()",
               name_.c_str());
     built_ = true;
-    return SyntheticProgram(std::move(name_), std::move(phases_),
+    return SyntheticProgram(std::move(name_), phases_,
                             std::move(memPatterns_),
                             std::move(branchPatterns_));
 }

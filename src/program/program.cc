@@ -1,66 +1,40 @@
 #include "program/program.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 #include "common/rng.hh"
 
 namespace p5 {
 
-SyntheticProgram::SyntheticProgram(std::string name,
-                                   std::vector<ProgramPhase> phases,
-                                   std::vector<MemPattern> mem_patterns,
-                                   std::vector<BranchPattern>
-                                       branch_patterns)
-    : name_(std::move(name)), phases_(std::move(phases)),
-      memPatterns_(std::move(mem_patterns)),
-      branchPatterns_(std::move(branch_patterns))
+namespace {
+
+/**
+ * Validate @p phases and decode them into the source data: PCs, the
+ * pre-decoded fetch table (every field of a DynInstr that does not
+ * depend on the dynamic occurrence count, decoded once) and the phase
+ * geometry.
+ */
+InstrSource
+decodeProgram(std::string name, const std::vector<ProgramPhase> &phases,
+              std::vector<MemPattern> mem_patterns,
+              std::vector<BranchPattern> branch_patterns)
 {
-    if (phases_.empty())
-        fatal("program '%s' has no phases", name_.c_str());
+    if (phases.empty())
+        fatal("program '%s' has no phases", name.c_str());
 
     // Assign synthetic PCs: a name-derived base keeps distinct programs
     // in distinct BHT regions, matching distinct processes on real HW.
-    Addr pc = hashMix(std::hash<std::string>{}(name_)) & ~Addr{0xffff};
-    for (auto &phase : phases_)
-        for (auto &si : phase.body) {
-            si.pc = pc;
-            pc += 4;
-        }
+    Addr pc = hashMix(std::hash<std::string>{}(name)) & ~Addr{0xffff};
 
-    phaseStart_.push_back(0);
-    for (const auto &phase : phases_) {
+    std::vector<PredecodedInstr> table;
+    std::vector<InstrSource::PhaseGeom> geom;
+    std::uint64_t instrs_per_exec = 0;
+    for (const auto &phase : phases) {
         if (phase.body.empty())
-            fatal("program '%s' has an empty phase body", name_.c_str());
+            fatal("program '%s' has an empty phase body", name.c_str());
         if (phase.iterations == 0)
             fatal("program '%s' has a zero-iteration phase",
-                  name_.c_str());
-        for (const auto &si : phase.body) {
-            if (isMemOp(si.op)) {
-                if (si.memPattern < 0 ||
-                    static_cast<std::size_t>(si.memPattern) >=
-                        memPatterns_.size()) {
-                    fatal("program '%s': bad mem pattern id %d",
-                          name_.c_str(), si.memPattern);
-                }
-            }
-            if (si.op == OpClass::Branch) {
-                if (si.branchPattern < 0 ||
-                    static_cast<std::size_t>(si.branchPattern) >=
-                        branchPatterns_.size()) {
-                    fatal("program '%s': bad branch pattern id %d",
-                          name_.c_str(), si.branchPattern);
-                }
-            }
-        }
-        phaseStart_.push_back(phaseStart_.back() + phase.instructions());
-    }
-    instrsPerExec_ = phaseStart_.back();
-
-    // Pre-decode the fetch table: every field of a DynInstr that does
-    // not depend on the dynamic occurrence count, decoded once.
-    flatStart_.push_back(0);
-    for (const auto &phase : phases_) {
+                  name.c_str());
+        geom.push_back({phase.body.size(), phase.iterations, table.size()});
         for (const auto &si : phase.body) {
             PredecodedInstr ps;
             ps.proto.op = si.op;
@@ -68,74 +42,74 @@ SyntheticProgram::SyntheticProgram(std::string name,
             ps.proto.src0 = si.src0;
             ps.proto.src1 = si.src1;
             ps.proto.prioNopReg = si.prioNopReg;
-            ps.proto.pc = si.pc;
-            if (isMemOp(si.op))
+            ps.proto.pc = pc;
+            pc += 4;
+            if (isMemOp(si.op)) {
+                if (si.memPattern < 0 ||
+                    static_cast<std::size_t>(si.memPattern) >=
+                        mem_patterns.size())
+                    fatal("program '%s': bad mem pattern id %d",
+                          name.c_str(), si.memPattern);
                 ps.memPattern = si.memPattern;
-            if (si.op == OpClass::Branch)
+            }
+            if (si.op == OpClass::Branch) {
+                if (si.branchPattern < 0 ||
+                    static_cast<std::size_t>(si.branchPattern) >=
+                        branch_patterns.size())
+                    fatal("program '%s': bad branch pattern id %d",
+                          name.c_str(), si.branchPattern);
                 ps.branchPattern = si.branchPattern;
-            fetchTable_.push_back(ps);
+            }
+            table.push_back(ps);
         }
-        flatStart_.push_back(flatStart_.back() + phase.body.size());
+        instrs_per_exec += phase.body.size() * phase.iterations;
     }
+    return InstrSource(std::move(name), instrs_per_exec, std::move(table),
+                       std::move(mem_patterns), std::move(branch_patterns),
+                       std::move(geom));
 }
 
-SyntheticProgram::Cursor
-SyntheticProgram::locate(SeqNum seq) const
-{
-    Cursor cur;
-    cur.exec = seq / instrsPerExec_;
-    const std::uint64_t in_exec = seq % instrsPerExec_;
+} // namespace
 
-    // Locate the phase containing in_exec (few phases: linear scan).
-    while (in_exec >= phaseStart_[cur.phase + 1])
-        ++cur.phase;
-    const ProgramPhase &phase = phases_[cur.phase];
-    const std::uint64_t in_phase = in_exec - phaseStart_[cur.phase];
-    cur.iter = in_phase / phase.body.size();
-    cur.bodyIdx =
-        static_cast<std::size_t>(in_phase % phase.body.size());
-    return cur;
+SyntheticProgram::SyntheticProgram(std::string name,
+                                   const std::vector<ProgramPhase> &phases,
+                                   std::vector<MemPattern> mem_patterns,
+                                   std::vector<BranchPattern>
+                                       branch_patterns)
+    : InstrSource(decodeProgram(std::move(name), phases,
+                                std::move(mem_patterns),
+                                std::move(branch_patterns)))
+{
 }
 
 DynInstr
 SyntheticProgram::materialize(SeqNum seq, ThreadId tid) const
 {
     const Cursor cur = locate(seq);
-    const ProgramPhase &phase = phases_[cur.phase];
-    const PredecodedInstr &ps =
-        fetchTable_[flatStart_[cur.phase] + cur.bodyIdx];
+    const PhaseGeom &g = phaseGeometry()[cur.phase];
+    const PredecodedInstr &ps = fetchTable()[g.flatStart + cur.bodyIdx];
 
     // Dynamic occurrence count of this static instruction.
-    const std::uint64_t k = cur.exec * phase.iterations + cur.iter;
+    const std::uint64_t k = cur.exec * g.iterations + cur.iter;
 
     DynInstr di = ps.proto;
     di.tid = tid;
     di.seq = seq;
     if (ps.memPattern >= 0)
-        di.addr = memPatterns_[ps.memPattern].addressAt(k);
+        di.addr = memPatterns()[ps.memPattern].addressAt(k);
     if (ps.branchPattern >= 0)
-        di.branchTaken = branchPatterns_[ps.branchPattern].directionAt(k);
+        di.branchTaken = branchPatterns()[ps.branchPattern].directionAt(k);
     return di;
-}
-
-std::vector<InstrSource::PhaseGeom>
-SyntheticProgram::phaseGeometry() const
-{
-    std::vector<PhaseGeom> geom;
-    geom.reserve(phases_.size());
-    for (std::size_t p = 0; p < phases_.size(); ++p)
-        geom.push_back({phases_[p].body.size(), phases_[p].iterations,
-                        flatStart_[p]});
-    return geom;
 }
 
 std::vector<std::uint64_t>
 SyntheticProgram::opClassMix() const
 {
     std::vector<std::uint64_t> mix(num_op_classes, 0);
-    for (const auto &phase : phases_)
-        for (const auto &si : phase.body)
-            mix[static_cast<int>(si.op)] += phase.iterations;
+    for (const PhaseGeom &g : phaseGeometry())
+        for (std::size_t i = 0; i < g.bodySize; ++i)
+            mix[static_cast<int>(fetchTable()[g.flatStart + i].proto.op)] +=
+                g.iterations;
     return mix;
 }
 

@@ -31,49 +31,31 @@ struct ProgramPhase
 {
     std::vector<StaticInstr> body;
     std::uint64_t iterations = 1;
-
-    std::uint64_t
-    instructions() const
-    {
-        return body.size() * iterations;
-    }
 };
 
-/** A complete synthetic program. */
+/**
+ * A complete synthetic program: an InstrSource whose fetch table,
+ * pattern tables and phase geometry are decoded from @c phases.
+ */
 class SyntheticProgram : public InstrSource
 {
   public:
-    SyntheticProgram(std::string name, std::vector<ProgramPhase> phases,
+    SyntheticProgram(std::string name,
+                     const std::vector<ProgramPhase> &phases,
                      std::vector<MemPattern> mem_patterns,
                      std::vector<BranchPattern> branch_patterns);
-
-    const std::string &name() const override { return name_; }
-    const std::vector<ProgramPhase> &phases() const { return phases_; }
-    const std::vector<MemPattern> &memPatterns() const override
-    {
-        return memPatterns_;
-    }
-    const std::vector<BranchPattern> &branchPatterns() const override
-    {
-        return branchPatterns_;
-    }
-
-    /** Dynamic instructions in one execution (all phases once). */
-    std::uint64_t instrsPerExecution() const override
-    {
-        return instrsPerExec_;
-    }
 
     /** Number of complete executions contained in @p seq instructions. */
     std::uint64_t
     executionsAt(SeqNum seq) const
     {
-        return seq / instrsPerExec_;
+        return seq / instrsPerExecution();
     }
 
     /**
      * Materialize the dynamic instruction at global index @p seq for
-     * thread @p tid.
+     * thread @p tid: the random-access reference InstrStream's
+     * incremental fetch is tested against.
      *
      * The result is deterministic: addresses come from the memory
      * patterns, branch directions from the branch patterns, both keyed by
@@ -81,45 +63,8 @@ class SyntheticProgram : public InstrSource
      */
     DynInstr materialize(SeqNum seq, ThreadId tid) const;
 
-    /** Locate global index @p seq (the materialize() arithmetic). */
-    Cursor locate(SeqNum seq) const override;
-
-    /**
-     * The pre-decoded fetch table: one slot per static instruction, in
-     * phase order (flat index = flatStart()[phase] + bodyIdx). Built
-     * once at construction; InstrStream fetches by copying prototypes
-     * from here instead of re-deriving every DynInstr field.
-     */
-    const std::vector<PredecodedInstr> &
-    fetchTable() const override
-    {
-        return fetchTable_;
-    }
-
-    /** Flat fetch-table offset of each phase (size phases+1). */
-    const std::vector<std::size_t> &
-    flatStart() const
-    {
-        return flatStart_;
-    }
-
-    std::vector<PhaseGeom> phaseGeometry() const override;
-
     /** Instruction-mix census over one execution (per op class). */
     std::vector<std::uint64_t> opClassMix() const;
-
-  private:
-    std::string name_;
-    std::vector<ProgramPhase> phases_;
-    std::vector<MemPattern> memPatterns_;
-    std::vector<BranchPattern> branchPatterns_;
-
-    /** Prefix sums of per-phase instruction counts (size phases+1). */
-    std::vector<std::uint64_t> phaseStart_;
-    std::uint64_t instrsPerExec_ = 0;
-
-    std::vector<PredecodedInstr> fetchTable_;
-    std::vector<std::size_t> flatStart_;
 };
 
 } // namespace p5

@@ -1,15 +1,16 @@
 /**
  * @file
- * Instruction-source abstraction behind InstrStream.
+ * The instruction source behind InstrStream.
  *
- * An InstrSource is anything that can supply the infinite, rewindable
- * dynamic instruction sequence of one software thread: the synthetic
- * generator (SyntheticProgram) or a recorded trace replayed from disk
- * (TraceProgram). The interface is deliberately cold: InstrStream calls
- * it at construction to capture the pre-decoded fetch table, the pattern
- * tables and the phase geometry, and afterwards only on rewinds/seeks
- * (locate()). The per-fetch hot path never makes a virtual call —
- * dispatch happens once, at stream-construction time.
+ * An InstrSource is the data of one software thread's infinite,
+ * rewindable dynamic instruction sequence: a pre-decoded fetch table,
+ * the memory and branch pattern tables its slots index, and the phase
+ * geometry that orders the table into loop iterations. The synthetic
+ * generator (SyntheticProgram) and a recorded trace replayed from disk
+ * (TraceProgram) are constructors that fill in this data; nothing here
+ * is virtual apart from the destructor. One locate() maps a global
+ * index to a position for both: InstrStream captures the tables at
+ * construction and calls locate() only on rewinds and seeks.
  */
 
 #ifndef P5SIM_PROGRAM_SOURCE_HH
@@ -24,26 +25,23 @@
 
 namespace p5 {
 
-/** Abstract supplier of a thread's dynamic instruction sequence. */
+/** A thread's dynamic instruction sequence, as data. */
 class InstrSource
 {
   public:
-    virtual ~InstrSource() = default;
-
     /** Decomposition of a global index into source coordinates. */
     struct Cursor
     {
-        std::uint64_t exec = 0;  ///< completed executions before seq
+        std::uint64_t exec = 0;  ///< completed passes before seq
         std::size_t phase = 0;   ///< phase containing seq
         std::uint64_t iter = 0;  ///< loop iteration within the phase
         std::size_t bodyIdx = 0; ///< position within the loop body
     };
 
     /**
-     * Shape of one phase as the stream's incremental cursor needs it:
-     * body length, iteration count and the phase's offset into the flat
-     * fetch table. Captured once per stream; the fetch/advance hot path
-     * walks these values without consulting the source again.
+     * Shape of one phase: body length, iteration count and the phase's
+     * offset into the flat fetch table. The stream's fetch/advance hot
+     * path walks these values incrementally.
      */
     struct PhaseGeom
     {
@@ -52,31 +50,64 @@ class InstrSource
         std::size_t flatStart = 0;
     };
 
-    virtual const std::string &name() const = 0;
+    /** @param geometry phase order, size >= 1, no empty phase. */
+    InstrSource(std::string name, std::uint64_t instrs_per_execution,
+                std::vector<PredecodedInstr> fetch_table,
+                std::vector<MemPattern> mem_patterns,
+                std::vector<BranchPattern> branch_patterns,
+                std::vector<PhaseGeom> geometry);
+
+    // Owners hold sources through std::unique_ptr<InstrSource>; the
+    // explicit defaults keep a built program movable, not just copyable.
+    virtual ~InstrSource() = default;
+    InstrSource(const InstrSource &) = default;
+    InstrSource(InstrSource &&) = default;
+    InstrSource &operator=(const InstrSource &) = default;
+    InstrSource &operator=(InstrSource &&) = default;
+
+    const std::string &name() const { return name_; }
 
     /**
      * Dynamic instructions in one FAME execution (repetition). For a
      * trace this is the *generator's* per-execution count recorded in
      * the header, so replayed runs account repetitions identically.
      */
-    virtual std::uint64_t instrsPerExecution() const = 0;
-
-    /** Locate global index @p seq (rewind/seek path only — may be
-     *  virtual-dispatched; never called per fetch). */
-    virtual Cursor locate(SeqNum seq) const = 0;
+    std::uint64_t instrsPerExecution() const { return instrsPerExec_; }
 
     /** Pre-decoded fetch table, phase order (see PredecodedInstr). */
-    virtual const std::vector<PredecodedInstr> &fetchTable() const = 0;
+    const std::vector<PredecodedInstr> &fetchTable() const
+    {
+        return fetchTable_;
+    }
 
-    /** Memory patterns the fetch table's memPattern ids index (may be
-     *  empty when every slot carries its address in the prototype). */
-    virtual const std::vector<MemPattern> &memPatterns() const = 0;
+    /** Memory patterns the fetch table's memPattern ids index (empty
+     *  when every slot carries its address in the prototype). */
+    const std::vector<MemPattern> &memPatterns() const
+    {
+        return memPatterns_;
+    }
 
     /** Branch patterns the fetch table's branchPattern ids index. */
-    virtual const std::vector<BranchPattern> &branchPatterns() const = 0;
+    const std::vector<BranchPattern> &branchPatterns() const
+    {
+        return branchPatterns_;
+    }
 
     /** Per-phase geometry, phase order (size >= 1). */
-    virtual std::vector<PhaseGeom> phaseGeometry() const = 0;
+    const std::vector<PhaseGeom> &phaseGeometry() const { return geom_; }
+
+    /** Locate global index @p seq, where `exec` counts passes through
+     *  every phase once (rewind/seek path; never called per fetch). */
+    Cursor locate(SeqNum seq) const;
+
+  private:
+    std::string name_;
+    std::uint64_t instrsPerExec_;
+    std::vector<PredecodedInstr> fetchTable_;
+    std::vector<MemPattern> memPatterns_;
+    std::vector<BranchPattern> branchPatterns_;
+    std::vector<PhaseGeom> geom_;
+    std::uint64_t passLength_ = 0; ///< instructions in all phases once
 };
 
 } // namespace p5

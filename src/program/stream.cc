@@ -12,14 +12,9 @@ InstrStream::InstrStream(const InstrSource *source, ThreadId tid)
     table_ = source_->fetchTable().data();
     memPats_ = source_->memPatterns().data();
     branchPats_ = source_->branchPatterns().data();
-    geom_ = source_->phaseGeometry();
+    geom_ = source_->phaseGeometry().data();
+    numPhases_ = source_->phaseGeometry().size();
     instrsPerExec_ = source_->instrsPerExecution();
-    if (geom_.empty())
-        panic("InstrStream source '%s' has no phases",
-              source_->name().c_str());
-    if (instrsPerExec_ == 0)
-        panic("InstrStream source '%s' has no instructions",
-              source_->name().c_str());
     reposition(0);
 }
 
@@ -36,7 +31,7 @@ InstrStream::advance()
         return;
     iter_ = 0;
     flatIdx_ += bodySize_;
-    if (++phase_ == geom_.size()) {
+    if (++phase_ == numPhases_) {
         phase_ = 0;
         flatIdx_ = 0;
         ++exec_;

@@ -12,10 +12,9 @@
  * iteration, body position) into the source's pre-decoded fetch table,
  * so the common-path fetch is a prototype copy plus the two pattern
  * evaluations — no per-fetch division back into source coordinates.
- * The stream captures the source's fetch table, pattern tables and
- * phase geometry at construction, so the hot path never makes a
- * virtual call either; only rewinds (and only rewinds) go back to the
- * source's virtual locate() to re-derive the cursor.
+ * The stream captures pointers to the source's fetch table, pattern
+ * tables and phase geometry at construction; only rewinds and seeks go
+ * back to the source's locate() to re-derive the cursor.
  */
 
 #ifndef P5SIM_PROGRAM_STREAM_HH
@@ -62,7 +61,7 @@ class InstrStream
     void seekTo(SeqNum seq);
 
     /** Completed source executions within the first @p seq instrs
-     *  (captured divisor — no virtual call; commit-path safe). */
+     *  (captured divisor; commit-path safe). */
     std::uint64_t
     executionsAt(SeqNum seq) const
     {
@@ -72,7 +71,6 @@ class InstrStream
     /** Dynamic instructions per FAME execution (captured). */
     std::uint64_t instrsPerExecution() const { return instrsPerExec_; }
 
-    const InstrSource &source() const { return *source_; }
     ThreadId tid() const { return tid_; }
 
   private:
@@ -107,12 +105,13 @@ class InstrStream
     ThreadId tid_;
     SeqNum pos_ = 0;
 
-    // Captured at construction: the source's tables and geometry, so
-    // fetch/advance never dispatch through the source.
+    // Captured at construction: the source's tables and geometry, read
+    // in place by fetch/advance.
     const PredecodedInstr *table_ = nullptr;
     const MemPattern *memPats_ = nullptr;
     const BranchPattern *branchPats_ = nullptr;
-    std::vector<InstrSource::PhaseGeom> geom_;
+    const InstrSource::PhaseGeom *geom_ = nullptr;
+    std::size_t numPhases_ = 0;
     std::uint64_t instrsPerExec_ = 0;
 
     // Memoized decode cursor: invariant flatIdx_ ==

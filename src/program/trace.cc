@@ -145,6 +145,17 @@ decodeHeader(const JsonValue &hdr)
     return h;
 }
 
+/** The decoded record table, checked against its header. */
+std::vector<PredecodedInstr>
+checkedTable(const TraceHeader &h, std::vector<PredecodedInstr> table)
+{
+    if (table.empty())
+        fatal("trace '%s' has no records", h.name.c_str());
+    if (table.size() != h.records)
+        fatal("trace '%s' table/header record mismatch", h.name.c_str());
+    return table;
+}
+
 } // namespace
 
 std::string
@@ -160,33 +171,11 @@ TraceHeader::fingerprint() const
 
 TraceProgram::TraceProgram(TraceHeader header,
                            std::vector<PredecodedInstr> table)
-    : header_(std::move(header)), table_(std::move(table))
+    : InstrSource(header.name, header.instrsPerExecution,
+                  checkedTable(header, std::move(table)), {}, {},
+                  {{static_cast<std::size_t>(header.records), 1, 0}}),
+      header_(std::move(header))
 {
-    if (table_.empty())
-        fatal("trace '%s' has no records", header_.name.c_str());
-    if (table_.size() != header_.records)
-        fatal("trace '%s' table/header record mismatch",
-              header_.name.c_str());
-}
-
-InstrSource::Cursor
-TraceProgram::locate(SeqNum seq) const
-{
-    // One phase of `records` single-iteration records: replay wraps
-    // modulo the recorded span.
-    const std::uint64_t span = header_.records;
-    Cursor cur;
-    cur.exec = seq / span;
-    cur.phase = 0;
-    cur.iter = 0;
-    cur.bodyIdx = static_cast<std::size_t>(seq % span);
-    return cur;
-}
-
-std::vector<InstrSource::PhaseGeom>
-TraceProgram::phaseGeometry() const
-{
-    return {{table_.size(), 1, 0}};
 }
 
 void

@@ -61,41 +61,16 @@ struct TraceHeader
     std::string fingerprint() const;
 };
 
-/** An InstrSource that replays a loaded trace. */
+/**
+ * An InstrSource that replays a loaded trace: one phase spanning all
+ * records once, so replay wraps there. Every slot carries its address
+ * and branch direction in the prototype, so there are no patterns.
+ */
 class TraceProgram : public InstrSource
 {
   public:
     TraceProgram(TraceHeader header,
                  std::vector<PredecodedInstr> table);
-
-    const std::string &name() const override { return header_.name; }
-
-    /** The *generator's* per-execution count, from the header. */
-    std::uint64_t instrsPerExecution() const override
-    {
-        return header_.instrsPerExecution;
-    }
-
-    Cursor locate(SeqNum seq) const override;
-
-    const std::vector<PredecodedInstr> &fetchTable() const override
-    {
-        return table_;
-    }
-
-    /** Every slot carries its address/direction in the prototype. */
-    const std::vector<MemPattern> &memPatterns() const override
-    {
-        return noMemPatterns_;
-    }
-
-    const std::vector<BranchPattern> &branchPatterns() const override
-    {
-        return noBranchPatterns_;
-    }
-
-    /** One phase spanning all records once; replay wraps there. */
-    std::vector<PhaseGeom> phaseGeometry() const override;
 
     const TraceHeader &header() const { return header_; }
 
@@ -104,9 +79,6 @@ class TraceProgram : public InstrSource
 
   private:
     TraceHeader header_;
-    std::vector<PredecodedInstr> table_;
-    std::vector<MemPattern> noMemPatterns_;
-    std::vector<BranchPattern> noBranchPatterns_;
 };
 
 /**

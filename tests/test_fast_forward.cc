@@ -55,13 +55,14 @@ snapshot(const SmtCore &core)
 
 /**
  * Run @p prog against itself for @p cycles at the given priority pair
- * and snapshot everything a caller can observe.
+ * on a core built from @p params and snapshot everything a caller can
+ * observe.
  */
 RunSnapshot
 runPair(const SyntheticProgram &prog, int prio_p, int prio_s,
-        bool fast_forward, bool armed, Cycle cycles)
+        bool fast_forward, bool armed, Cycle cycles,
+        CoreParams params = {})
 {
-    CoreParams params;
     params.fastForward = fast_forward;
     SmtCore core(params);
     if (armed)
@@ -95,24 +96,58 @@ expectIdentical(const RunSnapshot &fast, const RunSnapshot &slow,
 /**
  * The headline equivalence sweep: six benchmarks x 36 priority pairs,
  * fast-forward on vs off, every registered stat compared bit-exact.
+ * Besides the default core it covers the probe's two non-default
+ * decode branches: the balancer's flush action (the probe's
+ * flush-drop check) and work-conserving slots (its copy of the
+ * decode arbiter's reassignment). Each such variant must take its
+ * branch, shown by its stat, in some run that also skipped.
  */
 TEST(FastForward, BitIdenticalStatsAcrossAllPriorityPairs)
 {
     constexpr Cycle run_cycles = 2500;
-    for (UbenchId id : presentedUbench()) {
-        const SyntheticProgram prog = makeUbench(id, 0.25);
-        for (int prio_p = 1; prio_p <= 6; ++prio_p) {
-            for (int prio_s = 1; prio_s <= 6; ++prio_s) {
-                const std::string label =
-                    std::string(ubenchName(id)) + " (" +
-                    std::to_string(prio_p) + "," +
-                    std::to_string(prio_s) + ")";
-                RunSnapshot slow = runPair(prog, prio_p, prio_s,
-                                           false, false, run_cycles);
-                RunSnapshot fast = runPair(prog, prio_p, prio_s,
-                                           true, false, run_cycles);
-                expectIdentical(fast, slow, label);
+    struct Variant
+    {
+        const char *name;
+        CoreParams params;
+        const char *branchStat; ///< suffix of the stat the branch counts
+    };
+    Variant variants[] = {
+        {"default", {}, nullptr},
+        {"flush", {}, ".flushes"},
+        {"work-conserving", {}, ".slotsReassigned"},
+    };
+    variants[1].params.balancer.action = BalanceAction::Flush;
+    variants[2].params.workConservingSlots = true;
+
+    for (const Variant &v : variants) {
+        int branch_and_skip = 0;
+        for (UbenchId id : presentedUbench()) {
+            const SyntheticProgram prog = makeUbench(id, 0.25);
+            for (int prio_p = 1; prio_p <= 6; ++prio_p) {
+                for (int prio_s = 1; prio_s <= 6; ++prio_s) {
+                    const std::string label =
+                        std::string(v.name) + " " + ubenchName(id) +
+                        " (" + std::to_string(prio_p) + "," +
+                        std::to_string(prio_s) + ")";
+                    RunSnapshot slow =
+                        runPair(prog, prio_p, prio_s, false, false,
+                                run_cycles, v.params);
+                    RunSnapshot fast =
+                        runPair(prog, prio_p, prio_s, true, false,
+                                run_cycles, v.params);
+                    expectIdentical(fast, slow, label);
+                    if (!v.branchStat || fast.idleSkipped == 0)
+                        continue;
+                    for (const auto &[name, value] : slow.stats)
+                        if (name.ends_with(v.branchStat) && value > 0) {
+                            ++branch_and_skip;
+                            break;
+                        }
+                }
             }
+        }
+        if (v.branchStat) {
+            EXPECT_GT(branch_and_skip, 0) << v.name;
         }
     }
 }

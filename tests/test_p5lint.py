@@ -45,7 +45,14 @@ CASES = [
     ("good_hot_alloc_via_template.cc", None),
     ("bad_process_exit.cc", "single_exit"),
     ("good_error_thrown.cc", None),
+    ("bad_hot_function_try_block.cc", "hot_path_no_alloc"),
+    ("good_function_try_block.cc", None),
 ]
+
+# fixture file -> exact finding count, where one is pinned
+EXACT_COUNTS = {
+    "bad_hot_function_try_block.cc": 1,
+}
 
 
 def lint(path: pathlib.Path):
@@ -96,6 +103,10 @@ def main():
                 failures.append(
                     f"{name}: expected only rule {expected_rule}, got "
                     f"{rules}\n{output}")
+            elif len(findings) != EXACT_COUNTS.get(name, len(findings)):
+                failures.append(
+                    f"{name}: expected exactly {EXACT_COUNTS[name]} "
+                    f"finding(s), got {len(findings)}\n{output}")
             else:
                 print(f"ok   {name}: {len(findings)} x {expected_rule}")
 

@@ -121,8 +121,8 @@ TEST(Builder, BuildsExpectedShape)
 {
     SyntheticProgram p = tinyProgram();
     EXPECT_EQ(p.name(), "tiny");
-    ASSERT_EQ(p.phases().size(), 1u);
-    EXPECT_EQ(p.phases()[0].body.size(), 3u);
+    ASSERT_EQ(p.phaseGeometry().size(), 1u);
+    EXPECT_EQ(p.phaseGeometry()[0].bodySize, 3u);
     EXPECT_EQ(p.instrsPerExecution(), 9u);
 }
 

@@ -256,9 +256,8 @@ TEST(TraceEquivalence, FastForwardModesAgreeUnderCheckers)
 
 /**
  * The trace cursor survives checkpoint save/restore: a run resumed on
- * a fresh core (whose stream re-derives its position through the
- * virtual locate() path) matches the uninterrupted run observable for
- * observable.
+ * a fresh core (whose stream re-derives its position through
+ * locate()) matches the uninterrupted run observable for observable.
  */
 TEST(TraceEquivalence, CkptRoundTripResumesMidTrace)
 {

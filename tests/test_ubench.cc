@@ -72,7 +72,7 @@ TEST(Ubench, ScaleMultipliesWork)
     SyntheticProgram big = makeUbench(UbenchId::CpuInt, 2.0);
     EXPECT_NEAR(static_cast<double>(big.instrsPerExecution()),
                 2.0 * static_cast<double>(base.instrsPerExecution()),
-                static_cast<double>(base.phases()[0].body.size()));
+                static_cast<double>(base.phaseGeometry()[0].bodySize));
 }
 
 /** Run one benchmark ST and return (ipc, dominant service level). */

@@ -588,11 +588,14 @@ class FileParser:
         t = close_p + 1
         const = False
         body = None
+        function_try = False
         line = toks[name_at].line
         while t < end:
             text = toks[t].text
             if text == "const":
                 const = True
+            elif text == "try":  # function-try-block
+                function_try = True
             elif text == "noexcept":
                 if t + 1 < end and toks[t + 1].text == "(":
                     t = match_brace(toks, t + 1, "(", ")") - 1
@@ -620,6 +623,12 @@ class FileParser:
                 close = match_brace(toks, t)
                 body = toks[t + 1:close - 1]
                 t = close
+                # A function-try-block's handlers belong to its body.
+                while function_try and t < end and toks[t].text == "catch":
+                    t = match_brace(toks, t + 1, "(", ")")
+                    close = match_brace(toks, t)
+                    body += toks[t + 1:close - 1]
+                    t = close
                 break
             elif text == ";":
                 t += 1
