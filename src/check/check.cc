@@ -77,6 +77,13 @@ CheckRegistry::clearFailures()
 }
 
 void
+CheckRegistry::reprime()
+{
+    for (const auto &c : checkers_)
+        c->unprime();
+}
+
+void
 CheckRegistry::report(CheckFailure f)
 {
     if (fatal_)

@@ -94,7 +94,18 @@ class InvariantChecker
         (void)to;
     }
 
+    /**
+     * Forget the baseline: the next observation primes afresh, as for
+     * a checker attached mid-run. A period jump (SmtCore::jumpPeriods)
+     * moves the counters by whole periods at once, so the deltas across
+     * it mean nothing cycle by cycle.
+     */
+    void unprime() { primed_ = false; }
+
   protected:
+    /** Whether the delta-based checks hold a baseline observation. */
+    bool primed_ = false;
+
     /** Record a violation with the owning registry. */
     void fail(Cycle cycle, ThreadId tid, std::string invariant,
               std::string expected, std::string actual);
@@ -157,6 +168,9 @@ class CheckRegistry
     std::uint64_t cyclesSkipped() const { return cyclesSkipped_; }
 
     void clearFailures();
+
+    /** InvariantChecker::unprime() every checker (after a jump). */
+    void reprime();
 
     /** Failures kept in failures(); further ones only count. */
     static constexpr std::size_t max_stored_failures = 256;

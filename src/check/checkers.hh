@@ -123,7 +123,6 @@ class DecodeSlotChecker : public InvariantChecker
     void rebuildWindowAfterSkip(int prio_p, int prio_s, int decode_width,
                                 int minority_width, Cycle from, Cycle to);
 
-    bool primed_ = false;
     std::array<std::uint64_t, num_hw_threads> prevGranted_{};
     std::array<std::uint64_t, num_hw_threads> prevForfeited_{};
     std::array<std::uint64_t, num_hw_threads> prevReassigned_{};
@@ -144,7 +143,6 @@ class GctChecker : public InvariantChecker
     void onCycle(const SmtCore &core, Cycle cycle) override;
 
   private:
-    bool primed_ = false;
     std::uint64_t prevAllocated_ = 0;
     std::uint64_t prevRetired_ = 0;
     std::array<bool, num_hw_threads> prevAttached_{};
@@ -171,7 +169,6 @@ class FlowChecker : public InvariantChecker
      */
     void checkWakeLists(const ThreadState &ts, Cycle cycle);
 
-    bool primed_ = false;
     std::array<ThreadCounters, num_hw_threads> prev_{};
 };
 
@@ -183,7 +180,6 @@ class MemChecker : public InvariantChecker
     void onCycle(const SmtCore &core, Cycle cycle) override;
 
   private:
-    bool primed_ = false;
     std::uint64_t prevL1Hits_ = 0;
     std::uint64_t prevL1Misses_ = 0;
     std::uint64_t prevL1Insertions_ = 0;
@@ -204,7 +200,6 @@ class IpcChecker : public InvariantChecker
     void onCycle(const SmtCore &core, Cycle cycle) override;
 
   private:
-    bool primed_ = false;
     std::array<ThreadCounters, num_hw_threads> prev_{};
 };
 

@@ -21,6 +21,12 @@
  * `restoring` tells the body which it is running. geom() is the one
  * asymmetric field: the writer records a geometry, the reader checks it.
  *
+ * Every scalar primitive also takes the field's kind (FieldKind, with
+ * the thread it belongs to), which the two byte streams ignore: the
+ * wire format is the same with or without it. The period skip's walks
+ * over the same bodies (state_walk.hh) read it to relativise a field
+ * to its base and to shift it across whole periods.
+ *
  * The reader treats underrun or trailing bytes as fatal: every blob it
  * sees has already passed the file-level length + checksum validation
  * (see ckpt.hh), so a structural mismatch means a version-skew bug, not
@@ -39,8 +45,76 @@
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "common/types.hh"
 
 namespace p5 {
+
+/**
+ * What a checkpoint field holds, as the period skip reads it. The
+ * canonical (relativised) form of each kind, and how a jump of k whole
+ * periods moves it, is DESIGN §7 "Period skip"; in short:
+ */
+enum class FieldKind : std::uint8_t
+{
+    Plain,     ///< compared as is; a jump keeps it
+    Counter,   ///< a statistic: not compared; a jump adds k deltas
+    Cycle,     ///< an exact cycle: relative to now; never_cycle stays
+    ReadyAt,   ///< a cycle every past value of which acts alike:
+               ///< relative to now, clamped at 0 for the past
+    WalkAge,   ///< a past request read only as "within horizon of now":
+               ///< its age, clamped past the horizon
+    Seq,       ///< a thread's sequence number: relative to its stream
+    Stamp,     ///< a dispatch stamp: relative to the core's next stamp
+    Epoch,     ///< a squash epoch: relative to the thread's epoch
+    Slot,      ///< a physical window slot: relative to the window head
+    StreamPos, ///< a thread's stream position: modulo its period
+    Progress,  ///< per-thread progress (executions): not compared
+    Event,     ///< the cycle of a thread's last completed execution:
+               ///< history, not compared; a jump moves it by whole
+               ///< periods when the event recurs in each of them
+    Probe      ///< fast-forward probe bookkeeping: ignored, kept
+};
+
+/** A field's kind, the thread it belongs to, and a WalkAge horizon. */
+struct Field
+{
+    FieldKind kind = FieldKind::Plain;
+    std::int8_t tid = -1;
+    std::uint32_t horizon = 0;
+};
+
+/** Field kinds as the checkpoint bodies name them. */
+namespace field {
+inline constexpr Field cycle{FieldKind::Cycle};
+inline constexpr Field readyAt{FieldKind::ReadyAt};
+inline constexpr Field stamp{FieldKind::Stamp};
+inline constexpr Field probe{FieldKind::Probe};
+
+constexpr Field
+of(FieldKind kind, ThreadId tid)
+{
+    return {kind, static_cast<std::int8_t>(tid), 0};
+}
+constexpr Field seq(ThreadId tid) { return of(FieldKind::Seq, tid); }
+constexpr Field epoch(ThreadId tid) { return of(FieldKind::Epoch, tid); }
+constexpr Field slot(ThreadId tid) { return of(FieldKind::Slot, tid); }
+constexpr Field
+streamPos(ThreadId tid)
+{
+    return of(FieldKind::StreamPos, tid);
+}
+constexpr Field
+progress(ThreadId tid)
+{
+    return of(FieldKind::Progress, tid);
+}
+constexpr Field event(ThreadId tid) { return of(FieldKind::Event, tid); }
+constexpr Field
+walkAge(Cycle horizon)
+{
+    return {FieldKind::WalkAge, -1, static_cast<std::uint32_t>(horizon)};
+}
+} // namespace field
 
 // Words move as whole host words, so the host must store them in the
 // wire format's byte order.
@@ -59,30 +133,30 @@ class CkptWriter
 
     template <class T>
     void
-    u8(const T &v)
+    u8(const T &v, Field = {})
     {
         bytes_.push_back(static_cast<std::uint8_t>(v));
     }
 
-    void b(bool v) { u8(v); }
+    void b(bool v, Field f = {}) { u8(v, f); }
 
     template <class T>
     void
-    u32(const T &v)
+    u32(const T &v, Field = {})
     {
         word(static_cast<std::uint32_t>(v));
     }
 
     template <class T>
     void
-    u64(const T &v)
+    u64(const T &v, Field = {})
     {
         word(static_cast<std::uint64_t>(v));
     }
 
     template <class T>
     void
-    i32(const T &v)
+    i32(const T &v, Field = {})
     {
         word(static_cast<std::uint32_t>(static_cast<std::int32_t>(v)));
     }
@@ -93,6 +167,13 @@ class CkptWriter
     {
         const auto *p = reinterpret_cast<const std::uint8_t *>(v.data());
         bytes_.insert(bytes_.end(), p, p + v.size_bytes());
+    }
+
+    /** Append every byte of @p v in order, as u8() would: one copy. */
+    void
+    u8s(std::span<const std::uint8_t> v)
+    {
+        bytes_.insert(bytes_.end(), v.begin(), v.end());
     }
 
     void counter(const Counter &c) { u64(c.value()); }
@@ -142,31 +223,31 @@ class CkptReader
 
     template <class T>
     void
-    u8(T &v)
+    u8(T &v, Field = {})
     {
         need(1);
         v = static_cast<T>(data_[pos_++]);
     }
 
-    void b(bool &v) { u8(v); }
+    void b(bool &v, Field f = {}) { u8(v, f); }
 
     template <class T>
     void
-    u32(T &v)
+    u32(T &v, Field = {})
     {
         v = static_cast<T>(word<std::uint32_t>());
     }
 
     template <class T>
     void
-    u64(T &v)
+    u64(T &v, Field = {})
     {
         v = static_cast<T>(word<std::uint64_t>());
     }
 
     template <class T>
     void
-    i32(T &v)
+    i32(T &v, Field = {})
     {
         v = static_cast<T>(static_cast<std::int32_t>(word<std::uint32_t>()));
     }
@@ -178,6 +259,15 @@ class CkptReader
         need(out.size_bytes());
         std::memcpy(out.data(), data_ + pos_, out.size_bytes());
         pos_ += out.size_bytes();
+    }
+
+    /** Fill @p out with the next out.size() bytes: one copy. */
+    void
+    u8s(std::span<std::uint8_t> out)
+    {
+        need(out.size());
+        std::memcpy(out.data(), data_ + pos_, out.size());
+        pos_ += out.size();
     }
 
     void counter(Counter &c) { c.restore(word<std::uint64_t>()); }

@@ -14,11 +14,12 @@
  *
  *  1. The stream is a pure function of simulated state. Every field is
  *     written in a fixed order through CkptWriter's little-endian
- *     primitives, individually or, for an array of plain words (the
- *     LRU tags), as one bulk copy; no struct is ever written via memcpy
- *     (padding bytes are indeterminate) and no unordered container is
- *     ever iterated (there are none in the saved state — heaps and
- *     the sorted ready arrays are explicit vectors, maps are std::map).
+ *     primitives, individually or, for an array of plain words or
+ *     bytes (the LRU tags, the BHT counters), as one bulk copy; no
+ *     struct is ever written via memcpy (padding bytes are
+ *     indeterminate) and no unordered container is ever iterated
+ *     (there are none in the saved state — heaps and the sorted ready
+ *     arrays are explicit vectors, maps are std::map).
  *
  *  2. The stream holds primary state only, so save(restore(image))
  *     reproduces the image byte for byte. What the core can derive is
@@ -42,7 +43,9 @@
 #include <algorithm>
 
 #include "branch/bht.hh"
+#include "check/check.hh"
 #include "ckpt/ckpt_io.hh"
+#include "ckpt/state_walk.hh"
 #include "common/log.hh"
 #include "core/balancer.hh"
 #include "core/decode_arbiter.hh"
@@ -120,7 +123,7 @@ void
 Cache::ckpt(Self &self, Io &io)
 {
     LruArray::ckpt(self.lines_, io);
-    io.u64(self.nextFree_);
+    io.u64(self.nextFree_, field::readyAt);
 }
 
 template <class Self, class Io>
@@ -137,8 +140,7 @@ void
 Bht::ckpt(Self &self, Io &io)
 {
     io.geom("BHT counters", self.counters_.size());
-    for (auto &c : self.counters_)
-        io.u8(c);
+    io.u8s(self.counters_);
     io.counter(self.lookups_);
     io.counter(self.correct_);
     io.counter(self.mispredicts_);
@@ -166,8 +168,8 @@ Lmq::ckpt(Self &self, Io &io, Cycle now)
         if constexpr (!Io::restoring)
             win = self.edges_[i].window;
         io.i32(win.tid);
-        io.u64(win.startCycle);
-        io.u64(win.releaseCycle);
+        io.u64(win.startCycle, field::cycle);
+        io.u64(win.releaseCycle, field::cycle);
         if constexpr (Io::restoring) {
             if (win.tid < 0 || win.tid >= num_hw_threads ||
                 win.releaseCycle <= win.startCycle ||
@@ -197,7 +199,7 @@ FuPool::ckpt(Self &self, Io &io)
         auto &units = self.busyUntil_[fc];
         io.geom("FU units", units.size());
         for (auto &c : units)
-            io.u64(c);
+            io.u64(c, field::readyAt);
         io.counter(self.acquisitions_[fc]);
     }
 }
@@ -219,11 +221,11 @@ IssueQueue::ckpt(Self &self, Io &io)
         }
         for (std::size_t i = q.head; i < q.refs.size(); ++i) {
             auto &ref = q.refs[i];
-            io.u64(ref.stamp);
+            io.u64(ref.stamp, field::stamp);
             io.i32(ref.tid);
-            io.u64(ref.seq);
-            io.u64(ref.epoch);
-            io.u32(ref.slot);
+            io.u64(ref.seq, field::seq(ref.tid));
+            io.u64(ref.epoch, field::epoch(ref.tid));
+            io.u32(ref.slot, field::slot(ref.tid));
         }
     }
 }
@@ -240,6 +242,7 @@ Gct::ckpt(Self &self, Io &io)
     // Logical (oldest-first) serialization: the window entries' group
     // handles and the unfinished counts are derived state, which the
     // core rebuilds after restore.
+    ThreadId tid = 0;
     for (auto &ring : self.groups_) {
         auto n = ring.size();
         io.u64(n);
@@ -249,12 +252,13 @@ Gct::ckpt(Self &self, Io &io)
                 ring.pushSlot();
         }
         for (auto &g : ring) {
-            io.u64(g.startSeq);
+            io.u64(g.startSeq, field::seq(tid));
             io.i32(g.count);
             // Derived state: the core recounts it from the window.
             if constexpr (Io::restoring)
                 g.unfinished = g.count;
         }
+        ++tid;
     }
     io.counter(self.allocated_);
     io.counter(self.retired_);
@@ -266,14 +270,18 @@ template <class Self, class Io>
 void
 Lsu::ckpt(Self &self, Io &io)
 {
-    io.u64(self.walkerNextFree_);
+    // A walk request counts only while it is within three walk times
+    // of now (Lsu::reserveWalker), so older ones all act alike.
+    const Cycle walk_horizon =
+        3 * static_cast<Cycle>(self.params_.mem.tlb.walkLatency);
+    io.u64(self.walkerNextFree_, field::readyAt);
     for (auto &c : self.lastWalkRequest_)
-        io.u64(c);
+        io.u64(c, field::walkAge(walk_horizon));
     for (auto &c : self.walkUntil_)
-        io.u64(c);
+        io.u64(c, field::readyAt);
     io.i32(self.walkerTid_);
-    io.u64(self.walkerServiceUntil_);
-    io.u64(self.portNextFree_);
+    io.u64(self.walkerServiceUntil_, field::readyAt);
+    io.u64(self.portNextFree_, field::readyAt);
     counterArrays(io, self.loads_, self.stores_, self.walks_,
                   self.levelCounts_);
 }
@@ -303,14 +311,14 @@ MemBackside::ckpt(Self &self, Io &io)
 {
     Cache::ckpt(self.l2_, io);
     Cache::ckpt(self.l3_, io);
-    io.u64(self.dramNextFree_);
+    io.u64(self.dramNextFree_, field::readyAt);
 }
 
 template <class Self, class Io>
 void
 CacheHierarchy::ckpt(Self &self, Io &io)
 {
-    if (self.backside_ != self.ownedBackside_.get())
+    if (!self.ownsBackside())
         fatal("checkpointing a shared-backside hierarchy is not "
               "supported (the snapshot would tear chip-wide state)");
     Cache::ckpt(self.l1d_, io);
@@ -327,11 +335,11 @@ namespace {
 /** One window entry: its instruction, then its pipeline state. */
 template <class Entry, class Io>
 void
-ckptInFlight(Entry &e, Io &io)
+ckptInFlight(Entry &e, Io &io, ThreadId tid)
 {
     auto &di = e.di;
     io.i32(di.tid);
-    io.u64(di.seq);
+    io.u64(di.seq, field::seq(tid));
     io.u8(di.op);
     io.i32(di.dst);
     io.i32(di.src0);
@@ -341,11 +349,11 @@ ckptInFlight(Entry &e, Io &io)
     io.b(di.branchPredictedTaken);
     io.i32(di.prioNopReg);
     io.u64(di.pc);
-    io.u64(di.completeCycle);
+    io.u64(di.completeCycle, field::readyAt);
     io.u8(e.phase);
     io.i32(e.pendingSrcs);
-    io.u64(e.epoch);
-    io.u64(e.stamp);
+    io.u64(e.epoch, field::epoch(tid));
+    io.u64(e.stamp, field::stamp);
     io.b(e.inReadyQueue);
 }
 
@@ -368,26 +376,29 @@ ThreadState::ckpt(Self &self, Io &io)
     // index: restore puts them back in the same physical slots, so the
     // slot handles held by the ready queues and the completion heap
     // stay valid.
+    const ThreadId tid = self.tid_;
     io.geom("window capacity", self.window.capacity());
     auto head = self.window.headIndex();
     auto size = self.window.size();
-    io.u64(head);
+    io.u64(head, field::slot(tid));
     io.u64(size);
     if constexpr (Io::restoring)
         self.window.setShape(head, size);
     for (auto &e : self.window)
-        ckptInFlight(e, io);
+        ckptInFlight(e, io, tid);
     if constexpr (Io::restoring)
         self.rebuildFromWindow();
 
-    io.u64(self.epoch);
-    io.u64(self.decodeBlockedUntil);
+    io.u64(self.epoch, field::epoch(tid));
+    io.u64(self.decodeBlockedUntil, field::readyAt);
     io.u8(self.privilege);
-    io.u64(self.committed);
-    io.u64(self.executionsCompleted);
-    io.u64(self.lastExecutionCycle);
+    // Everything committed precedes the window, so the count is a
+    // sequence number: the next one to commit.
+    io.u64(self.committed, field::seq(tid));
+    io.u64(self.executionsCompleted, field::progress(tid));
+    io.u64(self.lastExecutionCycle, field::event(tid));
     auto next_seq = self.stream_->nextSeq();
-    io.u64(next_seq);
+    io.u64(next_seq, field::streamPos(tid));
     if constexpr (Io::restoring)
         self.stream_->seekTo(next_seq);
 
@@ -404,12 +415,12 @@ template <class Self, class Io>
 void
 SmtCore::ckpt(Self &self, Io &io)
 {
-    io.u64(self.cycle_);
-    io.u64(self.dispatchStamp_);
-    io.u64(self.idleSkipped_);
-    io.u64(self.ffProbes_);
-    io.b(self.tickProgress_);
-    io.u32(self.idleStreak_);
+    io.u64(self.cycle_, field::cycle);
+    io.u64(self.dispatchStamp_, field::stamp);
+    io.u64(self.idleSkipped_, field::probe);
+    io.u64(self.ffProbes_, field::probe);
+    io.b(self.tickProgress_, field::probe);
+    io.u32(self.idleStreak_, field::probe);
 
     for (const auto &ts : self.threads_)
         ThreadState::ckpt(*ts, io);
@@ -433,11 +444,11 @@ SmtCore::ckpt(Self &self, Io &io)
     if constexpr (Io::restoring)
         self.completions_.resize(n);
     for (auto &c : self.completions_) {
-        io.u64(c.cycle);
+        io.u64(c.cycle, field::cycle);
         io.i32(c.tid);
-        io.u64(c.seq);
-        io.u64(c.epoch);
-        io.u32(c.slot);
+        io.u64(c.seq, field::seq(c.tid));
+        io.u64(c.epoch, field::epoch(c.tid));
+        io.u32(c.slot, field::slot(c.tid));
     }
 
     counterArrays(io, self.decoded_, self.stallBalancer_,
@@ -454,6 +465,113 @@ void
 SmtCore::restoreState(CkptReader &r)
 {
     ckpt(*this, r);
+}
+
+// --- Period skip --------------------------------------------------------
+
+RelBases
+SmtCore::relBases() const
+{
+    RelBases bases;
+    bases.now = cycle_;
+    bases.stamp = dispatchStamp_;
+    for (ThreadId t = 0; t < num_hw_threads; ++t) {
+        const ThreadState &ts = *threads_[static_cast<std::size_t>(t)];
+        if (!ts.attached())
+            continue;
+        RelBases::Thread &b = bases.thread[static_cast<std::size_t>(t)];
+        b.pos = ts.stream().nextSeq();
+        b.epoch = ts.epoch;
+        b.head = ts.window.headIndex();
+        b.capacity = ts.window.capacity();
+        b.period = ts.stream().periodInstrs();
+    }
+    return bases;
+}
+
+namespace {
+
+/**
+ * State that is not in the checkpoint bodies because the checkpoint key
+ * fixes it, but that can differ between two boundaries of one run: the
+ * decode-slot phase (the grant pattern repeats every
+ * grantPhasePeriod() cycles, at most grant_period) and the
+ * priorities, which committed or-nops may change.
+ */
+void
+extraState(const SmtCore &core, StateRelativiser &rel)
+{
+    const DecodeSlotAllocator &alloc = core.arbiter().allocator();
+    rel.extra(core.cycle() % alloc.grantPhasePeriod());
+    for (ThreadId t = 0; t < num_hw_threads; ++t)
+        rel.extra(static_cast<std::uint64_t>(alloc.priorityOf(t)));
+}
+
+} // namespace
+
+void
+SmtCore::snapshotState(StateSnapshot &out) const
+{
+    const RelBases bases = relBases();
+    StateRelativiser rel(bases, out);
+    extraState(*this, rel);
+    ckpt(*this, rel);
+}
+
+void
+SmtCore::jumpPeriods(std::uint64_t k, const StateSnapshot &a,
+                     const StateSnapshot &b)
+{
+    if (b.cycle != cycle_ || a.cycle >= b.cycle || a.kinds.size() !=
+        b.kinds.size() || !a.sameState(b))
+        panic("period jump from snapshots that are not one period of "
+              "this core apart");
+    const Cycle span = k * (b.cycle - a.cycle);
+    std::vector<std::uint64_t> image = b.raw;
+    for (std::size_t i = 0; i < image.size(); ++i) {
+        std::uint64_t &v = image[i];
+        const Field f = b.kinds[i];
+        switch (f.kind) {
+          case FieldKind::Plain:
+          case FieldKind::Slot:
+          case FieldKind::Probe:
+            break;
+          case FieldKind::Cycle:
+            if (v != never_cycle)
+                v += span;
+            break;
+          case FieldKind::Event:
+            // Inside the period an event recurs in every later one.
+            if (v > a.cycle)
+                v += span;
+            break;
+          case FieldKind::ReadyAt:
+            // A past value acts like any other past value.
+            if (v != never_cycle && v > b.cycle)
+                v += span;
+            break;
+          case FieldKind::WalkAge:
+            // An age past the horizon stays past it.
+            if (v != never_cycle && v <= b.cycle &&
+                b.cycle - v <= f.horizon)
+                v += span;
+            break;
+          case FieldKind::Counter:
+          case FieldKind::Seq:
+          case FieldKind::Stamp:
+          case FieldKind::Epoch:
+          case FieldKind::StreamPos:
+          case FieldKind::Progress:
+            v += k * (v - a.raw[i]);
+            break;
+        }
+    }
+    StateReplayer replay(image);
+    ckpt(*this, replay);
+    replay.expectEnd();
+    periodSkipped_ += span;
+    if (checks_)
+        checks_->reprime();
 }
 
 } // namespace p5

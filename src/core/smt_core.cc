@@ -176,18 +176,6 @@ SmtCore::committedOf(ThreadId tid) const
     return threads_[static_cast<size_t>(tid)]->committed;
 }
 
-std::uint64_t
-SmtCore::executionsOf(ThreadId tid) const
-{
-    return threads_[static_cast<size_t>(tid)]->executionsCompleted;
-}
-
-Cycle
-SmtCore::lastExecutionCycleOf(ThreadId tid) const
-{
-    return threads_[static_cast<size_t>(tid)]->lastExecutionCycle;
-}
-
 double
 SmtCore::ipcOf(ThreadId tid) const
 {
@@ -255,6 +243,18 @@ SmtCore::runUntilExecutions(ThreadId tid, std::uint64_t executions,
     return runUntil(saturatingAdd(cycle_, max_cycles), [&] {
         return executionsOf(tid) >= executions;
     });
+}
+
+bool
+SmtCore::periodSkipAllowed() const
+{
+    if (!params_.fastForward || !hierarchy_.ownsBackside() ||
+        prioNopListener_)
+        return false;
+    for (const auto &ts : threads_)
+        if (ts->attached() && ts->stream().periodInstrs() == 0)
+            return false;
+    return true;
 }
 
 // --- idle-cycle fast-forward ------------------------------------------

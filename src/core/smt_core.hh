@@ -45,6 +45,9 @@ namespace check {
 class CheckRegistry;
 } // namespace check
 
+struct RelBases;
+struct StateSnapshot;
+
 /** One SMT core. */
 class SmtCore
 {
@@ -130,8 +133,18 @@ class SmtCore
     // --- observation ----------------------------------------------------
 
     std::uint64_t committedOf(ThreadId tid) const;
-    std::uint64_t executionsOf(ThreadId tid) const;
-    Cycle lastExecutionCycleOf(ThreadId tid) const;
+
+    std::uint64_t
+    executionsOf(ThreadId tid) const
+    {
+        return threads_[static_cast<size_t>(tid)]->executionsCompleted;
+    }
+
+    Cycle
+    lastExecutionCycleOf(ThreadId tid) const
+    {
+        return threads_[static_cast<size_t>(tid)]->lastExecutionCycle;
+    }
 
     /** Committed instructions of @p tid per elapsed cycle. */
     double ipcOf(ThreadId tid) const;
@@ -189,6 +202,43 @@ class SmtCore
      */
     std::uint64_t idleCyclesSkipped() const { return idleSkipped_; }
     std::uint64_t fastForwardProbes() const { return ffProbes_; }
+
+    /**
+     * Cycles crossed by period jumps (jumpPeriods()), apart from
+     * idleCyclesSkipped(): the ticked cycles are cycle() minus both.
+     * Observability only, like the two above.
+     */
+    std::uint64_t periodCyclesSkipped() const { return periodSkipped_; }
+
+    // --- period skip (DESIGN §7 "Period skip") --------------------------
+
+    /**
+     * Whether the period skip may act on this core: fastForward is on,
+     * the backside is private (checkpointable), no priority-nop
+     * listener observes commits, and every attached thread's source
+     * repeats (InstrSource::periodInstrs() != 0).
+     */
+    bool periodSkipAllowed() const;
+
+    /**
+     * Relativise the core's state (StateRelativiser) into @p out: two
+     * snapshots with sameState() run alike from then on.
+     */
+    P5_SERIALIZE_ROOT P5_COLD void snapshotState(StateSnapshot &out) const;
+
+    /**
+     * Jump @p k whole periods: @p a and @p b are snapshots of this core
+     * at two boundaries with sameState(), and the core is still at
+     * @p b. Every cycle field moves by k * (b.cycle - a.cycle), every
+     * counter, sequence number, stamp, epoch and progress field by k
+     * times its change from a to b; plain fields, window slots and the
+     * tag arrays stay. The derived state is rebuilt as on a restore,
+     * the streams are seeked and the checkers re-primed. Stats then
+     * equal those of ticking the k periods.
+     */
+    P5_SERIALIZE_ROOT P5_COLD void jumpPeriods(std::uint64_t k,
+                                               const StateSnapshot &a,
+                                               const StateSnapshot &b);
 
     // --- the time-advance body ----------------------------------------
 
@@ -285,6 +335,9 @@ class SmtCore
   private:
     /** The checkpoint body behind both entry points (ckpt_state.cc). */
     template <class Self, class Io> static void ckpt(Self &self, Io &io);
+
+    /** The bases the period skip relativises this core's state to. */
+    RelBases relBases() const;
 
     /** Pending completion (32 bytes: the 4-byte fields pair up). */
     struct Completion
@@ -413,6 +466,7 @@ class SmtCore
 
     Cycle cycle_ = 0;
     std::uint64_t idleSkipped_ = 0;
+    std::uint64_t periodSkipped_ = 0;
     // mutable: probe accounting, not simulation state — idleTarget() is
     // const (P5_PROBE_PURE) yet counts its own invocations.
     mutable std::uint64_t ffProbes_ = 0;

@@ -169,13 +169,14 @@ fameRun(const FameResult &r)
     return run;
 }
 
-/** A runFame() inspector adding the core's ticked cycles and
- *  fast-forward probes to @p run. */
+/** A runFame() inspector adding the core's ticked cycles (neither
+ *  idle-skipped nor period-jumped) and fast-forward probes to @p run. */
 auto
 countInto(ArmRun &run)
 {
     return [&run](const SmtCore &core) {
-        run.tickedCycles += core.cycle() - core.idleCyclesSkipped();
+        run.tickedCycles += core.cycle() - core.idleCyclesSkipped() -
+                            core.periodCyclesSkipped();
         run.ffProbes += core.fastForwardProbes();
     };
 }
@@ -351,10 +352,11 @@ writeWorkCounts(JsonWriter &w, const ArmRun &fast)
 
 /**
  * Time one fast/slow case and write its report object; B is the fast
- * arm. A parity case, whose fast arm skips no cycle, so that its true
- * ratio is 1, also runs the fast arm against itself (its A/A arm) and
- * records the standard error of that arm's median ratio, which sizes
- * the case's parity margin. False when any arm's stats deviate.
+ * arm. A parity case, whose two arms tick the same cycles (the fast
+ * arm skips none, or both arms skip alike), so that its true ratio is
+ * 1, also runs the fast arm against itself (its A/A arm) and records
+ * the standard error of that arm's median ratio, which sizes the
+ * case's parity margin. False when any arm's stats deviate.
  */
 bool
 fastSlowCase(JsonWriter &w, const std::string &name, const Arm &slow,
@@ -373,7 +375,7 @@ fastSlowCase(JsonWriter &w, const std::string &name, const Arm &slow,
     w.member("speedup", r.speedup);
     w.member("identicalStats", r.identicalStats);
     writeWorkCounts(w, r.b);
-    if (r.b.tickedCycles == r.b.simCycles) {
+    if (r.b.tickedCycles == r.a.tickedCycles) {
         const AbResult aa =
             abCase(name + " A/A", fast, fast, report_reps, err);
         identical = identical && aa.identicalStats;

@@ -27,9 +27,10 @@ struct ArmRun
     std::uint64_t instrs = 0; ///< committed (FAME: accounted)
     double ipc = 0;
     std::vector<std::uint64_t> signature; ///< stats both arms must share
-    /** Cycles the arm's cores ticked (simulated minus fast-forwarded)
-     *  and the fast-forward probes they made: deterministic work
-     *  counts, gated exactly where wall clock cannot be. */
+    /** Cycles the arm's cores ticked (simulated minus idle-skipped
+     *  and period-jumped) and the fast-forward probes they made:
+     *  deterministic work counts, gated exactly where wall clock
+     *  cannot be. */
     std::uint64_t tickedCycles = 0;
     std::uint64_t ffProbes = 0;
 };

@@ -131,6 +131,9 @@ class CacheHierarchy
     Cache &l1d() { return l1d_; }
     const Cache &l1d() const { return l1d_; }
     MemBackside &backside() { return *backside_; }
+
+    /** True iff the backside is this hierarchy's own (checkpointable). */
+    bool ownsBackside() const { return backside_ == ownedBackside_.get(); }
     Tlb &tlb(ThreadId tid) { return *tlbs_[static_cast<size_t>(tid)]; }
 
     const HierarchyParams &params() const { return params_; }

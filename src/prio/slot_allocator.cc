@@ -93,6 +93,17 @@ DecodeSlotAllocator::recompute()
 
     for (Cycle r = 0; r < grant_period; ++r)
         grants_[r] = grantFor(r);
+    // The least divisor of grant_period the pattern repeats with.
+    for (phasePeriod_ = 1; phasePeriod_ < grant_period; phasePeriod_ *= 2) {
+        bool repeats = true;
+        for (Cycle r = 0; r < grant_period && repeats; ++r) {
+            const SlotGrant &a = grants_[r];
+            const SlotGrant &b = grants_[(r + phasePeriod_) % grant_period];
+            repeats = a.owner == b.owner && a.maxWidth == b.maxWidth;
+        }
+        if (repeats)
+            break;
+    }
 
     const auto owns = [this](std::size_t row, Cycle r) {
         const ThreadId owner = grants_[r].owner;

@@ -106,6 +106,14 @@ class DecodeSlotAllocator
      */
     static constexpr Cycle grant_period = 64;
 
+    /**
+     * The least period of the current grant pattern: a power of two
+     * dividing grant_period (the window R in Dual mode). Two cycles
+     * with equal cycle % grantPhasePeriod() see equal slots from then
+     * on, which the period skip reads as the decode-slot phase.
+     */
+    Cycle grantPhasePeriod() const { return phasePeriod_; }
+
     /** True iff @p tid may decode at all under the current pair. */
     bool
     threadActive(ThreadId tid) const
@@ -211,6 +219,7 @@ class DecodeSlotAllocator
 
     /** grants_[r]: the grant of every cycle congruent to r. */
     std::array<SlotGrant, grant_period> grants_{};
+    Cycle phasePeriod_ = grant_period;
 
     /** owned_[t][r]: slots thread t owns among residues [0, r). */
     std::array<std::array<std::uint8_t, grant_period + 1>, num_hw_threads>

@@ -100,6 +100,22 @@ class InstrSource
      *  every phase once (rewind/seek path; never called per fetch). */
     Cursor locate(SeqNum seq) const;
 
+    /**
+     * The least number of instructions after which the sequence
+     * repeats exactly, apart from sequence numbers: the instruction at
+     * seq + periodInstrs() equals the one at seq. A whole number of
+     * passes, hence of executions. 0 when the sequence never repeats (a
+     * BranchKind::Random pattern, or a period past 2^40 instructions).
+     */
+    std::uint64_t periodInstrs() const { return periodInstrs_; }
+
+    /** periodInstrs() in executions (0: aperiodic). */
+    std::uint64_t
+    period() const
+    {
+        return periodInstrs_ / instrsPerExec_;
+    }
+
   private:
     std::string name_;
     std::uint64_t instrsPerExec_;
@@ -108,6 +124,7 @@ class InstrSource
     std::vector<BranchPattern> branchPatterns_;
     std::vector<PhaseGeom> geom_;
     std::uint64_t passLength_ = 0; ///< instructions in all phases once
+    std::uint64_t periodInstrs_ = 0;
 };
 
 } // namespace p5

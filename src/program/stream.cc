@@ -15,6 +15,7 @@ InstrStream::InstrStream(const InstrSource *source, ThreadId tid)
     geom_ = source_->phaseGeometry().data();
     numPhases_ = source_->phaseGeometry().size();
     instrsPerExec_ = source_->instrsPerExecution();
+    periodInstrs_ = source_->periodInstrs();
     reposition(0);
 }
 

@@ -71,6 +71,9 @@ class InstrStream
     /** Dynamic instructions per FAME execution (captured). */
     std::uint64_t instrsPerExecution() const { return instrsPerExec_; }
 
+    /** The source's InstrSource::periodInstrs() (captured). */
+    std::uint64_t periodInstrs() const { return periodInstrs_; }
+
     ThreadId tid() const { return tid_; }
 
   private:
@@ -113,6 +116,7 @@ class InstrStream
     const InstrSource::PhaseGeom *geom_ = nullptr;
     std::size_t numPhases_ = 0;
     std::uint64_t instrsPerExec_ = 0;
+    std::uint64_t periodInstrs_ = 0;
 
     // Memoized decode cursor: invariant flatIdx_ ==
     // geom_[phase_].flatStart + bodyIdx_.

@@ -400,9 +400,10 @@ TEST(Driver, Table3MatchesDirectProducerByteForByte)
 TEST(Driver, Fig6MatchesDirectProducerByteForByte)
 {
     const std::string path = tempPath("fig6.json");
-    ASSERT_EQ(invoke({"fig6", "--fast", ("--json=" + path).c_str()})
-                  .exitCode,
-              0);
+    const Invocation run =
+        invoke({"fig6", "--fast", ("--json=" + path).c_str()});
+    ASSERT_EQ(run.exitCode, 0);
+    P5_EXPECT_DIGEST(test::fnv1a(run.out), 0xb56d97e8a9aa82e5ull);
 
     ExpConfig config = ExpConfig::fast();
     ResultCache cache;
@@ -437,6 +438,7 @@ TEST(Driver, AblationBatchMatchesRowByRowRunFame)
     ASSERT_EQ(r1.exitCode, 0);
     ASSERT_EQ(r4.exitCode, 0);
     EXPECT_EQ(r1.out, r4.out);
+    P5_EXPECT_DIGEST(test::fnv1a(r1.out), 0x8da06166dcbe5383ull);
     EXPECT_EQ(readReport(j1).find("data")->dump(),
               readReport(j4).find("data")->dump());
 

@@ -11,6 +11,7 @@
 #include "exp/experiments.hh"
 #include "exp/report.hh"
 #include "fame/sim_runner.hh"
+#include "test_helpers.hh"
 
 namespace p5 {
 namespace {
@@ -63,6 +64,7 @@ TEST(Experiments, Table3FastRun)
 
     Table t = renderTable3(d);
     EXPECT_EQ(t.numRows(), 2u);
+    P5_EXPECT_DIGEST(test::tablesDigest({t}), 0x2f938aec078e5ae6ull);
 }
 
 TEST(Experiments, Fig2FastShapes)
@@ -79,6 +81,8 @@ TEST(Experiments, Fig2FastShapes)
         for (const auto &series : row)
             for (double f : series)
                 EXPECT_GT(f, 0.85);
+    P5_EXPECT_DIGEST(test::tablesDigest(renderPrioCurves(d, "Figure 2")),
+                     0xd17877caff1bcfd2ull);
 }
 
 TEST(Experiments, Fig3FastShapes)
@@ -93,6 +97,8 @@ TEST(Experiments, Fig3FastShapes)
     EXPECT_GT(d.rel[1][0][4], 0.28);
     // ...and is hit far harder by another ldint_mem.
     EXPECT_LT(d.rel[1][1][4], 0.5 * d.rel[1][0][4]);
+    P5_EXPECT_DIGEST(test::tablesDigest(renderPrioCurves(d, "Figure 3")),
+                     0x4693dccb0e915049ull);
 }
 
 TEST(Experiments, Fig4FastShapes)
@@ -108,6 +114,7 @@ TEST(Experiments, Fig4FastShapes)
     EXPECT_LT(d.ratio[0][1][0], 0.75);
     Table t = renderFig4(d)[0];
     EXPECT_EQ(t.numRows(), 2u);
+    P5_EXPECT_DIGEST(test::tablesDigest(renderFig4(d)), 0x6655080ec01cb6bbull);
 }
 
 TEST(Experiments, Table4FastRun)
@@ -123,6 +130,7 @@ TEST(Experiments, Table4FastRun)
     EXPECT_GT(d.rows[4].luCycles, 2.0 * d.rows[1].luCycles);
     Table t = renderTable4(d);
     EXPECT_EQ(t.numRows(), 5u);
+    P5_EXPECT_DIGEST(test::tablesDigest({t}), 0xcd76d4a6d9a202a5ull);
 }
 
 TEST(Experiments, Fig5FastRun)
@@ -177,6 +185,9 @@ TEST(Experiments, Fig5BatchEqualsSinglePairCalls)
         EXPECT_EQ(got->ipcSecondary, want->ipcSecondary);
         EXPECT_EQ(got->ipcTotal, want->ipcTotal);
     }
+
+    P5_EXPECT_DIGEST(test::tablesDigest({renderFig5(both[0])}), 0x9fc255190133cd1cull);
+    P5_EXPECT_DIGEST(test::tablesDigest({renderFig5(both[1])}), 0x4a794bd841e9b2d1ull);
 
     // One warm-up per pair-mix; the other five diffs of each fork it.
     EXPECT_EQ(ckpts.warms(), 2u);

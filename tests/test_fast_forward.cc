@@ -19,11 +19,13 @@
 #include <vector>
 
 #include "core/smt_core.hh"
+#include "exp/experiments.hh"
 #include "fame/fame.hh"
 #include "os/kernel.hh"
 #include "test_helpers.hh"
 #include "ubench/ubench.hh"
 #include "workloads/pipeline_app.hh"
+#include "workloads/spec_proxy.hh"
 
 namespace p5 {
 namespace {
@@ -402,6 +404,107 @@ TEST(FastForward, MispredictHeavyReplayIsBitIdentical)
     // The run must actually exercise the squash/rewind machinery.
     EXPECT_GT(slow.stats.at("thread0.mispredicts"), 0.0);
     EXPECT_GT(slow.stats.at("thread0.squashed"), 0.0);
+}
+
+/** A FAME run's result, its core's observables and its period jumps. */
+struct FameSnapshot
+{
+    FameResult result;
+    RunSnapshot core;
+    std::uint64_t jumped = 0;
+};
+
+FameSnapshot
+fameRun(const InstrSource &prog_p, const InstrSource &prog_s, int prio_p,
+        int prio_s, bool fast_forward,
+        const FameParams &fame = ExpConfig::fast().fame)
+{
+    CoreParams params;
+    params.fastForward = fast_forward;
+    FameSnapshot out;
+    out.result = runFame(params, &prog_p, &prog_s, prio_p, prio_s, fame,
+                         nullptr, "",
+                         [&out](const SmtCore &core) {
+                             out.core = snapshot(core);
+                             out.jumped = core.periodCyclesSkipped();
+                         });
+    return out;
+}
+
+void
+expectSameFame(const FameSnapshot &fast, const FameSnapshot &slow,
+               const std::string &label)
+{
+    expectIdentical(fast.core, slow.core, label);
+    EXPECT_EQ(slow.jumped, 0u) << label;
+    EXPECT_EQ(fast.result.totalCycles, slow.result.totalCycles) << label;
+    EXPECT_EQ(fast.result.converged, slow.result.converged) << label;
+    for (size_t t = 0; t < num_hw_threads; ++t) {
+        const ThreadMeasurement &f = fast.result.thread[t];
+        const ThreadMeasurement &s = slow.result.thread[t];
+        EXPECT_EQ(f.executions, s.executions) << label << " thread " << t;
+        EXPECT_EQ(f.accountedCycles, s.accountedCycles)
+            << label << " thread " << t;
+        EXPECT_EQ(f.accountedInstrs, s.accountedInstrs)
+            << label << " thread " << t;
+    }
+}
+
+/**
+ * The period skip (DESIGN §7): on pairs whose core state recurs during
+ * measurement, FAME jumps whole periods, and every stat and the FAME
+ * result still equal a run that ticks every cycle. The --fast FAME
+ * parameters end cpu_int+ldint_l1@6,4 before its period is confirmed,
+ * so that pair runs at the default ones.
+ */
+TEST(FastForward, PeriodSkipIsBitIdenticalWhereTheStateRecurs)
+{
+    const double scale = ExpConfig::fast().ubenchScale;
+    const SyntheticProgram cpu = makeUbench(UbenchId::CpuInt, scale);
+    const SyntheticProgram l1 = makeUbench(UbenchId::LdintL1, scale);
+    const SyntheticProgram h264 =
+        makeSpecProxy(SpecProxyId::H264ref, scale);
+    const SyntheticProgram mcf = makeSpecProxy(SpecProxyId::Mcf, scale);
+    const FameParams fast_fame = ExpConfig::fast().fame;
+    struct Case
+    {
+        const SyntheticProgram *p, *s;
+        int prioP, prioS;
+        FameParams fame;
+    };
+    for (const Case &c : {Case{&cpu, &cpu, 4, 4, fast_fame},
+                          Case{&cpu, &l1, 6, 4, FameParams{}},
+                          Case{&h264, &mcf, 5, 4, fast_fame}}) {
+        const std::string label = c.p->name() + "+" + c.s->name() + "@" +
+                                  std::to_string(c.prioP) + "," +
+                                  std::to_string(c.prioS);
+        const FameSnapshot fast =
+            fameRun(*c.p, *c.s, c.prioP, c.prioS, true, c.fame);
+        const FameSnapshot slow =
+            fameRun(*c.p, *c.s, c.prioP, c.prioS, false, c.fame);
+        EXPECT_GT(fast.jumped, 0u) << label;
+        expectSameFame(fast, slow, label);
+    }
+}
+
+/**
+ * Where the state never recurs the skip never jumps: br_miss draws
+ * random branch directions (an aperiodic source), and ldint_mem sweeps
+ * 64 MiB, whose addresses, and with them the L3 tags, come back only
+ * after thousands of executions (past PeriodDetector's
+ * max_source_period), although its per-execution statistics repeat.
+ */
+TEST(FastForward, PeriodSkipNeverJumpsWithoutARecurrence)
+{
+    const double scale = ExpConfig::fast().ubenchScale;
+    const SyntheticProgram br = makeUbench(UbenchId::BrMiss, scale);
+    const SyntheticProgram mem = makeUbench(UbenchId::LdintMem, scale);
+    for (const SyntheticProgram *prog : {&br, &mem}) {
+        const FameSnapshot fast = fameRun(*prog, *prog, 4, 4, true);
+        const FameSnapshot slow = fameRun(*prog, *prog, 4, 4, false);
+        EXPECT_EQ(fast.jumped, 0u) << prog->name();
+        expectSameFame(fast, slow, prog->name());
+    }
 }
 
 /** The escape hatch really disables the engine. */

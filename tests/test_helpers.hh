@@ -9,11 +9,15 @@
 
 #include <regex.h>
 
+#include <cstdint>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "check/check.hh"
+#include "common/table.hh"
 #include "common/log.hh"
 #include "core/smt_core.hh"
 #include "program/builder.hh"
@@ -162,6 +166,36 @@ prioNopProgram(int or_reg, std::uint64_t iterations = 10)
         b.intAlu(0, 1);
     return b.build();
 }
+
+/** FNV-1a (64-bit) of @p text: the pin of a rendered table. */
+inline std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** FNV-1a of @p tables rendered as the driver prints them (ASCII). */
+inline std::uint64_t
+tablesDigest(const std::vector<Table> &tables)
+{
+    std::ostringstream os;
+    for (const Table &t : tables)
+        t.printAscii(os);
+    return fnv1a(os.str());
+}
+
+/**
+ * Pin a rendered output: a deliberate change re-records @p recorded
+ * with the printed value and says so in CHANGES.md.
+ */
+#define P5_EXPECT_DIGEST(actual, recorded)                                \
+    EXPECT_EQ((actual), (recorded))                                        \
+        << "rendered output moved; new digest 0x" << std::hex << (actual)
 
 } // namespace p5::test
 
