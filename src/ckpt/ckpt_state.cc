@@ -451,8 +451,8 @@ SmtCore::ckpt(Self &self, Io &io)
         io.u32(c.slot, field::slot(c.tid));
     }
 
-    counterArrays(io, self.decoded_, self.stallBalancer_,
-                  self.stallRedirect_, self.stallGct_, self.flushedInstrs_);
+    counterArrays(io, self.decoded_, self.stalls_[0], self.stalls_[1],
+                  self.stalls_[2], self.flushedInstrs_);
 }
 
 void

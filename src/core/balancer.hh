@@ -121,10 +121,9 @@ class Balancer
 
     /**
      * Account @p cycles cycles of decision @p d in the per-trigger
-     * block/flush counters. Together with probe() this lets the
-     * fast-forward path advance an idle gap arithmetically: the
-     * decision is constant across the gap, so charging it N times in
-     * one call is bit-identical to N evaluate() calls.
+     * block/flush counters: the core charges each tick's decision
+     * once, and an idle gap's, constant across the gap, once for the
+     * whole gap.
      */
     void
     charge(const BalancerDecision &d, std::uint64_t cycles)
@@ -146,22 +145,6 @@ class Balancer
                 break;
             }
         }
-    }
-
-    /**
-     * Evaluate the triggers at cycle @p now and account one cycle:
-     * probe() + charge(d, 1).
-     *
-     * @param both_running whether both threads are attached and active;
-     *        resource hogging is only "offending" when a sibling exists.
-     */
-    BalancerDecision
-    evaluate(const Gct &gct, const Lmq &lmq, const Lsu &lsu,
-             bool both_running, Cycle now)
-    {
-        BalancerDecision d = probe(gct, lmq, lsu, both_running, now);
-        charge(d, 1);
-        return d;
     }
 
     const BalancerParams &params() const { return params_; }

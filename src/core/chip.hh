@@ -87,7 +87,7 @@ class Chip
     std::vector<std::unique_ptr<SmtCore>> cores_;
 
     /** Scratch gates for the joint fast-forward (one per core). */
-    std::vector<SmtCore::IdleGate> gates_;
+    std::vector<SmtCore::DecodeGate> gates_;
 };
 
 } // namespace p5

@@ -18,22 +18,17 @@ DecodeArbiter::decide(Cycle now,
         return g;
 
     const auto owner = static_cast<size_t>(g.owner);
-    if (can_use[owner]) {
+    const ThreadId to = wouldGrant(now, can_use);
+    if (to == g.owner) {
         ++granted_[owner];
         return g;
     }
-
     ++forfeited_[owner];
-    const ThreadId sibling = static_cast<ThreadId>(1 - g.owner);
-    if (workConserving_ && can_use[static_cast<size_t>(sibling)] &&
-        allocator_.threadActive(sibling)) {
-        g.owner = sibling;
-        ++reassigned_[static_cast<size_t>(sibling)];
-        return g;
-    }
-
-    g.owner = -1;
-    g.maxWidth = 0;
+    if (to >= 0)
+        ++reassigned_[static_cast<size_t>(to)];
+    else
+        g.maxWidth = 0;
+    g.owner = to;
     return g;
 }
 

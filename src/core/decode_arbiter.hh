@@ -3,10 +3,13 @@
  * Decode-slot arbitration.
  *
  * Combines the software-priority slot allocator with per-cycle usability
- * (redirect penalties, balancer blocks, GCT space) and accounts for what
- * happened to every slot. A slot whose owner cannot use it is forfeited —
- * POWER5 slots are strictly owned — unless the work-conserving ablation
- * knob hands it to the sibling.
+ * and accounts for what happened to every slot. Usability comes from
+ * the core's decode gate (SmtCore::DecodeGate: balancer blocks,
+ * redirect penalties, GCT admission). A slot whose owner cannot use it
+ * is forfeited — POWER5 slots are strictly owned — unless the
+ * work-conserving ablation knob hands it to the sibling. wouldGrant()
+ * is the one grant rule: decide() applies it and charges the slot, and
+ * the core's idle probe asks it without charging.
  */
 
 #ifndef P5SIM_CORE_DECODE_ARBITER_HH
@@ -32,10 +35,31 @@ class DecodeArbiter
     const DecodeSlotAllocator &allocator() const { return allocator_; }
 
     /**
-     * Decide this cycle's decode grant.
+     * The thread that gets cycle @p now's slot, or -1: the owner when
+     * it can use the slot, else — work-conserving — its usable, active
+     * sibling. Charges nothing.
      *
      * @param can_use whether each thread could decode this cycle if
-     *        granted the slot (attached, not blocked, has GCT space).
+     *        granted the slot (attached, not stalled).
+     */
+    ThreadId
+    wouldGrant(Cycle now,
+               const std::array<bool, num_hw_threads> &can_use) const
+    {
+        const ThreadId owner = allocator_.grantAt(now).owner;
+        if (owner < 0 || can_use[static_cast<size_t>(owner)])
+            return owner;
+        const ThreadId sibling = static_cast<ThreadId>(1 - owner);
+        if (workConserving_ && can_use[static_cast<size_t>(sibling)] &&
+            allocator_.threadActive(sibling))
+            return sibling;
+        return -1;
+    }
+
+    /**
+     * Decide this cycle's decode grant: wouldGrant(), with the slot
+     * charged to its owner as granted or forfeited, and to the sibling
+     * as reassigned when it inherits the slot.
      */
     SlotGrant decide(Cycle now,
                      const std::array<bool, num_hw_threads> &can_use);

@@ -75,12 +75,11 @@ SmtCore::registerStats()
         stats_.registerCounter("thread" + ts + ".prioNopsIgnored",
                                &th.prioNopsIgnored);
         stats_.registerCounter("thread" + ts + ".decoded", &decoded_[ti]);
-        stats_.registerCounter("thread" + ts + ".stallBalancer",
-                               &stallBalancer_[ti]);
-        stats_.registerCounter("thread" + ts + ".stallRedirect",
-                               &stallRedirect_[ti]);
-        stats_.registerCounter("thread" + ts + ".stallGct",
-                               &stallGct_[ti]);
+        static constexpr const char *stall_names[] = {
+            ".stallBalancer", ".stallRedirect", ".stallGct"};
+        for (std::size_t r = 0; r < stalls_.size(); ++r)
+            stats_.registerCounter("thread" + ts + stall_names[r],
+                                   &stalls_[r][ti]);
         stats_.registerCounter("thread" + ts + ".flushedInstrs",
                                &flushedInstrs_[ti]);
     }
@@ -262,7 +261,8 @@ SmtCore::periodSkipAllowed() const
 // A cycle is *idle* when tick() would change nothing except the cycle
 // number and a fixed set of per-cycle counters (stall, balancer-block
 // and slot-forfeit counters). idleTarget() proves a cycle idle by
-// replaying each stage's gating read-only and computes the earliest
+// testing each stage's gating read-only (decode's with the classifier
+// and grant rule the tick uses) and computes the earliest
 // future cycle at which any gate input can change; skipIdleTo() jumps
 // there with the counters advanced arithmetically. Counters are affine
 // in the gap length because every gate input is constant across the
@@ -283,64 +283,8 @@ SmtCore::commitReady(ThreadId t) const
            gct_.oldest(t).unfinished == 0;
 }
 
-bool
-SmtCore::probeDecodeIdle(IdleGate *gate) const
-{
-    const bool both_running = threads_[0]->attached() &&
-                              threads_[1]->attached() &&
-                              arbiter_.allocator().threadActive(0) &&
-                              arbiter_.allocator().threadActive(1);
-    gate->bd = balancer_.probe(gct_, lmq_, lsu_, both_running, cycle_);
-
-    for (ThreadId t = 0; t < num_hw_threads; ++t) {
-        const auto ti = static_cast<size_t>(t);
-        const ThreadState &ts = *threads_[ti];
-        if (!ts.attached())
-            continue;
-        // A flush that would actually drop instructions mutates state:
-        // not an idle cycle. (A flush of an empty/issued-only window is
-        // a no-op beyond the flush counter, which charge() advances.)
-        if (gate->bd.flush[ti] && !ts.window.empty() &&
-            ts.window.back().phase == InstrPhase::Dispatched)
-            return false;
-        if (gate->bd.block[ti]) {
-            gate->stall[ti] = IdleGate::Stall::Balancer;
-            continue;
-        }
-        if (cycle_ < ts.decodeBlockedUntil) {
-            gate->stall[ti] = IdleGate::Stall::Redirect;
-            continue;
-        }
-        const ThreadId sib = static_cast<ThreadId>(1 - t);
-        const bool bigger_holder =
-            threads_[static_cast<size_t>(sib)]->attached() &&
-            gct_.occupancyOf(t) > gct_.occupancyOf(sib);
-        const int needed = bigger_holder ? 2 : 1;
-        if (gct_.capacity() - gct_.occupancy() < needed) {
-            gate->stall[ti] = IdleGate::Stall::Gct;
-            continue;
-        }
-        gate->canUse[ti] = true;
-    }
-
-    // Mirror DecodeArbiter::decide(): the cycle is only idle if neither
-    // the slot owner nor (work-conserving) an active sibling can use it.
-    const DecodeSlotAllocator &alloc = arbiter_.allocator();
-    const SlotGrant g = alloc.grantAt(cycle_);
-    if (g.owner >= 0) {
-        if (gate->canUse[static_cast<size_t>(g.owner)])
-            return false;
-        const ThreadId sib = static_cast<ThreadId>(1 - g.owner);
-        if (arbiter_.workConserving() &&
-            gate->canUse[static_cast<size_t>(sib)] &&
-            alloc.threadActive(sib))
-            return false;
-    }
-    return true;
-}
-
 Cycle
-SmtCore::nextInterestingCycle(Cycle limit, const IdleGate &gate) const
+SmtCore::nextInterestingCycle(Cycle limit, const DecodeGate &gate) const
 {
     Cycle next = limit;
     const auto consider = [&next, this](Cycle c) {
@@ -357,6 +301,7 @@ SmtCore::nextInterestingCycle(Cycle limit, const IdleGate &gate) const
     consider(lsu_.nextEventCycle(cycle_));
 
     const DecodeSlotAllocator &alloc = arbiter_.allocator();
+    const auto can_use = canUse(gate);
     for (ThreadId t = 0; t < num_hw_threads; ++t) {
         const auto ti = static_cast<size_t>(t);
         const ThreadState &ts = *threads_[ti];
@@ -364,7 +309,7 @@ SmtCore::nextInterestingCycle(Cycle limit, const IdleGate &gate) const
             continue;
         if (cycle_ < ts.decodeBlockedUntil)
             consider(ts.decodeBlockedUntil);
-        if (gate.canUse[ti]) {
+        if (can_use[ti]) {
             // Usable but slotless: wake at its next owned slot, or —
             // work-conserving — at any slot it could inherit.
             consider(alloc.nextGrantCycle(cycle_, t));
@@ -376,37 +321,16 @@ SmtCore::nextInterestingCycle(Cycle limit, const IdleGate &gate) const
 }
 
 void
-SmtCore::skipIdleTo(Cycle target, const IdleGate &gate)
+SmtCore::skipIdleTo(Cycle target, const DecodeGate &gate)
 {
     if (target <= cycle_)
         return;
     const std::uint64_t gap = target - cycle_;
 
-    // What decodeStage() would have accumulated over the gap, cycle by
-    // cycle: the balancer decision and each thread's stall class are
-    // constant (that is what made the gap idle), so each counter gains
-    // exactly gap.
-    balancer_.charge(gate.bd, gap);
-    for (ThreadId t = 0; t < num_hw_threads; ++t) {
-        const auto ti = static_cast<size_t>(t);
-        if (!threads_[ti]->attached())
-            continue;
-        switch (gate.stall[ti]) {
-          case IdleGate::Stall::None:
-            break;
-          case IdleGate::Stall::Balancer:
-            stallBalancer_[ti] += gap;
-            break;
-          case IdleGate::Stall::Redirect:
-            stallRedirect_[ti] += gap;
-            break;
-          case IdleGate::Stall::Gct:
-            stallGct_[ti] += gap;
-            break;
-        }
-    }
-    // Every slot granted in the gap was forfeited by its owner (no
-    // thread could use one — that too is what made the gap idle).
+    // The gate is constant across the gap (that is what made it idle),
+    // so the gap charges what each of its ticks would have: the gate,
+    // and a forfeit for every slot granted in it.
+    chargeDecode(gate, gap);
     arbiter_.chargeForfeits(cycle_, target);
 
     if (checks_)
@@ -416,28 +340,96 @@ SmtCore::skipIdleTo(Cycle target, const IdleGate &gate)
     lmq_.advanceTo(cycle_);
 }
 
-Cycle
-SmtCore::idleTarget(Cycle limit, IdleGate *gate) const
+SmtCore::IdleProbe
+SmtCore::idleTarget(Cycle limit) const
 {
     // Probe accounting, not simulation state (ffProbes_ is mutable).
     P5_ALLOW(probe_purity) ++ffProbes_;
-    // Reset the caller's gate: Chip::run() reuses per-core gate
-    // storage across calls, and probeDecodeIdle() only ever *sets*
-    // fields — a stale canUse[] from an earlier probe would make
-    // every later probe report busy (and mis-attribute skipped-cycle
-    // stats in skipIdleTo()).
-    *gate = IdleGate{};
+    const IdleProbe busy{.target = cycle_, .gate = {}};
     if (!completions_.empty() && completions_.front().cycle <= cycle_)
-        return cycle_;
+        return busy;
     for (FuClass fc : issue_classes)
         if (!readyQ_.empty(fc) && fuPool_.freeUnit(fc, cycle_) >= 0)
-            return cycle_;
+            return busy;
     for (ThreadId t = 0; t < num_hw_threads; ++t)
         if (commitReady(t))
-            return cycle_;
-    if (!probeDecodeIdle(gate))
-        return cycle_;
-    return nextInterestingCycle(limit, *gate);
+            return busy;
+
+    DecodeGate gate{.bd = balancerDecision(), .stall = {}};
+    for (ThreadId t = 0; t < num_hw_threads; ++t) {
+        const auto ti = static_cast<size_t>(t);
+        const ThreadState &ts = *threads_[ti];
+        if (!ts.attached())
+            continue;
+        // A flush that would drop instructions changes state: not an
+        // idle cycle. Any other flush changes nothing but the flush
+        // counter, so classifying without it is what decodeStage()
+        // sees after it.
+        if (gate.bd.flush[ti] && !ts.window.empty() &&
+            ts.window.back().phase == InstrPhase::Dispatched)
+            return busy;
+        gate.stall[ti] = decodeStallOf(gate.bd, t);
+    }
+    // Idle only if no thread would decode: neither the slot owner nor,
+    // work-conserving, its sibling.
+    if (arbiter_.wouldGrant(cycle_, canUse(gate)) >= 0)
+        return busy;
+    return {.target = nextInterestingCycle(limit, gate), .gate = gate};
+}
+
+// --- the decode gate ----------------------------------------------------
+//
+// Inline: decodeStage() runs these every busy cycle, and with the probe
+// as a second caller the compiler would otherwise keep them as calls.
+
+inline BalancerDecision
+SmtCore::balancerDecision() const
+{
+    const bool both_running = threads_[0]->attached() &&
+                              threads_[1]->attached() &&
+                              arbiter_.allocator().threadActive(0) &&
+                              arbiter_.allocator().threadActive(1);
+    return balancer_.probe(gct_, lmq_, lsu_, both_running, cycle_);
+}
+
+inline SmtCore::DecodeStall
+SmtCore::decodeStallOf(const BalancerDecision &bd, ThreadId t) const
+{
+    const auto ti = static_cast<size_t>(t);
+    if (bd.block[ti])
+        return DecodeStall::Balancer;
+    if (cycle_ < threads_[ti]->decodeBlockedUntil)
+        return DecodeStall::Redirect;
+    // GCT admission: the bigger holder must leave one free group for
+    // the sibling, or a fast thread walls the slow one out of the
+    // machine entirely.
+    const ThreadId sib = static_cast<ThreadId>(1 - t);
+    const bool bigger_holder =
+        threads_[static_cast<size_t>(sib)]->attached() &&
+        gct_.occupancyOf(t) > gct_.occupancyOf(sib);
+    const int needed = bigger_holder ? 2 : 1;
+    if (gct_.capacity() - gct_.occupancy() < needed)
+        return DecodeStall::Gct;
+    return DecodeStall::None;
+}
+
+inline std::array<bool, num_hw_threads>
+SmtCore::canUse(const DecodeGate &gate) const
+{
+    std::array<bool, num_hw_threads> can_use{};
+    for (size_t ti = 0; ti < num_hw_threads; ++ti)
+        can_use[ti] = threads_[ti]->attached() &&
+                      gate.stall[ti] == DecodeStall::None;
+    return can_use;
+}
+
+inline void
+SmtCore::chargeDecode(const DecodeGate &gate, std::uint64_t cycles)
+{
+    balancer_.charge(gate.bd, cycles);
+    for (size_t ti = 0; ti < num_hw_threads; ++ti)
+        if (gate.stall[ti] != DecodeStall::None)
+            stalls_[static_cast<size_t>(gate.stall[ti]) - 1][ti] += cycles;
 }
 
 // --- pipeline stages ---------------------------------------------------
@@ -596,45 +588,22 @@ SmtCore::commitStage()
 void
 SmtCore::decodeStage()
 {
-    const bool both_running = threads_[0]->attached() &&
-                              threads_[1]->attached() &&
-                              arbiter_.allocator().threadActive(0) &&
-                              arbiter_.allocator().threadActive(1);
-    BalancerDecision bd =
-        balancer_.evaluate(gct_, lmq_, lsu_, both_running, cycle_);
-
-    std::array<bool, num_hw_threads> can_use{};
+    DecodeGate gate{.bd = balancerDecision(), .stall = {}};
     for (ThreadId t = 0; t < num_hw_threads; ++t) {
         const auto ti = static_cast<size_t>(t);
         ThreadState &ts = *threads_[ti];
         if (!ts.attached())
             continue;
-        if (bd.flush[ti])
+        // Flush t just before classifying it: the groups a flush of
+        // thread 0 frees count for thread 1's admission, not the
+        // other way round.
+        if (gate.bd.flush[ti])
             flushDispatched(ts);
-        if (bd.block[ti]) {
-            ++stallBalancer_[ti];
-            continue;
-        }
-        if (cycle_ < ts.decodeBlockedUntil) {
-            ++stallRedirect_[ti];
-            continue;
-        }
-        // GCT admission: the bigger holder must leave one free group
-        // for the sibling, or a fast thread walls the slow one out of
-        // the machine entirely.
-        const ThreadId sib = static_cast<ThreadId>(1 - t);
-        const bool bigger_holder =
-            threads_[static_cast<size_t>(sib)]->attached() &&
-            gct_.occupancyOf(t) > gct_.occupancyOf(sib);
-        const int needed = bigger_holder ? 2 : 1;
-        if (gct_.capacity() - gct_.occupancy() < needed) {
-            ++stallGct_[ti];
-            continue;
-        }
-        can_use[ti] = true;
+        gate.stall[ti] = decodeStallOf(gate.bd, t);
     }
+    chargeDecode(gate, 1);
 
-    SlotGrant grant = arbiter_.decide(cycle_, can_use);
+    SlotGrant grant = arbiter_.decide(cycle_, canUse(gate));
     if (grant.owner < 0)
         return;
 

@@ -243,24 +243,29 @@ class SmtCore
     // --- the time-advance body ----------------------------------------
 
     /**
-     * Side-effect-free replica of the per-cycle gating: the balancer
-     * decision and per-thread decode usability at cycle(), plus how
-     * each non-usable thread's stall would be classified by
-     * decodeStage(). Opaque to callers: advance() fills one per core
-     * in idleTarget() and consumes it in skipIdleTo().
+     * Why a thread cannot use this cycle's decode slot, in the order
+     * decodeStallOf() tests them. None: it can, if granted the slot.
      */
-    struct IdleGate
+    enum class DecodeStall : std::uint8_t
+    {
+        None,
+        Balancer, ///< the resource balancer blocks it
+        Redirect, ///< a mispredict redirect is still pending
+        Gct       ///< GCT admission leaves it no group
+    };
+
+    /**
+     * One cycle's decode gate: the balancer decision and each attached
+     * thread's stall (None for a detached thread). decodeStage() and
+     * the probe build it with the same classifier, and chargeDecode()
+     * charges it, once per tick or once per skipped gap. Opaque to
+     * callers: advance() keeps one per core between the probe and the
+     * skip.
+     */
+    struct DecodeGate
     {
         BalancerDecision bd;
-        std::array<bool, num_hw_threads> canUse{};
-        enum class Stall : std::uint8_t
-        {
-            None,
-            Balancer,
-            Redirect,
-            Gct
-        };
-        std::array<Stall, num_hw_threads> stall{};
+        std::array<DecodeStall, num_hw_threads> stall{};
     };
 
     /**
@@ -277,16 +282,16 @@ class SmtCore
      * @p end or until @p stop(), asked before every step, holds. A step
      * arms (fastForward on and @p streak at ff_arm_streak ticks in
      * which no core made progress), probes every core (idleTarget(),
-     * one IdleGate each in @p gates), skips all of them to the smallest
-     * target when all are idle (skipIdleTo(); a skip stays armed), and
-     * otherwise ticks every core in index order. Stats are
-     * bit-identical to ticking every cycle. The first core's
+     * keeping each one's DecodeGate in @p gates), skips all of them to
+     * the smallest target when all are idle (skipIdleTo(); a skip
+     * stays armed), and otherwise ticks every core in index order.
+     * Stats are bit-identical to ticking every cycle. The first core's
      * StageProfile times each probe and its skip into probeNs.
      *
      * @return stop() when the run ends.
      */
     template <class Cores, class Stop>
-    P5_HOT_PATH static bool advance(const Cores &cores, IdleGate *gates,
+    P5_HOT_PATH static bool advance(const Cores &cores, DecodeGate *gates,
                                     std::uint32_t &streak, Cycle end,
                                     Stop &&stop);
 
@@ -367,25 +372,31 @@ class SmtCore
 
     // --- idle-cycle fast-forward --------------------------------------
 
+    /** What the probe found: where to skip to, and the gate to charge. */
+    struct IdleProbe
+    {
+        Cycle target;
+        DecodeGate gate;
+    };
+
     /**
      * The probe: when cycle() is provably idle for this core, return
      * the earliest cycle in (cycle(), limit] at which anything can
-     * happen here and fill @p gate; return cycle() itself when this
-     * cycle has work. Counts as a fast-forward probe; no other side
-     * effects.
+     * happen here, with the cycle's decode gate; return cycle() itself
+     * when this cycle has work. Counts as a fast-forward probe; no
+     * other side effects.
      */
-    P5_PROBE_PURE Cycle idleTarget(Cycle limit, IdleGate *gate) const;
+    P5_PROBE_PURE IdleProbe idleTarget(Cycle limit) const;
 
     /**
      * The skip: jump cycle() to @p target across a gap idleTarget()
-     * verified (with the gate it filled), advancing the stall,
-     * balancer and slot-forfeit counters by exactly what
-     * (target - cycle()) individual ticks would have added, then
-     * notifying the checkers' skip protocol. @p target may be earlier
-     * than this core's own idleTarget(), which is what lets advance()
-     * jump every core to the smallest target.
+     * verified, charging @p gate (the probe's) and the slot forfeits
+     * for exactly (target - cycle()) cycles, then notifying the
+     * checkers' skip protocol. @p target may be earlier than this
+     * core's own idleTarget(), which is what lets advance() jump every
+     * core to the smallest target.
      */
-    void skipIdleTo(Cycle target, const IdleGate &gate);
+    void skipIdleTo(Cycle target, const DecodeGate &gate);
 
     using Clock = std::chrono::steady_clock;
 
@@ -411,14 +422,28 @@ class SmtCore
         }
     };
 
+    // --- the decode gate -----------------------------------------------
+
+    /** The balancer's decision at cycle_, charging nothing. */
+    BalancerDecision balancerDecision() const;
+
     /**
-     * Probe whether decode could make progress (or mutate state) at
-     * cycle_. Returns false — "activity, must tick" — when the slot
-     * owner (or a work-conserving sibling) could decode, or when a
-     * balancer flush would actually drop instructions. Fills @p gate
-     * for skipIdleTo()'s arithmetic counter advance.
+     * The one decode classifier: what stops attached thread @p t from
+     * decoding at cycle_ under @p bd — a balancer block, a pending
+     * redirect, or GCT admission (the bigger holder must leave one
+     * group free for its sibling) — or None.
      */
-    P5_PROBE_PURE bool probeDecodeIdle(IdleGate *gate) const;
+    DecodeStall decodeStallOf(const BalancerDecision &bd, ThreadId t) const;
+
+    /** Which threads could decode under @p gate: attached, stall None. */
+    std::array<bool, num_hw_threads> canUse(const DecodeGate &gate) const;
+
+    /**
+     * Charge @p cycles cycles of @p gate: the balancer's trigger
+     * counters and each thread's stall counter. decodeStage() charges
+     * 1, skipIdleTo() the gap, across which the gate is constant.
+     */
+    void chargeDecode(const DecodeGate &gate, std::uint64_t cycles);
 
     /** True iff thread t's oldest GCT group would commit at cycle_. */
     P5_PROBE_PURE bool commitReady(ThreadId t) const;
@@ -432,7 +457,7 @@ class SmtCore
      * source here.
      */
     P5_PROBE_PURE Cycle nextInterestingCycle(Cycle limit,
-                                             const IdleGate &gate) const;
+                                             const DecodeGate &gate) const;
 
     /** Rename and link the freshly fetched window slot @p e. */
     void dispatchOne(ThreadState &ts, InFlight &e, std::uint32_t gct_group);
@@ -500,9 +525,8 @@ class SmtCore
 
     StatGroup stats_;
     std::array<Counter, num_hw_threads> decoded_;
-    std::array<Counter, num_hw_threads> stallBalancer_;
-    std::array<Counter, num_hw_threads> stallRedirect_;
-    std::array<Counter, num_hw_threads> stallGct_;
+    /** Stalled cycles by [DecodeStall - 1][thread]. */
+    std::array<std::array<Counter, num_hw_threads>, 3> stalls_;
     std::array<Counter, num_hw_threads> flushedInstrs_;
 };
 
@@ -511,13 +535,13 @@ bool
 SmtCore::runUntil(Cycle end, Stop &&stop)
 {
     const std::array<SmtCore *, 1> self{this};
-    IdleGate gate;
+    DecodeGate gate;
     return advance(self, &gate, idleStreak_, end, stop);
 }
 
 template <class Cores, class Stop>
 bool
-SmtCore::advance(const Cores &cores, IdleGate *gates,
+SmtCore::advance(const Cores &cores, DecodeGate *gates,
                  std::uint32_t &streak, Cycle end, Stop &&stop)
 {
     const std::size_t n = cores.size();
@@ -532,10 +556,11 @@ SmtCore::advance(const Cores &cores, IdleGate *gates,
             std::size_t idle = 0;
             for (; idle < n; ++idle) {
                 SmtCore &core = *cores[idle];
-                const Cycle t = core.idleTarget(end, &gates[idle]);
-                if (t <= core.cycle_)
+                const IdleProbe probe = core.idleTarget(end);
+                if (probe.target <= core.cycle_)
                     break;
-                target = std::min(target, t);
+                gates[idle] = probe.gate;
+                target = std::min(target, probe.target);
             }
             if (idle == n) {
                 for (std::size_t c = 0; c < n; ++c) {

@@ -26,6 +26,16 @@ struct BalancerFixture
         lsu->setPriorityView(allocator.get());
     }
 
+    /** One cycle of the core's use: decide at @p now, then charge it. */
+    BalancerDecision
+    step(bool both_running, Cycle now)
+    {
+        const BalancerDecision d =
+            balancer.probe(gct, lmq, *lsu, both_running, now);
+        balancer.charge(d, 1);
+        return d;
+    }
+
     CoreParams params;
     Gct gct;
     Lmq lmq;
@@ -38,8 +48,7 @@ struct BalancerFixture
 TEST(Balancer, QuietCoreNoBlocks)
 {
     BalancerFixture f;
-    BalancerDecision d =
-        f.balancer.evaluate(f.gct, f.lmq, *f.lsu, true, 0);
+    BalancerDecision d = f.step(true, 0);
     EXPECT_FALSE(d.block[0]);
     EXPECT_FALSE(d.block[1]);
 }
@@ -50,8 +59,7 @@ TEST(Balancer, GctHogIsBlocked)
     // Thread 0 holds 12 of 20 groups: > 0.55 * 20 = 11.
     for (int g = 0; g < 12; ++g)
         f.gct.allocate(0, static_cast<SeqNum>(g) * 5, 5);
-    BalancerDecision d =
-        f.balancer.evaluate(f.gct, f.lmq, *f.lsu, true, 0);
+    BalancerDecision d = f.step(true, 0);
     EXPECT_TRUE(d.block[0]);
     EXPECT_FALSE(d.block[1]);
     EXPECT_FALSE(d.flush[0]); // default action is Stall
@@ -65,8 +73,7 @@ TEST(Balancer, FlushActionSetsFlush)
     BalancerFixture f(bp);
     for (int g = 0; g < 12; ++g)
         f.gct.allocate(0, static_cast<SeqNum>(g) * 5, 5);
-    BalancerDecision d =
-        f.balancer.evaluate(f.gct, f.lmq, *f.lsu, true, 0);
+    BalancerDecision d = f.step(true, 0);
     EXPECT_TRUE(d.flush[0]);
     EXPECT_EQ(f.balancer.flushesOf(0), 1u);
 }
@@ -76,8 +83,7 @@ TEST(Balancer, NoHoggingWithoutSibling)
     BalancerFixture f;
     for (int g = 0; g < 15; ++g)
         f.gct.allocate(0, static_cast<SeqNum>(g) * 5, 5);
-    BalancerDecision d =
-        f.balancer.evaluate(f.gct, f.lmq, *f.lsu, false, 0);
+    BalancerDecision d = f.step(false, 0);
     EXPECT_FALSE(d.block[0]);
 }
 
@@ -86,8 +92,7 @@ TEST(Balancer, LmqHogIsBlocked)
     BalancerFixture f;
     for (int i = 0; i < 6; ++i)
         f.lmq.reserve(1, 0, 0, 1000);
-    BalancerDecision d =
-        f.balancer.evaluate(f.gct, f.lmq, *f.lsu, true, 0);
+    BalancerDecision d = f.step(true, 0);
     EXPECT_TRUE(d.block[1]);
     EXPECT_EQ(f.balancer.lmqBlocksOf(1), 1u);
 }
@@ -97,11 +102,10 @@ TEST(Balancer, TlbWalkBlocksDecode)
     BalancerFixture f;
     f.lsu->issueLoad(0, 0x1000, 0); // triggers a 100-cycle walk
     f.lmq.advanceTo(50);
-    BalancerDecision d =
-        f.balancer.evaluate(f.gct, f.lmq, *f.lsu, true, 50);
+    BalancerDecision d = f.step(true, 50);
     EXPECT_TRUE(d.block[0]);
     f.lmq.advanceTo(150);
-    d = f.balancer.evaluate(f.gct, f.lmq, *f.lsu, true, 150);
+    d = f.step(true, 150);
     EXPECT_FALSE(d.block[0]);
 }
 
@@ -112,8 +116,7 @@ TEST(Balancer, DisabledDoesNothing)
     BalancerFixture f(bp);
     for (int g = 0; g < 18; ++g)
         f.gct.allocate(0, static_cast<SeqNum>(g) * 5, 5);
-    BalancerDecision d =
-        f.balancer.evaluate(f.gct, f.lmq, *f.lsu, true, 0);
+    BalancerDecision d = f.step(true, 0);
     EXPECT_FALSE(d.block[0]);
 }
 
@@ -153,8 +156,7 @@ TEST(Balancer, MinorityGctCapIsTighter)
     f.allocator->setPriorities(2, 6); // thread 0 minority: cap 0.2*20=4
     for (int g = 0; g < 5; ++g)
         f.gct.allocate(0, static_cast<SeqNum>(g) * 5, 5);
-    BalancerDecision d =
-        f.balancer.evaluate(f.gct, f.lmq, *f.lsu, true, 0);
+    BalancerDecision d = f.step(true, 0);
     EXPECT_TRUE(d.block[0]);
 }
 

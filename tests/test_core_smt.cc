@@ -329,6 +329,40 @@ TEST(CoreSmt, UnfinishedCountsSurviveBalancerFlushesAndRestore)
             << name;
 }
 
+/**
+ * Decode flushes each thread just before classifying it, so a flush of
+ * thread 1 frees GCT groups only after thread 0's admission check: in
+ * the cycle of the flush, thread 0 is charged a GCT stall although the
+ * GCT the flush leaves would admit it. Classifying after every flush
+ * would charge no such cycle.
+ */
+TEST(CoreSmt, ThreadOnesFlushFollowsThreadZerosGctAdmission)
+{
+    CoreParams params;
+    params.balancer.action = BalanceAction::Flush;
+    const SyntheticProgram prog = makeUbench(UbenchId::CpuInt, 0.25);
+    SmtCore core(params);
+    test::withCheckers(core);
+    core.attachThread(0, &prog, 4);
+    core.attachThread(1, &prog, 3);
+    int admissible_after_flush = 0;
+    for (int c = 0; c < 2000; ++c) {
+        const double flushed = core.stats().value("thread1.flushedInstrs");
+        const double gct_stalls = core.stats().value("thread0.stallGct");
+        core.tick();
+        if (core.stats().value("thread1.flushedInstrs") == flushed ||
+            core.stats().value("thread0.stallGct") == gct_stalls)
+            continue;
+        // Thread 1 was blocked and thread 0 stalled, so nothing
+        // decoded: the GCT is as thread 1's flush left it.
+        const Gct &gct = core.gct();
+        const int needed = gct.occupancyOf(0) > gct.occupancyOf(1) ? 2 : 1;
+        if (gct.capacity() - gct.occupancy() >= needed)
+            ++admissible_after_flush;
+    }
+    EXPECT_GT(admissible_after_flush, 0);
+}
+
 TEST(CoreSmt, ReattachNeverHonoursAStaleCompletion)
 {
     // Detaching drops the window but not the completions and ready

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the decode-slot allocator: the paper's R-formula, the
- * R-1:1 split, special modes, and the minority-width calibration.
+ * R-1:1 split, special modes, and the minority-width calibration; and
+ * for the decode arbiter that charges each slot to its owner.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <random>
 #include <vector>
 
+#include "core/decode_arbiter.hh"
 #include "prio/slot_allocator.hh"
 #include "test_helpers.hh"
 
@@ -344,6 +346,85 @@ TEST(SlotAllocator, EveryQueryMatchesABruteForceReferenceOnAll64Pairs)
             const auto all = a.ownedSlotsInRange(0, never_cycle);
             EXPECT_EQ(all[0], want_all[0]);
             EXPECT_EQ(all[1], want_all[1]);
+        }
+    }
+}
+
+/**
+ * DecodeArbiter over every priority pair, every cycle of the grant
+ * period, every usability combination and both slot policies:
+ * wouldGrant() names exactly the thread decide() grants, and decide()
+ * charges the slot owner one grant or one forfeit, plus at most one
+ * reassignment to the sibling.
+ */
+TEST(DecodeArbiter, DecideIsWouldGrantPlusOneChargePerOwnedSlot)
+{
+    for (const bool work_conserving : {false, true}) {
+        for (int p = 0; p < 8; ++p) {
+            for (int s = 0; s < 8; ++s) {
+                DecodeArbiter arb(5, 2, work_conserving);
+                arb.allocator().setPriorities(p, s);
+                SCOPED_TRACE(::testing::Message()
+                             << "pair " << p << "," << s
+                             << " work-conserving " << work_conserving);
+                for (Cycle c = 0; c < DecodeSlotAllocator::grant_period;
+                     ++c) {
+                    const SlotGrant slot = referenceGrant(p, s, c, 5, 2);
+                    for (int mask = 0; mask < 4; ++mask) {
+                        const std::array<bool, num_hw_threads> can_use{
+                            (mask & 1) != 0, (mask & 2) != 0};
+                        std::uint64_t before[3][2];
+                        for (ThreadId t = 0; t < 2; ++t) {
+                            before[0][t] = arb.slotsGrantedTo(t);
+                            before[1][t] = arb.slotsForfeitedBy(t);
+                            before[2][t] = arb.slotsReassignedTo(t);
+                        }
+
+                        const ThreadId would = arb.wouldGrant(c, can_use);
+                        const SlotGrant g = arb.decide(c, can_use);
+                        ASSERT_EQ(g.owner, would)
+                            << "cycle " << c << " usable " << mask;
+
+                        // The reference: the owner decodes if it can,
+                        // else a usable active sibling inherits the
+                        // slot when slots are work-conserving.
+                        ThreadId want = -1;
+                        if (slot.owner >= 0) {
+                            const ThreadId sib = 1 - slot.owner;
+                            if (can_use[static_cast<size_t>(slot.owner)])
+                                want = slot.owner;
+                            else if (work_conserving &&
+                                     can_use[static_cast<size_t>(sib)] &&
+                                     arb.allocator().threadActive(sib))
+                                want = sib;
+                        }
+                        ASSERT_EQ(would, want)
+                            << "cycle " << c << " usable " << mask;
+                        ASSERT_EQ(g.maxWidth, want < 0 ? 0 : slot.maxWidth)
+                            << "cycle " << c << " usable " << mask;
+
+                        std::uint64_t delta[3][2];
+                        for (ThreadId t = 0; t < 2; ++t) {
+                            delta[0][t] = arb.slotsGrantedTo(t) - before[0][t];
+                            delta[1][t] =
+                                arb.slotsForfeitedBy(t) - before[1][t];
+                            delta[2][t] =
+                                arb.slotsReassignedTo(t) - before[2][t];
+                        }
+                        for (ThreadId t = 0; t < 2; ++t) {
+                            const bool owns = t == slot.owner;
+                            ASSERT_EQ(delta[0][t], owns && want == t ? 1u : 0u)
+                                << "cycle " << c << " usable " << mask;
+                            ASSERT_EQ(delta[1][t], owns && want != t ? 1u : 0u)
+                                << "cycle " << c << " usable " << mask;
+                            ASSERT_EQ(delta[2][t],
+                                      !owns && want == t ? 1u : 0u)
+                                << "cycle " << c << " usable " << mask;
+                        }
+                        ASSERT_LE(delta[2][0] + delta[2][1], 1u);
+                    }
+                }
+            }
         }
     }
 }

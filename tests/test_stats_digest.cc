@@ -65,6 +65,8 @@ struct DigestCase
     int prioP;
     int prioS;
     std::vector<std::string> overrides;
+    /** Test-name suffix of a case run with overrides ("" for none). */
+    const char *label;
     std::uint64_t digest;
 };
 
@@ -133,7 +135,20 @@ const DigestCase stress_case{"ldint_mem",
                              {"core.balancer.lmq_threshold=2",
                               "core.lmq_entries=3",
                               "core.balancer.action=flush"},
+                             "stress",
                              0x665c946d97829858ull};
+
+/**
+ * Forfeited slots go to the sibling: the arbiter's reassignment branch,
+ * which the fast-forward suite only compares against itself.
+ */
+const DigestCase work_conserving_case{"ldint_mem",
+                                      "cpu_int",
+                                      6,
+                                      2,
+                                      {"core.work_conserving_slots=true"},
+                                      "work_conserving",
+                                      0x4ac9267effa5008bull};
 
 class StatsDigestTest : public ::testing::TestWithParam<DigestCase>
 {
@@ -151,17 +166,18 @@ TEST_P(StatsDigestTest, MatchesTheRecordedDigest)
 INSTANTIATE_TEST_SUITE_P(
     Pairs, StatsDigestTest,
     ::testing::Values(
-        stress_case,
-        DigestCase{"cpu_int", "ldint_l1", 2, 6, {}, 0xd9310246dd5a03a3ull},
+        stress_case, work_conserving_case,
+        DigestCase{"cpu_int", "ldint_l1", 2, 6, {}, "", 0xd9310246dd5a03a3ull},
         // Mostly fast-forwarded.
         DigestCase{
-            "ldint_mem", "ldint_mem", 6, 2, {}, 0xcdbd06f6b0cb8260ull}),
+            "ldint_mem", "ldint_mem", 6, 2, {}, "", 0xcdbd06f6b0cb8260ull}),
     [](const ::testing::TestParamInfo<DigestCase> &info) {
         return std::string(info.param.primary) + "_" +
                info.param.secondary + "_" +
                std::to_string(info.param.prioP) +
                std::to_string(info.param.prioS) +
-               (info.param.overrides.empty() ? "" : "_stress");
+               (*info.param.label ? std::string("_") + info.param.label
+                                  : std::string());
     });
 
 /** The stress case exercises what it claims to. */
@@ -179,6 +195,14 @@ TEST(StatsDigest, StressCaseFiresEveryTrigger)
     EXPECT_GT(sum("tlbBlocks"), 0.0);
     EXPECT_GT(sum("flushes"), 0.0);
     EXPECT_GT(s.value("lmq.queuedMisses"), 0.0);
+}
+
+/** The work-conserving case hands slots to the sibling. */
+TEST(StatsDigest, WorkConservingCaseReassignsSlots)
+{
+    std::unique_ptr<SmtCore> core;
+    runDigest(work_conserving_case, &core);
+    EXPECT_GT(core->arbiter().slotsReassignedTo(1), 0u);
 }
 
 } // namespace
