@@ -77,96 +77,118 @@ PeriodDetector::filter(const SmtCore &core)
 bool
 PeriodDetector::onBoundary(const SmtCore &core)
 {
+    if (found_)
+        return false;
     const PollView now = pollViewOf(core);
     const auto ref = static_cast<std::size_t>(ref_);
     const bool ref_boundary = now.execs[ref] != seen_[ref];
-    if (phase_ == Phase::Confirm) {
+    for (Search *s : {&filtered_, &first_}) {
+        if (!s->searching())
+            continue;
         for (std::size_t t = 0; t < num_hw_threads; ++t)
             if (now.execs[t] != seen_[t])
-                log_[t].push_back({core.cycle() - a().cycle, now.execs[t],
-                                   now.last[t]});
+                s->log[t].push_back({core.cycle() - s->a.cycle,
+                                     now.execs[t], now.last[t]});
     }
     seen_ = now.execs;
-    if (!ref_boundary || phase_ == Phase::Found)
+    if (!ref_boundary)
         return false;
 
     const std::size_t proposal = filter(core);
-    if (phase_ == Phase::Filter) {
-        if (!proposal)
-            return false;
-        // The reference stream's own phase recurs only every
-        // refPeriod_ boundaries, so the period is a multiple of that.
-        step_ = std::lcm(proposal, refPeriod_);
-        rolls_ = 0;
-        startAt(core, now);
-        return false;
-    }
-    if (++since_ % step_ != 0)
-        return false;
-
-    // Confirm: every step, compare the phases with A's; where they
-    // match, the whole state.
-    const PhaseKey key = phaseOf(core);
-    if (key != keys_.front()) {
-        if (std::find(keys_.begin(), keys_.end(), key) != keys_.end()) {
-            // The phases cycle without returning to A's: A came before
-            // the cycle set in. Start again from here.
-            if (++rolls_ > max_rolls)
-                fail();
-            else
-                startAt(core, now);
-        } else if (keys_.size() > max_multiples) {
-            fail();
-        } else {
-            keys_.push_back(key);
+    const bool filter_idle = !filtered_.searching();
+    bTaken_ = false;
+    for (Search *s : {&filtered_, &first_}) {
+        if (s->searching() && advance(*s, core)) {
+            found_ = s;
+            return true;
         }
-        return false;
     }
-    core.snapshotState(snaps_[1]);
-    views_[1] = now;
-    if (snaps_[0].sameState(snaps_[1])) {
-        phase_ = Phase::Found;
-        return true;
+    if (boundaries_ == 1)
+        startAt(first_, refPeriod_, core);
+    // The reference stream's own phase recurs only every refPeriod_
+    // boundaries, so the period is a multiple of that.
+    if (proposal && filter_idle) {
+        filtered_.rolls = 0;
+        startAt(filtered_, std::lcm(proposal, refPeriod_), core);
     }
-    // The phases recurred but the rest of the state did not, as while
-    // the caches still warm: compare against this boundary next.
-    if (++rolls_ > max_rolls) {
-        fail();
-        return false;
-    }
-    std::swap(snaps_[0], snaps_[1]);
-    views_[0] = now;
-    since_ = 0;
-    keys_.assign(1, key);
-    for (auto &events : log_)
-        events.clear();
     return false;
 }
 
-void
-PeriodDetector::startAt(const SmtCore &core, const PollView &now)
+bool
+PeriodDetector::advance(Search &s, const SmtCore &core)
 {
-    core.snapshotState(snaps_[0]);
-    views_[0] = now;
-    since_ = 0;
-    keys_.assign(1, phaseOf(core));
-    for (auto &events : log_)
-        events.clear();
-    phase_ = Phase::Confirm;
+    if (++s.since % s.step != 0)
+        return false;
+
+    // Every step, compare the phases with A's; where they match, the
+    // whole state.
+    const PhaseKey key = phaseOf(core);
+    if (key != s.keys.front()) {
+        if (std::find(s.keys.begin(), s.keys.end(), key) != s.keys.end()) {
+            // The phases cycle without returning to A's: A came before
+            // the cycle set in. Start again from here.
+            if (++s.rolls > max_rolls)
+                fail(s);
+            else
+                startAt(s, s.step, core);
+        } else if (s.keys.size() > s.maxSteps) {
+            fail(s);
+        } else {
+            s.keys.push_back(key);
+        }
+        return false;
+    }
+    if (s.a.sameState(here(core)))
+        return true;
+    // The phases recurred but the rest of the state did not, as while
+    // the caches still warm: compare against this boundary next.
+    if (++s.rolls > max_rolls)
+        fail(s);
+    else
+        startAt(s, s.step, core);
+    return false;
+}
+
+const StateSnapshot &
+PeriodDetector::here(const SmtCore &core)
+{
+    if (!bTaken_) {
+        core.snapshotState(b_);
+        bView_ = pollViewOf(core);
+        bTaken_ = true;
+    }
+    return b_;
 }
 
 void
-PeriodDetector::fail()
+PeriodDetector::startAt(Search &s, std::uint64_t step, const SmtCore &core)
 {
-    // The statistics repeated but the state did not (yet): wait longer
-    // before each next try, and free the snapshots meanwhile.
-    phase_ = Phase::Filter;
-    run_.fill(0);
-    ++failures_;
-    cooldownUntil_ = boundaries_ + (step_ << std::min(failures_, 10u));
-    keys_.clear();
-    for (StateSnapshot &s : snaps_)
-        s = StateSnapshot{};
+    s.a = here(core);
+    s.view = bView_;
+    s.step = step;
+    s.since = 0;
+    s.keys.assign(1, phaseOf(core));
+    for (auto &events : s.log)
+        events.clear();
+}
+
+void
+PeriodDetector::fail(Search &s)
+{
+    s.keys.clear();
+    s.a = StateSnapshot{};
+    if (&s == &filtered_) {
+        // The statistics repeated but the state did not (yet): wait
+        // longer before the filter's next try.
+        run_.fill(0);
+        ++failures_;
+        cooldownUntil_ =
+            boundaries_ + (s.step << std::min(failures_, 10u));
+    }
+    if (!filtered_.searching() && !first_.searching()) {
+        b_ = StateSnapshot{};
+        bTaken_ = false;
+    }
 }
 
 PeriodDetector::PhaseKey
@@ -191,16 +213,16 @@ PeriodDetector::viewAt(Cycle c) const
     const Cycle period = periodCycles();
     const Cycle o = c - b().cycle;
     if (o == 0)
-        return views_[1];
+        return bView_;
     // Cycle c lies in period j after B, at offset r in (0, P] into it.
     const std::uint64_t j = (o - 1) / period;
     const Cycle r = o - j * period;
     PollView v;
     for (std::size_t t = 0; t < num_hw_threads; ++t) {
-        const std::uint64_t delta = views_[1].execs[t] - views_[0].execs[t];
-        const std::vector<Event> &events = log_[t];
-        v.execs[t] = views_[1].execs[t] + j * delta;
-        v.last[t] = views_[1].last[t] + (events.empty() ? 0 : j * period);
+        const std::uint64_t delta = bView_.execs[t] - found_->view.execs[t];
+        const std::vector<Event> &events = found_->log[t];
+        v.execs[t] = bView_.execs[t] + j * delta;
+        v.last[t] = bView_.last[t] + (events.empty() ? 0 : j * period);
         const auto it = std::upper_bound(
             events.begin(), events.end(), r,
             [](Cycle x, const Event &e) { return x < e.offset; });

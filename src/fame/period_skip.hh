@@ -11,20 +11,27 @@
  * at the same offsets. PeriodDetector finds such a pair of boundaries.
  *
  * It watches the execution boundaries of one reference thread (the
- * lower-priority one). A cheap filter digests, per boundary, the cycles
- * and every stat counter's change since the previous boundary, and
- * proposes p boundaries once min_run boundaries in a row (all of them
- * for a smaller p) equal the one p back. Only then does it snapshot
- * the core (boundary A). Every step after A (p rounded up to the
- * reference source's own period) it compares each thread's stream
- * phase and the decode-slot phase with A's, which costs no snapshot;
- * where they match it snapshots again (boundary B) and compares the two
+ * lower-priority one), and two searches run side by side, each holding
+ * a snapshot of the core at its boundary A. One anchors A at the
+ * measurement's first reference boundary and steps by the reference
+ * source's own period, so a state that recurs right after the warm-up
+ * is found within one period of it. The other anchors A where a cheap
+ * filter proposes: the filter digests, per boundary, the cycles and
+ * every stat counter's change since the previous boundary, and proposes
+ * p boundaries once min_run boundaries in a row (all of them for a
+ * smaller p) equal the one p back; its step is p rounded up to the
+ * reference source's period. At every step after A a search compares
+ * each thread's stream phase and the decode-slot phase with A's, which
+ * costs no snapshot; where they match it snapshots the core (boundary
+ * B, one snapshot shared by both searches) and compares the two
  * snapshots field for field. A hash never confirms on its own. Phases
  * that cycle without returning to A's, or a B whose state differs from
  * A's (the caches still warming), move A on; a search that runs too
- * long fails and backs off. Meanwhile it logs every thread's execution
- * boundaries after A, so that after a confirmed period viewAt() gives
- * what a FAME poll would read at any later cycle, in closed form.
+ * long fails (the filter's backs off and waits for its next proposal).
+ * The first pair either search confirms wins. Meanwhile each search
+ * logs every thread's execution boundaries after its A, so that after a
+ * confirmed period viewAt() gives what a FAME poll would read at any
+ * later cycle, in closed form.
  */
 
 #ifndef P5SIM_FAME_PERIOD_SKIP_HH
@@ -77,6 +84,8 @@ class PeriodDetector
      *        source's period exceeds max_source_period.
      */
     PeriodDetector(const SmtCore &core, bool enable);
+    PeriodDetector(const PeriodDetector &) = delete;
+    PeriodDetector &operator=(const PeriodDetector &) = delete;
 
     bool active() const { return active_; }
 
@@ -101,21 +110,14 @@ class PeriodDetector
     /** Deactivate for good (the confirmed period was used). */
     void stop() { active_ = false; }
 
-    const StateSnapshot &a() const { return snaps_[0]; }
-    const StateSnapshot &b() const { return snaps_[1]; }
+    const StateSnapshot &a() const { return found_->a; }
+    const StateSnapshot &b() const { return b_; }
     Cycle periodCycles() const { return b().cycle - a().cycle; }
 
     /** The PollView at cycle @p c >= b().cycle if the core ran on. */
     PollView viewAt(Cycle c) const;
 
   private:
-    enum class Phase : std::uint8_t
-    {
-        Filter,  ///< digesting boundaries, no snapshot held
-        Confirm, ///< snapshot A held, logging towards B
-        Found    ///< a() and b() confirmed one period apart
-    };
-
     /** One thread's execution boundary inside the logged period. */
     struct Event
     {
@@ -125,15 +127,6 @@ class PeriodDetector
     };
 
     /**
-     * Steps (the proposal, rounded to the reference period) a
-     * confirmation waits, at most, for A's phases to recur.
-     */
-    static constexpr std::size_t max_multiples = 32;
-
-    /** Times a confirmation moves A on, at most, before it fails. */
-    static constexpr std::uint32_t max_rolls = 8;
-
-    /**
      * Each thread's stream position modulo its source's period, and the
      * decode-slot phase: equal at two boundaries of a recurrence, and
      * cheap to read, so a snapshot is taken only where they match.
@@ -141,17 +134,45 @@ class PeriodDetector
     using PhaseKey = std::array<std::uint64_t, num_hw_threads + 1>;
     static PhaseKey phaseOf(const SmtCore &core);
 
+    /** One search for a recurrence from its boundary A. */
+    struct Search
+    {
+        explicit Search(std::size_t max_steps) : maxSteps(max_steps) {}
+
+        /** Steps (distinct phases) it waits, at most, for A's phases
+         *  to recur. */
+        const std::size_t maxSteps;
+        std::uint64_t step = 1; ///< reference boundaries per step
+        std::uint64_t since = 0; ///< reference boundaries since A
+        std::vector<PhaseKey> keys; ///< per step since A, A's first
+        std::uint32_t rolls = 0;
+        StateSnapshot a;
+        PollView view{}; ///< at A
+        std::array<std::vector<Event>, num_hw_threads> log;
+
+        bool searching() const { return !keys.empty(); }
+    };
+
+    /** Times a search moves A on, at most, before it fails. */
+    static constexpr std::uint32_t max_rolls = 8;
+
     /** Digest the reference boundary; return a proposed period or 0. */
     std::size_t filter(const SmtCore &core);
 
-    /** Snapshot A at the boundary the core stopped at, viewing @p now. */
-    void startAt(const SmtCore &core, const PollView &now);
+    /** The core's snapshot at the reference boundary it stopped at,
+     *  taken into b_ once per boundary. */
+    const StateSnapshot &here(const SmtCore &core);
 
-    /** Give up the search or confirmation in progress. */
-    void fail();
+    /** Start @p s (A at this boundary) with a step of @p step. */
+    void startAt(Search &s, std::uint64_t step, const SmtCore &core);
+
+    /** One reference boundary of @p s; true when it confirms. */
+    bool advance(Search &s, const SmtCore &core);
+
+    /** Give up search @p s. */
+    void fail(Search &s);
 
     bool active_ = false;
-    Phase phase_ = Phase::Filter;
     ThreadId ref_ = 0;
     std::uint64_t refPeriod_ = 1; ///< the reference source's, executions
     std::array<std::uint64_t, num_hw_threads> seen_{};
@@ -167,17 +188,19 @@ class PeriodDetector
     std::uint64_t cooldownUntil_ = 0;
     std::uint32_t failures_ = 0;
 
-    // Confirmation: the proposal rounded to the reference period
-    // (step_), reference boundaries since A, the phases at each step
-    // since A (A's first), the two snapshots and views, and every
-    // boundary between them.
-    std::uint64_t step_ = 1;
-    std::uint64_t since_ = 0;
-    std::vector<PhaseKey> keys_;
-    std::uint32_t rolls_ = 0;
-    std::array<StateSnapshot, 2> snaps_;
-    std::array<PollView, 2> views_{};
-    std::array<std::vector<Event>, num_hw_threads> log_;
+    /**
+     * A at the measurement's first reference boundary, stepping by the
+     * reference period, so it may take up to max_period steps to span a
+     * period; and A where the filter proposed, whose step is already the
+     * proposed period. At most three snapshots are alive: the two A's
+     * and b_.
+     */
+    Search first_{max_period};
+    Search filtered_{32};
+    const Search *found_ = nullptr;
+    StateSnapshot b_;
+    PollView bView_{};
+    bool bTaken_ = false; ///< b_ holds this boundary's snapshot
 };
 
 } // namespace p5

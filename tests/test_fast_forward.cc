@@ -100,9 +100,10 @@ expectIdentical(const RunSnapshot &fast, const RunSnapshot &slow,
  * fast-forward on vs off, every registered stat compared bit-exact.
  * Besides the default core it covers the probe's two non-default
  * decode branches: the balancer's flush action (the probe's
- * flush-drop check) and work-conserving slots (its copy of the
- * decode arbiter's reassignment). Each such variant must take its
- * branch, shown by its stat, in some run that also skipped.
+ * flush-drop check) and work-conserving slots (the reassignment
+ * branch of the shared grant rule, DecodeArbiter::wouldGrant). Each
+ * such variant must take its branch, shown by its stat, in some run
+ * that also skipped.
  */
 TEST(FastForward, BitIdenticalStatsAcrossAllPriorityPairs)
 {
@@ -485,6 +486,24 @@ TEST(FastForward, PeriodSkipIsBitIdenticalWhereTheStateRecurs)
         EXPECT_GT(fast.jumped, 0u) << label;
         expectSameFame(fast, slow, label);
     }
+}
+
+/**
+ * A state that recurs right after the warm-up is found from the
+ * measurement's first reference boundary: cpu_int+ldint_l1@2,6 at the
+ * default FAME parameters (full scale) measures only 32 executions of
+ * its slow thread, too few for the stat filter to propose the period
+ * in time, yet jumps about half of its measurement and still equals a
+ * run that ticks every cycle.
+ */
+TEST(FastForward, PeriodSkipFindsARecurrenceRightAfterTheWarmUp)
+{
+    const SyntheticProgram cpu = makeUbench(UbenchId::CpuInt);
+    const SyntheticProgram l1 = makeUbench(UbenchId::LdintL1);
+    const FameSnapshot fast = fameRun(cpu, l1, 2, 6, true, FameParams{});
+    const FameSnapshot slow = fameRun(cpu, l1, 2, 6, false, FameParams{});
+    EXPECT_GE(fast.jumped, 600'000u);
+    expectSameFame(fast, slow, "cpu_int+ldint_l1@2,6");
 }
 
 /**

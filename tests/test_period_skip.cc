@@ -1,9 +1,9 @@
 /**
  * @file
  * The period skip's parts: instruction-source periods, the state
- * relativiser over the checkpoint bodies, and the detector's equal
- * snapshots one period apart. The end-to-end equivalence of skipped
- * FAME runs is in test_fast_forward.cc.
+ * relativiser over the checkpoint bodies, the equal snapshots one
+ * period apart, and where the detector confirms. The end-to-end
+ * equivalence of skipped FAME runs is in test_fast_forward.cc.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,8 @@
 
 #include "ckpt/state_walk.hh"
 #include "core/smt_core.hh"
+#include "fame/fame.hh"
+#include "fame/period_skip.hh"
 #include "program/builder.hh"
 #include "program/trace.hh"
 #include "test_helpers.hh"
@@ -343,6 +345,56 @@ TEST(StateSnapshotTest, JumpEqualsTicking)
     EXPECT_EQ(jumped.lastExecutionCycleOf(0),
               ticked.lastExecutionCycleOf(0));
     EXPECT_EQ(jumped.checks().failureCount(), 0u);
+}
+
+// --- PeriodDetector ----------------------------------------------------
+
+/**
+ * cpu_int+ldint_l1 at (2,6) recurs right after FAME's default warm-up,
+ * too soon for the stat filter to propose it. The search anchored at
+ * the measurement's first reference boundary (cpu_int, the lower
+ * priority, completing an execution) confirms it: A is that boundary,
+ * and B the first later reference boundary whose state equals A's,
+ * exactly one period on.
+ */
+TEST(PeriodDetectorTest, ConfirmsFromTheFirstReferenceBoundary)
+{
+    const SyntheticProgram cpu = makeUbench(UbenchId::CpuInt);
+    const SyntheticProgram l1 = makeUbench(UbenchId::LdintL1);
+    const FameParams fame;
+    CoreParams params;
+    SmtCore core(params);
+    core.attachThread(0, &cpu, canonical_warm_priority);
+    core.attachThread(1, &l1, canonical_warm_priority);
+    FameRunner(fame).runWarmup(core);
+    core.setPriorityPair(2, 6);
+
+    PeriodDetector period(core, true);
+    ASSERT_TRUE(period.active());
+    const Cycle limit = core.cycle() + fame.maxCycles;
+    std::uint64_t ref_execs = core.executionsOf(0);
+    StateSnapshot first, now;
+    bool have_first = false;
+    std::vector<Cycle> recurrences; // reference boundaries equal to first
+    bool found = false;
+    while (!found &&
+           core.runUntil(limit, [&] { return period.boundary(core); })) {
+        found = period.onBoundary(core);
+        if (core.executionsOf(0) == ref_execs)
+            continue;
+        ref_execs = core.executionsOf(0);
+        core.snapshotState(now);
+        if (!have_first) {
+            first = now;
+            have_first = true;
+        } else if (first.sameState(now))
+            recurrences.push_back(now.cycle);
+    }
+    ASSERT_TRUE(found);
+    EXPECT_EQ(period.a().cycle, first.cycle);
+    ASSERT_EQ(recurrences.size(), 1u);
+    EXPECT_EQ(period.b().cycle, recurrences.front());
+    EXPECT_TRUE(period.a().sameState(period.b()));
 }
 
 } // namespace
