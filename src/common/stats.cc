@@ -85,16 +85,6 @@ StatGroup::names() const
     return out;
 }
 
-std::vector<const Counter *>
-StatGroup::counters() const
-{
-    std::vector<const Counter *> out;
-    for (const auto &kv : entries_)
-        if (kv.second.counter)
-            out.push_back(kv.second.counter);
-    return out;
-}
-
 void
 StatGroup::dump(std::ostream &os) const
 {

@@ -84,9 +84,6 @@ class StatGroup
     /** All registered statistic names, sorted. */
     std::vector<std::string> names() const;
 
-    /** The registered counters, in name order (derived stats left out). */
-    std::vector<const Counter *> counters() const;
-
     /** Write "group.stat value" lines to @p os. */
     void dump(std::ostream &os) const;
 

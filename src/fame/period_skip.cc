@@ -1,9 +1,6 @@
 #include "fame/period_skip.hh"
 
 #include <algorithm>
-#include <numeric>
-
-#include "common/rng.hh"
 
 namespace p5 {
 
@@ -44,34 +41,7 @@ PeriodDetector::PeriodDetector(const SmtCore &core, bool enable)
         return;
     refPeriod_ = core.thread(ref_).stream().periodInstrs() /
                  core.thread(ref_).stream().instrsPerExecution();
-    counters_ = core.stats().counters();
-    prevCounters_.resize(counters_.size());
-    for (std::size_t i = 0; i < counters_.size(); ++i)
-        prevCounters_[i] = counters_[i]->value();
-    prevCycle_ = core.cycle();
-}
-
-std::size_t
-PeriodDetector::filter(const SmtCore &core)
-{
-    std::uint64_t d = hashCombine(0, core.cycle() - prevCycle_);
-    prevCycle_ = core.cycle();
-    for (std::size_t i = 0; i < counters_.size(); ++i) {
-        const std::uint64_t v = counters_[i]->value();
-        d = hashCombine(d, v - prevCounters_[i]);
-        prevCounters_[i] = v;
-    }
-    const std::uint64_t n = boundaries_++;
-    digests_[n % digests_.size()] = d;
-
-    std::size_t proposal = 0;
-    for (std::size_t p = 1; p <= max_period && p <= n; ++p) {
-        const bool match = digests_[(n - p) % digests_.size()] == d;
-        run_[p] = match ? run_[p] + 1 : 0;
-        if (!proposal && run_[p] >= std::min<std::size_t>(p, min_run))
-            proposal = p;
-    }
-    return n >= cooldownUntil_ ? proposal : 0;
+    anchors_.reserve(max_anchors);
 }
 
 bool
@@ -82,113 +52,51 @@ PeriodDetector::onBoundary(const SmtCore &core)
     const PollView now = pollViewOf(core);
     const auto ref = static_cast<std::size_t>(ref_);
     const bool ref_boundary = now.execs[ref] != seen_[ref];
-    for (Search *s : {&filtered_, &first_}) {
-        if (!s->searching())
-            continue;
+    if (!anchors_.empty())
         for (std::size_t t = 0; t < num_hw_threads; ++t)
             if (now.execs[t] != seen_[t])
-                s->log[t].push_back({core.cycle() - s->a.cycle,
-                                     now.execs[t], now.last[t]});
-    }
+                log_[t].push_back({core.cycle(), now.execs[t], now.last[t]});
     seen_ = now.execs;
-    if (!ref_boundary)
+    // The reference stream's own phase recurs only every refPeriod_
+    // reference boundaries, so a period is a whole number of steps.
+    if (!ref_boundary ||
+        (!anchors_.empty() && ++refBoundaries_ % refPeriod_ != 0))
         return false;
 
-    const std::size_t proposal = filter(core);
-    const bool filter_idle = !filtered_.searching();
-    bTaken_ = false;
-    for (Search *s : {&filtered_, &first_}) {
-        if (s->searching() && advance(*s, core)) {
-            found_ = s;
+    const PhaseKey key = phaseOf(core);
+    bool taken = false;
+    for (auto it = anchors_.rbegin(); it != anchors_.rend(); ++it) {
+        if (it->key != key)
+            continue;
+        if (!taken) {
+            core.snapshotState(b_);
+            taken = true;
+        }
+        if (it->state.sameState(b_)) {
+            found_ = &*it;
+            bView_ = now;
             return true;
         }
     }
-    if (boundaries_ == 1)
-        startAt(first_, refPeriod_, core);
-    // The reference stream's own phase recurs only every refPeriod_
-    // boundaries, so the period is a multiple of that.
-    if (proposal && filter_idle) {
-        filtered_.rolls = 0;
-        startAt(filtered_, std::lcm(proposal, refPeriod_), core);
-    }
-    return false;
-}
 
-bool
-PeriodDetector::advance(Search &s, const SmtCore &core)
-{
-    if (++s.since % s.step != 0)
+    // Anchor at step 0 and at every power-of-two step.
+    const std::uint64_t step = refBoundaries_ / refPeriod_;
+    if (step & (step - 1))
         return false;
-
-    // Every step, compare the phases with A's; where they match, the
-    // whole state.
-    const PhaseKey key = phaseOf(core);
-    if (key != s.keys.front()) {
-        if (std::find(s.keys.begin(), s.keys.end(), key) != s.keys.end()) {
-            // The phases cycle without returning to A's: A came before
-            // the cycle set in. Start again from here.
-            if (++s.rolls > max_rolls)
-                fail(s);
-            else
-                startAt(s, s.step, core);
-        } else if (s.keys.size() > s.maxSteps) {
-            fail(s);
-        } else {
-            s.keys.push_back(key);
-        }
-        return false;
-    }
-    if (s.a.sameState(here(core)))
-        return true;
-    // The phases recurred but the rest of the state did not, as while
-    // the caches still warm: compare against this boundary next.
-    if (++s.rolls > max_rolls)
-        fail(s);
-    else
-        startAt(s, s.step, core);
-    return false;
-}
-
-const StateSnapshot &
-PeriodDetector::here(const SmtCore &core)
-{
-    if (!bTaken_) {
+    if (!taken)
         core.snapshotState(b_);
-        bView_ = pollViewOf(core);
-        bTaken_ = true;
-    }
-    return b_;
-}
-
-void
-PeriodDetector::startAt(Search &s, std::uint64_t step, const SmtCore &core)
-{
-    s.a = here(core);
-    s.view = bView_;
-    s.step = step;
-    s.since = 0;
-    s.keys.assign(1, phaseOf(core));
-    for (auto &events : s.log)
-        events.clear();
-}
-
-void
-PeriodDetector::fail(Search &s)
-{
-    s.keys.clear();
-    s.a = StateSnapshot{};
-    if (&s == &filtered_) {
-        // The statistics repeated but the state did not (yet): wait
-        // longer before the filter's next try.
-        run_.fill(0);
-        ++failures_;
-        cooldownUntil_ =
-            boundaries_ + (s.step << std::min(failures_, 10u));
-    }
-    if (!filtered_.searching() && !first_.searching()) {
-        b_ = StateSnapshot{};
-        bTaken_ = false;
-    }
+    if (anchors_.size() < max_anchors)
+        anchors_.emplace_back();
+    else
+        std::rotate(anchors_.begin() + 1, anchors_.begin() + 2,
+                    anchors_.end());
+    Anchor &a = anchors_.back();
+    std::swap(a.state, b_);
+    a.key = key;
+    a.view = now;
+    for (std::size_t t = 0; t < num_hw_threads; ++t)
+        a.logFrom[t] = log_[t].size();
+    return false;
 }
 
 PeriodDetector::PhaseKey
@@ -220,13 +128,15 @@ PeriodDetector::viewAt(Cycle c) const
     PollView v;
     for (std::size_t t = 0; t < num_hw_threads; ++t) {
         const std::uint64_t delta = bView_.execs[t] - found_->view.execs[t];
-        const std::vector<Event> &events = found_->log[t];
+        const std::vector<Event> &log = log_[t];
+        const auto first =
+            log.begin() + static_cast<std::ptrdiff_t>(found_->logFrom[t]);
         v.execs[t] = bView_.execs[t] + j * delta;
-        v.last[t] = bView_.last[t] + (events.empty() ? 0 : j * period);
+        v.last[t] = bView_.last[t] + (first == log.end() ? 0 : j * period);
         const auto it = std::upper_bound(
-            events.begin(), events.end(), r,
-            [](Cycle x, const Event &e) { return x < e.offset; });
-        if (it != events.begin()) {
+            first, log.end(), a().cycle + r,
+            [](Cycle x, const Event &e) { return x < e.cycle; });
+        if (it != first) {
             const Event &e = *std::prev(it);
             v.execs[t] = e.execs + (j + 1) * delta;
             v.last[t] = e.last + (j + 1) * period;

@@ -11,25 +11,19 @@
  * at the same offsets. PeriodDetector finds such a pair of boundaries.
  *
  * It watches the execution boundaries of one reference thread (the
- * lower-priority one), and two searches run side by side, each holding
- * a snapshot of the core at its boundary A. One anchors A at the
- * measurement's first reference boundary and steps by the reference
- * source's own period, so a state that recurs right after the warm-up
- * is found within one period of it. The other anchors A where a cheap
- * filter proposes: the filter digests, per boundary, the cycles and
- * every stat counter's change since the previous boundary, and proposes
- * p boundaries once min_run boundaries in a row (all of them for a
- * smaller p) equal the one p back; its step is p rounded up to the
- * reference source's period. At every step after A a search compares
- * each thread's stream phase and the decode-slot phase with A's, which
- * costs no snapshot; where they match it snapshots the core (boundary
- * B, one snapshot shared by both searches) and compares the two
- * snapshots field for field. A hash never confirms on its own. Phases
- * that cycle without returning to A's, or a B whose state differs from
- * A's (the caches still warming), move A on; a search that runs too
- * long fails (the filter's backs off and waits for its next proposal).
- * The first pair either search confirms wins. Meanwhile each search
- * logs every thread's execution boundaries after its A, so that after a
+ * lower-priority one) in steps of the reference source's own period,
+ * the only spacing at which the reference stream's phase recurs. Step
+ * 0 is the measurement's first reference boundary. Anchors (a snapshot
+ * of the core, its phases and its poll view) sit at step 0 and at every
+ * power-of-two step, as in Brent's cycle detection: the step-0 anchor
+ * catches a state that recurs right after the warm-up, and the ladder
+ * one that sets in later (DESIGN §7 bounds how much later it confirms).
+ * The step-0 anchor and the two newest others are kept. At every step the
+ * core's snapshot (boundary B) is compared field for field with each
+ * anchor whose phases (each thread's stream phase and the decode-slot
+ * phase, which cost no snapshot) equal B's, newest first; the first
+ * equal pair confirms. A hash never confirms on its own. From step 0 on
+ * every thread's execution boundaries are logged, so that after a
  * confirmed period viewAt() gives what a FAME poll would read at any
  * later cycle, in closed form.
  */
@@ -42,7 +36,6 @@
 #include <vector>
 
 #include "ckpt/state_walk.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "core/smt_core.hh"
 
@@ -64,18 +57,9 @@ PollView pollViewOf(const SmtCore &core);
 class PeriodDetector
 {
   public:
-    /** Longest period the filter proposes, in reference boundaries. */
-    static constexpr std::size_t max_period = 512;
-
     /** Source period, in executions, beyond which the detector stays
      *  inactive. */
     static constexpr std::uint64_t max_source_period = 512;
-
-    /**
-     * Boundaries in a row that must match the one p back before the
-     * filter proposes p (all p of them when p is smaller).
-     */
-    static constexpr std::size_t min_run = 16;
 
     /**
      * @param enable false keeps the detector inactive (a chunk hook
@@ -110,7 +94,7 @@ class PeriodDetector
     /** Deactivate for good (the confirmed period was used). */
     void stop() { active_ = false; }
 
-    const StateSnapshot &a() const { return found_->a; }
+    const StateSnapshot &a() const { return found_->state; }
     const StateSnapshot &b() const { return b_; }
     Cycle periodCycles() const { return b().cycle - a().cycle; }
 
@@ -118,10 +102,10 @@ class PeriodDetector
     PollView viewAt(Cycle c) const;
 
   private:
-    /** One thread's execution boundary inside the logged period. */
+    /** One thread's execution boundary after the step-0 anchor. */
     struct Event
     {
-        Cycle offset;            ///< cycle - a().cycle, in (0, P]
+        Cycle cycle;
         std::uint64_t execs;
         Cycle last;
     };
@@ -134,73 +118,31 @@ class PeriodDetector
     using PhaseKey = std::array<std::uint64_t, num_hw_threads + 1>;
     static PhaseKey phaseOf(const SmtCore &core);
 
-    /** One search for a recurrence from its boundary A. */
-    struct Search
+    /** A boundary that later steps are compared with. */
+    struct Anchor
     {
-        explicit Search(std::size_t max_steps) : maxSteps(max_steps) {}
-
-        /** Steps (distinct phases) it waits, at most, for A's phases
-         *  to recur. */
-        const std::size_t maxSteps;
-        std::uint64_t step = 1; ///< reference boundaries per step
-        std::uint64_t since = 0; ///< reference boundaries since A
-        std::vector<PhaseKey> keys; ///< per step since A, A's first
-        std::uint32_t rolls = 0;
-        StateSnapshot a;
-        PollView view{}; ///< at A
-        std::array<std::vector<Event>, num_hw_threads> log;
-
-        bool searching() const { return !keys.empty(); }
+        StateSnapshot state;
+        PhaseKey key{};
+        PollView view{};
+        /** Per thread, its first event in log_ after this boundary. */
+        std::array<std::size_t, num_hw_threads> logFrom{};
     };
 
-    /** Times a search moves A on, at most, before it fails. */
-    static constexpr std::uint32_t max_rolls = 8;
-
-    /** Digest the reference boundary; return a proposed period or 0. */
-    std::size_t filter(const SmtCore &core);
-
-    /** The core's snapshot at the reference boundary it stopped at,
-     *  taken into b_ once per boundary. */
-    const StateSnapshot &here(const SmtCore &core);
-
-    /** Start @p s (A at this boundary) with a step of @p step. */
-    void startAt(Search &s, std::uint64_t step, const SmtCore &core);
-
-    /** One reference boundary of @p s; true when it confirms. */
-    bool advance(Search &s, const SmtCore &core);
-
-    /** Give up search @p s. */
-    void fail(Search &s);
+    /** Anchors kept: the step-0 one and the two newest others. */
+    static constexpr std::size_t max_anchors = 3;
 
     bool active_ = false;
     ThreadId ref_ = 0;
     std::uint64_t refPeriod_ = 1; ///< the reference source's, executions
     std::array<std::uint64_t, num_hw_threads> seen_{};
+    std::uint64_t refBoundaries_ = 0; ///< after the step-0 anchor
 
-    // Filter: per-boundary digests (a ring of 2 * max_period) and, per
-    // candidate p, how many boundaries in a row matched the one p back.
-    std::vector<const Counter *> counters_;
-    std::vector<std::uint64_t> prevCounters_;
-    Cycle prevCycle_ = 0;
-    std::uint64_t boundaries_ = 0;
-    std::array<std::uint64_t, 2 * max_period> digests_{};
-    std::array<std::uint32_t, max_period + 1> run_{};
-    std::uint64_t cooldownUntil_ = 0;
-    std::uint32_t failures_ = 0;
-
-    /**
-     * A at the measurement's first reference boundary, stepping by the
-     * reference period, so it may take up to max_period steps to span a
-     * period; and A where the filter proposed, whose step is already the
-     * proposed period. At most three snapshots are alive: the two A's
-     * and b_.
-     */
-    Search first_{max_period};
-    Search filtered_{32};
-    const Search *found_ = nullptr;
+    /** Oldest first: step 0, then the newest power-of-two steps. */
+    std::vector<Anchor> anchors_;
+    std::array<std::vector<Event>, num_hw_threads> log_;
+    const Anchor *found_ = nullptr;
     StateSnapshot b_;
     PollView bView_{};
-    bool bTaken_ = false; ///< b_ holds this boundary's snapshot
 };
 
 } // namespace p5

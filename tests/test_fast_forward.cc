@@ -492,9 +492,9 @@ TEST(FastForward, PeriodSkipIsBitIdenticalWhereTheStateRecurs)
  * A state that recurs right after the warm-up is found from the
  * measurement's first reference boundary: cpu_int+ldint_l1@2,6 at the
  * default FAME parameters (full scale) measures only 32 executions of
- * its slow thread, too few for the stat filter to propose the period
- * in time, yet jumps about half of its measurement and still equals a
- * run that ticks every cycle.
+ * its slow thread, so the period must be confirmed within the first of
+ * them; it jumps about half of its measurement and still equals a run
+ * that ticks every cycle.
  */
 TEST(FastForward, PeriodSkipFindsARecurrenceRightAfterTheWarmUp)
 {
@@ -504,6 +504,29 @@ TEST(FastForward, PeriodSkipFindsARecurrenceRightAfterTheWarmUp)
     const FameSnapshot slow = fameRun(cpu, l1, 2, 6, false, FameParams{});
     EXPECT_GE(fast.jumped, 600'000u);
     expectSameFame(fast, slow, "cpu_int+ldint_l1@2,6");
+}
+
+/**
+ * A recurrence that sets in well after the measurement starts is
+ * confirmed from an anchor of the power-of-two ladder: applu+equake@5,4
+ * at the --fast FAME parameters is in the same state at steps 4 and 16
+ * (a step is 16 executions of equake, the reference thread), so the
+ * step-4 anchor confirms at step 16; confirmed one period later (B at
+ * step 28), the run would jump only 2,001,096 cycles. It still equals a
+ * run that ticks every cycle.
+ */
+TEST(FastForward, PeriodSkipAnchorsInsideALateRecurrence)
+{
+    const double scale = ExpConfig::fast().ubenchScale;
+    const SyntheticProgram applu =
+        makeSpecProxy(SpecProxyId::Applu, scale);
+    const SyntheticProgram equake =
+        makeSpecProxy(SpecProxyId::Equake, scale);
+    const FameParams fame = ExpConfig::fast().fame;
+    const FameSnapshot fast = fameRun(applu, equake, 5, 4, true, fame);
+    const FameSnapshot slow = fameRun(applu, equake, 5, 4, false, fame);
+    EXPECT_GT(fast.jumped, 2'001'096u);
+    expectSameFame(fast, slow, "applu+equake@5,4");
 }
 
 /**

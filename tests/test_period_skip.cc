@@ -350,12 +350,11 @@ TEST(StateSnapshotTest, JumpEqualsTicking)
 // --- PeriodDetector ----------------------------------------------------
 
 /**
- * cpu_int+ldint_l1 at (2,6) recurs right after FAME's default warm-up,
- * too soon for the stat filter to propose it. The search anchored at
- * the measurement's first reference boundary (cpu_int, the lower
- * priority, completing an execution) confirms it: A is that boundary,
- * and B the first later reference boundary whose state equals A's,
- * exactly one period on.
+ * cpu_int+ldint_l1 at (2,6) recurs right after FAME's default warm-up.
+ * The step-0 anchor, at the measurement's first reference boundary
+ * (cpu_int, the lower priority, completing an execution), confirms it:
+ * A is that boundary, and B the first later reference boundary whose
+ * state equals A's, exactly one period on.
  */
 TEST(PeriodDetectorTest, ConfirmsFromTheFirstReferenceBoundary)
 {
