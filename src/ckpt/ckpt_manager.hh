@@ -21,13 +21,13 @@
  * longest job therefore claims the key, and the creators of different
  * mixes start together on different workers.
  *
- * Claim semantics mirror the SimRunner's ResultCache: a
- * shared_future per key, first-claimant-computes. Blocking a pool
- * thread on the future cannot deadlock because an entry only exists
- * while (or after) its creator is actively warming on another pool
- * thread. A claim that fails (warm() or the store throws) hands its
- * message to every waiting sibling, which fails with it, and releases
- * the key, so a later caller claims it afresh.
+ * Claims go through a ClaimTable, as the SimRunner's job results do:
+ * first claimant computes, everyone else waits on its claim. Waiting
+ * on a runner thread cannot deadlock because a key is only claimed by
+ * a job that is already running, so its creator is actively warming on
+ * another thread. A claim that fails (warm() or the store throws)
+ * hands its message to every waiting sibling, which fails with it, and
+ * releases the key, so a later caller claims it afresh.
  */
 
 #ifndef P5SIM_CKPT_CKPT_MANAGER_HH
@@ -36,13 +36,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "ckpt/ckpt.hh"
+#include "common/claim_table.hh"
 
 namespace p5 {
 
@@ -102,17 +100,7 @@ class CkptManager
     std::uint64_t forks() const { return memForks() + storeForks(); }
 
   private:
-    using Shared = std::shared_ptr<const Checkpoint>;
-
-    /** What a claim resolves to: the image, or why its warm-up failed. */
-    struct Outcome
-    {
-        Shared ckpt;
-        std::string error; ///< set when ckpt is null
-    };
-
-    std::mutex mutex_;
-    std::map<std::string, std::shared_future<Outcome>> cache_;
+    ClaimTable<Checkpoint> images_;
     CkptStore *store_ = nullptr;
     std::atomic<std::uint64_t> warms_{0};
     std::atomic<std::uint64_t> memForks_{0};

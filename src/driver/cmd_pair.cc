@@ -223,7 +223,7 @@ cmdRun(const Cli &cli, DriverContext &ctx, ExpConfig &config)
 
 /**
  * Fan the cartesian product of the --sweep axes out as one SimJob
- * batch through the thread pool, then aggregate per-point results
+ * batch through the SimRunner, then aggregate per-point results
  * (with each point's own fingerprint) into a single table + report.
  */
 int
@@ -286,8 +286,8 @@ cmdSweep(const Cli &cli, DriverContext &ctx, ExpConfig &base)
             points.push_back(std::move(pt));
     }
 
-    // One batch: every point becomes a job, and the pool (plus the
-    // result cache) fans them out together.
+    // One batch: every point becomes a job, and the runner's workers
+    // (plus the result cache) fan them out together.
     std::vector<SimJob> batch;
     batch.reserve(points.size());
     for (const SweepPoint &pt : points)

@@ -12,7 +12,6 @@
 #include "common/artifact.hh"
 #include "common/cli.hh"
 #include "common/log.hh"
-#include "common/thread_pool.hh"
 #include "config/config.hh"
 #include "driver/commands.hh"
 #include "fame/sim_runner.hh"
@@ -65,7 +64,7 @@ writeReport(const DriverContext &ctx, const ExpConfig &config,
     w.beginObject();
     w.member("experiment", ctx.command);
     w.member("jobs",
-             config.jobs ? config.jobs : ThreadPool::defaultWorkers());
+             config.jobs ? config.jobs : SimRunner::defaultWorkers());
     w.member("scale", config.ubenchScale);
     w.member("minRepetitions", config.fame.minRepetitions);
     w.member("maiv", config.fame.maiv);

@@ -1,12 +1,15 @@
 #include "fame/sim_runner.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <mutex>
 #include <numeric>
+#include <string>
+#include <thread>
 
 #include "common/log.hh"
-#include "common/thread_pool.hh"
 #include "store/result_store.hh"
 
 namespace p5 {
@@ -18,48 +21,17 @@ ResultCache::process()
     return cache;
 }
 
-ResultCache::Claim
-ResultCache::claim(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-        hits_.fetch_add(1);
-        return Claim{false, it->second, nullptr};
-    }
-    misses_.fetch_add(1);
-    auto promise = std::make_shared<std::promise<SimResult>>();
-    std::shared_future<SimResult> future =
-        promise->get_future().share();
-    map_.emplace(key, future);
-    return Claim{true, future, std::move(promise)};
-}
-
-void
-ResultCache::abandon(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.erase(key);
-}
-
-std::size_t
-ResultCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return map_.size();
-}
-
-void
-ResultCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
-}
-
 SimRunner::SimRunner(unsigned jobs, ResultCache *cache)
-    : jobs_(jobs ? jobs : ThreadPool::defaultWorkers()),
+    : jobs_(jobs ? jobs : defaultWorkers()),
       cache_(cache ? cache : &ResultCache::process())
 {}
+
+unsigned
+SimRunner::defaultWorkers()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
+}
 
 void
 SimRunner::setStore(ResultStore *store, bool read_through)
@@ -94,106 +66,98 @@ std::vector<SimResult>
 SimRunner::run(const std::vector<SimJob> &batch,
                const std::vector<StoreProvenance> *provenance)
 {
-    struct Pending
-    {
-        const SimJob *job;
-        std::string key;
-        ResultCache::Claim claim;
-        const StoreProvenance *prov;
-    };
-
     if (provenance && provenance->size() != batch.size())
         panic("provenance vector (%zu) does not parallel batch (%zu)",
               provenance->size(), batch.size());
 
     // Claim every job up front; duplicates (within the batch or from
-    // earlier batches) resolve to the same future and never re-run.
-    std::vector<std::shared_future<SimResult>> futures;
-    futures.reserve(batch.size());
-    std::vector<Pending> toRun;
+    // earlier batches) wait on the same claim and never re-run.
+    std::vector<ResultCache::Claim> claims;
+    claims.reserve(batch.size());
+    std::vector<std::size_t> owned_at;
+    std::vector<const SimJob *> owned;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        const SimJob &job = batch[i];
-        std::string key = job.key();
-        ResultCache::Claim claim = cache_->claim(key);
-        futures.push_back(claim.future);
-        if (claim.claimed)
-            toRun.push_back(Pending{
-                &job, std::move(key), std::move(claim),
-                provenance ? &(*provenance)[i] : nullptr});
+        claims.push_back(cache_->claim(batch[i].key()));
+        if (claims.back().mine()) {
+            owned_at.push_back(i);
+            owned.push_back(&batch[i]);
+        }
     }
+    const std::vector<std::size_t> order = dispatchOrder(owned);
 
     static const StoreProvenance no_provenance;
-    // The first failure ends the batch: every claim not yet started is
-    // abandoned with that exception instead of running, so one bad
-    // input does not wait for the rest of the batch to simulate.
+    // The first failure ends the batch: every claim taken after it
+    // fails with its message instead of running, so one bad input does
+    // not wait for the rest of the batch to simulate.
     std::mutex failure_mutex;
     std::exception_ptr failure;
-    auto executeOne = [&](Pending &p) {
+    std::string failure_message;
+    auto end_batch = [&](ResultCache::Claim &claim, const char *message) {
         {
             std::lock_guard<std::mutex> lock(failure_mutex);
-            if (failure) {
-                cache_->abandon(p.key);
-                p.claim.promise->set_exception(failure);
-                return;
+            if (!failure) {
+                failure = std::current_exception();
+                failure_message = message;
             }
         }
+        claim.fail(message);
+    };
+    auto execute = [&](std::size_t i) {
+        ResultCache::Claim &claim = claims[i];
         try {
+            {
+                std::lock_guard<std::mutex> lock(failure_mutex);
+                if (failure) {
+                    claim.fail(failure_message);
+                    return;
+                }
+            }
             // Beneath the in-process cache: a stored result satisfies
             // the claim without simulating (read-through), and a fresh
             // result is published as soon as it exists (write-through),
             // so a killed sweep keeps every finished point.
             SimResult result;
-            if (store_ && storeReadThrough_ &&
-                store_->load(*p.job, result)) {
-                p.claim.promise->set_value(std::move(result));
-                return;
+            if (!store_ || !storeReadThrough_ ||
+                !store_->load(batch[i], result)) {
+                result = batch[i].execute(checkpoints_);
+                if (store_)
+                    store_->put(batch[i], result,
+                                provenance ? (*provenance)[i]
+                                           : no_provenance);
             }
-            result = p.job->execute(checkpoints_);
-            if (store_)
-                store_->put(*p.job, result,
-                            p.prov ? *p.prov : no_provenance);
-            p.claim.promise->set_value(std::move(result));
+            claim.settle(std::move(result));
+        } catch (const std::exception &e) {
+            end_batch(claim, e.what());
         } catch (...) {
-            // Don't poison the cache with the failure; rethrow to the
-            // batch's caller through the future.
-            cache_->abandon(p.key);
-            p.claim.promise->set_exception(std::current_exception());
-            std::lock_guard<std::mutex> lock(failure_mutex);
-            if (!failure)
-                failure = std::current_exception();
+            // Whatever a job throws ends the batch: nothing may escape
+            // a helper thread, where it would terminate the process.
+            end_batch(claim, "a job threw a non-standard exception");
         }
     };
 
-    if (!toRun.empty()) {
-        if (jobs_ == 1 || toRun.size() == 1) {
-            // Serial path: no pool, deterministic submission order.
-            for (Pending &p : toRun)
-                executeOne(p);
-        } else {
-            const unsigned workers = static_cast<unsigned>(std::min(
-                static_cast<std::size_t>(jobs_), toRun.size()));
-            std::vector<const SimJob *> claimed;
-            claimed.reserve(toRun.size());
-            for (const Pending &p : toRun)
-                claimed.push_back(p.job);
-            // executeOne never throws (it settles every promise), and
-            // the pool's destructor drains its FIFO queue, so the jobs
-            // start in dispatch order and have all been settled at the
-            // closing brace.
-            ThreadPool pool(workers);
-            for (std::size_t i : dispatchOrder(claimed)) {
-                Pending &p = toRun[i];
-                pool.submit([&executeOne, &p] { executeOne(p); });
-            }
-        }
+    // The caller and its helpers take claimed jobs from one cursor in
+    // dispatch order; the helpers join at the closing brace, when every
+    // claim of this batch has been settled or failed.
+    std::atomic<std::size_t> cursor{0};
+    auto work = [&] {
+        for (std::size_t n = cursor++; n < order.size(); n = cursor++)
+            execute(owned_at[order[n]]);
+    };
+    {
+        const std::size_t workers =
+            std::min(static_cast<std::size_t>(jobs_), order.size());
+        std::vector<std::jthread> helpers;
+        for (std::size_t h = 1; h < workers; ++h)
+            helpers.emplace_back(work);
+        work();
     }
     if (failure)
         std::rethrow_exception(failure);
 
     std::vector<SimResult> results;
     results.reserve(batch.size());
-    for (auto &future : futures)
-        results.push_back(future.get()); // rethrows a failed duplicate
+    for (const ResultCache::Claim &claim : claims)
+        results.push_back(*claim.get()); // waits on other batches' jobs
     return results;
 }
 

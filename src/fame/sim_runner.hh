@@ -1,14 +1,15 @@
 /**
  * @file
- * SimRunner: executes batches of SimJobs across a thread pool, with a
- * keyed result cache.
+ * SimRunner: executes batches of SimJobs on the calling thread plus
+ * helper threads, through a keyed result cache.
  *
- * The cache is keyed by SimJob::key(), so any configuration simulates at
- * most once per process no matter how many producers ask for it — the
- * (4,4) baselines shared by Table 3 and Figs. 2-4 are the headline case.
- * Duplicates *within* one batch are also coalesced: the first occurrence
- * runs, the rest wait on its future. Cache hit/miss counters are exposed
- * for tests and JSON reports.
+ * The cache is a ClaimTable keyed by SimJob::key(), so any
+ * configuration simulates at most once per process no matter how many
+ * producers ask for it — the (4,4) baselines shared by Table 3 and
+ * Figs. 2-4 are the headline case. Duplicates *within* one batch are
+ * also coalesced: the first occurrence runs, the rest wait on its
+ * claim. Cache hit/miss counters are exposed for tests and JSON
+ * reports.
  *
  * Correctness under concurrency: a job executes with zero shared mutable
  * state (it builds its own programs and its own core; the only process
@@ -16,23 +17,19 @@
  * results are bit-identical regardless of worker count or scheduling
  * order. tests/test_sim_runner.cc asserts jobs=1 == jobs=8.
  *
- * Dispatch order: with more than one worker, the jobs a batch must
- * execute start longest-expected-first (dispatchOrder()), so the batch
- * does not end on one long job started last. The serial path keeps
- * submission order. Results always come back in batch order.
+ * Dispatch order: the workers take a batch's claimed jobs from one
+ * cursor over dispatchOrder(). With more than one worker that is
+ * longest-expected-first, so the batch does not end on one long job
+ * started last; with one, the calling thread runs them in submission
+ * order. Results always come back in batch order.
  */
 
 #ifndef P5SIM_FAME_SIM_RUNNER_HH
 #define P5SIM_FAME_SIM_RUNNER_HH
 
-#include <atomic>
-#include <cstdint>
-#include <future>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
-#include "common/annotate.hh"
+#include "common/claim_table.hh"
 #include "fame/sim_job.hh"
 
 namespace p5 {
@@ -41,53 +38,15 @@ class CkptManager;
 class ResultStore;
 struct StoreProvenance;
 
-/** Process-lifetime map from job key to completed (or running) result. */
-class ResultCache
+/** Process-lifetime table from job key to completed (or running) result. */
+class ResultCache : public ClaimTable<SimResult>
 {
   public:
-    ResultCache() = default;
-    ResultCache(const ResultCache &) = delete;
-    ResultCache &operator=(const ResultCache &) = delete;
-
     /** The per-process cache used by the experiment producers. */
     static ResultCache &process();
-
-    /**
-     * Claim @p key: if absent, the caller must execute the job and
-     * fulfill the returned promise slot (claimed == true); if present,
-     * wait on the returned future (claimed == false, a hit).
-     */
-    struct Claim
-    {
-        bool claimed = false;
-        std::shared_future<SimResult> future;
-        std::shared_ptr<std::promise<SimResult>> promise; ///< when claimed
-    };
-    Claim claim(const std::string &key);
-
-    /** Drop a claimed entry whose execution failed (un-poisons the map). */
-    void abandon(const std::string &key);
-
-    std::uint64_t hits() const { return hits_.load(); }
-    std::uint64_t misses() const { return misses_.load(); }
-    std::size_t size() const;
-
-    /** Forget all results (not the counters). */
-    void clear();
-
-  private:
-    mutable std::mutex mutex_;
-    // Lookup-only by construction: every access is find/emplace/erase/
-    // size/clear under mutex_ — nothing ever iterates the map, so its
-    // hash order cannot leak into reports (audited for p5lint's
-    // determinism rule; keep it that way or switch to std::map).
-    P5_ALLOW(determinism)
-    std::unordered_map<std::string, std::shared_future<SimResult>> map_;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
 };
 
-/** Runs SimJob batches over a worker pool, through a ResultCache. */
+/** Runs SimJob batches on up to `jobs` threads, through a ResultCache. */
 class SimRunner
 {
   public:
@@ -119,8 +78,8 @@ class SimRunner
      * Execute @p batch and return results in batch order. Every unique
      * key is executed at most once (per process, via the cache). The
      * first job to throw ends the batch: jobs already running finish,
-     * every claimed job not yet started is abandoned with that
-     * exception, and it is rethrown here.
+     * every claimed job taken after it fails with its message, and the
+     * exception itself is rethrown here.
      *
      * @p provenance, when given, must parallel @p batch; entry i is
      * stamped into the store file of batch[i] (write-through only).
@@ -153,10 +112,8 @@ class SimRunner
     /** Convenience single-job run (still cached). */
     SimResult runOne(const SimJob &job);
 
-    unsigned jobs() const { return jobs_; }
-    ResultCache &cache() { return *cache_; }
-    ResultStore *store() { return store_; }
-    CkptManager *checkpoints() { return checkpoints_; }
+    /** max(1, std::thread::hardware_concurrency()). */
+    static unsigned defaultWorkers();
 
   private:
     unsigned jobs_;

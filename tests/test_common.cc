@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the common module: logging, RNG, statistics, table
- * rendering, CLI parsing.
+ * Unit tests for the common module: logging (and the thread safety of
+ * its globals), RNG, statistics, table rendering, CLI parsing.
  */
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,6 +43,32 @@ TEST(Log, WarnCountsEvenWhenSuppressed)
     warn("suppressed warning %d", 42);
     EXPECT_EQ(warnCount(), before + 1);
     setLogLevel(old);
+}
+
+TEST(Log, WarnCountAndLevelAreThreadSafe)
+{
+    // Concurrent simulations warn() and read the log level from many
+    // threads; hammer both and check no update is lost. (Run silent so
+    // the test log stays readable.)
+    const LogLevel prev = setLogLevel(LogLevel::Silent);
+    const std::uint64_t before = warnCount();
+
+    constexpr int threads = 8;
+    constexpr int perThread = 250;
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t)
+        workers.emplace_back([] {
+            for (int i = 0; i < perThread; ++i) {
+                warn("concurrent warn %d", i);
+                (void)logLevel();
+            }
+        });
+    for (auto &w : workers)
+        w.join();
+
+    EXPECT_EQ(warnCount() - before,
+              static_cast<std::uint64_t>(threads) * perThread);
+    setLogLevel(prev);
 }
 
 // --- rng ---------------------------------------------------------------

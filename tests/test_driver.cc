@@ -27,7 +27,6 @@
 #include "ckpt/ckpt.hh"
 #include "common/artifact.hh"
 #include "common/json.hh"
-#include "common/thread_pool.hh"
 #include "config/config.hh"
 #include "driver/driver.hh"
 #include "driver/perf.hh"
@@ -338,7 +337,7 @@ legacyEnvelope(const char *experiment, const ExpConfig &config,
         w.beginObject();
         w.member("experiment", experiment);
         w.member("jobs", config.jobs ? config.jobs
-                                     : ThreadPool::defaultWorkers());
+                                     : SimRunner::defaultWorkers());
         w.member("scale", config.ubenchScale);
         w.member("minRepetitions", config.fame.minRepetitions);
         w.member("maiv", config.fame.maiv);

@@ -2,11 +2,15 @@
  * @file
  * Tests for the job-based execution engine: SimJob keys and seeds, the
  * keyed result cache (including the shared (4,4) baseline dedup the
- * engine exists for), and bit-identical results across worker counts.
+ * engine exists for), bit-identical results across worker counts, and
+ * how a failed job ends its batch and reaches other batches.
  */
 
+#include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -319,6 +323,51 @@ TEST(SimRunner, BatchStopsAtItsFirstFailure)
         std::filesystem::remove_all(dir);
         std::remove(trace.c_str());
     }
+}
+
+/**
+ * A failed job reaches the waiters of other batches as its message.
+ * One thread runs a one-worker batch {slow, failing}, the failing job's
+ * trace rewritten after it was keyed; once both are claimed, a second
+ * runner asks for the failing job and waits on that claim. Both throw
+ * the trace's message. The failed key is released and the slow job's
+ * result stays, so a third run claims the key afresh.
+ */
+TEST(SimRunner, ConcurrentBatchesShareAFailedJobsMessage)
+{
+    const std::string trace =
+        ::testing::TempDir() + "p5sim_shared_failure.trace";
+    dumpTrace(makeUbench(UbenchId::CpuInt, 0.25), 2, trace);
+    const SimJob failing = SimJob::famePair(
+        ProgramSpec::trace(trace),
+        ProgramSpec::ubench(UbenchId::LdintMem, 0.5), 4, 4, CoreParams{},
+        fastFame());
+    dumpTrace(makeUbench(UbenchId::CpuInt, 0.5), 2, trace);
+    const SimJob slow = fastPair(UbenchId::CpuInt, UbenchId::LdintMem, 6, 1);
+    const char *const changed = "^trace '.*' changed since it was keyed";
+
+    ResultCache cache;
+    std::atomic<bool> done{false};
+    std::thread first([&] {
+        SimRunner runner(1, &cache);
+        EXPECT_FATAL(runner.run({slow, failing}), changed);
+        done = true;
+    });
+    // Both claims are taken before the slow job starts; the loop also
+    // ends if the first batch is over, so a missed window fails below
+    // instead of hanging.
+    while (cache.size() < 2 && !done.load())
+        std::this_thread::yield();
+    SimRunner second(1, &cache);
+    EXPECT_FATAL(second.run({failing}), changed);
+    first.join();
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.size(), 1u);
+
+    EXPECT_FATAL(second.run({failing}), changed);
+    EXPECT_EQ(cache.misses(), 3u);
+    std::remove(trace.c_str());
 }
 
 } // namespace
